@@ -83,11 +83,18 @@ class _BallCache:
         return cached
 
     def bitset(self, eid: int) -> int:
-        """``N_D(eid)`` as an int bitset (memoised)."""
+        """``N_D(eid)`` as an int bitset (memoised).
+
+        Records one ``local.ball.memo`` event per lookup, like
+        :meth:`ball_ids`: a hit here, or on a miss whatever the
+        :meth:`ball_ids` call building the bitset records.
+        """
         cached = self._bitsets.get(eid)
         if cached is None:
             cached = self.kernel.bitset(self.ball_ids(eid))
             self._bitsets[eid] = cached
+        elif self._metrics is not None:
+            self._metrics.inc("local.ball.memo.hit")
         return cached
 
     def __call__(self, element: Element) -> FrozenSet[Element]:

@@ -26,24 +26,44 @@ live here and only here.
 
 Memo lifetime contract
 ----------------------
-The satisfaction/count memos key on *alpha-canonical text*: the node is
-canonicalised (:func:`~repro.plan.normalise.canonicalise` — bound
+Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
+``dist(x, y) <= d``, Top, Bottom and the negation of a relation atom or
+an equality are decided by a membership probe on the relation's
+frozenset, an equality, or a lookup in the state's cached ball.  All but
+the distance atom compile once per node into a closure (:meth:`_test`)
+over the relation's frozenset.  An atom test builds no memo key, stores
+no entry, ticks no ``evaluator.holds`` step and reaches no
+``memo.insert`` fault site; the per-candidate ``evaluator.enumerate``
+tick of guarded enumeration still pays for every atom test, so a budget
+bounds all work.  The closures capture the relation frozensets of the
+current structure, so they are rebuilt after each materialisation step.
+Guarded enumeration also skips the atom, equality or distance atom that
+supplied a candidate pool once all its variables are bound: every
+candidate already satisfies it.
+
+Compound formulas, predicate atoms and counts go through the
+satisfaction/count memos, which key on *alpha-canonical text*: the node
+is canonicalised (:func:`~repro.plan.normalise.canonicalise` — bound
 variables renamed ``_b0, _b1, ...``, free variables untouched) and
 pretty-printed, so alpha-equivalent subterms share one entry — e.g.
 ``#(y). E(x, y)`` and ``#(z). E(x, z)`` hit the same count cell.  The
 canonical text itself is expensive to compute, so it is cached per
-``id(node)`` in ``_canon_memo`` (and per ``(id(body), variables)`` in
+``id(node)`` in ``_canon_memo`` (and, with the sorted free variables
+whose bindings complete a count key, per ``(id(body), variables)`` in
 ``_count_key_memo``), and the rewrite nodes the dynamic paths fabricate —
 ``Not(inner)`` for a Forall, the ``And`` overlap of an Or — are cached
 per ``id`` too (``_forall_memo`` / ``_overlap_memo``), so re-evaluating
 a quantifier never mints fresh AST nodes whose ids would defeat every
 id-keyed cache.
 
-The id-keyed caches are only sound while the node object stays alive:
-CPython recycles ids, so an entry that outlives its node can alias a
-*different* node created later.  The state therefore pins every node that
-enters an id-keyed memo in ``_pins`` (id -> node) and the two are only
-ever dropped **together**, via :meth:`_reset_memos`.  States themselves
+The id-keyed caches (the per-node tests included) are only sound while
+the node object stays alive: CPython recycles ids, so an entry that
+outlives its node can alias a *different* node created later.  The state
+therefore pins every node that enters an id-keyed memo in ``_pins``
+(id -> node), and pins are only ever dropped **together** with the memos,
+via :meth:`_reset_memos`.  (Dropping the tests alone after a
+materialisation step is safe: a pin without an entry only keeps a node
+alive.)  States themselves
 are scoped to one public engine call (facades create fresh states per
 call and hold no reference afterwards), so repeated queries do not
 accumulate memory across calls.  Plan-driven execution strengthens the
@@ -56,7 +76,20 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import EvaluationError, FragmentError, SuspendedError
 from ..logic.predicates import PredicateCollection
@@ -107,6 +140,13 @@ from .normalise import canonicalise, flatten_conjuncts, replace_atoms
 
 __all__ = ["ExecutionState", "PlanExecutor"]
 
+#: A compiled satisfaction test (see :meth:`ExecutionState._test`).
+Test = Callable[[Dict[Variable, Element]], bool]
+
+
+def _unassigned(error: KeyError) -> EvaluationError:
+    return EvaluationError(f"free variable {error.args[0]!r} is not assigned")
+
 
 class ExecutionState:
     """Evaluation state for one (possibly expanded) structure: memo tables,
@@ -143,7 +183,12 @@ class ExecutionState:
         # Alpha-canonical memo-key texts, cached per node identity (the
         # canonicalise + pretty walk is O(|node|); the id lookup is O(1)).
         self._canon_memo: Dict[int, str] = {}
-        self._count_key_memo: Dict[Tuple[int, Tuple[Variable, ...]], str] = {}
+        self._count_key_memo: Dict[
+            Tuple[int, Tuple[Variable, ...]], Tuple[str, Tuple[Variable, ...]]
+        ] = {}
+        # Per-node satisfaction tests (in place for atoms, through the
+        # memo otherwise); rebuilt whenever the structure is extended.
+        self._tests: Dict[int, Test] = {}
         # Rewrite nodes the dynamic paths fabricate, cached per source
         # node so repeated evaluation reuses one object (and its memos).
         self._forall_memo: Dict[int, Not] = {}
@@ -165,6 +210,7 @@ class ExecutionState:
         self._conjunct_memo.clear()
         self._canon_memo.clear()
         self._count_key_memo.clear()
+        self._tests.clear()
         self._forall_memo.clear()
         self._overlap_memo.clear()
         self._ball_caches.clear()
@@ -222,10 +268,12 @@ class ExecutionState:
             self._pins[key] = node
         return cached
 
-    def _count_canon_key(
+    def _count_key(
         self, variables: Tuple[Variable, ...], body: Formula
-    ) -> str:
-        """Canonical text of ``#(variables). body`` — the count-memo key.
+    ) -> Tuple[str, Tuple[Variable, ...]]:
+        """The fixed half of the count-memo key for ``#(variables). body``:
+        its canonical text, and the sorted free variables of ``body``
+        outside ``variables`` (whose bindings are the other half).
 
         Wrapping in a CountTerm before canonicalising folds the counted
         variables into the binder renaming, so ``#(y). E(x, y)`` and
@@ -238,10 +286,11 @@ class ExecutionState:
             if by_vars is None:
                 by_vars = {}
                 object.__setattr__(body, "_count_canon_cache", by_vars)
-            cached = by_vars.get(variables)
-            if cached is None:
-                cached = pretty(canonicalise(CountTerm(variables, body)))
-                by_vars[variables] = cached
+            text = by_vars.get(variables)
+            if text is None:
+                text = pretty(canonicalise(CountTerm(variables, body)))
+                by_vars[variables] = text
+            cached = (text, tuple(sorted(self.free(body) - set(variables))))
             self._count_key_memo[key] = cached
             self._pins[id(body)] = body
         return cached
@@ -258,6 +307,20 @@ class ExecutionState:
             if self._metrics is not None:
                 self._metrics.inc("evaluator.ball.expansion")
         return cached
+
+    def _extend(self, symbol: RelationSymbol, tuples: Iterable[Tup]) -> None:
+        """Expand the structure by one auxiliary relation.
+
+        Memos survive (aux relations are <=1-ary: no new Gaifman edges, no
+        change to existing relations); the per-node tests captured the old
+        structure's relations, so they are rebuilt on next use.
+        """
+        from ..structures.operations import expansion
+
+        self.structure = expansion(
+            self.structure, Signature([symbol]), {symbol.name: tuples}
+        )
+        self._tests.clear()
 
     # -- Theorem 6.10 stratification: planned path --------------------------------
 
@@ -288,15 +351,9 @@ class ExecutionState:
                 fault_check("predicate.oracle")
                 if self.predicates.query(step.predicate, values):
                     tuples.add((element,))
-        from ..structures.operations import expansion
-
         if self._metrics is not None:
             self._metrics.inc("evaluator.predicate.materialised")
-        self.structure = expansion(
-            self.structure,
-            Signature([RelationSymbol(step.symbol, step.arity)]),
-            {step.symbol: tuples},
-        )
+        self._extend(RelationSymbol(step.symbol, step.arity), tuples)
         return tuples
 
     def apply_recorded_stratum(
@@ -311,15 +368,9 @@ class ExecutionState:
                 f"plan symbol {step.symbol!r} already present; "
                 "was this plan compiled for a different signature?"
             )
-        from ..structures.operations import expansion
-
         if self._metrics is not None:
             self._metrics.inc("checkpoint.stratum.replayed")
-        self.structure = expansion(
-            self.structure,
-            Signature([RelationSymbol(step.symbol, step.arity)]),
-            {step.symbol: set(tuples)},
-        )
+        self._extend(RelationSymbol(step.symbol, step.arity), set(tuples))
 
     # -- Theorem 6.10 stratification: dynamic path --------------------------------
 
@@ -395,13 +446,9 @@ class ExecutionState:
                     tuples.add((element,))
             symbol = RelationSymbol(fresh, 1)
             replacement = Atom(fresh, (variable,))
-        from ..structures.operations import expansion
-
         if self._metrics is not None:
             self._metrics.inc("evaluator.predicate.materialised")
-        self.structure = expansion(
-            self.structure, Signature([symbol]), {fresh: tuples}
-        )
+        self._extend(symbol, tuples)
         return replacement
 
     # -- terms ----------------------------------------------------------------------
@@ -431,14 +478,8 @@ class ExecutionState:
         # Outer bindings of the counted variables are shadowed by the binder.
         if any(v in env for v in variables):
             env = {k: val for k, val in env.items() if k not in variables}
-        relevant = tuple(
-            sorted(
-                (v, env[v])
-                for v in (self.free(body) - set(variables))
-                if v in env
-            )
-        )
-        key = (self._count_canon_key(variables, body), relevant)
+        text, names = self._count_key(variables, body)
+        key = (text, tuple((v, env[v]) for v in names if v in env))
         cached = self._count_memo.get(key)
         if cached is None:
             if self.budget is not None:
@@ -600,26 +641,35 @@ class ExecutionState:
                 yield None
             return
 
-        variable, candidates = self._choose_variable(remaining, conjuncts, env)
-        ready_after: List[Formula] = []
+        variable, candidates, satisfied = self._choose_variable(
+            remaining, conjuncts, env
+        )
+        # Conjuncts fully bound once ``variable`` is are checked per
+        # candidate (bar the guard whose pool already satisfies them);
+        # the rest wait for deeper levels.
+        checks: List[Test] = []
         later: List[Formula] = []
         remaining_after = set(remaining) - {variable}
         for conjunct in conjuncts:
-            unbound = (self.free(conjunct) & set(remaining)) - {variable}
-            if unbound & remaining_after:
+            if self.free(conjunct) & remaining_after:
                 later.append(conjunct)
-            else:
-                ready_after.append(conjunct)
+            elif conjunct is not satisfied:
+                checks.append(self._test(conjunct) or partial(self.holds, conjunct))
+        rest = tuple(v for v in variables if v != variable)
 
         budget = self.budget
         for candidate in candidates:
             if budget is not None:
                 budget.tick("evaluator.enumerate")
             env[variable] = candidate
-            if all(self.holds(c, env) for c in ready_after):
-                yield from self._assignments(
-                    tuple(v for v in variables if v != variable), later, env
-                )
+            for check in checks:
+                if not check(env):
+                    break
+            else:
+                if remaining_after:
+                    yield from self._assignments(rest, later, env)
+                else:
+                    yield None
         env.pop(variable, None)
 
     def _choose_variable(
@@ -627,29 +677,35 @@ class ExecutionState:
         remaining: List[Variable],
         conjuncts: List[Formula],
         env: Dict[Variable, Element],
-    ) -> Tuple[Variable, Iterable]:
+    ) -> "Tuple[Variable, Iterable, Optional[Formula]]":
         """Pick the next variable and its candidate pool, preferring the
-        tightest available guard (index lookup, equality, distance ball)."""
+        tightest available guard (index lookup, equality, distance ball).
+
+        The third item is the conjunct every pool candidate satisfies, so
+        the caller need not test it: the guard that supplied the pool,
+        when it is a relation atom, equality or distance atom whose
+        variables are all bound once the chosen variable is.
+        """
         universe = self.structure.universe_order
         metrics = self._metrics
         if not self.use_guards:
             if metrics is not None:
                 metrics.inc("evaluator.guard.disabled")
-            return remaining[0], universe
+            return remaining[0], universe, None
         # Phase 1: only guards anchored at an already-bound variable (index
         # or ball lookups — cheap).  Phase 2: un-anchored relation scans,
         # which cost O(|R|) to materialise and therefore must not run at
         # every search node; with connected conjunct components they are
         # needed at most once, for the first variable.
         for anchored_only in (True, False):
-            best: "Optional[Tuple[int, Variable, Iterable]]" = None
+            best: "Optional[Tuple[int, Variable, List[Element], Formula]]" = None
             for variable in remaining:
-                pool = self._guard_candidates(variable, conjuncts, env, anchored_only)
-                if pool is None:
+                found = self._guard_candidates(variable, conjuncts, env, anchored_only)
+                if found is None:
                     continue
-                size = len(pool)
+                size = len(found[0])
                 if best is None or size < best[0]:
-                    best = (size, variable, pool)
+                    best = (size, variable, found[0], found[1])
                     if size <= 1:
                         break
             if best is not None:
@@ -660,10 +716,14 @@ class ExecutionState:
                         else "evaluator.guard.scan"
                     )
                     metrics.observe("evaluator.guard.pool_size", best[0])
-                return best[1], best[2]
+                _, variable, pool, guard = best
+                exact = isinstance(guard, (Atom, Eq, DistAtom)) and all(
+                    v == variable or v in env for v in self.free(guard)
+                )
+                return variable, pool, guard if exact else None
         if metrics is not None:
             metrics.inc("evaluator.guard.universe")
-        return remaining[0], universe
+        return remaining[0], universe, None
 
     def _guard_candidates(
         self,
@@ -671,21 +731,19 @@ class ExecutionState:
         conjuncts: List[Formula],
         env: Dict[Variable, Element],
         anchored_only: bool = False,
-    ) -> "Optional[List[Element]]":
-        """Smallest candidate pool any positive guard offers for ``variable``,
-        or None when no guard applies."""
-        best: "Optional[Set[Element]]" = None
+    ) -> "Optional[Tuple[List[Element], Formula]]":
+        """Smallest candidate pool any positive guard offers for ``variable``
+        and the conjunct offering it, or None when no guard applies."""
+        best: "Optional[Tuple[Set[Element], Formula]]" = None
         for conjunct in conjuncts:
             pool = self._candidates_from(conjunct, variable, env, anchored_only)
             if pool is None:
                 continue
-            if best is None or len(pool) < len(best):
-                best = pool
-                if len(best) <= 1:
+            if best is None or len(pool) < len(best[0]):
+                best = (pool, conjunct)
+                if len(pool) <= 1:
                     break
-        if best is None:
-            return None
-        return list(best)
+        return None if best is None else (list(best[0]), best[1])
 
     def _candidates_from(
         self,
@@ -774,6 +832,15 @@ class ExecutionState:
     # -- first-order satisfaction -----------------------------------------------------
 
     def holds(self, formula: Formula, env: Dict[Variable, Element]) -> bool:
+        test = self._test(formula)
+        if test is not None:
+            return test(env)
+        if isinstance(formula, DistAtom):
+            try:
+                a, b = env[formula.left], env[formula.right]
+            except KeyError as error:
+                raise _unassigned(error) from None
+            return b in self.ball(a, formula.bound)
         relevant = tuple(
             (v, env[v]) for v in self.free_sorted(formula) if v in env
         )
@@ -791,26 +858,67 @@ class ExecutionState:
             self._metrics.inc("evaluator.holds.memo.hit")
         return cached
 
-    def _holds(self, formula: Formula, env: Dict[Variable, Element]) -> bool:
-        structure = self.structure
-        if isinstance(formula, Eq):
-            return self._value(formula.left, env) == self._value(formula.right, env)
-        if isinstance(formula, Atom):
-            symbol = structure.signature.get(formula.relation)
+    def _test(self, formula: Formula) -> Optional[Test]:
+        """The formula's in-place test, compiled once per node (see the
+        module docstring), or None for a formula :meth:`holds` evaluates
+        itself: a distance atom (in place, through the cached ball) or
+        anything else (through the satisfaction memo).
+
+        A test holds no reference to the state, so a state is still freed
+        by reference counting when its engine call drops it.
+        """
+        key = id(formula)
+        if key not in self._tests:
+            self._tests[key] = self._compile_test(formula)
+            self._pins[key] = formula
+        return self._tests[key]
+
+    def _compile_test(self, formula: Formula) -> Optional[Test]:
+        negated = isinstance(formula, Not) and isinstance(formula.inner, (Atom, Eq))
+        atom = formula.inner if negated else formula
+        if isinstance(atom, Atom):
+            symbol = self.structure.signature.get(atom.relation)
             if symbol is None:
                 raise EvaluationError(
-                    f"relation {formula.relation!r} missing from the signature"
+                    f"relation {atom.relation!r} missing from the signature"
                 )
-            tup = tuple(self._value(arg, env) for arg in formula.args)
-            return tup in structure.relation(symbol)
-        if isinstance(formula, DistAtom):
-            a = self._value(formula.left, env)
-            b = self._value(formula.right, env)
-            return b in self.ball(a, formula.bound)
+            relation = self.structure.relation(symbol)
+            if len(atom.args) == 1:
+                # itemgetter of one key returns the bare value, not a 1-tuple.
+                (arg,) = atom.args
+
+                def values(env):
+                    return (env[arg],)
+
+            else:
+                values = itemgetter(*atom.args) if atom.args else lambda env: ()
+
+            def test(env):
+                try:
+                    return (values(env) in relation) != negated
+                except KeyError as error:
+                    raise _unassigned(error) from None
+
+            return test
+        if isinstance(atom, Eq):
+            left, right = atom.left, atom.right
+
+            def test(env):
+                try:
+                    return (env[left] == env[right]) != negated
+                except KeyError as error:
+                    raise _unassigned(error) from None
+
+            return test
         if isinstance(formula, Top):
-            return True
+            return lambda env: True
         if isinstance(formula, Bottom):
-            return False
+            return lambda env: False
+        return None
+
+    def _holds(self, formula: Formula, env: Dict[Variable, Element]) -> bool:
+        """Evaluate a compound formula or predicate atom (atoms are tested
+        in place by :meth:`holds` and never reach here)."""
         if isinstance(formula, Not):
             return not self.holds(formula.inner, env)
         if isinstance(formula, And):
@@ -858,12 +966,6 @@ class ExecutionState:
         for _ in self._assignments(variables, conjuncts, scratch):
             return True
         return False
-
-    def _value(self, variable: Variable, env: Dict[Variable, Element]) -> Element:
-        try:
-            return env[variable]
-        except KeyError:
-            raise EvaluationError(f"free variable {variable!r} is not assigned") from None
 
     # -- enumeration ----------------------------------------------------------------------
 
@@ -927,7 +1029,7 @@ class ExecutionState:
                 _, _, variables, relevant, value = entry
                 if node is None:
                     continue
-                key = self._count_canon_key(variables, node)
+                key, _ = self._count_key(variables, node)
                 self._count_memo[(key, relevant)] = value
             else:
                 continue

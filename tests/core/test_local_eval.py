@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from repro.core.clterms import BasicClTerm, ClPolynomial
 from repro.core.local_eval import (
+    _BallCache,
     evaluate_basic_ground,
     evaluate_basic_unary,
     evaluate_polynomial_ground,
@@ -16,6 +17,7 @@ from repro.errors import FormulaError
 from repro.logic.builder import Rel
 from repro.logic.semantics import evaluate
 from repro.logic.syntax import And, Eq, Exists, Not, Top
+from repro.obs import collect_metrics
 from repro.structures.builders import graph_structure, grid_graph, path_graph
 from repro.structures.gaifman import connectivity_graph
 
@@ -58,6 +60,43 @@ class TestPatternTuples:
         p = path_graph(4)
         with pytest.raises(FormulaError):
             list(pattern_tuples(p, 1, 3, frozenset({(1, 2)}), 1))
+
+
+class _CountingBalls(_BallCache):
+    """Counts the lookups a pattern walk makes: its ``ball_ids`` and
+    ``bitset`` calls, not the ``ball_ids`` call inside a bitset miss."""
+
+    def __init__(self, structure, distance):
+        super().__init__(structure, distance)
+        self.lookups = 0
+        self._in_bitset = False
+
+    def ball_ids(self, eid):
+        if not self._in_bitset:
+            self.lookups += 1
+        return super().ball_ids(eid)
+
+    def bitset(self, eid):
+        self.lookups += 1
+        self._in_bitset = True
+        try:
+            return super().bitset(eid)
+        finally:
+            self._in_bitset = False
+
+
+class TestBallCacheCounters:
+    def test_hits_and_misses_add_up_to_lookups(self):
+        structure = grid_graph(5, 5)
+        edges = frozenset({(1, 2), (2, 3)})  # position 3 probes 1's bitset
+        with collect_metrics() as metrics:
+            balls = _CountingBalls(structure, 1)
+            for element in structure.universe_order:
+                list(pattern_tuples(structure, element, 3, edges, 1, balls))
+        hits = metrics.counter("local.ball.memo.hit")
+        misses = metrics.counter("local.ball.memo.miss")
+        assert hits > 0 and misses > 0
+        assert hits + misses == balls.lookups
 
 
 def _naive_unary(structure, term):

@@ -6,13 +6,15 @@ so each case is a fixed, re-runnable pytest id (same convention as
 ``tests/core/test_differential.py``).
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.core.baseline import BruteForceEvaluator
 from repro.core.evaluator import Foc1Evaluator
-from repro.errors import EvaluationError
+from repro.errors import BudgetExceededError, EvaluationError
 from repro.logic.parser import parse_formula, parse_term
 from repro.logic.predicates import standard_collection
 from repro.logic.syntax import (
@@ -27,9 +29,18 @@ from repro.logic.syntax import (
     exists_block,
     free_variables,
 )
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.metrics import MetricsRegistry, collect_metrics, set_metrics
 from repro.plan import PlanCache, PlanExecutor, compile_plan
-from repro.structures.builders import cycle_graph, graph_structure, path_graph
+from repro.plan.executor import ExecutionState
+from repro.robust.budget import EvaluationBudget
+from repro.structures.builders import (
+    cycle_graph,
+    graph_structure,
+    grid_graph,
+    path_graph,
+)
+from repro.structures.signature import Signature
+from repro.structures.structure import Structure
 
 VARS = ("x", "y", "z")
 
@@ -202,3 +213,129 @@ class TestFacadeCaching:
             assert engine.count(structure, phi, ["x", "y"]) == oracle.count(
                 structure, phi, ["x", "y"]
             )
+
+
+def _atoms_structure():
+    """A digraph with self-loops and a ternary relation."""
+    edges = {(1, 1), (1, 2), (2, 3), (3, 3), (3, 1), (4, 5), (5, 5), (6, 4), (2, 6)}
+    triples = {(1, 2, 3), (2, 3, 1), (1, 1, 2), (3, 3, 3), (4, 5, 6), (5, 4, 6), (1, 2, 6)}
+    return Structure(
+        Signature.of(E=2, T=3), range(1, 7), {"E": edges, "T": triples}
+    )
+
+
+def _count(structure, text, variables):
+    """(planned executor, oracle) counts, plus the executor's state."""
+    phi = parse_formula(text)
+    plan = compile_plan("count", [phi], variables, structure.signature)
+    executor = PlanExecutor(plan, structure, standard_collection())
+    subject = executor.count_value()
+    return subject, BruteForceEvaluator().count(structure, phi, variables), executor.state
+
+
+class TestInPlaceAtoms:
+    """Atoms are tested in place and a satisfied guard is not re-tested;
+    every answer still matches the oracle."""
+
+    def test_repeated_variable_guard(self):
+        structure = _atoms_structure()
+        subject, oracle, state = _count(structure, "E(x, x)", ("x",))
+        assert subject == oracle == 3
+        # The pool of E(x, x) holds only loops: the atom is never tested.
+        assert not state._tests
+        subject, oracle, _ = _count(structure, "E(x, x) & E(x, y)", ("x", "y"))
+        assert subject == oracle
+
+    @pytest.mark.parametrize(
+        "text",
+        ["E(x, y) & T(x, y, z)", "E(y, z) & T(x, y, z)", "T(x, y, z) & T(z, y, x)"],
+    )
+    def test_ternary_guard_with_two_bound_positions(self, text):
+        subject, oracle, _ = _count(_atoms_structure(), text, ("x", "y", "z"))
+        assert subject == oracle
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "E(x, y) & E(y, z) & !E(x, z)",
+            "E(x, y) & E(y, z) & !(x = z)",
+            "E(x, y) & !E(y, x) & E(y, z) & !(y = z) & !E(z, x)",
+        ],
+    )
+    def test_negated_atom_and_equality_checks(self, text):
+        for structure in (_atoms_structure(), cycle_graph(5)):
+            subject, oracle, state = _count(structure, text, ("x", "y", "z"))
+            assert subject == oracle
+            assert not state._holds_memo  # atoms leave no memo entry
+
+    def test_elided_distance_guard(self):
+        structure = path_graph(7)
+        subject, oracle, state = _count(structure, "dist(x, y) <= 2", ("x", "y"))
+        assert subject == oracle
+        assert not state._tests  # every y came from x's 2-ball
+        subject, oracle, _ = _count(
+            structure, "dist(x, y) <= 2 & E(y, z) & !(x = z)", ("x", "y", "z")
+        )
+        assert subject == oracle
+
+    def test_atom_gate_without_counted_variable(self):
+        structure = _atoms_structure()
+        term = parse_term("#(y). (E(x, x) & E(x, y))")
+        plan = compile_plan("unary_term", [term], ("x",), structure.signature)
+        executor = PlanExecutor(plan, structure, standard_collection())
+        assert executor.unary_term_values("x") == BruteForceEvaluator().unary_term_values(
+            structure, term, "x"
+        )
+        sentence = parse_formula("exists x. @eq(#(y). (E(x, x) & !E(y, y) & E(x, y)), 1)")
+        plan = compile_plan("model_check", [sentence], (), structure.signature)
+        executor = PlanExecutor(plan, structure, standard_collection())
+        assert executor.model_check() is BruteForceEvaluator().model_check(
+            structure, sentence
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["E(x, y)", "!E(x, y)", "x = y", "!(x = y)", "dist(x, y) <= 1"]
+    )
+    def test_unassigned_free_variable_is_an_evaluation_error(self, text):
+        state = ExecutionState(path_graph(3), standard_collection(), True, True)
+        with pytest.raises(EvaluationError, match="'y' is not assigned"):
+            state.holds(parse_formula(text), {"x": 1})
+        with pytest.raises(EvaluationError, match="'x' is not assigned"):
+            state.count(("y",), parse_formula(text), {})
+
+    def test_atom_tests_skip_the_holds_memo_counters(self):
+        with collect_metrics() as metrics:
+            subject, oracle, _ = _count(
+                grid_graph(4, 4), "E(x, y) & E(y, z) & !(x = z)", ("x", "y", "z")
+            )
+        assert subject == oracle
+        assert metrics.counter("evaluator.holds.memo.miss") == 0
+        assert metrics.counter("evaluator.holds.memo.hit") == 0
+        assert metrics.counter("evaluator.count.memo.miss") >= 1
+
+    def test_state_is_freed_without_the_cycle_collector(self):
+        """Compiled tests hold no reference to their state, so a finished
+        executor's state goes with its last reference."""
+        structure = path_graph(5)
+        sentence = parse_formula(
+            "forall x. exists y. (E(x, y) & dist(x, y) <= 2 & !(x = y))"
+        )
+        plan = compile_plan("model_check", [sentence], (), structure.signature)
+        executor = PlanExecutor(plan, structure, standard_collection())
+        assert executor.model_check() is True
+        state = weakref.ref(executor.state)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del executor
+            assert state() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_budget_still_stops_a_two_path_count(self):
+        structure = grid_graph(30, 30)
+        phi = parse_formula("E(x, y) & E(y, z) & !(x = z)")
+        engine = Foc1Evaluator(budget=EvaluationBudget(max_steps=2_000))
+        with pytest.raises(BudgetExceededError):
+            engine.count(structure, phi, ["x", "y", "z"])

@@ -8,6 +8,7 @@ contract gets its own 30-seed gate in ``test_differential_service.py``).
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -55,6 +56,16 @@ def exact_count(structure, formula=PATHS, variables=("x", "y", "z")):
     return Foc1Evaluator().count(
         structure, parse_formula(formula), list(variables)
     )
+
+
+async def until_preempted(registry, timeout=30.0):
+    """Return once the service has suspended a quantum, so the job is
+    mid-flight; a job needing many more quanta cannot finish in the few
+    loop turns a test takes after this."""
+    deadline = time.monotonic() + timeout
+    while registry.counter("serve.preempt.suspended") < 1:
+        assert time.monotonic() < deadline, "no quantum was suspended"
+        await asyncio.sleep(0.001)
 
 
 class TestSubmit:
@@ -267,17 +278,20 @@ class TestShedding:
         assert registry.counter("serve.admitted") == len(served)
 
     def test_submit_during_drain_sheds_as_draining(self):
-        structure = dense_graph(12)
+        # Thousands of steps against 10-step quanta: after its first
+        # suspension the count is still many quanta from done.
+        structure = dense_graph(16)
+        registry = MetricsRegistry()
 
         async def scenario():
-            service = QueryService(workers=1, quantum_steps=10)
+            service = QueryService(workers=1, quantum_steps=10, metrics=registry)
             await service.start()
             inflight = asyncio.ensure_future(
                 service.submit(count_request(structure))
             )
-            await asyncio.sleep(0.05)
+            await until_preempted(registry)
             drain_task = asyncio.ensure_future(service.drain())
-            await asyncio.sleep(0.01)  # drain flag set, job still running
+            await asyncio.sleep(0)  # drain flag set, job still running
             with pytest.raises(AdmissionError) as info:
                 await service.submit(
                     count_request(SMALL, tenant="late", request_id="late")
@@ -378,7 +392,9 @@ class TestDegradation:
 
 class TestDrain:
     def test_bounded_drain_hands_back_checkpoint_not_orphaned(self):
-        structure = dense_graph(14)
+        # As in the shedding test: still many quanta from done after its
+        # first suspension, so the next quantum cannot finish it.
+        structure = dense_graph(16)
         registry = MetricsRegistry()
 
         async def scenario():
@@ -389,7 +405,7 @@ class TestDrain:
             task = asyncio.ensure_future(
                 service.submit(count_request(structure))
             )
-            await asyncio.sleep(0.05)  # let the first quantum dispatch
+            await until_preempted(registry)
             await service.drain(grace=0)
             response = await task
             return response, service.orphaned_checkpoints()
