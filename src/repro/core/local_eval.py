@@ -210,38 +210,42 @@ def pattern_tuples(
         yield (first,)
         return
     balls = ball_cache if ball_cache is not None else _BallCache(structure, link_distance)
-    plan = pattern_plan(k, edges)
-    elements = balls.interner.elements
-    last_step = len(plan) - 1
-
     placed_ids = [0] * (k + 1)  # 1-based positions
     placed_ids[1] = balls.interner.id_of(first)
+    yield from _walk(pattern_plan(k, edges), 0, placed_ids, balls)
 
-    def extend(step: int) -> Iterator[Tuple[Element, ...]]:
-        position, parent, checks = plan[step]
-        tests = [
-            (balls.bitset(placed_ids[other]), expected)
-            for other, expected in checks
-        ]
-        candidates = balls.ball_ids(placed_ids[parent])
-        if step == last_step:
-            for candidate in candidates:
-                for bs, expected in tests:
-                    if ((bs >> candidate) & 1) != expected:
-                        break
-                else:
-                    placed_ids[position] = candidate
-                    yield tuple(elements[placed_ids[i]] for i in range(1, k + 1))
-            return
+
+def _walk(
+    plan: Tuple[Tuple[int, int, Tuple[Tuple[int, bool], ...]], ...],
+    step: int,
+    placed_ids: List[int],
+    balls: _BallCache,
+) -> Iterator[Tuple[Element, ...]]:
+    """Place the positions of ``plan[step:]`` and yield each completed
+    tuple.  A module-level generator rather than a closure over itself,
+    which would be a reference cycle keeping every walk's ball cache (and
+    through it the structure) alive until the cycle collector runs."""
+    position, parent, checks = plan[step]
+    tests = [(balls.bitset(placed_ids[other]), expected) for other, expected in checks]
+    candidates = balls.ball_ids(placed_ids[parent])
+    if step == len(plan) - 1:
+        elements = balls.interner.elements
+        k = len(placed_ids) - 1
         for candidate in candidates:
             for bs, expected in tests:
                 if ((bs >> candidate) & 1) != expected:
                     break
             else:
                 placed_ids[position] = candidate
-                yield from extend(step + 1)
-
-    yield from extend(0)
+                yield tuple(elements[placed_ids[i]] for i in range(1, k + 1))
+        return
+    for candidate in candidates:
+        for bs, expected in tests:
+            if ((bs >> candidate) & 1) != expected:
+                break
+        else:
+            placed_ids[position] = candidate
+            yield from _walk(plan, step + 1, placed_ids, balls)
 
 
 @traced("local.evaluate_basic_unary")

@@ -28,18 +28,27 @@ Memo lifetime contract
 ----------------------
 Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
 ``dist(x, y) <= d``, Top, Bottom and the negation of a relation atom or
-an equality are decided by a membership probe on the relation's
-frozenset, an equality, or a lookup in the state's cached ball.  All but
-the distance atom compile once per node into a closure (:meth:`_test`)
-over the relation's frozenset.  An atom test builds no memo key, stores
-no entry, ticks no ``evaluator.holds`` step and reaches no
-``memo.insert`` fault site; the per-candidate ``evaluator.enumerate``
-tick of guarded enumeration still pays for every atom test, so a budget
-bounds all work.  The closures capture the relation frozensets of the
-current structure, so they are rebuilt after each materialisation step.
-Guarded enumeration also skips the atom, equality or distance atom that
-supplied a candidate pool once all its variables are bound: every
-candidate already satisfies it.
+an equality compile once per node into a closure (:meth:`_test`): a
+membership probe on the relation's frozenset, an equality, or a lookup in
+the state's cached ball.  An atom test builds no memo key, stores no
+entry, ticks no ``evaluator.holds`` step and reaches no ``memo.insert``
+fault site; the per-candidate ``evaluator.enumerate`` tick of guarded
+enumeration still pays for every atom test, so a budget bounds all work.
+The closures capture the relation frozensets of the current structure,
+so they are rebuilt after each materialisation step.
+
+Guarded enumeration runs on *search nodes* compiled once per state, one
+per (conjunct container, unbound variables) pair (:meth:`_search_node`).
+A node holds its guard sources as pool getters — an anchored guard is
+one lookup in a :meth:`Structure.projection` keyed by the bound values,
+a scan is a constant pool — its phase (anchored, scan or universe), and
+per choice of variable and guard the checks each candidate must pass
+(the guard itself left out when its pool already satisfies it) and the
+node below.  Counting descends through integer-returning recursion
+(:meth:`_count_search`); existence and :meth:`solutions` walk the same
+nodes through one generator (:meth:`_enumerate`).  Nodes capture the structure's
+projections and tests, so they are dropped with the tests after each
+materialisation step, and hold no reference to the state.
 
 Compound formulas, predicate atoms and counts go through the
 satisfaction/count memos, which key on *alpha-canonical text*: the node
@@ -56,14 +65,16 @@ per ``id`` too (``_forall_memo`` / ``_overlap_memo``), so re-evaluating
 a quantifier never mints fresh AST nodes whose ids would defeat every
 id-keyed cache.
 
-The id-keyed caches (the per-node tests included) are only sound while
-the node object stays alive: CPython recycles ids, so an entry that
-outlives its node can alias a *different* node created later.  The state
-therefore pins every node that enters an id-keyed memo in ``_pins``
-(id -> node), and pins are only ever dropped **together** with the memos,
-via :meth:`_reset_memos`.  (Dropping the tests alone after a
-materialisation step is safe: a pin without an entry only keeps a node
-alive.)  States themselves
+The id-keyed caches (the per-node tests and the search nodes included)
+are only sound while the keyed object stays alive: CPython recycles ids,
+so an entry that outlives its node can alias a *different* node created
+later.  The state therefore pins every node that enters an id-keyed memo
+in ``_pins`` (id -> node) — and every conjunct container a search node
+keys on: a plan component's tuple, a ``_conjuncts`` list or a
+``_factor`` component — and pins are only ever dropped **together** with
+the memos, via :meth:`_reset_memos`.  (Dropping the tests and search
+nodes alone after a materialisation step is safe: a pin without an entry
+only keeps a node alive.)  States themselves
 are scoped to one public engine call (facades create fresh states per
 call and hold no reference afterwards), so repeated queries do not
 accumulate memory across calls.  Plan-driven execution strengthens the
@@ -76,6 +87,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import weakref
 from functools import partial
 from operator import itemgetter
 from typing import (
@@ -89,6 +101,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..errors import EvaluationError, FragmentError, SuspendedError
@@ -142,10 +155,149 @@ __all__ = ["ExecutionState", "PlanExecutor"]
 
 #: A compiled satisfaction test (see :meth:`ExecutionState._test`).
 Test = Callable[[Dict[Variable, Element]], bool]
+#: A candidate pool of guarded enumeration, iterated in a fixed order.
+Pool = Union[Tuple[Element, ...], Set[Element]]
+PoolGetter = Callable[[Dict[Variable, Element]], Pool]
+#: ``ExecutionState._factor``: (gates, ((variables, conjuncts), ...), unused).
+_Factored = Tuple[
+    Tuple[Formula, ...],
+    Tuple[Tuple[Tuple[Variable, ...], Tuple[Formula, ...]], ...],
+    int,
+]
+
+# The phases of a search node: how its variable and pool are chosen.
+_ANCHORED = 0  # the smallest pool of a guard anchored at a bound variable
+_SCAN = 1  # the smallest un-anchored relation scan (a constant pool)
+_UNIVERSE = 2  # no guard: the first variable ranges over the universe
+_DISABLED = 3  # guards switched off: likewise
+_LEAF = 4  # nothing left to bind: the conjuncts are checked once
+_PHASE_COUNTERS = (
+    "evaluator.guard.anchored",
+    "evaluator.guard.scan",
+    "evaluator.guard.universe",
+    "evaluator.guard.disabled",
+)
 
 
 def _unassigned(error: KeyError) -> EvaluationError:
     return EvaluationError(f"free variable {error.args[0]!r} is not assigned")
+
+
+class _Choice:
+    """Binding one variable from one guard's pool (or the universe): the
+    checks each candidate must pass and the node for the variables left.
+
+    ``checks`` tests the conjuncts fully bound once ``variable`` is; the
+    child node (compiled on first descent, None at the last level) binds
+    ``rest`` over the conjuncts of ``root`` that mention them.
+    """
+
+    __slots__ = ("variable", "root", "rest", "checks", "child")
+
+    def __init__(
+        self,
+        variable: Variable,
+        root: Sequence[Formula],
+        rest: Tuple[Variable, ...],
+        checks: Tuple[Test, ...],
+    ):
+        self.variable = variable
+        self.root = root
+        self.rest = rest
+        self.checks = checks
+        self.child: "Optional[_SearchNode]" = None
+
+
+class _SearchNode:
+    """Guarded search for one (conjunct container, unbound variables) pair,
+    compiled once per :class:`ExecutionState` (see
+    :meth:`ExecutionState._compile_node`).
+
+    In the anchored and scan phases ``options`` lists, per unbound
+    variable with a guard, the ``(pool getter, choice)`` pair of each guard
+    conjunct; otherwise ``pool`` and ``choice`` are fixed.  Holds no
+    reference to the state.
+    """
+
+    __slots__ = ("conjuncts", "phase", "options", "pool", "choice")
+
+    def __init__(
+        self,
+        conjuncts: Tuple[Formula, ...],
+        phase: int,
+        options: "Optional[Tuple[Tuple[Tuple[PoolGetter, _Choice], ...], ...]]" = None,
+        pool: Pool = (),
+        choice: "_Choice" = None,  # type: ignore[assignment]
+    ):
+        self.conjuncts = conjuncts
+        self.phase = phase
+        self.options = options
+        self.pool = pool
+        self.choice = choice
+
+
+def _smallest(getters: Tuple[PoolGetter, ...], env: Dict[Variable, Element]) -> Pool:
+    """The first smallest of several pools (an exists-block's pieces)."""
+    best = None
+    for getter in getters:
+        pool = getter(env)
+        if best is None or len(pool) < len(best):
+            best = pool
+    return best  # type: ignore[return-value]
+
+
+def _smallest_guard(
+    options: Tuple[Tuple[Tuple[PoolGetter, _Choice], ...], ...],
+    env: Dict[Variable, Element],
+) -> Tuple[Pool, _Choice]:
+    """The first smallest guard pool of an anchored or scan node: per
+    variable over its guards, then over variables, each settling early on
+    a pool of at most one candidate."""
+    try:
+        if len(options) == 1 and len(options[0]) == 1:
+            getter, choice = options[0][0]
+            return getter(env), choice
+        pool = None
+        for guards in options:
+            smallest = None
+            for getter, option in guards:
+                found = getter(env)
+                if smallest is None or len(found) < len(smallest):
+                    smallest, best = found, option
+                    if len(found) <= 1:
+                        break
+            if pool is None or len(smallest) < len(pool):
+                pool, choice = smallest, best
+                if len(smallest) <= 1:
+                    break
+    except KeyError as error:
+        raise _unassigned(error) from None
+    return pool, choice
+
+
+def _ball(
+    cache: Dict[Element, FrozenSet[Element]],
+    structure: Structure,
+    metrics,
+    distance: int,
+    element: Element,
+) -> FrozenSet[Element]:
+    cached = cache.get(element)
+    if cached is None:
+        # gaifman.ball picks the backend adaptively: the columnar BFS
+        # kernel on a settled structure, the incrementally maintained
+        # dict adjacency mid-update-sequence (see structures/gaifman.py).
+        cached = gaifman_ball(structure, (element,), distance)
+        cache[element] = cached
+        if metrics is not None:
+            metrics.inc("evaluator.ball.expansion")
+    return cached
+
+
+def _holds_through(
+    state: "weakref.ref[ExecutionState]", formula: Formula, env: Dict[Variable, Element]
+) -> bool:
+    return state().holds(formula, env)  # type: ignore[union-attr]
 
 
 class ExecutionState:
@@ -174,10 +326,10 @@ class ExecutionState:
         self._holds_memo: Dict[Tuple, bool] = {}
         self._count_memo: Dict[Tuple, int] = {}
         self._free_memo: Dict[int, FrozenSet[Variable]] = {}
-        # Pin every node that enters an id-keyed memo (id -> node, so a
-        # node pinned through several memos is stored once).  Dropped
-        # only together with the memos in _reset_memos().
-        self._pins: Dict[int, Expression] = {}
+        # Pin every node (or conjunct container) that enters an id-keyed
+        # memo (id -> object, so one pinned through several memos is stored
+        # once).  Dropped only together with the memos in _reset_memos().
+        self._pins: Dict[int, object] = {}
         self._free_sorted_memo: Dict[int, Tuple[Variable, ...]] = {}
         self._conjunct_memo: Dict[int, List[Formula]] = {}
         # Alpha-canonical memo-key texts, cached per node identity (the
@@ -187,8 +339,18 @@ class ExecutionState:
             Tuple[int, Tuple[Variable, ...]], Tuple[str, Tuple[Variable, ...]]
         ] = {}
         # Per-node satisfaction tests (in place for atoms, through the
-        # memo otherwise); rebuilt whenever the structure is extended.
+        # memo otherwise) and compiled search nodes; both capture the
+        # structure's relations and are rebuilt whenever it is extended.
         self._tests: Dict[int, Test] = {}
+        self._search_nodes: Dict[
+            Tuple[int, Tuple[Variable, ...], bool], _SearchNode
+        ] = {}
+        # Dynamic-path factorisations of a conjunction per (id(body),
+        # counted variables): gates, components, number of unused variables.
+        self._factor_memo: Dict[Tuple[int, Tuple[Variable, ...]], _Factored] = {}
+        # Per-candidate checks reach the memo through this weak reference
+        # (see _check), so that no search node keeps the state alive.
+        self._ref = weakref.ref(self)
         # Rewrite nodes the dynamic paths fabricate, cached per source
         # node so repeated evaluation reuses one object (and its memos).
         self._forall_memo: Dict[int, Not] = {}
@@ -211,6 +373,8 @@ class ExecutionState:
         self._canon_memo.clear()
         self._count_key_memo.clear()
         self._tests.clear()
+        self._search_nodes.clear()
+        self._factor_memo.clear()
         self._forall_memo.clear()
         self._overlap_memo.clear()
         self._ball_caches.clear()
@@ -295,25 +459,19 @@ class ExecutionState:
             self._pins[id(body)] = body
         return cached
 
-    def ball(self, element: Element, distance: int) -> FrozenSet[Element]:
+    def _ball_lookup(self, distance: int) -> Callable[[Element], FrozenSet[Element]]:
+        """The cached ``distance``-ball of an element, as a function that
+        holds the cache and the structure but not the state."""
         cache = self._ball_caches.setdefault(distance, {})
-        cached = cache.get(element)
-        if cached is None:
-            # gaifman.ball picks the backend adaptively: the columnar BFS
-            # kernel on a settled structure, the incrementally maintained
-            # dict adjacency mid-update-sequence (see structures/gaifman.py).
-            cached = gaifman_ball(self.structure, (element,), distance)
-            cache[element] = cached
-            if self._metrics is not None:
-                self._metrics.inc("evaluator.ball.expansion")
-        return cached
+        return partial(_ball, cache, self.structure, self._metrics, distance)
 
     def _extend(self, symbol: RelationSymbol, tuples: Iterable[Tup]) -> None:
         """Expand the structure by one auxiliary relation.
 
         Memos survive (aux relations are <=1-ary: no new Gaifman edges, no
-        change to existing relations); the per-node tests captured the old
-        structure's relations, so they are rebuilt on next use.
+        change to existing relations); the per-node tests and search nodes
+        captured the old structure's relations, so they are rebuilt on
+        next use.
         """
         from ..structures.operations import expansion
 
@@ -321,6 +479,7 @@ class ExecutionState:
             self.structure, Signature([symbol]), {symbol.name: tuples}
         )
         self._tests.clear()
+        self._search_nodes.clear()
 
     # -- Theorem 6.10 stratification: planned path --------------------------------
 
@@ -535,47 +694,62 @@ class ExecutionState:
             )
             return self.count(variables, rewritten, env)
 
-        conjuncts = self._conjuncts(body)
-        counted = set(variables)
-
-        # Conjuncts with no counted variables gate the whole count.
-        active: List[Formula] = []
-        for conjunct in conjuncts:
-            if self.free(conjunct) & counted:
-                active.append(conjunct)
-            elif not self.holds(conjunct, env):
+        gates, components, unused = self._factor(variables, body)
+        for gate in gates:
+            if not self.holds(gate, env):
                 return 0
-
-        if not active:
+        if not components:
             return n**k
-
-        if not self.use_factoring:
-            return self._count_component(tuple(variables), active, env)
-
-        # Factor into variable-disjoint components (Lemma 6.4 product step).
-        groups: List[Tuple[Set[Variable], List[Formula]]] = []
-        for conjunct in active:
-            names = set(self.free(conjunct)) & counted
-            touching = [g for g in groups if g[0] & names]
-            merged_names = set(names)
-            merged_parts = [conjunct]
-            for group in touching:
-                merged_names |= group[0]
-                merged_parts = group[1] + merged_parts
-                groups.remove(group)
-            groups.append((merged_names, merged_parts))
-
-        used: Set[Variable] = set()
         result = 1
-        for names, parts in groups:
-            used |= names
-            ordered = tuple(v for v in variables if v in names)
+        for ordered, parts in components:
             part = self._count_component(ordered, parts, env)
             if part == 0:
                 return 0
             result *= part
-        unused = counted - used
-        return result * (n ** len(unused))
+        return result * (n**unused)
+
+    def _factor(self, variables: Tuple[Variable, ...], body: Formula) -> "_Factored":
+        """The dynamic path's Lemma 6.4 product step for a conjunction,
+        computed once per (body, counted variables): the conjuncts with no
+        counted variable (gates of the whole count), the variable-disjoint
+        components with their variables in counting order, and how many
+        counted variables no conjunct mentions.  Without factoring the
+        active conjuncts form one component."""
+        key = (id(body), variables)
+        cached = self._factor_memo.get(key)
+        if cached is not None:
+            return cached
+        counted = set(variables)
+        gates: List[Formula] = []
+        active: List[Formula] = []
+        for conjunct in self._conjuncts(body):
+            (active if self.free(conjunct) & counted else gates).append(conjunct)
+        if not active:
+            cached = (tuple(gates), (), 0)
+        elif not self.use_factoring:
+            cached = (tuple(gates), ((tuple(variables), tuple(active)),), 0)
+        else:
+            groups: List[Tuple[Set[Variable], List[Formula]]] = []
+            for conjunct in active:
+                names = set(self.free(conjunct)) & counted
+                touching = [g for g in groups if g[0] & names]
+                merged_names = set(names)
+                merged_parts = [conjunct]
+                for group in touching:
+                    merged_names |= group[0]
+                    merged_parts = group[1] + merged_parts
+                    groups.remove(group)
+                groups.append((merged_names, merged_parts))
+            used: Set[Variable] = set()
+            components = []
+            for names, parts in groups:
+                used |= names
+                ordered = tuple(v for v in variables if v in names)
+                components.append((ordered, tuple(parts)))
+            cached = (tuple(gates), tuple(components), len(counted - used))
+        self._factor_memo[key] = cached
+        self._pins[id(body)] = body
+        return cached
 
     def _execute_count_step(
         self,
@@ -606,7 +780,7 @@ class ExecutionState:
             result = 1
             for component in step.components:
                 part = self._count_component(
-                    component.variables, list(component.conjuncts), env
+                    component.variables, component.conjuncts, env
                 )
                 if part == 0:
                     return 0
@@ -617,194 +791,152 @@ class ExecutionState:
     def _count_component(
         self,
         variables: Tuple[Variable, ...],
-        conjuncts: List[Formula],
+        conjuncts: Sequence[Formula],
         env: Dict[Variable, Element],
     ) -> int:
-        """Guarded backtracking count of one variable-connected component."""
-        local_env = dict(env)
-        total = 0
-        for _ in self._assignments(variables, conjuncts, local_env):
-            total += 1
-        return total
+        """Guarded backtracking count of one variable-connected component;
+        ``conjuncts`` must be a container the state can key on (see
+        :meth:`_search_node`)."""
+        return self._count_search(self._search_node(conjuncts, variables), dict(env))
 
-    def _assignments(
+    # -- guarded search ------------------------------------------------------------
+
+    def _search_node(
         self,
-        variables: Tuple[Variable, ...],
-        conjuncts: List[Formula],
-        env: Dict[Variable, Element],
-    ) -> Iterator[None]:
-        """Yield once per assignment of ``variables`` satisfying the
-        conjuncts; ``env`` is mutated in place and restored."""
-        remaining = [v for v in variables if v not in env]
-        if not remaining:
-            if all(self.holds(c, env) for c in conjuncts):
-                yield None
-            return
+        root: Sequence[Formula],
+        unbound: Tuple[Variable, ...],
+        top: bool = True,
+    ) -> "_SearchNode":
+        """The compiled search node binding ``unbound`` over the conjuncts of
+        ``root``: all of them at the top, and below it the ones a still
+        unbound variable occurs in (the others were checked higher up).
 
-        variable, candidates, satisfied = self._choose_variable(
-            remaining, conjuncts, env
-        )
-        # Conjuncts fully bound once ``variable`` is are checked per
-        # candidate (bar the guard whose pool already satisfies them);
-        # the rest wait for deeper levels.
-        checks: List[Test] = []
-        later: List[Formula] = []
-        remaining_after = set(remaining) - {variable}
-        for conjunct in conjuncts:
-            if self.free(conjunct) & remaining_after:
-                later.append(conjunct)
-            elif conjunct is not satisfied:
-                checks.append(self._test(conjunct) or partial(self.holds, conjunct))
-        rest = tuple(v for v in variables if v != variable)
-
-        budget = self.budget
-        for candidate in candidates:
-            if budget is not None:
-                budget.tick("evaluator.enumerate")
-            env[variable] = candidate
-            for check in checks:
-                if not check(env):
-                    break
-            else:
-                if remaining_after:
-                    yield from self._assignments(rest, later, env)
-                else:
-                    yield None
-        env.pop(variable, None)
-
-    def _choose_variable(
-        self,
-        remaining: List[Variable],
-        conjuncts: List[Formula],
-        env: Dict[Variable, Element],
-    ) -> "Tuple[Variable, Iterable, Optional[Formula]]":
-        """Pick the next variable and its candidate pool, preferring the
-        tightest available guard (index lookup, equality, distance ball).
-
-        The third item is the conjunct every pool candidate satisfies, so
-        the caller need not test it: the guard that supplied the pool,
-        when it is a relation atom, equality or distance atom whose
-        variables are all bound once the chosen variable is.
+        Nodes key on ``id(root)``, so ``root`` must be a container that
+        lives as long as the memos (a plan component, a ``_conjuncts`` or
+        ``_factor`` entry); it is pinned like any id-keyed memo entry.
         """
+        key = (id(root), unbound, top)
+        node = self._search_nodes.get(key)
+        if node is None:
+            node = self._compile_node(root, unbound, top)
+            self._search_nodes[key] = node
+            self._pins[id(root)] = root
+        return node
+
+    def _compile_node(
+        self, root: Sequence[Formula], unbound: Tuple[Variable, ...], top: bool
+    ) -> "_SearchNode":
+        """Resolve a node's guard sources, phase and choices once.
+
+        The phase is static: whether an anchored guard exists for some
+        unbound variable depends only on which variables are bound.  Phase
+        1 offers only guards anchored at a bound variable (one dict lookup
+        each); phase 2 the un-anchored relation scans, constant pools that
+        with connected components are needed at most once, for the first
+        variable; otherwise the first variable ranges over the universe.
+        """
+        names = frozenset(unbound)
+        conjuncts = (
+            tuple(root) if top else tuple(c for c in root if self.free(c) & names)
+        )
+        if not unbound:
+            return _SearchNode(conjuncts, _LEAF)
         universe = self.structure.universe_order
-        metrics = self._metrics
         if not self.use_guards:
-            if metrics is not None:
-                metrics.inc("evaluator.guard.disabled")
-            return remaining[0], universe, None
-        # Phase 1: only guards anchored at an already-bound variable (index
-        # or ball lookups — cheap).  Phase 2: un-anchored relation scans,
-        # which cost O(|R|) to materialise and therefore must not run at
-        # every search node; with connected conjunct components they are
-        # needed at most once, for the first variable.
-        for anchored_only in (True, False):
-            best: "Optional[Tuple[int, Variable, List[Element], Formula]]" = None
-            for variable in remaining:
-                found = self._guard_candidates(variable, conjuncts, env, anchored_only)
-                if found is None:
-                    continue
-                size = len(found[0])
-                if best is None or size < best[0]:
-                    best = (size, variable, found[0], found[1])
-                    if size <= 1:
-                        break
-            if best is not None:
-                if metrics is not None:
-                    metrics.inc(
-                        "evaluator.guard.anchored"
-                        if anchored_only
-                        else "evaluator.guard.scan"
+            choice = self._choice(root, conjuncts, unbound, unbound[0], None)
+            return _SearchNode(conjuncts, _DISABLED, pool=universe, choice=choice)
+        for phase in (_ANCHORED, _SCAN):
+            options = []
+            for variable in unbound:
+                found = []
+                for conjunct in conjuncts:
+                    getter = self._pool_getter(
+                        conjunct, variable, names, phase == _ANCHORED
                     )
-                    metrics.observe("evaluator.guard.pool_size", best[0])
-                _, variable, pool, guard = best
-                exact = isinstance(guard, (Atom, Eq, DistAtom)) and all(
-                    v == variable or v in env for v in self.free(guard)
-                )
-                return variable, pool, guard if exact else None
-        if metrics is not None:
-            metrics.inc("evaluator.guard.universe")
-        return remaining[0], universe, None
+                    if getter is not None:
+                        choice = self._choice(root, conjuncts, unbound, variable, conjunct)
+                        found.append((getter, choice))
+                if found:
+                    options.append(tuple(found))
+            if options:
+                return _SearchNode(conjuncts, phase, options=tuple(options))
+        choice = self._choice(root, conjuncts, unbound, unbound[0], None)
+        return _SearchNode(conjuncts, _UNIVERSE, pool=universe, choice=choice)
 
-    def _guard_candidates(
+    def _choice(
         self,
+        root: Sequence[Formula],
+        conjuncts: Tuple[Formula, ...],
+        unbound: Tuple[Variable, ...],
         variable: Variable,
-        conjuncts: List[Formula],
-        env: Dict[Variable, Element],
-        anchored_only: bool = False,
-    ) -> "Optional[Tuple[List[Element], Formula]]":
-        """Smallest candidate pool any positive guard offers for ``variable``
-        and the conjunct offering it, or None when no guard applies."""
-        best: "Optional[Tuple[Set[Element], Formula]]" = None
-        for conjunct in conjuncts:
-            pool = self._candidates_from(conjunct, variable, env, anchored_only)
-            if pool is None:
-                continue
-            if best is None or len(pool) < len(best[0]):
-                best = (pool, conjunct)
-                if len(pool) <= 1:
-                    break
-        return None if best is None else (list(best[0]), best[1])
+        guard: Optional[Formula],
+    ) -> "_Choice":
+        """Binding ``variable`` from ``guard``'s pool (or the universe).
 
-    def _candidates_from(
+        Conjuncts fully bound once ``variable`` is are checked per
+        candidate, bar a relation atom, equality or distance atom guard
+        whose variables are then all bound: every candidate of its pool
+        satisfies it.  The rest wait for deeper levels.
+        """
+        rest = tuple(v for v in unbound if v != variable)
+        left = frozenset(rest)
+        exact = isinstance(guard, (Atom, Eq, DistAtom)) and all(
+            v == variable or v not in unbound for v in self.free(guard)
+        )
+        checks = tuple(
+            self._check(conjunct)
+            for conjunct in conjuncts
+            if not (self.free(conjunct) & left) and not (exact and conjunct is guard)
+        )
+        return _Choice(variable, root, rest, checks)
+
+    def _pool_getter(
         self,
         conjunct: Formula,
         variable: Variable,
-        env: Dict[Variable, Element],
-        anchored_only: bool = False,
-    ) -> "Optional[Set[Element]]":
-        if isinstance(conjunct, Eq):
-            other = None
+        unbound: FrozenSet[Variable],
+        anchored: bool,
+    ) -> Optional[PoolGetter]:
+        """The candidate pool ``conjunct`` offers for ``variable``, as a
+        function of the environment, or None when it offers none in this
+        phase.  Anchored pools are one lookup keyed by bound values; a scan
+        is a constant pool.  Getters hold no reference to the state."""
+        if isinstance(conjunct, (Eq, DistAtom)):
+            if not anchored:
+                return None
             if conjunct.left == variable and conjunct.right != variable:
                 other = conjunct.right
             elif conjunct.right == variable and conjunct.left != variable:
                 other = conjunct.left
-            if other is not None and other in env:
-                return {env[other]}
-            return None
-        if isinstance(conjunct, DistAtom):
-            other = None
-            if conjunct.left == variable and conjunct.right != variable:
-                other = conjunct.right
-            elif conjunct.right == variable and conjunct.left != variable:
-                other = conjunct.left
-            if other is not None and other in env:
-                return set(self.ball(env[other], conjunct.bound))
-            return None
+            else:
+                return None
+            if other in unbound:
+                return None
+            if isinstance(conjunct, Eq):
+                return lambda env: (env[other],)
+            ball = self._ball_lookup(conjunct.bound)
+            return lambda env: set(ball(env[other]))
         if isinstance(conjunct, Atom):
             if variable not in conjunct.args:
                 return None
-            symbol = self.structure.signature.get(conjunct.relation)
-            if symbol is None:
-                raise EvaluationError(
-                    f"relation {conjunct.relation!r} missing from the signature"
-                )
-            positions = [i for i, arg in enumerate(conjunct.args) if arg == variable]
-            bound_positions = [
-                (i, env[arg])
-                for i, arg in enumerate(conjunct.args)
-                if arg != variable and arg in env
-            ]
-            if bound_positions:
-                anchor, value = bound_positions[0]
-                tuples = self.structure.index(symbol, anchor).get(value, ())
-            elif anchored_only:
+            args = conjunct.args
+            targets = tuple(i for i, arg in enumerate(args) if arg == variable)
+            bound = tuple(
+                i for i, arg in enumerate(args) if arg != variable and arg not in unbound
+            )
+            if anchored != bool(bound):
                 return None
-            else:
-                tuples = self.structure.relation(symbol)
-            pool: Set[Element] = set()
-            for tup in tuples:
-                consistent = True
-                for i, value in bound_positions:
-                    if tup[i] != value:
-                        consistent = False
-                        break
-                if not consistent:
-                    continue
-                first = tup[positions[0]]
-                if any(tup[p] != first for p in positions[1:]):
-                    continue
-                pool.add(first)
-            return pool
+            projection = self.structure.projection(
+                self._symbol(conjunct.relation), bound, targets
+            )
+            if not bound:
+                pool = projection.get((), ())
+                return lambda env: pool
+            if len(bound) == 1:
+                name = args[bound[0]]
+                return lambda env: projection.get(env[name], ())
+            key = itemgetter(*(args[i] for i in bound))
+            return lambda env: projection.get(key(env), ())
         if isinstance(conjunct, Exists):
             # Look through an exists-block: a positive atom inside it still
             # restricts the candidates for a variable free in the block
@@ -817,17 +949,97 @@ class ExecutionState:
                 inner = inner.inner
             if variable in shadowed:
                 return None
-            if shadowed & set(env):
-                env = {k: v for k, v in env.items() if k not in shadowed}
-            best: "Optional[Set[Element]]" = None
-            for piece in self._conjuncts(inner):
-                pool = self._candidates_from(piece, variable, env, anchored_only)
-                if pool is None:
-                    continue
-                if best is None or len(pool) < len(best):
-                    best = pool
-            return best
+            hidden = unbound | shadowed
+            getters = (
+                self._pool_getter(piece, variable, hidden, anchored)
+                for piece in self._conjuncts(inner)
+            )
+            pieces = tuple(getter for getter in getters if getter is not None)
+            if not pieces:
+                return None
+            return pieces[0] if len(pieces) == 1 else partial(_smallest, pieces)
         return None
+
+    def _symbol(self, relation: str) -> RelationSymbol:
+        symbol = self.structure.signature.get(relation)
+        if symbol is None:
+            raise EvaluationError(f"relation {relation!r} missing from the signature")
+        return symbol
+
+    def _pick(
+        self, node: "_SearchNode", env: Dict[Variable, Element]
+    ) -> "Tuple[Pool, _Choice, Optional[_SearchNode]]":
+        """The candidate pool (the tightest guard's, or the node's fixed
+        pool), the choice it belongs to, and the node below it (None at the
+        last level)."""
+        if node.options is None:
+            pool, choice = node.pool, node.choice
+        else:
+            pool, choice = _smallest_guard(node.options, env)
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.inc(_PHASE_COUNTERS[node.phase])
+            if node.options is not None:
+                metrics.observe("evaluator.guard.pool_size", len(pool))
+        child = choice.child
+        if child is None and choice.rest:
+            child = choice.child = self._search_node(choice.root, choice.rest, top=False)
+        return pool, choice, child
+
+    def _count_search(self, node: "_SearchNode", env: Dict[Variable, Element]) -> int:
+        """The number of assignments of the node's unbound variables
+        satisfying its conjuncts; ``env`` is extended in place."""
+        if node.phase == _LEAF:
+            return 1 if all(self.holds(c, env) for c in node.conjuncts) else 0
+        pool, choice, child = self._pick(node, env)
+        checks = choice.checks
+        budget = self.budget
+        if child is None and not checks:
+            if budget is not None:
+                for _ in pool:
+                    budget.tick("evaluator.enumerate")
+            return len(pool)
+        variable = choice.variable
+        total = 0
+        for candidate in pool:
+            if budget is not None:
+                budget.tick("evaluator.enumerate")
+            env[variable] = candidate
+            for check in checks:
+                if not check(env):
+                    break
+            else:
+                total += 1 if child is None else self._count_search(child, env)
+        env.pop(variable, None)
+        return total
+
+    def _enumerate(
+        self, node: "_SearchNode", env: Dict[Variable, Element]
+    ) -> Iterator[None]:
+        """Yield once per assignment of the node's unbound variables
+        satisfying its conjuncts, left bound in ``env`` (existence stops at
+        the first, :meth:`solutions` reads each)."""
+        if node.phase == _LEAF:
+            if all(self.holds(c, env) for c in node.conjuncts):
+                yield None
+            return
+        pool, choice, child = self._pick(node, env)
+        checks = choice.checks
+        variable = choice.variable
+        budget = self.budget
+        for candidate in pool:
+            if budget is not None:
+                budget.tick("evaluator.enumerate")
+            env[variable] = candidate
+            for check in checks:
+                if not check(env):
+                    break
+            else:
+                if child is None:
+                    yield None
+                else:
+                    yield from self._enumerate(child, env)
+        env.pop(variable, None)
 
     # -- first-order satisfaction -----------------------------------------------------
 
@@ -835,12 +1047,6 @@ class ExecutionState:
         test = self._test(formula)
         if test is not None:
             return test(env)
-        if isinstance(formula, DistAtom):
-            try:
-                a, b = env[formula.left], env[formula.right]
-            except KeyError as error:
-                raise _unassigned(error) from None
-            return b in self.ball(a, formula.bound)
         relevant = tuple(
             (v, env[v]) for v in self.free_sorted(formula) if v in env
         )
@@ -861,8 +1067,7 @@ class ExecutionState:
     def _test(self, formula: Formula) -> Optional[Test]:
         """The formula's in-place test, compiled once per node (see the
         module docstring), or None for a formula :meth:`holds` evaluates
-        itself: a distance atom (in place, through the cached ball) or
-        anything else (through the satisfaction memo).
+        through the satisfaction memo.
 
         A test holds no reference to the state, so a state is still freed
         by reference counting when its engine call drops it.
@@ -877,12 +1082,7 @@ class ExecutionState:
         negated = isinstance(formula, Not) and isinstance(formula.inner, (Atom, Eq))
         atom = formula.inner if negated else formula
         if isinstance(atom, Atom):
-            symbol = self.structure.signature.get(atom.relation)
-            if symbol is None:
-                raise EvaluationError(
-                    f"relation {atom.relation!r} missing from the signature"
-                )
-            relation = self.structure.relation(symbol)
+            relation = self.structure.relation(self._symbol(atom.relation))
             if len(atom.args) == 1:
                 # itemgetter of one key returns the bare value, not a 1-tuple.
                 (arg,) = atom.args
@@ -910,11 +1110,29 @@ class ExecutionState:
                     raise _unassigned(error) from None
 
             return test
+        if isinstance(formula, DistAtom):
+            ball = self._ball_lookup(formula.bound)
+            left, right = formula.left, formula.right
+
+            def test(env):
+                try:
+                    a, b = env[left], env[right]
+                except KeyError as error:
+                    raise _unassigned(error) from None
+                return b in ball(a)
+
+            return test
         if isinstance(formula, Top):
             return lambda env: True
         if isinstance(formula, Bottom):
             return lambda env: False
         return None
+
+    def _check(self, conjunct: Formula) -> Test:
+        """A per-candidate check: the in-place test, or a memoised
+        :meth:`holds` reached through a weak reference, so that search
+        nodes storing the check hold no reference to the state."""
+        return self._test(conjunct) or partial(_holds_through, self._ref, conjunct)
 
     def _holds(self, formula: Formula, env: Dict[Variable, Element]) -> bool:
         """Evaluate a compound formula or predicate atom (atoms are tested
@@ -961,9 +1179,9 @@ class ExecutionState:
     ) -> bool:
         """Witness search for ``exists v1..vk. body`` with guard-driven
         candidate pools and early exit."""
-        conjuncts = self._conjuncts(body)
+        node = self._search_node(self._conjuncts(body), variables)
         scratch = {k: val for k, val in env.items() if k not in variables}
-        for _ in self._assignments(variables, conjuncts, scratch):
+        for _ in self._enumerate(node, scratch):
             return True
         return False
 
@@ -973,9 +1191,9 @@ class ExecutionState:
         self, variables: Tuple[Variable, ...], body: Formula
     ) -> Iterator[Tuple[Element, ...]]:
         """Enumerate satisfying assignments (guard-driven where possible)."""
-        conjuncts = self._conjuncts(body)
+        node = self._search_node(self._conjuncts(body), tuple(variables))
         env: Dict[Variable, Element] = {}
-        for _ in self._assignments(tuple(variables), conjuncts, env):
+        for _ in self._enumerate(node, env):
             yield tuple(env[v] for v in variables)
 
     # -- checkpointing -----------------------------------------------------------------

@@ -22,7 +22,8 @@ and the executor: conjunction flattening and predicate-atom replacement.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping
+from functools import partial
+from typing import AbstractSet, Callable, Dict, Iterator, List, Mapping
 
 from ..errors import FormulaError
 from ..logic.syntax import (
@@ -64,61 +65,66 @@ def canonicalise(expression: Expression) -> Expression:
       cache keys) built from it never pin caller ASTs alive;
     * the function is idempotent up to structural equality.
     """
-    free = free_variables(expression)
-    counter = itertools.count()
+    fresh = partial(_fresh_name, free_variables(expression), itertools.count())
+    return _rename(expression, {}, fresh)
 
-    def fresh() -> Variable:
-        while True:
-            name = f"_b{next(counter)}"
-            if name not in free:
-                return name
 
-    def walk(node: Expression, env: Mapping[Variable, Variable]) -> Expression:
-        if isinstance(node, Eq):
-            return Eq(env.get(node.left, node.left), env.get(node.right, node.right))
-        if isinstance(node, Atom):
-            return Atom(node.relation, tuple(env.get(a, a) for a in node.args))
-        if isinstance(node, DistAtom):
-            return DistAtom(
-                env.get(node.left, node.left),
-                env.get(node.right, node.right),
-                node.bound,
-            )
-        if isinstance(node, Top):
-            return Top()
-        if isinstance(node, Bottom):
-            return Bottom()
-        if isinstance(node, Not):
-            return Not(walk(node.inner, env))  # type: ignore[arg-type]
-        if isinstance(node, (And, Or, Implies, Iff)):
-            return type(node)(
-                walk(node.left, env),  # type: ignore[arg-type]
-                walk(node.right, env),  # type: ignore[arg-type]
-            )
-        if isinstance(node, (Exists, Forall)):
-            name = fresh()
-            scope = dict(env)
-            scope[node.variable] = name
-            return type(node)(name, walk(node.inner, scope))  # type: ignore[arg-type]
-        if isinstance(node, PredicateAtom):
-            return PredicateAtom(
-                node.predicate, tuple(walk(t, env) for t in node.terms)  # type: ignore[arg-type]
-            )
-        if isinstance(node, IntTerm):
-            return IntTerm(node.value)
-        if isinstance(node, (Add, Mul)):
-            return type(node)(
-                walk(node.left, env),  # type: ignore[arg-type]
-                walk(node.right, env),  # type: ignore[arg-type]
-            )
-        if isinstance(node, CountTerm):
-            names = [fresh() for _ in node.variables]
-            scope = dict(env)
-            scope.update(zip(node.variables, names))
-            return CountTerm(tuple(names), walk(node.inner, scope))  # type: ignore[arg-type]
-        raise FormulaError(f"unexpected node {type(node).__name__}")
+def _fresh_name(free: AbstractSet[Variable], counter: Iterator[int]) -> Variable:
+    """The next canonical name ``_b<i>`` that is not a free variable."""
+    while True:
+        name = f"_b{next(counter)}"
+        if name not in free:
+            return name
 
-    return walk(expression, {})
+
+def _rename(
+    node: Expression, env: Mapping[Variable, Variable], fresh: Callable[[], Variable]
+) -> Expression:
+    """:func:`canonicalise`'s walk (module-level, so a call leaves no
+    self-referencing closure behind for the cycle collector)."""
+    if isinstance(node, Eq):
+        return Eq(env.get(node.left, node.left), env.get(node.right, node.right))
+    if isinstance(node, Atom):
+        return Atom(node.relation, tuple(env.get(a, a) for a in node.args))
+    if isinstance(node, DistAtom):
+        return DistAtom(
+            env.get(node.left, node.left),
+            env.get(node.right, node.right),
+            node.bound,
+        )
+    if isinstance(node, Top):
+        return Top()
+    if isinstance(node, Bottom):
+        return Bottom()
+    if isinstance(node, Not):
+        return Not(_rename(node.inner, env, fresh))  # type: ignore[arg-type]
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return type(node)(
+            _rename(node.left, env, fresh),  # type: ignore[arg-type]
+            _rename(node.right, env, fresh),  # type: ignore[arg-type]
+        )
+    if isinstance(node, (Exists, Forall)):
+        name = fresh()
+        scope = dict(env)
+        scope[node.variable] = name
+        return type(node)(name, _rename(node.inner, scope, fresh))  # type: ignore[arg-type]
+    if isinstance(node, PredicateAtom):
+        return PredicateAtom(
+            node.predicate, tuple(_rename(t, env, fresh) for t in node.terms)  # type: ignore[arg-type]
+        )
+    if isinstance(node, IntTerm):
+        return IntTerm(node.value)
+    if isinstance(node, (Add, Mul)):
+        return type(node)(
+            _rename(node.left, env, fresh),  # type: ignore[arg-type]
+            _rename(node.right, env, fresh),  # type: ignore[arg-type]
+        )
+    if isinstance(node, CountTerm):
+        names = [fresh() for _ in node.variables]
+        scope = dict(env)
+        scope.update(zip(node.variables, names))
+        return CountTerm(tuple(names), _rename(node.inner, scope, fresh))  # type: ignore[arg-type]
+    raise FormulaError(f"unexpected node {type(node).__name__}")
 
 
 def flatten_conjuncts(formula: Formula) -> List[Formula]:

@@ -20,7 +20,10 @@ instance, dropped by :meth:`Structure.invalidate_caches`, and **not**
 carried over by :meth:`Structure.with_tuple` (the derived structure
 rebuilds lazily against its own relations; only the
 :class:`~repro.structures.interning.ElementInterner` is shared, because
-the universe — and hence the id space — is identical).
+the universe — and hence the id space — is identical).  The view keeps
+the structure's signature and relations mapping, not the structure
+itself, so the structure and its view form no reference cycle and are
+freed by reference counting.
 
 Bitset convention: a set of ids is a non-negative Python int with bit
 ``i`` set iff id ``i`` is a member.  ``(bs >> i) & 1`` is the membership
@@ -35,7 +38,7 @@ from array import array
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..errors import ArityError
+from ..errors import ArityError, SignatureError
 from .interning import ElementInterner
 from .signature import RelationSymbol
 
@@ -205,7 +208,8 @@ class ColumnarStructure:
     __slots__ = (
         "interner",
         "n",
-        "_structure",
+        "_signature",
+        "_source",
         "_offsets",
         "_targets",
         "_neigh",
@@ -214,7 +218,9 @@ class ColumnarStructure:
     )
 
     def __init__(self, structure) -> None:
-        self._structure = structure
+        self._signature = structure.signature
+        #: The element-space relations (symbol -> frozenset of tuples).
+        self._source = structure.relations()
         self.interner: ElementInterner = structure.interner()
         self.n: int = len(self.interner)
         self._offsets: "array[int] | None" = None
@@ -230,14 +236,16 @@ class ColumnarStructure:
         symbol = (
             key
             if isinstance(key, RelationSymbol)
-            else self._structure.signature[key]  # type: ignore[index]
+            else self._signature[key]  # type: ignore[index]
         )
         cached = self._relations.get(symbol.name)
         if cached is None:
+            if symbol not in self._signature:
+                raise SignatureError(f"symbol {symbol!r} is not in the signature")
             id_of = self.interner._ids
             rows = [
                 tuple(id_of[entry] for entry in tup)
-                for tup in self._structure.relation(symbol)
+                for tup in self._source[symbol]
             ]
             cached = ColumnarRelation(symbol.name, symbol.arity, rows)
             self._relations[symbol.name] = cached
@@ -275,7 +283,7 @@ class ColumnarStructure:
             # set allocations, and binary relations — the dominant case —
             # get a branch with no intermediate collection at all.
             acc: List[List[int]] = [[] for _ in range(self.n)]
-            for symbol, rel in self._structure.relations().items():
+            for symbol, rel in self._source.items():
                 if symbol.arity < 2:
                     continue
                 if symbol.arity == 2:
@@ -336,7 +344,8 @@ class ColumnarStructure:
         witness the affected edges; ``with_tuple`` simply leaves
         ``_columnar`` unset in that case)."""
         view = ColumnarStructure.__new__(ColumnarStructure)
-        view._structure = structure
+        view._signature = structure.signature
+        view._source = structure.relations()
         view.interner = self.interner
         view.n = self.n
         view._full_bitset = self._full_bitset

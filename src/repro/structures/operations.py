@@ -29,20 +29,13 @@ def expansion(
 
     ``new_relations`` interprets the fresh symbols; existing relations are
     kept unchanged.  Fresh symbols missing from ``new_relations`` get the
-    empty relation.
+    empty relation.  Only the fresh tuples are validated; the expansion
+    shares the parent's relations and still-valid caches (see
+    :meth:`Structure.with_relations`).
     """
-    extended = structure.signature.union(new_symbols)
-    relations: Dict[object, Iterable[Tup]] = {
-        symbol: rel for symbol, rel in structure.relations().items()
-    }
-    for key, tuples in new_relations.items():
-        symbol = extended[key] if isinstance(key, str) else key
-        if symbol in structure.signature:
-            raise SignatureError(
-                f"{symbol!r} is already interpreted; expansions may only add symbols"
-            )
-        relations[symbol] = tuples
-    return Structure(extended, structure.universe_order, relations)
+    return structure.with_relations(
+        structure.signature.union(new_symbols), new_relations
+    )
 
 
 def reduct(structure: Structure, signature: Signature) -> Structure:

@@ -11,13 +11,47 @@ Universe elements may be arbitrary hashable Python objects.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
+from operator import itemgetter
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Set,
+    Tuple,
+)
 
 from ..errors import ArityError, SignatureError, UniverseError
 from .signature import RelationSymbol, Signature
 
 Element = Hashable
 Tup = Tuple[Element, ...]
+
+
+def _checked(
+    symbol: RelationSymbol, tuples: Iterable[Tup], universe: AbstractSet[Element]
+) -> FrozenSet[Tup]:
+    """The tuples as a frozenset, after checking each one's arity and that
+    its entries belong to the universe."""
+    checked = []
+    for tup in tuples:
+        tup = tuple(tup)
+        if len(tup) != symbol.arity:
+            raise ArityError(
+                f"tuple {tup!r} has length {len(tup)}, but "
+                f"{symbol.name} has arity {symbol.arity}"
+            )
+        for entry in tup:
+            if entry not in universe:
+                raise UniverseError(
+                    f"tuple {tup!r} of {symbol.name} mentions "
+                    f"{entry!r}, which is not in the universe"
+                )
+        checked.append(tup)
+    return frozenset(checked)
 
 
 class Structure:
@@ -39,17 +73,25 @@ class Structure:
 
     Cache contract
     --------------
-    Derived data — the Gaifman :meth:`adjacency` and the per-position
-    :meth:`index` maps — is computed lazily and cached on the instance.
-    This is sound because the relational content never changes through the
-    public API.  "Updates" are expressed as *derivation*: :meth:`with_tuple`
-    returns a **new** structure sharing the unchanged relations (and the
-    still-valid caches) with its parent, so a query → update → query
-    sequence always sees fresh derived data on the derived structure while
-    the parent's caches stay valid for the parent.  Code that nevertheless
-    reaches into the internals (test harnesses, surgical subclasses) must
-    call :meth:`invalidate_caches` afterwards or the next :meth:`adjacency`
-    / :meth:`index` read will serve stale answers.
+    Derived data — the Gaifman :meth:`adjacency`, the per-position
+    :meth:`index` maps and the :meth:`projection` pools — is computed
+    lazily and cached on the instance.  This is sound because the
+    relational content never changes through the public API.  "Updates"
+    are expressed as *derivation*: :meth:`with_tuple` returns a **new**
+    structure sharing the unchanged relations (and the still-valid caches)
+    with its parent, so a query → update → query sequence always sees fresh
+    derived data on the derived structure while the parent's caches stay
+    valid for the parent.  :meth:`with_relations` (the expansion by fresh
+    symbols) derives the same way: the parent's relations and the index and
+    projection caches built for them are shared, and so is the adjacency
+    when the fresh symbols add no Gaifman edges.  A derived structure
+    copies the cache *mappings*, never shares them, so what it builds later
+    (say, a projection of a fresh relation that another expansion of the
+    same parent interprets differently) never reaches the parent.  Code
+    that nevertheless reaches into the internals (test harnesses, surgical
+    subclasses) must call :meth:`invalidate_caches` afterwards or the next
+    :meth:`adjacency` / :meth:`index` / :meth:`projection` read will serve
+    stale answers.
     """
 
     __slots__ = (
@@ -59,6 +101,7 @@ class Structure:
         "_relations",
         "_adjacency",
         "_indexes",
+        "_projections",
         "_size",
         "_stats",
         "_interner",
@@ -86,22 +129,7 @@ class Structure:
         if relations:
             for key, tuples in relations.items():
                 symbol = self._resolve_symbol(signature, key)
-                checked = []
-                for tup in tuples:
-                    tup = tuple(tup)
-                    if len(tup) != symbol.arity:
-                        raise ArityError(
-                            f"tuple {tup!r} has length {len(tup)}, but "
-                            f"{symbol.name} has arity {symbol.arity}"
-                        )
-                    for entry in tup:
-                        if entry not in seen:
-                            raise UniverseError(
-                                f"tuple {tup!r} of {symbol.name} mentions "
-                                f"{entry!r}, which is not in the universe"
-                            )
-                    checked.append(tup)
-                resolved[symbol] = frozenset(checked)
+                resolved[symbol] = _checked(symbol, tuples, seen)
 
         self._signature = signature
         self._universe_order = tuple(universe_order)
@@ -109,6 +137,7 @@ class Structure:
         self._relations = resolved
         self._adjacency: "Dict[Element, FrozenSet[Element]] | None" = None
         self._indexes: Dict[Tuple[str, int], Dict[Element, Tuple[Tup, ...]]] = {}
+        self._projections: Dict[Tuple, Dict[object, Tuple[Element, ...]]] = {}
         self._size = len(universe_order) + sum(len(rel) for rel in resolved.values())
         # Cached cost-model statistics (repro.cost.stats.StructureStats).
         # Opaque to this module: built and read through structure_stats(),
@@ -206,6 +235,50 @@ class Structure:
             self._indexes[cache_key] = {v: tuple(ts) for v, ts in built.items()}
         return self._indexes[cache_key]
 
+    def projection(
+        self, key: object, bound: Tuple[int, ...], targets: Tuple[int, ...]
+    ) -> Dict[object, Tuple[Element, ...]]:
+        """The relation projected onto ``targets`` and grouped by the values
+        at ``bound``: maps each bound-value key to the distinct values ``v``
+        such that some tuple carries ``v`` at *every* target position (a
+        repeated variable) and that key at the bound positions.  Built
+        lazily, once per ``(relation, bound, targets)``.
+
+        The key is the bare value for one bound position, the tuple of
+        values for several, and ``()`` for none (the whole relation's
+        projection).  Each pool iterates in the order of a ``set`` filled in
+        relation order: guarded enumeration's candidate order.
+        """
+        symbol = self._resolve_symbol(self._signature, key)
+        for position in bound + targets:
+            if not 0 <= position < symbol.arity:
+                raise ArityError(
+                    f"position {position} out of range for {symbol.name}/{symbol.arity}"
+                )
+        cache_key = (symbol.name, bound, targets)
+        cached = self._projections.get(cache_key)
+        if cached is None:
+            first, repeats = targets[0], targets[1:]
+            if len(bound) == 1:
+                key_of = itemgetter(bound[0])
+            elif bound:
+                key_of = itemgetter(*bound)
+            else:
+                key_of = lambda tup: ()  # noqa: E731
+            pools: Dict[object, Set[Element]] = {}
+            for tup in self._relations[symbol]:
+                value = tup[first]
+                if repeats and any(tup[p] != value for p in repeats):
+                    continue
+                group = key_of(tup)
+                pool = pools.get(group)
+                if pool is None:
+                    pool = pools[group] = set()
+                pool.add(value)
+            cached = {group: tuple(pool) for group, pool in pools.items()}
+            self._projections[cache_key] = cached
+        return cached
+
     def interner(self):
         """The structure's :class:`~repro.structures.interning.ElementInterner`
         (lazy; shared with structures derived via :meth:`with_tuple`, since
@@ -228,7 +301,7 @@ class Structure:
 
     def invalidate_caches(self) -> None:
         """Drop all lazily derived data (adjacency, per-position indexes,
-        cost-model statistics, the columnar view).
+        projections, cost-model statistics, the columnar view).
 
         The public API never needs this — structures are immutable and the
         caches are therefore always consistent.  It exists for code that
@@ -240,6 +313,7 @@ class Structure:
         """
         self._adjacency = None
         self._indexes.clear()
+        self._projections.clear()
         self._stats = None
         self._columnar = None
 
@@ -252,8 +326,9 @@ class Structure:
         instead of revalidating every relation, and shares with the parent:
 
         * the universe, signature and size bookkeeping;
-        * the per-position index caches of every *untouched* relation
-          (the touched relation's indexes are dropped and rebuilt lazily);
+        * the per-position index and projection caches of every
+          *untouched* relation (the touched relation's are dropped and
+          rebuilt lazily);
         * the Gaifman adjacency, extended incrementally on insertion —
           a deletion resets it, since other tuples may still witness the
           affected edges.
@@ -264,18 +339,7 @@ class Structure:
         cache contract above.
         """
         symbol = self._resolve_symbol(self._signature, key)
-        tup = tuple(tup)
-        if len(tup) != symbol.arity:
-            raise ArityError(
-                f"tuple {tup!r} has length {len(tup)}, but "
-                f"{symbol.name} has arity {symbol.arity}"
-            )
-        for entry in tup:
-            if entry not in self._universe:
-                raise UniverseError(
-                    f"tuple {tup!r} of {symbol.name} mentions {entry!r}, "
-                    "which is not in the universe"
-                )
+        (tup,) = _checked(symbol, (tup,), self._universe)
         current = self._relations[symbol]
         if (tup in current) == present:
             return self
@@ -295,6 +359,11 @@ class Structure:
         derived._indexes = {
             cache_key: index
             for cache_key, index in self._indexes.items()
+            if cache_key[0] != symbol.name
+        }
+        derived._projections = {
+            cache_key: pools
+            for cache_key, pools in self._projections.items()
             if cache_key[0] != symbol.name
         }
         derived._adjacency = None
@@ -333,6 +402,52 @@ class Structure:
         )
         return derived
 
+    def with_relations(
+        self, signature: Signature, relations: Mapping[object, Iterable[Tup]]
+    ) -> "Structure":
+        """The expansion of this structure to ``signature`` (a superset of
+        its own) by the fresh relations in ``relations``; fresh symbols
+        missing there are empty.
+
+        Validates only the fresh tuples and shares with the parent, as
+        :meth:`with_tuple` does: the universe and its interner, every
+        existing relation with its per-position index and projection
+        caches, and the Gaifman adjacency when every fresh symbol has arity
+        at most 1 (such a relation adds no Gaifman edge).  The statistics
+        and the columnar view are rebuilt lazily.
+        """
+        if not self._signature.is_subsignature_of(signature):
+            raise SignatureError("an expansion must keep every existing symbol")
+        fresh: Dict[RelationSymbol, FrozenSet[Tup]] = {
+            symbol: frozenset() for symbol in signature if symbol not in self._signature
+        }
+        for key, tuples in relations.items():
+            symbol = self._resolve_symbol(signature, key)
+            if symbol in self._signature:
+                raise SignatureError(
+                    f"{symbol!r} is already interpreted; expansions may only add symbols"
+                )
+            fresh[symbol] = _checked(symbol, tuples, self._universe)
+
+        derived = Structure.__new__(Structure)
+        derived._signature = signature
+        derived._universe_order = self._universe_order
+        derived._universe = self._universe
+        derived._relations = {
+            symbol: fresh[symbol] if symbol in fresh else self._relations[symbol]
+            for symbol in signature
+        }
+        derived._size = self._size + sum(len(rel) for rel in fresh.values())
+        derived._indexes = dict(self._indexes)
+        derived._projections = dict(self._projections)
+        derived._adjacency = (
+            self._adjacency if all(symbol.arity <= 1 for symbol in fresh) else None
+        )
+        derived._stats = None
+        derived._interner = self._interner
+        derived._columnar = None
+        return derived
+
     # -- pickling ----------------------------------------------------------------
 
     def __getstate__(self):
@@ -350,6 +465,7 @@ class Structure:
         self._relations = relations
         self._adjacency = None
         self._indexes = {}
+        self._projections = {}
         self._size = len(universe_order) + sum(
             len(rel) for rel in relations.values()
         )

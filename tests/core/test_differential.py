@@ -96,16 +96,19 @@ def test_engines_agree(seed):
 
     robust = RobustEvaluator()
     fast = Foc1Evaluator(check_fragment=False)
+    unguarded = Foc1Evaluator(check_fragment=False, use_guards=False)
     brute = BruteForceEvaluator()
 
     expected = brute.model_check(structure, sentence)
     assert fast.model_check(structure, sentence) == expected
+    assert unguarded.model_check(structure, sentence) == expected
     assert robust.model_check(structure, sentence) == expected
     assert robust.last_report.succeeded()
 
     count_vars = sorted(free_variables(formula)) or ["x"]
     expected_count = brute.count(structure, formula, count_vars)
     assert fast.count(structure, formula, count_vars) == expected_count
+    assert unguarded.count(structure, formula, count_vars) == expected_count
     assert robust.count(structure, formula, count_vars) == expected_count
 
 

@@ -81,6 +81,20 @@ class TestPinsStayInSyncWithMemos:
         assert len(session._holds_memo) == entries
         assert ("exists _b0. E(x, _b0)", (("x", 1),)) in session._holds_memo
 
+    def test_search_nodes_are_compiled_once_on_pinned_containers(self):
+        """The dynamic path keys its search nodes on the cached
+        factorisation, so a second count with other bindings reuses every
+        node, and each node's conjunct container is pinned."""
+        session = _session(path_graph(6))
+        phi = parse_formula("E(x, y) & E(y, z)")
+        session.count(("y", "z"), phi, {"x": 1})
+        nodes = dict(session._search_nodes)
+        assert nodes
+        session.count(("y", "z"), phi, {"x": 2})
+        assert session._search_nodes == nodes
+        for root, _, _ in nodes:
+            assert root in session._pins
+
     def test_holds_memo_pins_its_formula(self):
         session = _session(path_graph(6))
         phi = parse_formula("E(x, y)")
@@ -103,6 +117,8 @@ class TestPinsStayInSyncWithMemos:
         assert not session._count_key_memo
         assert not session._forall_memo
         assert not session._overlap_memo
+        assert not session._search_nodes
+        assert not session._factor_memo
 
     def test_pinned_node_survives_caller_dropping_it(self):
         """The id-recycling scenario: the caller drops its reference, the
@@ -150,6 +166,35 @@ class TestSessionScopedMemory:
         del phi
         gc.collect()
         assert ref() is None
+
+    def test_reads_and_writes_leave_no_cyclic_garbage(self, engine):
+        """A warm read and a single-tuple insert and delete must free all
+        they allocate by reference counting: cyclic garbage waits for the
+        cycle collector and inflates peak memory on write streams."""
+        from repro.core.clterms import BasicClTerm
+        from repro.core.incremental import IncrementalUnaryCache
+        from repro.logic.parser import parse_term
+        from repro.structures.builders import grid_graph
+
+        structure = grid_graph(6, 7)
+        degree = BasicClTerm(
+            ("y1", "y2"), parse_formula("E(y1, y2)"), 0, 1, frozenset({(1, 2)}), unary=True
+        )
+        cache = IncrementalUnaryCache(structure, degree)
+        read = parse_term("#(x). @eq(#(y). E(x, y), 4)")
+        warm = engine.ground_term_value(structure, read)
+        u, v = structure.universe_order[0], structure.universe_order[20]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert engine.ground_term_value(cache.structure, read) == warm
+            cache.insert("E", (u, v))
+            cache.delete("E", (u, v))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_repeated_calls_agree(self, engine):
         structure = path_graph(10)

@@ -32,6 +32,7 @@ from repro.logic.syntax import (
 from repro.obs.metrics import MetricsRegistry, collect_metrics, set_metrics
 from repro.plan import PlanCache, PlanExecutor, compile_plan
 from repro.plan.executor import ExecutionState
+from repro.plan.ir import PlanOptions
 from repro.robust.budget import EvaluationBudget
 from repro.structures.builders import (
     cycle_graph,
@@ -93,10 +94,18 @@ class TestDifferential:
         rng = random.Random(seed)
         structure = _random_graph(rng)
         sentence = _random_sentence(rng)
-        plan = compile_plan("model_check", [sentence], (), structure.signature)
-        subject = PlanExecutor(plan, structure, standard_collection()).model_check()
         oracle = BruteForceEvaluator().model_check(structure, sentence)
-        assert subject is oracle
+        for guards in (True, False):
+            plan = compile_plan(
+                "model_check", [sentence], (), structure.signature, PlanOptions(guards=guards)
+            )
+            subject = PlanExecutor(plan, structure, standard_collection()).model_check()
+            assert subject is oracle
+        # The dynamic path keeps the sentence's own (possibly shadowing)
+        # bound variables.
+        state = ExecutionState(structure, standard_collection(), True, True)
+        _, residual = state.reduce_formula(sentence)
+        assert state.holds(residual, {}) is oracle
 
     @pytest.mark.parametrize("seed", range(20))
     def test_count_agrees_with_oracle(self, seed):
@@ -225,11 +234,21 @@ def _atoms_structure():
 
 
 def _count(structure, text, variables):
-    """(planned executor, oracle) counts, plus the executor's state."""
+    """(planned executor, oracle) counts, plus the executor's state.
+
+    The planned count must also agree with guards switched off and with
+    the dynamic path (no plan, bound variables not renamed, so shadowing
+    inside exists-blocks survives to the search)."""
     phi = parse_formula(text)
     plan = compile_plan("count", [phi], variables, structure.signature)
     executor = PlanExecutor(plan, structure, standard_collection())
     subject = executor.count_value()
+    unguarded = compile_plan(
+        "count", [phi], variables, structure.signature, PlanOptions(guards=False)
+    )
+    assert PlanExecutor(unguarded, structure, standard_collection()).count_value() == subject
+    dynamic = ExecutionState(structure, standard_collection(), True, True)
+    assert dynamic.count(tuple(variables), phi, {}) == subject
     return subject, BruteForceEvaluator().count(structure, phi, variables), executor.state
 
 
@@ -248,7 +267,14 @@ class TestInPlaceAtoms:
 
     @pytest.mark.parametrize(
         "text",
-        ["E(x, y) & T(x, y, z)", "E(y, z) & T(x, y, z)", "T(x, y, z) & T(z, y, x)"],
+        [
+            "E(x, y) & T(x, y, z)",
+            "E(y, z) & T(x, y, z)",
+            "T(x, y, z) & T(z, y, x)",
+            "E(x, y) & T(x, z, x)",
+            "E(x, z) & T(x, y, z) & !T(z, y, x)",
+            "T(x, x, y) & E(y, z) & T(y, z, z)",
+        ],
     )
     def test_ternary_guard_with_two_bound_positions(self, text):
         subject, oracle, _ = _count(_atoms_structure(), text, ("x", "y", "z"))
@@ -278,6 +304,36 @@ class TestInPlaceAtoms:
         )
         assert subject == oracle
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "E(x, y) & exists y. E(y, x)",
+            "E(x, y) & exists x. (E(y, x) & !(x = y))",
+            "exists z. (T(x, y, z) & exists y. E(z, y))",
+            "E(x, y) & exists z. exists x. (T(x, y, z) & E(z, x))",
+            "E(x, y) & exists z. (E(y, z) & exists y. (E(z, y) & !(y = x)))",
+        ],
+    )
+    def test_exists_look_through_with_shadowed_variables(self, text):
+        subject, oracle, _ = _count(_atoms_structure(), text, ("x", "y"))
+        assert subject == oracle
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dist(x, y) <= 1 & E(y, z) & !(dist(x, z) <= 1)",
+            "E(x, y) & dist(y, z) <= 2 & !(x = z)",
+            "dist(x, y) <= 2 & dist(y, z) <= 1 & T(x, y, z)",
+            "dist(x, y) <= 1 & exists z. (dist(y, z) <= 1 & E(z, x))",
+        ],
+    )
+    def test_distance_guards(self, text):
+        variables = tuple(sorted(free_variables(parse_formula(text))))
+        structures = [_atoms_structure()] + ([] if "T(" in text else [path_graph(6)])
+        for structure in structures:
+            subject, oracle, _ = _count(structure, text, variables)
+            assert subject == oracle
+
     def test_atom_gate_without_counted_variable(self):
         structure = _atoms_structure()
         term = parse_term("#(y). (E(x, x) & E(x, y))")
@@ -294,7 +350,17 @@ class TestInPlaceAtoms:
         )
 
     @pytest.mark.parametrize(
-        "text", ["E(x, y)", "!E(x, y)", "x = y", "!(x = y)", "dist(x, y) <= 1"]
+        "text",
+        [
+            "E(x, y)",
+            "!E(x, y)",
+            "x = y",
+            "!(x = y)",
+            "dist(x, y) <= 1",
+            "E(x, y) & E(y, y)",
+            "exists z. (E(x, z) & E(z, y))",
+            "exists z. (E(x, z) & dist(z, y) <= 1)",
+        ],
     )
     def test_unassigned_free_variable_is_an_evaluation_error(self, text):
         state = ExecutionState(path_graph(3), standard_collection(), True, True)
@@ -332,6 +398,23 @@ class TestInPlaceAtoms:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_two_path_count_ticks_once_per_candidate(self):
+        """The tick contract of guarded enumeration: one count tick, then
+        one enumerate tick per candidate at each level — the scan over x,
+        the d(x) neighbours y of each x, the d(y) neighbours z of each y."""
+        structure = grid_graph(6, 7)
+        degrees = [len(ns) for ns in structure.adjacency().values()]
+        budget = EvaluationBudget()
+        phi = parse_formula("E(x, y) & E(y, z) & !(x = z)")
+        Foc1Evaluator(budget=budget).count(structure, phi, ["x", "y", "z"])
+        expected = (
+            1
+            + sum(1 for d in degrees if d)
+            + sum(degrees)
+            + sum(d * d for d in degrees)
+        )
+        assert budget.steps == expected == 683
 
     def test_budget_still_stops_a_two_path_count(self):
         structure = grid_graph(30, 30)

@@ -72,13 +72,18 @@ class TestWithTupleDerivation:
 
     def test_untouched_relation_index_is_shared(self, path):
         r_index = path.index("R", 0)
+        r_projection = path.projection("R", (), (0,))
         derived = path.with_tuple("E", (1, 4))
         assert derived.index("R", 0) is r_index
+        assert derived.projection("R", (), (0,)) is r_projection
 
     def test_touched_relation_index_is_not_shared(self, path):
         e_index = path.index("E", 0)
+        e_projection = path.projection("E", (0,), (1,))
         derived = path.with_tuple("E", (1, 4))
         assert derived.index("E", 0) is not e_index
+        assert sorted(derived.projection("E", (0,), (1,))[1]) == [2, 4]
+        assert e_projection[1] == (2,)
 
     def test_noop_update_returns_self(self, path):
         assert path.with_tuple("E", (1, 2)) is path
@@ -128,14 +133,17 @@ class TestInvalidateCaches:
         then invalidate_caches() repairs it."""
         path.adjacency()
         path.index("E", 0)
+        path.projection("E", (0,), (1,))
         symbol = path.signature["E"]
         path._relations[symbol] = path._relations[symbol] | {(1, 4)}
         # The caches are now stale — this is exactly the hazard.
         assert 4 not in path.adjacency()[1]
         assert (1, 4) not in path.index("E", 0).get(1, ())
+        assert 4 not in path.projection("E", (0,), (1,))[1]
         path.invalidate_caches()
         assert 4 in path.adjacency()[1]
         assert (1, 4) in path.index("E", 0)[1]
+        assert 4 in path.projection("E", (0,), (1,))[1]
 
     def test_idempotent_on_cold_structure(self, path):
         path.invalidate_caches()

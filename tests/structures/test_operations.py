@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import SignatureError, UniverseError
+from repro.errors import ArityError, SignatureError, UniverseError
 from repro.structures.builders import graph_structure, path_graph
 from repro.structures.gaifman import is_connected
 from repro.structures.operations import (
@@ -43,6 +43,39 @@ class TestExpansionReduct:
         Theorem 6.10 pipeline relies on to stay inside the class C."""
         expanded = expansion(path5, Signature.of(Mark=1), {"Mark": [(1,), (5,)]})
         assert expanded.adjacency() == path5.adjacency()
+
+    def test_expansion_shares_the_parents_relations_and_caches(self, path5):
+        projection = path5.projection("E", (0,), (1,))
+        index = path5.index("E", 0)
+        adjacency = path5.adjacency()
+        interner = path5.interner()
+        expanded = expansion(path5, Signature.of(Mark=1), {"Mark": [(3,)]})
+        assert expanded.relation("E") is path5.relation("E")
+        assert expanded.projection("E", (0,), (1,)) is projection
+        assert expanded.index("E", 0) is index
+        assert expanded.adjacency() is adjacency
+        assert expanded.interner() is interner
+        assert expanded.size() == path5.size() + 1
+
+    def test_binary_expansion_does_not_share_the_adjacency(self, path5):
+        path5.adjacency()
+        expanded = expansion(path5, Signature.of(F=2), {"F": [(1, 5)]})
+        assert 5 in expanded.adjacency()[1]
+        assert 5 not in path5.adjacency()[1]
+
+    def test_expansion_validates_the_fresh_tuples(self, path5):
+        with pytest.raises(ArityError):
+            expansion(path5, Signature.of(Mark=1), {"Mark": [(1, 2)]})
+        with pytest.raises(UniverseError):
+            expansion(path5, Signature.of(Mark=1), {"Mark": [(42,)]})
+
+    def test_sibling_expansions_keep_their_own_projections(self, path5):
+        """A projection of a fresh relation built on one expansion must not
+        reach the parent, where a sibling interprets the same name."""
+        first = expansion(path5, Signature.of(Mark=1), {"Mark": [(1,)]})
+        assert first.projection("Mark", (), (0,)) == {(): (1,)}
+        second = expansion(path5, Signature.of(Mark=1), {"Mark": [(2,)]})
+        assert second.projection("Mark", (), (0,)) == {(): (2,)}
 
 
 class TestPinElements:

@@ -85,6 +85,25 @@ class TestDerivedData:
         with pytest.raises(ArityError):
             s.index("E", 2)
 
+    def test_projection_groups_by_bound_values_and_honours_repeats(self):
+        s = Structure(
+            Signature.of(T=3),
+            [1, 2, 3, 4],
+            {"T": [(1, 2, 1), (1, 3, 1), (1, 2, 2), (2, 2, 2), (4, 4, 3)]},
+        )
+        by_first = s.projection("T", (0,), (1,))
+        assert {k: sorted(v) for k, v in by_first.items()} == {1: [2, 3], 2: [2], 4: [4]}
+        assert s.projection("T", (0,), (1,)) is by_first  # built once
+        by_ends = s.projection("T", (0, 2), (1,))
+        assert sorted(by_ends[(1, 1)]) == [2, 3]
+        assert by_ends[(1, 2)] == (2,)
+        # A repeated target variable, T(y, y, z): only tuples with t0 == t1.
+        assert s.projection("T", (2,), (0, 1)) == {2: (2,), 3: (4,)}
+        # No bound position: the whole relation's projection.
+        assert sorted(s.projection("T", (), (0, 2))[()]) == [1, 2]
+        with pytest.raises(ArityError):
+            s.projection("T", (3,), (0,))
+
 
 class TestValueSemantics:
     def test_extensional_equality(self, sig):
