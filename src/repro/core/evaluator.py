@@ -40,22 +40,15 @@ from ..obs import traced
 from ..parallel import WorkerPool, shard
 from ..plan.cache import PlanCache, default_plan_cache
 from ..plan.compiler import compile_plan
-from ..plan.executor import ExecutionState, PlanExecutor
+from ..plan.executor import PlanExecutor
 from ..plan.ir import PlanOptions, QueryPlan
-from ..plan.normalise import canonicalise, flatten_conjuncts, replace_atoms
+from ..plan.normalise import canonicalise
 from ..robust.budget import EvaluationBudget
 from ..robust.partial import PartialResult, ShardFailure, validate_failure_mode
 from ..robust.retry import RetryPolicy
 from ..structures.signature import Signature
 from ..structures.structure import Element, Structure
 from .query import Foc1Query
-
-#: Backwards-compatible aliases: the evaluation session and its structural
-#: helpers moved to the plan layer; tests and downstream code may still
-#: import them from here.
-_Session = ExecutionState
-_flatten_and = flatten_conjuncts
-_replace_atoms = replace_atoms
 
 
 class Foc1Evaluator:

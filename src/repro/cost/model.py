@@ -487,11 +487,12 @@ class CostModel:
     ) -> float:
         if depth > 32:
             return _CAP
-        step = plan.counts.get(id(body))
-        if step is not None and step.variables == variables:
+        step = plan.counts.get((id(body), variables))
+        if step is not None:
             return self._count_step_cost(step, plan, depth)
-        # Dynamic fallback: the engine would decompose on the fly — charge
-        # the estimator's candidate-space estimate.
+        # No step: a k = 0 count, which the engine answers with one
+        # satisfaction test — charge the estimator's candidate-space
+        # estimate.
         bound = self.estimator.count_bound(variables, body)
         return _clip(max(1.0, bound.estimate))
 

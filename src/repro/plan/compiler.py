@@ -9,14 +9,15 @@ re-derived inside every call:
    (rule 4') — become :class:`~repro.plan.ir.MaterialiseStep` entries, the
    atom replaced by a fresh ``Paux__N`` auxiliary relation atom; iterated
    until no eligible atom remains.  Atoms with more than one free variable
-   (outside FOC1) are left in place, exactly as the dynamic engine leaves
-   them for inline evaluation.
+   (outside FOC1) are left in place; the executor evaluates them inline.
 2. **Counting algebra** (Lemma 6.4).  Every counting body reachable from
    the steps and residual roots is compiled into a
    :data:`~repro.plan.ir.CountStep` DAG: complement, inclusion–exclusion
    (with the overlap conjunction built once), Implies/Iff rewrites, and
    conjunction decomposition into gates + variable-disjoint components +
-   unused-variable tail, honouring the plan's factoring option.
+   unused-variable tail, honouring the plan's factoring option.  This is
+   the only implementation of the counting rules: the executor counts a
+   body only through its compiled step.
 3. **Guard analysis** (Remark 6.3).  Each component records, per counted
    variable, the statically available candidate sources (equality
    binding, distance ball, relation index, exists-block look-through).
@@ -70,9 +71,7 @@ from .normalise import canonicalise, flatten_conjuncts, replace_atoms
 
 __all__ = ["compile_plan", "infer_signature"]
 
-#: Prefix of the auxiliary relations introduced by stratification; kept
-#: identical to the dynamic engine's so explain output and tests read the
-#: same either way.
+#: Prefix of the auxiliary relations introduced by stratification.
 AUX_PREFIX = "Paux__"
 
 
@@ -124,7 +123,7 @@ def compile_plan(
             mapping[atom] = Atom(symbol, tuple(names))
         roots = [replace_atoms(root, mapping) for root in roots]
 
-    counts: Dict[int, CountStep] = {}
+    counts: List[Tuple[Formula, CountStep]] = []
     memo: Dict[Tuple[Tuple[Variable, ...], Formula], "Optional[CountStep]"] = {}
     for expression in [t for s in steps for t in s.terms] + roots:
         for node in subexpressions(expression):
@@ -140,7 +139,7 @@ def compile_plan(
         steps=tuple(steps),
         roots=tuple(roots),
         variables=tuple(variables),
-        counts=counts,
+        count_steps=tuple(counts),
     )
 
 
@@ -168,7 +167,7 @@ def infer_signature(expressions: Sequence[Expression]) -> Signature:
 def _innermost_predicate_atoms(roots: Sequence[Expression]) -> List[PredicateAtom]:
     """Predicate atoms ready for materialisation across all roots: no nested
     predicate atoms and at most one joint free variable (rule 4'); ineligible
-    atoms stay inline for the executor's out-of-fragment fallback."""
+    atoms (outside FOC1) stay inline and the executor evaluates them there."""
     found: Dict[PredicateAtom, None] = {}
     for root in roots:
         for node in subexpressions(root):
@@ -189,24 +188,24 @@ def _compile_count(
     variables: Tuple[Variable, ...],
     body: Formula,
     options: PlanOptions,
-    counts: Dict[int, CountStep],
+    counts: List[Tuple[Formula, CountStep]],
     memo: Dict[Tuple[Tuple[Variable, ...], Formula], "Optional[CountStep]"],
 ) -> "Optional[CountStep]":
-    """Compile ``#variables.body`` into a count step, registering the step
-    under ``id(body)`` (and recursively every rewrite child)."""
+    """Compile ``#variables.body`` into a count step, registering the
+    ``(body, step)`` pair (and recursively every rewrite child's)."""
     if not variables:
         return None  # k = 0 is a boolean check; the executor short-circuits it
     key = (variables, body)
     if key in memo:
         step = memo[key]
         if step is not None:
-            counts[id(body)] = step
+            counts.append((body, step))
         return step
     memo[key] = None  # cycle guard; ASTs are finite but shared
     step = _build_count(variables, body, options, counts, memo)
     memo[key] = step
     if step is not None:
-        counts[id(body)] = step
+        counts.append((body, step))
     return step
 
 
@@ -214,7 +213,7 @@ def _build_count(
     variables: Tuple[Variable, ...],
     body: Formula,
     options: PlanOptions,
-    counts: Dict[int, CountStep],
+    counts: List[Tuple[Formula, CountStep]],
     memo: Dict[Tuple[Tuple[Variable, ...], Formula], "Optional[CountStep]"],
 ) -> CountStep:
     if isinstance(body, Top):
@@ -272,9 +271,8 @@ def _build_decomposition(
         )
         return CountDecomposition(variables, tuple(gates), (component,), ())
 
-    # Factor into variable-disjoint components (Lemma 6.4 product step);
-    # mirrors the executor's legacy dynamic grouping exactly, including
-    # the conjunct order inside merged groups.
+    # Factor into variable-disjoint components (Lemma 6.4 product step):
+    # each conjunct merges the groups it shares a counted variable with.
     groups: List[Tuple[Set[Variable], List[Formula]]] = []
     for conjunct in active:
         names = set(free_variables(conjunct)) & counted

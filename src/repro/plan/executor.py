@@ -1,23 +1,17 @@
 """The plan executor: runtime state for one structure, one plan.
 
 :class:`ExecutionState` is the engine's evaluation machinery — memo
-tables, ball caches, guarded enumeration, the predicate-elimination
-pipeline — factored out of ``core/evaluator.py`` so that every engine
-(the FOC1 evaluator, the Section 8.2 main algorithm, the robustness
-cascade) runs queries through one instrumented code path.  It executes
-in two modes:
-
-* **planned** — a compiled :class:`~repro.plan.ir.QueryPlan` supplies the
-  stratification steps and the Lemma 6.4 count DAG; the executor applies
-  the materialisation steps in stratum order and dispatches counting
-  through the plan's precompiled steps (``_execute_count_step``).  Memo
-  tables survive across materialisation steps: the auxiliary relations
-  are at most unary, so they add no Gaifman edges and invalidate neither
-  ball caches nor prior satisfaction/count entries.
-* **dynamic** — with no plan, the executor re-derives stratification and
-  decomposition on the fly (``reduce_formula`` / ``_count``), preserving
-  the pre-plan engine behaviour exactly; out-of-fragment inputs and the
-  memo-lifetime tests exercise this path.
+tables, ball caches, guarded enumeration — so that every engine (the
+FOC1 evaluator, the Section 8.2 main algorithm, the robustness cascade)
+runs queries through one instrumented code path.  It runs compiled plans
+only.  A :class:`~repro.plan.ir.QueryPlan` supplies the Theorem 6.10
+materialisation steps, which the executor applies in stratum order, and
+the Lemma 6.4 count DAG: every count with counted variables dispatches
+through the body's compiled step (:meth:`ExecutionState._count`), and a
+body without one is an :class:`~repro.errors.EvaluationError`.  Memo
+tables survive across materialisation steps: the auxiliary relations are
+at most unary, so they add no Gaifman edges and invalidate neither ball
+caches nor prior satisfaction/count entries.
 
 Budget ticks (``evaluator.materialise`` / ``evaluator.count`` /
 ``evaluator.enumerate`` / ``evaluator.holds``), fault-injection sites
@@ -59,10 +53,9 @@ pretty-printed, so alpha-equivalent subterms share one entry — e.g.
 canonical text itself is expensive to compute, so it is cached per
 ``id(node)`` in ``_canon_memo`` (and, with the sorted free variables
 whose bindings complete a count key, per ``(id(body), variables)`` in
-``_count_key_memo``), and the rewrite nodes the dynamic paths fabricate —
-``Not(inner)`` for a Forall, the ``And`` overlap of an Or — are cached
-per ``id`` too (``_forall_memo`` / ``_overlap_memo``), so re-evaluating
-a quantifier never mints fresh AST nodes whose ids would defeat every
+``_count_key_memo``), and the ``Not(inner)`` node a Forall is searched
+through is cached per ``id`` too (``_forall_memo``), so re-evaluating a
+quantifier never mints fresh AST nodes whose ids would defeat every
 id-keyed cache.
 
 The id-keyed caches (the per-node tests and the search nodes included)
@@ -70,23 +63,21 @@ are only sound while the keyed object stays alive: CPython recycles ids,
 so an entry that outlives its node can alias a *different* node created
 later.  The state therefore pins every node that enters an id-keyed memo
 in ``_pins`` (id -> node) — and every conjunct container a search node
-keys on: a plan component's tuple, a ``_conjuncts`` list or a
-``_factor`` component — and pins are only ever dropped **together** with
-the memos, via :meth:`_reset_memos`.  (Dropping the tests and search
-nodes alone after a materialisation step is safe: a pin without an entry
-only keeps a node alive.)  States themselves
-are scoped to one public engine call (facades create fresh states per
-call and hold no reference afterwards), so repeated queries do not
-accumulate memory across calls.  Plan-driven execution strengthens the
-contract: every node a plan references is plan-owned (deep-copied at
-compile time), so memo ids are stable for the lifetime of the cached
-plan, never a caller's object.
+keys on: a plan component's tuple or a ``_conjuncts`` list — and never
+drops a pin: pins live as long as the memos, that is, as long as the
+state.  (Dropping the tests and search nodes after a materialisation
+step is safe: a pin without an entry only keeps a node alive.)  States
+themselves are scoped to one public engine call (facades create fresh
+states per call and hold no reference afterwards), so repeated queries
+do not accumulate memory across calls.  Every node a plan references is
+plan-owned (deep-copied at compile time), so memo ids are stable for the
+lifetime of the cached plan; the pins protect the nodes a caller passes
+to an :class:`ExecutionState` directly.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import weakref
 from functools import partial
 from operator import itemgetter
@@ -104,7 +95,7 @@ from typing import (
     Union,
 )
 
-from ..errors import EvaluationError, FragmentError, SuspendedError
+from ..errors import EvaluationError, SuspendedError
 from ..logic.predicates import PredicateCollection
 from ..logic.syntax import (
     Add,
@@ -144,12 +135,11 @@ from .ir import (
     CountDecomposition,
     CountInclusionExclusion,
     CountRewrite,
-    CountStep,
     MaterialiseStep,
     QueryPlan,
 )
 from ..logic.printer import pretty
-from .normalise import canonicalise, flatten_conjuncts, replace_atoms
+from .normalise import canonicalise, flatten_conjuncts
 
 __all__ = ["ExecutionState", "PlanExecutor"]
 
@@ -158,12 +148,6 @@ Test = Callable[[Dict[Variable, Element]], bool]
 #: A candidate pool of guarded enumeration, iterated in a fixed order.
 Pool = Union[Tuple[Element, ...], Set[Element]]
 PoolGetter = Callable[[Dict[Variable, Element]], Pool]
-#: ``ExecutionState._factor``: (gates, ((variables, conjuncts), ...), unused).
-_Factored = Tuple[
-    Tuple[Formula, ...],
-    Tuple[Tuple[Tuple[Variable, ...], Tuple[Formula, ...]], ...],
-    int,
-]
 
 # The phases of a search node: how its variable and pool are chosen.
 _ANCHORED = 0  # the smallest pool of a guard anchored at a bound variable
@@ -301,34 +285,29 @@ def _holds_through(
 
 
 class ExecutionState:
-    """Evaluation state for one (possibly expanded) structure: memo tables,
-    ball caches, the predicate-elimination pipeline, and — when a plan is
-    attached — plan-step dispatch.  See the module docstring for the memo
-    lifetime contract."""
+    """Evaluation state for one (possibly expanded) structure and one
+    compiled plan: memo tables, ball caches, materialisation and
+    count-step dispatch.  See the module docstring for the memo lifetime
+    contract."""
 
     def __init__(
         self,
         structure: Structure,
         predicates: PredicateCollection,
-        use_factoring: bool,
-        use_guards: bool,
+        plan: QueryPlan,
         budget: "Optional[EvaluationBudget]" = None,
-        plan: "Optional[QueryPlan]" = None,
     ):
         self.structure = structure
         self.predicates = predicates
-        self.use_factoring = use_factoring
-        self.use_guards = use_guards
-        self.budget = budget
         self.plan = plan
-        self._plan_counts: Dict[int, CountStep] = plan.counts if plan is not None else {}
+        self.budget = budget
         self._metrics = active_metrics()
         self._holds_memo: Dict[Tuple, bool] = {}
         self._count_memo: Dict[Tuple, int] = {}
         self._free_memo: Dict[int, FrozenSet[Variable]] = {}
         # Pin every node (or conjunct container) that enters an id-keyed
         # memo (id -> object, so one pinned through several memos is stored
-        # once).  Dropped only together with the memos in _reset_memos().
+        # once) for the lifetime of the state.
         self._pins: Dict[int, object] = {}
         self._free_sorted_memo: Dict[int, Tuple[Variable, ...]] = {}
         self._conjunct_memo: Dict[int, List[Formula]] = {}
@@ -345,40 +324,14 @@ class ExecutionState:
         self._search_nodes: Dict[
             Tuple[int, Tuple[Variable, ...], bool], _SearchNode
         ] = {}
-        # Dynamic-path factorisations of a conjunction per (id(body),
-        # counted variables): gates, components, number of unused variables.
-        self._factor_memo: Dict[Tuple[int, Tuple[Variable, ...]], _Factored] = {}
         # Per-candidate checks reach the memo through this weak reference
         # (see _check), so that no search node keeps the state alive.
         self._ref = weakref.ref(self)
-        # Rewrite nodes the dynamic paths fabricate, cached per source
-        # node so repeated evaluation reuses one object (and its memos).
+        # The Not(inner) node each Forall is searched through, cached per
+        # source node so repeated evaluation reuses one object (and its
+        # memos).
         self._forall_memo: Dict[int, Not] = {}
-        self._overlap_memo: Dict[int, And] = {}
         self._ball_caches: Dict[int, Dict[Element, FrozenSet[Element]]] = {}
-        self._aux_counter = itertools.count()
-
-    def _reset_memos(self) -> None:
-        """Drop every id-keyed memo *and* its pins, atomically.
-
-        Clearing the pins without the memos (or vice versa) would let a
-        recycled id alias a stale entry; this is the only place either
-        is cleared.
-        """
-        self._holds_memo.clear()
-        self._count_memo.clear()
-        self._free_memo.clear()
-        self._free_sorted_memo.clear()
-        self._conjunct_memo.clear()
-        self._canon_memo.clear()
-        self._count_key_memo.clear()
-        self._tests.clear()
-        self._search_nodes.clear()
-        self._factor_memo.clear()
-        self._forall_memo.clear()
-        self._overlap_memo.clear()
-        self._ball_caches.clear()
-        self._pins.clear()
 
     # -- small caches ------------------------------------------------------------
 
@@ -481,7 +434,7 @@ class ExecutionState:
         self._tests.clear()
         self._search_nodes.clear()
 
-    # -- Theorem 6.10 stratification: planned path --------------------------------
+    # -- Theorem 6.10 stratification ----------------------------------------------
 
     def apply_materialise_step(self, step: MaterialiseStep) -> Set[Tup]:
         """Execute one compiled materialisation step: evaluate the predicate
@@ -531,85 +484,6 @@ class ExecutionState:
             self._metrics.inc("checkpoint.stratum.replayed")
         self._extend(RelationSymbol(step.symbol, step.arity), set(tuples))
 
-    # -- Theorem 6.10 stratification: dynamic path --------------------------------
-
-    def reduce_formula(self, formula: Formula) -> Tuple[Structure, Formula]:
-        return self._reduce(formula)  # type: ignore[return-value]
-
-    def reduce_term(self, term: Term) -> Tuple[Structure, Term]:
-        return self._reduce(term)  # type: ignore[return-value]
-
-    def _reduce(self, expression: Expression) -> Tuple[Structure, Expression]:
-        """Iteratively materialise innermost predicate atoms as fresh <=1-ary
-        relations (the L_1..L_{d+1} stages of Theorem 6.10)."""
-        current = expression
-        while True:
-            innermost = self._innermost_predicate_atoms(current)
-            if not innermost:
-                return self.structure, current
-            replacements: Dict[PredicateAtom, Atom] = {}
-            for atom in innermost:
-                replacements[atom] = self._materialise(atom)
-            current = replace_atoms(current, replacements)
-            # Rebuild memo state against the expanded structure.
-            self._reset_memos()
-
-    def _innermost_predicate_atoms(self, expression: Expression) -> List[PredicateAtom]:
-        """Predicate atoms ready for materialisation: no nested predicate
-        atoms and at most one joint free variable (rule 4').
-
-        Atoms with more free variables (full FOC(P), outside the fragment)
-        are left in place; :meth:`_holds` evaluates them inline, which is
-        correct but loses the fpt structure — exactly the paper's point, and
-        what experiment E4 measures.
-        """
-        found: Dict[PredicateAtom, None] = {}
-        for node in subexpressions(expression):
-            if isinstance(node, PredicateAtom):
-                nested = any(
-                    isinstance(inner, PredicateAtom) and inner is not node
-                    for inner in subexpressions(node)
-                )
-                if not nested and len(self.free(node)) <= 1:
-                    found.setdefault(node, None)
-        return list(found)
-
-    def _materialise(self, atom: PredicateAtom) -> Atom:
-        """Evaluate a predicate atom everywhere and add it as a relation."""
-        names = sorted(self.free(atom))
-        if len(names) > 1:
-            raise FragmentError(
-                f"predicate atom @{atom.predicate} has free variables {names}; "
-                "not FOC1(P)"
-            )
-        fresh = f"Paux__{next(self._aux_counter)}"
-        while fresh in self.structure.signature:
-            fresh = f"Paux__{next(self._aux_counter)}"
-        if not names:
-            values = tuple(self.term_value(t, {}) for t in atom.terms)
-            fault_check("predicate.oracle")
-            holds = self.predicates.query(atom.predicate, values)
-            tuples: Set[Tup] = {()} if holds else set()
-            symbol = RelationSymbol(fresh, 0)
-            replacement = Atom(fresh, ())
-        else:
-            variable = names[0]
-            tuples = set()
-            for element in self.structure.universe_order:
-                if self.budget is not None:
-                    self.budget.tick("evaluator.materialise")
-                env = {variable: element}
-                values = tuple(self.term_value(t, env) for t in atom.terms)
-                fault_check("predicate.oracle")
-                if self.predicates.query(atom.predicate, values):
-                    tuples.add((element,))
-            symbol = RelationSymbol(fresh, 1)
-            replacement = Atom(fresh, (variable,))
-        if self._metrics is not None:
-            self._metrics.inc("evaluator.predicate.materialised")
-        self._extend(symbol, tuples)
-        return replacement
-
     # -- terms ----------------------------------------------------------------------
 
     def term_value(self, term: Term, env: Dict[Variable, Element]) -> int:
@@ -658,146 +532,46 @@ class ExecutionState:
         body: Formula,
         env: Dict[Variable, Element],
     ) -> int:
+        """Dispatch the body's compiled Lemma 6.4 step.  Child counts re-enter
+        :meth:`count` (and so the memo) with plan-owned nodes, giving stable
+        memo identities for the lifetime of the cached plan."""
         n = self.structure.order()
         k = len(variables)
         if k == 0:
             return 1 if self.holds(body, env) else 0
-        step = self._plan_counts.get(id(body))
-        if step is not None and step.variables == variables:
-            return self._execute_count_step(step, env, n, k)
-        if self._plan_counts and self._metrics is not None:
-            # A planned run fell back to dynamic decomposition — a node the
-            # compiler did not reach (should not happen for in-plan ASTs).
-            self._metrics.inc("plan.count.fallback")
-        if isinstance(body, Top):
-            return n**k
-        if isinstance(body, Bottom):
-            return 0
-        if isinstance(body, Not):
-            return n**k - self.count(variables, body.inner, env)
-        if isinstance(body, Or):
-            both = self._overlap_memo.get(id(body))
-            if both is None:
-                both = And(body.left, body.right)
-                self._overlap_memo[id(body)] = both
-                self._pins[id(body)] = body
-            return (
-                self.count(variables, body.left, env)
-                + self.count(variables, body.right, env)
-                - self.count(variables, both, env)
+        step = self.plan.counts.get((id(body), variables))
+        if step is None:
+            raise EvaluationError(
+                f"no compiled count step for #({', '.join(variables)}). "
+                f"{pretty(body)}: not a node of this state's plan"
             )
-        if isinstance(body, Implies):
-            return self.count(variables, Or(Not(body.left), body.right), env)
-        if isinstance(body, Iff):
-            rewritten = Or(
-                And(body.left, body.right), And(Not(body.left), Not(body.right))
-            )
-            return self.count(variables, rewritten, env)
-
-        gates, components, unused = self._factor(variables, body)
-        for gate in gates:
-            if not self.holds(gate, env):
-                return 0
-        if not components:
-            return n**k
-        result = 1
-        for ordered, parts in components:
-            part = self._count_component(ordered, parts, env)
-            if part == 0:
-                return 0
-            result *= part
-        return result * (n**unused)
-
-    def _factor(self, variables: Tuple[Variable, ...], body: Formula) -> "_Factored":
-        """The dynamic path's Lemma 6.4 product step for a conjunction,
-        computed once per (body, counted variables): the conjuncts with no
-        counted variable (gates of the whole count), the variable-disjoint
-        components with their variables in counting order, and how many
-        counted variables no conjunct mentions.  Without factoring the
-        active conjuncts form one component."""
-        key = (id(body), variables)
-        cached = self._factor_memo.get(key)
-        if cached is not None:
-            return cached
-        counted = set(variables)
-        gates: List[Formula] = []
-        active: List[Formula] = []
-        for conjunct in self._conjuncts(body):
-            (active if self.free(conjunct) & counted else gates).append(conjunct)
-        if not active:
-            cached = (tuple(gates), (), 0)
-        elif not self.use_factoring:
-            cached = (tuple(gates), ((tuple(variables), tuple(active)),), 0)
-        else:
-            groups: List[Tuple[Set[Variable], List[Formula]]] = []
-            for conjunct in active:
-                names = set(self.free(conjunct)) & counted
-                touching = [g for g in groups if g[0] & names]
-                merged_names = set(names)
-                merged_parts = [conjunct]
-                for group in touching:
-                    merged_names |= group[0]
-                    merged_parts = group[1] + merged_parts
-                    groups.remove(group)
-                groups.append((merged_names, merged_parts))
-            used: Set[Variable] = set()
-            components = []
-            for names, parts in groups:
-                used |= names
-                ordered = tuple(v for v in variables if v in names)
-                components.append((ordered, tuple(parts)))
-            cached = (tuple(gates), tuple(components), len(counted - used))
-        self._factor_memo[key] = cached
-        self._pins[id(body)] = body
-        return cached
-
-    def _execute_count_step(
-        self,
-        step: CountStep,
-        env: Dict[Variable, Element],
-        n: int,
-        k: int,
-    ) -> int:
-        """Dispatch one precompiled Lemma 6.4 step.  Child counts re-enter
-        :meth:`count` (and so the memo) with plan-owned nodes, giving stable
-        memo identities for the lifetime of the cached plan."""
         if isinstance(step, CountConstant):
             return 0 if step.zero else n**k
         if isinstance(step, CountComplement):
-            return n**k - self.count(step.variables, step.inner, env)
+            return n**k - self.count(variables, step.inner, env)
         if isinstance(step, CountInclusionExclusion):
             return (
-                self.count(step.variables, step.left, env)
-                + self.count(step.variables, step.right, env)
-                - self.count(step.variables, step.overlap, env)
+                self.count(variables, step.left, env)
+                + self.count(variables, step.right, env)
+                - self.count(variables, step.overlap, env)
             )
         if isinstance(step, CountRewrite):
-            return self.count(step.variables, step.rewritten, env)
+            return self.count(variables, step.rewritten, env)
         if isinstance(step, CountDecomposition):
             for gate in step.gates:
                 if not self.holds(gate, env):
                     return 0
             result = 1
             for component in step.components:
-                part = self._count_component(
-                    component.variables, component.conjuncts, env
-                )
+                # Guarded backtracking count of one variable-connected
+                # component, keyed on the plan's conjunct tuple.
+                node = self._search_node(component.conjuncts, component.variables)
+                part = self._count_search(node, dict(env))
                 if part == 0:
                     return 0
                 result *= part
             return result * (n ** len(step.unused))
         raise EvaluationError(f"unexpected plan step {type(step).__name__}")
-
-    def _count_component(
-        self,
-        variables: Tuple[Variable, ...],
-        conjuncts: Sequence[Formula],
-        env: Dict[Variable, Element],
-    ) -> int:
-        """Guarded backtracking count of one variable-connected component;
-        ``conjuncts`` must be a container the state can key on (see
-        :meth:`_search_node`)."""
-        return self._count_search(self._search_node(conjuncts, variables), dict(env))
 
     # -- guarded search ------------------------------------------------------------
 
@@ -812,8 +586,8 @@ class ExecutionState:
         unbound variable occurs in (the others were checked higher up).
 
         Nodes key on ``id(root)``, so ``root`` must be a container that
-        lives as long as the memos (a plan component, a ``_conjuncts`` or
-        ``_factor`` entry); it is pinned like any id-keyed memo entry.
+        lives as long as the memos (a plan component or a ``_conjuncts``
+        entry); it is pinned like any id-keyed memo entry.
         """
         key = (id(root), unbound, top)
         node = self._search_nodes.get(key)
@@ -842,7 +616,7 @@ class ExecutionState:
         if not unbound:
             return _SearchNode(conjuncts, _LEAF)
         universe = self.structure.universe_order
-        if not self.use_guards:
+        if not self.plan.options.guards:
             choice = self._choice(root, conjuncts, unbound, unbound[0], None)
             return _SearchNode(conjuncts, _DISABLED, pool=universe, choice=choice)
         for phase in (_ANCHORED, _SCAN):
@@ -1279,14 +1053,7 @@ class PlanExecutor:
                 "recompile against this structure"
             )
         self.plan = plan
-        self.state = ExecutionState(
-            structure,
-            predicates,
-            plan.options.factoring,
-            plan.options.guards,
-            budget,
-            plan,
-        )
+        self.state = ExecutionState(structure, predicates, plan, budget)
         self._prepared = False
         # Checkpoint session (preemptible runs only).  Consulted only from
         # the thread that installed it: pool worker threads run their own

@@ -185,10 +185,15 @@ class QueryPlan:
     ``unary_term``, ``solutions``, ``query``.  ``roots`` holds the
     stratification residue: the rewritten sentence/formula/term(s) over
     the signature expanded by the steps' auxiliary relations (for
-    ``query``: the condition first, then the head terms).  ``counts``
-    maps ``id(body)`` of every plan-owned counting body to its compiled
-    :data:`CountStep`; the executor consults it instead of re-deriving
-    the decomposition per call.
+    ``query``: the condition first, then the head terms).
+    ``count_steps`` pairs every plan-owned counting body with its compiled
+    :data:`CountStep`, and ``counts`` indexes them by ``(id(body),
+    counted variables)`` for the executor.  Two count terms may share one
+    body object (stratification maps equal predicate atoms to one
+    ``Atom``), so the counted variables are part of the key.  The index
+    is derived: unpickling gives every node a new id, so
+    :meth:`__setstate__` rebuilds it from the pairs, whose bodies pickle
+    as the very nodes the roots and steps reference.
     """
 
     kind: str
@@ -197,7 +202,26 @@ class QueryPlan:
     steps: Tuple[MaterialiseStep, ...]
     roots: Tuple[Expression, ...]
     variables: Tuple[Variable, ...]
-    counts: Dict[int, CountStep] = field(default_factory=dict, repr=False)
+    count_steps: Tuple[Tuple[Formula, CountStep], ...] = field(
+        default=(), repr=False
+    )
+    counts: Dict[Tuple[int, Tuple[Variable, ...]], CountStep] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.counts = {
+            (id(body), step.variables): step for body, step in self.count_steps
+        }
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["counts"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def depth(self) -> int:
@@ -239,7 +263,7 @@ class QueryPlan:
         entries = list(self._entry_counts())
         if entries:
             lines.append("count DAG (Lemma 6.4):")
-            seen: Set[int] = set()
+            seen: Set[Tuple[int, Tuple[Variable, ...]]] = set()
             for variables, body in entries:
                 self._render_count(variables, body, "  ", lines, seen)
         return "\n".join(lines)
@@ -247,15 +271,17 @@ class QueryPlan:
     def _entry_counts(self) -> Iterator[Tuple[Tuple[Variable, ...], Formula]]:
         """The counting bodies worth rendering: the plan root itself for a
         ``count`` plan, plus every counting term in steps and roots."""
-        emitted: Set[int] = set()
+        emitted: Set[Tuple[int, Tuple[Variable, ...]]] = set()
         if self.kind == "count" and self.roots:
-            emitted.add(id(self.roots[0]))
+            emitted.add((id(self.roots[0]), self.variables))
             yield self.variables, self.roots[0]  # type: ignore[misc]
         for expr in [t for s in self.steps for t in s.terms] + list(self.roots):
             for node in subexpressions(expr):
-                if isinstance(node, CountTerm) and id(node.inner) not in emitted:
-                    emitted.add(id(node.inner))
-                    yield node.variables, node.inner
+                if isinstance(node, CountTerm):
+                    key = (id(node.inner), node.variables)
+                    if key not in emitted:
+                        emitted.add(key)
+                        yield node.variables, node.inner
 
     def _render_count(
         self,
@@ -263,17 +289,18 @@ class QueryPlan:
         body: Formula,
         indent: str,
         lines: List[str],
-        seen: Set[int],
+        seen: Set[Tuple[int, Tuple[Variable, ...]]],
     ) -> None:
         head = f"#({', '.join(variables)}). {_clip(pretty(body))}"
-        step = self.counts.get(id(body))
-        if id(body) in seen:
+        key = (id(body), variables)
+        if key in seen:
             lines.append(f"{indent}{head}  (shared, see above)")
             return
-        seen.add(id(body))
-        if not variables or step is None:
-            note = "boolean check" if not variables else "dynamic"
-            lines.append(f"{indent}{head}  ({note})")
+        seen.add(key)
+        step = self.counts.get(key)
+        if step is None:
+            # Only k = 0 counts have no step: the executor tests the body.
+            lines.append(f"{indent}{head}  (boolean check)")
             return
         lines.append(f"{indent}{head}")
         deeper = indent + "  "

@@ -1,13 +1,14 @@
-"""Regression tests for the evaluator's memo lifetime contract.
+"""Regression tests for the executor's memo lifetime contract.
 
 The hazard: the engine's memo tables key on ``id(node)``.  CPython recycles
 ids, so a memo entry that outlives its AST node can alias a structurally
 *different* node allocated later at the same address — a silent wrong
-answer.  The contract (documented on ``_Session``) is therefore:
+answer.  The contract (documented in :mod:`repro.plan.executor`) is
+therefore:
 
 1. every memoised node is pinned alive in ``_pins`` for as long as its
-   memo entry exists, and the two are dropped together (``_reset_memos``);
-2. sessions are scoped to one public engine call, so repeated queries do
+   memo entry exists, which is the lifetime of the state;
+2. states are scoped to one public engine call, so repeated queries do
    not accumulate pinned ASTs across calls.
 """
 
@@ -16,9 +17,11 @@ import weakref
 
 import pytest
 
-from repro.core.evaluator import Foc1Evaluator, _Session
-from repro.logic.parser import parse_formula
+from repro.core.evaluator import Foc1Evaluator
+from repro.logic.parser import parse_formula, parse_term
 from repro.logic.predicates import standard_collection
+from repro.plan import compile_plan
+from repro.plan.executor import ExecutionState
 from repro.structures.builders import path_graph
 
 
@@ -27,13 +30,13 @@ def engine():
     return Foc1Evaluator()
 
 
-def _session(structure):
-    return _Session(
-        structure,
-        standard_collection(),
-        use_factoring=True,
-        use_guards=True,
+def _session(structure, *terms):
+    """A state over the unary-term plan of ``terms`` (free variable x).
+    Satisfaction accepts any node; counts take the plan's own bodies."""
+    plan = compile_plan(
+        "unary_term", [parse_term(t) for t in terms], ("x",), structure.signature
     )
+    return ExecutionState(structure, standard_collection(), plan)
 
 
 class TestPinsStayInSyncWithMemos:
@@ -52,21 +55,21 @@ class TestPinsStayInSyncWithMemos:
             assert key in session._pins
 
     def test_count_memo_pins_its_body(self):
-        session = _session(path_graph(6))
-        phi = parse_formula("E(x, y)")
-        session.count(("y",), phi, {"x": 1})
+        session = _session(path_graph(6), "#(y). E(x, y)")
+        (term,) = session.plan.roots
+        session.count(term.variables, term.inner, {"x": 1})
         # Memo keys are canonical text; the key-text cache maps the node.
-        assert (id(phi), ("y",)) in session._count_key_memo
+        assert (id(term.inner), term.variables) in session._count_key_memo
         assert session._count_memo
-        assert id(phi) in session._pins
+        assert id(term.inner) in session._pins
 
     def test_count_memo_keys_are_alpha_canonical(self):
         """Alpha-variants of the same count share one memo entry."""
-        session = _session(path_graph(6))
-        first = parse_formula("E(x, y)")
-        second = parse_formula("E(x, z)")
-        session.count(("y",), first, {"x": 1})
-        session.count(("z",), second, {"x": 1})
+        session = _session(path_graph(6), "#(y). E(x, y) + #(z). E(x, z)")
+        first, second = session.plan.roots[0].left, session.plan.roots[0].right
+        assert first.variables != second.variables
+        session.count(first.variables, first.inner, {"x": 1})
+        session.count(second.variables, second.inner, {"x": 1})
         assert len(session._count_memo) == 1
 
     def test_holds_memo_keys_are_alpha_canonical(self):
@@ -82,15 +85,15 @@ class TestPinsStayInSyncWithMemos:
         assert ("exists _b0. E(x, _b0)", (("x", 1),)) in session._holds_memo
 
     def test_search_nodes_are_compiled_once_on_pinned_containers(self):
-        """The dynamic path keys its search nodes on the cached
-        factorisation, so a second count with other bindings reuses every
-        node, and each node's conjunct container is pinned."""
-        session = _session(path_graph(6))
-        phi = parse_formula("E(x, y) & E(y, z)")
-        session.count(("y", "z"), phi, {"x": 1})
+        """Search nodes key on the plan's component containers, so a
+        second count with other bindings reuses every node, and each
+        node's conjunct container is pinned."""
+        session = _session(path_graph(6), "#(y, z). (E(x, y) & E(y, z))")
+        (term,) = session.plan.roots
+        session.count(term.variables, term.inner, {"x": 1})
         nodes = dict(session._search_nodes)
         assert nodes
-        session.count(("y", "z"), phi, {"x": 2})
+        session.count(term.variables, term.inner, {"x": 2})
         assert session._search_nodes == nodes
         for root, _, _ in nodes:
             assert root in session._pins
@@ -100,25 +103,6 @@ class TestPinsStayInSyncWithMemos:
         phi = parse_formula("E(x, y)")
         session.holds(phi, {"x": 1, "y": 2})
         assert id(phi) in session._pins
-
-    def test_reset_drops_memos_and_pins_together(self):
-        session = _session(path_graph(6))
-        phi = parse_formula("E(x, y) & E(y, z)")
-        session.free(phi)
-        session.holds(phi, {"x": 1, "y": 2, "z": 3})
-        session._reset_memos()
-        assert not session._pins
-        assert not session._free_memo
-        assert not session._free_sorted_memo
-        assert not session._conjunct_memo
-        assert not session._holds_memo
-        assert not session._count_memo
-        assert not session._canon_memo
-        assert not session._count_key_memo
-        assert not session._forall_memo
-        assert not session._overlap_memo
-        assert not session._search_nodes
-        assert not session._factor_memo
 
     def test_pinned_node_survives_caller_dropping_it(self):
         """The id-recycling scenario: the caller drops its reference, the

@@ -74,7 +74,7 @@ class TestStratification:
 
 class TestCountDag:
     def _root_step(self, plan):
-        return plan.counts[id(plan.roots[0])]
+        return plan.counts[id(plan.roots[0]), plan.variables]
 
     def test_top_compiles_to_constant(self):
         plan = _count_plan("true", ("x",))
@@ -85,14 +85,14 @@ class TestCountDag:
         plan = _count_plan("!E(x, y)", ("y",))
         step = self._root_step(plan)
         assert isinstance(step, CountComplement)
-        assert id(step.inner) in plan.counts  # child compiled too
+        assert (id(step.inner), step.variables) in plan.counts  # child compiled too
 
     def test_disjunction_builds_the_overlap_once(self):
         plan = _count_plan("E(x, y) | E(y, x)", ("y",))
         step = self._root_step(plan)
         assert isinstance(step, CountInclusionExclusion)
         # The overlap And node is plan-owned and itself compiled.
-        assert id(step.overlap) in plan.counts
+        assert (id(step.overlap), step.variables) in plan.counts
 
     def test_implies_and_iff_rewrite(self):
         assert self._root_step(_count_plan("E(x, y) -> x = y", ("y",))).rule == "implies"
@@ -124,7 +124,7 @@ class TestCountDag:
 class TestGuards:
     def _component(self, text, variables, options=None):
         plan = _count_plan(text, variables, options)
-        (component,) = plan.counts[id(plan.roots[0])].components
+        (component,) = plan.counts[id(plan.roots[0]), plan.variables].components
         return component
 
     def _kinds(self, component, variable):

@@ -7,6 +7,7 @@ so each case is a fixed, re-runnable pytest id (same convention as
 """
 
 import gc
+import pickle
 import random
 import weakref
 
@@ -95,17 +96,10 @@ class TestDifferential:
         structure = _random_graph(rng)
         sentence = _random_sentence(rng)
         oracle = BruteForceEvaluator().model_check(structure, sentence)
-        for guards in (True, False):
-            plan = compile_plan(
-                "model_check", [sentence], (), structure.signature, PlanOptions(guards=guards)
-            )
+        for options in (PlanOptions(), PlanOptions(guards=False), PlanOptions(factoring=False)):
+            plan = compile_plan("model_check", [sentence], (), structure.signature, options)
             subject = PlanExecutor(plan, structure, standard_collection()).model_check()
             assert subject is oracle
-        # The dynamic path keeps the sentence's own (possibly shadowing)
-        # bound variables.
-        state = ExecutionState(structure, standard_collection(), True, True)
-        _, residual = state.reduce_formula(sentence)
-        assert state.holds(residual, {}) is oracle
 
     @pytest.mark.parametrize("seed", range(20))
     def test_count_agrees_with_oracle(self, seed):
@@ -237,18 +231,14 @@ def _count(structure, text, variables):
     """(planned executor, oracle) counts, plus the executor's state.
 
     The planned count must also agree with guards switched off and with
-    the dynamic path (no plan, bound variables not renamed, so shadowing
-    inside exists-blocks survives to the search)."""
+    factoring switched off (one component per conjunction)."""
     phi = parse_formula(text)
     plan = compile_plan("count", [phi], variables, structure.signature)
     executor = PlanExecutor(plan, structure, standard_collection())
     subject = executor.count_value()
-    unguarded = compile_plan(
-        "count", [phi], variables, structure.signature, PlanOptions(guards=False)
-    )
-    assert PlanExecutor(unguarded, structure, standard_collection()).count_value() == subject
-    dynamic = ExecutionState(structure, standard_collection(), True, True)
-    assert dynamic.count(tuple(variables), phi, {}) == subject
+    for options in (PlanOptions(guards=False), PlanOptions(factoring=False)):
+        other = compile_plan("count", [phi], variables, structure.signature, options)
+        assert PlanExecutor(other, structure, standard_collection()).count_value() == subject
     return subject, BruteForceEvaluator().count(structure, phi, variables), executor.state
 
 
@@ -363,11 +353,14 @@ class TestInPlaceAtoms:
         ],
     )
     def test_unassigned_free_variable_is_an_evaluation_error(self, text):
-        state = ExecutionState(path_graph(3), standard_collection(), True, True)
+        structure = path_graph(3)
+        plan = compile_plan("count", [parse_formula(text)], ("y",), structure.signature)
+        state = ExecutionState(structure, standard_collection(), plan)
+        (phi,) = plan.roots
         with pytest.raises(EvaluationError, match="'y' is not assigned"):
-            state.holds(parse_formula(text), {"x": 1})
+            state.holds(phi, {"x": 1})
         with pytest.raises(EvaluationError, match="'x' is not assigned"):
-            state.count(("y",), parse_formula(text), {})
+            state.count(("y",), phi, {})
 
     def test_atom_tests_skip_the_holds_memo_counters(self):
         with collect_metrics() as metrics:
@@ -422,3 +415,59 @@ class TestInPlaceAtoms:
         engine = Foc1Evaluator(budget=EvaluationBudget(max_steps=2_000))
         with pytest.raises(BudgetExceededError):
             engine.count(structure, phi, ["x", "y", "z"])
+
+
+class TestCountIndex:
+    """Every count dispatches through a compiled step, found by
+    ``(id(body), counted variables)``."""
+
+    def test_counting_a_body_without_a_compiled_step_is_an_error(self):
+        structure = path_graph(3)
+        plan = compile_plan("count", [parse_formula("E(x, y)")], ("x", "y"), structure.signature)
+        state = ExecutionState(structure, standard_collection(), plan)
+        (phi,) = plan.roots
+        with pytest.raises(EvaluationError, match="no compiled count step"):
+            state.count(("x", "y"), parse_formula("E(x, y)"), {})  # not plan-owned
+        with pytest.raises(EvaluationError, match="no compiled count step"):
+            state.count(("x",), phi, {"y": 2})  # compiled for (x, y) only
+        assert state.count(("x", "y"), phi, {}) == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "E(x, y) & E(y, z) & !(x = z)",
+            "E(x, y) | !E(y, z)",
+            "(E(x, y) -> x = z) & @geq1(#(w). E(z, w))",
+        ],
+    )
+    def test_a_pickled_plan_keeps_its_count_index(self, text):
+        phi = parse_formula(text)
+        structure = grid_graph(3, 4)
+        plan = compile_plan("count", [phi], ("x", "y", "z"), structure.signature)
+        restored = pickle.loads(pickle.dumps(plan))
+        assert (id(restored.roots[0]), restored.variables) in restored.counts
+        assert len(restored.counts) == len(plan.counts)
+        expected = PlanExecutor(plan, structure, standard_collection()).count_value()
+        assert expected == BruteForceEvaluator().count(structure, phi, ("x", "y", "z"))
+        assert (
+            PlanExecutor(restored, structure, standard_collection()).count_value()
+            == expected
+        )
+
+    def test_count_terms_sharing_a_body(self):
+        """Stratification maps equal predicate atoms to one Atom object,
+        so these count terms share a body but not their binders."""
+        structure = path_graph(4)
+        oracle = BruteForceEvaluator()
+        engine = Foc1Evaluator(plan_cache=PlanCache())
+        ground = parse_term("#(y). @even(2) + #(w). @even(2)")
+        plan = compile_plan("ground_term", [ground], (), structure.signature)
+        left, right = plan.roots[0].left, plan.roots[0].right
+        assert left.inner is right.inner and left.variables != right.variables
+        assert engine.ground_term_value(structure, ground) == oracle.ground_term_value(
+            structure, ground
+        )
+        unary = parse_term("#(y). @geq1(#(). E(x, x)) + #(w). @geq1(#(). E(x, x))")
+        assert engine.unary_term_values(structure, unary, "x") == oracle.unary_term_values(
+            structure, unary, "x"
+        )
