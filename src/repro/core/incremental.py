@@ -12,8 +12,11 @@ Inserting or deleting one tuple can therefore only change the values of
 elements within distance D of the touched entries — measured in the old
 *or* the new structure, since both the before- and after-neighbourhoods
 matter.  On bounded-degree structures that affected set has constant size,
-giving constant-time-per-update maintenance (modulo structure rebuilding,
-which this prototype keeps simple and immutable).
+so the values cost constant time per update.  Structures stay immutable:
+a write derives a new one by :meth:`Structure.with_tuple`, whose columnar
+view — the Gaifman adjacency the balls are read from — changes by the
+written tuple's edges only.  What stays linear per write is the copy of
+the written relation's frozenset.
 
 :class:`IncrementalUnaryCache` maintains ``u^A[a]`` for all ``a`` under
 single-tuple insertions and deletions, recomputing only the affected
@@ -31,26 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from ..errors import FormulaError, SignatureError
+from ..errors import FormulaError
 from ..logic.predicates import PredicateCollection
 from ..robust.budget import EvaluationBudget
 from ..structures.gaifman import ball
 from ..structures.structure import Element, Structure, Tup
 from .clterms import BasicClTerm
 from .local_eval import evaluate_basic_unary
-
-
-def _with_tuple(structure: Structure, relation: str, tup: Tup, present: bool) -> Structure:
-    """A copy of the structure with ``tup`` added to / removed from a relation.
-
-    Delegates to :meth:`Structure.with_tuple`, which validates only the
-    delta and shares the untouched relations and their caches — rebuilding
-    and revalidating all of ``||A||`` per single-tuple update made every
-    update Omega(||A||) regardless of the locality analysis above.
-    """
-    if structure.signature.get(relation) is None:
-        raise SignatureError(f"no relation named {relation!r}")
-    return structure.with_tuple(relation, tuple(tup), present)
 
 
 @dataclass
@@ -102,18 +92,20 @@ class IncrementalUnaryCache:
     def value(self, element: Element) -> int:
         return self.values[element]
 
-    def insert(self, relation: str, tup: Tup) -> None:
-        """Insert a tuple and repair the affected values."""
+    def insert(self, relation: object, tup: Tup) -> None:
+        """Insert a tuple into a relation (by symbol or name) and repair the
+        affected values."""
         self._apply(relation, tup, present=True)
 
-    def delete(self, relation: str, tup: Tup) -> None:
-        """Delete a tuple and repair the affected values."""
+    def delete(self, relation: object, tup: Tup) -> None:
+        """Delete a tuple from a relation (by symbol or name) and repair the
+        affected values."""
         self._apply(relation, tup, present=False)
 
-    def _apply(self, relation: str, tup: Tup, present: bool) -> None:
+    def _apply(self, relation: object, tup: Tup, present: bool) -> None:
         old_structure = self.structure
-        new_structure = _with_tuple(old_structure, relation, tuple(tup), present)
-        if new_structure.relation(relation) == old_structure.relation(relation):
+        new_structure = old_structure.with_tuple(relation, tuple(tup), present)
+        if new_structure is old_structure:
             return  # no-op update (tuple already present/absent)
         entries = [entry for entry in tup]
         affected: Set[Element] = set()
@@ -140,8 +132,15 @@ class IncrementalUnaryCache:
         self.stats.recomputed_elements += len(affected)
 
     def verify(self) -> None:
-        """Full recomputation check (test/debug helper); raises on mismatch."""
-        fresh = evaluate_basic_unary(self.structure, self.term, None, self.predicates)
+        """Full recomputation check (test/debug helper); raises on mismatch.
+
+        Recomputes on a structure rebuilt from the current relations, so
+        no cache that the writes derived (the columnar view's adjacency
+        above all) takes part in the check.
+        """
+        current = self.structure
+        rebuilt = Structure(current.signature, current.universe_order, current.relations())
+        fresh = evaluate_basic_unary(rebuilt, self.term, None, self.predicates)
         if fresh != self.values:
             broken = {
                 a: (self.values.get(a), fresh[a])

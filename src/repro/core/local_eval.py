@@ -19,7 +19,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import FormulaError
-from ..logic.predicates import PredicateCollection
+from ..logic.predicates import PredicateCollection, standard_collection
 from ..logic.semantics import satisfies
 from ..logic.syntax import Formula, Variable
 from ..obs import active_metrics, traced
@@ -267,6 +267,10 @@ def evaluate_basic_unary(
     if not term.unary:
         raise FormulaError("evaluate_basic_unary needs a unary basic cl-term")
     targets = list(elements) if elements is not None else list(structure.universe_order)
+    if predicates is None:
+        # One collection for every counted tuple, not a fresh one per
+        # satisfies() call.
+        predicates = standard_collection()
     balls = _BallCache(structure, term.link_distance)
     quantifier_free = _is_quantifier_free(term.psi)
     # Resolve the per-tuple budget hook once: the inner loop is the hot

@@ -15,8 +15,7 @@ contract (see the ``Structure`` docstring):
   statistics incrementally (:meth:`StructureStats.derive`): the cheap
   exact parts — order, size, relation cardinalities — are adjusted by the
   delta, the lazy parts (degree summary, components) are dropped and
-  recomputed on demand against the derived structure's adjacency, which
-  ``with_tuple`` itself maintains incrementally.
+  recomputed on demand against the derived structure's adjacency.
 
 Everything here is exact — the *estimation* (combining these numbers into
 cardinality bounds and engine costs) lives in :mod:`repro.cost.model`.

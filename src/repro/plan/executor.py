@@ -268,9 +268,6 @@ def _ball(
 ) -> FrozenSet[Element]:
     cached = cache.get(element)
     if cached is None:
-        # gaifman.ball picks the backend adaptively: the columnar BFS
-        # kernel on a settled structure, the incrementally maintained
-        # dict adjacency mid-update-sequence (see structures/gaifman.py).
         cached = gaifman_ball(structure, (element,), distance)
         cache[element] = cached
         if metrics is not None:

@@ -2,11 +2,12 @@
 
 This is the representation layer behind the evaluation core: relations as
 ``array('q')`` columns of interned element ids with per-position sorted-id
-indexes, the Gaifman adjacency as a CSR int-array pair, and a small kernel
-library (bitset membership, union/intersection, galloping sorted-array
-intersection, radius-bounded ball expansion) that the hot paths in
-``core/local_eval.py``, ``core/cover_eval.py`` and ``sparse/covers.py``
-run on.  Everything here is *representation only*: the kernels compute
+indexes, the Gaifman adjacency as per-id neighbour tuples, and a small
+kernel library (bitset membership, union/intersection, galloping
+sorted-array intersection, radius-bounded ball expansion) that the hot
+paths in ``core/local_eval.py``, ``core/cover_eval.py``,
+``sparse/covers.py`` and every function of ``structures/gaifman.py`` run
+on.  Everything here is *representation only*: the kernels compute
 exactly the sets the element-space reference code computes, and callers
 convert back to user-facing elements at result boundaries.
 
@@ -16,14 +17,18 @@ A :class:`ColumnarStructure` is derived data of one
 :class:`~repro.structures.structure.Structure` and lives under the same
 contract as the adjacency/index/statistics caches (see the ``Structure``
 docstring): built lazily by :meth:`Structure.columnar`, cached on the
-instance, dropped by :meth:`Structure.invalidate_caches`, and **not**
-carried over by :meth:`Structure.with_tuple` (the derived structure
-rebuilds lazily against its own relations; only the
-:class:`~repro.structures.interning.ElementInterner` is shared, because
-the universe — and hence the id space — is identical).  The view keeps
-the structure's signature and relations mapping, not the structure
-itself, so the structure and its view form no reference cycle and are
-freed by reference counting.
+instance and dropped by :meth:`Structure.invalidate_caches`.
+:meth:`Structure.with_tuple` carries a built view over to the derived
+structure through :meth:`ColumnarStructure.derive_insert` or
+:meth:`ColumnarStructure.derive_delete`: the derived view shares the
+:class:`~repro.structures.interning.ElementInterner` (the universe, and
+hence the id space, is identical) and every untouched relation's
+columnar form, rebuilds the touched relation's lazily, and updates the
+neighbour tuples by the one tuple's Gaifman edges, so a write costs that
+tuple's edges rather than a rebuild over ``||A||``.  The view keeps the
+structure's signature and relations mapping, not the structure itself,
+so the structure and its view form no reference cycle and are freed by
+reference counting.
 
 Bitset convention: a set of ids is a non-negative Python int with bit
 ``i`` set iff id ``i`` is a member.  ``(bs >> i) & 1`` is the membership
@@ -196,7 +201,7 @@ class ColumnarRelation:
 
 
 class ColumnarStructure:
-    """Id-space view of one structure: CSR adjacency + columnar relations.
+    """Id-space view of one structure: Gaifman adjacency + columnar relations.
 
     Constructed from (and cached on) a
     :class:`~repro.structures.structure.Structure`; see the module
@@ -210,8 +215,6 @@ class ColumnarStructure:
         "n",
         "_signature",
         "_source",
-        "_offsets",
-        "_targets",
         "_neigh",
         "_relations",
         "_full_bitset",
@@ -223,8 +226,6 @@ class ColumnarStructure:
         self._source = structure.relations()
         self.interner: ElementInterner = structure.interner()
         self.n: int = len(self.interner)
-        self._offsets: "array[int] | None" = None
-        self._targets: "array[int] | None" = None
         self._neigh: "Tuple[Tuple[int, ...], ...] | None" = None
         self._relations: Dict[str, ColumnarRelation] = {}
         self._full_bitset: "int | None" = None
@@ -259,24 +260,18 @@ class ColumnarStructure:
             relation.distinct_count(p) for p in range(relation.arity)
         )
 
-    # -- Gaifman adjacency as CSR ----------------------------------------------
+    # -- Gaifman adjacency -----------------------------------------------------
 
-    def _adjacency_csr(self) -> Tuple["array[int]", "array[int]"]:
-        """CSR adjacency: ``targets[offsets[i]:offsets[i+1]]`` are the
-        sorted neighbour ids of ``i``.  Built directly from the relations
-        (never through the element-space adjacency dict)."""
-        if self._offsets is None:
-            if self._neigh is not None:
-                # A derived view (see :meth:`derive_insert`) carries its
-                # adjacency as neighbour tuples; fold them back into CSR.
-                offsets = array("q", [0])
-                targets = array("q")
-                for neighbours in self._neigh:
-                    targets.extend(neighbours)
-                    offsets.append(len(targets))
-                self._offsets = offsets
-                self._targets = targets
-                return self._offsets, self._targets
+    def _neighbour_ids(self) -> Tuple[Tuple[int, ...], ...]:
+        """The Gaifman adjacency: ``_neighbour_ids()[i]`` is the sorted
+        tuple of the neighbour ids of ``i``.
+
+        Built once from the relations (never through the element-space
+        adjacency dict), then carried down ``with_tuple`` derivations by
+        :meth:`derive_insert` and :meth:`derive_delete`.  The tuples hold
+        already-boxed ints: the BFS kernels iterate them on every visit,
+        and iterating an ``array('q')`` would re-box every id."""
+        if self._neigh is None:
             id_of = self.interner._ids
             # Accumulate raw (possibly duplicated) neighbour ids per node
             # and dedupe once at the end: plain list appends beat per-tuple
@@ -300,49 +295,66 @@ class ColumnarStructure:
                         continue
                     for a in distinct:
                         acc[a].extend(distinct)
-            offsets = array("q", [0])
-            targets = array("q")
+            neigh: List[Tuple[int, ...]] = []
             for i, bucket in enumerate(acc):
                 uniq = set(bucket)
                 uniq.discard(i)
-                targets.extend(sorted(uniq))
-                offsets.append(len(targets))
-            self._offsets = offsets
-            self._targets = targets
-        return self._offsets, self._targets  # type: ignore[return-value]
-
-    def _neighbour_ids(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-id neighbour tuples for BFS iteration.
-
-        The CSR pair is the compact storage form, but iterating an
-        ``array('q')`` slice re-boxes every id on every visit; the BFS
-        kernels instead walk this one-time materialisation, whose tuples
-        hold already-boxed ints (the same trade the element-space
-        adjacency dict makes, minus the element objects)."""
-        if self._neigh is None:
-            offsets, targets = self._adjacency_csr()
-            self._neigh = tuple(
-                tuple(targets[offsets[i] : offsets[i + 1]])
-                for i in range(self.n)
-            )
+                neigh.append(tuple(sorted(uniq)))
+            self._neigh = tuple(neigh)
         return self._neigh
 
-    def neighbours(self, eid: int) -> "array[int]":
+    def neighbours(self, eid: int) -> Tuple[int, ...]:
         """Sorted neighbour ids of one element."""
-        offsets, targets = self._adjacency_csr()
-        return targets[offsets[eid] : offsets[eid + 1]]
+        return self._neighbour_ids()[eid]
+
+    def degree(self, eid: int) -> int:
+        return len(self._neighbour_ids()[eid])
+
+    # -- derivation (the columnar leg of Structure.with_tuple) -----------------
 
     def derive_insert(self, structure, symbol, tup) -> "ColumnarStructure":
-        """The derived view after a single-tuple *insertion* — the columnar
-        leg of :meth:`Structure.with_tuple`'s copy-on-write contract.
+        """The view of ``structure``, which is this view's structure with
+        ``tup`` inserted into ``symbol``: every Gaifman edge of the tuple
+        is added to the neighbour tuples."""
+        neigh = self._neigh
+        ids = {self.interner._ids[entry] for entry in tup}
+        if neigh is not None and len(ids) > 1:
+            updated = list(neigh)
+            for a in ids:
+                merged = set(updated[a])
+                merged.update(ids)
+                merged.discard(a)
+                updated[a] = tuple(sorted(merged))
+            neigh = tuple(updated)
+        return self._derive(structure, symbol, neigh)
 
-        Shares the interner and every untouched relation's columnar form,
-        drops the touched relation's (rebuilt lazily against the derived
-        structure), and extends the adjacency incrementally with the new
-        tuple's co-occurrence edges — the exact policy of the dict
-        adjacency (deletions reset instead, since other tuples may still
-        witness the affected edges; ``with_tuple`` simply leaves
-        ``_columnar`` unset in that case)."""
+    def derive_delete(self, structure, symbol, tup) -> "ColumnarStructure":
+        """The view of ``structure``, which is this view's structure with
+        ``tup`` deleted from ``symbol``: a Gaifman edge ``{a, b}`` of the
+        tuple is dropped from the neighbour tuples unless a remaining
+        tuple of ``structure`` still holds both ``a`` and ``b``."""
+        neigh = self._neigh
+        entries = list(dict.fromkeys(tup))
+        if neigh is not None and len(entries) > 1:
+            id_of = self.interner._ids
+            dropped = [
+                (id_of[a], id_of[b])
+                for i, a in enumerate(entries)
+                for b in entries[i + 1 :]
+                if not _co_occur(structure, a, b)
+            ]
+            if dropped:
+                updated = list(neigh)
+                for a, b in dropped:
+                    updated[a] = tuple(x for x in updated[a] if x != b)
+                    updated[b] = tuple(x for x in updated[b] if x != a)
+                neigh = tuple(updated)
+        return self._derive(structure, symbol, neigh)
+
+    def _derive(self, structure, symbol, neigh) -> "ColumnarStructure":
+        """A view of ``structure`` that differs from this one in ``symbol``
+        only: it shares the interner and every other relation's columnar
+        form, and holds the given neighbour tuples (``None``: built lazily)."""
         view = ColumnarStructure.__new__(ColumnarStructure)
         view._signature = structure.signature
         view._source = structure.relations()
@@ -354,39 +366,14 @@ class ColumnarStructure:
             for name, relation in self._relations.items()
             if name != symbol.name
         }
-        id_of = self.interner._ids
-        distinct = {id_of[entry] for entry in tup}
-        if len(distinct) < 2:
-            # No Gaifman edges in a (near-)singleton tuple: the parent's
-            # adjacency is the derived one, share it as-is.
-            view._offsets = self._offsets
-            view._targets = self._targets
-            view._neigh = self._neigh
-        elif self._neigh is not None or self._offsets is not None:
-            updated = list(self._neighbour_ids())
-            for a in distinct:
-                merged = set(updated[a])
-                merged.update(distinct)
-                merged.discard(a)
-                updated[a] = tuple(sorted(merged))
-            view._neigh = tuple(updated)
-            view._offsets = None
-            view._targets = None
-        else:
-            view._neigh = None
-            view._offsets = None
-            view._targets = None
+        view._neigh = neigh
         return view
-
-    def degree(self, eid: int) -> int:
-        offsets, _ = self._adjacency_csr()
-        return offsets[eid + 1] - offsets[eid]
 
     # -- ball kernels ----------------------------------------------------------
 
     def ball_ids(self, sources: Iterable[int], radius: int) -> List[int]:
         """Sorted ids of ``N_radius(sources)`` (radius-bounded multi-source
-        BFS over the CSR adjacency)."""
+        BFS over the neighbour tuples)."""
         neigh = self._neighbour_ids()
         seen = bytearray(self.n)
         frontier: List[int] = []
@@ -486,3 +473,19 @@ class ColumnarStructure:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarStructure(n={self.n})"
+
+
+def _co_occur(structure, a, b) -> bool:
+    """Whether some tuple of ``structure`` holds both elements: two
+    membership probes per binary relation, and for a higher arity the
+    tuples holding ``a`` at each position, read off ``structure.index``."""
+    for symbol, rel in structure.relations().items():
+        if symbol.arity == 2:
+            if (a, b) in rel or (b, a) in rel:
+                return True
+        elif symbol.arity > 2:
+            for position in range(symbol.arity):
+                for tup in structure.index(symbol, position).get(a, ()):
+                    if b in tup:
+                        return True
+    return False

@@ -6,22 +6,14 @@ relation.  All locality notions of the paper (r-balls ``N_r(a)``,
 r-neighbourhood substructures, r-connectivity of tuples, the graphs
 ``G_{a-bar,r}``) are defined through it.
 
-Two interchangeable backends implement the BFS primitives:
-
-* the original dict-of-frozensets adjacency of
-  :meth:`Structure.adjacency`, and
-* the CSR int-array kernels of :class:`~repro.structures.columnar.
-  ColumnarStructure` (:meth:`Structure.columnar`), which avoid per-node
-  hashing and allocate nothing per visited element.
-
-The choice is adaptive (:func:`_kernel_view`): when a structure already
-carries an incrementally maintained dict adjacency but no columnar view —
-the :meth:`Structure.with_tuple` update pattern, where rebuilding CSR
-arrays per derived structure would forfeit the incremental sharing — the
-dict backend is used; in every other case the kernels win.  Both compute
-the same sets; only iteration order of returned dicts may differ (callers
-relying on order use the sorted universe-order guarantees documented per
-function).
+Every function here runs on one adjacency: the per-id neighbour tuples of
+the structure's columnar view (:meth:`Structure.columnar`), walked by the
+BFS kernels of :class:`~repro.structures.columnar.ColumnarStructure`,
+which hash nothing per node and allocate nothing per visited element.
+:meth:`Structure.with_tuple` derives the view on insertion and deletion,
+so an update chain keeps one adjacency that changes by one tuple's edges
+per write.  The element-space :meth:`Structure.adjacency` dict is not
+read here.
 
 Distances are returned as non-negative integers, with ``math.inf`` standing
 for "no path" exactly as the paper's ``dist = infinity`` convention.
@@ -35,17 +27,6 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..errors import UniverseError
 from .structure import Element, Structure
-
-
-def _kernel_view(structure: Structure):
-    """The columnar view when it is the cheaper backend, else ``None``.
-
-    See the module docstring: ``None`` exactly when a dict adjacency is
-    already cached but no columnar view has been built yet.
-    """
-    if structure._adjacency is not None and structure._columnar is None:
-        return None
-    return structure.columnar()
 
 
 def _source_ids(interner, sources: Iterable[Element]) -> List[int]:
@@ -65,23 +46,10 @@ def distance(structure: Structure, source: Element, target: Element) -> float:
         raise UniverseError("distance endpoints must be universe elements")
     if source == target:
         return 0
-    kernel = _kernel_view(structure)
-    if kernel is not None:
-        id_of = kernel.interner._ids
-        d = kernel.distance_between(id_of[source], id_of[target])
-        return math.inf if d is None else d
-    adjacency = structure.adjacency()
-    seen = {source}
-    frontier = deque([(source, 0)])
-    while frontier:
-        node, dist = frontier.popleft()
-        for neighbour in adjacency[node]:
-            if neighbour == target:
-                return dist + 1
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append((neighbour, dist + 1))
-    return math.inf
+    kernel = structure.columnar()
+    id_of = kernel.interner._ids
+    d = kernel.distance_between(id_of[source], id_of[target])
+    return math.inf if d is None else d
 
 
 def distances_from(
@@ -95,30 +63,10 @@ def distances_from(
     dict iterates in BFS discovery order; callers must not rely on the
     order beyond "sources first, then by increasing distance".
     """
-    kernel = _kernel_view(structure)
-    if kernel is not None:
-        ids, dists = kernel.distances(_source_ids(kernel.interner, sources), radius)
-        elements = kernel.interner.elements
-        return {elements[i]: d for i, d in zip(ids, dists)}
-    adjacency = structure.adjacency()
-    dist: Dict[Element, int] = {}
-    frontier = deque()
-    for source in sources:
-        if source not in structure:
-            raise UniverseError(f"{source!r} is not a universe element")
-        if source not in dist:
-            dist[source] = 0
-            frontier.append(source)
-    while frontier:
-        node = frontier.popleft()
-        d = dist[node]
-        if radius is not None and d >= radius:
-            continue
-        for neighbour in adjacency[node]:
-            if neighbour not in dist:
-                dist[neighbour] = d + 1
-                frontier.append(neighbour)
-    return dist
+    kernel = structure.columnar()
+    ids, dists = kernel.distances(_source_ids(kernel.interner, sources), radius)
+    elements = kernel.interner.elements
+    return {elements[i]: d for i, d in zip(ids, dists)}
 
 
 def tuple_distance(structure: Structure, tup: Sequence[Element], target: Element) -> float:
@@ -137,13 +85,11 @@ def ball(structure: Structure, centres: Iterable[Element], radius: int) -> Froze
     """``N_r(a-bar)``: the set of elements at distance <= radius from the tuple."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    kernel = _kernel_view(structure)
-    if kernel is not None:
-        interner = kernel.interner
-        ids = kernel.ball_ids(_source_ids(interner, centres), radius)
-        elements = interner.elements
-        return frozenset(elements[i] for i in ids)
-    return frozenset(distances_from(structure, centres, radius))
+    kernel = structure.columnar()
+    interner = kernel.interner
+    ids = kernel.ball_ids(_source_ids(interner, centres), radius)
+    elements = interner.elements
+    return frozenset(elements[i] for i in ids)
 
 
 def neighbourhood(
@@ -152,9 +98,7 @@ def neighbourhood(
     """The r-neighbourhood substructure ``A[N_r(a-bar)]``."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    kernel = _kernel_view(structure)
-    if kernel is None:
-        return induced(structure, ball(structure, centres, radius))
+    kernel = structure.columnar()
     interner = kernel.interner
     ids = kernel.ball_ids(_source_ids(interner, centres), radius)
     elements = interner.elements
@@ -208,42 +152,24 @@ def _induced_ordered(
 
 def connected_components(structure: Structure) -> List[FrozenSet[Element]]:
     """Connected components of the Gaifman graph, in deterministic order."""
-    kernel = _kernel_view(structure)
-    if kernel is not None:
-        elements = kernel.interner.elements
-        seen = bytearray(kernel.n)
-        components: List[FrozenSet[Element]] = []
-        for start in range(kernel.n):
-            if seen[start]:
-                continue
-            seen[start] = 1
-            component = [start]
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for neighbour in kernel.neighbours(node):
-                    if not seen[neighbour]:
-                        seen[neighbour] = 1
-                        component.append(neighbour)
-                        frontier.append(neighbour)
-            components.append(frozenset(elements[i] for i in component))
-        return components
-    adjacency = structure.adjacency()
-    seen_set: Set[Element] = set()
-    components = []
-    for start in structure.universe_order:
-        if start in seen_set:
+    kernel = structure.columnar()
+    elements = kernel.interner.elements
+    seen = bytearray(kernel.n)
+    components: List[FrozenSet[Element]] = []
+    for start in range(kernel.n):
+        if seen[start]:
             continue
-        component = {start}
-        frontier = deque([start])
+        seen[start] = 1
+        component = [start]
+        frontier = [start]
         while frontier:
-            node = frontier.popleft()
-            for neighbour in adjacency[node]:
-                if neighbour not in component:
-                    component.add(neighbour)
+            node = frontier.pop()
+            for neighbour in kernel.neighbours(node):
+                if not seen[neighbour]:
+                    seen[neighbour] = 1
+                    component.append(neighbour)
                     frontier.append(neighbour)
-        seen_set |= component
-        components.append(frozenset(component))
+        components.append(frozenset(elements[i] for i in component))
     return components
 
 

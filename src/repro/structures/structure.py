@@ -74,12 +74,17 @@ class Structure:
     Cache contract
     --------------
     Derived data — the Gaifman :meth:`adjacency`, the per-position
-    :meth:`index` maps and the :meth:`projection` pools — is computed
-    lazily and cached on the instance.  This is sound because the
-    relational content never changes through the public API.  "Updates"
-    are expressed as *derivation*: :meth:`with_tuple` returns a **new**
-    structure sharing the unchanged relations (and the still-valid caches)
-    with its parent, so a query → update → query sequence always sees fresh
+    :meth:`index` maps, the :meth:`projection` pools and the
+    :meth:`columnar` view — is computed lazily and cached on the instance.
+    This is sound because the relational content never changes through the
+    public API.  The columnar view's neighbour tuples are the Gaifman
+    adjacency every function of :mod:`repro.structures.gaifman` reads;
+    :meth:`adjacency` is an independent element-space build from the
+    relations, for the element-space callers and the reference oracle.
+    "Updates" are expressed as *derivation*: :meth:`with_tuple` returns a
+    **new** structure sharing the unchanged relations (and the still-valid
+    caches) with its parent and deriving its columnar view from the
+    parent's, so a query → update → query sequence always sees fresh
     derived data on the derived structure while the parent's caches stay
     valid for the parent.  :meth:`with_relations` (the expansion by fresh
     symbols) derives the same way: the parent's relations and the index and
@@ -329,9 +334,17 @@ class Structure:
         * the per-position index and projection caches of every
           *untouched* relation (the touched relation's are dropped and
           rebuilt lazily);
-        * the Gaifman adjacency, extended incrementally on insertion —
-          a deletion resets it, since other tuples may still witness the
-          affected edges.
+        * the adjacency dict of :meth:`adjacency` when the tuple has fewer
+          than two distinct entries, and so no Gaifman edge (otherwise the
+          derived structure rebuilds it lazily).
+
+        A built columnar view is derived, on insertion and on deletion
+        (:meth:`~repro.structures.columnar.ColumnarStructure.derive_insert`,
+        :meth:`~repro.structures.columnar.ColumnarStructure.derive_delete`):
+        the derived view changes the parent's neighbour tuples by the
+        tuple's Gaifman edges only, keeping a deleted edge that another
+        tuple still witnesses.  A write therefore costs the Gaifman kernels
+        its tuple's balls, not an adjacency rebuild over ``||A||``.
 
         Returns ``self`` unchanged when the update is a no-op (inserting a
         present tuple / deleting an absent one).  The parent structure and
@@ -366,21 +379,10 @@ class Structure:
             for cache_key, pools in self._projections.items()
             if cache_key[0] != symbol.name
         }
-        derived._adjacency = None
-        if self._adjacency is not None:
-            distinct = set(tup)
-            if present:
-                if len(distinct) < 2:
-                    # No Gaifman edges in a (near-)singleton tuple: the
-                    # parent's adjacency is the derived one, share it.
-                    derived._adjacency = self._adjacency
-                else:
-                    adjacency = dict(self._adjacency)
-                    for a in distinct:
-                        adjacency[a] = adjacency[a] | (distinct - {a})
-                    derived._adjacency = adjacency
-            elif len(distinct) < 2:
-                derived._adjacency = self._adjacency
+        # A tuple with fewer than two distinct entries has no Gaifman edge,
+        # so the parent's adjacency dict is the derived one; otherwise the
+        # dict is rebuilt lazily from the relations.
+        derived._adjacency = self._adjacency if len(set(tup)) < 2 else None
         # Statistics follow the same copy-on-write discipline as the other
         # caches: the parent's stay untouched, the derived structure gets an
         # incrementally adjusted copy (duck-typed so this module stays free
@@ -391,15 +393,15 @@ class Structure:
             else None
         )
         # Same universe, same id space: the interner is shared, keeping ids
-        # stable along derivation chains.  The columnar view follows the
-        # adjacency policy above: extended incrementally on insertion,
-        # reset (rebuilt lazily) on deletion.
+        # stable along derivation chains.  A built columnar view is derived
+        # by the one tuple's Gaifman edges, on insertion and on deletion.
         derived._interner = self._interner
-        derived._columnar = (
-            self._columnar.derive_insert(derived, symbol, tup)
-            if present and self._columnar is not None
-            else None
-        )
+        if self._columnar is None:
+            derived._columnar = None
+        elif present:
+            derived._columnar = self._columnar.derive_insert(derived, symbol, tup)
+        else:
+            derived._columnar = self._columnar.derive_delete(derived, symbol, tup)
         return derived
 
     def with_relations(

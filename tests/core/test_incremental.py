@@ -13,8 +13,11 @@ from repro.logic.builder import Rel
 from repro.logic.syntax import And
 from repro.sparse.classes import bounded_degree_graph
 from repro.structures.builders import graph_structure, path_graph
+from repro.structures.signature import Signature
+from repro.structures.structure import Structure
 
 E = Rel("E", 2)
+T = Rel("T", 3)
 
 
 def degree_term():
@@ -27,6 +30,19 @@ def two_step_term():
     psi = And(E("y1", "y2"), E("y2", "y3"))
     return BasicClTerm(
         ("y1", "y2", "y3"), psi, 0, 1, frozenset({(1, 2), (2, 3)}), unary=True
+    )
+
+
+def triangle_term():
+    """``u(y1)`` = number of ``T``-tuples starting at ``y1``: every entry
+    pair of a ``T``-tuple is a Gaifman edge, so the pattern is complete."""
+    return BasicClTerm(
+        ("y1", "y2", "y3"),
+        T("y1", "y2", "y3"),
+        0,
+        1,
+        frozenset({(1, 2), (1, 3), (2, 3)}),
+        unary=True,
     )
 
 
@@ -55,6 +71,31 @@ class TestBasics:
         cache.delete("E", (1, 5))  # already absent
         assert cache.stats.updates == 0
         cache.verify()
+
+    def test_symbol_key(self, path5):
+        cache = IncrementalUnaryCache(path5, degree_term())
+        symbol = path5.signature["E"]
+        cache.insert(symbol, (1, 5))
+        cache.delete(symbol, (2, 3))
+        cache.insert(symbol, (1, 5))  # already present
+        assert cache.stats.updates == 2
+        assert cache.value(1) == 2 and cache.value(2) == 1
+        cache.verify()
+
+    def test_verify_does_not_read_the_derived_view(self, path5):
+        """A write derives the columnar view from the parent's; verify()
+        must recompute without it, or a wrong derived adjacency goes
+        unnoticed."""
+        cache = IncrementalUnaryCache(path5, degree_term())
+        view = cache.structure.columnar()
+        three, four = view.interner.id_of(3), view.interner.id_of(4)
+        neigh = list(view._neighbour_ids())
+        neigh[three] = tuple(x for x in neigh[three] if x != four)
+        neigh[four] = tuple(x for x in neigh[four] if x != three)
+        view._neigh = tuple(neigh)  # drop the Gaifman edge {3, 4}
+        cache.insert("E", (3, 5))
+        with pytest.raises(AssertionError):
+            cache.verify()
 
     def test_input_validation(self, path5):
         cache = IncrementalUnaryCache(path5, degree_term())
@@ -115,6 +156,44 @@ class TestRandomUpdateSequences:
                 cache.delete("E", (u, v))
                 cache.delete("E", (v, u))
         cache.verify()
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_ternary_relation_stream_stays_in_sync(self, seed):
+        """Writes to a binary and a ternary relation, which witness Gaifman
+        edges together; ``verify()`` recomputes on a rebuilt structure
+        after every write, so a wrongly dropped edge (a ``T``-tuple not
+        counted) or a wrongly kept one (a path's non-edge violated) shows."""
+        rng = random.Random(seed)
+        n = 7
+        nodes = list(range(n))
+
+        def pair():
+            return rng.choice(nodes), rng.choice(nodes)
+
+        structure = Structure(
+            Signature.of(E=2, T=3),
+            nodes,
+            {
+                "E": {pair() for _ in range(8)},
+                "T": {pair() + (rng.choice(nodes),) for _ in range(4)},
+            },
+        )
+        caches = [
+            IncrementalUnaryCache(structure, triangle_term()),
+            IncrementalUnaryCache(structure, two_step_term()),
+        ]
+        for _ in range(16):
+            name = rng.choice("ET")
+            current = sorted(caches[0].structure.relation(name))
+            if current and rng.random() < 0.5:
+                tup, present = rng.choice(current), False
+            else:
+                tup = pair() if name == "E" else pair() + (rng.choice(nodes),)
+                present = True
+            for cache in caches:
+                (cache.insert if present else cache.delete)(name, tup)
+                cache.verify()
 
 
 class TestLocality:

@@ -127,6 +127,50 @@ class TestWithTupleDerivation:
         assert derived.index("E", 1) == rebuilt.index("E", 1)
 
 
+def _view_neighbours(structure, element):
+    """The neighbours of ``element`` in the structure's columnar view."""
+    view = structure.columnar()
+    elements = view.interner.elements
+    return {elements[i] for i in view.neighbours(view.interner.id_of(element))}
+
+
+class TestWithTupleViewDerivation:
+    """The columnar leg of ``with_tuple``: a built view is derived, on
+    deletion as on insertion, and answers for the derived relations."""
+
+    def test_deletion_recomputes_adjacency(self, path):
+        _view_neighbours(path, 1)  # warm
+        derived = path.with_tuple("E", (2, 3), present=False)
+        assert 3 not in _view_neighbours(derived, 2)
+        assert 2 not in _view_neighbours(derived, 3)
+        # 1-2 and 3-4 survive.
+        assert 2 in _view_neighbours(derived, 1)
+        assert 4 in _view_neighbours(derived, 3)
+        # The parent's view still answers for the parent.
+        assert 3 in _view_neighbours(path, 2)
+
+    @pytest.mark.parametrize(
+        "witness",
+        [("E", (2, 1)), ("T", (2, 1, 2)), ("T", (3, 2, 1))],
+        ids=["reverse-edge", "ternary-repeat", "ternary"],
+    )
+    def test_deletion_keeps_edges_witnessed_elsewhere(self, witness):
+        # Two tuples witness the same Gaifman edge; deleting one keeps it.
+        s = Structure(Signature.of(E=2, T=3), [1, 2, 3], {"E": [(1, 2)]})
+        s = s.with_tuple(*witness)
+        _view_neighbours(s, 1)
+        derived = s.with_tuple("E", (1, 2), present=False)
+        assert derived is not s
+        assert 2 in _view_neighbours(derived, 1)
+        assert 1 in _view_neighbours(derived, 2)
+
+    def test_deletion_keeps_the_view(self, path):
+        path.columnar().neighbours(0)  # build the view's adjacency
+        derived = path.with_tuple("E", (2, 3), present=False)
+        assert derived._columnar is not None
+        assert derived._columnar._neigh is not None
+
+
 class TestInvalidateCaches:
     def test_stale_caches_after_internal_mutation(self, path):
         """The regression scenario: mutate internals, observe staleness,

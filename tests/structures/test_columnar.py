@@ -1,4 +1,4 @@
-"""Columnar kernels against the element-space ground truth: CSR adjacency,
+"""Columnar kernels against the element-space ground truth: Gaifman adjacency,
 BFS balls/distances, bitsets, sorted-array kernels, per-position indexes."""
 
 import math
@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+from repro.core.reference import reference_ball, reference_distances_from
 from repro.errors import ArityError
 from repro.structures import (
     Signature,
@@ -23,7 +24,8 @@ from repro.structures.builders import (
     path_graph,
     star_graph,
 )
-from repro.structures.gaifman import distances_from
+from repro.structures.columnar import ColumnarStructure
+from repro.structures.gaifman import ball, distances_from
 
 
 def _random_graph(seed: int, n: int = 14) -> Structure:
@@ -109,6 +111,83 @@ class TestColumnarAdjacency:
         }
         # Singleton-support tuples contribute no Gaifman edges.
         assert list(kernel.neighbours(interner.id_of(4))) == []
+
+
+def _write_stream(seed: int, steps: int = 40):
+    """A seeded structure over ``E/2``, ``T/3`` and ``U/1``, and the
+    ``(parent, derived)`` structure pairs of a stream of ``with_tuple``
+    writes from it.  The start has self-loops, both orientations of one
+    pair and a pair witnessed by ``E`` and ``T`` at once; about half the
+    writes delete a present tuple, and new tuples may repeat entries."""
+    rng = random.Random(seed)
+    nodes = list(range(9))
+    start = Structure(
+        Signature.of(E=2, T=3, U=1),
+        nodes,
+        {
+            "E": [(0, 0), (0, 1), (1, 0), (1, 2), (3, 4), (5, 5)],
+            "T": [(1, 2, 6), (7, 7, 8), (4, 4, 4)],
+            "U": [(2,)],
+        },
+    )
+
+    def writes():
+        current = start
+        for _ in range(steps):
+            name = rng.choice("EETTU")
+            present_tuples = sorted(current.relation(name))
+            if present_tuples and rng.random() < 0.5:
+                tup, present = rng.choice(present_tuples), False
+            else:
+                arity = current.signature[name].arity
+                tup, present = tuple(rng.choice(nodes) for _ in range(arity)), True
+            derived = current.with_tuple(name, tup, present)
+            yield current, derived
+            current = derived
+
+    return start, writes()
+
+
+class TestDerivedViews:
+    """``with_tuple`` derives the columnar view (``derive_insert`` /
+    ``derive_delete``); the derived neighbour tuples must equal a fresh
+    build, and the Gaifman functions must agree with the element-space
+    reference, after every write."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stream_matches_fresh_build_and_reference(self, seed):
+        start, writes = _write_stream(seed)
+        start.columnar()._neighbour_ids()
+        for parent, derived in writes:
+            if derived is parent:
+                continue
+            view = derived._columnar
+            assert view is not None and view._neigh is not None
+            assert view._neighbour_ids() == ColumnarStructure(derived)._neighbour_ids()
+            for element in derived.universe_order:
+                for radius in (0, 1, 2):
+                    assert ball(derived, [element], radius) == reference_ball(
+                        derived, [element], radius
+                    )
+                assert distances_from(derived, [element]) == reference_distances_from(
+                    derived, [element]
+                )
+
+    def test_untouched_relations_and_interner_are_shared(self):
+        structure = Structure(
+            Signature.of(E=2, T=3), [1, 2, 3], {"E": [(1, 2)], "T": [(1, 2, 3)]}
+        )
+        view = structure.columnar()
+        t_relation = view.relation("T")
+        view.relation("E")
+        for derived in (
+            structure.with_tuple("E", (2, 3)),
+            structure.with_tuple("E", (1, 2), present=False),
+        ):
+            derived_view = derived._columnar
+            assert derived_view.interner is view.interner
+            assert derived_view.relation("T") is t_relation
+            assert derived_view.relation("E").row_count == len(derived.relation("E"))
 
 
 class TestBallKernels:
