@@ -201,7 +201,7 @@ class Foc1Evaluator:
         elements: "Optional[Sequence[Element]]" = None,
     ) -> "Dict[Element, int] | PartialResult":
         """``t^A[a]`` for all ``a`` (the simultaneous evaluation of Lemma 5.7's
-        stronger form).
+        stronger form); a target outside the universe is an error.
 
         With ``workers > 1`` the targets are sharded across the engine's
         pool: one compiled plan, one executor (and hence one memo/ball
@@ -222,11 +222,13 @@ class Foc1Evaluator:
         if self.check_fragment:
             assert_foc1(term)
         plan = self._plan("unary_term", (term,), (variable,), structure)
-        targets = (
-            list(elements)
-            if elements is not None
-            else list(structure.universe_order)
-        )
+        targets = list(structure.universe_order if elements is None else elements)
+        for element in targets if elements is not None else ():
+            if element not in structure:
+                raise EvaluationError(
+                    f"assignment sends {variable!r} to {element!r}, "
+                    "which is outside the universe"
+                )
         plain = self.retry is None and self.on_shard_failure == "raise"
         if (self.pool.workers <= 1 or len(targets) <= 1) and plain:
             return self._executor(plan, structure).unary_term_values(

@@ -18,6 +18,28 @@ Budget ticks (``evaluator.materialise`` / ``evaluator.count`` /
 (``predicate.oracle`` / ``memo.insert``) and all ``evaluator.*`` metrics
 live here and only here.
 
+Column kernels
+--------------
+Strata and unary terms are evaluated a column at a time
+(:meth:`ExecutionState._term_column`): ``+`` and ``*`` element by element
+(the right factor only where the left is non-zero), and a count through a
+*kernel* when its step is one component over one counted variable ``y``,
+with no gates and no unused variables, whose top search node is anchored
+by one guard, a binary relation atom over the column variable ``x`` and
+``y``, and whose other conjuncts have in-place tests.  The value at ``a``
+is then the size of ``projection.get(a)`` intersected with the positive
+unary atoms over ``y`` (one ``evaluator.enumerate`` tick weighted by the
+pool size) when they are the other conjuncts; else the node's search
+tests the others per candidate, as :meth:`count` does.  Other counts run
+:meth:`count` per element.  Each element computed charges what
+:meth:`count` would.  Columns live in their own memo, keyed by the
+count's canonical text and ``x``, one ``memo.insert`` fault site per
+column; :meth:`count` reads them, and an element found in the count memo
+(restored) costs nothing.  Checkpoints get each column, or a suspended
+column's finished prefix, as the count entries :meth:`count` would have
+stored, and a resumed :class:`PlanExecutor` restores them before it
+replays strata.
+
 Memo lifetime contract
 ----------------------
 Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
@@ -173,19 +195,22 @@ class _Choice:
 
     ``checks`` tests the conjuncts fully bound once ``variable`` is; the
     child node (compiled on first descent, None at the last level) binds
-    ``rest`` over the conjuncts of ``root`` that mention them.
+    ``rest`` over the conjuncts of ``root`` that mention them.  ``guard``
+    is the conjunct the pool comes from (None for the universe).
     """
 
-    __slots__ = ("variable", "root", "rest", "checks", "child")
+    __slots__ = ("variable", "guard", "root", "rest", "checks", "child")
 
     def __init__(
         self,
         variable: Variable,
+        guard: Optional[Formula],
         root: Sequence[Formula],
         rest: Tuple[Variable, ...],
         checks: Tuple[Test, ...],
     ):
         self.variable = variable
+        self.guard = guard
         self.root = root
         self.rest = rest
         self.checks = checks
@@ -301,6 +326,8 @@ class ExecutionState:
         self._metrics = active_metrics()
         self._holds_memo: Dict[Tuple, bool] = {}
         self._count_memo: Dict[Tuple, int] = {}
+        # Column kernels' values, per (count text, column variable).
+        self._columns: Dict[Tuple[str, Variable], Dict[Element, int]] = {}
         self._free_memo: Dict[int, FrozenSet[Variable]] = {}
         # Pin every node (or conjunct container) that enters an id-keyed
         # memo (id -> object, so one pinned through several memos is stored
@@ -315,12 +342,14 @@ class ExecutionState:
             Tuple[int, Tuple[Variable, ...]], Tuple[str, Tuple[Variable, ...]]
         ] = {}
         # Per-node satisfaction tests (in place for atoms, through the
-        # memo otherwise) and compiled search nodes; both capture the
-        # structure's relations and are rebuilt whenever it is extended.
+        # memo otherwise), compiled search nodes and column kernels; all
+        # capture the structure's relations and are rebuilt whenever it is
+        # extended.
         self._tests: Dict[int, Test] = {}
         self._search_nodes: Dict[
             Tuple[int, Tuple[Variable, ...], bool], _SearchNode
         ] = {}
+        self._kernels: Dict[Tuple[int, Variable], Optional[Tuple]] = {}
         # Per-candidate checks reach the memo through this weak reference
         # (see _check), so that no search node keeps the state alive.
         self._ref = weakref.ref(self)
@@ -418,10 +447,10 @@ class ExecutionState:
     def _extend(self, symbol: RelationSymbol, tuples: Iterable[Tup]) -> None:
         """Expand the structure by one auxiliary relation.
 
-        Memos survive (aux relations are <=1-ary: no new Gaifman edges, no
-        change to existing relations); the per-node tests and search nodes
-        captured the old structure's relations, so they are rebuilt on
-        next use.
+        Memos and columns survive (aux relations are <=1-ary: no new
+        Gaifman edges, no change to existing relations); the per-node
+        tests, search nodes and kernels captured the old structure's
+        relations, so they are rebuilt on next use.
         """
         from ..structures.operations import expansion
 
@@ -430,15 +459,17 @@ class ExecutionState:
         )
         self._tests.clear()
         self._search_nodes.clear()
+        self._kernels.clear()
 
     # -- Theorem 6.10 stratification ----------------------------------------------
 
     def apply_materialise_step(self, step: MaterialiseStep) -> Set[Tup]:
         """Execute one compiled materialisation step: evaluate the predicate
-        atom everywhere and extend the structure by the plan's auxiliary
-        relation.  Memos survive (aux relations are <=1-ary: no new Gaifman
-        edges, no change to existing relations).  Returns the materialised
-        tuples so callers (the checkpoint machinery) can record the stratum."""
+        atom everywhere (its terms a column at a time) and extend the
+        structure by the plan's auxiliary relation.  Memos survive (aux
+        relations are <=1-ary: no new Gaifman edges, no change to existing
+        relations).  Returns the materialised tuples so callers (the
+        checkpoint machinery) can record the stratum."""
         if step.symbol in self.structure.signature:
             raise EvaluationError(
                 f"plan symbol {step.symbol!r} already present; "
@@ -451,12 +482,12 @@ class ExecutionState:
             tuples: Set[Tup] = {()} if holds else set()
         else:
             assert step.variable is not None
+            universe = self.structure.universe_order
+            columns = [self._term_column(t, step.variable, universe) for t in step.terms]
             tuples = set()
-            for element in self.structure.universe_order:
+            for element, values in zip(universe, zip(*columns)):
                 if self.budget is not None:
                     self.budget.tick("evaluator.materialise")
-                env = {step.variable: element}
-                values = tuple(self.term_value(t, env) for t in step.terms)
                 fault_check("predicate.oracle")
                 if self.predicates.query(step.predicate, values):
                     tuples.add((element,))
@@ -497,6 +528,115 @@ class ExecutionState:
             return self.count(term.variables, term.inner, env)
         raise EvaluationError(f"unexpected term node {type(term).__name__}")
 
+    def _term_column(
+        self, term: Term, variable: Variable, elements: Sequence[Element]
+    ) -> List[int]:
+        """``term_value(term, {variable: a})`` for every ``a`` in
+        ``elements``: element by element through ``+`` and ``*`` (the right
+        factor only where the left is non-zero), a count as one column."""
+        if isinstance(term, IntTerm):
+            return [term.value] * len(elements)
+        if isinstance(term, Add):
+            left = self._term_column(term.left, variable, elements)
+            right = self._term_column(term.right, variable, elements)
+            return [a + b for a, b in zip(left, right)]
+        if isinstance(term, Mul):
+            left = self._term_column(term.left, variable, elements)
+            live = [a for a, value in zip(elements, left) if value]
+            right = iter(self._term_column(term.right, variable, live))
+            return [value * next(right) if value else 0 for value in left]
+        if isinstance(term, CountTerm):
+            return self._count_column(term, variable, elements)
+        raise EvaluationError(f"unexpected term node {type(term).__name__}")
+
+    def _count_column(
+        self, term: CountTerm, variable: Variable, elements: Sequence[Element]
+    ) -> List[int]:
+        """The count at every element: one pass over its kernel's
+        projection (see the module docstring), else :meth:`count` per
+        element.  Each element computed charges what :meth:`count` would;
+        one in the column or the count memo (restored) costs nothing."""
+        if not elements:
+            return []
+        key = (id(term), variable)
+        if key not in self._kernels:
+            self._kernels[key] = self._kernel(term, variable)
+            self._pins[id(term)] = term
+        kernel = self._kernels[key]
+        if kernel is None:
+            return [self.count(term.variables, term.inner, {variable: a}) for a in elements]
+        text, projection, members, node = kernel
+        column = self._columns.get((text, variable))
+        if column is None:
+            fault_check("memo.insert")
+            column = self._columns[(text, variable)] = {}
+            if self._metrics is not None:
+                self._metrics.inc("evaluator.count.column")
+        memo = self._count_memo
+        budget = self.budget
+        computed = 0
+        values = []
+        for a in elements:
+            value = column.get(a)
+            if value is None and memo:
+                value = memo.get((text, ((variable, a),)))
+            if value is None:
+                if budget is not None:
+                    budget.tick("evaluator.count")
+                if node is not None:
+                    value = self._count_search(node, {variable: a})
+                else:
+                    pool = projection.get(a, ())
+                    if budget is not None and pool:
+                        budget.tick("evaluator.enumerate", len(pool))
+                    value = len(pool if members is None else members.intersection(pool))
+                column[a] = value
+                computed += 1
+            values.append(value)
+        if computed and self._metrics is not None:
+            self._metrics.inc("evaluator.count.column.elements", computed)
+        return values
+
+    def _kernel(self, term: CountTerm, variable: Variable) -> Optional[Tuple]:
+        """The column kernel of ``term`` over ``variable`` (see the module
+        docstring), or None when the count does not qualify: the count's
+        memo text, the guard's projection from ``variable`` to the counted
+        variable ``y``, and either the member set of the positive unary
+        atoms over ``y`` when they are the other conjuncts (None for none)
+        and None, or None and the search node that tests the others per
+        candidate.  A conjunct with no in-place test disqualifies the
+        count."""
+        step = self.plan.counts.get((id(term.inner), term.variables))
+        if not isinstance(step, CountDecomposition) or step.gates or step.unused:
+            return None
+        text, names = self._count_key(term.variables, term.inner)
+        if len(step.variables) != 1 or names != (variable,):
+            return None
+        (component,) = step.components
+        node = self._search_node(component.conjuncts, component.variables)
+        if node.phase != _ANCHORED or len(node.options[0]) != 1:
+            return None
+        choice = node.options[0][0][1]
+        guard, counted = choice.guard, choice.variable
+        pairs = ((variable, counted), (counted, variable))
+        if not isinstance(guard, Atom) or guard.args not in pairs:
+            return None
+        anchor = guard.args.index(variable)
+        projection = self.structure.projection(
+            self._symbol(guard.relation), (anchor,), (1 - anchor,)
+        )
+        rest = [conjunct for conjunct in component.conjuncts if conjunct is not guard]
+        if not all(isinstance(c, Atom) and c.args == (counted,) for c in rest):
+            if None in map(self._test, rest):
+                return None
+            return text, projection, None, node
+        members: Optional[Set[Element]] = None
+        for atom in rest:
+            symbol = self._symbol(atom.relation)
+            found = self.structure.projection(symbol, (), (0,)).get((), ())
+            members = set(found) if members is None else members.intersection(found)
+        return text, projection, members, None
+
     # -- counting ---------------------------------------------------------------------
 
     def count(
@@ -511,6 +651,10 @@ class ExecutionState:
         text, names = self._count_key(variables, body)
         key = (text, tuple((v, env[v]) for v in names if v in env))
         cached = self._count_memo.get(key)
+        if cached is None and self._columns and len(key[1]) == 1:
+            # A column kernel may hold it (see _count_column).
+            ((name, value),) = key[1]
+            cached = self._columns.get((text, name), {}).get(value)
         if cached is None:
             if self.budget is not None:
                 self.budget.tick("evaluator.count")
@@ -659,7 +803,7 @@ class ExecutionState:
             for conjunct in conjuncts
             if not (self.free(conjunct) & left) and not (exact and conjunct is guard)
         )
-        return _Choice(variable, root, rest, checks)
+        return _Choice(variable, guard, root, rest, checks)
 
     def _pool_getter(
         self,
@@ -976,13 +1120,18 @@ class ExecutionState:
         docstring), which survives a process boundary as-is: identical
         text implies alpha-equivalent formula, and for a fixed structure
         the memoised value is a function of the formula and its relevant
-        bindings.  Entries are exported verbatim.
+        bindings.  Entries are exported verbatim, and each column as the
+        per-element count entries :meth:`count` would have stored (a
+        column a suspension cut short gives its finished prefix).
         """
         entries: List[Tuple] = []
         for (text, relevant), value in self._holds_memo.items():
             entries.append(("holds", text, relevant, value))
         for (text, relevant), value in self._count_memo.items():
             entries.append(("count", text, relevant, value))
+        for (text, variable), column in self._columns.items():
+            for element, value in column.items():
+                entries.append(("count", text, ((variable, element),), value))
         return entries
 
     def restore_memo_snapshot(
@@ -1143,10 +1292,11 @@ class PlanExecutor:
     def prepare(self) -> None:
         """Execute the materialisation steps (Theorem 6.10 stages) once.
 
-        Under an active checkpoint session, already-recorded strata are
-        replayed from the checkpoint (no oracle queries, no budget ticks),
-        newly computed strata are recorded, and restored memo entries are
-        re-attached once the structure is fully expanded.
+        Under an active checkpoint session, restored memo entries are
+        attached first, so a stratum the checkpoint did not finish takes
+        its recorded count values without ticks; then already-recorded
+        strata are replayed from the checkpoint (no oracle queries, no
+        budget ticks) and newly computed strata are recorded.
         """
         if self._prepared:
             return
@@ -1157,6 +1307,9 @@ class PlanExecutor:
             self._prepared = True
             return
         key = self._ckpt_key
+        entries = session.resumed_memo(key)
+        if entries:
+            self.state.restore_memo_snapshot(entries, self._restore_nodes())
         resumed = session.resumed_strata(key)
         for index, step in enumerate(self.plan.steps):
             record = resumed.get(index)
@@ -1170,9 +1323,6 @@ class PlanExecutor:
                         index, step.symbol, step.arity, tuple(sorted(tuples))
                     ),
                 )
-        entries = session.resumed_memo(key)
-        if entries:
-            self.state.restore_memo_snapshot(entries, self._restore_nodes())
         self._prepared = True
 
     # -- one runner per plan kind -------------------------------------------------
@@ -1202,15 +1352,10 @@ class PlanExecutor:
     ) -> Dict[Element, int]:
         def run() -> Dict[Element, int]:
             self.prepare()
-            targets = (
-                list(elements)
-                if elements is not None
-                else list(self.state.structure.universe_order)
-            )
-            root = self.plan.roots[0]
-            return {
-                a: self.state.term_value(root, {variable: a}) for a in targets
-            }
+            universe = self.state.structure.universe_order
+            targets = list(universe if elements is None else elements)
+            values = self.state._term_column(self.plan.roots[0], variable, targets)
+            return dict(zip(targets, values))
 
         return self._run(run)
 

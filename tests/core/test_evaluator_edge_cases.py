@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.baseline import BruteForceEvaluator
 from repro.core.evaluator import Foc1Evaluator
+from repro.errors import EvaluationError
 from repro.logic.parser import parse_formula, parse_term
 from repro.logic.predicates import NumericalPredicate, standard_collection
 from repro.logic.syntax import (
@@ -147,3 +148,23 @@ class TestSingletonUniverse:
         assert FAST.ground_term_value(g, parse_term("#(x, y). E(x, y)")) == 0
         with_loop = graph_structure([1], [(1, 1)], symmetric=False)
         assert FAST.ground_term_value(with_loop, parse_term("#(x, y). E(x, y)")) == 1
+
+
+class TestTargetsOutsideTheUniverse:
+    """``unary_term_values`` rejects a target outside the universe with the
+    oracle's error, on every engine and before any sharding, instead of
+    answering for it."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [FAST, Foc1Evaluator(workers=2), BRUTE],
+        ids=["foc1", "foc1-sharded", "brute"],
+    )
+    @pytest.mark.parametrize("text", ["#(y). (x = y)", "#(y). !E(x, y)", "#(y). E(x, y)"])
+    def test_foreign_target_is_an_evaluation_error(self, engine, text):
+        with pytest.raises(EvaluationError, match="sends 'x' to 99, which is outside"):
+            engine.unary_term_values(path_graph(4), parse_term(text), "x", [1, 99])
+
+    def test_universe_targets_still_answer(self):
+        term = parse_term("#(y). !E(x, y)")
+        assert FAST.unary_term_values(path_graph(4), term, "x", [2, 1]) == {2: 2, 1: 3}

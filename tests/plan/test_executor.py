@@ -10,6 +10,7 @@ import gc
 import pickle
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -35,13 +36,14 @@ from repro.plan import PlanCache, PlanExecutor, compile_plan
 from repro.plan.executor import ExecutionState
 from repro.plan.ir import PlanOptions
 from repro.robust.budget import EvaluationBudget
+from repro.robust.faults import FaultInjector, inject_faults
 from repro.structures.builders import (
     cycle_graph,
     graph_structure,
     grid_graph,
     path_graph,
 )
-from repro.structures.signature import Signature
+from repro.structures.signature import RelationSymbol, Signature
 from repro.structures.structure import Structure
 
 VARS = ("x", "y", "z")
@@ -409,6 +411,24 @@ class TestInPlaceAtoms:
         )
         assert budget.steps == expected == 683
 
+    def test_stratum_and_unary_root_tick_like_count(self):
+        """Column kernels charge what per-element ``count()`` did.  The
+        census stratum pays a materialise, a count and one enumerate tick
+        per neighbour for every vertex; the root count then scans the 12
+        vertices of degree 4.  A unary root pays per element what the
+        stratum below it pays."""
+        structure = grid_graph(5, 6)
+        degrees = [len(ns) for ns in structure.adjacency().values()]
+        n, total = len(degrees), sum(degrees)
+        assert (n, total, degrees.count(4)) == (30, 98, 12)
+        engine = Foc1Evaluator(budget=EvaluationBudget(), workers=1)
+        engine.ground_term_value(structure, parse_term("#(x). @eq(#(y). E(x, y), 4)"))
+        assert engine.budget.steps == n + n + total + 1 + 12 == 171
+        engine = Foc1Evaluator(budget=EvaluationBudget(), workers=1)
+        high = parse_term("#(y). (E(x, y) & @gt(#(z). E(y, z), 2))")
+        engine.unary_term_values(structure, high, "x")
+        assert engine.budget.steps == 3 * n + 2 * total == 286
+
     def test_budget_still_stops_a_two_path_count(self):
         structure = grid_graph(30, 30)
         phi = parse_formula("E(x, y) & E(y, z) & !(x = z)")
@@ -471,3 +491,169 @@ class TestCountIndex:
         assert engine.unary_term_values(structure, unary, "x") == oracle.unary_term_values(
             structure, unary, "x"
         )
+
+
+def _kernel_graph(seed: int) -> Structure:
+    """A seeded directed graph with self-loops and a unary relation U."""
+    rng = random.Random(seed)
+    universe = list(range(rng.randint(3, 8)))
+    edges = [(a, b) for a in universe for b in universe if rng.random() < 0.3]
+    marked = [(a,) for a in universe if rng.random() < 0.5]
+    return Structure(Signature.of(E=2, U=1), universe, {"E": edges, "U": marked})
+
+
+def _per_element(plan, structure, variable):
+    """The plan run one element at a time through ``term_value`` and so
+    ``ExecutionState.count``, strata included, on a fresh state: the
+    values, the budget steps and the state."""
+    budget = EvaluationBudget()
+    state = ExecutionState(structure, standard_collection(), plan, budget)
+    for step in plan.steps:
+        assert step.arity == 1
+        tuples = set()
+        for a in structure.universe_order:
+            budget.tick("evaluator.materialise")
+            values = tuple(state.term_value(t, {step.variable: a}) for t in step.terms)
+            if state.predicates.query(step.predicate, values):
+                tuples.add((a,))
+        state._extend(RelationSymbol(step.symbol, step.arity), tuples)
+    (root,) = plan.roots
+    if variable is None:
+        values = state.term_value(root, {})
+    else:
+        values = {a: state.term_value(root, {variable: a}) for a in structure.universe_order}
+    return values, budget.steps, state
+
+
+#: Counts over one counted variable y with ``{v}`` free.  These qualify for
+#: a column kernel ...
+KERNEL_SHAPES = (
+    "#(y). E({v}, y)",
+    "#(y). E(y, {v})",
+    "#(y). (E({v}, y) & U(y))",
+    "#(y). (E({v}, y) & !U(y))",
+    "#(y). (E({v}, y) & !({v} = y))",
+    "#(y). (E({v}, y) & E(y, y))",
+)
+#: ... and these fall back to per-element counts: two anchored guards, a
+#: gate, two levels.
+FALLBACK_SHAPES = (
+    "#(y). (E({v}, y) & E(y, {v}))",
+    "#(y). (E({v}, y) & U({v}))",
+    "#(y, z). (E({v}, y) & E(y, z))",
+)
+#: Unary terms in x around a shape over x (``{c}``) or over w (``{w}``):
+#: sums, a left factor that is zero at some elements and at all, a
+#: complement and an inclusion-exclusion child that count ``E(x, y)``
+#: after a column did, a stratum, and one count shared by two strata ...
+UNARY_CONTEXTS = (
+    "{c}",
+    "{c} + 2 * {c}",
+    "#(z). (E(x, z) & U(z)) * {c}",
+    "0 * {c} + 1",
+    "{c} + #(y). !E(x, y)",
+    "{c} * #(y). (E(x, y) | U(y))",
+    "#(w). (E(x, w) & @gt({w}, 1))",
+    "#(w). (E(w, x) & @eq({w}, 1) & @geq1({w}))",
+)
+#: ... and ground terms over strata of a shape over x.
+GROUND_CONTEXTS = (
+    "#(x). @eq({c}, 1)",
+    "#(x). (@geq1({c}) & @gt({c}, 1)) + #(x). @geq1({c} * {c})",
+    "#(x). @gt({c} + #(y). !E(x, y), 2)",
+)
+
+
+class TestColumnKernels:
+    """Unary terms and strata evaluated a column at a time agree with the
+    brute-force oracle, charge the steps the per-element path charged,
+    and export the count entries it would have stored."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES + FALLBACK_SHAPES)
+    def test_which_counts_qualify(self, shape):
+        structure = _kernel_graph(0)
+        term = parse_term(shape.format(v="x"))
+        plan = compile_plan("unary_term", [term], ("x",), structure.signature)
+        state = ExecutionState(structure, standard_collection(), plan)
+        kernel = state._kernel(plan.roots[0], "x")
+        assert (kernel is not None) == (shape in KERNEL_SHAPES)
+
+    @pytest.mark.parametrize("context", UNARY_CONTEXTS + GROUND_CONTEXTS)
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES + FALLBACK_SHAPES)
+    def test_columns_match_the_oracle_and_the_per_element_path(self, shape, context):
+        term = parse_term(context.format(c=shape.format(v="x"), w=shape.format(v="w")))
+        unary = context in UNARY_CONTEXTS
+        kind, variable = ("unary_term", "x") if unary else ("ground_term", None)
+        oracle = BruteForceEvaluator()
+        for seed in range(4):
+            structure = _kernel_graph(seed)
+            plan = compile_plan(kind, [term], ("x",) if unary else (), structure.signature)
+            executor = PlanExecutor(
+                plan, structure, standard_collection(), EvaluationBudget()
+            )
+            if unary:
+                value = executor.unary_term_values("x")
+                assert value == oracle.unary_term_values(structure, term, "x")
+            else:
+                value = executor.ground_term_value()
+                assert value == oracle.ground_term_value(structure, term)
+            expected, steps, reference = _per_element(plan, structure, variable)
+            assert (value, executor.state.budget.steps) == (expected, steps)
+            assert Counter(executor.state.export_memo_snapshot()) == Counter(
+                reference.export_memo_snapshot()
+            )
+
+    def test_checked_candidates_tick_one_at_a_time(self):
+        """A kernel with per-candidate tests ticks each candidate as
+        ``count()`` does, so a step limit stops it at the same step."""
+        structure = Structure(
+            Signature.of(E=2, U=1), range(10), {"E": [(0, b) for b in range(10)], "U": []}
+        )
+        term = parse_term("#(y). (E(x, y) & !(x = y))")
+        plan = compile_plan("unary_term", [term], ("x",), structure.signature)
+        budget = EvaluationBudget(max_steps=5)
+        executor = PlanExecutor(plan, structure, standard_collection(), budget)
+        assert executor.state._kernel(plan.roots[0], "x") is not None
+        with pytest.raises(BudgetExceededError):
+            executor.unary_term_values("x")
+        assert budget.steps == 6
+
+    def test_a_zero_left_factor_builds_no_kernel(self):
+        structure = _kernel_graph(0)
+        term = parse_term("0 * #(y). (E(x, y) & U(y)) + 1")
+        plan = compile_plan("unary_term", [term], ("x",), structure.signature)
+        executor = PlanExecutor(plan, structure, standard_collection())
+        assert set(executor.unary_term_values("x").values()) == {1}
+        assert executor.state._kernels == {} and executor.state._search_nodes == {}
+
+    @pytest.mark.parametrize(
+        "kind, text, columns, counts",
+        [
+            ("ground_term", "#(x). @eq(#(y). E(x, y), 4)", 1, 1),
+            ("unary_term", "#(y). (E(x, y) & @gt(#(z). E(y, z), 2))", 2, 0),
+        ],
+    )
+    def test_a_column_replaces_the_count_entries(self, kind, text, columns, counts):
+        """One column per kernel count, one ``memo.insert`` per column, and
+        no count-memo entry for a kernel count: only the census root count
+        goes through ``count()``."""
+        structure = grid_graph(5, 6)
+        variables = ("x",) if kind == "unary_term" else ()
+        plan = compile_plan(kind, [parse_term(text)], variables, structure.signature)
+        injector = FaultInjector()
+        with inject_faults(injector), collect_metrics() as metrics:
+            executor = PlanExecutor(plan, structure, standard_collection())
+            if kind == "unary_term":
+                executor.unary_term_values("x")
+            else:
+                executor.ground_term_value()
+        state = executor.state
+        assert len(state._columns) == columns
+        assert all(len(column) == structure.order() for column in state._columns.values())
+        assert len(state._count_memo) == counts
+        kernel_texts = {key[0] for key in state._columns}
+        assert not any(key[0] in kernel_texts for key in state._count_memo)
+        assert injector.hits["memo.insert"] == columns + counts
+        assert metrics.counter("evaluator.count.column") == columns
+        assert metrics.counter("evaluator.count.column.elements") == columns * structure.order()
+        assert metrics.counter("evaluator.count.memo.miss") == counts

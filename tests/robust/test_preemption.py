@@ -28,6 +28,7 @@ from repro.robust.checkpoint import (
 )
 from repro.robust.guard import RobustEvaluator
 from repro.core.evaluator import Foc1Evaluator
+from repro.sparse.classes import nearly_square_grid
 from repro.structures.builders import graph_structure
 
 SEEDS = range(30)
@@ -137,6 +138,42 @@ class TestSerialPreemptionDifferential:
             tmp_path,
         )
         assert actual == expected
+
+
+class TestResumeOverhead:
+    """Suspend once at half the uninterrupted steps, save, load, resume:
+    both quanta together spend at most 1.05x the uninterrupted steps (the
+    gate of ``benchmarks/bench_preempt.py``).  A count column cut short
+    by the suspension keeps its finished prefix, and the resumed executor
+    restores memo entries before it replays strata, so an unfinished
+    stratum takes them too."""
+
+    @pytest.mark.parametrize(
+        "operation, text",
+        [("unary", "#(y). E(x, y)"), ("ground", "#(x). @eq(#(y). E(x, y), 4)")],
+    )
+    def test_resume_respends_at_most_five_percent(self, operation, text, tmp_path):
+        structure = nearly_square_grid(100)
+        term = parse_term(text)
+
+        def call(budget):
+            engine = Foc1Evaluator(budget=budget, workers=1)
+            if operation == "unary":
+                return engine.unary_term_values(structure, term, "x")
+            return engine.ground_term_value(structure, term)
+
+        whole = EvaluationBudget(max_steps=10**9, preemptible=True)
+        expected = call(whole)
+        session = CheckpointSession(operation="test", query_key="test")
+        first = EvaluationBudget(max_steps=whole.steps // 2, preemptible=True)
+        with pytest.raises(SuspendedError), checkpoint_session(session):
+            call(first)
+        target = str(tmp_path / "resume.ckpt")
+        save_checkpoint(session.snapshot(first.steps), target)
+        second = EvaluationBudget(max_steps=10**9, preemptible=True)
+        with checkpoint_session(CheckpointSession(resume=load_checkpoint(target))):
+            assert call(second) == expected
+        assert first.steps + second.steps <= 1.05 * whole.steps
 
 
 class TestThreadBackendPreemptionDifferential:
