@@ -27,10 +27,8 @@ Structures come from ``.json`` files (see :mod:`repro.io`) or edge lists.
 
 Resource governance (see ``docs/ROBUSTNESS.md``): ``--timeout`` and
 ``--max-steps`` bound the evaluation; ``--engine robust`` runs the
-fallback cascade (main algorithm → FOC1 engine → brute force) in fixed
-order, and ``--engine auto`` lets the cost model reorder the cascade to
-try the predicted-cheapest stage first (see ``docs/ARCHITECTURE.md``,
-cost layer).
+fallback cascade (main algorithm → FOC1 engine → brute force) in its
+fixed order.
 ``--retries`` retries failed parallel shards with deterministic backoff;
 ``--on-shard-failure salvage`` returns the completed shards of a partly
 failed parallel run instead of raising.
@@ -39,8 +37,8 @@ Approximation (see ``docs/ENGINES.md``): ``--engine approx`` answers
 ``count``/``term`` with a seeded (1±ε, δ) sampling estimate —
 ``--epsilon/--delta/--seed`` control the target and reproducibility, the
 estimate prints with an ``# approximate:`` stderr marker and
-``--report-json`` emits ``"approximate": true``.  With the cascade
-engines, ``--approx-fallback`` adds the sampler as a last exact-failure
+``--report-json`` emits ``"approximate": true``.  With ``--engine
+robust``, ``--approx-fallback`` adds the sampler as a last exact-failure
 fallback stage.
 
 Preemption (see ``docs/ROBUSTNESS.md``): with ``--checkpoint PATH`` the
@@ -48,8 +46,8 @@ budget becomes a *quantum* — exhaustion suspends the evaluation, writes a
 resumable checkpoint to PATH and exits with code 6 instead of killing the
 run; ``--resume PATH`` restores a previous checkpoint (already-built
 strata, memo contents and completed parallel shards are never recomputed)
-and continues.  ``--report-json PATH`` (robust/auto engines) dumps the
-structured cascade report, including the routing decision, as JSON.
+and continues.  ``--report-json PATH`` (robust and approx engines) dumps
+the structured cascade report as JSON.
 
 Serving (see ``docs/SERVING.md``): ``python -m repro serve STRUCTURE
 WORKLOAD.jsonl`` replays a JSONL workload of tenant-attributed requests
@@ -322,14 +320,13 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--engine",
-            choices=("foc1", "robust", "auto", "baseline", "approx"),
+            choices=("foc1", "robust", "baseline", "approx"),
             default="foc1",
             help="evaluation engine: the FOC1 engine (default), the robust "
-            "fallback cascade in fixed order, 'auto' (the cascade with "
-            "cost-based routing picking the predicted-cheapest stage "
-            "first), the brute-force baseline, or 'approx' — seeded "
-            "(1±eps, delta) sampling for count/term (the answer is an "
-            "estimate, marked as such on stderr and in --report-json)",
+            "fallback cascade in fixed order, the brute-force baseline, or "
+            "'approx' — seeded (1±eps, delta) sampling for count/term (the "
+            "answer is an estimate, marked as such on stderr and in "
+            "--report-json)",
         )
         sub.add_argument(
             "--epsilon",
@@ -359,10 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--approx-fallback",
             action="store_true",
-            help="with --engine robust/auto: add the sampling tier as a "
-            "last cascade stage for count/term (auto routing may lead "
-            "with it only when every exact stage is predicted to blow "
-            "the budget); the report then carries approximate=true",
+            help="with --engine robust: add the sampling tier as a last "
+            "cascade stage for count/term; the report then carries "
+            "approximate=true when it answers",
         )
         sub.add_argument(
             "--timeout",
@@ -418,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             dest="report_json",
             help="write the structured cascade report (stages, breaker "
-            "states, partial coverage, checkpoint info, routing decision) "
-            "as JSON to PATH; requires --engine robust or auto",
+            "states, partial coverage, checkpoint info) as JSON to PATH; "
+            "requires --engine robust or approx",
         )
         sub.add_argument(
             "--trace",
@@ -945,29 +941,23 @@ def _make_engine(args: argparse.Namespace):
     on_shard_failure = getattr(args, "on_shard_failure", "raise")
     if (
         getattr(args, "report_json", None) is not None
-        and args.engine not in ("robust", "auto", "approx")
+        and args.engine not in ("robust", "approx")
     ):
-        raise ReproError(
-            "--report-json requires --engine robust, auto or approx"
-        )
+        raise ReproError("--report-json requires --engine robust or approx")
     if args.engine == "approx" and args.command not in ("count", "term"):
         raise ReproError(
             "--engine approx evaluates counts and ground counting terms "
             "only (use --engine robust --approx-fallback elsewhere)"
         )
-    if getattr(args, "approx_fallback", False) and args.engine not in (
-        "robust",
-        "auto",
-    ):
-        raise ReproError("--approx-fallback requires --engine robust or auto")
-    if args.engine in ("robust", "auto"):
+    if getattr(args, "approx_fallback", False) and args.engine != "robust":
+        raise ReproError("--approx-fallback requires --engine robust")
+    if args.engine == "robust":
         engine = RobustEvaluator(
             budget=budget,
             check_fragment=check_fragment,
             workers=workers,
             retry=retry,
             on_shard_failure=on_shard_failure,
-            route="auto" if args.engine == "auto" else "cascade",
             approx=getattr(args, "approx_fallback", False),
             epsilon=getattr(args, "epsilon", 0.1),
             delta=getattr(args, "delta", 0.05),

@@ -1,4 +1,4 @@
-"""Cost-based engine selection: statistics, estimation, routing.
+"""Cost layer: structure statistics, cardinality bounds, load signal.
 
 See docs/ARCHITECTURE.md (cost layer) for the full picture.  Public
 surface:
@@ -6,37 +6,26 @@ surface:
 * :func:`~repro.cost.stats.structure_stats` /
   :class:`~repro.cost.stats.StructureStats` — cached per-structure
   statistics under the Structure cache contract;
+* :class:`~repro.cost.model.CardinalityEstimator` /
+  :class:`~repro.cost.model.CardBound` — provable cardinality bounds,
+  which the approx planner reads;
 * :class:`~repro.cost.model.CostModel` /
-  :class:`~repro.cost.model.CardinalityEstimator` /
-  :class:`~repro.cost.model.CardBound` /
-  :class:`~repro.cost.model.CardinalityLattice` — cardinality bounds and
-  per-engine cost estimates over the compiled plan IR;
-* :class:`~repro.cost.router.EngineRouter` /
-  :class:`~repro.cost.router.RouteDecision` — the advisory routing layer
-  the :class:`~repro.robust.guard.RobustEvaluator` consults in
-  ``route="auto"`` mode.
+  :class:`~repro.cost.model.EngineCost` — the foc1 cost estimate over
+  the compiled plan IR, which the service's degradation check reads;
+* :class:`~repro.cost.saturation.SaturationTracker` — the service's
+  observed-load signal.
 """
 
-from .model import (
-    CardBound,
-    CardinalityEstimator,
-    CardinalityLattice,
-    CostModel,
-    EngineCost,
-)
-from .router import EngineRouter, RouteDecision
+from .model import CardBound, CardinalityEstimator, CostModel, EngineCost
 from .saturation import SaturationTracker
 from .stats import DegreeSummary, StructureStats, structure_stats
 
 __all__ = [
     "CardBound",
     "CardinalityEstimator",
-    "CardinalityLattice",
     "CostModel",
     "DegreeSummary",
     "EngineCost",
-    "EngineRouter",
-    "RouteDecision",
     "SaturationTracker",
     "StructureStats",
     "structure_stats",

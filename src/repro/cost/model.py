@@ -1,4 +1,4 @@
-"""Cardinality bounds and per-engine cost estimation over the plan IR.
+"""Cardinality bounds and the foc1 cost estimate over the plan IR.
 
 Three layers, bottom-up:
 
@@ -12,30 +12,22 @@ Three layers, bottom-up:
   produces a :class:`CardBound` for ``#(variables). body``.  Exactness is
   preserved where the statistics allow it: counting a positive atom over
   distinct variables is the relation cardinality, and any conjunction
-  gated by an empty positive atom is exactly zero.
-* :class:`CostModel` — estimates the *work* (abstract step units,
-  comparable across engines) each cascade stage would spend: the ``foc1``
-  cost walks the compiled :class:`~repro.plan.ir.QueryPlan` — Materialise
-  steps times the universe, then the Lemma 6.4 count DAG with guard-pool
-  sizes from the plan's :class:`~repro.plan.ir.GuardSpec` annotations and
-  memoisation amortised to one evaluation per distinct environment; the
-  ``baseline`` cost models the literal Definition 3.1 recursion (a fresh
-  ``n^k`` enumeration per quantifier/count node, nothing memoised); the
-  ``main_algorithm`` cost models cover construction plus the per-cluster
-  pattern walk with ball-growth estimates.
-
-:class:`CardinalityLattice` keeps the two orders — provable interval
-containment vs heuristic point estimates — separate, so the router can
-report *why* it believes one engine is cheaper (proof or heuristic).
+  gated by an empty positive atom is exactly zero.  The approx planner
+  reads these bounds.
+* :class:`CostModel` — estimates the *work* (abstract step units) the
+  ``foc1`` engine would spend by walking the compiled
+  :class:`~repro.plan.ir.QueryPlan`: Materialise steps times the
+  universe, then the Lemma 6.4 count DAG with guard-pool sizes from the
+  plan's :class:`~repro.plan.ir.GuardSpec` annotations and memoisation
+  amortised to one evaluation per distinct environment.  The service's
+  degradation check reads it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.clterms import BasicClTerm
 from ..logic.syntax import (
     And,
     Atom,
@@ -72,34 +64,13 @@ from ..plan.ir import (
 from ..plan.normalise import flatten_conjuncts
 from .stats import StructureStats
 
-__all__ = [
-    "CardBound",
-    "CardinalityLattice",
-    "CardinalityEstimator",
-    "CostModel",
-    "EngineCost",
-]
+__all__ = ["CardBound", "CardinalityEstimator", "CostModel", "EngineCost"]
 
 #: Work-unit ceiling: estimates saturate here instead of overflowing.
 _CAP = 1e18
 
-#: Constant-factor penalty on the baseline: it re-enumerates ``n^k`` for
-#: every count/quantifier node with no memoisation and no guards, so one
-#: of its abstract steps does strictly less useful work than a foc1 step
-#: that lands in the memo.  Calibrated against bench_foc_vs_foc1.
-_BASELINE_NODE_PENALTY = 4.0
-
 #: Fixed overhead (plan fetch, state setup) charged to the planned engine.
 _FOC1_SETUP = 32.0
-
-#: Fixed overhead (evaluator construction, validation) for the brute force.
-_BASELINE_SETUP = 16.0
-
-#: Fixed overhead (sample planning, RNG setup) for the approximate tier.
-_APPROX_SETUP = 32.0
-
-#: Cover construction cost per element per radius unit, plus merge factor.
-_COVER_BUILD_UNIT = 2.0
 
 
 def _clip(value: float) -> float:
@@ -143,28 +114,6 @@ class CardBound:
         exact = upper is not None and lower == upper
         return cls(lower=lower, upper=upper, estimate=estimate, exact=exact)
 
-    def add(self, other: "CardBound") -> "CardBound":
-        upper = (
-            None
-            if self.upper is None or other.upper is None
-            else self.upper + other.upper
-        )
-        return CardBound.ranged(
-            self.lower + other.lower, upper, self.estimate + other.estimate
-        )
-
-    def mul(self, other: "CardBound") -> "CardBound":
-        if self.upper == 0 or other.upper == 0:
-            return CardBound.exactly(0)
-        upper = (
-            None
-            if self.upper is None or other.upper is None
-            else self.upper * other.upper
-        )
-        return CardBound.ranged(
-            self.lower * other.lower, upper, self.estimate * other.estimate
-        )
-
     def complement(self, total: float) -> "CardBound":
         """``total - self`` clamped at zero (counting ``not phi`` within a
         space of ``total`` assignments)."""
@@ -190,67 +139,12 @@ class CardBound:
             ),
         )
 
-    def provably_at_most(self, other: "CardBound") -> bool:
-        """True when ``self <= other`` holds by interval containment alone."""
-        return self.upper is not None and self.upper <= other.lower
-
-
-class CardinalityLattice:
-    """A keyed store of :class:`CardBound` facts with meet-on-record.
-
-    Recording the same key twice *tightens*: lower bounds max, upper
-    bounds min, the estimate re-clamped.  :meth:`compare` answers order
-    queries and is explicit about provenance — ``("lt", True)`` is an
-    interval proof, ``("lt", False)`` merely an estimate order — so the
-    router can separate "provably cheaper" from "probably cheaper".
-    """
-
-    def __init__(self) -> None:
-        self._bounds: Dict[str, CardBound] = {}
-
-    def record(self, key: str, bound: CardBound) -> CardBound:
-        existing = self._bounds.get(key)
-        if existing is not None:
-            lower = max(existing.lower, bound.lower)
-            uppers = [u for u in (existing.upper, bound.upper) if u is not None]
-            upper = min(uppers) if uppers else None
-            bound = CardBound.ranged(lower, upper, bound.estimate)
-        self._bounds[key] = bound
-        return bound
-
-    def bound(self, key: str) -> Optional[CardBound]:
-        return self._bounds.get(key)
-
-    def compare(self, a: str, b: str) -> Tuple[str, bool]:
-        """Order ``a`` against ``b``: ``("lt"|"gt"|"eq"|"unknown", provable)``."""
-        left = self._bounds.get(a)
-        right = self._bounds.get(b)
-        if left is None or right is None:
-            return ("unknown", False)
-        if left.exact and right.exact and left.lower == right.lower:
-            return ("eq", True)
-        if left.provably_at_most(right):
-            return ("lt", True)
-        if right.provably_at_most(left):
-            return ("gt", True)
-        if left.estimate < right.estimate:
-            return ("lt", False)
-        if left.estimate > right.estimate:
-            return ("gt", False)
-        return ("eq", False)
-
-    def items(self) -> Dict[str, CardBound]:
-        return dict(self._bounds)
-
 
 class CardinalityEstimator:
     """Bounds for ``#(variables). body`` over one structure's statistics."""
 
-    def __init__(
-        self, stats: StructureStats, lattice: Optional[CardinalityLattice] = None
-    ):
+    def __init__(self, stats: StructureStats):
         self.stats = stats
-        self.lattice = lattice if lattice is not None else CardinalityLattice()
 
     def count_bound(
         self, variables: Sequence[Variable], body: Formula
@@ -266,7 +160,6 @@ class CardinalityEstimator:
     # -- recursive walk -------------------------------------------------------
 
     def _bound(self, body: Formula, counted: set, space: float) -> CardBound:
-        n = float(self.stats.order)
         if isinstance(body, Top):
             return CardBound.exactly(space)
         if isinstance(body, Bottom):
@@ -408,30 +301,11 @@ class EngineCost:
 
 
 class CostModel:
-    """Per-engine cost estimation against one structure's statistics.
+    """The foc1 engine's cost estimate against one structure's statistics."""
 
-    ``calibration`` maps engine name to a multiplicative correction learnt
-    from observed traffic (see :class:`repro.cost.router.EngineRouter`);
-    absent engines default to 1.0.
-    """
-
-    def __init__(
-        self,
-        stats: StructureStats,
-        calibration: Optional[Dict[str, float]] = None,
-    ):
+    def __init__(self, stats: StructureStats):
         self.stats = stats
-        self.calibration = calibration or {}
-        self.lattice = CardinalityLattice()
-        self.estimator = CardinalityEstimator(stats, self.lattice)
-
-    def _calibrated(self, engine: str, bound: CardBound) -> CardBound:
-        factor = self.calibration.get(engine, 1.0)
-        if factor == 1.0:
-            return bound
-        # Calibration is a learnt correction, not a proof: it scales the
-        # estimate only and widens nothing.
-        return CardBound.ranged(bound.lower, bound.upper, bound.estimate * factor)
+        self.estimator = CardinalityEstimator(stats)
 
     # -- foc1: walk the compiled plan ----------------------------------------
 
@@ -453,9 +327,7 @@ class CostModel:
             # subterms hit the memo after the first.
             total += n * max(1.0, self._expression_cost(plan.roots[0], plan) / 2.0)
         bound = CardBound.ranged(_FOC1_SETUP, None, _clip(total))
-        cost = EngineCost("foc1", self._calibrated("foc1", bound), "plan walk")
-        self.lattice.record("cost.foc1", cost.bound)
-        return cost
+        return EngineCost("foc1", bound, "plan walk")
 
     def _term_cost(self, term: Term, plan: QueryPlan) -> float:
         if isinstance(term, IntTerm):
@@ -554,120 +426,6 @@ class CostModel:
             return max(1.0, stats.degree().mean)
         # scan: materialise the largest relation once.
         return max(1.0, float(stats.max_relation_card()))
-
-    # -- baseline: literal Definition 3.1 recursion ---------------------------
-
-    def baseline_cost(
-        self,
-        expressions: Sequence[Expression],
-        variables: Sequence[Variable] = (),
-    ) -> EngineCost:
-        """``variables`` is the operation's outer enumeration space — the
-        counted variables of a ``count``, the free variable of a unary
-        term, the head variables of a query — which the brute force walks
-        in full on top of the per-assignment expression recursion."""
-        n = float(self.stats.order)
-        total = 0.0
-        for expression in expressions:
-            total += self._brute_cost(expression, n)
-        total *= _clip(n ** len(tuple(variables)))
-        # The brute force enumerates its full assignment space; that much
-        # work is a provable floor, the node penalty is the heuristic part.
-        floor = total
-        estimate = _BASELINE_SETUP + total * _BASELINE_NODE_PENALTY
-        bound = CardBound.ranged(_clip(floor), None, _clip(estimate))
-        cost = EngineCost(
-            "baseline", self._calibrated("baseline", bound), "Definition 3.1 recursion"
-        )
-        self.lattice.record("cost.baseline", cost.bound)
-        return cost
-
-    def _brute_cost(self, node: Expression, n: float) -> float:
-        if isinstance(node, (Exists, Forall)):
-            return _clip(1.0 + n * self._brute_cost(node.inner, n))
-        if isinstance(node, CountTerm):
-            inner = self._brute_cost(node.inner, n)
-            return _clip(1.0 + (n ** len(node.variables)) * max(1.0, inner))
-        cost = 1.0
-        for attr in ("left", "right", "inner"):
-            child = getattr(node, attr, None)
-            if isinstance(child, (Expression,)):
-                cost += self._brute_cost(child, n)
-        if isinstance(node, PredicateAtom):
-            cost += sum(self._brute_cost(t, n) for t in node.terms)
-        return _clip(cost)
-
-    # -- approx: sampling with planned sample counts ---------------------------
-
-    def approx_cost(
-        self,
-        expressions: Sequence[Expression],
-        variables: Sequence[Variable],
-        epsilon: float = 0.1,
-        delta: float = 0.05,
-    ) -> EngineCost:
-        """Predicted work of the sampling tier: planned samples times the
-        per-sample satisfaction check (one Definition 3.1 recursion *per
-        assignment*, no outer enumeration — that is the whole point).
-
-        Unlike every exact engine, this cost does not grow with the
-        assignment space ``n^k`` beyond the (logarithmic-in-δ) sample
-        plan, which is what makes it the bounded-cost stage the router
-        can fall back to on dense inputs.
-        """
-        from ..approx.planner import plan_samples
-
-        n = float(self.stats.order)
-        counted = tuple(variables)
-        space = _clip(max(1.0, n ** len(counted)))
-        body = expressions[0] if expressions else None
-        bound = None
-        if body is not None and isinstance(body, Formula):
-            try:
-                bound = self.estimator.count_bound(counted, body)
-            except Exception:
-                bound = None
-        plan = plan_samples(space, epsilon, delta, bound=bound)
-        per_sample = max(
-            1.0,
-            sum(self._brute_cost(e, n) for e in expressions) or 1.0,
-        )
-        total = _APPROX_SETUP + plan.samples * per_sample
-        # Sample count and per-sample node walk are both known up front,
-        # so the interval is tight: this stage cannot blow up.
-        cost_bound = CardBound.ranged(
-            _APPROX_SETUP, _clip(total * 2.0), _clip(total)
-        )
-        cost = EngineCost(
-            "approx",
-            self._calibrated("approx", cost_bound),
-            f"{plan.samples} planned samples",
-        )
-        self.lattice.record("cost.approx", cost.bound)
-        return cost
-
-    # -- main algorithm: cover + per-cluster walk -----------------------------
-
-    def main_algorithm_cost(self, term: BasicClTerm) -> EngineCost:
-        stats = self.stats
-        n = float(stats.order)
-        radius = max(1, term.psi_radius, term.link_distance)
-        cover = stats.cover_estimate(radius)
-        build = _COVER_BUILD_UNIT * n * radius
-        ball = stats.ball_size_estimate(term.link_distance or 1)
-        width = len(term.variables)
-        psi_nodes = float(sum(1 for _ in subexpressions(term.psi)))
-        per_element = max(1.0, ball ** max(0, width - 1)) * max(1.0, psi_nodes)
-        walk = cover["clusters"] * max(1.0, cover["cluster_size"] / max(n, 1.0)) * per_element
-        total = build + n * per_element + walk
-        bound = CardBound.ranged(n, None, _clip(total))
-        cost = EngineCost(
-            "main_algorithm",
-            self._calibrated("main_algorithm", bound),
-            "cover construction + cluster walk",
-        )
-        self.lattice.record("cost.main_algorithm", cost.bound)
-        return cost
 
 
 def _trailing_int(source: str, marker: str) -> Optional[int]:

@@ -1,21 +1,21 @@
 """Cached per-structure statistics for the cost model.
 
 :class:`StructureStats` summarises a :class:`~repro.structures.structure.
-Structure` for cardinality estimation: relation cardinalities, degree
-histogram of the Gaifman graph, connected-component count and ball-size
-growth estimates.  The summary participates in the structure's cache
-contract (see the ``Structure`` docstring):
+Structure` for cardinality estimation: relation cardinalities, the degree
+histogram of the Gaifman graph and ball-size growth estimates.  The
+summary participates in the structure's cache contract (see the
+``Structure`` docstring):
 
 * it is cached on the instance (``structure._stats``) and served by
   :func:`structure_stats` without recomputation;
 * :meth:`Structure.invalidate_caches` drops it together with the
-  adjacency/index caches, so in-place mutation can never leave the router
-  reading stale cardinalities;
+  adjacency/index caches, so in-place mutation can never leave a cost
+  estimate reading stale cardinalities;
 * copy-on-write updates via :meth:`Structure.with_tuple` *derive* the
   statistics incrementally (:meth:`StructureStats.derive`): the cheap
   exact parts — order, size, relation cardinalities — are adjusted by the
-  delta, the lazy parts (degree summary, components) are dropped and
-  recomputed on demand against the derived structure's adjacency.
+  delta, the lazy degree summary is dropped and recomputed on demand
+  against the derived structure's adjacency.
 
 Everything here is exact — the *estimation* (combining these numbers into
 cardinality bounds and engine costs) lives in :mod:`repro.cost.model`.
@@ -59,23 +59,15 @@ class DegreeSummary:
 
 
 class StructureStats:
-    """Statistics of one structure, cheap parts eager, graph parts lazy.
+    """Statistics of one structure, cheap parts eager, the degree summary lazy.
 
     The eager parts (``order``, ``size``, ``relation_cards``) are O(number
-    of relations) to build; the lazy parts touch :meth:`Structure.adjacency`
-    (O(size) the first time) and are computed only when a cost estimate
-    actually needs them.
+    of relations) to build; the degree summary touches
+    :meth:`Structure.adjacency` (O(size) the first time) and is computed
+    only when a cost estimate actually needs it.
     """
 
-    __slots__ = (
-        "order",
-        "size",
-        "relation_cards",
-        "_structure",
-        "_degree",
-        "_components",
-        "_distinct",
-    )
+    __slots__ = ("order", "size", "relation_cards", "_structure", "_degree")
 
     def __init__(
         self,
@@ -89,8 +81,6 @@ class StructureStats:
         self.relation_cards = relation_cards
         self._structure = structure
         self._degree: Optional[DegreeSummary] = None
-        self._components: Optional[int] = None
-        self._distinct: Dict[str, tuple] = {}
 
     @classmethod
     def from_structure(cls, structure: Structure) -> "StructureStats":
@@ -112,47 +102,6 @@ class StructureStats:
             self._degree = DegreeSummary.from_structure(self._structure)
         return self._degree
 
-    def distinct_per_column(self, name: str) -> tuple:
-        """Distinct-value count per position of a relation, read off the
-        columnar per-position indexes (no relation rescan; the index is
-        shared with every other consumer of the columnar view).  Lazy per
-        relation; empty tuple for unknown symbols (see
-        :meth:`relation_card`).  Like the degree/component summaries this
-        is *not* carried across :meth:`derive` — a derived structure's
-        counts are rebuilt against its own relations, keeping the
-        ``cost.stats.derived`` fast path honest."""
-        cached = self._distinct.get(name)
-        if cached is None:
-            if name not in self._structure.signature:
-                return ()
-            cached = self._structure.columnar().distinct_per_column(name)
-            self._distinct[name] = cached
-            metrics = active_metrics()
-            if metrics is not None:
-                metrics.inc("cost.stats.distinct.build")
-        return cached
-
-    def component_count(self) -> int:
-        """Number of connected components of the Gaifman graph."""
-        if self._components is None:
-            adjacency = self._structure.adjacency()
-            seen: set = set()
-            components = 0
-            for start in self._structure.universe_order:
-                if start in seen:
-                    continue
-                components += 1
-                frontier = [start]
-                seen.add(start)
-                while frontier:
-                    node = frontier.pop()
-                    for neighbour in adjacency.get(node, ()):  # pragma: no branch
-                        if neighbour not in seen:
-                            seen.add(neighbour)
-                            frontier.append(neighbour)
-            self._components = components
-        return self._components
-
     def ball_size_estimate(self, radius: int) -> float:
         """Estimated ``|ball(a, radius)|``: mean-degree branching capped at
         the universe order.  Exact at radius 0; a heuristic beyond."""
@@ -167,15 +116,6 @@ class StructureStats:
             if estimate >= self.order:
                 return float(self.order)
         return min(float(self.order), estimate)
-
-    def cover_estimate(self, radius: int) -> Dict[str, float]:
-        """Predicted shape of a radius-``radius`` neighbourhood cover:
-        cluster count and per-cluster size, from the degree distribution.
-        (When a cover is actually built the real numbers win; this is the
-        routing-time stand-in.)"""
-        cluster_size = self.ball_size_estimate(radius)
-        clusters = float(self.order)
-        return {"clusters": clusters, "cluster_size": cluster_size}
 
     def index_fanout(self, name: str) -> float:
         """Mean tuples per index key of a relation — the expected pool size
@@ -195,8 +135,8 @@ class StructureStats:
     ) -> "StructureStats":
         """Statistics for a one-tuple delta (the :meth:`Structure.with_tuple`
         leg of the cache contract).  Exact parts are adjusted in O(1); the
-        degree/component summaries are dropped — they are rebuilt lazily
-        from the *derived* structure's adjacency, never the parent's."""
+        degree summary is dropped — it is rebuilt lazily from the
+        *derived* structure's adjacency, never the parent's."""
         delta = 1 if present else -1
         cards = dict(self.relation_cards)
         cards[relation_name] = max(0, cards.get(relation_name, 0) + delta)

@@ -21,15 +21,15 @@ genuine defect — answer anyway, exactly, by a simpler path.
 
 With ``approx=True`` an optional fourth stage joins counting operations:
 the sampling tier (:class:`~repro.approx.evaluator.ApproxEvaluator`),
-last in the fixed order — a bounded-cost answer of last resort — and
-allowed to *lead* only when ``route="auto"`` predicts every exact stage
-blowing past the remaining budget.  An approx answer is an
+last — a bounded-cost answer of last resort.  An approx answer is an
 :class:`~repro.approx.result.ApproxResult` (never a bare int) and the
 report carries ``approximate=True``, so an estimate can never be
 mistaken for an exact count.
 
-Every exact stage computes the *exact* answer when it completes, so the
-cascade never trades correctness for availability — only speed.  Each stage runs
+Stages always run in this listed order, so the cascade a caller gets
+never depends on what ran before.  Every exact stage computes the
+*exact* answer when it completes, so the cascade never trades
+correctness for availability — only speed.  Each stage runs
 under a slice of the shared :class:`~repro.robust.budget.EvaluationBudget`
 (an even split of whatever remains), so one runaway stage cannot starve
 its fallbacks; if every stage fails and the overall budget is exhausted,
@@ -52,16 +52,12 @@ from ..core.evaluator import Foc1Evaluator
 from ..core.main_algorithm import MainAlgorithmStats, evaluate_unary_main_algorithm
 from ..approx.result import ApproxResult
 from ..core.query import Foc1Query
-from ..cost.router import _UNITS_PER_SECOND, EngineRouter, RouteDecision
 from ..errors import BudgetExceededError, ReproError, SuspendedError
 from ..logic.predicates import PredicateCollection, standard_collection
-from ..logic.syntax import Expression, Formula, Term, Variable
+from ..logic.syntax import Formula, Term, Variable
 from ..obs import active_metrics, span
 from ..parallel import resolve_workers
-from ..plan.cache import PlanCache, default_plan_cache
-from ..plan.compiler import compile_plan
-from ..plan.ir import PlanOptions, QueryPlan
-from ..plan.normalise import canonicalise
+from ..plan.cache import PlanCache
 from ..structures.structure import Element, Structure
 from .breaker import CircuitBreaker
 from .budget import EvaluationBudget
@@ -73,11 +69,6 @@ __all__ = ["RobustEvaluator", "RobustReport", "StageReport", "STAGES"]
 
 #: Cascade order (the optional ``approx`` stage, when enabled, runs last).
 STAGES = ("main_algorithm", "foc1", "baseline")
-
-#: Abstract work units treated as affordable when no deadline bounds the
-#: run: without a clock to blow, only a truly astronomical exact
-#: prediction justifies leading with an estimate.
-_AFFORDABLE_NO_DEADLINE = 5e7
 
 
 @dataclass
@@ -132,9 +123,6 @@ class RobustReport:
     #: The salvaged :class:`~repro.robust.partial.PartialResult` when the
     #: answering stage lost shards (``None`` for complete answers).
     partial: "Optional[PartialResult]" = None
-    #: The :class:`~repro.cost.router.RouteDecision` taken for this run
-    #: (``None`` in ``route="cascade"`` mode or when nothing was estimable).
-    routing: "Optional[RouteDecision]" = None
     #: True when the answering stage was the sampling tier — the answer
     #: is an :class:`~repro.approx.result.ApproxResult`, not an exact count.
     approximate: bool = False
@@ -205,7 +193,7 @@ class RobustReport:
                 for s in self.stages
             }
         return {
-            "schema": "repro-robust-report/1",
+            "schema": "repro-robust-report/2",
             "operation": self.operation,
             "answered_by": self.answered_by,
             "elapsed": self.elapsed,
@@ -214,7 +202,6 @@ class RobustReport:
             "partial": partial,
             "breakers": breakers,
             "checkpoint": checkpoint,
-            "routing": self.routing.to_dict() if self.routing else None,
             "approximate": self.approximate,
         }
 
@@ -280,32 +267,13 @@ class RobustEvaluator:
         :meth:`CircuitBreaker.reset` closes the circuit.  Defaults to a
         fresh ``CircuitBreaker(threshold=3)`` per evaluator; share one
         instance across evaluators to pool their failure counts.
-    route:
-        ``"auto"`` (default) consults the :class:`~repro.cost.router.
-        EngineRouter` per query and tries the predicted-cheapest stage
-        first when the prediction is decisive (see the router's margin and
-        confidence thresholds); ``"cascade"`` always runs the fixed
-        ``STAGES`` order.  Routing only ever *reorders* the runnable
-        stages — every stage remains available as a fallback, so answers
-        are identical in both modes; the decision taken is recorded in
-        :attr:`RobustReport.routing`.  Preemptible (checkpoint-session)
-        runs always use the fixed order, so a resumed cascade replays the
-        stage sequence its first quantum recorded.
-    router:
-        The :class:`~repro.cost.router.EngineRouter` instance to consult
-        in ``route="auto"`` mode.  Share one across evaluators to pool
-        their calibration (observed predicted-vs-actual corrections).
-        Defaults to a fresh router per evaluator.
     approx:
         Opt-in fourth cascade stage for :meth:`count` and ground counting
         terms: the sampling tier (:class:`~repro.approx.evaluator.
         ApproxEvaluator`).  Off by default — the default cascade stays
-        exactly the three exact stages.  When enabled it runs *last* in
-        the fixed order, and ``route="auto"`` may promote it to first
-        only when every exact stage's predicted cost exceeds what the
-        remaining budget can afford.  Its answer is an
-        :class:`~repro.approx.result.ApproxResult` and sets
-        :attr:`RobustReport.approximate`.
+        exactly the three exact stages.  When enabled it runs *last*.
+        Its answer is an :class:`~repro.approx.result.ApproxResult` and
+        sets :attr:`RobustReport.approximate`.
     epsilon / delta / approx_seed:
         The ``(1 +- epsilon, delta)`` target and reproducibility seed for
         the approx stage (ignored unless ``approx=True``).
@@ -324,17 +292,11 @@ class RobustEvaluator:
         retry: "Optional[RetryPolicy]" = None,
         on_shard_failure: str = "raise",
         breaker: "Optional[CircuitBreaker]" = None,
-        route: str = "auto",
-        router: "Optional[EngineRouter]" = None,
         approx: bool = False,
         epsilon: float = 0.1,
         delta: float = 0.05,
         approx_seed: int = 0,
     ):
-        if route not in ("auto", "cascade"):
-            raise ReproError(
-                f"route must be 'auto' or 'cascade', got {route!r}"
-            )
         self._default_predicates = predicates is None
         self.predicates = predicates if predicates is not None else standard_collection()
         self.budget = budget
@@ -347,8 +309,6 @@ class RobustEvaluator:
         self.retry = retry
         self.on_shard_failure = validate_failure_mode(on_shard_failure)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.route = route
-        self.router = router if router is not None else EngineRouter()
         self.approx = approx
         self.epsilon = epsilon
         self.delta = delta
@@ -365,9 +325,6 @@ class RobustEvaluator:
                 ("foc1", lambda b: self._foc1(b).model_check(structure, sentence), ""),
                 ("baseline", lambda b: self._baseline(b).model_check(structure, sentence), ""),
             ],
-            route_info=self._route_info(
-                structure, "model_check", (sentence,), ()
-            ),
         )
 
     def count(
@@ -386,13 +343,7 @@ class RobustEvaluator:
                     "",
                 )
             )
-        return self._run(
-            "count",
-            stages,
-            route_info=self._route_info(
-                structure, "count", (formula,), tuple(variables)
-            ),
-        )
+        return self._run("count", stages)
 
     def count_many(
         self,
@@ -426,13 +377,6 @@ class RobustEvaluator:
                     "",
                 ),
             ],
-            # Route on the first structure as the batch's representative.
-            route_info=self._route_info(
-                structures[0] if structures else None,
-                "count",
-                (formula,),
-                tuple(variables),
-            ),
         )
 
     def ground_term_value(self, structure: Structure, term: Term) -> int:
@@ -456,13 +400,7 @@ class RobustEvaluator:
                 stages.append(
                     ("approx", None, "only counting terms can be sampled")
                 )
-        return self._run(
-            "ground_term_value",
-            stages,
-            route_info=self._route_info(
-                structure, "ground_term", (term,), ()
-            ),
-        )
+        return self._run("ground_term_value", stages)
 
     def unary_term_values(
         self,
@@ -490,9 +428,6 @@ class RobustEvaluator:
                     "",
                 ),
             ],
-            route_info=self._route_info(
-                structure, "unary_term", (term,), (variable,)
-            ),
         )
 
     def evaluate_query(self, structure: Structure, query: Foc1Query) -> List[Tuple]:
@@ -503,12 +438,6 @@ class RobustEvaluator:
                 ("foc1", lambda b: self._foc1(b).evaluate_query(structure, query), ""),
                 ("baseline", lambda b: self._baseline(b).evaluate_query(structure, query), ""),
             ],
-            route_info=self._route_info(
-                structure,
-                "query",
-                (query.condition, *query.head_terms),
-                tuple(query.head_variables),
-            ),
         )
 
     # -- the full three-stage cascade ------------------------------------------
@@ -563,13 +492,6 @@ class RobustEvaluator:
                 ("foc1", foc1_stage, ""),
                 ("baseline", baseline_stage, ""),
             ],
-            route_info=self._route_info(
-                structure,
-                "unary_term",
-                (term.count_term(),),
-                (free,),
-                cl_term=term,
-            ),
         )
 
     # -- machinery -------------------------------------------------------------
@@ -613,114 +535,7 @@ class RobustEvaluator:
     def _not_applicable(name: str) -> _Stage:
         return (name, None, "not applicable to this operation")
 
-    # -- routing ----------------------------------------------------------------
-
-    def _route_info(
-        self,
-        structure: "Optional[Structure]",
-        plan_kind: str,
-        expressions: Tuple[Expression, ...],
-        variables: Tuple[Variable, ...],
-        cl_term: "Optional[BasicClTerm]" = None,
-    ) -> "Optional[Dict[str, object]]":
-        """The inputs :meth:`_run` needs to consult the router, or ``None``
-        when routing is off or nothing is routable."""
-        if self.route != "auto" or structure is None:
-            return None
-        return {
-            "structure": structure,
-            "plan_kind": plan_kind,
-            "expressions": expressions,
-            "variables": variables,
-            "cl_term": cl_term,
-        }
-
-    def _plan_for_routing(
-        self,
-        kind: str,
-        expressions: Tuple[Expression, ...],
-        variables: Tuple[Variable, ...],
-        structure: Structure,
-    ) -> "Optional[QueryPlan]":
-        """Fetch/compile the plan the foc1 stage would use, through the
-        same cache key it builds, so routing never compiles twice.  Any
-        failure (out-of-fragment input, unknown relations) returns None —
-        the router then prices foc1 as un-estimable and falls back."""
-        try:
-            options = PlanOptions(True, True)
-            canon = tuple(canonicalise(e) for e in expressions)
-            cache = (
-                self.plan_cache
-                if self.plan_cache is not None
-                else default_plan_cache()
-            )
-            key = (kind, canon, tuple(variables), structure.signature, options)
-            return cache.get_or_compile(
-                key,
-                lambda: compile_plan(
-                    kind, canon, tuple(variables), structure.signature, options
-                ),
-            )
-        except Exception:
-            return None
-
-    def _route_decision(
-        self, operation: str, stages: List[_Stage], info: Dict[str, object]
-    ) -> "Optional[RouteDecision]":
-        runnable = [name for name, fn, _ in stages if fn is not None]
-        structure = info["structure"]
-        plan = self._plan_for_routing(
-            info["plan_kind"],  # type: ignore[arg-type]
-            info["expressions"],  # type: ignore[arg-type]
-            info["variables"],  # type: ignore[arg-type]
-            structure,  # type: ignore[arg-type]
-        )
-        try:
-            return self.router.route(
-                operation,
-                runnable,
-                structure,
-                plan=plan,
-                expressions=info["expressions"],  # type: ignore[arg-type]
-                variables=info["variables"],  # type: ignore[arg-type]
-                cl_term=info["cl_term"],
-            )
-        except Exception:
-            registry = active_metrics()
-            if registry is not None:
-                registry.inc("cost.route.error")
-            return None
-
-    @staticmethod
-    def _reordered(stages: List[_Stage], chosen: str) -> List[_Stage]:
-        first = [s for s in stages if s[0] == chosen]
-        rest = [s for s in stages if s[0] != chosen]
-        return first + rest
-
-    def _exact_blowup(self, decision: RouteDecision) -> bool:
-        """True when every *priced* exact stage is predicted to exceed
-        what the remaining budget can afford — the only condition under
-        which routing may put the sampling stage first."""
-        exact = [
-            units
-            for name, units in decision.predicted.items()
-            if name != "approx"
-        ]
-        if not exact:
-            return True
-        affordable = _AFFORDABLE_NO_DEADLINE
-        if self.budget is not None:
-            remaining = self.budget.remaining_seconds()
-            if remaining is not None:
-                affordable = remaining * _UNITS_PER_SECOND
-        return min(exact) > affordable
-
-    def _run(
-        self,
-        operation: str,
-        stages: List[_Stage],
-        route_info: "Optional[Dict[str, object]]" = None,
-    ):
+    def _run(self, operation: str, stages: List[_Stage]):
         report = RobustReport(operation=operation)
         started = time.monotonic()
         answer: object = None
@@ -743,39 +558,7 @@ class RobustEvaluator:
             if resume_stage in stage_names:
                 resume_past = set(stage_names[: stage_names.index(resume_stage)])
 
-        # Cost-based routing: try the predicted-cheapest stage first.
-        # Never under a checkpoint session — a resumed cascade must replay
-        # the exact stage order its first quantum recorded.
-        decision: "Optional[RouteDecision]" = None
-        execution = stages
-        if route_info is not None and session is None:
-            decision = self._route_decision(operation, stages, route_info)
-            if (
-                decision is not None
-                and decision.mode == "auto"
-                and decision.chosen == "approx"
-                and not self._exact_blowup(decision)
-            ):
-                # An estimate may lead only when exactness is predicted
-                # unaffordable; otherwise the exact cascade runs (approx
-                # stays available as the last fallback).
-                decision.mode = "cascade"
-                decision.chosen = next(
-                    (
-                        name
-                        for name, fn, _ in stages
-                        if fn is not None and name != "approx"
-                    ),
-                    decision.chosen,
-                )
-                decision.reason += (
-                    "; approx withheld: an exact stage is predicted affordable"
-                )
-            if decision is not None and decision.mode == "auto":
-                execution = self._reordered(stages, decision.chosen)
-        report.routing = decision
-
-        for name, fn, skip_reason in execution:
+        for name, fn, skip_reason in stages:
             if fn is not None and name in resume_past:
                 runnable_left -= 1
                 if registry is not None:
@@ -916,27 +699,10 @@ class RobustEvaluator:
                 self._charge_parent(stage_budget.steps, name)
             report.stages.append(entry)
 
-        # Reports always list stages in the canonical STAGES order, whatever
-        # order routing actually ran them in (the per-stage details record
-        # the outcomes; the routing decision records the order's cause).
-        canonical = {name: i for i, (name, _, _) in enumerate(stages)}
-        report.stages.sort(key=lambda s: canonical.get(s.stage, len(canonical)))
-
         report.elapsed = time.monotonic() - started
         report.steps = self.budget.steps if self.budget is not None else sum(
             s.steps for s in report.stages
         )
-        if decision is not None:
-            answered_elapsed = 0.0
-            if report.answered_by is not None:
-                try:
-                    answered_elapsed = report.stage(report.answered_by).elapsed
-                except KeyError:
-                    pass
-            try:
-                self.router.observe(decision, report.answered_by, answered_elapsed)
-            except Exception:
-                pass
         self.last_report = report
 
         if report.answered_by is None:

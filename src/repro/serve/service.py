@@ -634,7 +634,6 @@ class QueryService:
             check_fragment=self.check_fragment,
             plan_cache=self.plan_cache,
             workers=self.eval_workers,
-            route="cascade",
         )
 
     def _run_single_quantum(self, unit: _Unit) -> _Outcome:

@@ -10,7 +10,6 @@ from .signature import GRAPH_SIGNATURE, RelationSymbol, Signature
 from .structure import Element, Structure, Tup
 from .interning import ElementInterner
 from .columnar import (
-    ColumnarRelation,
     ColumnarStructure,
     bitset_ids,
     bitset_of,
@@ -63,7 +62,6 @@ __all__ = [
     "Structure",
     "Tup",
     "ElementInterner",
-    "ColumnarRelation",
     "ColumnarStructure",
     "bitset_ids",
     "bitset_of",

@@ -1,11 +1,10 @@
-"""Columnar relation storage and int/bitset kernels over interned ids.
+"""Id-space Gaifman adjacency and int/bitset kernels over interned ids.
 
-This is the representation layer behind the evaluation core: relations as
-``array('q')`` columns of interned element ids with per-position sorted-id
-indexes, the Gaifman adjacency as per-id neighbour tuples, and a small
-kernel library (bitset membership, union/intersection, galloping
-sorted-array intersection, radius-bounded ball expansion) that the hot
-paths in ``core/local_eval.py``, ``core/cover_eval.py``,
+This is the representation layer behind the evaluation core: the Gaifman
+adjacency as per-id neighbour tuples, and a small kernel library (bitset
+membership, union/intersection, galloping sorted-array intersection,
+radius-bounded ball expansion) that the hot paths in
+``core/local_eval.py``, ``core/cover_eval.py``,
 ``sparse/covers.py`` and every function of ``structures/gaifman.py`` run
 on.  Everything here is *representation only*: the kernels compute
 exactly the sets the element-space reference code computes, and callers
@@ -22,13 +21,11 @@ instance and dropped by :meth:`Structure.invalidate_caches`.
 structure through :meth:`ColumnarStructure.derive_insert` or
 :meth:`ColumnarStructure.derive_delete`: the derived view shares the
 :class:`~repro.structures.interning.ElementInterner` (the universe, and
-hence the id space, is identical) and every untouched relation's
-columnar form, rebuilds the touched relation's lazily, and updates the
-neighbour tuples by the one tuple's Gaifman edges, so a write costs that
-tuple's edges rather than a rebuild over ``||A||``.  The view keeps the
-structure's signature and relations mapping, not the structure itself,
-so the structure and its view form no reference cycle and are freed by
-reference counting.
+hence the id space, is identical) and updates the neighbour tuples by
+the one tuple's Gaifman edges, so a write costs that tuple's edges
+rather than a rebuild over ``||A||``.  The view keeps the structure's
+relations mapping, not the structure itself, so the structure and its
+view form no reference cycle and are freed by reference counting.
 
 Bitset convention: a set of ids is a non-negative Python int with bit
 ``i`` set iff id ``i`` is a member.  ``(bs >> i) & 1`` is the membership
@@ -41,14 +38,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from ..errors import ArityError, SignatureError
 from .interning import ElementInterner
-from .signature import RelationSymbol
 
 __all__ = [
-    "ColumnarRelation",
     "ColumnarStructure",
     "bitset_of",
     "bitset_ids",
@@ -139,69 +133,12 @@ def union_sorted(a: Sequence[int], b: Sequence[int]) -> "array[int]":
 
 
 # ---------------------------------------------------------------------------
-# Columnar relations
-# ---------------------------------------------------------------------------
-
-
-class ColumnarRelation:
-    """One relation as id columns plus lazy per-position sorted-id indexes.
-
-    Rows are sorted lexicographically by id, giving every relation a
-    deterministic, compact layout regardless of the ``frozenset``
-    iteration order of the element-space representation.
-    """
-
-    __slots__ = ("name", "arity", "row_count", "columns", "_indexes")
-
-    def __init__(self, name: str, arity: int, rows: List[Tuple[int, ...]]):
-        rows.sort()
-        self.name = name
-        self.arity = arity
-        self.row_count = len(rows)
-        #: ``columns[p][r]`` is the interned id at position ``p`` of row ``r``.
-        self.columns: Tuple["array[int]", ...] = tuple(
-            array("q", (row[p] for row in rows)) for p in range(arity)
-        )
-        self._indexes: Dict[int, Dict[int, "array[int]"]] = {}
-
-    def index(self, position: int) -> Dict[int, "array[int]"]:
-        """Per-position index: id -> sorted row indices with that id at
-        ``position``.  Keys iterate in sorted-id order (insertion order of
-        the build).  Built lazily, once per position."""
-        if not 0 <= position < self.arity:
-            raise ArityError(
-                f"position {position} out of range for "
-                f"{self.name}/{self.arity}"
-            )
-        built = self._indexes.get(position)
-        if built is None:
-            grouped: Dict[int, "array[int]"] = {}
-            column = self.columns[position]
-            for row, value in enumerate(column):
-                entry = grouped.get(value)
-                if entry is None:
-                    grouped[value] = array("q", (row,))
-                else:
-                    entry.append(row)
-            built = {value: grouped[value] for value in sorted(grouped)}
-            self._indexes[position] = built
-        return built
-
-    def distinct_count(self, position: int) -> int:
-        """Number of distinct ids at ``position`` (off the sorted index)."""
-        return len(self.index(position))
-
-    def row(self, index: int) -> Tuple[int, ...]:
-        return tuple(column[index] for column in self.columns)
-
-
-# ---------------------------------------------------------------------------
 # The per-structure columnar view
 # ---------------------------------------------------------------------------
 
 
 class ColumnarStructure:
-    """Id-space view of one structure: Gaifman adjacency + columnar relations.
+    """Id-space view of one structure: its Gaifman adjacency and kernels.
 
     Constructed from (and cached on) a
     :class:`~repro.structures.structure.Structure`; see the module
@@ -210,55 +147,15 @@ class ColumnarStructure:
     ``interner.elements[i]`` yields elements in universe order.
     """
 
-    __slots__ = (
-        "interner",
-        "n",
-        "_signature",
-        "_source",
-        "_neigh",
-        "_relations",
-        "_full_bitset",
-    )
+    __slots__ = ("interner", "n", "_source", "_neigh", "_full_bitset")
 
     def __init__(self, structure) -> None:
-        self._signature = structure.signature
         #: The element-space relations (symbol -> frozenset of tuples).
         self._source = structure.relations()
         self.interner: ElementInterner = structure.interner()
         self.n: int = len(self.interner)
         self._neigh: "Tuple[Tuple[int, ...], ...] | None" = None
-        self._relations: Dict[str, ColumnarRelation] = {}
         self._full_bitset: "int | None" = None
-
-    # -- relations ------------------------------------------------------------
-
-    def relation(self, key: object) -> ColumnarRelation:
-        """The columnar form of one relation, built lazily and cached."""
-        symbol = (
-            key
-            if isinstance(key, RelationSymbol)
-            else self._signature[key]  # type: ignore[index]
-        )
-        cached = self._relations.get(symbol.name)
-        if cached is None:
-            if symbol not in self._signature:
-                raise SignatureError(f"symbol {symbol!r} is not in the signature")
-            id_of = self.interner._ids
-            rows = [
-                tuple(id_of[entry] for entry in tup)
-                for tup in self._source[symbol]
-            ]
-            cached = ColumnarRelation(symbol.name, symbol.arity, rows)
-            self._relations[symbol.name] = cached
-        return cached
-
-    def distinct_per_column(self, key: object) -> Tuple[int, ...]:
-        """Distinct-id count per position of a relation — the statistic
-        :mod:`repro.cost.stats` serves without rescanning the relation."""
-        relation = self.relation(key)
-        return tuple(
-            relation.distinct_count(p) for p in range(relation.arity)
-        )
 
     # -- Gaifman adjacency -----------------------------------------------------
 
@@ -312,10 +209,10 @@ class ColumnarStructure:
 
     # -- derivation (the columnar leg of Structure.with_tuple) -----------------
 
-    def derive_insert(self, structure, symbol, tup) -> "ColumnarStructure":
+    def derive_insert(self, structure, tup) -> "ColumnarStructure":
         """The view of ``structure``, which is this view's structure with
-        ``tup`` inserted into ``symbol``: every Gaifman edge of the tuple
-        is added to the neighbour tuples."""
+        ``tup`` inserted: every Gaifman edge of the tuple is added to the
+        neighbour tuples."""
         neigh = self._neigh
         ids = {self.interner._ids[entry] for entry in tup}
         if neigh is not None and len(ids) > 1:
@@ -326,13 +223,13 @@ class ColumnarStructure:
                 merged.discard(a)
                 updated[a] = tuple(sorted(merged))
             neigh = tuple(updated)
-        return self._derive(structure, symbol, neigh)
+        return self._derive(structure, neigh)
 
-    def derive_delete(self, structure, symbol, tup) -> "ColumnarStructure":
+    def derive_delete(self, structure, tup) -> "ColumnarStructure":
         """The view of ``structure``, which is this view's structure with
-        ``tup`` deleted from ``symbol``: a Gaifman edge ``{a, b}`` of the
-        tuple is dropped from the neighbour tuples unless a remaining
-        tuple of ``structure`` still holds both ``a`` and ``b``."""
+        ``tup`` deleted: a Gaifman edge ``{a, b}`` of the tuple is dropped
+        from the neighbour tuples unless a remaining tuple of
+        ``structure`` still holds both ``a`` and ``b``."""
         neigh = self._neigh
         entries = list(dict.fromkeys(tup))
         if neigh is not None and len(entries) > 1:
@@ -349,23 +246,16 @@ class ColumnarStructure:
                     updated[a] = tuple(x for x in updated[a] if x != b)
                     updated[b] = tuple(x for x in updated[b] if x != a)
                 neigh = tuple(updated)
-        return self._derive(structure, symbol, neigh)
+        return self._derive(structure, neigh)
 
-    def _derive(self, structure, symbol, neigh) -> "ColumnarStructure":
-        """A view of ``structure`` that differs from this one in ``symbol``
-        only: it shares the interner and every other relation's columnar
-        form, and holds the given neighbour tuples (``None``: built lazily)."""
+    def _derive(self, structure, neigh) -> "ColumnarStructure":
+        """A view of ``structure`` that shares this one's interner and
+        holds the given neighbour tuples (``None``: built lazily)."""
         view = ColumnarStructure.__new__(ColumnarStructure)
-        view._signature = structure.signature
         view._source = structure.relations()
         view.interner = self.interner
         view.n = self.n
         view._full_bitset = self._full_bitset
-        view._relations = {
-            name: relation
-            for name, relation in self._relations.items()
-            if name != symbol.name
-        }
         view._neigh = neigh
         return view
 

@@ -399,9 +399,9 @@ class Structure:
         if self._columnar is None:
             derived._columnar = None
         elif present:
-            derived._columnar = self._columnar.derive_insert(derived, symbol, tup)
+            derived._columnar = self._columnar.derive_insert(derived, tup)
         else:
-            derived._columnar = self._columnar.derive_delete(derived, symbol, tup)
+            derived._columnar = self._columnar.derive_delete(derived, tup)
         return derived
 
     def with_relations(
@@ -456,7 +456,7 @@ class Structure:
         """Pickle only the defining data (signature, ordered universe,
         relations) — derived caches are rebuilt lazily on the receiving
         side.  This keeps process-backend payloads compact: adjacency,
-        indexes and columnar arrays never cross the pipe."""
+        indexes and the columnar view never cross the pipe."""
         return (self._signature, self._universe_order, self._relations)
 
     def __setstate__(self, state):

@@ -8,8 +8,6 @@ Definition 3.1 semantics.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import strategies as st
 

@@ -1,6 +1,6 @@
-"""Tests for :mod:`repro.cost.model` — bounds, lattice, estimator, costs.
+"""Tests for :mod:`repro.cost.model` — bounds, estimator, foc1 cost.
 
-The property tests pin the ISSUE 7 soundness obligations: adding tuples
+The property tests pin the estimator's soundness obligations: adding tuples
 never *decreases* a provable cardinality lower bound (for negation-free
 bodies — complements are anti-monotone by design), and estimates over
 empty relations are exact zeros, not heuristics.
@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost import (
-    CardBound,
-    CardinalityEstimator,
-    CardinalityLattice,
-    CostModel,
-    structure_stats,
-)
+from repro.cost import CardBound, CardinalityEstimator, CostModel, structure_stats
 from repro.core.evaluator import Foc1Evaluator
 from repro.logic.parser import parse_formula
 from repro.plan import PlanOptions, compile_plan
@@ -46,20 +40,6 @@ class TestCardBound:
         assert CardBound.exactly(-5).lower == 0
         assert CardBound.exactly(float("nan")).lower == 0
 
-    def test_add_and_mul(self):
-        a = CardBound.exactly(3)
-        b = CardBound.ranged(1, 4, 2)
-        s = a.add(b)
-        assert (s.lower, s.upper) == (4, 7)
-        p = a.mul(b)
-        assert (p.lower, p.upper) == (3, 12)
-
-    def test_mul_by_provable_zero_is_exact_zero(self):
-        zero = CardBound.exactly(0)
-        open_bound = CardBound.ranged(0, None, 50)
-        assert zero.mul(open_bound).exact
-        assert zero.mul(open_bound).upper == 0
-
     def test_complement(self):
         b = CardBound.ranged(2, 6, 4)
         c = b.complement(10)
@@ -73,15 +53,6 @@ class TestCardBound:
         u = a.union_max(b)
         assert (u.lower, u.upper) == (4, 11)
 
-    def test_provably_at_most(self):
-        assert CardBound.ranged(0, 3, 1).provably_at_most(CardBound.ranged(3, 9, 5))
-        assert not CardBound.ranged(0, 4, 1).provably_at_most(
-            CardBound.ranged(3, 9, 5)
-        )
-        assert not CardBound.ranged(0, None, 1).provably_at_most(
-            CardBound.ranged(3, 9, 5)
-        )
-
     @given(
         st.floats(0, 1e6),
         st.one_of(st.none(), st.floats(0, 1e6)),
@@ -93,25 +64,6 @@ class TestCardBound:
         if b.upper is not None:
             assert b.lower <= b.upper
             assert b.estimate <= b.upper
-
-
-class TestCardinalityLattice:
-    def test_record_tightens(self):
-        lattice = CardinalityLattice()
-        lattice.record("k", CardBound.ranged(0, 10, 5))
-        tightened = lattice.record("k", CardBound.ranged(2, None, 6))
-        assert (tightened.lower, tightened.upper) == (2, 10)
-        assert lattice.bound("k").lower == 2
-
-    def test_compare_provenance(self):
-        lattice = CardinalityLattice()
-        lattice.record("a", CardBound.ranged(0, 3, 2))
-        lattice.record("b", CardBound.ranged(5, 9, 7))
-        assert lattice.compare("a", "b") == ("lt", True)
-        assert lattice.compare("b", "a") == ("gt", True)
-        lattice.record("c", CardBound.ranged(0, None, 4))
-        assert lattice.compare("a", "c") == ("lt", False)
-        assert lattice.compare("a", "missing") == ("unknown", False)
 
 
 def _estimator(structure):
@@ -219,38 +171,22 @@ class TestEstimatorSoundnessProperties:
 
 
 class TestCostModel:
-    def test_engine_costs_recorded_in_lattice(self):
-        structure = path_graph(6)
-        model = CostModel(structure_stats(structure))
+    def test_foc1_cost_walks_the_plan(self):
         phi = parse_formula("exists y. E(x, y)")
-        plan = compile_plan(
-            "count",
-            (canonicalise(phi),),
-            ("x",),
-            structure.signature,
-            PlanOptions(factoring=True, guards=True),
-        )
-        model.foc1_cost(plan)
-        model.baseline_cost((phi,), ("x",))
-        order, provable = model.lattice.compare("cost.foc1", "cost.baseline")
-        assert order in ("lt", "gt", "eq", "unknown")
-        assert model.lattice.bound("cost.foc1") is not None
-        assert model.lattice.bound("cost.baseline") is not None
-
-    def test_baseline_scales_with_enumeration_space(self):
-        structure = path_graph(10)
-        model = CostModel(structure_stats(structure))
-        phi = parse_formula("E(x, y)")
-        narrow = model.baseline_cost((phi,), ())
-        wide = model.baseline_cost((phi,), ("x", "y"))
-        assert wide.estimate > narrow.estimate
-
-    def test_calibration_scales_estimate_not_bounds(self):
-        structure = path_graph(6)
-        plain = CostModel(structure_stats(structure))
-        scaled = CostModel(structure_stats(structure), {"baseline": 10.0})
-        phi = parse_formula("E(x, y)")
-        a = plain.baseline_cost((phi,), ("x",))
-        b = scaled.baseline_cost((phi,), ("x",))
-        assert b.estimate > a.estimate
-        assert b.bound.lower == a.bound.lower
+        costs = []
+        for n in (6, 12):
+            structure = path_graph(n)
+            plan = compile_plan(
+                "count",
+                (canonicalise(phi),),
+                ("x",),
+                structure.signature,
+                PlanOptions(factoring=True, guards=True),
+            )
+            cost = CostModel(structure_stats(structure)).foc1_cost(plan)
+            assert cost.engine == "foc1"
+            assert cost.bound.lower <= cost.estimate
+            costs.append(cost.estimate)
+        # The plan walk charges per universe element: twice the path,
+        # more predicted work.
+        assert costs[1] > costs[0]

@@ -1,15 +1,15 @@
 """Tests for :mod:`repro.cost.stats` — the Structure cache contract leg.
 
-The load-bearing property (ISSUE 7 satellite): the router must never read
-stale cardinalities.  ``invalidate_caches()`` drops the statistics,
+The load-bearing property: a cost estimate must never read stale
+cardinalities.  ``invalidate_caches()`` drops the statistics,
 ``with_tuple()`` derives them incrementally, and ``structure_stats``
 serves the cached object only for the structure it was built from.
 """
 
-from repro.cost import StructureStats, structure_stats
-from repro.cost.router import EngineRouter
-from repro.robust.guard import RobustEvaluator
+from repro.cost import CostModel, StructureStats, structure_stats
 from repro.logic.parser import parse_formula
+from repro.plan import PlanOptions, compile_plan
+from repro.plan.normalise import canonicalise
 from repro.structures.builders import graph_structure, path_graph
 
 
@@ -45,9 +45,6 @@ class TestCaching:
         degree = stats.degree()
         assert degree.max == 2
         assert degree.histogram == {1: 2, 2: 2}
-        assert stats.component_count() == 1
-        two_parts = graph_structure([1, 2, 3, 4], [(1, 2), (3, 4)])
-        assert structure_stats(two_parts).component_count() == 2
 
     def test_ball_size_estimate_monotone_and_capped(self):
         stats = structure_stats(path_graph(6))
@@ -86,26 +83,33 @@ class TestCopyOnWriteDerivation:
     def test_lazy_parts_rebuilt_from_derived_adjacency(self):
         structure = graph_structure([1, 2, 3, 4], [(1, 2), (3, 4)])
         base = structure_stats(structure)
-        assert base.component_count() == 2
-        # Bridge the components; the derived degree/component summaries
-        # must come from the derived adjacency, not the parent's.
+        assert base.degree().max == 1
+        # Bridge the components; the derived degree summary must come
+        # from the derived adjacency, not the parent's.
         bridged = structure.with_tuple("E", (2, 3)).with_tuple("E", (3, 2))
-        assert structure_stats(bridged).component_count() == 1
+        assert structure_stats(bridged).degree().max == 2
 
 
-class TestRouterSeesFreshCardinalities:
-    """ISSUE 7 regression: route, mutate incrementally, route again —
-    the second decision must be priced against the updated statistics."""
+def _foc1_cost(structure, text, variables):
+    """``CostModel.foc1_cost`` of one count, priced against the structure's
+    cached statistics."""
+    plan = compile_plan(
+        "count",
+        (canonicalise(parse_formula(text)),),
+        tuple(variables),
+        structure.signature,
+        PlanOptions(factoring=True, guards=True),
+    )
+    return CostModel(structure_stats(structure)).foc1_cost(plan).estimate
 
-    def test_routing_after_incremental_mutation(self):
+
+class TestCostModelSeesFreshCardinalities:
+    """Price, mutate incrementally, price again — the second estimate
+    must be read off the updated statistics."""
+
+    def test_foc1_cost_after_incremental_mutation(self):
         structure = path_graph(6)
-        router = EngineRouter()
-        engine = RobustEvaluator(route="auto", router=router)
-        phi = parse_formula("E(x, y)")
-
-        assert engine.count(structure, phi, ["x", "y"]) == 10
-        first = engine.last_report.routing
-        assert first is not None
+        first = _foc1_cost(structure, "E(x, y)", ("x", "y"))
 
         mutated = structure
         for v in range(2, 6):
@@ -113,21 +117,19 @@ class TestRouterSeesFreshCardinalities:
                 "E", (v + 1, 1)
             )
         expected = len(mutated.relation("E"))
-        assert engine.count(mutated, phi, ["x", "y"]) == expected
-        second = engine.last_report.routing
-        assert second is not None
+        second = _foc1_cost(mutated, "E(x, y)", ("x", "y"))
 
         # The mutated structure's stats reflect the delta exactly...
         assert structure_stats(mutated).relation_card("E") == expected
-        # ...and the router priced the second run against them: counting a
-        # single positive atom is exact, so foc1's predicted work strictly
-        # grows with the relation.
-        assert second.predicted["foc1"] > first.predicted["foc1"]
+        # ...and the second estimate was priced against them: the scan
+        # over the single positive atom grows with the relation.
+        assert second > first
 
-    def test_routing_after_in_place_mutation(self):
+    def test_foc1_cost_after_in_place_mutation(self):
         structure = path_graph(6)
         stats = structure_stats(structure)
         assert stats.relation_card("E") == 10
+        first = _foc1_cost(structure, "E(x, y)", ("x", "y"))
         symbol = next(s for s in structure._relations if s.name == "E")
         structure._relations[symbol] = structure._relations[symbol] | {
             (1, 3),
@@ -135,61 +137,4 @@ class TestRouterSeesFreshCardinalities:
         }
         structure.invalidate_caches()
         assert structure_stats(structure).relation_card("E") == 12
-
-
-class TestDistinctPerColumn:
-    """ISSUE 8 satellite: distinct-per-column comes off the columnar
-    per-position indexes, and the ``cost.stats.derived`` fast path never
-    serves a parent's counts for a derived structure."""
-
-    def test_counts_match_relation_content(self):
-        structure = graph_structure([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
-        stats = structure_stats(structure)
-        # Symmetric closure: {(1,v), (v,1)} — every vertex appears in both
-        # columns, so both positions have 4 distinct values.
-        assert stats.distinct_per_column("E") == (4, 4)
-        directed = graph_structure([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])
-        sym = next(s for s in directed._relations if s.name == "E")
-        directed._relations[sym] = frozenset({(1, 2), (1, 3), (1, 4)})
-        directed.invalidate_caches()
-        assert structure_stats(directed).distinct_per_column("E") == (1, 3)
-
-    def test_shares_the_columnar_index(self):
-        structure = path_graph(5)
-        stats = structure_stats(structure)
-        counts = stats.distinct_per_column("E")
-        relation = structure.columnar().relation("E")
-        assert counts == tuple(
-            len(relation.index(p)) for p in range(relation.arity)
-        )
-        # Memoised per relation on the stats object.
-        assert stats.distinct_per_column("E") is counts
-
-    def test_unknown_symbol_is_empty(self):
-        stats = structure_stats(path_graph(3))
-        assert stats.distinct_per_column("Paux__0") == ()
-
-    def test_derived_stats_rebuild_distinct_counts(self):
-        """The regression guard for the derive() fast path: after a
-        with_tuple delta the derived stats' distinct counts must reflect
-        the derived relations, never the parent's cached tuple."""
-        structure = graph_structure([1, 2, 3, 4], [(1, 2)])
-        base = structure_stats(structure)
-        assert base.distinct_per_column("E") == (2, 2)
-        derived = structure.with_tuple("E", (3, 4))
-        derived_stats = structure_stats(derived)
-        # Derived incrementally (not rebuilt from scratch)...
-        assert derived_stats.relation_card("E") == base.relation_card("E") + 1
-        # ...but the distinct counts come from the derived structure.
-        assert derived_stats.distinct_per_column("E") == (3, 3)
-        # Parent's cached counts are untouched.
-        assert base.distinct_per_column("E") == (2, 2)
-
-    def test_invalidate_caches_drops_distinct_counts(self):
-        structure = path_graph(4)
-        stats = structure_stats(structure)
-        assert stats.distinct_per_column("E") == (4, 4)
-        sym = next(s for s in structure._relations if s.name == "E")
-        structure._relations[sym] = frozenset({(1, 2), (2, 1)})
-        structure.invalidate_caches()
-        assert structure_stats(structure).distinct_per_column("E") == (2, 2)
+        assert _foc1_cost(structure, "E(x, y)", ("x", "y")) > first

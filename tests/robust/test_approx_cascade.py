@@ -1,14 +1,10 @@
-"""The optional approx stage of the robust cascade (ISSUE 9).
+"""The optional approx stage of the robust cascade.
 
 The sampling tier joins the cascade only on request (``approx=True``)
-and only for counting operations; it runs last in the fixed order, may
-lead under ``route="auto"`` only when every exact stage is predicted to
-blow the budget, and its answers are :class:`ApproxResult` values with
-the report flagged ``approximate`` — an estimate can never impersonate
-an exact count.
+and only for counting operations; it runs last, and its answers are
+:class:`ApproxResult` values with the report flagged ``approximate`` —
+an estimate can never impersonate an exact count.
 """
-
-import pytest
 
 from repro.approx import ApproxResult
 from repro.logic.parser import parse_formula, parse_term
@@ -117,24 +113,6 @@ class TestApproxAnswers:
         result = engine.ground_term_value(_dense(), term)
         assert isinstance(result, ApproxResult)
         assert engine.last_report.approximate is True
-
-
-class TestRoutingGate:
-    def test_auto_withholds_approx_when_exact_is_affordable(self):
-        # No deadline: the no-deadline affordability ceiling is generous,
-        # so even with the sampler priced the router must not lead with
-        # it; an exact stage answers and the decision says why.
-        engine = RobustEvaluator(route="auto", approx=True)
-        count = engine.count(_dense(), parse_formula(PHI), VARIABLES)
-        assert isinstance(count, int)
-        report = engine.last_report
-        assert report.answered_by != "approx"
-        assert report.approximate is False
-        if (
-            report.routing is not None
-            and "approx withheld" in report.routing.reason
-        ):
-            assert report.routing.mode == "cascade"
 
     def test_epsilon_and_seed_are_forwarded(self):
         engine = RobustEvaluator(

@@ -233,9 +233,12 @@ class TestCircuitBreaker:
         assert engine.breaker.failures("main_algorithm") == 1
         engine.evaluate_unary_cl_term(grid, degree_term)  # healthy run
         assert engine.breaker.failures("main_algorithm") == 0
-        with inject_faults(FaultInjector({"cover.construct": 1})):
+        with inject_faults(FaultInjector({"cover.construct": 1})) as injector:
             engine.evaluate_unary_cl_term(grid, degree_term)
-        # Non-consecutive failures never trip.
+        # The third call really ran the main algorithm into the fault...
+        assert injector.fired["cover.construct"] == 1
+        assert engine.breaker.failures("main_algorithm") == 1
+        # ...and non-consecutive failures never trip.
         assert engine.breaker.state("main_algorithm") == "closed"
 
     def test_trip_and_skip_metrics(self, grid, degree_term):

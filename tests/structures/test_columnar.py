@@ -1,5 +1,5 @@
 """Columnar kernels against the element-space ground truth: Gaifman adjacency,
-BFS balls/distances, bitsets, sorted-array kernels, per-position indexes."""
+BFS balls/distances, bitsets, sorted-array kernels, derived views."""
 
 import math
 import random
@@ -8,7 +8,6 @@ from array import array
 import pytest
 
 from repro.core.reference import reference_ball, reference_distances_from
-from repro.errors import ArityError
 from repro.structures import (
     Signature,
     Structure,
@@ -178,16 +177,15 @@ class TestDerivedViews:
             Signature.of(E=2, T=3), [1, 2, 3], {"E": [(1, 2)], "T": [(1, 2, 3)]}
         )
         view = structure.columnar()
-        t_relation = view.relation("T")
-        view.relation("E")
+        t_relation = structure.relation("T")
         for derived in (
             structure.with_tuple("E", (2, 3)),
             structure.with_tuple("E", (1, 2), present=False),
         ):
             derived_view = derived._columnar
             assert derived_view.interner is view.interner
-            assert derived_view.relation("T") is t_relation
-            assert derived_view.relation("E").row_count == len(derived.relation("E"))
+            assert derived_view._source == derived.relations()
+            assert derived_view._source[derived.signature["T"]] is t_relation
 
 
 class TestBallKernels:
@@ -231,48 +229,3 @@ class TestBallKernels:
         kernel = structure.columnar()
         ids = kernel.ball_ids((kernel.interner.id_of(3),), 5)
         assert [kernel.interner.elements[i] for i in ids] == [3]
-
-
-class TestColumnarRelations:
-    def test_rows_sorted_and_columns_aligned(self):
-        structure = graph_structure([3, 1, 2], [(3, 1), (2, 3)])
-        relation = structure.columnar().relation("E")
-        rows = [relation.row(i) for i in range(relation.row_count)]
-        assert rows == sorted(rows)
-        assert relation.arity == 2
-        assert relation.row_count == 4
-
-    def test_index_groups_rows_by_id(self):
-        structure = star_graph(4)
-        kernel = structure.columnar()
-        relation = kernel.relation("E")
-        centre = kernel.interner.id_of(0)
-        index = relation.index(0)
-        assert len(index[centre]) == 4
-        for row_idx in index[centre]:
-            assert relation.columns[0][row_idx] == centre
-        assert list(index) == sorted(index)
-
-    def test_index_position_out_of_range(self):
-        structure = path_graph(3)
-        with pytest.raises(ArityError):
-            structure.columnar().relation("E").index(2)
-
-    def test_distinct_per_column(self):
-        sig = Signature.of(R=2)
-        structure = Structure(
-            sig,
-            ["a", "b", "c"],
-            {"R": [("a", "a"), ("a", "b"), ("a", "c")]},
-        )
-        kernel = structure.columnar()
-        assert kernel.distinct_per_column("R") == (1, 3)
-        assert kernel.relation("R").distinct_count(0) == 1
-
-    def test_empty_relation(self):
-        sig = Signature.of(R=2)
-        structure = Structure(sig, [1, 2], {})
-        relation = structure.columnar().relation("R")
-        assert relation.row_count == 0
-        assert relation.index(0) == {}
-        assert structure.columnar().distinct_per_column("R") == (0, 0)

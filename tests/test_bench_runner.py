@@ -347,111 +347,6 @@ class TestRetrySection:
         assert any("no retry-sweep" in line for line in empty)
 
 
-def routing_payload():
-    """An auto-vs-cascade payload like benchmarks/bench_routing.py emits."""
-    payload = raw_payload()
-    metrics = {
-        "counters": {
-            "cost.route.engine.foc1": 9,
-            "cost.route.engine.baseline": 1,
-            "cost.route.auto": 8,
-            "cost.route.fallback": 2,
-            "cost.route.mispick": 1,
-        },
-        "histograms": {
-            "cost.predict.error": {
-                "count": 4,
-                "total": 2.0,
-                "min": 0.1,
-                "max": 1.2,
-                "mean": 0.5,
-            }
-        },
-    }
-    for mode, mean in (("cascade", 0.010), ("auto", 0.009)):
-        extra = {"routing_group": "mixed/n=100", "engine_mode": mode}
-        if mode == "auto":
-            extra["metrics"] = metrics
-        payload["benchmarks"].append(
-            {
-                "name": f"test_routing_mixed_workload[100-{mode}]",
-                "fullname": "benchmarks/bench_routing.py"
-                f"::test_routing_mixed_workload[100-{mode}]",
-                "group": None,
-                "stats": {
-                    "mean": mean,
-                    "stddev": 0.0001,
-                    "min": mean,
-                    "rounds": 3,
-                },
-                "extra_info": extra,
-            }
-        )
-    return payload
-
-
-class TestRoutingSection:
-    def test_auto_vs_cascade_ratio(self):
-        report = condense(routing_payload(), quick=True)
-        routing = report["routing"]
-        [group] = routing["groups"]
-        assert group["group"] == "mixed/n=100"
-        rows = {row["mode"]: row for row in group["rows"]}
-        assert rows["cascade"]["vs_cascade"] is None
-        assert abs(rows["auto"]["vs_cascade"] - 0.9) < 1e-12
-
-    def test_counter_aggregates(self):
-        routing = condense(routing_payload(), quick=True)["routing"]
-        assert routing["decisions"] == 10
-        assert routing["auto"] == 8
-        assert routing["fallback"] == 2
-        assert routing["mispicks"] == 1
-        assert abs(routing["mispick_rate"] - 0.125) < 1e-12
-        assert abs(routing["route_share"]["foc1"] - 0.9) < 1e-12
-        assert abs(routing["predict_error"]["mean"] - 0.5) < 1e-12
-        assert routing["predict_error"]["max"] == 1.2
-
-    def test_untagged_benchmarks_stay_out(self):
-        report = condense(raw_payload(), quick=True)
-        assert report["routing"]["groups"] == []
-        assert report["routing"]["mispick_rate"] is None
-
-    def test_routing_report_is_valid(self):
-        assert validate_report(condense(routing_payload(), quick=True)) == []
-
-    def test_validator_rejects_bad_mode(self):
-        report = condense(routing_payload(), quick=True)
-        report["routing"]["groups"][0]["rows"][0]["mode"] = "sometimes"
-        assert any("mode" in p for p in validate_report(report))
-
-    def test_validator_requires_routing_section(self):
-        report = condense(routing_payload(), quick=True)
-        del report["routing"]
-        assert any("routing" in p for p in validate_report(report))
-
-    def test_table_renders(self):
-        from tools.bench_runner import routing_table
-
-        report = condense(routing_payload(), quick=True)
-        lines = routing_table(report["routing"])
-        assert any("mixed/n=100" in line for line in lines)
-        assert any("mispick rate" in line for line in lines)
-        empty = routing_table({"groups": []})
-        assert any("no routing benchmarks" in line for line in empty)
-
-
-class TestRoutingGate:
-    def test_gate_passes_and_fails(self):
-        from tools.bench_runner import _routing_gate
-
-        report = condense(routing_payload(), quick=True)
-        assert _routing_gate(report, None) == 0
-        assert _routing_gate(report, 0.2) == 0  # 12.5% <= 20%
-        assert _routing_gate(report, 0.1) == 1  # 12.5% > 10%
-        # No decisions at all: trivially passing.
-        assert _routing_gate(condense(raw_payload(), quick=True), 0.1) == 0
-
-
 def approx_payload(relative_error=0.03):
     """An exact-vs-approx payload like benchmarks/bench_approx.py emits."""
     payload = raw_payload()

@@ -560,7 +560,7 @@ class TestCliPreemption:
         )
         assert result.returncode == 0, result.stderr
         report = json.loads(path.read_text())
-        assert report["schema"] == "repro-robust-report/1"
+        assert report["schema"] == "repro-robust-report/2"
         assert report["operation"] == "count"
         assert report["answered_by"] == "foc1"
         assert report["partial"] is None

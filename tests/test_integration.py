@@ -7,7 +7,6 @@ import random
 from repro import (
     BruteForceEvaluator,
     Foc1Evaluator,
-    Foc1Query,
     Rel,
     graph_structure,
     parse_formula,

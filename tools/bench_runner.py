@@ -7,7 +7,7 @@ attaches to ``extra_info`` (see ``REPRO_BENCH_METRICS``), and condenses
 everything into a small, stable report::
 
     {
-      "schema": "repro-bench/6",
+      "schema": "repro-bench/11",
       "quick": true,
       "benchmarks": [
         {"name": "...", "module": "bench_covers", "mean_s": ..., ...,
@@ -37,14 +37,6 @@ everything into a small, stable report::
                                                 "mean_s": ..., "steps": S2,
                                                 "overhead": 1.002,
                                                 "wall_overhead": 1.31}]}]},
-      "routing": {"groups": [{"group": "mixed/n=100",
-                              "rows": [{"mode": "cascade", "mean_s": ...},
-                                       {"mode": "auto", "mean_s": ...,
-                                        "vs_cascade": 0.98}]}],
-                  "route_share": {"foc1": 0.9, "baseline": 0.1},
-                  "decisions": D, "auto": A, "fallback": F,
-                  "mispicks": M, "mispick_rate": 0.0,
-                  "predict_error": {"count": ..., "mean": ..., "max": ...}},
       "kernels": {"groups": [{"group": "unary/n=100",
                               "rows": [{"impl": "reference", "mean_s": ...},
                                        {"impl": "columnar", "mean_s": ...,
@@ -108,18 +100,8 @@ reported alongside; it additionally includes the constant checkpoint
 export/save/load/restore cost, so it exceeds the step ratio on small
 workloads.
 
-Schema 7 adds the ``routing`` section: benchmarks tagged with
-``extra_info["routing_group"]`` and ``extra_info["engine_mode"]``
-(``benchmarks/bench_routing.py``) are grouped, and each ``auto`` row's
-*vs_cascade* is its mean over the group's ``cascade`` mean — the ISSUE 7
-acceptance target is <= 1.0 on the common workloads.  The section also
-aggregates the router's own counters across every routing-tagged
-benchmark: per-engine route share (``cost.route.engine.*``), decisions
-split into reorders vs fallbacks (``cost.route.auto`` /
-``cost.route.fallback``), the mispick rate (``cost.route.mispick`` over
-``cost.route.auto``; gate with ``--routing-gate``) and the
-predicted-vs-actual cost error distribution (the ``cost.predict.error``
-histogram of |log(actual/predicted)|).
+Schema 7 added a ``routing`` section (auto-routed vs fixed cascade);
+schema 11 removes it together with the cost router it measured.
 
 Schema 8 adds the ``kernels`` section: benchmarks tagged with
 ``extra_info["kernel_group"]`` and ``extra_info["impl"]``
@@ -184,7 +166,7 @@ from typing import Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-SCHEMA_NAME = "repro-bench/10"
+SCHEMA_NAME = "repro-bench/11"
 
 #: Extra pytest flags for --quick: one round per benchmark, warmup off.
 QUICK_FLAGS = (
@@ -319,7 +301,6 @@ def condense(raw: Dict, quick: bool) -> Dict:
     parallel = parallel_section(benchmarks)
     retry_overhead = retry_section(benchmarks)
     resume_overhead = resume_section(benchmarks)
-    routing = routing_section(benchmarks)
     kernels = kernel_section(benchmarks)
     approx = approx_section(benchmarks)
     report = {
@@ -344,7 +325,6 @@ def condense(raw: Dict, quick: bool) -> Dict:
         "parallel": parallel,
         "retry_overhead": retry_overhead,
         "resume_overhead": resume_overhead,
-        "routing": routing,
         "kernels": kernels,
         "approx": approx,
     }
@@ -515,125 +495,6 @@ def resume_table(resume_overhead: Dict) -> List[str]:
         lines.append(f"  {group['group']:<28} {', '.join(cells)}")
     if len(lines) == 1:
         lines.append("  (no preemption benchmarks in this run)")
-    return lines
-
-
-def routing_section(benchmarks: List[Dict]) -> Dict:
-    """Fold the routing benchmarks into an auto-vs-cascade table plus the
-    router's aggregate counters.
-
-    Rows come from benchmarks that tagged ``extra_info`` with
-    ``routing_group`` and ``engine_mode`` (``"auto"`` or ``"cascade"``);
-    each group's cascade row is the denominator (``vs_cascade`` = auto
-    mean over cascade mean — <= 1.0 means routing does not cost wall
-    time).  The counter aggregates come from the per-benchmark metrics
-    snapshots: route share per engine, reorder/fallback split, mispicks
-    and the predicted-vs-actual error histogram.
-    """
-    grouped: "Dict[str, List[Dict]]" = {}
-    engine_routes: "Dict[str, int]" = {}
-    auto = fallback = mispicks = 0
-    error_count = 0
-    error_total = 0.0
-    error_max: "Optional[float]" = None
-    prefix = "cost.route.engine."
-    for bench in benchmarks:
-        extra = bench.get("extra_info") or {}
-        group = extra.get("routing_group")
-        mode = extra.get("engine_mode")
-        if not isinstance(group, str) or mode not in ("auto", "cascade"):
-            continue
-        grouped.setdefault(group, []).append(
-            {"mode": mode, "mean_s": bench["mean_s"], "name": bench["name"]}
-        )
-        metrics = bench.get("metrics") or {}
-        counters = metrics.get("counters") or {}
-        for name, value in counters.items():
-            if name.startswith(prefix) and isinstance(value, int):
-                engine = name[len(prefix):]
-                engine_routes[engine] = engine_routes.get(engine, 0) + value
-        auto += counters.get("cost.route.auto", 0)
-        fallback += counters.get("cost.route.fallback", 0)
-        mispicks += counters.get("cost.route.mispick", 0)
-        histogram = (metrics.get("histograms") or {}).get("cost.predict.error")
-        if histogram:
-            error_count += int(histogram.get("count", 0) or 0)
-            error_total += float(histogram.get("total", 0.0) or 0.0)
-            peak = histogram.get("max")
-            if peak is not None and (error_max is None or peak > error_max):
-                error_max = float(peak)
-    groups = []
-    for group in sorted(grouped):
-        rows = sorted(grouped[group], key=lambda row: row["mode"])
-        cascade = next(
-            (row["mean_s"] for row in rows if row["mode"] == "cascade"), None
-        )
-        for row in rows:
-            row["vs_cascade"] = (
-                row["mean_s"] / cascade
-                if row["mode"] == "auto" and cascade and row["mean_s"] > 0
-                else None
-            )
-        groups.append({"group": group, "rows": rows})
-    decisions = sum(engine_routes.values())
-    return {
-        "groups": groups,
-        "route_share": {
-            engine: count / decisions
-            for engine, count in sorted(engine_routes.items())
-        }
-        if decisions
-        else {},
-        "decisions": decisions,
-        "auto": auto,
-        "fallback": fallback,
-        "mispicks": mispicks,
-        "mispick_rate": (mispicks / auto) if auto else None,
-        "predict_error": {
-            "count": error_count,
-            "mean": (error_total / error_count) if error_count else None,
-            "max": error_max,
-        },
-    }
-
-
-def routing_table(routing: Dict) -> List[str]:
-    """A printable auto-vs-cascade routing summary."""
-    lines = ["routing (auto vs fixed cascade; target <= 1.00x wall)"]
-    for group in routing.get("groups", []):
-        cells = ", ".join(
-            f"{row['mode']}: "
-            + (
-                f"{row['vs_cascade']:.3f}x"
-                if row.get("vs_cascade") is not None
-                else f"{row['mean_s'] * 1e3:.3f}ms"
-            )
-            for row in group["rows"]
-        )
-        lines.append(f"  {group['group']:<28} {cells}")
-    if len(lines) == 1:
-        lines.append("  (no routing benchmarks in this run)")
-        return lines
-    share = ", ".join(
-        f"{engine}: {fraction:.0%}"
-        for engine, fraction in routing.get("route_share", {}).items()
-    )
-    rate = routing.get("mispick_rate")
-    rate_text = f"{rate:.1%}" if rate is not None else "n/a"
-    error = routing.get("predict_error") or {}
-    mean_error = error.get("mean")
-    error_text = (
-        f"|log err| mean {mean_error:.2f}, max {error['max']:.2f}"
-        if mean_error is not None and error.get("max") is not None
-        else "no calibration samples"
-    )
-    lines.append(
-        f"  decisions={routing.get('decisions')} "
-        f"(reordered {routing.get('auto')}, fallback "
-        f"{routing.get('fallback')}), mispick rate {rate_text}, {error_text}"
-    )
-    if share:
-        lines.append(f"  route share: {share}")
     return lines
 
 
@@ -1167,66 +1028,6 @@ def validate_report(report: Dict) -> List[str]:
                     steps is None or (isinstance(steps, int) and steps >= 0),
                     f"{where_row}.steps must be null or a non-negative integer",
                 )
-    routing = report.get("routing")
-    check(isinstance(routing, dict), "routing must be an object")
-    if isinstance(routing, dict):
-        groups = routing.get("groups")
-        check(isinstance(groups, list), "routing.groups must be a list")
-        for i, group in enumerate(groups or []):
-            where = f"routing.groups[{i}]"
-            if not isinstance(group, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            check(
-                isinstance(group.get("group"), str) and group["group"],
-                f"{where}.group must be a non-empty string",
-            )
-            rows = group.get("rows")
-            check(
-                isinstance(rows, list) and rows,
-                f"{where}.rows must be a non-empty list",
-            )
-            for j, row in enumerate(rows or []):
-                where_row = f"{where}.rows[{j}]"
-                if not isinstance(row, dict):
-                    problems.append(f"{where_row} must be an object")
-                    continue
-                check(
-                    row.get("mode") in ("auto", "cascade"),
-                    f"{where_row}.mode must be 'auto' or 'cascade'",
-                )
-                mean = row.get("mean_s")
-                check(
-                    isinstance(mean, (int, float)) and mean >= 0,
-                    f"{where_row}.mean_s must be a non-negative number",
-                )
-                ratio = row.get("vs_cascade")
-                check(
-                    ratio is None
-                    or (isinstance(ratio, (int, float)) and ratio >= 0),
-                    f"{where_row}.vs_cascade must be null or non-negative",
-                )
-        share = routing.get("route_share")
-        check(isinstance(share, dict), "routing.route_share must be an object")
-        if isinstance(share, dict):
-            for engine, fraction in share.items():
-                check(
-                    isinstance(fraction, (int, float)) and 0 <= fraction <= 1,
-                    f"routing.route_share[{engine!r}] must be in [0, 1]",
-                )
-        for key in ("decisions", "auto", "fallback", "mispicks"):
-            value = routing.get(key)
-            check(
-                isinstance(value, int) and value >= 0,
-                f"routing.{key} must be a non-negative integer",
-            )
-        rate = routing.get("mispick_rate")
-        check(
-            rate is None or (isinstance(rate, (int, float)) and 0 <= rate <= 1),
-            "routing.mispick_rate must be null or in [0, 1]",
-        )
-        error = routing.get("predict_error")
-        check(isinstance(error, dict), "routing.predict_error must be an object")
     kernels = report.get("kernels")
     check(isinstance(kernels, dict), "kernels must be an object")
     if isinstance(kernels, dict):
@@ -1471,13 +1272,6 @@ def main(argv: "Optional[List[str]]" = None) -> int:
         "-k filtered runs skip it automatically",
     )
     parser.add_argument(
-        "--routing-gate",
-        type=float,
-        metavar="RATE",
-        help="fail (exit 1) when the report's routing mispick rate exceeds "
-        "RATE (e.g. 0.10); applies to --validate too",
-    )
-    parser.add_argument(
         "-k",
         dest="select",
         metavar="EXPR",
@@ -1501,7 +1295,7 @@ def main(argv: "Optional[List[str]]" = None) -> int:
             f"{args.validate}: valid {SCHEMA_NAME} report with "
             f"{report['totals']['benchmarks']} benchmark(s)"
         )
-        return _routing_gate(report, args.routing_gate)
+        return 0
 
     report = run_benchmarks(quick=args.quick, select=args.select)
     if not args.no_service and not args.select:
@@ -1537,8 +1331,6 @@ def main(argv: "Optional[List[str]]" = None) -> int:
         print(line)
     for line in resume_table(report["resume_overhead"]):
         print(line)
-    for line in routing_table(report["routing"]):
-        print(line)
     for line in kernel_table(report["kernels"]):
         print(line)
     for line in approx_table(report["approx"]):
@@ -1549,24 +1341,6 @@ def main(argv: "Optional[List[str]]" = None) -> int:
     if "baseline_delta" in report:
         for line in delta_table(report["baseline_delta"]):
             print(line)
-    return _routing_gate(report, args.routing_gate)
-
-
-def _routing_gate(report: Dict, gate: "Optional[float]") -> int:
-    """Exit-code check for CI: mispick rate must not exceed ``gate``."""
-    if gate is None:
-        return 0
-    rate = (report.get("routing") or {}).get("mispick_rate")
-    if rate is None:
-        print("routing gate: no auto decisions recorded, passing trivially")
-        return 0
-    if rate > gate:
-        print(
-            f"routing gate: mispick rate {rate:.1%} exceeds {gate:.1%}",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"routing gate: mispick rate {rate:.1%} <= {gate:.1%}")
     return 0
 
 
