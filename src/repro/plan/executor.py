@@ -40,6 +40,13 @@ column's finished prefix, as the count entries :meth:`count` would have
 stored, and a resumed :class:`PlanExecutor` restores them before it
 replays strata.
 
+Under a checkpoint session a :class:`PlanExecutor` records each stratum as
+it materialises it, but only *registers* its memo tables with the session
+when a runner returns or suspends.  The session exports them, as
+:meth:`ExecutionState.export_memo_snapshot` would, when the next executor
+starts or registers, or when it takes a snapshot; a run of one executor
+that never suspends exports nothing.
+
 Memo lifetime contract
 ----------------------
 Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
@@ -146,7 +153,12 @@ from ..logic.syntax import (
 )
 from ..obs import active_metrics
 from ..robust.budget import EvaluationBudget
-from ..robust.checkpoint import StratumRecord, active_checkpoint_session
+from ..robust.checkpoint import (
+    StratumRecord,
+    active_checkpoint_session,
+    memo_entries,
+    sorted_tuples,
+)
 from ..robust.faults import fault_check
 from ..structures.gaifman import ball as gaifman_ball
 from ..structures.signature import RelationSymbol, Signature
@@ -1124,15 +1136,7 @@ class ExecutionState:
         per-element count entries :meth:`count` would have stored (a
         column a suspension cut short gives its finished prefix).
         """
-        entries: List[Tuple] = []
-        for (text, relevant), value in self._holds_memo.items():
-            entries.append(("holds", text, relevant, value))
-        for (text, relevant), value in self._count_memo.items():
-            entries.append(("count", text, relevant, value))
-        for (text, variable), column in self._columns.items():
-            for element, value in column.items():
-                entries.append(("count", text, ((variable, element),), value))
-        return entries
+        return memo_entries(self._holds_memo, self._count_memo, self._columns)
 
     def restore_memo_snapshot(
         self,
@@ -1269,24 +1273,26 @@ class PlanExecutor:
                     add(conjunct)
         return nodes
 
-    def _checkpoint_memos(self) -> None:
-        if self._session is not None:
-            self._session.record_memo(
-                self._ckpt_key, self.state.export_memo_snapshot()
-            )
+    def _register_memos(self) -> None:
+        state = self.state
+        self._session.register_memo(
+            self._ckpt_key, state._holds_memo, state._count_memo, state._columns
+        )
 
     def _run(self, thunk):
-        """Run one plan runner, checkpointing memos on the way out —
-        both on success (a later executor in the same run may suspend)
-        and on suspension (the resumed run restores them)."""
+        """Run one plan runner, registering the memo tables with the
+        checkpoint session on the way out — both on success (a later
+        executor in the same run may suspend) and on suspension (the
+        resumed run restores them).  The session exports them when they
+        are needed (see :meth:`CheckpointSession.register_memo`)."""
         if self._session is None:
             return thunk()
         try:
             result = thunk()
         except SuspendedError:
-            self._checkpoint_memos()
+            self._register_memos()
             raise
-        self._checkpoint_memos()
+        self._register_memos()
         return result
 
     def prepare(self) -> None:
@@ -1320,7 +1326,10 @@ class PlanExecutor:
                 session.record_stratum(
                     key,
                     StratumRecord(
-                        index, step.symbol, step.arity, tuple(sorted(tuples))
+                        index,
+                        step.symbol,
+                        step.arity,
+                        tuple(sorted_tuples(tuples, self.state.structure)),
                     ),
                 )
         self._prepared = True

@@ -26,6 +26,25 @@ What a checkpoint captures
   :class:`~repro.robust.guard.RobustEvaluator` cascade re-enters the
   stage it was suspended in.
 
+What a run that never suspends pays
+-----------------------------------
+Strata are recorded as they are materialised, but memo tables are not
+exported until they are needed.  An executor that finishes or suspends
+registers its tables with the session (:meth:`CheckpointSession.
+register_memo`); the session exports them, through :func:`memo_entries`,
+when the next executor starts or registers, or when
+:meth:`CheckpointSession.snapshot` runs.  The checkpoint therefore holds
+the same entries as if every executor had exported on its way out, and
+a later executor over the same *(structure, plan)* digest restores an
+earlier one's entries as it would from a checkpoint.  The session holds
+the memo tables of one executor at most, never the executor itself, so
+an executor's expanded structure and search nodes are freed when it
+returns.  The structure's content digest (:func:`structure_digest`) is
+computed once per structure and cached on it, under the
+:class:`~repro.structures.structure.Structure` cache contract.  A run of
+one executor that never suspends therefore pays its content key and
+nothing else.
+
 Soundness of restore
 --------------------
 Executor-level state (strata, memos) is keyed by a content digest of the
@@ -64,7 +83,7 @@ import pickle
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import CheckpointError
 from .faults import fault_check
@@ -78,7 +97,9 @@ __all__ = [
     "checkpoint_session",
     "fingerprint",
     "load_checkpoint",
+    "memo_entries",
     "save_checkpoint",
+    "sorted_tuples",
     "structure_digest",
 ]
 
@@ -112,8 +133,32 @@ class ExecRecord:
 
     #: Completed strata by plan-step index (contiguous from 0).
     strata: Dict[int, StratumRecord] = field(default_factory=dict)
-    #: Exported memo entries (see ``ExecutionState.export_memo_snapshot``).
+    #: Exported memo entries (see :func:`memo_entries`).
     memo: List[Tuple] = field(default_factory=list)
+
+
+def memo_entries(
+    holds_memo: Dict[Tuple, bool],
+    count_memo: Dict[Tuple, int],
+    columns: Dict[Tuple[str, Any], Dict[Any, int]],
+) -> List[Tuple]:
+    """An executor's memo tables as checkpoint memo entries.
+
+    Keys are alpha-canonical text plus the relevant bindings, which
+    survive a process boundary as they are (see
+    ``ExecutionState.export_memo_snapshot``).  Satisfaction and count
+    entries are exported verbatim, and each count column as the
+    per-element count entries ``ExecutionState.count`` would have stored.
+    """
+    entries: List[Tuple] = []
+    for (text, relevant), value in holds_memo.items():
+        entries.append(("holds", text, relevant, value))
+    for (text, relevant), value in count_memo.items():
+        entries.append(("count", text, relevant, value))
+    for (text, variable), column in columns.items():
+        for element, value in column.items():
+            entries.append(("count", text, ((variable, element),), value))
+    return entries
 
 
 @dataclass
@@ -180,14 +225,33 @@ def structure_digest(structure) -> str:
 
     Two structures share a digest iff they are extensionally identical
     (universe order included, because evaluation order — and therefore
-    result ordering — follows it).
+    result ordering — follows it).  Computed once per structure and cached
+    on it (``Structure._digest``, see the structure's cache contract).
     """
+    digest = structure._digest
+    if digest is None:
+        # Two threads may both compute it; they store the same string.
+        digest = structure._digest = _compute_digest(structure)
+    return digest
+
+
+def _compute_digest(structure) -> str:
     hasher = hashlib.sha256()
     hasher.update(repr(tuple(structure.universe_order)).encode())
     for symbol in sorted(structure.signature, key=lambda s: (s.name, s.arity)):
-        tuples = sorted(structure.relation(symbol))
+        tuples = sorted_tuples(structure.relation(symbol), structure)
         hasher.update(f"|{symbol.name}/{symbol.arity}:{tuples!r}".encode())
     return hasher.hexdigest()
+
+
+def sorted_tuples(tuples: Iterable[Tuple], structure) -> List[Tuple]:
+    """``tuples`` in their natural order, or by the universe positions of
+    their entries where that order is undefined (entries of types that do
+    not compare, such as ``int`` and ``str``)."""
+    try:
+        return sorted(tuples)
+    except TypeError:
+        return sorted(tuples, key=structure.interner().ids)
 
 
 def fingerprint(operation: str, expression_text: str, structure) -> str:
@@ -374,6 +438,9 @@ class CheckpointSession:
         self._suspensions = resume.suspensions if resume else 0
         self._resume_stage_pending = bool(self.stage)
         self._thread = threading.get_ident()
+        # The last registered executor's digest and memo tables, not yet
+        # exported (see register_memo).
+        self._pending_memo: "Optional[Tuple[str, Tuple[Dict, Dict, Dict]]]" = None
 
     # -- thread scoping ------------------------------------------------------
 
@@ -404,7 +471,35 @@ class CheckpointSession:
         if len(entries) >= len(record.memo):
             record.memo = list(entries)
 
+    def register_memo(
+        self,
+        digest: str,
+        holds_memo: Dict[Tuple, bool],
+        count_memo: Dict[Tuple, int],
+        columns: Dict[Tuple[str, Any], Dict[Any, int]],
+    ) -> None:
+        """Defer the :meth:`record_memo` of an executor's memo tables (see
+        :func:`memo_entries`).
+
+        The tables are exported when the next executor starts or
+        registers, or by :meth:`snapshot`, so a run of one executor that
+        never suspends exports nothing.  The session holds the tables, not
+        the executor, and only the last executor's: a dict's fixed size
+        exceeds that of a few exported entries, and a run of thousands of
+        small executors (the main algorithm's clusters) would otherwise
+        hold thousands of them.
+        """
+        self._export_pending_memo()
+        self._pending_memo = (digest, (holds_memo, count_memo, columns))
+
+    def _export_pending_memo(self) -> None:
+        if self._pending_memo is not None:
+            digest, tables = self._pending_memo
+            self._pending_memo = None
+            self.record_memo(digest, memo_entries(*tables))
+
     def resumed_memo(self, digest: str) -> List[Tuple]:
+        self._export_pending_memo()
         existing = self._exec_state.get(digest)
         return existing.memo if existing is not None else []
 
@@ -452,8 +547,10 @@ class CheckpointSession:
 
         ``steps_this_run`` is the suspended quantum's own step count; the
         checkpoint's ledger adds it to the steps carried over from earlier
-        quanta.
+        quanta.  Memo tables registered and not yet exported are exported
+        now.
         """
+        self._export_pending_memo()
         self._suspensions += 1
         return Checkpoint(
             query_key=self.query_key,

@@ -97,6 +97,13 @@ class Structure:
     subclasses) must call :meth:`invalidate_caches` afterwards or the next
     :meth:`adjacency` / :meth:`index` / :meth:`projection` read will serve
     stale answers.
+
+    The content digest of :func:`repro.robust.checkpoint.structure_digest`
+    is cached in ``_digest``, opaque to this module like ``_stats``.  It
+    describes the relations, so every structure that does not come from
+    ``__init__`` starts without one: :meth:`with_tuple` (unless the update
+    is a no-op and returns ``self``), :meth:`with_relations` and
+    unpickling.  :meth:`invalidate_caches` drops it.
     """
 
     __slots__ = (
@@ -111,6 +118,7 @@ class Structure:
         "_stats",
         "_interner",
         "_columnar",
+        "_digest",
     )
 
     def __init__(
@@ -155,6 +163,9 @@ class Structure:
         # lifecycle as adjacency/indexes/stats.
         self._interner: "object | None" = None
         self._columnar: "object | None" = None
+        # Content digest (repro.robust.checkpoint.structure_digest), lazy;
+        # built and read only there.
+        self._digest: "str | None" = None
 
     @staticmethod
     def _resolve_symbol(signature: Signature, key: object) -> RelationSymbol:
@@ -306,7 +317,8 @@ class Structure:
 
     def invalidate_caches(self) -> None:
         """Drop all lazily derived data (adjacency, per-position indexes,
-        projections, cost-model statistics, the columnar view).
+        projections, cost-model statistics, the columnar view, the content
+        digest).
 
         The public API never needs this — structures are immutable and the
         caches are therefore always consistent.  It exists for code that
@@ -321,6 +333,7 @@ class Structure:
         self._projections.clear()
         self._stats = None
         self._columnar = None
+        self._digest = None
 
     # -- derivation (copy-on-write updates) --------------------------------------
 
@@ -402,6 +415,7 @@ class Structure:
             derived._columnar = self._columnar.derive_insert(derived, tup)
         else:
             derived._columnar = self._columnar.derive_delete(derived, tup)
+        derived._digest = None
         return derived
 
     def with_relations(
@@ -448,6 +462,7 @@ class Structure:
         derived._stats = None
         derived._interner = self._interner
         derived._columnar = None
+        derived._digest = None
         return derived
 
     # -- pickling ----------------------------------------------------------------
@@ -456,7 +471,7 @@ class Structure:
         """Pickle only the defining data (signature, ordered universe,
         relations) — derived caches are rebuilt lazily on the receiving
         side.  This keeps process-backend payloads compact: adjacency,
-        indexes and the columnar view never cross the pipe."""
+        indexes, the columnar view and the digest never cross the pipe."""
         return (self._signature, self._universe_order, self._relations)
 
     def __setstate__(self, state):
@@ -474,6 +489,7 @@ class Structure:
         self._stats = None
         self._interner = None
         self._columnar = None
+        self._digest = None
 
     # -- equality is extensional -----------------------------------------------
 

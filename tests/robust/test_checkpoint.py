@@ -8,14 +8,22 @@ save (crash mid-write, concurrent writer) leaves the previous checkpoint
 at the target path intact and readable.
 """
 
+import gc
 import glob
 import os
 import pickle
+import weakref
+from collections import Counter
 
 import pytest
 
-from repro.errors import CheckpointError, FaultInjectedError
-from repro.robust import FaultInjector, inject_faults
+from repro.errors import CheckpointError, FaultInjectedError, SuspendedError
+from repro.logic.parser import parse_term
+from repro.logic.predicates import standard_collection
+from repro.obs.metrics import collect_metrics
+from repro.plan.compiler import compile_plan
+from repro.plan.executor import PlanExecutor
+from repro.robust import EvaluationBudget, FaultInjector, inject_faults
 from repro.robust.checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -29,7 +37,7 @@ from repro.robust.checkpoint import (
     save_checkpoint,
     structure_digest,
 )
-from repro.structures.builders import graph_structure
+from repro.structures.builders import graph_structure, grid_graph
 
 
 def sample_checkpoint(steps=42):
@@ -378,3 +386,87 @@ class TestActiveSession:
             "b.cleared": True,
         }
         assert active_checkpoint_session() is None
+
+
+CENSUS = parse_term("#(x). @eq(#(y). E(x, y), 2)")
+
+
+def _executor(structure, budget=None):
+    plan = compile_plan("ground_term", [CENSUS], (), structure.signature)
+    return PlanExecutor(plan, structure, standard_collection(), budget)
+
+
+class TestDeferredMemoExport:
+    """Executors register their memo tables with the session, which
+    exports them when the next executor starts or registers, or when it
+    takes a snapshot."""
+
+    def test_snapshot_carries_a_finished_executors_memo(self):
+        session = CheckpointSession(operation="term", query_key="k")
+        with checkpoint_session(session):
+            first = _executor(grid_graph(3, 3))
+            first.ground_term_value()
+            second = _executor(
+                grid_graph(4, 4), EvaluationBudget(max_steps=5, preemptible=True)
+            )
+            with pytest.raises(SuspendedError):
+                second.ground_term_value()
+        checkpoint = session.snapshot()
+        expected = first.state.export_memo_snapshot()
+        assert expected
+        assert checkpoint.exec_state[first._ckpt_key].memo == expected
+        assert checkpoint.exec_state[second._ckpt_key].memo == (
+            second.state.export_memo_snapshot()
+        )
+
+    def test_exports_wait_for_the_next_executor_or_a_snapshot(self, monkeypatch):
+        exported = []
+        monkeypatch.setattr(
+            "repro.robust.checkpoint.memo_entries",
+            lambda *tables: exported.append(tables) or [],
+        )
+        session = CheckpointSession(operation="term", query_key="k")
+        with checkpoint_session(session):
+            executors = [_executor(grid_graph(n, n)) for n in (3, 4, 5)]
+            executors[0].ground_term_value()
+            assert exported == []
+            executors[1].ground_term_value()
+            executors[2].ground_term_value()
+        tables = [
+            (e.state._holds_memo, e.state._count_memo, e.state._columns)
+            for e in executors
+        ]
+        assert exported == tables[:2]
+        session.snapshot()
+        assert exported == tables
+        session.snapshot()
+        assert exported == tables
+
+    def test_the_session_does_not_keep_the_executor_alive(self):
+        session = CheckpointSession(operation="term", query_key="k")
+        with checkpoint_session(session):
+            executor = _executor(grid_graph(4, 4))
+            executor.ground_term_value()
+        key = executor._ckpt_key
+        expected = executor.state.export_memo_snapshot()
+        state = weakref.ref(executor.state)
+        del executor
+        gc.collect()
+        assert state() is None
+        assert session.snapshot().exec_state[key].memo == expected
+
+    def test_a_same_digest_executor_restores_the_earlier_registration(self):
+        structure = grid_graph(4, 4)
+        session = CheckpointSession(operation="term", query_key="k")
+        with checkpoint_session(session):
+            first = _executor(structure)
+            value = first.ground_term_value()
+            with collect_metrics() as metrics:
+                second = _executor(structure, EvaluationBudget())
+                assert second.ground_term_value() == value
+        assert second._ckpt_key == first._ckpt_key
+        restored = metrics.counter("checkpoint.memo.restored")
+        assert restored == len(first.state.export_memo_snapshot()) > 0
+        assert Counter(session.snapshot().exec_state[first._ckpt_key].memo) == (
+            Counter(first.state.export_memo_snapshot())
+        )

@@ -140,6 +140,36 @@ class TestSerialPreemptionDifferential:
         assert actual == expected
 
 
+class TestMixedElementTypes:
+    """Elements of types that do not compare (``int`` and ``str``) reach the
+    structure digest and the stratum records, which fall back to universe
+    order there."""
+
+    def test_round_trip_records_a_mixed_stratum(self, tmp_path, monkeypatch):
+        structure = graph_structure([1, "a", 2], [(1, "a"), ("a", 2)])
+        term = parse_term("#(x). @gt(#(y). E(x, y), 0)")
+        strata = []
+        snapshot = CheckpointSession.snapshot
+
+        def record(session, steps_this_run=0):
+            checkpoint = snapshot(session, steps_this_run)
+            strata.extend(
+                s for r in checkpoint.exec_state.values() for s in r.strata.values()
+            )
+            return checkpoint
+
+        monkeypatch.setattr(CheckpointSession, "snapshot", record)
+        actual, suspensions = run_preempted(
+            lambda budget: Foc1Evaluator(budget=budget, workers=1),
+            lambda engine: engine.ground_term_value(structure, term),
+            tmp_path,
+            quantum=3,
+        )
+        assert actual == 3 == Foc1Evaluator().ground_term_value(structure, term)
+        assert suspensions >= 3
+        assert {s.tuples for s in strata} == {((1,), ("a",), (2,))}
+
+
 class TestResumeOverhead:
     """Suspend once at half the uninterrupted steps, save, load, resume:
     both quanta together spend at most 1.05x the uninterrupted steps (the

@@ -8,6 +8,7 @@ contract gets its own 30-seed gate in ``test_differential_service.py``).
 """
 
 import asyncio
+import copy
 import time
 
 import pytest
@@ -20,6 +21,9 @@ from repro.obs.metrics import (
     reset_thread_metrics,
     set_thread_metrics,
 )
+from repro.plan.executor import ExecutionState
+from repro.robust import checkpoint
+from repro.robust.checkpoint import CheckpointSession, memo_entries
 from repro.serve import QueryRequest, QueryService, TenantQuota
 from repro.serve.admission import SHED_REASONS
 from repro.structures.builders import graph_structure
@@ -195,6 +199,119 @@ class TestPreemption:
         for structure, response in zip(structures, responses):
             assert response.value == exact_count(structure)
             assert response.status == "ok"
+
+
+class TestMixedElementTypes:
+    def test_keyed_preempted_and_exact(self):
+        # An int/str universe reaches the query key and the stratum records.
+        structure = graph_structure([1, "a", 2], [(1, "a"), ("a", 2)])
+
+        async def scenario():
+            async with QueryService(
+                workers=1, eval_workers=1, quantum_steps=3
+            ) as service:
+                return await asyncio.gather(
+                    service.submit(count_request(structure)),
+                    service.submit(
+                        QueryRequest(
+                            tenant="u",
+                            operation="term",
+                            structure=structure,
+                            expression="#(x). @gt(#(y). E(x, y), 0)",
+                        )
+                    ),
+                )
+
+        paths, census = asyncio.run(scenario())
+        assert paths.value == exact_count(structure)
+        assert census.value == 3
+        assert paths.resumes >= 1 and census.resumes >= 1
+
+
+class TestCheckpointCost:
+    """A request that never suspends pays one content digest per structure
+    and exports no memo; a preempted one snapshots what an eager export
+    at every executor's exit would have given."""
+
+    def test_unpreempted_requests_digest_once_per_structure(self, monkeypatch):
+        digests, exports = [], []
+        compute = checkpoint._compute_digest
+        export = ExecutionState.export_memo_snapshot
+        monkeypatch.setattr(
+            checkpoint,
+            "_compute_digest",
+            lambda structure: digests.append(structure) or compute(structure),
+        )
+        monkeypatch.setattr(
+            ExecutionState,
+            "export_memo_snapshot",
+            lambda state: exports.append(state) or export(state),
+        )
+        structures = [cycle_graph(6), dense_graph(5)]
+
+        async def scenario():
+            async with QueryService(
+                workers=2, eval_workers=1, quantum_steps=10**6
+            ) as service:
+                return [
+                    await service.submit(
+                        count_request(structures[i % 2], request_id=str(i))
+                    )
+                    for i in range(20)
+                ]
+
+        responses = asyncio.run(scenario())
+        assert [r.value for r in responses] == [
+            exact_count(structures[i % 2]) for i in range(20)
+        ]
+        assert all(r.quanta == 1 for r in responses)
+        assert len(digests) == 2
+        assert exports == []
+
+    def test_preempted_snapshots_equal_eager_exports(self, monkeypatch):
+        structure = dense_graph(8)
+        census = QueryRequest(
+            tenant="t",
+            operation="term",
+            structure=structure,
+            expression="#(x). @eq(#(y). E(x, y), 7)",
+        )
+
+        def snapshots():
+            states = []
+            snapshot = CheckpointSession.snapshot
+
+            def record(session, steps_this_run=0):
+                taken = snapshot(session, steps_this_run)
+                # A resumed session records into the checkpoint's records.
+                states.append(copy.deepcopy(taken.exec_state))
+                return taken
+
+            async def scenario():
+                async with QueryService(
+                    workers=1, eval_workers=1, quantum_steps=10
+                ) as service:
+                    return await service.submit(census)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(CheckpointSession, "snapshot", record)
+                response = asyncio.run(scenario())
+            assert response.value == 8
+            assert response.resumes == len(states) >= 2
+            return states
+
+        deferred = snapshots()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                CheckpointSession,
+                "register_memo",
+                lambda session, digest, *tables: session.record_memo(
+                    digest, memo_entries(*tables)
+                ),
+            )
+            eager = snapshots()
+        assert deferred == eager
+        assert any(record.memo for state in deferred for record in state.values())
 
 
 class TestBatching:

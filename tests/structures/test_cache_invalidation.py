@@ -9,9 +9,14 @@ give the derived structure fresh-or-still-valid caches, and
 ``invalidate_caches`` must reset a structure whose internals were mutated.
 """
 
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ArityError, SignatureError, UniverseError
+from repro.robust.checkpoint import structure_digest
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
 
@@ -193,3 +198,92 @@ class TestInvalidateCaches:
         path.invalidate_caches()
         path.invalidate_caches()
         assert 2 in path.adjacency()[1]
+
+
+def _fresh(structure):
+    """A structure with the same content, built by ``__init__``."""
+    return Structure(
+        structure.signature, structure.universe_order, structure.relations()
+    )
+
+
+class TestDigestCache:
+    """``structure_digest`` caches in ``_digest``: a structure that does not
+    come from ``__init__`` starts without one, and ``invalidate_caches``
+    drops it."""
+
+    def test_built_once_then_read(self, path):
+        assert path._digest is None
+        digest = structure_digest(path)
+        assert path._digest == digest
+        assert structure_digest(path) is digest
+
+    def test_invalidate_caches_after_internal_mutation(self, path):
+        before = structure_digest(path)
+        symbol = path.signature["E"]
+        path._relations[symbol] = path._relations[symbol] | {(1, 4)}
+        assert structure_digest(path) == before  # stale: the hazard
+        path.invalidate_caches()
+        assert path._digest is None
+        assert structure_digest(path) == structure_digest(_fresh(path))
+        assert structure_digest(path) != before
+
+    @pytest.mark.parametrize(
+        "key, tup, present",
+        [("E", (1, 3), True), ("E", (2, 3), False), ("R", (4,), True)],
+    )
+    def test_with_tuple_children_digest_fresh(self, path, key, tup, present):
+        parent = structure_digest(path)
+        child = path.with_tuple(key, tup, present=present)
+        assert child._digest is None
+        assert structure_digest(child) == structure_digest(_fresh(child))
+        assert structure_digest(child) != parent
+        assert path._digest == parent == structure_digest(_fresh(path))
+
+    def test_with_relations_expansion_digests_fresh(self, path):
+        parent = structure_digest(path)
+        expanded = path.with_relations(Signature.of(E=2, R=1, P=1), {"P": [(2,)]})
+        assert expanded._digest is None
+        assert structure_digest(expanded) == structure_digest(_fresh(expanded))
+        assert structure_digest(expanded) != parent
+        assert path._digest == parent
+
+    def test_noop_with_tuple_returns_self_with_its_digest(self, path):
+        digest = structure_digest(path)
+        assert path.with_tuple("E", (1, 2)) is path
+        assert path.with_tuple("E", (1, 4), present=False) is path
+        assert path._digest == digest
+
+    def test_pickle_carries_no_digest(self, path):
+        digest = structure_digest(path)
+        clone = pickle.loads(pickle.dumps(path))
+        assert clone._digest is None
+        assert structure_digest(clone) == digest
+
+    def test_concurrent_first_reads_agree(self):
+        # The service's event loop and its executor threads may fill the
+        # slot at once; each stores the same string, so no lock is needed.
+        structure = Structure(
+            Signature.of(E=2), range(300), {"E": [(i, i + 1) for i in range(299)]}
+        )
+        expected = structure_digest(_fresh(structure))
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(structure_digest(structure))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * 8
+        assert structure._digest == expected

@@ -501,6 +501,23 @@ class TestCliPreemption:
         assert result.stdout == expected.stdout
         assert suspensions >= 2
 
+    def test_mixed_element_types_checkpoint_and_resume(self, tmp_path, capsys):
+        # An int/str universe: the structure digest and the stratum records
+        # cannot sort its tuples naturally and fall back to universe order.
+        import repro.__main__ as cli
+
+        mixed = str(tmp_path / "mixed.json")
+        save_structure(graph_structure([1, "a", 2], [(1, "a"), ("a", 2)]), mixed)
+        ckpt = str(tmp_path / "mixed.ckpt")
+        count = ["count", mixed, "E(x, y)", "--vars", "x", "y"]
+        assert cli.main([*count, "--checkpoint", ckpt]) == 0
+        assert capsys.readouterr().out.strip() == "4"
+        term = ["term", mixed, "#(x). @gt(#(y). E(x, y), 0)"]
+        assert cli.main([*term, "--max-steps", "10", "--checkpoint", ckpt]) == 6
+        capsys.readouterr()
+        assert cli.main([*term, "--resume", ckpt]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+
     def test_resume_against_different_query_is_rejected(
         self, graph_file, tmp_path
     ):
