@@ -15,12 +15,23 @@ from repro.core.main_algorithm import (
     evaluate_unary_main_algorithm,
 )
 from repro.logic.builder import Rel
+from repro.logic.syntax import And, Eq, Not
 from repro.sparse.classes import nearly_square_grid, random_tree
 
 E = Rel("E", 2)
 
 TERM = BasicClTerm(
     ("y1", "y2"), E("y1", "y2"), 0, 1, frozenset({(1, 2)}), unary=True
+)
+
+# Three variables: 4 Lemma 7.9 parts per cluster instead of 2.
+PATH_TERM = BasicClTerm(
+    ("y1", "y2", "y3"),
+    And(And(E("y1", "y2"), E("y2", "y3")), Not(Eq("y1", "y3"))),
+    0,
+    1,
+    frozenset({(1, 2), (2, 3)}),
+    unary=True,
 )
 
 FAMILIES = {
@@ -31,31 +42,50 @@ FAMILIES = {
 SIZES = (64, 256)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("n", SIZES)
-def test_main_algorithm(benchmark, family, n):
+def _main_algorithm(benchmark, family, n, term):
     structure = FAMILIES[family](n)
-    stats = MainAlgorithmStats()
 
     def run():
         local_stats = MainAlgorithmStats()
         return evaluate_unary_main_algorithm(
-            structure, TERM, depth=1, stats=local_stats
+            structure, term, depth=1, stats=local_stats
         ), local_stats
 
     (values, stats) = benchmark(run)
-    assert values == evaluate_basic_unary(structure, TERM)
+    assert values == evaluate_basic_unary(structure, term)
     benchmark.extra_info["family"] = family
     benchmark.extra_info["order"] = structure.order()
     benchmark.extra_info["clusters"] = stats.clusters_processed
     benchmark.extra_info["removals"] = stats.removals
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("n", SIZES)
-def test_ball_exploration_baseline(benchmark, family, n):
+def _ball_exploration(benchmark, family, n, term):
     structure = FAMILIES[family](n)
-    values = benchmark(evaluate_basic_unary, structure, TERM)
+    values = benchmark(evaluate_basic_unary, structure, term)
     benchmark.extra_info["family"] = family
     benchmark.extra_info["order"] = structure.order()
     benchmark.extra_info["total"] = sum(values.values())
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", SIZES)
+def test_main_algorithm(benchmark, family, n):
+    _main_algorithm(benchmark, family, n, TERM)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", SIZES)
+def test_main_algorithm_path(benchmark, family, n):
+    _main_algorithm(benchmark, family, n, PATH_TERM)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", SIZES)
+def test_ball_exploration_baseline(benchmark, family, n):
+    _ball_exploration(benchmark, family, n, TERM)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", SIZES)
+def test_ball_exploration_baseline_path(benchmark, family, n):
+    _ball_exploration(benchmark, family, n, PATH_TERM)

@@ -4,9 +4,10 @@ Paper claim: "for fixed sigma and r, we can compute A astrix_r d from A and
 d in linear time", and the formula/term rewriting preserves semantics — the
 recursion step of the Section 8.2 algorithm.
 
-Measured shape: surgery time grows linearly in ||A||; the size of the
-rewritten formula depends only on the formula and r (not on A); the
-equivalence holds (asserted).
+Measured shape: surgery time grows linearly in ||A||; a cluster surgery
+(``within=X``, the main algorithm's per-cluster step) costs the tuples that
+touch X, not ||A||; the size of the rewritten formula depends only on the
+formula and r (not on A); the equivalence holds (asserted).
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.logic.parser import parse_formula
 from repro.logic.semantics import satisfies
 from repro.logic.syntax import expression_size
 from repro.sparse.classes import nearly_square_grid, random_tree
+from repro.structures.gaifman import ball, induced
 
 RADIUS = 3
 SIZES = (100, 400, 1600)
@@ -41,6 +43,19 @@ def test_surgery_cost_on_tree(benchmark, n):
     victim = structure.universe_order[0]
     removed = benchmark(remove_element, structure, victim, RADIUS)
     benchmark.extra_info["order"] = structure.order()
+    benchmark.extra_info["removed_size"] = removed.size()
+
+
+def test_cluster_surgery_on_grid(benchmark):
+    """``A[X] astrix_r d`` for a radius-2r ball X, straight from A."""
+    structure = nearly_square_grid(1600)
+    victim = structure.universe_order[1600 // 2]
+    cluster = ball(structure, [victim], 2 * RADIUS)
+    removed = benchmark(remove_element, structure, victim, RADIUS, within=cluster)
+    want = remove_element(induced(structure, cluster), victim, RADIUS)
+    assert removed == want and removed.universe_order == want.universe_order
+    benchmark.extra_info["order"] = structure.order()
+    benchmark.extra_info["cluster"] = len(cluster)
     benchmark.extra_info["removed_size"] = removed.size()
 
 

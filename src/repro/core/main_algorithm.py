@@ -9,8 +9,14 @@ nowhere dense class by:
 3. letting *Splitter* answer Connector's move ``cen(X)`` — the removed
    element ``d``;
 4. performing the surgery ``B_X astrix_r d`` and rewriting the term through
-   the Removal Lemma (7.9);
+   the Removal Lemma (7.9).  The surgery is one pass over the tuples of
+   ``A`` that touch ``X`` (``remove_element(A, d, r, within=X)``), so
+   ``B_X`` itself is never built; the rewrite depends only on the term and
+   ``r``, so it is derived once per level, not once per cluster;
 5. evaluating the rewritten parts on the smaller structure and recombining.
+   Lemma 7.9(b)'s sums — the unary parts for ``a != d``, the ground parts
+   for ``d`` — are compiled once per level as two plans over
+   ``sigma~_r``, so one cluster costs one surgery and two plan runs.
 
 This module implements that loop faithfully, with the recursion depth as a
 parameter.  At depth 0 (and in every base case) the rewritten parts are
@@ -29,23 +35,26 @@ clusters processed, removals performed, base-case evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import FormulaError
 from ..logic.predicates import PredicateCollection, standard_collection
-from ..logic.syntax import Formula, Variable
+from ..logic.syntax import Add, CountTerm, Formula, Variable
 from ..obs import active_metrics, traced
 from ..parallel import WorkerPool, shard
 from ..plan.cache import PlanCache
+from ..plan.ir import QueryPlan
 from ..robust.budget import EvaluationBudget
 from ..robust.partial import PartialResult, ShardFailure, validate_failure_mode
 from ..robust.retry import RetryPolicy
 from ..sparse.covers import sparse_cover
 from ..structures.gaifman import induced
+from ..structures.signature import Signature
 from ..structures.structure import Element, Structure
 from .clterms import BasicClTerm
 from .evaluator import Foc1Evaluator
-from .removal import removal_unary_term, remove_element
+from .removal import removal_unary_term, remove_element, removed_signature
 
 
 @dataclass
@@ -77,21 +86,44 @@ def _direct_unary_values(
     elements: Sequence[Element],
     engine: Foc1Evaluator,
 ) -> Dict[Element, int]:
-    from ..logic.syntax import CountTerm
-
     term = CountTerm(counted, body)
     return engine.unary_term_values(structure, term, free_variable, elements)
 
 
-def _ground_value(
-    structure: Structure,
+class _RewritePlans(NamedTuple):
+    """Lemma 7.9(b)'s rewrite of one level's term, compiled once.
+
+    ``unary`` evaluates, at ``a != d``, the sum of the unary parts;
+    ``ground`` the sum of the ground parts, which is ``u^A[d]``.  Both are
+    compiled against ``sigma~_r``, the same signature for every cluster.
+    """
+
+    unary: QueryPlan
+    ground: QueryPlan
+    parts: int
+
+
+def _rewrite_plans(
+    signature: Signature,
+    free_variable: Variable,
     counted: Tuple[Variable, ...],
     body: Formula,
+    removal_radius: int,
     engine: Foc1Evaluator,
-) -> int:
-    from ..logic.syntax import CountTerm
-
-    return engine.ground_term_value(structure, CountTerm(counted, body))
+) -> _RewritePlans:
+    ground_parts, unary_parts = removal_unary_term(
+        free_variable, counted, body, removal_radius
+    )
+    removed = removed_signature(signature, removal_radius)
+    unary_sum = reduce(Add, (part.count_term() for part in unary_parts))
+    ground_sum = reduce(Add, (part.count_term() for part in ground_parts))
+    return _RewritePlans(
+        engine._plan_for_signature(
+            "unary_term", (unary_sum,), (free_variable,), removed
+        ),
+        engine._plan_for_signature("ground_term", (ground_sum,), (), removed),
+        len(unary_parts),
+    )
 
 
 @traced("main_algorithm.evaluate_unary")
@@ -116,17 +148,19 @@ def evaluate_unary_main_algorithm(
     performed before falling back to the engine; the answer is exact for
     every depth.  An optional ``budget`` is drawn on per processed cluster
     and inside every engine call; exhaustion raises
-    :class:`~repro.errors.BudgetExceededError`.  The removal rewrite
-    produces the same sub-terms for every cluster, so the base-case engine
-    leans hard on the plan cache (``plan_cache`` overrides the shared
-    process-wide one).
+    :class:`~repro.errors.BudgetExceededError`.  The removal rewrite is
+    the same for every cluster, so the loop compiles the rewrite once per
+    level: two plans, the sum of the Lemma 7.9 unary parts and the sum of
+    its ground parts, which every cluster runs on its surgery
+    (``plan_cache`` overrides the shared process-wide cache they are
+    compiled into).
 
     With ``workers > 1`` the top-level cluster loop fans out across a
     thread :class:`~repro.parallel.WorkerPool`: clusters are sharded in
-    index order, each shard runs on its own engine (sharing the
-    thread-safe plan cache) under a proportional budget slice, and shard
-    results merge deterministically, so the output is byte-identical to
-    the serial loop.  A ``retry`` policy re-runs a failed cluster shard
+    index order, each shard runs the level's two plans on its own engine
+    under a proportional budget slice, and shard results merge
+    deterministically, so the output is byte-identical to the serial
+    loop.  A ``retry`` policy re-runs a failed cluster shard
     alone; ``on_shard_failure="salvage"`` keeps the completed shards and
     returns a :class:`~repro.robust.partial.PartialResult` carrying the
     failed cluster ids when retries are exhausted (the plain dict when
@@ -187,14 +221,14 @@ def _process_cluster(
     free_variable: Variable,
     counted: Tuple[Variable, ...],
     body: Formula,
-    confinement: int,
     removal_radius: int,
-    small_threshold: int,
+    plans: "Optional[_RewritePlans]",
     engine: Foc1Evaluator,
     stats: MainAlgorithmStats,
     level: int,
 ) -> Dict[Element, int]:
-    """One cluster of the Section 8.2 loop (cover move, surgery, rewrite)."""
+    """One cluster of the Section 8.2 loop: the cover move, the surgery and
+    the level's two rewrite plans run on its result."""
     budget = engine.budget
     metrics = active_metrics()
     if budget is not None:
@@ -202,28 +236,25 @@ def _process_cluster(
     if metrics is not None:
         metrics.inc("main.cluster.processed")
     stats.clusters_processed += 1
-    local = induced(structure, cover.clusters[index])
-    values: Dict[Element, int] = {}
+    cluster = cover.clusters[index]
 
-    if local.order() < 2 or local.order() >= structure.order():
+    if not _needs_surgery(cluster, structure):
         # Removal impossible (singleton) or useless (cluster is the
         # whole structure, e.g. on dense inputs): evaluate directly.
         stats.base_case_elements += len(members)
         return _direct_unary_values(
-            local, free_variable, counted, body, members, engine
+            induced(structure, cluster), free_variable, counted, body, members, engine
         )
 
     # Splitter's move: remove the cluster centre (Connector plays
     # cen(X); removing the centre is a sound Splitter answer).
     d = cover.centres[index]
-    removed = remove_element(local, d, removal_radius)
+    removed = remove_element(structure, d, removal_radius, within=cluster)
     if metrics is not None:
         metrics.inc("main.removal")
     stats.removals += 1
-    ground_parts, unary_parts = removal_unary_term(
-        free_variable, counted, body, removal_radius
-    )
 
+    values: Dict[Element, int] = {}
     live_members = [a for a in members if a != d]
     if live_members:
         # The rewritten parts are evaluated directly on the removed
@@ -231,33 +262,20 @@ def _process_cluster(
         # the rank-preserving re-localisation of Theorem 7.1 to restore
         # the confinement invariant, because the surgery can only grow
         # distances.  One round already exercises the full pipeline and
-        # keeps the result exact.
-        per_part: List[Dict[Element, int]] = []
-        for part in unary_parts:
-            per_part.append(
-                _evaluate_level(
-                    removed,
-                    part.free_variable,
-                    part.variables,
-                    part.formula,
-                    live_members,
-                    confinement,
-                    removal_radius,
-                    0,
-                    small_threshold,
-                    engine,
-                    stats,
-                    level + 1,
-                )
-            )
-        for a in live_members:
-            values[a] = sum(part[a] for part in per_part)
-    if d in set(members):
-        values[d] = sum(
-            _ground_value(removed, part.variables, part.formula, engine)
-            for part in ground_parts
+        # keeps the result exact.  Each of the 2^k parts counts as one
+        # base-case evaluation of the live members at the next level.
+        stats.max_depth_reached = max(stats.max_depth_reached, level + 1)
+        stats.base_case_elements += len(live_members) * plans.parts
+        values = engine._executor(plans.unary, removed).unary_term_values(
+            free_variable, live_members
         )
+    if len(live_members) < len(members):  # d is a member
+        values[d] = engine._executor(plans.ground, removed).ground_term_value()
     return values
+
+
+def _needs_surgery(cluster: FrozenSet[Element], structure: Structure) -> bool:
+    return 2 <= len(cluster) < structure.order()
 
 
 def _evaluate_level(
@@ -294,6 +312,17 @@ def _evaluate_level(
         if members:
             per_cluster_members.append((index, members))
 
+    # The rewrite depends only on the term and r: derive and compile it
+    # once for the level, and only when some cluster needs the surgery.
+    plans = None
+    if any(
+        _needs_surgery(cover.clusters[index], structure)
+        for index, _ in per_cluster_members
+    ):
+        plans = _rewrite_plans(
+            structure.signature, free_variable, counted, body, removal_radius, engine
+        )
+
     def process_serial(work, engine, stats):
         values: Dict[Element, int] = {}
         for index, members in work:
@@ -306,9 +335,8 @@ def _evaluate_level(
                     free_variable,
                     counted,
                     body,
-                    confinement,
                     removal_radius,
-                    small_threshold,
+                    plans,
                     engine,
                     stats,
                     level,
@@ -324,9 +352,10 @@ def _evaluate_level(
     if pool is None:
         pool = WorkerPool(1)
 
-    # Cluster-sharded fan-out: each shard gets its own engine (sharing the
-    # thread-safe plan cache, so the identical rewritten sub-terms still
-    # compile once) and its own stats record, merged in shard order below.
+    # Cluster-sharded fan-out: each shard runs the level's plans (immutable,
+    # so shared) on its own engine, which carries the predicates and the
+    # shard's budget slice, and keeps its own stats record, merged in shard
+    # order below.
 
     def make_task(chunk):
         def task(slice_budget):

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import FormulaError, UniverseError
 from ..obs import traced
@@ -45,7 +46,7 @@ from ..logic.syntax import (
     disjunction,
     subexpressions,
 )
-from ..structures.gaifman import distances_from
+from ..structures.gaifman import in_universe_order
 from ..structures.signature import RelationSymbol, Signature
 from ..structures.structure import Element, Structure
 
@@ -62,8 +63,10 @@ def distance_marker_name(i: int) -> str:
     return f"S__{i}"
 
 
+@lru_cache(maxsize=64)
 def removed_signature(signature: Signature, radius: int) -> Signature:
-    """``sigma~_r``: all ``R~_I`` plus the distance markers ``S_1..S_r``."""
+    """``sigma~_r``: all ``R~_I`` plus the distance markers ``S_1..S_r``
+    (memoised: the main algorithm asks once per cluster)."""
     symbols: List[RelationSymbol] = []
     for symbol in signature:
         if symbol.arity == 0:
@@ -84,37 +87,84 @@ def removed_signature(signature: Signature, radius: int) -> Signature:
 
 
 @traced("removal.surgery")
-def remove_element(structure: Structure, element: Element, radius: int) -> Structure:
-    """``A astrix_r d`` — computable in linear time for fixed signature and r."""
-    fault_check("removal.surgery")
-    if element not in structure:
-        raise UniverseError(f"{element!r} is not in the universe")
-    if structure.order() < 2:
-        raise UniverseError("removal needs a structure of order >= 2")
-    new_signature = removed_signature(structure.signature, radius)
-    universe = [a for a in structure.universe_order if a != element]
+def remove_element(
+    structure: Structure,
+    element: Element,
+    radius: int,
+    within: "Optional[Iterable[Element]]" = None,
+) -> Structure:
+    """``A astrix_r d`` — computable in linear time for fixed signature and r.
 
-    relations: Dict[str, set] = {}
+    ``within`` names a cluster ``X`` (``None``: the whole universe) and
+    makes the result ``A[X] astrix_r d``, equal to
+    ``remove_element(induced(A, X), d, r)`` but built straight from ``A``'s
+    per-position indexes, without building ``A[X]``: one pass over the
+    tuples that touch ``X`` keeps those inside ``X``, the tuples holding
+    ``d`` go to the ``R~_I`` of the positions ``I`` that hold it, and the
+    markers ``S_i`` come from a BFS from ``d`` over the tuples inside
+    ``X``.  ``A``'s own Gaifman adjacency restricted to ``X`` would not do
+    for the BFS: a tuple of arity >= 3 that leaves ``X`` can be the only
+    witness of an edge between two members of ``X``.
+    """
+    fault_check("removal.surgery")
+    if within is None:
+        members = structure.universe_order
+        inside = structure.universe
+    else:
+        members = in_universe_order(structure, within)
+        inside = set(members)
+    if element not in inside:
+        raise UniverseError(f"{element!r} is not in the universe")
+    if len(members) < 2:
+        raise UniverseError("removal needs a structure of order >= 2")
+    is_inside = inside.issuperset
+
+    relations: Dict[str, Iterable[Tuple[Element, ...]]] = {}
+    edge_indexes = []
     for symbol in structure.signature:
         if symbol.arity == 0:
-            relations[removed_relation_name(symbol.name, frozenset())] = set(
+            relations[removed_relation_name(symbol.name, frozenset())] = (
                 structure.relation(symbol)
             )
             continue
-        for tup in structure.relation(symbol):
+        indexes = [structure.index(symbol, p) for p in range(symbol.arity)]
+        if symbol.arity > 1:
+            edge_indexes.extend(indexes)
+        pinned = {
+            tup
+            for index in indexes
+            for tup in index.get(element, ())
+            if is_inside(tup)
+        }
+        for tup in pinned:
             positions = frozenset(
                 i + 1 for i, entry in enumerate(tup) if entry == element
             )
-            kept = tuple(entry for entry in tup if entry != element)
             relations.setdefault(
                 removed_relation_name(symbol.name, positions), set()
-            ).add(kept)
-    reach = distances_from(structure, [element], radius)
+            ).add(tuple(entry for entry in tup if entry != element))
+        first = indexes[0]
+        rest = {tup for a in members for tup in first.get(a, ()) if is_inside(tup)}
+        rest -= pinned
+        relations[removed_relation_name(symbol.name, frozenset())] = rest
+
+    # S_i: the elements at distance 1..i from d in A[X].
+    seen = {element}
+    frontier = [element]
     for i in range(1, radius + 1):
-        relations[distance_marker_name(i)] = {
-            (b,) for b, dist in reach.items() if b != element and dist <= i
-        }
-    return Structure(new_signature, universe, relations)
+        following = []
+        for a in frontier:
+            for index in edge_indexes:
+                for tup in index.get(a, ()):
+                    if is_inside(tup):
+                        for b in tup:
+                            if b not in seen:
+                                seen.add(b)
+                                following.append(b)
+        frontier = following
+        relations[distance_marker_name(i)] = [(b,) for b in seen if b != element]
+    universe = [a for a in members if a != element]
+    return Structure(removed_signature(structure.signature, radius), universe, relations)
 
 
 # ---------------------------------------------------------------------------

@@ -103,22 +103,27 @@ def neighbourhood(
     ids = kernel.ball_ids(_source_ids(interner, centres), radius)
     elements = interner.elements
     # ball_ids returns sorted ids, and sorted ids *are* universe order —
-    # the ordered element list is direct, skipping induced()'s O(|A|)
-    # universe scan per ball.
+    # the ordered element list is direct, with no validation or sort.
     ordered = [elements[i] for i in ids]
     return _induced_ordered(structure, ordered, set(ordered))
 
 
+def in_universe_order(
+    structure: Structure, elements: Iterable[Element]
+) -> List[Element]:
+    """The distinct ``elements`` in universe order, from their sorted
+    interned ids — O(|B| log |B|), no scan of the universe.  An element
+    outside the universe raises :class:`~repro.errors.UniverseError`."""
+    interner = structure.interner()
+    return interner.elements_of(sorted(set(interner.ids(elements))))
+
+
 def induced(structure: Structure, elements: Iterable[Element]) -> Structure:
     """The induced substructure ``A[B]`` on a non-empty ``B`` (subset of A)."""
-    chosen = set(elements)
-    if not chosen:
+    ordered = in_universe_order(structure, elements)
+    if not ordered:
         raise UniverseError("cannot induce a substructure on the empty set")
-    for element in chosen:
-        if element not in structure:
-            raise UniverseError(f"{element!r} is not a universe element")
-    ordered = [a for a in structure.universe_order if a in chosen]
-    return _induced_ordered(structure, ordered, chosen)
+    return _induced_ordered(structure, ordered, set(ordered))
 
 
 def _induced_ordered(

@@ -1,6 +1,8 @@
 """Tests for the Section 8.2 main-algorithm loop (cover -> splitter move ->
 removal -> Lemma 7.9 -> recombination)."""
 
+import traceback
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,10 +12,13 @@ from repro.core.main_algorithm import (
     MainAlgorithmStats,
     evaluate_unary_main_algorithm,
 )
-from repro.errors import FormulaError
+from repro.errors import BudgetExceededError, FormulaError
 from repro.logic.builder import Rel
 from repro.logic.syntax import And, Eq, Exists, Not
-from repro.sparse.classes import random_tree
+from repro.obs import collect_metrics
+from repro.robust.budget import EvaluationBudget
+from repro.sparse.classes import bounded_degree_graph, random_tree
+from repro.sparse.covers import sparse_cover
 from repro.structures.builders import complete_graph, grid_graph, path_graph
 
 from ..conftest import small_graphs
@@ -30,6 +35,14 @@ def degree_term():
 def local_quantified_term():
     psi = And(E("y1", "y2"), Exists("z", And(E("y2", "z"), Not(Eq("z", "y1")))))
     return BasicClTerm(("y1", "y2"), psi, 1, 1, frozenset({(1, 2)}), unary=True)
+
+
+def path_term():
+    """cover-main's path term: walks y1 - y2 - y3 with y3 != y1."""
+    psi = And(And(E("y1", "y2"), E("y2", "y3")), Not(Eq("y1", "y3")))
+    return BasicClTerm(
+        ("y1", "y2", "y3"), psi, 0, 1, frozenset({(1, 2), (2, 3)}), unary=True
+    )
 
 
 def width3_term():
@@ -115,3 +128,92 @@ class TestMachineryEngagement:
         )
         with pytest.raises(FormulaError):
             evaluate_unary_main_algorithm(path_graph(5), ground)
+
+
+#: ``MainAlgorithmStats`` fields ``(covers_built, clusters_processed,
+#: removals, base_case_elements, max_depth_reached)`` at depth 1, per
+#: structure and term.  ``base_case_elements`` counts each live member once
+#: per Lemma 7.9 unary part (2^k of them), plus the members of clusters
+#: evaluated directly.
+PINNED_STATS = {
+    "path40": {"degree": (1, 14, 14, 52, 2), "path": (1, 10, 10, 120, 2)},
+    "grid16x16": {"degree": (1, 48, 48, 416, 2), "path": (1, 36, 36, 880, 2)},
+    "tree256": {"degree": (1, 66, 66, 380, 2), "path": (1, 42, 42, 856, 2)},
+    # One cluster here is a singleton and takes the direct fallback.
+    "bd256": {"degree": (1, 49, 48, 415, 2), "path": (1, 29, 28, 909, 2)},
+}
+
+STRUCTURES = {
+    "path40": lambda: path_graph(40),
+    "grid16x16": lambda: grid_graph(16, 16),
+    "tree256": lambda: random_tree(256, seed=3),
+    "bd256": lambda: bounded_degree_graph(256, 3, seed=5),
+}
+
+TERMS = {"degree": degree_term, "path": path_term}
+
+
+class TestCoverMainSizes:
+    """The loop at the sizes of the cover-main benchmark: pinned counters
+    and exactness against ball exploration."""
+
+    @pytest.mark.parametrize("term_name", sorted(TERMS))
+    @pytest.mark.parametrize("structure_name", sorted(STRUCTURES))
+    def test_counters_and_values(self, structure_name, term_name):
+        structure = STRUCTURES[structure_name]()
+        term = TERMS[term_name]()
+        stats = MainAlgorithmStats()
+        with collect_metrics() as metrics:
+            got = evaluate_unary_main_algorithm(
+                structure, term, depth=1, stats=stats
+            )
+        assert (
+            stats.covers_built,
+            stats.clusters_processed,
+            stats.removals,
+            stats.base_case_elements,
+            stats.max_depth_reached,
+        ) == PINNED_STATS[structure_name][term_name]
+        assert metrics.counter("main.cluster.processed") == stats.clusters_processed
+        assert metrics.counter("main.removal") == stats.removals
+        assert got == evaluate_basic_unary(structure, term)
+
+    @pytest.mark.parametrize("structure_name", sorted(STRUCTURES))
+    def test_quantified_term_is_exact(self, structure_name):
+        structure = STRUCTURES[structure_name]()
+        term = local_quantified_term()
+        got = evaluate_unary_main_algorithm(structure, term, depth=1)
+        assert got == evaluate_basic_unary(structure, term)
+
+
+class TestBudget:
+    def test_small_budget_runs_out_inside_a_cluster_plan_run(self):
+        structure = grid_graph(16, 16)
+        term = path_term()
+        # Let the cover construction finish, then run out in the first
+        # cluster: its "main.cluster" tick, then its plan run.
+        probe = EvaluationBudget()
+        confinement = term.evaluation_radius() + max(
+            term.psi_radius, term.link_distance
+        )
+        sparse_cover(structure, confinement, budget=probe)
+        budget = EvaluationBudget(max_steps=probe.steps + 5)
+        with pytest.raises(BudgetExceededError) as caught:
+            evaluate_unary_main_algorithm(structure, term, depth=1, budget=budget)
+        assert caught.value.site.startswith("evaluator.")
+        frames = traceback.extract_tb(caught.value.__traceback__)
+        names = [frame.name for frame in frames]
+        assert "_process_cluster" in names
+        assert any(frame.filename.endswith("executor.py") for frame in frames)
+
+    def test_large_budget_is_exact_and_ticks_every_cluster(self):
+        structure = grid_graph(16, 16)
+        term = path_term()
+        budget = EvaluationBudget(max_steps=10**9)
+        stats = MainAlgorithmStats()
+        got = evaluate_unary_main_algorithm(
+            structure, term, depth=1, budget=budget, stats=stats
+        )
+        assert got == evaluate_basic_unary(structure, term)
+        assert stats.clusters_processed > 0
+        assert budget.steps >= stats.clusters_processed

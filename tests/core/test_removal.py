@@ -1,6 +1,7 @@
 """Property tests for the Removal Lemma (Lemmas 7.8 and 7.9)."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,15 @@ from repro.core.removal import (
     removed_relation_name,
     removed_signature,
 )
-from repro.errors import FormulaError, UniverseError
+from repro.errors import FaultInjectedError, FormulaError, UniverseError
 from repro.logic.parser import parse_formula
 from repro.logic.semantics import evaluate, satisfies
 from repro.logic.syntax import CountTerm, DistAtom, free_variables
+from repro.robust import FaultInjector, inject_faults
 from repro.structures.builders import graph_structure, path_graph
+from repro.structures.gaifman import ball, distances_from, induced
 from repro.structures.signature import Signature
+from repro.structures.structure import Structure
 
 from ..conftest import fo_formulas, small_graphs
 
@@ -69,6 +73,112 @@ class TestSurgery:
     def test_foreign_element_rejected(self, path5):
         with pytest.raises(UniverseError):
             remove_element(path5, 42, 1)
+
+
+MIXED_SIGNATURE = Signature.of(E=2, T=3, P=1, Z=0)
+
+
+def random_mixed_structure(rng):
+    """A small structure over ``E/2, T/3, P/1, Z/0`` whose universe mixes
+    ``int`` and ``str`` elements in shuffled order."""
+    n = rng.randint(3, 14)
+    universe = [i if rng.random() < 0.5 else f"v{i}" for i in range(n)]
+    rng.shuffle(universe)
+    pick = lambda: rng.choice(universe)  # noqa: E731
+    relations = {
+        "E": {(pick(), pick()) for _ in range(rng.randint(0, 2 * n))},
+        "T": {(pick(), pick(), pick()) for _ in range(rng.randint(0, n))},
+        "P": {(pick(),) for _ in range(rng.randint(0, n))},
+        "Z": {()} if rng.random() < 0.5 else set(),
+    }
+    return Structure(MIXED_SIGNATURE, universe, relations)
+
+
+def reference_removal(structure, d, radius):
+    """``A astrix_r d`` straight from its definition: every tuple sorted by
+    the positions holding ``d``, markers from the Gaifman kernels' BFS."""
+    relations = {}
+    for symbol in structure.signature:
+        for tup in structure.relation(symbol):
+            positions = frozenset(i + 1 for i, entry in enumerate(tup) if entry == d)
+            relations.setdefault(
+                removed_relation_name(symbol.name, positions), set()
+            ).add(tuple(entry for entry in tup if entry != d))
+    reach = distances_from(structure, [d], radius)
+    for i in range(1, radius + 1):
+        relations[distance_marker_name(i)] = {
+            (b,) for b, dist in reach.items() if b != d and dist <= i
+        }
+    universe = [a for a in structure.universe_order if a != d]
+    return Structure(removed_signature(structure.signature, radius), universe, relations)
+
+
+def assert_same_structure(got, want):
+    assert got.signature == want.signature
+    assert got.universe_order == want.universe_order
+    for symbol in want.signature:
+        assert got.relation(symbol) == want.relation(symbol), symbol.name
+
+
+class TestClusterSurgery:
+    """``remove_element(A, d, r, within=X)`` is ``A[X] astrix_r d``."""
+
+    @pytest.mark.parametrize("block", range(6))
+    def test_matches_surgery_on_the_induced_cluster(self, block):
+        for seed in range(50 * block, 50 * (block + 1)):
+            rng = random.Random(seed)
+            structure = random_mixed_structure(rng)
+            cluster = ball(structure, [rng.choice(structure.universe_order)], rng.randint(1, 3))
+            d = rng.choice([a for a in structure.universe_order if a in cluster])
+            radius = rng.randint(1, 3)
+            if len(cluster) < 2:
+                with pytest.raises(UniverseError):
+                    remove_element(structure, d, radius, within=cluster)
+                continue
+            got = remove_element(structure, d, radius, within=cluster)
+            assert_same_structure(got, remove_element(induced(structure, cluster), d, radius))
+            assert_same_structure(got, reference_removal(induced(structure, cluster), d, radius))
+
+    @pytest.mark.parametrize("block", range(2))
+    def test_whole_universe_is_the_plain_surgery(self, block):
+        for seed in range(50 * block, 50 * (block + 1)):
+            rng = random.Random(seed)
+            structure = random_mixed_structure(rng)
+            d = rng.choice(structure.universe_order)
+            radius = rng.randint(1, 3)
+            want = reference_removal(structure, d, radius)
+            assert_same_structure(remove_element(structure, d, radius), want)
+            assert_same_structure(
+                remove_element(structure, d, radius, within=structure.universe), want
+            )
+
+    def test_edge_witnessed_only_outside_the_cluster(self):
+        """``T(1, 2, 4)`` makes 1 and 2 adjacent in A but not in A[{1, 2, 3}]:
+        the markers must come from the cluster's own tuples."""
+        structure = Structure(
+            MIXED_SIGNATURE, [1, 2, 3, 4], {"T": {(1, 2, 4)}, "E": {(2, 3), (3, 2)}}
+        )
+        removed = remove_element(structure, 1, 2, within={1, 2, 3})
+        assert removed.relation("S__1") == frozenset()
+        assert removed.relation("S__2") == frozenset()
+        assert removed.relation("T__rm_1") == frozenset()
+        whole = remove_element(structure, 1, 2)
+        assert whole.relation("S__1") == frozenset({(2,), (4,)})
+        assert whole.relation("S__2") == frozenset({(2,), (3,), (4,)})
+
+    def test_cluster_outside_the_universe_rejected(self, path5):
+        with pytest.raises(UniverseError):
+            remove_element(path5, 1, 1, within={1, 2, 99})
+
+    def test_removed_element_outside_the_cluster_rejected(self, path5):
+        with pytest.raises(UniverseError):
+            remove_element(path5, 5, 1, within={1, 2, 3})
+
+    def test_fault_site_fires_on_a_cluster_surgery(self, path5):
+        with inject_faults(FaultInjector({"removal.surgery": 1})) as injector:
+            with pytest.raises(FaultInjectedError):
+                remove_element(path5, 2, 1, within={1, 2, 3})
+        assert injector.fired["removal.surgery"] == 1
 
 
 class TestLemma78:

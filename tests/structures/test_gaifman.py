@@ -107,6 +107,21 @@ class TestComponents:
             induced(path5, [])
         with pytest.raises(UniverseError):
             induced(path5, [99])
+        with pytest.raises(UniverseError):
+            induced(path5, [1, 2, 99])
+
+    def test_induced_keeps_universe_order_on_a_mixed_universe(self):
+        universe = [5, "b", 2, "a", (1, 2), 9, "c", 0]
+        edges = [(5, "b"), ("b", 2), (2, "a"), ("a", (1, 2)), (9, "c"), ("c", 0), (0, 5)]
+        structure = graph_structure(universe, edges)
+        chosen = ["c", 0, 2, (1, 2), 5, "a", "c"]
+        sub = induced(structure, iter(chosen))
+        assert list(sub.universe_order) == [
+            a for a in structure.universe_order if a in set(chosen)
+        ]
+        assert sub.relation("E") == frozenset(
+            tup for tup in structure.relation("E") if set(tup) <= set(chosen)
+        )
 
 
 class TestTupleConnectivity:
