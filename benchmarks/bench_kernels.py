@@ -5,17 +5,16 @@ walks, D-ball exploration, the sparse-cover greedy) onto interned-id
 kernels (:mod:`repro.structures.columnar`); the pre-columnar set-based
 implementations survive verbatim in :mod:`repro.core.reference`.  Each
 parameter point here runs *both* implementations on the same structure
-and asserts byte-identical answers, so the speedup column can never be
+and asserts byte-identical answers, so a speedup can never be
 bought with a semantics change.
 
-Both rows of a pair tag ``extra_info`` with a shared ``kernel_group``
-plus their ``impl`` (``"columnar"`` or ``"reference"``);
-``tools/bench_runner.py`` folds matching groups into the report's
-``kernels`` section — the columnar/reference mean ratio per group
-(acceptance: <= 1.0, i.e. the refactor pays for itself) and the peak-RSS
-reading per row (``resource.getrusage``; ru_maxrss is process-monotonic,
-so the per-group delta is ordering-dependent and reported as context,
-not as a gate).
+Both rows of a pair record their ``impl`` (``"columnar"`` or
+``"reference"``) and the peak-RSS reading (``resource.getrusage``;
+ru_maxrss is process-monotonic, so it depends on test order and is
+context, not a gate) in ``extra_info``.  The columnar/reference timing
+ratio per pair (the refactor pays for itself when it is <= 1.0) reads off
+pytest-benchmark's table: ``pytest benchmarks/bench_kernels.py
+--benchmark-only``.
 
 Representation caches are warmed outside the timed region on both sides
 (``structure.adjacency()`` for the reference, ``structure.columnar()``
@@ -39,7 +38,6 @@ from repro.sparse.classes import nearly_square_grid
 from repro.sparse.covers import sparse_cover
 from repro.structures.gaifman import ball
 
-#: Quick mode (REPRO_BENCH_QUICK=1) keeps only n <= 100.
 SIZES = (64, 400)
 
 IMPLS = ("columnar", "reference")
@@ -63,8 +61,7 @@ def _warm(structure) -> None:
     structure.columnar()
 
 
-def _tag(benchmark, structure, group: str, impl: str) -> None:
-    benchmark.extra_info["kernel_group"] = f"{group}/n={structure.order()}"
+def _tag(benchmark, structure, impl: str) -> None:
     benchmark.extra_info["impl"] = impl
     benchmark.extra_info["order"] = structure.order()
     benchmark.extra_info["peak_rss_kb"] = resource.getrusage(
@@ -94,7 +91,7 @@ def test_kernel_unary_counts(benchmark, n, impl):
     reference = other(structure, term)
     assert result == reference
     assert list(result) == list(reference)  # same insertion order
-    _tag(benchmark, structure, "unary", impl)
+    _tag(benchmark, structure, impl)
 
 
 def _columnar_ball_sweep(structure, radius):
@@ -122,7 +119,7 @@ def test_kernel_ball_sweep(benchmark, n, impl):
     total = benchmark(fn, structure, 2)
 
     assert total == _reference_ball_sweep(structure, 2)
-    _tag(benchmark, structure, "balls", impl)
+    _tag(benchmark, structure, impl)
 
 
 def _reference_sparse_cover(structure, radius):
@@ -173,4 +170,4 @@ def test_kernel_sparse_cover(benchmark, n, impl):
         assert cover.clusters == clusters
         assert cover.assignment == assignment
         assert cover.centres == centres
-    _tag(benchmark, structure, "cover", impl)
+    _tag(benchmark, structure, impl)

@@ -4,17 +4,15 @@ Measures the two parallel entry points the ISSUE names — the Section 8.2
 per-cluster loop (:func:`~repro.core.cover_eval.evaluate_per_cluster`)
 and the batched counter (:meth:`~repro.core.evaluator.Foc1Evaluator.count_many`)
 — at 1, 2 and 4 workers on grid graphs, the suite's standard sparse
-family.  Each benchmark records its worker count and a ``parallel_group``
-key in ``extra_info``; ``tools/bench_runner.py`` folds matching groups
-into the report's ``parallel`` section (speedup = workers-1 mean over
-this mean) together with ``os.cpu_count()``, because thread-backend
-speedups are bounded by both the core count and the GIL — on a 1-core
-runner the honest expectation is ~1.0x, and the artifact says so rather
-than hiding it.
+family.  Each benchmark records its worker count in ``extra_info``; the
+speedup (workers=1 mean over this mean) reads off pytest-benchmark's
+table (``pytest benchmarks/bench_parallel.py --benchmark-only``).
+Thread-backend speedups are bounded by both the core count and the GIL,
+so on a 1-core runner the honest expectation is ~1.0x.
 
 The workers=1 rows double as the overhead guard: they take the exact
-pre-parallel code path, so their delta against the PR3 baseline is the
-"workers=1 costs nothing" acceptance check.
+pre-parallel code path, so they are the serial cost the other rows are
+read against.
 """
 
 import pytest
@@ -32,7 +30,6 @@ E = Rel("E", 2)
 
 WORKER_COUNTS = (1, 2, 4)
 
-#: Quick mode (REPRO_BENCH_QUICK=1) keeps only n <= 100.
 SIZES = (100, 400)
 
 DEGREE_TERM = CoverTerm(
@@ -56,7 +53,6 @@ def test_per_cluster_workers(benchmark, n, workers):
     # Parity with the serial loop, byte-identical.
     serial = evaluate_per_cluster(structure, cover, DEGREE_TERM)
     assert list(values.items()) == list(serial.items())
-    benchmark.extra_info["parallel_group"] = f"per_cluster/n={structure.order()}"
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["order"] = structure.order()
     benchmark.extra_info["clusters"] = len(cover.clusters)
@@ -75,6 +71,5 @@ def test_count_many_workers(benchmark, n, workers):
     assert counts == [
         Foc1Evaluator().count(s, phi, ["x", "y", "z"]) for s in structures
     ]
-    benchmark.extra_info["parallel_group"] = f"count_many/n={n}x8"
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["batch"] = len(structures)

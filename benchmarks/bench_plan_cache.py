@@ -8,9 +8,7 @@ skip compilation entirely.
 Measured shape: the *cold* series compiles on every call (a fresh
 :class:`~repro.plan.cache.PlanCache` per invocation), the *warm* series
 shares one cache across all rounds, so its per-call latency drops by the
-compile share reported in ``plan.compile.seconds``.  The bench runner
-splits the two in ``BENCH_pr3.json`` via the plan-cache counters this
-module's metrics snapshots carry.
+compile share reported in ``plan.compile.seconds``.
 """
 
 import pytest

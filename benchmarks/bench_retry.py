@@ -7,12 +7,13 @@ The only per-shard additions on the happy path are the fault checkpoints
 fresh-slice bookkeeping, so the expected overhead is noise-level.
 
 Each benchmark runs the same workload twice across the ``retries``
-parameter — ``0`` (``retry=None``, the pre-PR5 path) and ``2``
-(``RetryPolicy(retries=2)`` armed but never triggered) — and records a
-``retry_group`` key plus its ``retries`` value in ``extra_info``.
-``tools/bench_runner.py`` folds matching groups into the report's
-``retry_overhead`` section (overhead = this mean over the retries=0
-mean, so 1.0 is free and the gate is < 1.05).
+parameter — ``0`` (``retry=None``, the plain path) and ``2``
+(``RetryPolicy(retries=2)`` armed but never triggered) — and records its
+``retries`` value in ``extra_info``.  The overhead (this mean over the
+retries=0 mean, so 1.0 is free; the target is < 1.05) reads off
+pytest-benchmark's table (``pytest benchmarks/bench_retry.py
+--benchmark-only``); it is not asserted, because one timing ratio on a
+shared runner is noise.
 
 Workloads mirror ``bench_parallel.py`` at workers=2: the Section 8.2
 per-cluster loop and a raw ``WorkerPool.run_tasks`` fan-out, both
@@ -33,7 +34,6 @@ E = Rel("E", 2)
 
 RETRY_COUNTS = (0, 2)
 
-#: Quick mode (REPRO_BENCH_QUICK=1) keeps only n <= 100.
 SIZES = (100, 400)
 
 DEGREE_TERM = CoverTerm(
@@ -69,7 +69,6 @@ def test_per_cluster_retry_overhead(benchmark, n, retries):
     # Fault-free, so the armed run must match the serial loop byte-for-byte.
     serial = evaluate_per_cluster(structure, cover, DEGREE_TERM)
     assert list(values.items()) == list(serial.items())
-    benchmark.extra_info["retry_group"] = f"per_cluster/n={structure.order()}"
     benchmark.extra_info["retries"] = retries
     benchmark.extra_info["order"] = structure.order()
     benchmark.extra_info["clusters"] = len(cover.clusters)
@@ -88,6 +87,5 @@ def test_run_tasks_retry_overhead(benchmark, tasks, retries):
 
     results = benchmark(pool.run_tasks, work, retry=_policy(retries))
     assert results == [sum(range(2_000 + i)) for i in range(tasks)]
-    benchmark.extra_info["retry_group"] = f"run_tasks/t={tasks}"
     benchmark.extra_info["retries"] = retries
     benchmark.extra_info["tasks"] = tasks

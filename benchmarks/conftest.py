@@ -9,27 +9,14 @@ Benchmarks record qualitative facts (who wins, cover degrees, game rounds)
 in ``benchmark.extra_info`` so the pytest-benchmark table carries the
 experiment's "series" alongside the timings; EXPERIMENTS.md summarises the
 shapes against the paper's claims.
-
-``tools/bench_runner.py`` drives this harness headlessly.  It communicates
-through two environment variables handled here:
-
-* ``REPRO_BENCH_QUICK=1`` — deselect the large parameter points (big ``n``,
-  deep quantifier nests) so a smoke pass finishes in seconds;
-* ``REPRO_BENCH_METRICS=1`` — install a fresh
-  :class:`repro.obs.MetricsRegistry` around every benchmark and attach its
-  counter snapshot plus the memo hit rate to ``benchmark.extra_info``, from
-  where the runner folds them into ``BENCH_pr2.json``.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.core.baseline import BruteForceEvaluator
 from repro.core.evaluator import Foc1Evaluator
-from repro.obs import MetricsRegistry, collect_metrics
 
 
 @pytest.fixture(scope="session")
@@ -52,71 +39,3 @@ def brute_engine() -> BruteForceEvaluator:
 #: the SMALL sizes (it is Theta(n^width)); the engine runs everywhere.
 SMALL_SIZES = (16, 36, 64)
 LARGE_SIZES = (100, 400, 1600)
-
-
-# ---------------------------------------------------------------------------
-# Bench-runner integration (tools/bench_runner.py)
-# ---------------------------------------------------------------------------
-
-#: Quick-mode ceilings per parameter name.  Selection is keyed on the
-#: *parameter values* (not on ``-k`` substrings, where "4" would also match
-#: "400"): a test is deselected iff one of these parameters exceeds its
-#: ceiling.
-_QUICK_LIMITS = {
-    "n": 100,
-    "customers": 200,
-    "quantifiers": 2,
-}
-
-
-def _quick_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-
-
-def pytest_collection_modifyitems(config, items):
-    if not _quick_mode():
-        return
-    kept, dropped = [], []
-    for item in items:
-        params = getattr(getattr(item, "callspec", None), "params", {})
-        if any(
-            name in params
-            and isinstance(params[name], int)
-            and params[name] > limit
-            for name, limit in _QUICK_LIMITS.items()
-        ):
-            dropped.append(item)
-        else:
-            kept.append(item)
-    if dropped:
-        config.hook.pytest_deselected(items=dropped)
-        items[:] = kept
-
-
-@pytest.fixture(autouse=True)
-def _bench_metrics(request):
-    """Collect engine counters per benchmark when REPRO_BENCH_METRICS=1.
-
-    Each test gets a fresh registry (counters accumulate over *all* rounds
-    pytest-benchmark runs, so absolute counts scale with rounds; ratios
-    like the memo hit rate do not).  The snapshot lands in
-    ``benchmark.extra_info["metrics"]`` for the bench runner to harvest.
-    """
-    if os.environ.get("REPRO_BENCH_METRICS", "") != "1":
-        yield
-        return
-    # Resolve the benchmark fixture during setup: at teardown time it has
-    # already been finalised and getfixturevalue() refuses to serve it.
-    benchmark = (
-        request.getfixturevalue("benchmark")
-        if "benchmark" in request.fixturenames
-        else None
-    )
-    registry = MetricsRegistry()
-    with collect_metrics(registry):
-        yield
-    if benchmark is not None:
-        benchmark.extra_info["metrics"] = registry.snapshot()
-        rate = registry.memo_hit_rate()
-        if rate is not None:
-            benchmark.extra_info["memo_hit_rate"] = rate

@@ -891,9 +891,6 @@ def _emit_instruments() -> None:
     registry = obs.active_metrics()
     if registry is not None:
         snapshot = registry.snapshot()
-        rate = registry.memo_hit_rate()
-        if rate is not None:
-            snapshot["memo_hit_rate"] = rate
         print(f"# metrics {json.dumps(snapshot, sort_keys=True)}", file=sys.stderr)
 
 

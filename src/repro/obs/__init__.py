@@ -20,8 +20,7 @@ active registry once and branch on a local.  Enable them
   (spans only), ``REPRO_TRACE=metrics`` (counters only) — applied by
   :func:`configure_from_env`, which the CLI calls on startup.
 
-See ``docs/OBSERVABILITY.md`` for the counter catalogue and the bench
-runner that turns these series into ``BENCH_pr2.json``.
+See ``docs/OBSERVABILITY.md`` for the counter catalogue.
 """
 
 from __future__ import annotations

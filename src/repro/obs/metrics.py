@@ -12,8 +12,9 @@ branch on the local, so the disabled cost does not scale with the loop.
 
 Counters are plain integers in a dict; histograms track count / total /
 min / max (enough for mean cluster sizes and span statistics without
-keeping every sample).  Derived ratios — most importantly the memo hit
-rate — are computed at snapshot time by :func:`hit_rate`.
+keeping every sample).  Snapshots carry no derived ratios; a ratio such
+as one memo table's hit rate is computed by its reader with
+:func:`hit_rate`.
 
 Fault-tolerance counters (PR 5) follow a ``layer.mechanism.event``
 naming convention:
@@ -146,20 +147,6 @@ class MetricsRegistry:
                     for name, histogram in self.histograms.items()
                 },
             }
-
-    def memo_hit_rate(self) -> "Optional[float]":
-        """Hits / (hits + misses) over all ``*.memo.hit|miss`` counters."""
-        hits = sum(
-            value
-            for name, value in self.counters.items()
-            if name.endswith(".memo.hit")
-        )
-        misses = sum(
-            value
-            for name, value in self.counters.items()
-            if name.endswith(".memo.miss")
-        )
-        return hit_rate(hits, misses)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry's series into this one.

@@ -14,13 +14,7 @@ The gate asserts two things:
   (modulo wall-clock ``elapsed``) on the serial, thread, and process
   backends at any worker count, because the estimate folds fixed seeded
   blocks in block order.
-
-``REPRO_APPROX_QUICK=1`` trims the sweep to its first 8 seeds so CI's
-``approx-smoke`` job finishes in seconds; the full matrix runs by
-default.
 """
-
-import os
 
 import pytest
 
@@ -37,13 +31,6 @@ DELTA = 0.05
 MAX_MISSES = 2
 
 FULL_SEEDS = tuple(range(30))
-QUICK_SEEDS = FULL_SEEDS[:8]
-
-
-def _seeds():
-    if os.environ.get("REPRO_APPROX_QUICK", "") == "1":
-        return QUICK_SEEDS
-    return FULL_SEEDS
 
 
 def _structure(seed):
@@ -68,14 +55,14 @@ def _result_key(result):
 def test_accuracy_against_exact_counts():
     phi = parse_formula("E(x, y)")
     misses = []
-    for seed in _seeds():
+    for seed in FULL_SEEDS:
         structure = _structure(seed)
         exact = count_solutions(structure, phi, ["x", "y"])
         result = _approx(structure, phi, ["x", "y"], seed)
         if result.relative_error_vs(exact) > EPSILON:
             misses.append((seed, exact, result.estimate))
     assert len(misses) <= MAX_MISSES, (
-        f"{len(misses)} of {len(_seeds())} seeds exceeded "
+        f"{len(misses)} of {len(FULL_SEEDS)} seeds exceeded "
         f"eps={EPSILON}: {misses}"
     )
 
@@ -83,21 +70,21 @@ def test_accuracy_against_exact_counts():
 def test_confidence_interval_covers_the_truth():
     phi = parse_formula("E(x, y) & E(y, z)")
     misses = []
-    for seed in _seeds():
+    for seed in FULL_SEEDS:
         structure = _structure(seed)
         exact = count_solutions(structure, phi, ["x", "y", "z"])
         result = _approx(structure, phi, ["x", "y", "z"], seed)
         if not result.ci_low <= exact <= result.ci_high:
             misses.append((seed, exact, result.ci_low, result.ci_high))
     assert len(misses) <= MAX_MISSES, (
-        f"{len(misses)} of {len(_seeds())} intervals missed the exact "
+        f"{len(misses)} of {len(FULL_SEEDS)} intervals missed the exact "
         f"count: {misses}"
     )
 
 
 def test_same_seed_same_estimate_across_runs():
     phi = parse_formula("E(x, y)")
-    for seed in _seeds()[:4]:
+    for seed in FULL_SEEDS[:4]:
         structure = _structure(seed)
         first = _approx(structure, phi, ["x", "y"], seed)
         second = _approx(structure, phi, ["x", "y"], seed)
@@ -107,7 +94,7 @@ def test_same_seed_same_estimate_across_runs():
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_seed_stability_across_backends(backend):
     phi = parse_formula("E(x, y)")
-    seeds = _seeds()[:2] if backend == "process" else _seeds()[:4]
+    seeds = FULL_SEEDS[:2] if backend == "process" else FULL_SEEDS[:4]
     for seed in seeds:
         structure = _structure(seed)
         serial = _approx(structure, phi, ["x", "y"], seed, workers=1)

@@ -8,53 +8,6 @@ import sys
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
 
-def make_service_section():
-    return {
-        "schema": "repro-load/1",
-        "scenarios": [
-            {
-                "mix": "uniform",
-                "offered": 24,
-                "admitted": 24,
-                "completed": 24,
-                "shed": {},
-                "shed_rate": 0.0,
-                "killed": 0,
-                "errors": 0,
-                "resumes": 43,
-                "degraded": 0,
-                "orphaned_checkpoints": 0,
-                "latency_p50_s": 0.0065,
-                "latency_p99_s": 0.0241,
-                "throughput_rps": 88.0,
-            },
-            {
-                "mix": "hot",
-                "offered": 24,
-                "admitted": 20,
-                "completed": 20,
-                "shed": {"queue_full": 3, "concurrency": 1},
-                "shed_rate": 4 / 24,
-                "killed": 0,
-                "errors": 0,
-                "resumes": 18,
-                "degraded": 22,
-                "orphaned_checkpoints": 0,
-                "latency_p50_s": None,
-                "latency_p99_s": None,
-                "throughput_rps": None,
-            },
-        ],
-        "totals": {
-            "offered": 48,
-            "completed": 44,
-            "shed": 4,
-            "killed": 0,
-            "answers_ok": True,
-        },
-    }
-
-
 def make_report(tmp_path):
     data = {
         "benchmarks": [
@@ -110,75 +63,6 @@ class TestSummarizer:
             timeout=60,
         )
         assert result.returncode == 2
-
-
-class TestServiceSection:
-    """Service (multi-tenant load) rendering in the summariser (ISSUE 10)."""
-
-    def test_renders_one_row_per_mix_with_totals(self, tmp_path):
-        from tools.summarize_benchmarks import summarise
-
-        data = json.loads(make_report(tmp_path).read_text())
-        data["service"] = make_service_section()
-        text = summarise(data)
-        assert "## service (multi-tenant load)" in text
-        assert "| uniform | 24 | 24 | 0 | 0% | 0 | 43 | 0 |" in text
-        assert "| hot | 24 | 20 | 4 | 17% |" in text
-        assert "6.50 ms" in text  # p50 formatted via format_seconds
-        assert "88 rps" in text
-        assert "n/a" in text  # null latencies render as n/a, not crash
-        assert "44 completed of 48 offered" in text
-        assert "answers_ok=True" in text
-
-    def test_condensed_benchmarks_without_fullname_are_skipped(self, tmp_path):
-        # repro-bench reports condense benchmarks to {name, mean_s, ...};
-        # the summariser must not KeyError on them.
-        from tools.summarize_benchmarks import summarise
-
-        data = {
-            "benchmarks": [{"name": "kernel_join", "mean_s": 0.004}],
-            "service": make_service_section(),
-        }
-        text = summarise(data)
-        assert "## service (multi-tenant load)" in text
-        assert "kernel_join" not in text
-
-    def test_empty_service_section_renders_placeholder(self):
-        from tools.summarize_benchmarks import summarise
-
-        text = summarise({"benchmarks": [], "service": {"scenarios": []}})
-        assert "(no load scenarios recorded)" in text
-
-    def test_cli_renders_service_from_bench_report(self, tmp_path):
-        report = make_report(tmp_path)
-        data = json.loads(report.read_text())
-        data["service"] = make_service_section()
-        report.write_text(json.dumps(data))
-        result = subprocess.run(
-            [sys.executable, str(TOOLS / "summarize_benchmarks.py"), str(report)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0
-        assert "## service (multi-tenant load)" in result.stdout
-        assert "## covers" in result.stdout  # benchmark tables still render
-
-    def test_bench_validator_accepts_the_embedded_load_report(self):
-        from tools.bench_runner import condense, validate_report
-
-        report = condense({"benchmarks": []}, quick=True)
-        report["service"] = make_service_section()
-        assert validate_report(report) == []
-
-    def test_bench_validator_rejects_killed_queries(self):
-        from tools.bench_runner import condense, validate_report
-
-        report = condense({"benchmarks": []}, quick=True)
-        report["service"] = make_service_section()
-        report["service"]["scenarios"][0]["killed"] = 2
-        problems = validate_report(report)
-        assert any("killed" in problem for problem in problems)
 
 
 class TestLoadRunnerGate:

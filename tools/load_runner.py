@@ -28,8 +28,6 @@ Usage::
 
 Exit code 1 when any scenario kills a query, mismatches an expected
 answer, or (with ``--shed-bounds``) sheds outside the given band.
-The report's ``service`` payload is embedded into ``BENCH_pr10.json``
-by ``tools/bench_runner.py``.
 """
 
 from __future__ import annotations

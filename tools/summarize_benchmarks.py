@@ -29,71 +29,9 @@ def format_seconds(seconds: float) -> str:
     return f"{seconds:.2f} s"
 
 
-def service_table(service: Dict) -> List[str]:
-    """Render a ``service`` load-test section (``repro-load/1`` payloads,
-    as embedded into ``BENCH_pr10.json`` by ``tools/bench_runner.py``)
-    as one markdown table: a row per tenant-mix scenario."""
-    scenarios = service.get("scenarios") or []
-    lines = ["\n## service (multi-tenant load)\n"]
-    if not scenarios:
-        lines.append("(no load scenarios recorded)")
-        return lines
-    header = [
-        "mix",
-        "offered",
-        "completed",
-        "shed",
-        "shed rate",
-        "killed",
-        "resumes",
-        "degraded",
-        "p50",
-        "p99",
-        "throughput",
-    ]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for row in scenarios:
-        shed = sum((row.get("shed") or {}).values())
-        p50 = row.get("latency_p50_s")
-        p99 = row.get("latency_p99_s")
-        rps = row.get("throughput_rps")
-        lines.append(
-            "| "
-            + " | ".join(
-                [
-                    str(row.get("mix", "?")),
-                    str(row.get("offered", "")),
-                    str(row.get("completed", "")),
-                    str(shed),
-                    f"{row.get('shed_rate', 0.0):.0%}",
-                    str(row.get("killed", "")),
-                    str(row.get("resumes", "")),
-                    str(row.get("degraded", "")),
-                    format_seconds(p50) if p50 is not None else "n/a",
-                    format_seconds(p99) if p99 is not None else "n/a",
-                    f"{rps:.0f} rps" if rps is not None else "n/a",
-                ]
-            )
-            + " |"
-        )
-    totals = service.get("totals") or {}
-    if totals:
-        lines.append(
-            f"\ntotals: {totals.get('completed', 0)} completed of "
-            f"{totals.get('offered', 0)} offered, "
-            f"{totals.get('shed', 0)} shed (typed), "
-            f"{totals.get('killed', 0)} killed, answers_ok="
-            f"{totals.get('answers_ok')}"
-        )
-    return lines
-
-
 def summarise(data: Dict) -> str:
     groups: Dict[str, List[Dict]] = defaultdict(list)
     for bench in data.get("benchmarks", []):
-        if "fullname" not in bench:
-            continue  # condensed repro-bench entries: no per-test tables
         module = bench["fullname"].split("::")[0]
         module = Path(module).stem.replace("bench_", "")
         groups[module].append(bench)
@@ -116,8 +54,6 @@ def summarise(data: Dict) -> str:
             for key in extra_keys:
                 row.append(str(info.get(key, "")))
             lines.append("| " + " | ".join(row) + " |")
-    if isinstance(data.get("service"), dict):
-        lines.extend(service_table(data["service"]))
     return "\n".join(lines)
 
 
