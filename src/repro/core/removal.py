@@ -163,8 +163,14 @@ def remove_element(
                                 following.append(b)
         frontier = following
         relations[distance_marker_name(i)] = [(b,) for b in seen if b != element]
-    universe = [a for a in members if a != element]
-    return Structure(removed_signature(structure.signature, radius), universe, relations)
+    # Every tuple is one of A's, restricted to X minus d, so the result
+    # skips the constructor's per-tuple validation.
+    signature = removed_signature(structure.signature, radius)
+    resolved = {
+        symbol: frozenset(relations.get(symbol.name, ())) for symbol in signature
+    }
+    universe = tuple(a for a in members if a != element)
+    return Structure.__new__(Structure)._fill(signature, universe, resolved)
 
 
 # ---------------------------------------------------------------------------

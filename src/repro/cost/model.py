@@ -359,7 +359,7 @@ class CostModel:
     ) -> float:
         if depth > 32:
             return _CAP
-        step = plan.counts.get((id(body), variables))
+        step = plan.counts.get((body, variables))
         if step is not None:
             return self._count_step_cost(step, plan, depth)
         # No step: a k = 0 count, which the engine answers with one

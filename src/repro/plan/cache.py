@@ -34,7 +34,7 @@ class PlanCache:
     compile must not stall every other worker's hits — so two threads
     missing on the same key may both compile; the second insert then
     defers to the plan already in the cache, keeping plans canonical
-    (one object per key) for the id-keyed memo tables downstream.
+    (one object per key), so each search program is compiled into one plan.
     """
 
     def __init__(self, capacity: int = 256) -> None:

@@ -21,6 +21,15 @@ re-derived inside every call:
 3. **Guard analysis** (Remark 6.3).  Each component records, per counted
    variable, the statically available candidate sources (equality
    binding, distance ball, relation index, exists-block look-through).
+4. **Hash-consing.**  Every node the executor evaluates gets an id in the
+   plan's node table (:func:`intern_node`), keyed by its alpha-canonical
+   text, with its structure-independent description: its test descriptor,
+   conjunct list, count step and column-kernel qualification.  The guarded
+   search over a conjunct list is compiled into the plan on first use
+   (:func:`search_program`).
+
+Before all this, :func:`~repro.plan.normalise.simplify` folds constants and
+implied distance atoms out of the canonicalised expressions.
 
 The compiler never sees a structure: plans depend only on the expression,
 the signature, and the options — which is what makes them cacheable.
@@ -29,11 +38,13 @@ the signature, and the options — which is what makes them cacheable.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import threading
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import FormulaError
 from ..logic.printer import pretty
 from ..logic.syntax import (
+    Add,
     And,
     Atom,
     Bottom,
@@ -42,9 +53,12 @@ from ..logic.syntax import (
     Eq,
     Exists,
     Expression,
+    Forall,
     Formula,
     Iff,
     Implies,
+    IntTerm,
+    Mul,
     Not,
     Or,
     PredicateAtom,
@@ -53,7 +67,9 @@ from ..logic.syntax import (
     free_variables,
     subexpressions,
 )
+from ..obs import active_metrics
 from ..structures.signature import RelationSymbol, Signature
+from . import ir
 from .ir import (
     ComponentPlan,
     CountComplement,
@@ -64,12 +80,19 @@ from .ir import (
     CountStep,
     GuardSpec,
     MaterialiseStep,
+    PlanNode,
     PlanOptions,
     QueryPlan,
 )
-from .normalise import canonicalise, flatten_conjuncts, replace_atoms
+from .normalise import canonicalise, flatten_conjuncts, replace_atoms, simplify
 
-__all__ = ["compile_plan", "infer_signature"]
+__all__ = [
+    "compile_plan",
+    "conjunct_ids",
+    "infer_signature",
+    "intern_node",
+    "search_program",
+]
 
 #: Prefix of the auxiliary relations introduced by stratification.
 AUX_PREFIX = "Paux__"
@@ -88,7 +111,7 @@ def compile_plan(
     ASTs; the resulting plan owns every node it references.
     """
     opts = options if options is not None else PlanOptions()
-    roots: List[Expression] = [canonicalise(e) for e in expressions]
+    roots: List[Expression] = [simplify(canonicalise(e)) for e in expressions]
     steps: List[MaterialiseStep] = []
     aux_counter = itertools.count()
     allocated: Set[str] = set()
@@ -123,24 +146,30 @@ def compile_plan(
             mapping[atom] = Atom(symbol, tuple(names))
         roots = [replace_atoms(root, mapping) for root in roots]
 
-    counts: List[Tuple[Formula, CountStep]] = []
-    memo: Dict[Tuple[Tuple[Variable, ...], Formula], "Optional[CountStep]"] = {}
+    memo: Dict[Tuple[Formula, Tuple[Variable, ...]], "Optional[CountStep]"] = {}
     for expression in [t for s in steps for t in s.terms] + roots:
         for node in subexpressions(expression):
             if isinstance(node, CountTerm):
-                _compile_count(node.variables, node.inner, opts, counts, memo)
+                _compile_count(node.variables, node.inner, opts, memo)
+    entries: List[Expression] = list(roots)
     if kind == "count" and roots:
-        _compile_count(tuple(variables), roots[0], opts, counts, memo)  # type: ignore[arg-type]
+        _compile_count(tuple(variables), roots[0], opts, memo)  # type: ignore[arg-type]
+        entries[0] = CountTerm(tuple(variables), roots[0])  # type: ignore[arg-type]
 
-    return QueryPlan(
+    plan = QueryPlan(
         kind=kind,
         signature=signature,
         options=opts,
         steps=tuple(steps),
         roots=tuple(roots),
         variables=tuple(variables),
-        count_steps=tuple(counts),
+        counts={key: step for key, step in memo.items() if step is not None},
     )
+    plan.step_ids = tuple(
+        tuple(intern_node(plan, term) for term in step.terms) for step in steps
+    )
+    plan.root_ids = tuple(intern_node(plan, entry) for entry in entries)
+    return plan
 
 
 def infer_signature(expressions: Sequence[Expression]) -> Signature:
@@ -188,24 +217,17 @@ def _compile_count(
     variables: Tuple[Variable, ...],
     body: Formula,
     options: PlanOptions,
-    counts: List[Tuple[Formula, CountStep]],
-    memo: Dict[Tuple[Tuple[Variable, ...], Formula], "Optional[CountStep]"],
+    memo: Dict[Tuple[Formula, Tuple[Variable, ...]], "Optional[CountStep]"],
 ) -> "Optional[CountStep]":
-    """Compile ``#variables.body`` into a count step, registering the
-    ``(body, step)`` pair (and recursively every rewrite child's)."""
+    """Compile ``#variables.body`` into a count step, recorded in ``memo``
+    by ``(body, variables)`` (and recursively every rewrite child's)."""
     if not variables:
         return None  # k = 0 is a boolean check; the executor short-circuits it
-    key = (variables, body)
+    key = (body, variables)
     if key in memo:
-        step = memo[key]
-        if step is not None:
-            counts.append((body, step))
-        return step
+        return memo[key]
     memo[key] = None  # cycle guard; ASTs are finite but shared
-    step = _build_count(variables, body, options, counts, memo)
-    memo[key] = step
-    if step is not None:
-        counts.append((body, step))
+    step = memo[key] = _build_count(variables, body, options, memo)
     return step
 
 
@@ -213,31 +235,30 @@ def _build_count(
     variables: Tuple[Variable, ...],
     body: Formula,
     options: PlanOptions,
-    counts: List[Tuple[Formula, CountStep]],
-    memo: Dict[Tuple[Tuple[Variable, ...], Formula], "Optional[CountStep]"],
+    memo: Dict[Tuple[Formula, Tuple[Variable, ...]], "Optional[CountStep]"],
 ) -> CountStep:
     if isinstance(body, Top):
         return CountConstant(variables, zero=False)
     if isinstance(body, Bottom):
         return CountConstant(variables, zero=True)
     if isinstance(body, Not):
-        _compile_count(variables, body.inner, options, counts, memo)
+        _compile_count(variables, body.inner, options, memo)
         return CountComplement(variables, body.inner)
     if isinstance(body, Or):
         overlap = And(body.left, body.right)
-        _compile_count(variables, body.left, options, counts, memo)
-        _compile_count(variables, body.right, options, counts, memo)
-        _compile_count(variables, overlap, options, counts, memo)
+        _compile_count(variables, body.left, options, memo)
+        _compile_count(variables, body.right, options, memo)
+        _compile_count(variables, overlap, options, memo)
         return CountInclusionExclusion(variables, body.left, body.right, overlap)
     if isinstance(body, Implies):
         rewritten: Formula = Or(Not(body.left), body.right)
-        _compile_count(variables, rewritten, options, counts, memo)
+        _compile_count(variables, rewritten, options, memo)
         return CountRewrite(variables, rewritten, "implies")
     if isinstance(body, Iff):
         rewritten = Or(
             And(body.left, body.right), And(Not(body.left), Not(body.right))
         )
-        _compile_count(variables, rewritten, options, counts, memo)
+        _compile_count(variables, rewritten, options, memo)
         return CountRewrite(variables, rewritten, "iff")
     return _build_decomposition(variables, body, options)
 
@@ -373,4 +394,260 @@ def _other_side(
         return right
     if right == variable and left != variable:
         return left
+    return None
+
+
+# -- hash-consing: the executor's node table ----------------------------------
+
+#: Serialises additions to node tables: a node handed in from outside a
+#: shared plan is added while other threads may be running it.
+_INTERNING = threading.Lock()
+
+_BINARY = {And: ir.AND, Or: ir.OR, Implies: ir.IMPLIES, Iff: ir.IFF, Add: ir.ADD, Mul: ir.MUL}
+_LEAVES = {Atom: ir.ATOM, Eq: ir.EQ, DistAtom: ir.DIST, Top: ir.TOP, Bottom: ir.BOTTOM}
+
+
+def intern_node(plan: QueryPlan, node: Expression) -> int:
+    """The id of ``node``'s alpha-equivalence class in ``plan``'s node
+    table, adding it — and every node its evaluation reaches — when the
+    table has no node with its alpha-canonical text.  The table holds
+    texts, ids and names only, never ``node`` itself."""
+    with _INTERNING:
+        return _intern(plan, node)
+
+
+def _intern(plan: QueryPlan, node: Expression) -> int:
+    # An atom (or its negation) binds no variable: its text is canonical.
+    atom = node.inner if isinstance(node, Not) else node  # type: ignore[union-attr]
+    text = pretty(node if type(atom) in _LEAVES else canonicalise(node))
+    found = plan.ids.get(text)
+    if found is None:
+        free = tuple(sorted(free_variables(node)))
+        op, args = _describe(plan, node, free)
+        plan.nodes.append(PlanNode(op, text, free, args))
+        found = plan.ids[text] = len(plan.nodes) - 1
+    return found
+
+
+def _describe(
+    plan: QueryPlan, node: Expression, free: Tuple[Variable, ...]
+) -> Tuple[int, tuple]:
+    """A new node's op and args (see :class:`~repro.plan.ir.PlanNode`),
+    interning the nodes they refer to."""
+    negated = isinstance(node, Not) and isinstance(node.inner, (Atom, Eq, DistAtom))
+    leaf = node.inner if negated else node  # type: ignore[union-attr]
+    if type(leaf) in _LEAVES:
+        # An atom's fields, in order, are its test: (relation, arguments),
+        # (left, right) or (left, right, bound); NOT_X is X + 1.
+        return _LEAVES[type(leaf)] + negated, tuple(vars(leaf).values())
+    if isinstance(node, Not):
+        return ir.NOT, (_intern(plan, node.inner),)
+    if type(node) in _BINARY:
+        left = _intern(plan, node.left)  # type: ignore[union-attr]
+        right = _intern(plan, node.right)  # type: ignore[union-attr]
+        if isinstance(node, And):
+            conjuncts = conjunct_ids(plan, left) + conjunct_ids(plan, right)
+            return ir.AND, (left, right, conjuncts)
+        return _BINARY[type(node)], (left, right)
+    if isinstance(node, Exists):
+        # The whole exists-block is one search, so guards deep inside the
+        # body drive candidate generation for every block variable.
+        prefix: List[Variable] = []
+        body: Formula = node
+        while isinstance(body, Exists) and body.variable not in prefix:
+            prefix.append(body.variable)
+            body = body.inner
+        return ir.EXISTS, (tuple(prefix), conjunct_ids(plan, _intern(plan, body)))
+    if isinstance(node, Forall):
+        return ir.FORALL, ((node.variable,), (_intern(plan, Not(node.inner)),))
+    if isinstance(node, PredicateAtom):
+        return ir.PREDICATE, (node.predicate, tuple(_intern(plan, t) for t in node.terms))
+    if isinstance(node, IntTerm):
+        return ir.INT, (node.value,)
+    if isinstance(node, CountTerm):
+        step = _count_program(plan, node.variables, node.inner)
+        return ir.COUNT, (node.variables, step, _kernel(plan, node.variables, free, step))
+    raise FormulaError(f"unexpected node {type(node).__name__}")
+
+
+def conjunct_ids(plan: QueryPlan, formula: int) -> Tuple[int, ...]:
+    """The ids of a formula's conjuncts, its nested conjunctions flattened
+    and Top left out."""
+    node = plan.nodes[formula]
+    if node.op == ir.AND:
+        return node.args[2]
+    return () if node.op == ir.TOP else (formula,)
+
+
+def _count_program(
+    plan: QueryPlan, variables: Tuple[Variable, ...], body: Formula
+) -> "Optional[tuple]":
+    """The id form of the count step compiled for ``#variables. body``."""
+    if not variables:
+        return ir.CHECK, _intern(plan, body)
+    step = plan.counts.get((body, variables))
+    if step is None:
+        return None
+
+    def count(inner: Formula) -> int:
+        return _intern(plan, CountTerm(variables, inner))
+
+    if isinstance(step, CountConstant):
+        return ir.CONSTANT, step.zero
+    if isinstance(step, CountComplement):
+        return ir.COMPLEMENT, count(step.inner)
+    if isinstance(step, CountInclusionExclusion):
+        parts = (step.left, step.right, step.overlap)
+        return (ir.INCLUSION_EXCLUSION, *map(count, parts))
+    if isinstance(step, CountRewrite):
+        return ir.REWRITE, count(step.rewritten)
+    assert isinstance(step, CountDecomposition)
+    components = tuple(
+        (tuple(_intern(plan, c) for c in component.conjuncts), component.variables)
+        for component in step.components
+    )
+    gates = tuple(_intern(plan, gate) for gate in step.gates)
+    return ir.DECOMPOSE, gates, components, len(step.unused)
+
+
+def _kernel(
+    plan: QueryPlan,
+    variables: Tuple[Variable, ...],
+    free: Tuple[Variable, ...],
+    step: "Optional[tuple]",
+) -> "Optional[tuple]":
+    """The column kernel of a count over its one free variable ``x``, or
+    None when it does not qualify (see :mod:`repro.plan.executor`): the
+    guard's relation, the position of ``x`` in it, and the relations of
+    the other conjuncts when all are positive unary atoms over the counted
+    variable (None: they are tested per candidate)."""
+    if step is None or step[0] != ir.DECOMPOSE or step[1] or step[3]:
+        return None
+    if len(step[2]) != 1 or len(variables) != 1 or len(free) != 1:
+        return None
+    ((conjuncts, _),) = step[2]
+    phase, _, options, _ = search_program(plan, step[2][0])
+    if phase != ir.ANCHORED or len(options[0]) != 1:
+        return None
+    ((guard, _, _),) = options[0]
+    ((column,), (counted,)) = free, variables
+    op, _, _, args = plan.nodes[guard]
+    if op != ir.ATOM or args[1] not in ((column, counted), (counted, column)):
+        return None
+    rest = [plan.nodes[c] for c in conjuncts if c != guard]
+    if all(node.op == ir.ATOM and node.args[1] == (counted,) for node in rest):
+        unary: Optional[Tuple[str, ...]] = tuple(node.args[0] for node in rest)
+    elif all(node.op <= ir.BOTTOM for node in rest):
+        unary = None
+    else:
+        return None
+    return args[0], args[1].index(column), unary
+
+
+# -- guarded search programs --------------------------------------------------
+
+
+def search_program(plan: QueryPlan, key: Tuple[Tuple[int, ...], Tuple[Variable, ...]]) -> tuple:
+    """Compile the guarded search binding ``key``'s variables over its
+    conjuncts (node ids) and publish it in ``plan.programs``.
+
+    A program is ``(phase, conjuncts, options, choice)``.  The phase is
+    static: whether an anchored guard exists for some unbound variable
+    depends only on which variables are bound.  ANCHORED offers only the
+    guards anchored at a bound variable, SCAN the un-anchored relation
+    scans (with connected components needed at most once, for the first
+    variable); ``options`` then lists per variable with a guard its
+    ``(guard id, pool descriptor, choice)`` triples.  Otherwise the first
+    variable ranges over the universe, by ``choice``.  A choice is
+    ``(variable, check ids, child key)``: the conjuncts fully bound once
+    the variable is, bar an atom guard whose pool satisfies it, and the
+    search for the variables left (None at the last level), compiled when
+    a search first descends to it.
+    """
+    conjuncts, unbound = key
+    names = frozenset(unbound)
+    program = None if unbound else (ir.LEAF, conjuncts, None, None)
+    for phase in (ir.ANCHORED, ir.SCAN) if unbound and plan.options.guards else ():
+        options = []
+        for variable in unbound:
+            found = []
+            for conjunct in conjuncts:
+                pool = _pool(plan, conjunct, variable, names, phase == ir.ANCHORED)
+                if pool is not None:
+                    found.append((conjunct, pool, _choice(plan, key, variable, conjunct)))
+            if found:
+                options.append(tuple(found))
+        if options:
+            program = (phase, conjuncts, tuple(options), None)
+            break
+    if program is None:
+        phase = ir.UNIVERSE if plan.options.guards else ir.DISABLED
+        program = (phase, conjuncts, None, _choice(plan, key, unbound[0], None))
+    plan.programs[key] = program
+    metrics = active_metrics()
+    if metrics is not None:
+        metrics.inc("plan.program.compiled")
+    return program
+
+
+def _choice(
+    plan: QueryPlan,
+    key: Tuple[Tuple[int, ...], Tuple[Variable, ...]],
+    variable: Variable,
+    guard: Optional[int],
+) -> tuple:
+    conjuncts, unbound = key
+    rest = tuple(v for v in unbound if v != variable)
+    left = frozenset(rest)
+    exact = guard is not None and plan.nodes[guard].op in (ir.ATOM, ir.EQ, ir.DIST)
+    checks = tuple(
+        c
+        for c in conjuncts
+        if not left.intersection(plan.nodes[c].free) and not (exact and c == guard)
+    )
+    below = tuple(c for c in conjuncts if left.intersection(plan.nodes[c].free))
+    return variable, checks, (below, rest) if rest else None
+
+
+def _pool(
+    plan: QueryPlan,
+    conjunct: int,
+    variable: Variable,
+    unbound: FrozenSet[Variable],
+    anchored: bool,
+) -> "Optional[tuple]":
+    """The descriptor of the candidate pool ``conjunct`` offers for
+    ``variable`` in this phase, or None: ``("eq", other)``,
+    ``("ball", radius, other)``, ``("atom", relation, bound positions,
+    target positions, bound variables)``, or ``("any", descriptors)`` for
+    the smallest of the pools an exists-block's conjuncts offer (a superset
+    of the witnesses, which is sound: every candidate is re-checked
+    against the whole conjunct)."""
+    op, _, _, args = plan.nodes[conjunct]
+    if op in (ir.EQ, ir.DIST):
+        other = _other_side(args[0], args[1], variable)
+        if not anchored or other is None or other in unbound:
+            return None
+        return ("eq", other) if op == ir.EQ else ("ball", args[2], other)
+    if op == ir.ATOM:
+        relation, arguments = args
+        if variable not in arguments:
+            return None
+        targets = tuple(i for i, arg in enumerate(arguments) if arg == variable)
+        bound = tuple(
+            i for i, arg in enumerate(arguments) if arg != variable and arg not in unbound
+        )
+        if anchored != bool(bound):
+            return None
+        return "atom", relation, bound, targets, tuple(arguments[i] for i in bound)
+    if op == ir.EXISTS:
+        prefix, body = args
+        if variable in prefix:
+            return None
+        hidden = unbound.union(prefix)
+        found = (_pool(plan, piece, variable, hidden, anchored) for piece in body)
+        pieces = tuple(pool for pool in found if pool is not None)
+        if not pieces:
+            return None
+        return pieces[0] if len(pieces) == 1 else ("any", pieces)
     return None

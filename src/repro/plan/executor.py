@@ -7,38 +7,79 @@ runs queries through one instrumented code path.  It runs compiled plans
 only.  A :class:`~repro.plan.ir.QueryPlan` supplies the Theorem 6.10
 materialisation steps, which the executor applies in stratum order, and
 the Lemma 6.4 count DAG: every count with counted variables dispatches
-through the body's compiled step (:meth:`ExecutionState._count`), and a
-body without one is an :class:`~repro.errors.EvaluationError`.  Memo
-tables survive across materialisation steps: the auxiliary relations are
-at most unary, so they add no Gaifman edges and invalidate neither ball
-caches nor prior satisfaction/count entries.
+through the body's compiled step, and a body without one is an
+:class:`~repro.errors.EvaluationError`.  Memo tables survive across
+materialisation steps: the auxiliary relations are at most unary, so they
+add no Gaifman edges and invalidate neither ball caches nor prior
+satisfaction/count entries.
 
 Budget ticks (``evaluator.materialise`` / ``evaluator.count`` /
 ``evaluator.enumerate`` / ``evaluator.holds``), fault-injection sites
 (``predicate.oracle`` / ``memo.insert``) and all ``evaluator.*`` metrics
 live here and only here.
 
+Compile once, bind per state
+----------------------------
+The executor runs the plan's node table (:mod:`repro.plan.ir`), not its
+ASTs: every formula, term and count it evaluates is a node id, and the
+memos key on ``(node id, bindings)``.  Everything about a node that does
+not depend on the structure — its op, free variables, conjunct list,
+count step, column-kernel qualification, and the guarded search programs
+over its conjuncts — lives in the plan, compiled once
+(:func:`~repro.plan.compiler.search_program` compiles a search on its
+first use by any state).  A state only *binds* what it uses to its
+structure, once: an atom's test to the relation's frozenset or the cached
+ball, a search program's pool descriptors to the structure's projections,
+a kernel to its projection.  The bindings are rebuilt after each
+materialisation step, which replaces the structure.  A node handed in from
+outside the plan (``state.holds(parse_formula(...))``) takes a slow path:
+it is added to the plan's table by its alpha-canonical text.
+
+Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
+``dist(x, y) <= d``, their negations, Top and Bottom bind to a closure —
+a membership probe on the relation's frozenset, an equality, or a lookup
+in the state's cached ball.  An atom test builds no memo key, stores no
+entry, ticks no ``evaluator.holds`` step and reaches no ``memo.insert``
+fault site; the per-candidate ``evaluator.enumerate`` tick of guarded
+enumeration still pays for every atom test, so a budget bounds all work.
+
+A bound search node holds its guard sources as pool getters — an anchored
+guard is one lookup in a :meth:`Structure.projection` keyed by the bound
+values, a scan is a constant pool, a ball guard the cached ball — and per
+choice of variable and guard the checks each candidate must pass and the
+node below, bound on first descent.  Counting descends through
+integer-returning recursion (:meth:`ExecutionState._count_search`);
+existence and enumeration walk the same nodes through one generator
+(:meth:`ExecutionState._enumerate`).  Bound nodes, tests and kernels hold
+no reference to the state, so a state is freed by reference counting
+when its engine call drops it; states are scoped to one public engine
+call.
+
+Compound formulas, predicate atoms and counts go through the
+satisfaction/count memos.  Alpha-equivalent nodes share one id — e.g.
+``#(y). E(x, y)`` and ``#(z). E(x, z)`` hit the same count cell — and an
+id's canonical text is its checkpoint key.
+
 Column kernels
 --------------
 Strata and unary terms are evaluated a column at a time
 (:meth:`ExecutionState._term_column`): ``+`` and ``*`` element by element
 (the right factor only where the left is non-zero), and a count through a
-*kernel* when its step is one component over one counted variable ``y``,
-with no gates and no unused variables, whose top search node is anchored
-by one guard, a binary relation atom over the column variable ``x`` and
-``y``, and whose other conjuncts have in-place tests.  The value at ``a``
-is then the size of ``projection.get(a)`` intersected with the positive
-unary atoms over ``y`` (one ``evaluator.enumerate`` tick weighted by the
-pool size) when they are the other conjuncts; else the node's search
-tests the others per candidate, as :meth:`count` does.  Other counts run
-:meth:`count` per element.  Each element computed charges what
-:meth:`count` would.  Columns live in their own memo, keyed by the
-count's canonical text and ``x``, one ``memo.insert`` fault site per
-column; :meth:`count` reads them, and an element found in the count memo
-(restored) costs nothing.  Checkpoints get each column, or a suspended
-column's finished prefix, as the count entries :meth:`count` would have
-stored, and a resumed :class:`PlanExecutor` restores them before it
-replays strata.
+*kernel* when the plan qualified it: one component over one counted
+variable ``y``, with no gates and no unused variables, whose search is
+anchored by one guard, a binary relation atom over the column variable
+``x`` and ``y``, and whose other conjuncts have in-place tests.  The value
+at ``a`` is then the size of ``projection.get(a)`` intersected with the
+positive unary atoms over ``y`` (one ``evaluator.enumerate`` tick weighted
+by the pool size) when they are the other conjuncts; else the count's
+search tests the others per candidate, as a count does.  Other counts run
+per element.  Each element computed charges what a count would.  Columns
+live in their own memo, keyed by the count's id and ``x``, one
+``memo.insert`` fault site per column; counts read them, and an element
+found in the count memo (restored) costs nothing.  Checkpoints get each
+column, or a suspended column's finished prefix, as the count entries a
+count would have stored, and a resumed :class:`PlanExecutor` restores them
+before it replays strata.
 
 Under a checkpoint session a :class:`PlanExecutor` records each stratum as
 it materialises it, but only *registers* its memo tables with the session
@@ -46,62 +87,6 @@ when a runner returns or suspends.  The session exports them, as
 :meth:`ExecutionState.export_memo_snapshot` would, when the next executor
 starts or registers, or when it takes a snapshot; a run of one executor
 that never suspends exports nothing.
-
-Memo lifetime contract
-----------------------
-Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
-``dist(x, y) <= d``, Top, Bottom and the negation of a relation atom or
-an equality compile once per node into a closure (:meth:`_test`): a
-membership probe on the relation's frozenset, an equality, or a lookup in
-the state's cached ball.  An atom test builds no memo key, stores no
-entry, ticks no ``evaluator.holds`` step and reaches no ``memo.insert``
-fault site; the per-candidate ``evaluator.enumerate`` tick of guarded
-enumeration still pays for every atom test, so a budget bounds all work.
-The closures capture the relation frozensets of the current structure,
-so they are rebuilt after each materialisation step.
-
-Guarded enumeration runs on *search nodes* compiled once per state, one
-per (conjunct container, unbound variables) pair (:meth:`_search_node`).
-A node holds its guard sources as pool getters — an anchored guard is
-one lookup in a :meth:`Structure.projection` keyed by the bound values,
-a scan is a constant pool — its phase (anchored, scan or universe), and
-per choice of variable and guard the checks each candidate must pass
-(the guard itself left out when its pool already satisfies it) and the
-node below.  Counting descends through integer-returning recursion
-(:meth:`_count_search`); existence and :meth:`solutions` walk the same
-nodes through one generator (:meth:`_enumerate`).  Nodes capture the structure's
-projections and tests, so they are dropped with the tests after each
-materialisation step, and hold no reference to the state.
-
-Compound formulas, predicate atoms and counts go through the
-satisfaction/count memos, which key on *alpha-canonical text*: the node
-is canonicalised (:func:`~repro.plan.normalise.canonicalise` — bound
-variables renamed ``_b0, _b1, ...``, free variables untouched) and
-pretty-printed, so alpha-equivalent subterms share one entry — e.g.
-``#(y). E(x, y)`` and ``#(z). E(x, z)`` hit the same count cell.  The
-canonical text itself is expensive to compute, so it is cached per
-``id(node)`` in ``_canon_memo`` (and, with the sorted free variables
-whose bindings complete a count key, per ``(id(body), variables)`` in
-``_count_key_memo``), and the ``Not(inner)`` node a Forall is searched
-through is cached per ``id`` too (``_forall_memo``), so re-evaluating a
-quantifier never mints fresh AST nodes whose ids would defeat every
-id-keyed cache.
-
-The id-keyed caches (the per-node tests and the search nodes included)
-are only sound while the keyed object stays alive: CPython recycles ids,
-so an entry that outlives its node can alias a *different* node created
-later.  The state therefore pins every node that enters an id-keyed memo
-in ``_pins`` (id -> node) — and every conjunct container a search node
-keys on: a plan component's tuple or a ``_conjuncts`` list — and never
-drops a pin: pins live as long as the memos, that is, as long as the
-state.  (Dropping the tests and search nodes after a materialisation
-step is safe: a pin without an entry only keeps a node alive.)  States
-themselves are scoped to one public engine call (facades create fresh
-states per call and hold no reference afterwards), so repeated queries
-do not accumulate memory across calls.  Every node a plan references is
-plan-owned (deep-copied at compile time), so memo ids are stable for the
-lifetime of the cached plan; the pins protect the nodes a caller passes
-to an :class:`ExecutionState` directly.
 """
 
 from __future__ import annotations
@@ -126,31 +111,7 @@ from typing import (
 
 from ..errors import EvaluationError, SuspendedError
 from ..logic.predicates import PredicateCollection
-from ..logic.syntax import (
-    Add,
-    And,
-    Atom,
-    Bottom,
-    CountTerm,
-    DistAtom,
-    Eq,
-    Exists,
-    Expression,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    IntTerm,
-    Mul,
-    Not,
-    Or,
-    PredicateAtom,
-    Term,
-    Top,
-    Variable,
-    free_variables,
-    subexpressions,
-)
+from ..logic.syntax import CountTerm, Formula, Term, Variable
 from ..obs import active_metrics
 from ..robust.budget import EvaluationBudget
 from ..robust.checkpoint import (
@@ -163,32 +124,18 @@ from ..robust.faults import fault_check
 from ..structures.gaifman import ball as gaifman_ball
 from ..structures.signature import RelationSymbol, Signature
 from ..structures.structure import Element, Structure, Tup
-from .ir import (
-    CountComplement,
-    CountConstant,
-    CountDecomposition,
-    CountInclusionExclusion,
-    CountRewrite,
-    MaterialiseStep,
-    QueryPlan,
-)
-from ..logic.printer import pretty
-from .normalise import canonicalise, flatten_conjuncts
+from . import ir
+from .compiler import conjunct_ids, intern_node, search_program
+from .ir import MaterialiseStep, QueryPlan
 
 __all__ = ["ExecutionState", "PlanExecutor"]
 
-#: A compiled satisfaction test (see :meth:`ExecutionState._test`).
+#: A bound satisfaction test (see :meth:`ExecutionState._test`).
 Test = Callable[[Dict[Variable, Element]], bool]
 #: A candidate pool of guarded enumeration, iterated in a fixed order.
-Pool = Union[Tuple[Element, ...], Set[Element]]
+Pool = Union[Tuple[Element, ...], FrozenSet[Element]]
 PoolGetter = Callable[[Dict[Variable, Element]], Pool]
 
-# The phases of a search node: how its variable and pool are chosen.
-_ANCHORED = 0  # the smallest pool of a guard anchored at a bound variable
-_SCAN = 1  # the smallest un-anchored relation scan (a constant pool)
-_UNIVERSE = 2  # no guard: the first variable ranges over the universe
-_DISABLED = 3  # guards switched off: likewise
-_LEAF = 4  # nothing left to bind: the conjuncts are checked once
 _PHASE_COUNTERS = (
     "evaluator.guard.anchored",
     "evaluator.guard.scan",
@@ -203,36 +150,22 @@ def _unassigned(error: KeyError) -> EvaluationError:
 
 class _Choice:
     """Binding one variable from one guard's pool (or the universe): the
-    checks each candidate must pass and the node for the variables left.
+    checks each candidate must pass and the search for the variables left
+    (the plan's program ``key``, bound on first descent into ``child``;
+    None at the last level)."""
 
-    ``checks`` tests the conjuncts fully bound once ``variable`` is; the
-    child node (compiled on first descent, None at the last level) binds
-    ``rest`` over the conjuncts of ``root`` that mention them.  ``guard``
-    is the conjunct the pool comes from (None for the universe).
-    """
+    __slots__ = ("variable", "checks", "key", "child")
 
-    __slots__ = ("variable", "guard", "root", "rest", "checks", "child")
-
-    def __init__(
-        self,
-        variable: Variable,
-        guard: Optional[Formula],
-        root: Sequence[Formula],
-        rest: Tuple[Variable, ...],
-        checks: Tuple[Test, ...],
-    ):
+    def __init__(self, variable: Variable, checks: Tuple[Test, ...], key):
         self.variable = variable
-        self.guard = guard
-        self.root = root
-        self.rest = rest
         self.checks = checks
+        self.key = key
         self.child: "Optional[_SearchNode]" = None
 
 
 class _SearchNode:
-    """Guarded search for one (conjunct container, unbound variables) pair,
-    compiled once per :class:`ExecutionState` (see
-    :meth:`ExecutionState._compile_node`).
+    """A search program (:func:`~repro.plan.compiler.search_program`)
+    bound to one state's structure.
 
     In the anchored and scan phases ``options`` lists, per unbound
     variable with a guard, the ``(pool getter, choice)`` pair of each guard
@@ -244,11 +177,11 @@ class _SearchNode:
 
     def __init__(
         self,
-        conjuncts: Tuple[Formula, ...],
+        conjuncts: Tuple[int, ...],
         phase: int,
         options: "Optional[Tuple[Tuple[Tuple[PoolGetter, _Choice], ...], ...]]" = None,
         pool: Pool = (),
-        choice: "_Choice" = None,  # type: ignore[assignment]
+        choice: "Optional[_Choice]" = None,
     ):
         self.conjuncts = conjuncts
         self.phase = phase
@@ -313,16 +246,17 @@ def _ball(
 
 
 def _holds_through(
-    state: "weakref.ref[ExecutionState]", formula: Formula, env: Dict[Variable, Element]
+    state: "weakref.ref[ExecutionState]", formula: int, env: Dict[Variable, Element]
 ) -> bool:
-    return state().holds(formula, env)  # type: ignore[union-attr]
+    return state()._holds(formula, env)  # type: ignore[union-attr]
 
 
 class ExecutionState:
     """Evaluation state for one (possibly expanded) structure and one
-    compiled plan: memo tables, ball caches, materialisation and
-    count-step dispatch.  See the module docstring for the memo lifetime
-    contract."""
+    compiled plan: memo tables, ball caches, the bindings of the plan's
+    tests, search programs and kernels, materialisation and count-step
+    dispatch.  Internal methods take node ids; the public ones take ASTs
+    (see the module docstring)."""
 
     def __init__(
         self,
@@ -336,119 +270,21 @@ class ExecutionState:
         self.plan = plan
         self.budget = budget
         self._metrics = active_metrics()
+        self._nodes = plan.nodes
         self._holds_memo: Dict[Tuple, bool] = {}
         self._count_memo: Dict[Tuple, int] = {}
-        # Column kernels' values, per (count text, column variable).
-        self._columns: Dict[Tuple[str, Variable], Dict[Element, int]] = {}
-        self._free_memo: Dict[int, FrozenSet[Variable]] = {}
-        # Pin every node (or conjunct container) that enters an id-keyed
-        # memo (id -> object, so one pinned through several memos is stored
-        # once) for the lifetime of the state.
-        self._pins: Dict[int, object] = {}
-        self._free_sorted_memo: Dict[int, Tuple[Variable, ...]] = {}
-        self._conjunct_memo: Dict[int, List[Formula]] = {}
-        # Alpha-canonical memo-key texts, cached per node identity (the
-        # canonicalise + pretty walk is O(|node|); the id lookup is O(1)).
-        self._canon_memo: Dict[int, str] = {}
-        self._count_key_memo: Dict[
-            Tuple[int, Tuple[Variable, ...]], Tuple[str, Tuple[Variable, ...]]
-        ] = {}
-        # Per-node satisfaction tests (in place for atoms, through the
-        # memo otherwise), compiled search nodes and column kernels; all
-        # capture the structure's relations and are rebuilt whenever it is
-        # extended.
-        self._tests: Dict[int, Test] = {}
-        self._search_nodes: Dict[
-            Tuple[int, Tuple[Variable, ...], bool], _SearchNode
-        ] = {}
-        self._kernels: Dict[Tuple[int, Variable], Optional[Tuple]] = {}
+        # Column kernels' values, per (count id, column variable).
+        self._columns: Dict[Tuple[int, Variable], Dict[Element, int]] = {}
+        # The plan's tests, search programs and kernels bound to the
+        # structure, per node id, program key and (count id, variable);
+        # rebuilt whenever the structure is extended.
+        self._bound_tests: Dict[int, Test] = {}
+        self._bound_nodes: Dict[tuple, _SearchNode] = {}
+        self._bound_kernels: Dict[Tuple[int, Variable], Optional[tuple]] = {}
         # Per-candidate checks reach the memo through this weak reference
         # (see _check), so that no search node keeps the state alive.
         self._ref = weakref.ref(self)
-        # The Not(inner) node each Forall is searched through, cached per
-        # source node so repeated evaluation reuses one object (and its
-        # memos).
-        self._forall_memo: Dict[int, Not] = {}
         self._ball_caches: Dict[int, Dict[Element, FrozenSet[Element]]] = {}
-
-    # -- small caches ------------------------------------------------------------
-
-    def free(self, node: Expression) -> FrozenSet[Variable]:
-        key = id(node)
-        cached = self._free_memo.get(key)
-        if cached is None:
-            cached = free_variables(node)
-            self._free_memo[key] = cached
-            self._pins[key] = node
-        return cached
-
-    def free_sorted(self, node: Expression) -> Tuple[Variable, ...]:
-        key = id(node)
-        cached = self._free_sorted_memo.get(key)
-        if cached is None:
-            cached = tuple(sorted(self.free(node)))
-            self._free_sorted_memo[key] = cached
-            self._pins[key] = node
-        return cached
-
-    def _conjuncts(self, formula: Formula) -> List[Formula]:
-        key = id(formula)
-        cached = self._conjunct_memo.get(key)
-        if cached is None:
-            cached = flatten_conjuncts(formula)
-            self._conjunct_memo[key] = cached
-            self._pins[key] = formula
-        return cached
-
-    def _canon_key(self, node: Expression) -> str:
-        """The node's alpha-canonical text — the satisfaction-memo key.
-
-        Canonicalisation preserves free-variable names and renames bound
-        variables in traversal order, so two nodes share a key iff they
-        are alpha-equivalent — which, for a fixed structure and fixed
-        relevant bindings, implies the same memoised value.
-        """
-        key = id(node)
-        cached = self._canon_memo.get(key)
-        if cached is None:
-            # Canonical text is a pure function of the (immutable) node,
-            # so it can live on the node itself: plan-owned nodes are
-            # shared by every session executing the cached plan, and the
-            # attribute spares each new session the canonicalise walk.
-            cached = getattr(node, "_canon_cache", None)
-            if cached is None:
-                cached = pretty(canonicalise(node))
-                object.__setattr__(node, "_canon_cache", cached)
-            self._canon_memo[key] = cached
-            self._pins[key] = node
-        return cached
-
-    def _count_key(
-        self, variables: Tuple[Variable, ...], body: Formula
-    ) -> Tuple[str, Tuple[Variable, ...]]:
-        """The fixed half of the count-memo key for ``#(variables). body``:
-        its canonical text, and the sorted free variables of ``body``
-        outside ``variables`` (whose bindings are the other half).
-
-        Wrapping in a CountTerm before canonicalising folds the counted
-        variables into the binder renaming, so ``#(y). E(x, y)`` and
-        ``#(z). E(x, z)`` share one key.
-        """
-        key = (id(body), variables)
-        cached = self._count_key_memo.get(key)
-        if cached is None:
-            by_vars = getattr(body, "_count_canon_cache", None)
-            if by_vars is None:
-                by_vars = {}
-                object.__setattr__(body, "_count_canon_cache", by_vars)
-            text = by_vars.get(variables)
-            if text is None:
-                text = pretty(canonicalise(CountTerm(variables, body)))
-                by_vars[variables] = text
-            cached = (text, tuple(sorted(self.free(body) - set(variables))))
-            self._count_key_memo[key] = cached
-            self._pins[id(body)] = body
-        return cached
 
     def _ball_lookup(self, distance: int) -> Callable[[Element], FrozenSet[Element]]:
         """The cached ``distance``-ball of an element, as a function that
@@ -456,22 +292,28 @@ class ExecutionState:
         cache = self._ball_caches.setdefault(distance, {})
         return partial(_ball, cache, self.structure, self._metrics, distance)
 
+    def _symbol(self, relation: str) -> RelationSymbol:
+        symbol = self.structure.signature.get(relation)
+        if symbol is None:
+            raise EvaluationError(f"relation {relation!r} missing from the signature")
+        return symbol
+
     def _extend(self, symbol: RelationSymbol, tuples: Iterable[Tup]) -> None:
         """Expand the structure by one auxiliary relation.
 
         Memos and columns survive (aux relations are <=1-ary: no new
-        Gaifman edges, no change to existing relations); the per-node
-        tests, search nodes and kernels captured the old structure's
-        relations, so they are rebuilt on next use.
+        Gaifman edges, no change to existing relations); the bound tests,
+        search nodes and kernels captured the old structure's relations,
+        so they are rebuilt on next use.
         """
         from ..structures.operations import expansion
 
         self.structure = expansion(
             self.structure, Signature([symbol]), {symbol.name: tuples}
         )
-        self._tests.clear()
-        self._search_nodes.clear()
-        self._kernels.clear()
+        self._bound_tests.clear()
+        self._bound_nodes.clear()
+        self._bound_kernels.clear()
 
     # -- Theorem 6.10 stratification ----------------------------------------------
 
@@ -487,15 +329,16 @@ class ExecutionState:
                 f"plan symbol {step.symbol!r} already present; "
                 "was this plan compiled for a different signature?"
             )
+        terms = self.plan.step_ids[self.plan.steps.index(step)]
         if step.arity == 0:
-            values = tuple(self.term_value(t, {}) for t in step.terms)
+            values = tuple(self._term(t, {}) for t in terms)
             fault_check("predicate.oracle")
             holds = self.predicates.query(step.predicate, values)
             tuples: Set[Tup] = {()} if holds else set()
         else:
             assert step.variable is not None
             universe = self.structure.universe_order
-            columns = [self._term_column(t, step.variable, universe) for t in step.terms]
+            columns = [self._term_column(t, step.variable, universe) for t in terms]
             tuples = set()
             for element, values in zip(universe, zip(*columns)):
                 if self.budget is not None:
@@ -527,61 +370,58 @@ class ExecutionState:
     # -- terms ----------------------------------------------------------------------
 
     def term_value(self, term: Term, env: Dict[Variable, Element]) -> int:
-        if isinstance(term, IntTerm):
-            return term.value
-        if isinstance(term, Add):
-            return self.term_value(term.left, env) + self.term_value(term.right, env)
-        if isinstance(term, Mul):
-            left = self.term_value(term.left, env)
+        return self._term(intern_node(self.plan, term), env)
+
+    def _term(self, term: int, env: Dict[Variable, Element]) -> int:
+        op, _, _, args = self._nodes[term]
+        if op == ir.INT:
+            return args[0]
+        if op == ir.ADD:
+            return self._term(args[0], env) + self._term(args[1], env)
+        if op == ir.MUL:
+            left = self._term(args[0], env)
             if left == 0:
                 return 0
-            return left * self.term_value(term.right, env)
-        if isinstance(term, CountTerm):
-            return self.count(term.variables, term.inner, env)
-        raise EvaluationError(f"unexpected term node {type(term).__name__}")
+            return left * self._term(args[1], env)
+        return self._count(term, env)
 
     def _term_column(
-        self, term: Term, variable: Variable, elements: Sequence[Element]
+        self, term: int, variable: Variable, elements: Sequence[Element]
     ) -> List[int]:
-        """``term_value(term, {variable: a})`` for every ``a`` in
-        ``elements``: element by element through ``+`` and ``*`` (the right
-        factor only where the left is non-zero), a count as one column."""
-        if isinstance(term, IntTerm):
-            return [term.value] * len(elements)
-        if isinstance(term, Add):
-            left = self._term_column(term.left, variable, elements)
-            right = self._term_column(term.right, variable, elements)
+        """``_term(term, {variable: a})`` for every ``a`` in ``elements``:
+        element by element through ``+`` and ``*`` (the right factor only
+        where the left is non-zero), a count as one column."""
+        op, _, _, args = self._nodes[term]
+        if op == ir.INT:
+            return [args[0]] * len(elements)
+        if op == ir.ADD:
+            left = self._term_column(args[0], variable, elements)
+            right = self._term_column(args[1], variable, elements)
             return [a + b for a, b in zip(left, right)]
-        if isinstance(term, Mul):
-            left = self._term_column(term.left, variable, elements)
+        if op == ir.MUL:
+            left = self._term_column(args[0], variable, elements)
             live = [a for a, value in zip(elements, left) if value]
-            right = iter(self._term_column(term.right, variable, live))
+            right = iter(self._term_column(args[1], variable, live))
             return [value * next(right) if value else 0 for value in left]
-        if isinstance(term, CountTerm):
-            return self._count_column(term, variable, elements)
-        raise EvaluationError(f"unexpected term node {type(term).__name__}")
+        return self._count_column(term, variable, elements)
 
     def _count_column(
-        self, term: CountTerm, variable: Variable, elements: Sequence[Element]
+        self, count: int, variable: Variable, elements: Sequence[Element]
     ) -> List[int]:
         """The count at every element: one pass over its kernel's
-        projection (see the module docstring), else :meth:`count` per
-        element.  Each element computed charges what :meth:`count` would;
-        one in the column or the count memo (restored) costs nothing."""
+        projection (see the module docstring), else a count per element.
+        Each element computed charges what a count would; one in the
+        column or the count memo (restored) costs nothing."""
         if not elements:
             return []
-        key = (id(term), variable)
-        if key not in self._kernels:
-            self._kernels[key] = self._kernel(term, variable)
-            self._pins[id(term)] = term
-        kernel = self._kernels[key]
+        kernel = self._kernel(count, variable)
         if kernel is None:
-            return [self.count(term.variables, term.inner, {variable: a}) for a in elements]
-        text, projection, members, node = kernel
-        column = self._columns.get((text, variable))
+            return [self._count(count, {variable: a}) for a in elements]
+        projection, members, node = kernel
+        column = self._columns.get((count, variable))
         if column is None:
             fault_check("memo.insert")
-            column = self._columns[(text, variable)] = {}
+            column = self._columns[(count, variable)] = {}
             if self._metrics is not None:
                 self._metrics.inc("evaluator.count.column")
         memo = self._count_memo
@@ -591,7 +431,7 @@ class ExecutionState:
         for a in elements:
             value = column.get(a)
             if value is None and memo:
-                value = memo.get((text, ((variable, a),)))
+                value = memo.get((count, ((variable, a),)))
             if value is None:
                 if budget is not None:
                     budget.tick("evaluator.count")
@@ -609,45 +449,30 @@ class ExecutionState:
             self._metrics.inc("evaluator.count.column.elements", computed)
         return values
 
-    def _kernel(self, term: CountTerm, variable: Variable) -> Optional[Tuple]:
-        """The column kernel of ``term`` over ``variable`` (see the module
-        docstring), or None when the count does not qualify: the count's
-        memo text, the guard's projection from ``variable`` to the counted
-        variable ``y``, and either the member set of the positive unary
-        atoms over ``y`` when they are the other conjuncts (None for none)
-        and None, or None and the search node that tests the others per
-        candidate.  A conjunct with no in-place test disqualifies the
-        count."""
-        step = self.plan.counts.get((id(term.inner), term.variables))
-        if not isinstance(step, CountDecomposition) or step.gates or step.unused:
-            return None
-        text, names = self._count_key(term.variables, term.inner)
-        if len(step.variables) != 1 or names != (variable,):
-            return None
-        (component,) = step.components
-        node = self._search_node(component.conjuncts, component.variables)
-        if node.phase != _ANCHORED or len(node.options[0]) != 1:
-            return None
-        choice = node.options[0][0][1]
-        guard, counted = choice.guard, choice.variable
-        pairs = ((variable, counted), (counted, variable))
-        if not isinstance(guard, Atom) or guard.args not in pairs:
-            return None
-        anchor = guard.args.index(variable)
-        projection = self.structure.projection(
-            self._symbol(guard.relation), (anchor,), (1 - anchor,)
-        )
-        rest = [conjunct for conjunct in component.conjuncts if conjunct is not guard]
-        if not all(isinstance(c, Atom) and c.args == (counted,) for c in rest):
-            if None in map(self._test, rest):
-                return None
-            return text, projection, None, node
-        members: Optional[Set[Element]] = None
-        for atom in rest:
-            symbol = self._symbol(atom.relation)
-            found = self.structure.projection(symbol, (), (0,)).get((), ())
-            members = set(found) if members is None else members.intersection(found)
-        return text, projection, members, None
+    def _kernel(self, count: int, variable: Variable) -> Optional[tuple]:
+        """The plan's column kernel of ``count`` over ``variable`` bound to
+        the structure, or None: the guard's projection from ``variable`` to
+        the counted variable, and either the member set of the unary atoms
+        (None for none) and None, or None and the search node that tests
+        the other conjuncts per candidate."""
+        key = (count, variable)
+        if key in self._bound_kernels:
+            return self._bound_kernels[key]
+        _, _, free, (_, step, kernel) = self._nodes[count]
+        bound = None
+        if kernel is not None and free == (variable,):
+            relation, anchor, unary = kernel
+            projection = self.structure.projection(
+                self._symbol(relation), (anchor,), (1 - anchor,)
+            )
+            members: Optional[Set[Element]] = None
+            for name in unary or ():
+                found = self.structure.projection(self._symbol(name), (), (0,)).get((), ())
+                members = set(found) if members is None else members.intersection(found)
+            node = self._node(step[2][0]) if unary is None else None
+            bound = projection, members, node
+        self._bound_kernels[key] = bound
+        return bound
 
     # -- counting ---------------------------------------------------------------------
 
@@ -657,244 +482,119 @@ class ExecutionState:
         body: Formula,
         env: Dict[Variable, Element],
     ) -> int:
+        return self._count(intern_node(self.plan, CountTerm(variables, body)), env)
+
+    def _count(self, count: int, env: Dict[Variable, Element]) -> int:
+        _, _, names, (variables, _, _) = self._nodes[count]
         # Outer bindings of the counted variables are shadowed by the binder.
         if any(v in env for v in variables):
             env = {k: val for k, val in env.items() if k not in variables}
-        text, names = self._count_key(variables, body)
-        key = (text, tuple((v, env[v]) for v in names if v in env))
+        key = (count, tuple((v, env[v]) for v in names if v in env))
         cached = self._count_memo.get(key)
         if cached is None and self._columns and len(key[1]) == 1:
             # A column kernel may hold it (see _count_column).
             ((name, value),) = key[1]
-            cached = self._columns.get((text, name), {}).get(value)
+            cached = self._columns.get((count, name), {}).get(value)
         if cached is None:
             if self.budget is not None:
                 self.budget.tick("evaluator.count")
             if self._metrics is not None:
                 self._metrics.inc("evaluator.count.memo.miss")
-            cached = self._count(variables, body, env)
+            cached = self._tally(count, env)
             fault_check("memo.insert")
             self._count_memo[key] = cached
         elif self._metrics is not None:
             self._metrics.inc("evaluator.count.memo.hit")
         return cached
 
-    def _count(
-        self,
-        variables: Tuple[Variable, ...],
-        body: Formula,
-        env: Dict[Variable, Element],
-    ) -> int:
-        """Dispatch the body's compiled Lemma 6.4 step.  Child counts re-enter
-        :meth:`count` (and so the memo) with plan-owned nodes, giving stable
-        memo identities for the lifetime of the cached plan."""
-        n = self.structure.order()
-        k = len(variables)
-        if k == 0:
-            return 1 if self.holds(body, env) else 0
-        step = self.plan.counts.get((id(body), variables))
+    def _tally(self, count: int, env: Dict[Variable, Element]) -> int:
+        """Dispatch the count's compiled Lemma 6.4 step."""
+        _, text, _, (variables, step, _) = self._nodes[count]
         if step is None:
             raise EvaluationError(
-                f"no compiled count step for #({', '.join(variables)}). "
-                f"{pretty(body)}: not a node of this state's plan"
+                f"no compiled count step for {text}: not a node of this state's plan"
             )
-        if isinstance(step, CountConstant):
-            return 0 if step.zero else n**k
-        if isinstance(step, CountComplement):
-            return n**k - self.count(variables, step.inner, env)
-        if isinstance(step, CountInclusionExclusion):
+        kind = step[0]
+        if kind == ir.CHECK:
+            return 1 if self._holds(step[1], env) else 0
+        n = self.structure.order()
+        k = len(variables)
+        if kind == ir.CONSTANT:
+            return 0 if step[1] else n**k
+        if kind == ir.COMPLEMENT:
+            return n**k - self._count(step[1], env)
+        if kind == ir.INCLUSION_EXCLUSION:
             return (
-                self.count(variables, step.left, env)
-                + self.count(variables, step.right, env)
-                - self.count(variables, step.overlap, env)
+                self._count(step[1], env)
+                + self._count(step[2], env)
+                - self._count(step[3], env)
             )
-        if isinstance(step, CountRewrite):
-            return self.count(variables, step.rewritten, env)
-        if isinstance(step, CountDecomposition):
-            for gate in step.gates:
-                if not self.holds(gate, env):
-                    return 0
-            result = 1
-            for component in step.components:
-                # Guarded backtracking count of one variable-connected
-                # component, keyed on the plan's conjunct tuple.
-                node = self._search_node(component.conjuncts, component.variables)
-                part = self._count_search(node, dict(env))
-                if part == 0:
-                    return 0
-                result *= part
-            return result * (n ** len(step.unused))
-        raise EvaluationError(f"unexpected plan step {type(step).__name__}")
+        if kind == ir.REWRITE:
+            return self._count(step[1], env)
+        _, gates, components, unused = step
+        for gate in gates:
+            if not self._holds(gate, env):
+                return 0
+        result = 1
+        for key in components:
+            # Guarded backtracking count of one variable-connected component.
+            part = self._count_search(self._node(key), dict(env))
+            if part == 0:
+                return 0
+            result *= part
+        return result * n**unused
 
     # -- guarded search ------------------------------------------------------------
 
-    def _search_node(
-        self,
-        root: Sequence[Formula],
-        unbound: Tuple[Variable, ...],
-        top: bool = True,
-    ) -> "_SearchNode":
-        """The compiled search node binding ``unbound`` over the conjuncts of
-        ``root``: all of them at the top, and below it the ones a still
-        unbound variable occurs in (the others were checked higher up).
-
-        Nodes key on ``id(root)``, so ``root`` must be a container that
-        lives as long as the memos (a plan component or a ``_conjuncts``
-        entry); it is pinned like any id-keyed memo entry.
-        """
-        key = (id(root), unbound, top)
-        node = self._search_nodes.get(key)
+    def _node(self, key: tuple) -> _SearchNode:
+        """The plan's search program for ``key`` bound to the structure."""
+        node = self._bound_nodes.get(key)
         if node is None:
-            node = self._compile_node(root, unbound, top)
-            self._search_nodes[key] = node
-            self._pins[id(root)] = root
+            program = self.plan.programs.get(key) or search_program(self.plan, key)
+            phase, conjuncts, options, choice = program
+            if options is not None:
+                bound = tuple(
+                    tuple((self._pool(pool), self._choice(c)) for _, pool, c in guards)
+                    for guards in options
+                )
+                node = _SearchNode(conjuncts, phase, options=bound)
+            elif choice is None:
+                node = _SearchNode(conjuncts, phase)
+            else:
+                universe = self.structure.universe_order
+                node = _SearchNode(conjuncts, phase, pool=universe, choice=self._choice(choice))
+            self._bound_nodes[key] = node
         return node
 
-    def _compile_node(
-        self, root: Sequence[Formula], unbound: Tuple[Variable, ...], top: bool
-    ) -> "_SearchNode":
-        """Resolve a node's guard sources, phase and choices once.
+    def _choice(self, choice: tuple) -> _Choice:
+        variable, checks, key = choice
+        return _Choice(variable, tuple(map(self._check, checks)), key)
 
-        The phase is static: whether an anchored guard exists for some
-        unbound variable depends only on which variables are bound.  Phase
-        1 offers only guards anchored at a bound variable (one dict lookup
-        each); phase 2 the un-anchored relation scans, constant pools that
-        with connected components are needed at most once, for the first
-        variable; otherwise the first variable ranges over the universe.
-        """
-        names = frozenset(unbound)
-        conjuncts = (
-            tuple(root) if top else tuple(c for c in root if self.free(c) & names)
-        )
-        if not unbound:
-            return _SearchNode(conjuncts, _LEAF)
-        universe = self.structure.universe_order
-        if not self.plan.options.guards:
-            choice = self._choice(root, conjuncts, unbound, unbound[0], None)
-            return _SearchNode(conjuncts, _DISABLED, pool=universe, choice=choice)
-        for phase in (_ANCHORED, _SCAN):
-            options = []
-            for variable in unbound:
-                found = []
-                for conjunct in conjuncts:
-                    getter = self._pool_getter(
-                        conjunct, variable, names, phase == _ANCHORED
-                    )
-                    if getter is not None:
-                        choice = self._choice(root, conjuncts, unbound, variable, conjunct)
-                        found.append((getter, choice))
-                if found:
-                    options.append(tuple(found))
-            if options:
-                return _SearchNode(conjuncts, phase, options=tuple(options))
-        choice = self._choice(root, conjuncts, unbound, unbound[0], None)
-        return _SearchNode(conjuncts, _UNIVERSE, pool=universe, choice=choice)
-
-    def _choice(
-        self,
-        root: Sequence[Formula],
-        conjuncts: Tuple[Formula, ...],
-        unbound: Tuple[Variable, ...],
-        variable: Variable,
-        guard: Optional[Formula],
-    ) -> "_Choice":
-        """Binding ``variable`` from ``guard``'s pool (or the universe).
-
-        Conjuncts fully bound once ``variable`` is are checked per
-        candidate, bar a relation atom, equality or distance atom guard
-        whose variables are then all bound: every candidate of its pool
-        satisfies it.  The rest wait for deeper levels.
-        """
-        rest = tuple(v for v in unbound if v != variable)
-        left = frozenset(rest)
-        exact = isinstance(guard, (Atom, Eq, DistAtom)) and all(
-            v == variable or v not in unbound for v in self.free(guard)
-        )
-        checks = tuple(
-            self._check(conjunct)
-            for conjunct in conjuncts
-            if not (self.free(conjunct) & left) and not (exact and conjunct is guard)
-        )
-        return _Choice(variable, guard, root, rest, checks)
-
-    def _pool_getter(
-        self,
-        conjunct: Formula,
-        variable: Variable,
-        unbound: FrozenSet[Variable],
-        anchored: bool,
-    ) -> Optional[PoolGetter]:
-        """The candidate pool ``conjunct`` offers for ``variable``, as a
-        function of the environment, or None when it offers none in this
-        phase.  Anchored pools are one lookup keyed by bound values; a scan
-        is a constant pool.  Getters hold no reference to the state."""
-        if isinstance(conjunct, (Eq, DistAtom)):
-            if not anchored:
-                return None
-            if conjunct.left == variable and conjunct.right != variable:
-                other = conjunct.right
-            elif conjunct.right == variable and conjunct.left != variable:
-                other = conjunct.left
-            else:
-                return None
-            if other in unbound:
-                return None
-            if isinstance(conjunct, Eq):
-                return lambda env: (env[other],)
-            ball = self._ball_lookup(conjunct.bound)
-            return lambda env: set(ball(env[other]))
-        if isinstance(conjunct, Atom):
-            if variable not in conjunct.args:
-                return None
-            args = conjunct.args
-            targets = tuple(i for i, arg in enumerate(args) if arg == variable)
-            bound = tuple(
-                i for i, arg in enumerate(args) if arg != variable and arg not in unbound
-            )
-            if anchored != bool(bound):
-                return None
-            projection = self.structure.projection(
-                self._symbol(conjunct.relation), bound, targets
-            )
-            if not bound:
-                pool = projection.get((), ())
-                return lambda env: pool
-            if len(bound) == 1:
-                name = args[bound[0]]
-                return lambda env: projection.get(env[name], ())
-            key = itemgetter(*(args[i] for i in bound))
-            return lambda env: projection.get(key(env), ())
-        if isinstance(conjunct, Exists):
-            # Look through an exists-block: a positive atom inside it still
-            # restricts the candidates for a variable free in the block
-            # (the pool is a superset of the witnesses, which is sound —
-            # every candidate is re-checked against the full conjunct).
-            shadowed: Set[Variable] = set()
-            inner: Formula = conjunct
-            while isinstance(inner, Exists):
-                shadowed.add(inner.variable)
-                inner = inner.inner
-            if variable in shadowed:
-                return None
-            hidden = unbound | shadowed
-            getters = (
-                self._pool_getter(piece, variable, hidden, anchored)
-                for piece in self._conjuncts(inner)
-            )
-            pieces = tuple(getter for getter in getters if getter is not None)
-            if not pieces:
-                return None
-            return pieces[0] if len(pieces) == 1 else partial(_smallest, pieces)
-        return None
-
-    def _symbol(self, relation: str) -> RelationSymbol:
-        symbol = self.structure.signature.get(relation)
-        if symbol is None:
-            raise EvaluationError(f"relation {relation!r} missing from the signature")
-        return symbol
+    def _pool(self, pool: tuple) -> PoolGetter:
+        """A pool descriptor bound to the structure, as a function of the
+        environment that holds no reference to the state."""
+        kind = pool[0]
+        if kind == "eq":
+            other = pool[1]
+            return lambda env: (env[other],)
+        if kind == "ball":
+            ball, other = self._ball_lookup(pool[1]), pool[2]
+            return lambda env: ball(env[other])
+        if kind == "any":
+            return partial(_smallest, tuple(map(self._pool, pool[1])))
+        _, relation, bound, targets, names = pool
+        projection = self.structure.projection(self._symbol(relation), bound, targets)
+        if not bound:
+            found = projection.get((), ())
+            return lambda env: found
+        if len(bound) == 1:
+            (name,) = names
+            return lambda env: projection.get(env[name], ())
+        key = itemgetter(*names)
+        return lambda env: projection.get(key(env), ())
 
     def _pick(
-        self, node: "_SearchNode", env: Dict[Variable, Element]
+        self, node: _SearchNode, env: Dict[Variable, Element]
     ) -> "Tuple[Pool, _Choice, Optional[_SearchNode]]":
         """The candidate pool (the tightest guard's, or the node's fixed
         pool), the choice it belongs to, and the node below it (None at the
@@ -908,16 +608,16 @@ class ExecutionState:
             metrics.inc(_PHASE_COUNTERS[node.phase])
             if node.options is not None:
                 metrics.observe("evaluator.guard.pool_size", len(pool))
-        child = choice.child
-        if child is None and choice.rest:
-            child = choice.child = self._search_node(choice.root, choice.rest, top=False)
-        return pool, choice, child
+        child = choice.child  # type: ignore[union-attr]
+        if child is None and choice.key is not None:  # type: ignore[union-attr]
+            child = choice.child = self._node(choice.key)  # type: ignore[union-attr]
+        return pool, choice, child  # type: ignore[return-value]
 
-    def _count_search(self, node: "_SearchNode", env: Dict[Variable, Element]) -> int:
+    def _count_search(self, node: _SearchNode, env: Dict[Variable, Element]) -> int:
         """The number of assignments of the node's unbound variables
         satisfying its conjuncts; ``env`` is extended in place."""
-        if node.phase == _LEAF:
-            return 1 if all(self.holds(c, env) for c in node.conjuncts) else 0
+        if node.phase == ir.LEAF:
+            return 1 if all(self._holds(c, env) for c in node.conjuncts) else 0
         pool, choice, child = self._pick(node, env)
         checks = choice.checks
         budget = self.budget
@@ -941,13 +641,13 @@ class ExecutionState:
         return total
 
     def _enumerate(
-        self, node: "_SearchNode", env: Dict[Variable, Element]
+        self, node: _SearchNode, env: Dict[Variable, Element]
     ) -> Iterator[None]:
         """Yield once per assignment of the node's unbound variables
         satisfying its conjuncts, left bound in ``env`` (existence stops at
-        the first, :meth:`solutions` reads each)."""
-        if node.phase == _LEAF:
-            if all(self.holds(c, env) for c in node.conjuncts):
+        the first, :meth:`_solutions` reads each)."""
+        if node.phase == ir.LEAF:
+            if all(self._holds(c, env) for c in node.conjuncts):
                 yield None
             return
         pool, choice, child = self._pick(node, env)
@@ -971,54 +671,46 @@ class ExecutionState:
     # -- first-order satisfaction -----------------------------------------------------
 
     def holds(self, formula: Formula, env: Dict[Variable, Element]) -> bool:
-        test = self._test(formula)
-        if test is not None:
-            return test(env)
-        relevant = tuple(
-            (v, env[v]) for v in self.free_sorted(formula) if v in env
-        )
-        key = (self._canon_key(formula), relevant)
+        return self._holds(intern_node(self.plan, formula), env)
+
+    def _holds(self, formula: int, env: Dict[Variable, Element]) -> bool:
+        op, _, free, _ = self._nodes[formula]
+        if op <= ir.BOTTOM:
+            return self._test(formula)(env)
+        key = (formula, tuple((v, env[v]) for v in free if v in env))
         cached = self._holds_memo.get(key)
         if cached is None:
             if self.budget is not None:
                 self.budget.tick("evaluator.holds")
             if self._metrics is not None:
                 self._metrics.inc("evaluator.holds.memo.miss")
-            cached = self._holds(formula, env)
+            cached = self._evaluate(formula, env)
             fault_check("memo.insert")
             self._holds_memo[key] = cached
         elif self._metrics is not None:
             self._metrics.inc("evaluator.holds.memo.hit")
         return cached
 
-    def _test(self, formula: Formula) -> Optional[Test]:
-        """The formula's in-place test, compiled once per node (see the
-        module docstring), or None for a formula :meth:`holds` evaluates
-        through the satisfaction memo.
-
-        A test holds no reference to the state, so a state is still freed
-        by reference counting when its engine call drops it.
-        """
-        key = id(formula)
-        if key not in self._tests:
-            self._tests[key] = self._compile_test(formula)
-            self._pins[key] = formula
-        return self._tests[key]
-
-    def _compile_test(self, formula: Formula) -> Optional[Test]:
-        negated = isinstance(formula, Not) and isinstance(formula.inner, (Atom, Eq))
-        atom = formula.inner if negated else formula
-        if isinstance(atom, Atom):
-            relation = self.structure.relation(self._symbol(atom.relation))
-            if len(atom.args) == 1:
+    def _test(self, formula: int) -> Test:
+        """The atom's in-place test bound to the structure (see the module
+        docstring).  A test holds no reference to the state."""
+        test = self._bound_tests.get(formula)
+        if test is not None:
+            return test
+        op, _, _, args = self._nodes[formula]
+        negated = op < ir.TOP and op % 2 == 1
+        if op in (ir.ATOM, ir.NOT_ATOM):
+            relation = self.structure.relation(self._symbol(args[0]))
+            names = args[1]
+            if len(names) == 1:
                 # itemgetter of one key returns the bare value, not a 1-tuple.
-                (arg,) = atom.args
+                (name,) = names
 
                 def values(env):
-                    return (env[arg],)
+                    return (env[name],)
 
             else:
-                values = itemgetter(*atom.args) if atom.args else lambda env: ()
+                values = itemgetter(*names) if names else lambda env: ()
 
             def test(env):
                 try:
@@ -1026,9 +718,8 @@ class ExecutionState:
                 except KeyError as error:
                     raise _unassigned(error) from None
 
-            return test
-        if isinstance(atom, Eq):
-            left, right = atom.left, atom.right
+        elif op in (ir.EQ, ir.NOT_EQ):
+            left, right = args
 
             def test(env):
                 try:
@@ -1036,90 +727,67 @@ class ExecutionState:
                 except KeyError as error:
                     raise _unassigned(error) from None
 
-            return test
-        if isinstance(formula, DistAtom):
-            ball = self._ball_lookup(formula.bound)
-            left, right = formula.left, formula.right
+        elif op in (ir.DIST, ir.NOT_DIST):
+            left, right, distance = args
+            ball = self._ball_lookup(distance)
 
             def test(env):
                 try:
                     a, b = env[left], env[right]
                 except KeyError as error:
                     raise _unassigned(error) from None
-                return b in ball(a)
+                return (b in ball(a)) != negated
 
-            return test
-        if isinstance(formula, Top):
-            return lambda env: True
-        if isinstance(formula, Bottom):
-            return lambda env: False
-        return None
+        else:
+            test = (lambda env: True) if op == ir.TOP else (lambda env: False)
+        self._bound_tests[formula] = test
+        return test
 
-    def _check(self, conjunct: Formula) -> Test:
+    def _check(self, formula: int) -> Test:
         """A per-candidate check: the in-place test, or a memoised
-        :meth:`holds` reached through a weak reference, so that search
+        :meth:`_holds` reached through a weak reference, so that search
         nodes storing the check hold no reference to the state."""
-        return self._test(conjunct) or partial(_holds_through, self._ref, conjunct)
+        if self._nodes[formula].op <= ir.BOTTOM:
+            return self._test(formula)
+        return partial(_holds_through, self._ref, formula)
 
-    def _holds(self, formula: Formula, env: Dict[Variable, Element]) -> bool:
+    def _evaluate(self, formula: int, env: Dict[Variable, Element]) -> bool:
         """Evaluate a compound formula or predicate atom (atoms are tested
-        in place by :meth:`holds` and never reach here)."""
-        if isinstance(formula, Not):
-            return not self.holds(formula.inner, env)
-        if isinstance(formula, And):
-            return self.holds(formula.left, env) and self.holds(formula.right, env)
-        if isinstance(formula, Or):
-            return self.holds(formula.left, env) or self.holds(formula.right, env)
-        if isinstance(formula, Implies):
-            return (not self.holds(formula.left, env)) or self.holds(formula.right, env)
-        if isinstance(formula, Iff):
-            return self.holds(formula.left, env) == self.holds(formula.right, env)
-        if isinstance(formula, Exists):
-            # Peel the whole exists-block so guards deep inside the body can
-            # drive candidate generation for every bound variable at once.
-            prefix: List[Variable] = []
-            body: Formula = formula
-            while isinstance(body, Exists) and body.variable not in prefix:
-                prefix.append(body.variable)
-                body = body.inner
-            return self._exists_block(tuple(prefix), body, env)
-        if isinstance(formula, Forall):
-            negated = self._forall_memo.get(id(formula))
-            if negated is None:
-                negated = Not(formula.inner)
-                self._forall_memo[id(formula)] = negated
-                self._pins[id(formula)] = formula
-            return not self._exists_block((formula.variable,), negated, env)
-        if isinstance(formula, PredicateAtom):
-            # Inline evaluation: reached only for atoms outside FOC1 (more
-            # than one joint free variable) when fragment checking is off.
-            values = tuple(self.term_value(t, env) for t in formula.terms)
-            fault_check("predicate.oracle")
-            return self.predicates.query(formula.predicate, values)
-        raise EvaluationError(f"unexpected formula node {type(formula).__name__}")
-
-    def _exists_block(
-        self,
-        variables: Tuple[Variable, ...],
-        body: Formula,
-        env: Dict[Variable, Element],
-    ) -> bool:
-        """Witness search for ``exists v1..vk. body`` with guard-driven
-        candidate pools and early exit."""
-        node = self._search_node(self._conjuncts(body), variables)
-        scratch = {k: val for k, val in env.items() if k not in variables}
-        for _ in self._enumerate(node, scratch):
-            return True
-        return False
+        in place by :meth:`_holds` and never reach here)."""
+        op, _, _, args = self._nodes[formula]
+        if op == ir.NOT:
+            return not self._holds(args[0], env)
+        if op == ir.AND:
+            return self._holds(args[0], env) and self._holds(args[1], env)
+        if op == ir.OR:
+            return self._holds(args[0], env) or self._holds(args[1], env)
+        if op == ir.IMPLIES:
+            return (not self._holds(args[0], env)) or self._holds(args[1], env)
+        if op == ir.IFF:
+            return self._holds(args[0], env) == self._holds(args[1], env)
+        if op in (ir.EXISTS, ir.FORALL):
+            # Witness search with guard-driven candidate pools and early
+            # exit; a Forall searches for a counterexample.
+            variables, conjuncts = args
+            scratch = {k: val for k, val in env.items() if k not in variables}
+            for _ in self._enumerate(self._node((conjuncts, variables)), scratch):
+                return op == ir.EXISTS
+            return op == ir.FORALL
+        # A predicate atom, evaluated inline: reached only for atoms outside
+        # FOC1 (more than one joint free variable) when fragment checking is
+        # off.
+        values = tuple(self._term(t, env) for t in args[1])
+        fault_check("predicate.oracle")
+        return self.predicates.query(args[0], values)
 
     # -- enumeration ----------------------------------------------------------------------
 
-    def solutions(
-        self, variables: Tuple[Variable, ...], body: Formula
+    def _solutions(
+        self, formula: int, variables: Tuple[Variable, ...]
     ) -> Iterator[Tuple[Element, ...]]:
         """Enumerate satisfying assignments (guard-driven where possible)."""
-        node = self._search_node(self._conjuncts(body), tuple(variables))
         env: Dict[Variable, Element] = {}
+        node = self._node((conjunct_ids(self.plan, formula), variables))
         for _ in self._enumerate(node, env):
             yield tuple(env[v] for v in variables)
 
@@ -1128,54 +796,32 @@ class ExecutionState:
     def export_memo_snapshot(self) -> List[Tuple]:
         """Serialise the satisfaction/count memos in an id-free form.
 
-        Memo keys are already alpha-canonical pretty text (see the module
-        docstring), which survives a process boundary as-is: identical
-        text implies alpha-equivalent formula, and for a fixed structure
-        the memoised value is a function of the formula and its relevant
-        bindings.  Entries are exported verbatim, and each column as the
-        per-element count entries :meth:`count` would have stored (a
-        column a suspension cut short gives its finished prefix).
+        Each memo key's node id becomes its alpha-canonical text, which
+        survives a process boundary as-is: identical text implies
+        alpha-equivalent formula, and for a fixed structure the memoised
+        value is a function of the formula and its relevant bindings.
+        Each column is exported as the per-element count entries a count
+        would have stored (a column a suspension cut short gives its
+        finished prefix).
         """
-        return memo_entries(self._holds_memo, self._count_memo, self._columns)
+        return memo_entries(
+            self._holds_memo, self._count_memo, self._columns, self._nodes
+        )
 
-    def restore_memo_snapshot(
-        self,
-        entries: Iterable[Tuple],
-        nodes_by_text: Dict[str, Expression],
-    ) -> int:
-        """Install exported memo entries into this state's memos.
-
-        Text keys are self-contained, so entries install directly; when
-        the text names a node this plan owns (``nodes_by_text`` maps both
-        plain-pretty and canonical texts), the entry is re-keyed through
-        the live node's canonical key instead — this also upgrades
-        snapshots written before keys were alpha-canonical.  Legacy count
-        entries (5-tuples carrying the counted variables separately) only
-        restore via a matching node, since their text lacks the binder.
-        """
+    def restore_memo_snapshot(self, entries: Iterable[Tuple]) -> int:
+        """Install exported memo entries whose text names a node of this
+        state's plan, under that node's id; returns how many."""
+        ids = self.plan.ids
+        memos = {"holds": self._holds_memo, "count": self._count_memo}
         restored = 0
         for entry in entries:
-            kind, text = entry[0], entry[1]
-            node = nodes_by_text.get(text)
-            if kind == "holds":
-                _, _, relevant, value = entry
-                key = text if node is None else self._canon_key(node)
-                self._holds_memo[(key, relevant)] = value
-            elif kind == "count" and len(entry) == 4:
-                # Count texts fold the counted variables into the binder
-                # and are already canonical — install verbatim (a plain
-                # formula node could not stand in for a count key).
-                _, _, relevant, value = entry
-                self._count_memo[(text, relevant)] = value
-            elif kind == "count" and len(entry) == 5:
-                _, _, variables, relevant, value = entry
-                if node is None:
-                    continue
-                key, _ = self._count_key(variables, node)
-                self._count_memo[(key, relevant)] = value
-            else:
+            if len(entry) != 4 or entry[0] not in memos:
                 continue
-            restored += 1
+            kind, text, relevant, value = entry
+            node = ids.get(text)
+            if node is not None:
+                memos[kind][(node, relevant)] = value
+                restored += 1
         if restored and self._metrics is not None:
             self._metrics.inc("checkpoint.memo.restored", restored)
         return restored
@@ -1241,42 +887,14 @@ class PlanExecutor:
             hasher.update(b"\x00")
         return hasher.hexdigest()
 
-    def _restore_nodes(self) -> Dict[str, Expression]:
-        """Every plan-owned node a memo entry could re-attach to, by text.
-
-        Each node registers under both its plain pretty text (matches
-        legacy snapshots written before memo keys were alpha-canonical)
-        and its canonical text (matches current snapshots).
-        """
-        from ..logic.printer import pretty
-
-        nodes: Dict[str, Expression] = {}
-
-        def add(node: Expression) -> None:
-            for sub in subexpressions(node):
-                nodes.setdefault(pretty(sub), sub)
-                nodes.setdefault(pretty(canonicalise(sub)), sub)
-
-        for root in self.plan.roots:
-            add(root)
-        for step in self.plan.counts.values():
-            for attr in ("inner", "left", "right", "overlap", "rewritten"):
-                child = getattr(step, attr, None)
-                if child is not None:
-                    add(child)
-            for gate in getattr(step, "gates", ()):
-                add(gate)
-            for component in getattr(step, "components", ()):
-                # (guards are GuardSpec annotations, not AST nodes — only
-                # the conjuncts can carry memo entries)
-                for conjunct in component.conjuncts:
-                    add(conjunct)
-        return nodes
-
     def _register_memos(self) -> None:
         state = self.state
         self._session.register_memo(
-            self._ckpt_key, state._holds_memo, state._count_memo, state._columns
+            self._ckpt_key,
+            state._holds_memo,
+            state._count_memo,
+            state._columns,
+            state._nodes,
         )
 
     def _run(self, thunk):
@@ -1315,7 +933,7 @@ class PlanExecutor:
         key = self._ckpt_key
         entries = session.resumed_memo(key)
         if entries:
-            self.state.restore_memo_snapshot(entries, self._restore_nodes())
+            self.state.restore_memo_snapshot(entries)
         resumed = session.resumed_strata(key)
         for index, step in enumerate(self.plan.steps):
             record = resumed.get(index)
@@ -1338,20 +956,17 @@ class PlanExecutor:
 
     def model_check(self) -> bool:
         return self._run(
-            lambda: (self.prepare(), self.state.holds(self.plan.roots[0], {}))[1]
+            lambda: (self.prepare(), self.state._holds(self.plan.root_ids[0], {}))[1]
         )
 
     def count_value(self) -> int:
         return self._run(
-            lambda: (
-                self.prepare(),
-                self.state.count(self.plan.variables, self.plan.roots[0], {}),
-            )[1]
+            lambda: (self.prepare(), self.state._count(self.plan.root_ids[0], {}))[1]
         )
 
     def ground_term_value(self) -> int:
         return self._run(
-            lambda: (self.prepare(), self.state.term_value(self.plan.roots[0], {}))[1]
+            lambda: (self.prepare(), self.state._term(self.plan.root_ids[0], {}))[1]
         )
 
     def unary_term_values(
@@ -1363,14 +978,14 @@ class PlanExecutor:
             self.prepare()
             universe = self.state.structure.universe_order
             targets = list(universe if elements is None else elements)
-            values = self.state._term_column(self.plan.roots[0], variable, targets)
+            values = self.state._term_column(self.plan.root_ids[0], variable, targets)
             return dict(zip(targets, values))
 
         return self._run(run)
 
     def solutions(self) -> Iterator[Tuple[Element, ...]]:
         self.prepare()
-        yield from self.state.solutions(self.plan.variables, self.plan.roots[0])
+        yield from self.state._solutions(self.plan.root_ids[0], self.plan.variables)
 
     def query_rows(self) -> List[Tuple]:
         """Rows of an FOC1(P)-query plan: roots are ``(condition, *head
@@ -1378,14 +993,11 @@ class PlanExecutor:
 
         def run() -> List[Tuple]:
             self.prepare()
-            condition = self.plan.roots[0]
-            terms = self.plan.roots[1:]
+            condition, *terms = self.plan.root_ids
             results: List[Tuple] = []
-            for tup in self.state.solutions(self.plan.variables, condition):
+            for tup in self.state._solutions(condition, self.plan.variables):
                 assignment = dict(zip(self.plan.variables, tup))
-                values = tuple(
-                    self.state.term_value(term, assignment) for term in terms
-                )
+                values = tuple(self.state._term(term, assignment) for term in terms)
                 results.append(tup + values)
             return results
 

@@ -14,23 +14,26 @@ tuples.  Three layers, mirroring the paper:
   (gate conjuncts, variable-disjoint :class:`ComponentPlan` factors, and
   the ``n^unused`` tail).  The intermediate rewrite nodes (the ``And``
   overlap of inclusion–exclusion, the Implies/Iff expansions) are built
-  once at compile time, so the executor's memo tables see stable node
-  identities instead of per-call fresh allocations.
+  once at compile time.
 * **Guard choices** (Remark 6.3): per component and variable, the
   statically available candidate sources — relation index, equality
   binding, distance ball — recorded as :class:`GuardSpec` annotations.
   The executor still picks the *smallest* pool dynamically (pool sizes
   depend on the structure), but the plan records what it can pick from.
 
-Plans are immutable by construction and contract: every AST node they
-reference is plan-owned (produced by :func:`repro.plan.normalise.canonicalise`
-or the compiler's rewrites), never a caller's object.
+The executor runs the plan's *node table*, not these ASTs: one
+:class:`PlanNode` per alpha-equivalence class of node it evaluates, under
+a dense integer id (``ids`` maps each canonical text back to it), and the
+guarded search ``programs`` over conjunct lists, compiled on first use
+and published with one dict store as plain tuples, so a plan stays safe
+to share between threads and to pickle.  Plans are immutable apart from
+that table's growth (see :func:`repro.plan.compiler.intern_node`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 from ..logic.printer import pretty
 from ..logic.syntax import (
@@ -54,6 +57,7 @@ __all__ = [
     "CountStep",
     "GuardSpec",
     "MaterialiseStep",
+    "PlanNode",
     "PlanOptions",
     "QueryPlan",
 ]
@@ -136,7 +140,7 @@ class CountComplement:
 @dataclass(frozen=True)
 class CountInclusionExclusion:
     """``#(phi or psi) = #phi + #psi - #(phi and psi)``; ``overlap`` is the
-    plan-owned ``And`` node, built once so memo identities stay stable."""
+    plan-owned ``And`` node, built once at compile time."""
 
     variables: Tuple[Variable, ...]
     left: Formula
@@ -174,6 +178,57 @@ CountStep = Union[
 ]
 
 
+# -- the node table -----------------------------------------------------------
+
+# Node ops.  Formulas up to BOTTOM are tested in place (``NOT_X`` is
+# ``X + 1``); the other formulas go through the satisfaction memo.
+ATOM, NOT_ATOM, EQ, NOT_EQ, DIST, NOT_DIST, TOP, BOTTOM = range(8)
+NOT, AND, OR, IMPLIES, IFF, EXISTS, FORALL, PREDICATE = range(8, 16)
+INT, ADD, MUL, COUNT = range(16, 20)
+
+# Count step programs (``PlanNode.args[1]`` of a COUNT node).
+CONSTANT, COMPLEMENT, INCLUSION_EXCLUSION, REWRITE, DECOMPOSE, CHECK = range(6)
+
+# Search program phases: how a node's variable and pool are chosen.
+ANCHORED = 0  # the smallest pool of a guard anchored at a bound variable
+SCAN = 1  # the smallest un-anchored relation scan (a constant pool)
+UNIVERSE = 2  # no guard: the first variable ranges over the universe
+DISABLED = 3  # guards switched off: likewise
+LEAF = 4  # nothing left to bind: the conjuncts are checked once
+
+
+class PlanNode(NamedTuple):
+    """One alpha-equivalence class of node in a plan's node table: its op,
+    its alpha-canonical text (the checkpoint key), its sorted free
+    variables (a memo key's bindings) and ``args``, by op (ids are node
+    ids):
+
+    * ATOM ``(relation, arguments)``; EQ ``(left, right)``; DIST
+      ``(left, right, bound)``; the NOT_ ops the same for the negation;
+    * NOT ``(inner,)``; AND ``(left, right, conjuncts)``, the ids of the
+      flattened conjunction, Top left out; OR, IMPLIES, IFF
+      ``(left, right)``;
+    * EXISTS ``(block variables, conjuncts of the block's body)``; FORALL
+      ``((variable,), (id of the negated body,))``, searched as an
+      exists-block whose answer is negated;
+    * PREDICATE ``(predicate, term ids)``; INT ``(value,)``; ADD, MUL
+      ``(left, right)``;
+    * COUNT ``(counted variables, step, kernel)``.  The step is
+      ``(CONSTANT, zero)``, ``(COMPLEMENT, count)``,
+      ``(INCLUSION_EXCLUSION, left, right, overlap)``,
+      ``(REWRITE, count)``, ``(DECOMPOSE, gates, component search keys,
+      number of unused variables)``, ``(CHECK, body)`` for k = 0, or None
+      when the plan compiled none.  The kernel is None or
+      ``(relation, anchor position, unary relations or None)`` (see
+      :mod:`repro.plan.executor`).
+    """
+
+    op: int
+    text: str
+    free: Tuple[Variable, ...]
+    args: tuple
+
+
 # -- the plan -----------------------------------------------------------------
 
 
@@ -186,14 +241,14 @@ class QueryPlan:
     stratification residue: the rewritten sentence/formula/term(s) over
     the signature expanded by the steps' auxiliary relations (for
     ``query``: the condition first, then the head terms).
-    ``count_steps`` pairs every plan-owned counting body with its compiled
-    :data:`CountStep`, and ``counts`` indexes them by ``(id(body),
-    counted variables)`` for the executor.  Two count terms may share one
-    body object (stratification maps equal predicate atoms to one
-    ``Atom``), so the counted variables are part of the key.  The index
-    is derived: unpickling gives every node a new id, so
-    :meth:`__setstate__` rebuilds it from the pairs, whose bodies pickle
-    as the very nodes the roots and steps reference.
+    ``counts`` maps every counting body and its counted variables to the
+    compiled :data:`CountStep` (by value: two count terms may share one
+    body, as stratification maps equal predicate atoms to one ``Atom``).
+
+    ``nodes``, ``ids`` and ``programs`` are the executor's node table (see
+    the module docstring); ``root_ids`` holds the id of each root (for a
+    ``count`` plan, of the count of the root over ``variables``) and
+    ``step_ids`` the term ids of each step.
     """
 
     kind: str
@@ -202,26 +257,18 @@ class QueryPlan:
     steps: Tuple[MaterialiseStep, ...]
     roots: Tuple[Expression, ...]
     variables: Tuple[Variable, ...]
-    count_steps: Tuple[Tuple[Formula, CountStep], ...] = field(
-        default=(), repr=False
+    counts: Dict[Tuple[Formula, Tuple[Variable, ...]], CountStep] = field(
+        default_factory=dict, repr=False, compare=False
     )
-    counts: Dict[Tuple[int, Tuple[Variable, ...]], CountStep] = field(
-        init=False, repr=False, compare=False
+    nodes: List[PlanNode] = field(default_factory=list, repr=False, compare=False)
+    ids: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    programs: Dict[tuple, tuple] = field(
+        default_factory=dict, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        self.counts = {
-            (id(body), step.variables): step for body, step in self.count_steps
-        }
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["counts"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
+    root_ids: Tuple[int, ...] = field(default=(), repr=False, compare=False)
+    step_ids: Tuple[Tuple[int, ...], ...] = field(
+        default=(), repr=False, compare=False
+    )
 
     @property
     def depth(self) -> int:
@@ -263,7 +310,7 @@ class QueryPlan:
         entries = list(self._entry_counts())
         if entries:
             lines.append("count DAG (Lemma 6.4):")
-            seen: Set[Tuple[int, Tuple[Variable, ...]]] = set()
+            seen: Set[Tuple[Formula, Tuple[Variable, ...]]] = set()
             for variables, body in entries:
                 self._render_count(variables, body, "  ", lines, seen)
         return "\n".join(lines)
@@ -271,14 +318,14 @@ class QueryPlan:
     def _entry_counts(self) -> Iterator[Tuple[Tuple[Variable, ...], Formula]]:
         """The counting bodies worth rendering: the plan root itself for a
         ``count`` plan, plus every counting term in steps and roots."""
-        emitted: Set[Tuple[int, Tuple[Variable, ...]]] = set()
+        emitted: Set[Tuple[Formula, Tuple[Variable, ...]]] = set()
         if self.kind == "count" and self.roots:
-            emitted.add((id(self.roots[0]), self.variables))
+            emitted.add((self.roots[0], self.variables))  # type: ignore[arg-type]
             yield self.variables, self.roots[0]  # type: ignore[misc]
         for expr in [t for s in self.steps for t in s.terms] + list(self.roots):
             for node in subexpressions(expr):
                 if isinstance(node, CountTerm):
-                    key = (id(node.inner), node.variables)
+                    key = (node.inner, node.variables)
                     if key not in emitted:
                         emitted.add(key)
                         yield node.variables, node.inner
@@ -289,10 +336,10 @@ class QueryPlan:
         body: Formula,
         indent: str,
         lines: List[str],
-        seen: Set[Tuple[int, Tuple[Variable, ...]]],
+        seen: Set[Tuple[Formula, Tuple[Variable, ...]]],
     ) -> None:
         head = f"#({', '.join(variables)}). {_clip(pretty(body))}"
-        key = (id(body), variables)
+        key = (body, variables)
         if key in seen:
             lines.append(f"{indent}{head}  (shared, see above)")
             return

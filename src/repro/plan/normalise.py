@@ -2,9 +2,8 @@
 
 Two alpha-equivalent FOC(P) expressions — same shape, different bound
 variable names — must compile to the *same* plan, and a cached plan must
-never hold references to the caller's AST objects (the engine's memo
-lifetime contract pins memoised nodes per session, so a cache that
-retained caller nodes would leak them across calls).
+never hold references to the caller's AST objects (a cache that retained
+caller nodes would keep them alive across calls).
 
 :func:`canonicalise` solves both at once: it rebuilds the expression
 bottom-up (every node is a fresh object, even unchanged leaves) while
@@ -14,6 +13,10 @@ order.  Free variables keep their names (they are part of the query's
 meaning: they name count columns, unary evaluation points, and query
 heads), and the generator skips any canonical name that happens to
 collide with a free variable.
+
+:func:`simplify` folds what a conjunction makes constant or implied, so
+that a plan never evaluates a residue such as ``!false`` or ``S(y) & !S(y)``
+that a rewrite (Lemma 7.8's, for instance) left behind.
 
 The module also hosts the two structural helpers shared by the compiler
 and the executor: conjunction flattening and predicate-atom replacement.
@@ -47,10 +50,11 @@ from ..logic.syntax import (
     PredicateAtom,
     Top,
     Variable,
+    conjunction,
     free_variables,
 )
 
-__all__ = ["canonicalise", "flatten_conjuncts", "replace_atoms"]
+__all__ = ["canonicalise", "flatten_conjuncts", "replace_atoms", "simplify"]
 
 
 def canonicalise(expression: Expression) -> Expression:
@@ -127,6 +131,81 @@ def _rename(
     raise FormulaError(f"unexpected node {type(node).__name__}")
 
 
+def simplify(expression: Expression) -> Expression:
+    """Fold constants and implied conjuncts, bottom-up.
+
+    * ``!true`` is Bottom and ``!false`` is Top;
+    * a conjunction is Bottom when one of its conjuncts is Bottom or the
+      negation of another; otherwise it drops its Top conjuncts, repeated
+      conjuncts, and every ``dist(u, v) <= d`` with ``d >= 1`` beside a
+      relation atom with both ``u`` and ``v`` among its arguments (a tuple
+      makes its entries Gaifman-adjacent);
+    * a disjunction is Top when one side is Top and drops a Bottom side.
+
+    A node with nothing to fold comes back as the same object, so a plan
+    without such residue keeps its shape (and its memo entries).
+    """
+    node = _map_children(expression, simplify)
+    if isinstance(node, Not) and isinstance(node.inner, (Top, Bottom)):
+        return Bottom() if isinstance(node.inner, Top) else Top()
+    if isinstance(node, Or):
+        if isinstance(node.left, Top) or isinstance(node.right, Top):
+            return Top()
+        if isinstance(node.left, Bottom) or isinstance(node.right, Bottom):
+            return node.right if isinstance(node.left, Bottom) else node.left
+    if not isinstance(node, And):
+        return node
+    parts = flatten_conjuncts(node)
+    present = set(parts)
+    if Bottom() in present or any(
+        isinstance(part, Not) and part.inner in present for part in parts
+    ):
+        return Bottom()
+    atoms = [part for part in parts if isinstance(part, Atom)]
+    kept = list(
+        dict.fromkeys(
+            part
+            for part in parts
+            if not (
+                isinstance(part, DistAtom)
+                and part.bound >= 1
+                and any(part.left in atom.args and part.right in atom.args for atom in atoms)
+            )
+        )
+    )
+    # The conjuncts are folded already, so a Top can only be a child.
+    if len(kept) == len(parts) and Top() not in (node.left, node.right):
+        return node
+    return conjunction(kept)
+
+
+def _map_children(
+    expression: Expression, fn: Callable[[Expression], Expression]
+) -> Expression:
+    """``expression`` with ``fn`` applied to each child: the same object
+    when no child changes, else a new node of the same kind."""
+    if isinstance(expression, (Eq, Atom, DistAtom, Top, Bottom, IntTerm)):
+        return expression
+    if isinstance(expression, (Not, Exists, Forall, CountTerm)):
+        children: tuple = (expression.inner,)
+    elif isinstance(expression, (Or, And, Implies, Iff, Add, Mul)):
+        children = (expression.left, expression.right)
+    elif isinstance(expression, PredicateAtom):
+        children = expression.terms
+    else:
+        raise FormulaError(f"unexpected node {type(expression).__name__}")
+    mapped = tuple(fn(child) for child in children)
+    if all(new is old for new, old in zip(mapped, children)):
+        return expression
+    if isinstance(expression, (Exists, Forall)):
+        return type(expression)(expression.variable, *mapped)
+    if isinstance(expression, CountTerm):
+        return CountTerm(expression.variables, *mapped)
+    if isinstance(expression, PredicateAtom):
+        return PredicateAtom(expression.predicate, mapped)
+    return type(expression)(*mapped)
+
+
 def flatten_conjuncts(formula: Formula) -> List[Formula]:
     """The conjuncts of a (nested) conjunction, ``Top`` dropped."""
     parts: List[Formula] = []
@@ -146,31 +225,6 @@ def replace_atoms(
     expression: Expression, mapping: Dict[PredicateAtom, Atom]
 ) -> Expression:
     """Structurally replace predicate atoms (value equality) everywhere."""
-    if isinstance(expression, PredicateAtom):
-        replacement = mapping.get(expression)
-        if replacement is not None:
-            return replacement
-        return PredicateAtom(
-            expression.predicate,
-            tuple(replace_atoms(t, mapping) for t in expression.terms),  # type: ignore[arg-type]
-        )
-    if isinstance(expression, (Eq, Atom, DistAtom, Top, Bottom, IntTerm)):
-        return expression
-    if isinstance(expression, Not):
-        return Not(replace_atoms(expression.inner, mapping))  # type: ignore[arg-type]
-    if isinstance(expression, (Or, And, Implies, Iff, Add, Mul)):
-        return type(expression)(
-            replace_atoms(expression.left, mapping),  # type: ignore[arg-type]
-            replace_atoms(expression.right, mapping),  # type: ignore[arg-type]
-        )
-    if isinstance(expression, (Exists, Forall)):
-        return type(expression)(
-            expression.variable,
-            replace_atoms(expression.inner, mapping),  # type: ignore[arg-type]
-        )
-    if isinstance(expression, CountTerm):
-        return CountTerm(
-            expression.variables,
-            replace_atoms(expression.inner, mapping),  # type: ignore[arg-type]
-        )
-    raise FormulaError(f"unexpected node {type(expression).__name__}")
+    if isinstance(expression, PredicateAtom) and expression in mapping:
+        return mapping[expression]
+    return _map_children(expression, partial(replace_atoms, mapping=mapping))

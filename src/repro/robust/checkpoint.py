@@ -17,7 +17,7 @@ What a checkpoint captures
   resume without re-querying the predicate oracle or paying budget ticks;
 * **Memo contents** — the satisfaction/count memo tables, re-keyed by a
   stable textual form so they survive process boundaries and re-attach to
-  the resumed plan's (fresh) AST nodes;
+  the resumed plan's node ids;
 * **Completed parallel shards** — the per-shard results a
   :class:`~repro.parallel.WorkerPool` fan-out already finished, so a
   resumed run never re-executes a completed shard;
@@ -83,7 +83,7 @@ import pickle
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import CheckpointError
 from .faults import fault_check
@@ -140,22 +140,25 @@ class ExecRecord:
 def memo_entries(
     holds_memo: Dict[Tuple, bool],
     count_memo: Dict[Tuple, int],
-    columns: Dict[Tuple[str, Any], Dict[Any, int]],
+    columns: Dict[Tuple[int, Any], Dict[Any, int]],
+    nodes: Sequence[Any],
 ) -> List[Tuple]:
     """An executor's memo tables as checkpoint memo entries.
 
-    Keys are alpha-canonical text plus the relevant bindings, which
-    survive a process boundary as they are (see
-    ``ExecutionState.export_memo_snapshot``).  Satisfaction and count
-    entries are exported verbatim, and each count column as the
-    per-element count entries ``ExecutionState.count`` would have stored.
+    Memo keys are a plan node id plus the relevant bindings; an entry
+    carries the node's alpha-canonical text (``nodes[id].text``) instead of
+    the id, which survives a process boundary as it is (see
+    ``ExecutionState.export_memo_snapshot``).  Each count column is
+    exported as the per-element count entries ``ExecutionState._count``
+    would have stored.
     """
     entries: List[Tuple] = []
-    for (text, relevant), value in holds_memo.items():
-        entries.append(("holds", text, relevant, value))
-    for (text, relevant), value in count_memo.items():
-        entries.append(("count", text, relevant, value))
-    for (text, variable), column in columns.items():
+    for (node, relevant), value in holds_memo.items():
+        entries.append(("holds", nodes[node].text, relevant, value))
+    for (node, relevant), value in count_memo.items():
+        entries.append(("count", nodes[node].text, relevant, value))
+    for (node, variable), column in columns.items():
+        text = nodes[node].text
         for element, value in column.items():
             entries.append(("count", text, ((variable, element),), value))
     return entries
@@ -440,7 +443,7 @@ class CheckpointSession:
         self._thread = threading.get_ident()
         # The last registered executor's digest and memo tables, not yet
         # exported (see register_memo).
-        self._pending_memo: "Optional[Tuple[str, Tuple[Dict, Dict, Dict]]]" = None
+        self._pending_memo: "Optional[Tuple[str, Tuple[Dict, Dict, Dict, Sequence]]]" = None
 
     # -- thread scoping ------------------------------------------------------
 
@@ -476,7 +479,8 @@ class CheckpointSession:
         digest: str,
         holds_memo: Dict[Tuple, bool],
         count_memo: Dict[Tuple, int],
-        columns: Dict[Tuple[str, Any], Dict[Any, int]],
+        columns: Dict[Tuple[int, Any], Dict[Any, int]],
+        nodes: Sequence[Any],
     ) -> None:
         """Defer the :meth:`record_memo` of an executor's memo tables (see
         :func:`memo_entries`).
@@ -490,7 +494,7 @@ class CheckpointSession:
         hold thousands of them.
         """
         self._export_pending_memo()
-        self._pending_memo = (digest, (holds_memo, count_memo, columns))
+        self._pending_memo = (digest, (holds_memo, count_memo, columns, nodes))
 
     def _export_pending_memo(self) -> None:
         if self._pending_memo is not None:

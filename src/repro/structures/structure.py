@@ -143,15 +143,31 @@ class Structure:
             for key, tuples in relations.items():
                 symbol = self._resolve_symbol(signature, key)
                 resolved[symbol] = _checked(symbol, tuples, seen)
+        self._fill(signature, tuple(universe_order), resolved)
 
+    def _fill(
+        self,
+        signature: Signature,
+        universe_order: Tuple[Element, ...],
+        relations: Dict[RelationSymbol, FrozenSet[Tup]],
+        universe: "FrozenSet[Element] | None" = None,
+    ) -> "Structure":
+        """Fill every slot from data the caller has validated — a
+        non-empty, duplicate-free universe and a frozenset of tuples of the
+        right arity over it for every symbol of ``signature`` — with no
+        cache built; returns ``self``.  ``__init__`` validates first;
+        derivations (:meth:`with_tuple`, :meth:`with_relations`, the
+        removal surgery of :mod:`repro.core.removal`) fill a
+        ``Structure.__new__(Structure)`` and then share what stays valid
+        of their parent's caches."""
         self._signature = signature
-        self._universe_order = tuple(universe_order)
-        self._universe = frozenset(universe_order)
-        self._relations = resolved
+        self._universe_order = universe_order
+        self._universe = frozenset(universe_order) if universe is None else universe
+        self._relations = relations
+        self._size = len(universe_order) + sum(len(rel) for rel in relations.values())
         self._adjacency: "Dict[Element, FrozenSet[Element]] | None" = None
         self._indexes: Dict[Tuple[str, int], Dict[Element, Tuple[Tup, ...]]] = {}
         self._projections: Dict[Tuple, Dict[object, Tuple[Element, ...]]] = {}
-        self._size = len(universe_order) + sum(len(rel) for rel in resolved.values())
         # Cached cost-model statistics (repro.cost.stats.StructureStats).
         # Opaque to this module: built and read through structure_stats(),
         # derived duck-typed in with_tuple(), dropped by invalidate_caches().
@@ -166,6 +182,7 @@ class Structure:
         # Content digest (repro.robust.checkpoint.structure_digest), lazy;
         # built and read only there.
         self._digest: "str | None" = None
+        return self
 
     @staticmethod
     def _resolve_symbol(signature: Signature, key: object) -> RelationSymbol:
@@ -370,16 +387,13 @@ class Structure:
         if (tup in current) == present:
             return self
 
-        derived = Structure.__new__(Structure)
-        derived._signature = self._signature
-        derived._universe_order = self._universe_order
-        derived._universe = self._universe
         relations = dict(self._relations)
         relations[symbol] = (
             current | {tup} if present else current - {tup}
         )
-        derived._relations = relations
-        derived._size = self._size + (1 if present else -1)
+        derived = Structure.__new__(Structure)._fill(
+            self._signature, self._universe_order, relations, self._universe
+        )
         # Index caches of untouched relations stay valid; the touched
         # relation's are rebuilt lazily on demand.
         derived._indexes = {
@@ -400,22 +414,16 @@ class Structure:
         # caches: the parent's stay untouched, the derived structure gets an
         # incrementally adjusted copy (duck-typed so this module stays free
         # of a repro.cost import).
-        derived._stats = (
-            self._stats.derive(symbol.name, present, derived)
-            if self._stats is not None
-            else None
-        )
+        if self._stats is not None:
+            derived._stats = self._stats.derive(symbol.name, present, derived)
         # Same universe, same id space: the interner is shared, keeping ids
         # stable along derivation chains.  A built columnar view is derived
         # by the one tuple's Gaifman edges, on insertion and on deletion.
         derived._interner = self._interner
-        if self._columnar is None:
-            derived._columnar = None
-        elif present:
+        if self._columnar is not None and present:
             derived._columnar = self._columnar.derive_insert(derived, tup)
-        else:
+        elif self._columnar is not None:
             derived._columnar = self._columnar.derive_delete(derived, tup)
-        derived._digest = None
         return derived
 
     def with_relations(
@@ -445,24 +453,19 @@ class Structure:
                 )
             fresh[symbol] = _checked(symbol, tuples, self._universe)
 
-        derived = Structure.__new__(Structure)
-        derived._signature = signature
-        derived._universe_order = self._universe_order
-        derived._universe = self._universe
-        derived._relations = {
+        relations = {
             symbol: fresh[symbol] if symbol in fresh else self._relations[symbol]
             for symbol in signature
         }
-        derived._size = self._size + sum(len(rel) for rel in fresh.values())
+        derived = Structure.__new__(Structure)._fill(
+            signature, self._universe_order, relations, self._universe
+        )
         derived._indexes = dict(self._indexes)
         derived._projections = dict(self._projections)
         derived._adjacency = (
             self._adjacency if all(symbol.arity <= 1 for symbol in fresh) else None
         )
-        derived._stats = None
         derived._interner = self._interner
-        derived._columnar = None
-        derived._digest = None
         return derived
 
     # -- pickling ----------------------------------------------------------------
@@ -475,21 +478,7 @@ class Structure:
         return (self._signature, self._universe_order, self._relations)
 
     def __setstate__(self, state):
-        signature, universe_order, relations = state
-        self._signature = signature
-        self._universe_order = universe_order
-        self._universe = frozenset(universe_order)
-        self._relations = relations
-        self._adjacency = None
-        self._indexes = {}
-        self._projections = {}
-        self._size = len(universe_order) + sum(
-            len(rel) for rel in relations.values()
-        )
-        self._stats = None
-        self._interner = None
-        self._columnar = None
-        self._digest = None
+        self._fill(*state)
 
     # -- equality is extensional -----------------------------------------------
 

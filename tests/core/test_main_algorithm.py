@@ -16,6 +16,7 @@ from repro.errors import BudgetExceededError, FormulaError
 from repro.logic.builder import Rel
 from repro.logic.syntax import And, Eq, Exists, Not
 from repro.obs import collect_metrics
+from repro.plan import PlanCache
 from repro.robust.budget import EvaluationBudget
 from repro.sparse.classes import bounded_degree_graph, random_tree
 from repro.sparse.covers import sparse_cover
@@ -184,6 +185,31 @@ class TestCoverMainSizes:
         term = local_quantified_term()
         got = evaluate_unary_main_algorithm(structure, term, depth=1)
         assert got == evaluate_basic_unary(structure, term)
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("term_name", sorted(TERMS))
+    def test_each_search_program_is_compiled_once(self, term_name):
+        """The level's two plans carry their search programs, so the loop
+        compiles each (plan, node) pair once however many clusters run it,
+        and a second run over the warm cache compiles none."""
+        structure = grid_graph(16, 16)
+        term = TERMS[term_name]()
+        cache = PlanCache()
+        stats = MainAlgorithmStats()
+        with collect_metrics() as metrics:
+            got = evaluate_unary_main_algorithm(
+                structure, term, depth=1, plan_cache=cache, stats=stats
+            )
+        compiled = metrics.counter("plan.program.compiled")
+        assert compiled == sum(len(plan.programs) for plan in cache._plans.values())
+        assert 0 < compiled < stats.clusters_processed
+        with collect_metrics() as metrics:
+            again = evaluate_unary_main_algorithm(
+                structure, term, depth=1, plan_cache=cache
+            )
+        assert again == got == evaluate_basic_unary(structure, term)
+        assert metrics.counter("plan.program.compiled") == 0
 
 
 class TestBudget:

@@ -1,15 +1,12 @@
-"""Regression tests for the executor's memo lifetime contract.
+"""Regression tests for the executor's memo keys and memo lifetime.
 
-The hazard: the engine's memo tables key on ``id(node)``.  CPython recycles
-ids, so a memo entry that outlives its AST node can alias a structurally
-*different* node allocated later at the same address — a silent wrong
-answer.  The contract (documented in :mod:`repro.plan.executor`) is
-therefore:
-
-1. every memoised node is pinned alive in ``_pins`` for as long as its
-   memo entry exists, which is the lifetime of the state;
-2. states are scoped to one public engine call, so repeated queries do
-   not accumulate pinned ASTs across calls.
+Memo tables key on ``(node id, bindings)``, where the id is a node of the
+plan's node table: one id per alpha-equivalence class, mapped back to its
+canonical text only when a checkpoint exports it.  A node handed in from
+outside the plan gets an id by its canonical text, never by its address,
+so a caller's AST is neither kept alive nor able to alias an entry.
+States are scoped to one public engine call, so repeated queries do not
+accumulate memory across calls.
 """
 
 import gc
@@ -20,8 +17,12 @@ import pytest
 from repro.core.evaluator import Foc1Evaluator
 from repro.logic.parser import parse_formula, parse_term
 from repro.logic.predicates import standard_collection
+from repro.logic.printer import pretty
+from repro.obs.metrics import collect_metrics
 from repro.plan import compile_plan
+from repro.plan.compiler import intern_node
 from repro.plan.executor import ExecutionState
+from repro.plan.normalise import canonicalise
 from repro.structures.builders import path_graph
 
 
@@ -39,29 +40,79 @@ def _session(structure, *terms):
     return ExecutionState(structure, standard_collection(), plan)
 
 
-class TestPinsStayInSyncWithMemos:
-    def test_memoised_nodes_are_pinned(self):
-        session = _session(path_graph(6))
-        phi = parse_formula("E(x, y) & E(y, z)")
-        session.free(phi)
-        session.free_sorted(phi)
-        session._conjuncts(phi)
-        assert id(phi) in session._pins
-        for key in session._free_memo:
-            assert key in session._pins
-        for key in session._free_sorted_memo:
-            assert key in session._pins
-        for key in session._conjunct_memo:
-            assert key in session._pins
+class TestNodeIdsKeyTheMemos:
+    def test_memo_keys_map_to_checkpoint_texts(self):
+        session = _session(path_graph(6), "#(y). (E(x, y) & exists z. E(y, z))")
+        (term,) = session.plan.roots
+        phi = parse_formula("E(x, y) | E(y, x)")
+        assert session.count(term.variables, term.inner, {"x": 1}) == 1
+        assert session.holds(phi, {"x": 1, "y": 2}) is True
+        exported = set(session.export_memo_snapshot())
+        texts = session.plan.nodes
+        for kind, memo in (("holds", session._holds_memo), ("count", session._count_memo)):
+            assert memo
+            for (node, relevant), value in memo.items():
+                assert (kind, texts[node].text, relevant, value) in exported
+        count = intern_node(session.plan, term)
+        assert texts[count].text == pretty(canonicalise(term))
+        assert (count, (("x", 1),)) in session._count_memo
+        assert texts[intern_node(session.plan, phi)].text == pretty(canonicalise(phi))
+        # Export and restore round-trip through the plan's text table.
+        fresh = ExecutionState(session.structure, standard_collection(), session.plan)
+        assert fresh.restore_memo_snapshot(sorted(exported, key=repr)) == len(exported)
+        assert fresh._holds_memo == session._holds_memo
+        assert fresh._count_memo == session._count_memo
 
-    def test_count_memo_pins_its_body(self):
-        session = _session(path_graph(6), "#(y). E(x, y)")
+    def test_programs_compile_once_per_plan(self):
+        """Search programs live in the plan: a second count with other
+        bindings reuses every bound node, and a second state over the same
+        plan binds the published programs without compiling any."""
+        session = _session(path_graph(6), "#(y, z). (E(x, y) & E(y, z))")
         (term,) = session.plan.roots
         session.count(term.variables, term.inner, {"x": 1})
-        # Memo keys are canonical text; the key-text cache maps the node.
-        assert (id(term.inner), term.variables) in session._count_key_memo
-        assert session._count_memo
-        assert id(term.inner) in session._pins
+        nodes = dict(session._bound_nodes)
+        programs = dict(session.plan.programs)
+        assert nodes and set(nodes) <= set(programs)
+        value = session.count(term.variables, term.inner, {"x": 2})
+        assert session._bound_nodes == nodes
+        other = ExecutionState(session.structure, standard_collection(), session.plan)
+        with collect_metrics() as metrics:
+            assert other.count(term.variables, term.inner, {"x": 2}) == value == 3
+        assert metrics.counter("plan.program.compiled") == 0
+        assert session.plan.programs == programs
+
+    def test_a_callers_formula_is_not_kept_alive(self):
+        session = _session(path_graph(6))
+        phi = parse_formula("E(x, y) | E(y, x)")
+        ref = weakref.ref(phi)
+        assert session.holds(phi, {"x": 1, "y": 2}) is True
+        del phi
+        gc.collect()
+        assert ref() is None
+        assert session.holds(parse_formula("E(x, y) | E(y, x)"), {"x": 1, "y": 2})
+
+    def test_a_new_formula_gets_its_own_entry(self):
+        """The id-recycling scenario: the caller drops a formula, and a
+        different one (allocated next, typically at the same address) must
+        get its own memo entry and its own answer."""
+        session = _session(path_graph(6))
+        env = {"x": 1, "y": 2}
+        first = parse_formula("E(x, y) | E(y, x)")
+        assert session.holds(first, env) is True
+        first_id = intern_node(session.plan, first)
+        del first
+        gc.collect()
+        second = parse_formula("!E(x, y) & !E(y, x)")
+        assert session.holds(second, env) is False
+        second_id = intern_node(session.plan, second)
+        assert second_id != first_id
+        assert {node for node, _ in session._holds_memo} >= {first_id, second_id}
+
+
+class TestPinsStayInSyncWithMemos:
+    """Memo entries stay in step with what was evaluated: alpha-variants
+    share one entry, and a dropped AST leaves no entry a new one could
+    read."""
 
     def test_count_memo_keys_are_alpha_canonical(self):
         """Alpha-variants of the same count share one memo entry."""
@@ -82,38 +133,9 @@ class TestPinsStayInSyncWithMemos:
         # The alpha-variant is a pure memo hit: no new entries appear.
         session.holds(second, {"x": 1})
         assert len(session._holds_memo) == entries
-        assert ("exists _b0. E(x, _b0)", (("x", 1),)) in session._holds_memo
-
-    def test_search_nodes_are_compiled_once_on_pinned_containers(self):
-        """Search nodes key on the plan's component containers, so a
-        second count with other bindings reuses every node, and each
-        node's conjunct container is pinned."""
-        session = _session(path_graph(6), "#(y, z). (E(x, y) & E(y, z))")
-        (term,) = session.plan.roots
-        session.count(term.variables, term.inner, {"x": 1})
-        nodes = dict(session._search_nodes)
-        assert nodes
-        session.count(term.variables, term.inner, {"x": 2})
-        assert session._search_nodes == nodes
-        for root, _, _ in nodes:
-            assert root in session._pins
-
-    def test_holds_memo_pins_its_formula(self):
-        session = _session(path_graph(6))
-        phi = parse_formula("E(x, y)")
-        session.holds(phi, {"x": 1, "y": 2})
-        assert id(phi) in session._pins
-
-    def test_pinned_node_survives_caller_dropping_it(self):
-        """The id-recycling scenario: the caller drops its reference, the
-        session's memo must keep the node alive (not just the id)."""
-        session = _session(path_graph(6))
-        phi = parse_formula("E(x, y)")
-        ref = weakref.ref(phi)
-        session.holds(phi, {"x": 1, "y": 2})
-        del phi
-        gc.collect()
-        assert ref() is not None  # pinned: id cannot be recycled
+        assert ("holds", "exists _b0. E(x, _b0)", (("x", 1),), True) in (
+            session.export_memo_snapshot()
+        )
 
     def test_memoised_answers_stay_correct_after_caller_drops_ast(self):
         session = _session(path_graph(6))

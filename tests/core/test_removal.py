@@ -152,6 +152,24 @@ class TestClusterSurgery:
                 remove_element(structure, d, radius, within=structure.universe), want
             )
 
+    def test_result_equals_a_validated_structure(self):
+        """The surgery skips the constructor's per-tuple checks; what it
+        builds is what ``Structure(...)`` accepts and builds from the same
+        data, caches and size included."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            structure = random_mixed_structure(rng)
+            cluster = ball(structure, [rng.choice(structure.universe_order)], 2)
+            if len(cluster) < 2:
+                continue
+            d = rng.choice(sorted(cluster, key=repr))
+            got = remove_element(structure, d, rng.randint(1, 3), within=cluster)
+            built = Structure(got.signature, got.universe_order, got.relations())
+            assert got == built and hash(got) == hash(built)
+            assert got.universe_order == built.universe_order
+            assert got.size() == built.size()
+            assert got.adjacency() == built.adjacency()
+
     def test_edge_witnessed_only_outside_the_cluster(self):
         """``T(1, 2, 4)`` makes 1 and 2 adjacent in A but not in A[{1, 2, 3}]:
         the markers must come from the cluster's own tuples."""

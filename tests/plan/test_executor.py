@@ -19,6 +19,7 @@ from repro.core.evaluator import Foc1Evaluator
 from repro.errors import BudgetExceededError, EvaluationError
 from repro.logic.parser import parse_formula, parse_term
 from repro.logic.predicates import standard_collection
+from repro.logic.printer import pretty
 from repro.logic.syntax import (
     And,
     Atom,
@@ -253,7 +254,7 @@ class TestInPlaceAtoms:
         subject, oracle, state = _count(structure, "E(x, x)", ("x",))
         assert subject == oracle == 3
         # The pool of E(x, x) holds only loops: the atom is never tested.
-        assert not state._tests
+        assert not state._bound_tests
         subject, oracle, _ = _count(structure, "E(x, x) & E(x, y)", ("x", "y"))
         assert subject == oracle
 
@@ -290,7 +291,7 @@ class TestInPlaceAtoms:
         structure = path_graph(7)
         subject, oracle, state = _count(structure, "dist(x, y) <= 2", ("x", "y"))
         assert subject == oracle
-        assert not state._tests  # every y came from x's 2-ball
+        assert not state._bound_tests  # every y came from x's 2-ball
         subject, oracle, _ = _count(
             structure, "dist(x, y) <= 2 & E(y, z) & !(x = z)", ("x", "y", "z")
         )
@@ -437,9 +438,125 @@ class TestInPlaceAtoms:
             engine.count(structure, phi, ["x", "y", "z"])
 
 
+def _random_ternary_structure(rng: random.Random) -> Structure:
+    universe = list(range(rng.randint(2, 7)))
+    edges = [(a, b) for a in universe for b in universe if rng.random() < 0.25]
+    triples = [
+        tuple(rng.choice(universe) for _ in range(3)) for _ in range(rng.randint(0, 6))
+    ]
+    marked = [(a,) for a in universe if rng.random() < 0.5]
+    return Structure(
+        Signature.of(E=2, T=3, U=1), universe, {"E": edges, "T": triples, "U": marked}
+    )
+
+
+def _random_residue(rng: random.Random) -> str:
+    """A conjunction over x, y, z with what the compiler folds: distance
+    atoms beside relation atoms over the same variables, negated distance
+    atoms, constants, repeated conjuncts and complementary literals."""
+    names = ("x", "y", "z")
+
+    def var():
+        return rng.choice(names)
+
+    def literal():
+        roll = rng.random()
+        if roll < 0.3:
+            return f"E({var()}, {var()})"
+        if roll < 0.45:
+            return f"T({var()}, {var()}, {var()})"
+        if roll < 0.55:
+            return f"U({var()})"
+        if roll < 0.8:
+            return f"dist({var()}, {var()}) <= {rng.randint(0, 2)}"
+        if roll < 0.9:
+            return f"{var()} = {var()}"
+        return rng.choice(["true", "false", "!true", "!false"])
+
+    parts = []
+    for _ in range(rng.randint(2, 5)):
+        part = literal()
+        if rng.random() < 0.3:
+            part = f"!({part})"
+        parts.append(part)
+        if rng.random() < 0.15:
+            parts.append(part)  # a repeated conjunct
+        if rng.random() < 0.1:
+            parts.append(f"!({part})")  # a complementary literal
+    if len(parts) > 2 and rng.random() < 0.5:
+        parts[-2:] = [f"({parts[-2]} & {parts[-1]})"]
+    return " & ".join(parts)
+
+
+class TestFoldedAndImpliedConjuncts:
+    """The compiler folds constants, repeated conjuncts and complementary
+    literals, and drops a distance atom implied by a relation atom beside
+    it; a negated distance atom is tested in place."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_differential_on_ternary_structures(self, block):
+        oracle = BruteForceEvaluator()
+        for seed in range(60 * block, 60 * (block + 1)):
+            rng = random.Random(seed)
+            structure = _random_ternary_structure(rng)
+            text = _random_residue(rng)
+            phi = parse_formula(text)
+            names = free_variables(phi)
+            variables = tuple(v for v in VARS if v in names or rng.random() < 0.3)
+            plan = compile_plan("count", [phi], variables, structure.signature)
+            expected = oracle.count(structure, phi, variables)
+            assert PlanExecutor(plan, structure, standard_collection()).count_value() == (
+                expected
+            ), (seed, text)
+            term = parse_term(f"#(y, z). ({text})")
+            plan = compile_plan("unary_term", [term], ("x",), structure.signature)
+            got = PlanExecutor(plan, structure, standard_collection()).unary_term_values("x")
+            assert got == oracle.unary_term_values(structure, term, "x"), (seed, text)
+
+    def test_implied_distance_atoms_are_dropped(self):
+        plan = compile_plan(
+            "count",
+            [parse_formula("E(x, y) & dist(x, y) <= 1 & T(y, z, x) & dist(x, z) <= 2")],
+            ("x", "y", "z"),
+            Signature.of(E=2, T=3),
+        )
+        assert pretty(plan.roots[0]) == "E(x, y) & T(y, z, x)"
+        kept = compile_plan(
+            "count",
+            [parse_formula("E(x, y) & dist(y, z) <= 1 & !(dist(x, y) <= 1) & x = y")],
+            ("x", "y", "z"),
+            Signature.of(E=2),
+        )
+        assert pretty(kept.roots[0]).count("dist") == 2
+
+    def test_negated_distance_is_tested_in_place(self):
+        """No satisfaction memo and no ``evaluator.holds`` tick: the count
+        ticks as the two-path count does, 683 on this grid."""
+        structure = grid_graph(6, 7)
+        budget = EvaluationBudget()
+        phi = parse_formula("E(x, y) & E(y, z) & !(dist(x, z) <= 1)")
+        with collect_metrics() as metrics:
+            value = Foc1Evaluator(budget=budget).count(structure, phi, ["x", "y", "z"])
+        assert value == BruteForceEvaluator().count(structure, phi, ["x", "y", "z"])
+        assert metrics.counter("evaluator.holds.memo.miss") == 0
+        assert budget.steps == 683
+
+    def test_a_folded_count_is_a_constant(self):
+        """The body is identically false: one count tick and nothing else."""
+        structure = grid_graph(6, 7)
+        budget = EvaluationBudget()
+        phi = parse_formula("E(x, y) & !false & (E(y, x) & (!E(y, x) & true))")
+        with collect_metrics() as metrics:
+            assert Foc1Evaluator(budget=budget).count(structure, phi, ["x", "y"]) == 0
+        assert budget.steps == 1
+        assert metrics.counter("evaluator.guard.scan") == 0
+
+
+
 class TestCountIndex:
-    """Every count dispatches through a compiled step, found by
-    ``(id(body), counted variables)``."""
+    """Every count dispatches through a compiled step: the plan indexes
+    steps by ``(body, counted variables)``, and the executor finds a count
+    by its alpha-canonical text."""
 
     def test_counting_a_body_without_a_compiled_step_is_an_error(self):
         structure = path_graph(3)
@@ -447,10 +564,12 @@ class TestCountIndex:
         state = ExecutionState(structure, standard_collection(), plan)
         (phi,) = plan.roots
         with pytest.raises(EvaluationError, match="no compiled count step"):
-            state.count(("x", "y"), parse_formula("E(x, y)"), {})  # not plan-owned
+            state.count(("x", "y"), parse_formula("E(y, x)"), {})  # not in the plan
         with pytest.raises(EvaluationError, match="no compiled count step"):
             state.count(("x",), phi, {"y": 2})  # compiled for (x, y) only
         assert state.count(("x", "y"), phi, {}) == 4
+        # A caller's alpha-variant of a plan count finds it by its text.
+        assert state.count(("u", "v"), parse_formula("E(u, v)"), {}) == 4
 
     @pytest.mark.parametrize(
         "text",
@@ -465,7 +584,7 @@ class TestCountIndex:
         structure = grid_graph(3, 4)
         plan = compile_plan("count", [phi], ("x", "y", "z"), structure.signature)
         restored = pickle.loads(pickle.dumps(plan))
-        assert (id(restored.roots[0]), restored.variables) in restored.counts
+        assert (restored.roots[0], restored.variables) in restored.counts
         assert len(restored.counts) == len(plan.counts)
         expected = PlanExecutor(plan, structure, standard_collection()).count_value()
         assert expected == BruteForceEvaluator().count(structure, phi, ("x", "y", "z"))
@@ -491,6 +610,94 @@ class TestCountIndex:
         assert engine.unary_term_values(structure, unary, "x") == oracle.unary_term_values(
             structure, unary, "x"
         )
+
+
+#: Plans whose searches compile child programs on first descent: a
+#: non-kernel count with two levels, an exists-block, a Forall.
+SHARED_PLANS = (
+    ("unary_term", "#(y, z). (E(x, y) & E(y, z) & !(x = z))", ("x",)),
+    ("count", "E(x, y) & exists w. (E(y, w) & !E(w, x))", ("x", "y")),
+    ("model_check", "forall x. exists y. (E(x, y) & exists z. E(y, z))", ()),
+)
+
+
+def _run(plan, structure):
+    executor = PlanExecutor(plan, structure, standard_collection())
+    if plan.kind == "unary_term":
+        return executor.unary_term_values("x")
+    return executor.count_value() if plan.kind == "count" else executor.model_check()
+
+
+class TestSharedPlans:
+    """Search programs live in the plan: published once, plain data that
+    pickles, and safe to publish from two threads at once."""
+
+    @pytest.mark.parametrize("kind, text, variables", SHARED_PLANS)
+    def test_a_pickled_plan_with_published_programs_gives_the_same_answers(
+        self, kind, text, variables
+    ):
+        structure = grid_graph(4, 5)
+        expression = parse_term(text) if kind == "unary_term" else parse_formula(text)
+        plan = compile_plan(kind, [expression], variables, structure.signature)
+        expected = _run(plan, structure)
+        assert plan.programs
+        restored = pickle.loads(pickle.dumps(plan))
+        assert restored.programs == plan.programs and restored.ids == plan.ids
+        with collect_metrics() as metrics:
+            assert _run(restored, structure) == expected
+        assert metrics.counter("plan.program.compiled") == 0
+
+    @pytest.mark.parametrize("kind, text, variables", SHARED_PLANS)
+    def test_threads_running_one_fresh_plan_agree_with_the_serial_answer(
+        self, kind, text, variables
+    ):
+        """Four threads (more than the cores) run one plan that has compiled
+        no search program yet, then add the same 50 formulas to its node
+        table: every answer is the serial one, the programs are the serial
+        run's, no text was added twice, and every id maps to its text."""
+        import sys
+        import threading
+
+        structure = grid_graph(5, 6)
+        expression = parse_term(text) if kind == "unary_term" else parse_formula(text)
+
+        def fresh():
+            return compile_plan(kind, [expression], variables, structure.signature)
+
+        serial = fresh()
+        expected = _run(serial, structure)
+        a, b = structure.universe_order[:2]
+        adjacent = structure.has_tuple("E", (a, b)) or structure.has_tuple("E", (b, a))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                plan = fresh()
+                barrier = threading.Barrier(4)
+                results, answers = [], []
+
+                def run():
+                    barrier.wait()
+                    results.append(_run(plan, structure))
+                    state = ExecutionState(structure, standard_collection(), plan)
+                    for k in range(50):
+                        name = f"v{k}"
+                        formula = parse_formula(f"E(x, {name}) | E({name}, x)")
+                        answers.append(state.holds(formula, {"x": a, name: b}))
+
+                threads = [threading.Thread(target=run) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 4 and answers == [adjacent] * 200
+                assert plan.programs == serial.programs
+                # Each formula adds itself and its two atoms.
+                assert len(plan.ids) == len(plan.nodes) == len(serial.nodes) + 50 * 3
+                assert all(plan.nodes[node].text == text for text, node in plan.ids.items())
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _kernel_graph(seed: int) -> Structure:
@@ -575,7 +782,7 @@ class TestColumnKernels:
         term = parse_term(shape.format(v="x"))
         plan = compile_plan("unary_term", [term], ("x",), structure.signature)
         state = ExecutionState(structure, standard_collection(), plan)
-        kernel = state._kernel(plan.roots[0], "x")
+        kernel = state._kernel(plan.root_ids[0], "x")
         assert (kernel is not None) == (shape in KERNEL_SHAPES)
 
     @pytest.mark.parametrize("context", UNARY_CONTEXTS + GROUND_CONTEXTS)
@@ -613,7 +820,7 @@ class TestColumnKernels:
         plan = compile_plan("unary_term", [term], ("x",), structure.signature)
         budget = EvaluationBudget(max_steps=5)
         executor = PlanExecutor(plan, structure, standard_collection(), budget)
-        assert executor.state._kernel(plan.roots[0], "x") is not None
+        assert executor.state._kernel(plan.root_ids[0], "x") is not None
         with pytest.raises(BudgetExceededError):
             executor.unary_term_values("x")
         assert budget.steps == 6
@@ -624,7 +831,7 @@ class TestColumnKernels:
         plan = compile_plan("unary_term", [term], ("x",), structure.signature)
         executor = PlanExecutor(plan, structure, standard_collection())
         assert set(executor.unary_term_values("x").values()) == {1}
-        assert executor.state._kernels == {} and executor.state._search_nodes == {}
+        assert executor.state._bound_kernels == {} and executor.state._bound_nodes == {}
 
     @pytest.mark.parametrize(
         "kind, text, columns, counts",

@@ -433,7 +433,7 @@ class TestDeferredMemoExport:
             executors[1].ground_term_value()
             executors[2].ground_term_value()
         tables = [
-            (e.state._holds_memo, e.state._count_memo, e.state._columns)
+            (e.state._holds_memo, e.state._count_memo, e.state._columns, e.plan.nodes)
             for e in executors
         ]
         assert exported == tables[:2]
