@@ -88,6 +88,8 @@ class Foc1Evaluator:
         pre-parallel code path).  See ``docs/PARALLEL.md``.
     parallel_backend:
         ``"thread"`` (default) or ``"process"``; ignored at ``workers=1``.
+        The process backend fans out :meth:`count_many` only;
+        :meth:`unary_term_values` then runs its targets inline.
     retry:
         Optional :class:`~repro.robust.retry.RetryPolicy` applied by the
         parallel entry points: a transiently failing shard is re-run —
@@ -203,12 +205,15 @@ class Foc1Evaluator:
         """``t^A[a]`` for all ``a`` (the simultaneous evaluation of Lemma 5.7's
         stronger form); a target outside the universe is an error.
 
-        With ``workers > 1`` the targets are sharded across the engine's
-        pool: one compiled plan, one executor (and hence one memo/ball
-        state) per shard, results merged in shard order — byte-identical
-        to the serial pass.  Thread backend only; each shard re-runs the
+        With ``workers > 1`` on the thread backend the targets are sharded
+        across the engine's pool: one compiled plan, one executor (and
+        hence one memo/ball state) per shard, results merged in shard
+        order — byte-identical to the serial pass.  Each shard re-runs the
         plan's materialisation steps, a fixed per-worker cost that the
-        per-element saving amortises on all but tiny structures.
+        per-element saving amortises on all but tiny structures.  A shard
+        closes over this engine's live state, which cannot cross a process
+        boundary, so the process backend runs the targets as one inline
+        shard through a serial pool.
 
         The engine's ``retry`` policy re-runs failed shards alone; with
         ``on_shard_failure="salvage"`` a permanently failed shard no
@@ -229,12 +234,13 @@ class Foc1Evaluator:
                     f"assignment sends {variable!r} to {element!r}, "
                     "which is outside the universe"
                 )
+        pool = WorkerPool(1) if self.pool.backend == "process" else self.pool
         plain = self.retry is None and self.on_shard_failure == "raise"
-        if (self.pool.workers <= 1 or len(targets) <= 1) and plain:
+        if (pool.workers <= 1 or len(targets) <= 1) and plain:
             return self._executor(plan, structure).unary_term_values(
                 variable, targets
             )
-        chunks = shard(targets, max(self.pool.workers, 1))
+        chunks = shard(targets, pool.workers)
         tasks = [
             lambda b, chunk=chunk: PlanExecutor(
                 plan, structure, self.predicates, b
@@ -242,7 +248,7 @@ class Foc1Evaluator:
             for chunk in chunks
         ]
         if self.on_shard_failure == "salvage":
-            outcomes = self.pool.run_tasks(
+            outcomes = pool.run_tasks(
                 tasks, self.budget, retry=self.retry, on_failure="salvage"
             )
             values: Dict[Element, int] = {}
@@ -270,7 +276,7 @@ class Foc1Evaluator:
                 covered=len(values),
             )
         values = {}
-        for part in self.pool.run_tasks(tasks, self.budget, retry=self.retry):
+        for part in pool.run_tasks(tasks, self.budget, retry=self.retry):
             values.update(part)
         return values
 

@@ -46,10 +46,13 @@ class PointedBall:
     def invariant(self) -> Tuple:
         """A cheap isomorphism invariant for pre-bucketing: order, relation
         sizes, sorted distance-degree profile, and the centre's profile."""
-        adjacency = self.structure.adjacency()
+        view = self.structure.columnar()
         layers = distances_from(self.structure, [self.centre])
         profile = tuple(
-            sorted((layers.get(a, -1), len(adjacency[a])) for a in self.structure.universe_order)
+            sorted(
+                (layers.get(a, -1), view.degree(i))
+                for i, a in enumerate(view.interner.elements)
+            )
         )
         relation_sizes = tuple(
             sorted((s.name, len(rel)) for s, rel in self.structure.relations().items())
@@ -58,7 +61,7 @@ class PointedBall:
             self.structure.order(),
             relation_sizes,
             profile,
-            len(adjacency[self.centre]),
+            view.degree(view.interner.id_of(self.centre)),
         )
 
     def isomorphic_to(self, other: "PointedBall", limit: int) -> bool:

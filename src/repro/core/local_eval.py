@@ -203,7 +203,7 @@ def pattern_tuples(
     entirely in id space — candidates stream from sorted ball-id arrays and
     each exactness check is one bitset probe — converting back to elements
     only as tuples are yielded.  The same tuples come out as from the
-    set-based reference walk (``repro.core.reference``), in sorted-id
+    set-based reference walk of the test suite's oracle, in sorted-id
     rather than hash order.
     """
     if k == 1:

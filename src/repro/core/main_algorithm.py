@@ -18,15 +18,15 @@ nowhere dense class by:
    for ``d`` — are compiled once per level as two plans over
    ``sigma~_r``, so one cluster costs one surgery and two plan runs.
 
-This module implements that loop faithfully, with the recursion depth as a
-parameter.  At depth 0 (and in every base case) the rewritten parts are
-evaluated by the generic engine, so the result is *exact* regardless of
-depth — the knob only moves work between the removal recursion and the
-base-case engine.  The full unbounded recursion additionally needs the
-rank-preserving bookkeeping of Theorem 7.1 to re-localise the rewritten
-terms; we keep each recursion level inside the (strictly shrinking) cluster
-substructures instead, which preserves exactness and still exercises every
-ingredient (cover, game move, surgery, term rewriting) per level.
+This module implements one round of that loop.  The rewritten parts of
+every cluster are evaluated by the generic engine on the removed
+structure, so the result is *exact*.  A second round would need Theorem
+7.1's rank-preserving re-localisation of the rewritten terms: the surgery
+can only grow distances, so the cover's confinement invariant no longer
+holds for them.  ``depth`` 0 skips the round (the engine evaluates the
+term directly), and every ``depth`` >= 1 runs exactly one round — one
+cover, one game move, surgery and term rewrite per cluster (EXPERIMENTS.md
+E13).
 
 The per-run :class:`MainAlgorithmStats` makes the machinery observable:
 clusters processed, removals performed, base-case evaluations.
@@ -144,14 +144,14 @@ def evaluate_unary_main_algorithm(
 
     ``term`` must be a unary basic cl-term; its ``psi`` must genuinely be
     ``psi_radius``-local (Definition 6.2's contract — the same assumption
-    the paper makes).  ``depth`` bounds how many cover/removal rounds are
-    performed before falling back to the engine; the answer is exact for
-    every depth.  An optional ``budget`` is drawn on per processed cluster
-    and inside every engine call; exhaustion raises
-    :class:`~repro.errors.BudgetExceededError`.  The removal rewrite is
-    the same for every cluster, so the loop compiles the rewrite once per
-    level: two plans, the sum of the Lemma 7.9 unary parts and the sum of
-    its ground parts, which every cluster runs on its surgery
+    the paper makes).  ``depth`` 0 evaluates the term with the engine
+    directly; every ``depth`` >= 1 runs one cover/removal round (see the
+    module docstring), and the answer is exact either way.  An optional
+    ``budget`` is drawn on per processed cluster and inside every engine
+    call; exhaustion raises :class:`~repro.errors.BudgetExceededError`.
+    The removal rewrite is the same for every cluster, so the loop
+    compiles it once: two plans, the sum of the Lemma 7.9 unary parts and
+    the sum of its ground parts, which every cluster runs on its surgery
     (``plan_cache`` overrides the shared process-wide cache they are
     compiled into).
 

@@ -1,21 +1,15 @@
-"""Cached per-structure statistics for the cost model.
+"""Per-structure statistics for the cost model.
 
 :class:`StructureStats` summarises a :class:`~repro.structures.structure.
 Structure` for cardinality estimation: relation cardinalities, the degree
-histogram of the Gaifman graph and ball-size growth estimates.  The
-summary participates in the structure's cache contract (see the
-``Structure`` docstring):
-
-* it is cached on the instance (``structure._stats``) and served by
-  :func:`structure_stats` without recomputation;
-* :meth:`Structure.invalidate_caches` drops it together with the
-  adjacency/index caches, so in-place mutation can never leave a cost
-  estimate reading stale cardinalities;
-* copy-on-write updates via :meth:`Structure.with_tuple` *derive* the
-  statistics incrementally (:meth:`StructureStats.derive`): the cheap
-  exact parts — order, size, relation cardinalities — are adjusted by the
-  delta, the lazy degree summary is dropped and recomputed on demand
-  against the derived structure's adjacency.
+histogram of the Gaifman graph and ball-size growth estimates.  It holds
+no cache of its own: :func:`structure_stats` builds a fresh summary per
+call at O(number of relations), and the degree summary reads the degrees
+off the structure's columnar view (:meth:`Structure.columnar`), whose
+neighbour tuples are cached on the structure, derived by
+:meth:`Structure.with_tuple` and dropped by
+:meth:`Structure.invalidate_caches`.  No summary outlives a write, so
+none can go stale.
 
 Everything here is exact — the *estimation* (combining these numbers into
 cardinality bounds and engine costs) lives in :mod:`repro.cost.model`.
@@ -26,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..obs import active_metrics
 from ..structures.structure import Structure
 
 __all__ = ["DegreeSummary", "StructureStats", "structure_stats"]
@@ -46,8 +39,9 @@ class DegreeSummary:
         histogram: Dict[int, int] = {}
         total = 0
         peak = 0
-        for neighbours in structure.adjacency().values():
-            d = len(neighbours)
+        view = structure.columnar()
+        for i in range(view.n):
+            d = view.degree(i)
             histogram[d] = histogram.get(d, 0) + 1
             total += d
             if d > peak:
@@ -62,32 +56,21 @@ class StructureStats:
     """Statistics of one structure, cheap parts eager, the degree summary lazy.
 
     The eager parts (``order``, ``size``, ``relation_cards``) are O(number
-    of relations) to build; the degree summary touches
-    :meth:`Structure.adjacency` (O(size) the first time) and is computed
-    only when a cost estimate actually needs it.
+    of relations) to build; the degree summary reads the structure's
+    columnar view (O(size) only if the view's neighbour tuples are not
+    built yet) and is computed only when a cost estimate needs it.
     """
 
     __slots__ = ("order", "size", "relation_cards", "_structure", "_degree")
 
-    def __init__(
-        self,
-        structure: Structure,
-        order: int,
-        size: int,
-        relation_cards: Dict[str, int],
-    ):
-        self.order = order
-        self.size = size
-        self.relation_cards = relation_cards
-        self._structure = structure
-        self._degree: Optional[DegreeSummary] = None
-
-    @classmethod
-    def from_structure(cls, structure: Structure) -> "StructureStats":
-        cards = {
+    def __init__(self, structure: Structure):
+        self.order = structure.order()
+        self.size = structure.size()
+        self.relation_cards: Dict[str, int] = {
             symbol.name: len(rel) for symbol, rel in structure.relations().items()
         }
-        return cls(structure, structure.order(), structure.size(), cards)
+        self._structure = structure
+        self._degree: Optional[DegreeSummary] = None
 
     # -- accessors ------------------------------------------------------------
 
@@ -128,39 +111,7 @@ class StructureStats:
     def max_relation_card(self) -> int:
         return max(self.relation_cards.values(), default=0)
 
-    # -- copy-on-write derivation ---------------------------------------------
-
-    def derive(
-        self, relation_name: str, present: bool, derived_structure: Structure
-    ) -> "StructureStats":
-        """Statistics for a one-tuple delta (the :meth:`Structure.with_tuple`
-        leg of the cache contract).  Exact parts are adjusted in O(1); the
-        degree summary is dropped — it is rebuilt lazily from the
-        *derived* structure's adjacency, never the parent's."""
-        delta = 1 if present else -1
-        cards = dict(self.relation_cards)
-        cards[relation_name] = max(0, cards.get(relation_name, 0) + delta)
-        derived = StructureStats(
-            derived_structure, self.order, self.size + delta, cards
-        )
-        metrics = active_metrics()
-        if metrics is not None:
-            metrics.inc("cost.stats.derived")
-        return derived
-
 
 def structure_stats(structure: Structure) -> StructureStats:
-    """The cached :class:`StructureStats` of a structure (built on first
-    use, invalidated by ``invalidate_caches()``, derived by ``with_tuple``)."""
-    stats = structure._stats
-    if isinstance(stats, StructureStats) and stats._structure is structure:
-        metrics = active_metrics()
-        if metrics is not None:
-            metrics.inc("cost.stats.reuse")
-        return stats
-    stats = StructureStats.from_structure(structure)
-    structure._stats = stats
-    metrics = active_metrics()
-    if metrics is not None:
-        metrics.inc("cost.stats.build")
-    return stats
+    """The :class:`StructureStats` of a structure, built fresh per call."""
+    return StructureStats(structure)

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.baseline import BruteForceEvaluator
 from ..core.clterms import BasicClTerm
 from ..core.evaluator import Foc1Evaluator
-from ..core.main_algorithm import MainAlgorithmStats, evaluate_unary_main_algorithm
+from ..core.main_algorithm import evaluate_unary_main_algorithm
 from ..approx.result import ApproxResult
 from ..core.query import Foc1Query
 from ..errors import BudgetExceededError, ReproError, SuspendedError
@@ -226,8 +226,6 @@ class RobustEvaluator:
         Whether the ``foc1`` stage enforces the FOC1(P) fragment.  With the
         default ``True``, out-of-fragment FOC(P) inputs simply fall through
         to the ``baseline`` stage — the cascade's answer stays exact.
-    main_depth:
-        Recursion depth handed to the Section 8.2 main algorithm.
     catch:
         Exception types treated as *stage* failures (triggering fallback)
         rather than evaluator failures.  Defaults to the library's typed
@@ -249,6 +247,10 @@ class RobustEvaluator:
         ``REPRO_WORKERS`` (default 1).
     parallel_backend:
         ``"thread"`` (default) or ``"process"``; ignored at ``workers=1``.
+        It reaches the ``foc1`` stage's engines and the approx stage.  On
+        the process backend the ``foc1`` stage fans out :meth:`count_many`
+        only and runs unary targets inline; the ``main_algorithm`` stage's
+        cluster loop always runs on threads.
     retry:
         Optional :class:`~repro.robust.retry.RetryPolicy` handed to every
         parallel stage, so a transient shard failure re-runs only that
@@ -284,7 +286,6 @@ class RobustEvaluator:
         predicates: "Optional[PredicateCollection]" = None,
         budget: "Optional[EvaluationBudget]" = None,
         check_fragment: bool = True,
-        main_depth: int = 1,
         catch: Tuple[type, ...] = (ReproError, RecursionError),
         plan_cache: "Optional[PlanCache]" = None,
         workers: "Optional[int]" = None,
@@ -301,7 +302,6 @@ class RobustEvaluator:
         self.predicates = predicates if predicates is not None else standard_collection()
         self.budget = budget
         self.check_fragment = check_fragment
-        self.main_depth = main_depth
         self.catch = tuple(catch)
         self.plan_cache = plan_cache
         self.workers = resolve_workers(workers)
@@ -443,7 +443,7 @@ class RobustEvaluator:
     # -- the full three-stage cascade ------------------------------------------
 
     def evaluate_unary_cl_term(
-        self, structure: Structure, term: BasicClTerm, depth: "Optional[int]" = None
+        self, structure: Structure, term: BasicClTerm
     ) -> Dict[Element, int]:
         """``u^A[a]`` for all ``a`` through the full cascade.
 
@@ -453,17 +453,14 @@ class RobustEvaluator:
         """
         if not term.unary:
             raise ReproError("evaluate_unary_cl_term expects a unary basic cl-term")
-        use_depth = self.main_depth if depth is None else depth
         free = term.free_variable
 
         def main_stage(budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
-            stats = MainAlgorithmStats()
             return evaluate_unary_main_algorithm(
                 structure,
                 term,
-                depth=use_depth,
+                depth=1,
                 predicates=self.predicates,
-                stats=stats,
                 budget=budget,
                 plan_cache=self.plan_cache,
                 workers=self.workers,

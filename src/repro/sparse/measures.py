@@ -18,8 +18,8 @@ from ..structures.structure import Element, Structure
 
 def degree_statistics(structure: Structure) -> Dict[str, float]:
     """Min/avg/max Gaifman degree."""
-    adjacency = structure.adjacency()
-    degrees = [len(adjacency[a]) for a in structure.universe_order]
+    view = structure.columnar()
+    degrees = [view.degree(i) for i in range(view.n)]
     return {
         "min_degree": min(degrees),
         "avg_degree": sum(degrees) / len(degrees),
@@ -34,15 +34,15 @@ def degeneracy(structure: Structure) -> int:
     bounded degeneracy contain all the sparse families we generate, and
     degeneracy ~n/2 flags the dense controls.
     """
-    adjacency = {a: set(ns) for a, ns in structure.adjacency().items()}
-    degrees = {a: len(ns) for a, ns in adjacency.items()}
-    max_degree = max(degrees.values(), default=0)
+    view = structure.columnar()
+    degrees = [view.degree(i) for i in range(view.n)]
+    max_degree = max(degrees, default=0)
     buckets: List[set] = [set() for _ in range(max_degree + 1)]
-    for vertex, degree in degrees.items():
+    for vertex, degree in enumerate(degrees):
         buckets[degree].add(vertex)
-    removed = set()
+    removed = bytearray(view.n)
     result = 0
-    for _ in range(len(degrees)):
+    for _ in range(view.n):
         for degree in range(max_degree + 1):
             if buckets[degree]:
                 vertex = buckets[degree].pop()
@@ -50,9 +50,9 @@ def degeneracy(structure: Structure) -> int:
         else:
             break
         result = max(result, degrees[vertex])
-        removed.add(vertex)
-        for neighbour in adjacency[vertex]:
-            if neighbour in removed:
+        removed[vertex] = 1
+        for neighbour in view.neighbours(vertex):
+            if removed[neighbour]:
                 continue
             old = degrees[neighbour]
             buckets[old].discard(neighbour)

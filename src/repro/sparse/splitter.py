@@ -196,7 +196,12 @@ def play_splitter_game(
     splitter = splitter or splitter_ball_centre()
     connector = connector or connector_max_ball(radius)
 
-    adjacency: Adjacency = dict(structure.adjacency())
+    view = structure.columnar()
+    elements = view.interner.elements
+    adjacency: Adjacency = {
+        elements[i]: frozenset(elements[j] for j in view.neighbours(i))
+        for i in range(view.n)
+    }
     vertices: Tuple[Element, ...] = tuple(structure.universe_order)
     result = SplitterGameResult(radius=radius, rounds_played=0, splitter_won=False)
 

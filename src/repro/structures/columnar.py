@@ -1,20 +1,24 @@
 """Id-space Gaifman adjacency and int/bitset kernels over interned ids.
 
-This is the representation layer behind the evaluation core: the Gaifman
-adjacency as per-id neighbour tuples, and a small kernel library (bitset
-membership, union/intersection, galloping sorted-array intersection,
-radius-bounded ball expansion) that the hot paths in
-``core/local_eval.py``, ``core/cover_eval.py``,
+This is the representation layer behind the evaluation core: the
+structure's one Gaifman graph, as per-id neighbour tuples, and a small
+kernel library (bitset membership, union/intersection, galloping
+sorted-array intersection, radius-bounded ball expansion) that the hot
+paths in ``core/local_eval.py``, ``core/cover_eval.py``,
 ``sparse/covers.py`` and every function of ``structures/gaifman.py`` run
-on.  Everything here is *representation only*: the kernels compute
-exactly the sets the element-space reference code computes, and callers
+on.  The element-space readers of the Gaifman graph — the cost
+statistics, the Hanf invariants, the sparsity measures and the splitter
+game — read the same tuples through :meth:`ColumnarStructure.neighbours`
+and :meth:`ColumnarStructure.degree`.  Everything here is
+*representation only*: the kernels compute exactly the sets the test
+suite's element-space oracle computes from the relations, and callers
 convert back to user-facing elements at result boundaries.
 
 Cache contract
 --------------
 A :class:`ColumnarStructure` is derived data of one
 :class:`~repro.structures.structure.Structure` and lives under the same
-contract as the adjacency/index/statistics caches (see the ``Structure``
+contract as the index and projection caches (see the ``Structure``
 docstring): built lazily by :meth:`Structure.columnar`, cached on the
 instance and dropped by :meth:`Structure.invalidate_caches`.
 :meth:`Structure.with_tuple` carries a built view over to the derived
@@ -23,9 +27,12 @@ structure through :meth:`ColumnarStructure.derive_insert` or
 :class:`~repro.structures.interning.ElementInterner` (the universe, and
 hence the id space, is identical) and updates the neighbour tuples by
 the one tuple's Gaifman edges, so a write costs that tuple's edges
-rather than a rebuild over ``||A||``.  The view keeps the structure's
-relations mapping, not the structure itself, so the structure and its
-view form no reference cycle and are freed by reference counting.
+rather than a rebuild over ``||A||``.  :meth:`Structure.with_relations`
+hands the parent's neighbour tuples to an expansion by symbols of arity
+at most 1 (:meth:`ColumnarStructure._derive`), which adds no Gaifman
+edge.  The view keeps the structure's relations mapping, not the
+structure itself, so the structure and its view form no reference cycle
+and are freed by reference counting.
 
 Bitset convention: a set of ids is a non-negative Python int with bit
 ``i`` set iff id ``i`` is a member.  ``(bs >> i) & 1`` is the membership
@@ -163,9 +170,9 @@ class ColumnarStructure:
         """The Gaifman adjacency: ``_neighbour_ids()[i]`` is the sorted
         tuple of the neighbour ids of ``i``.
 
-        Built once from the relations (never through the element-space
-        adjacency dict), then carried down ``with_tuple`` derivations by
-        :meth:`derive_insert` and :meth:`derive_delete`.  The tuples hold
+        Built once from the relations, then carried down ``with_tuple``
+        derivations by :meth:`derive_insert` and :meth:`derive_delete`
+        and down ≤ 1-ary ``with_relations`` expansions.  The tuples hold
         already-boxed ints: the BFS kernels iterate them on every visit,
         and iterating an ``array('q')`` would re-box every id."""
         if self._neigh is None:

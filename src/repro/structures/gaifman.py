@@ -6,14 +6,13 @@ relation.  All locality notions of the paper (r-balls ``N_r(a)``,
 r-neighbourhood substructures, r-connectivity of tuples, the graphs
 ``G_{a-bar,r}``) are defined through it.
 
-Every function here runs on one adjacency: the per-id neighbour tuples of
-the structure's columnar view (:meth:`Structure.columnar`), walked by the
-BFS kernels of :class:`~repro.structures.columnar.ColumnarStructure`,
+Every function here runs on the structure's one Gaifman graph: the per-id
+neighbour tuples of its columnar view (:meth:`Structure.columnar`), walked
+by the BFS kernels of :class:`~repro.structures.columnar.ColumnarStructure`,
 which hash nothing per node and allocate nothing per visited element.
 :meth:`Structure.with_tuple` derives the view on insertion and deletion,
 so an update chain keeps one adjacency that changes by one tuple's edges
-per write.  The element-space :meth:`Structure.adjacency` dict is not
-read here.
+per write.
 
 Distances are returned as non-negative integers, with ``math.inf`` standing
 for "no path" exactly as the paper's ``dist = infinity`` convention.

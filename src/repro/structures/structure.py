@@ -2,9 +2,9 @@
 
 A sigma-structure ``A`` consists of a finite non-empty universe and one finite
 relation per symbol of its signature.  Structures here are immutable after
-construction; derived data (Gaifman adjacency, per-position indexes) is
-computed lazily and cached, which is safe precisely because the relational
-content never changes.
+construction; derived data (per-position indexes, projection pools, the
+columnar view holding the Gaifman graph) is computed lazily and cached,
+which is safe precisely because the relational content never changes.
 
 Universe elements may be arbitrary hashable Python objects.
 """
@@ -73,37 +73,36 @@ class Structure:
 
     Cache contract
     --------------
-    Derived data — the Gaifman :meth:`adjacency`, the per-position
-    :meth:`index` maps, the :meth:`projection` pools and the
-    :meth:`columnar` view — is computed lazily and cached on the instance.
-    This is sound because the relational content never changes through the
-    public API.  The columnar view's neighbour tuples are the Gaifman
-    adjacency every function of :mod:`repro.structures.gaifman` reads;
-    :meth:`adjacency` is an independent element-space build from the
-    relations, for the element-space callers and the reference oracle.
-    "Updates" are expressed as *derivation*: :meth:`with_tuple` returns a
-    **new** structure sharing the unchanged relations (and the still-valid
-    caches) with its parent and deriving its columnar view from the
-    parent's, so a query → update → query sequence always sees fresh
-    derived data on the derived structure while the parent's caches stay
-    valid for the parent.  :meth:`with_relations` (the expansion by fresh
-    symbols) derives the same way: the parent's relations and the index and
-    projection caches built for them are shared, and so is the adjacency
-    when the fresh symbols add no Gaifman edges.  A derived structure
-    copies the cache *mappings*, never shares them, so what it builds later
-    (say, a projection of a fresh relation that another expansion of the
-    same parent interprets differently) never reaches the parent.  Code
-    that nevertheless reaches into the internals (test harnesses, surgical
+    Derived data — the per-position :meth:`index` maps, the
+    :meth:`projection` pools and the :meth:`columnar` view — is computed
+    lazily and cached on the instance.  This is sound because the
+    relational content never changes through the public API.  The columnar
+    view's neighbour tuples are the structure's one Gaifman graph: every
+    function of :mod:`repro.structures.gaifman`, the cost statistics, the
+    sparsity measures and the splitter game read it.  "Updates" are
+    expressed as *derivation*: :meth:`with_tuple` returns a **new**
+    structure sharing the unchanged relations (and the still-valid caches)
+    with its parent and deriving its columnar view from the parent's, so a
+    query → update → query sequence always sees fresh derived data on the
+    derived structure while the parent's caches stay valid for the parent.
+    :meth:`with_relations` (the expansion by fresh symbols) derives the same
+    way: the parent's relations and the index and projection caches built
+    for them are shared, and so are the view's neighbour tuples when the
+    fresh symbols add no Gaifman edges.  A derived structure copies the
+    cache *mappings*, never shares them, so what it builds later (say, a
+    projection of a fresh relation that another expansion of the same
+    parent interprets differently) never reaches the parent.  Code that
+    nevertheless reaches into the internals (test harnesses, surgical
     subclasses) must call :meth:`invalidate_caches` afterwards or the next
-    :meth:`adjacency` / :meth:`index` / :meth:`projection` read will serve
+    :meth:`index` / :meth:`projection` / :meth:`columnar` read will serve
     stale answers.
 
     The content digest of :func:`repro.robust.checkpoint.structure_digest`
-    is cached in ``_digest``, opaque to this module like ``_stats``.  It
-    describes the relations, so every structure that does not come from
-    ``__init__`` starts without one: :meth:`with_tuple` (unless the update
-    is a no-op and returns ``self``), :meth:`with_relations` and
-    unpickling.  :meth:`invalidate_caches` drops it.
+    is cached in ``_digest``, opaque to this module.  It describes the
+    relations, so every structure that does not come from ``__init__``
+    starts without one: :meth:`with_tuple` (unless the update is a no-op
+    and returns ``self``), :meth:`with_relations` and unpickling.
+    :meth:`invalidate_caches` drops it.
     """
 
     __slots__ = (
@@ -111,11 +110,9 @@ class Structure:
         "_universe_order",
         "_universe",
         "_relations",
-        "_adjacency",
         "_indexes",
         "_projections",
         "_size",
-        "_stats",
         "_interner",
         "_columnar",
         "_digest",
@@ -165,18 +162,13 @@ class Structure:
         self._universe = frozenset(universe_order) if universe is None else universe
         self._relations = relations
         self._size = len(universe_order) + sum(len(rel) for rel in relations.values())
-        self._adjacency: "Dict[Element, FrozenSet[Element]] | None" = None
         self._indexes: Dict[Tuple[str, int], Dict[Element, Tuple[Tup, ...]]] = {}
         self._projections: Dict[Tuple, Dict[object, Tuple[Element, ...]]] = {}
-        # Cached cost-model statistics (repro.cost.stats.StructureStats).
-        # Opaque to this module: built and read through structure_stats(),
-        # derived duck-typed in with_tuple(), dropped by invalidate_caches().
-        self._stats: "object | None" = None
         # Interned-id layer (repro.structures.interning / .columnar), lazy.
         # The interner depends only on the universe and is therefore shared
         # with derived structures and kept across invalidate_caches(); the
         # columnar view depends on the relations and follows the same
-        # lifecycle as adjacency/indexes/stats.
+        # lifecycle as the indexes and projections.
         self._interner: "object | None" = None
         self._columnar: "object | None" = None
         # Content digest (repro.robust.checkpoint.structure_digest), lazy;
@@ -234,23 +226,6 @@ class Structure:
         return len(self._universe_order)
 
     # -- derived data (lazy, cached) -------------------------------------------
-
-    def adjacency(self) -> Dict[Element, FrozenSet[Element]]:
-        """Gaifman-graph adjacency: ``a`` and ``b`` are adjacent iff distinct
-        and co-occurring in some tuple of some relation."""
-        if self._adjacency is None:
-            neighbours: Dict[Element, set] = {a: set() for a in self._universe_order}
-            for rel in self._relations.values():
-                for tup in rel:
-                    distinct = set(tup)
-                    if len(distinct) < 2:
-                        continue
-                    for a in distinct:
-                        for b in distinct:
-                            if a != b:
-                                neighbours[a].add(b)
-            self._adjacency = {a: frozenset(ns) for a, ns in neighbours.items()}
-        return self._adjacency
 
     def index(self, key: object, position: int) -> Dict[Element, Tuple[Tup, ...]]:
         """Per-position index: maps each value ``v`` to the tuples of the
@@ -333,22 +308,19 @@ class Structure:
         return self._columnar
 
     def invalidate_caches(self) -> None:
-        """Drop all lazily derived data (adjacency, per-position indexes,
-        projections, cost-model statistics, the columnar view, the content
-        digest).
+        """Drop all lazily derived data (per-position indexes, projections,
+        the columnar view, the content digest).
 
         The public API never needs this — structures are immutable and the
         caches are therefore always consistent.  It exists for code that
         mutates ``_relations`` in place (test fixtures, instrumentation):
         after any such mutation the caches are stale and *must* be dropped,
-        or :meth:`adjacency` / :meth:`index` will answer for the old
+        or :meth:`index` / :meth:`columnar` will answer for the old
         relational content.  The interner survives: in-place mutation can
         only touch ``_relations``, never the universe it is built from.
         """
-        self._adjacency = None
         self._indexes.clear()
         self._projections.clear()
-        self._stats = None
         self._columnar = None
         self._digest = None
 
@@ -363,10 +335,7 @@ class Structure:
         * the universe, signature and size bookkeeping;
         * the per-position index and projection caches of every
           *untouched* relation (the touched relation's are dropped and
-          rebuilt lazily);
-        * the adjacency dict of :meth:`adjacency` when the tuple has fewer
-          than two distinct entries, and so no Gaifman edge (otherwise the
-          derived structure rebuilds it lazily).
+          rebuilt lazily).
 
         A built columnar view is derived, on insertion and on deletion
         (:meth:`~repro.structures.columnar.ColumnarStructure.derive_insert`,
@@ -374,7 +343,7 @@ class Structure:
         the derived view changes the parent's neighbour tuples by the
         tuple's Gaifman edges only, keeping a deleted edge that another
         tuple still witnesses.  A write therefore costs the Gaifman kernels
-        its tuple's balls, not an adjacency rebuild over ``||A||``.
+        its tuple's balls, not a Gaifman graph rebuild over ``||A||``.
 
         Returns ``self`` unchanged when the update is a no-op (inserting a
         present tuple / deleting an absent one).  The parent structure and
@@ -406,16 +375,6 @@ class Structure:
             for cache_key, pools in self._projections.items()
             if cache_key[0] != symbol.name
         }
-        # A tuple with fewer than two distinct entries has no Gaifman edge,
-        # so the parent's adjacency dict is the derived one; otherwise the
-        # dict is rebuilt lazily from the relations.
-        derived._adjacency = self._adjacency if len(set(tup)) < 2 else None
-        # Statistics follow the same copy-on-write discipline as the other
-        # caches: the parent's stay untouched, the derived structure gets an
-        # incrementally adjusted copy (duck-typed so this module stays free
-        # of a repro.cost import).
-        if self._stats is not None:
-            derived._stats = self._stats.derive(symbol.name, present, derived)
         # Same universe, same id space: the interner is shared, keeping ids
         # stable along derivation chains.  A built columnar view is derived
         # by the one tuple's Gaifman edges, on insertion and on deletion.
@@ -436,9 +395,9 @@ class Structure:
         Validates only the fresh tuples and shares with the parent, as
         :meth:`with_tuple` does: the universe and its interner, every
         existing relation with its per-position index and projection
-        caches, and the Gaifman adjacency when every fresh symbol has arity
-        at most 1 (such a relation adds no Gaifman edge).  The statistics
-        and the columnar view are rebuilt lazily.
+        caches, and the columnar view's neighbour tuples when every fresh
+        symbol has arity at most 1 (such a relation adds no Gaifman edge).
+        Otherwise the view is rebuilt lazily.
         """
         if not self._signature.is_subsignature_of(signature):
             raise SignatureError("an expansion must keep every existing symbol")
@@ -462,10 +421,9 @@ class Structure:
         )
         derived._indexes = dict(self._indexes)
         derived._projections = dict(self._projections)
-        derived._adjacency = (
-            self._adjacency if all(symbol.arity <= 1 for symbol in fresh) else None
-        )
         derived._interner = self._interner
+        if self._columnar is not None and all(symbol.arity <= 1 for symbol in fresh):
+            derived._columnar = self._columnar._derive(derived, self._columnar._neigh)
         return derived
 
     # -- pickling ----------------------------------------------------------------
@@ -473,8 +431,8 @@ class Structure:
     def __getstate__(self):
         """Pickle only the defining data (signature, ordered universe,
         relations) — derived caches are rebuilt lazily on the receiving
-        side.  This keeps process-backend payloads compact: adjacency,
-        indexes, the columnar view and the digest never cross the pipe."""
+        side.  This keeps process-backend payloads compact: indexes,
+        projections, the columnar view and the digest never cross the pipe."""
         return (self._signature, self._universe_order, self._relations)
 
     def __setstate__(self, state):

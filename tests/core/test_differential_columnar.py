@@ -2,7 +2,7 @@
 
 The columnar refactor is representation-only, so for seeded random
 (structure, term) pairs every rewritten path must be *byte-identical* to
-the preserved element-space oracle (:mod:`repro.core.reference`):
+the element-space oracle of ``tests/reference.py``:
 
 * ``pattern_tuples`` yields the same tuple set as the reference walk;
 * ``evaluate_basic_unary`` returns the same dict (keys, order, values);
@@ -19,16 +19,17 @@ import pytest
 from repro.core.clterms import BasicClTerm, CoverTerm
 from repro.core.cover_eval import evaluate_per_cluster
 from repro.core.local_eval import evaluate_basic_unary, pattern_tuples
-from repro.core.reference import (
-    ReferenceBallCache,
-    reference_ball,
-    reference_distances_from,
-    reference_evaluate_basic_unary,
-    reference_pattern_tuples,
-)
 from repro.logic.syntax import And, Atom, Eq, Exists, Not
 from repro.sparse.covers import sparse_cover
 from repro.structures.builders import graph_structure
+
+from ..reference import (
+    ReferenceBallCache,
+    gaifman_adjacency,
+    reference_evaluate_basic_unary,
+    reference_pattern_tuples,
+    reference_sparse_cover,
+)
 
 SEEDS = range(30)
 
@@ -84,7 +85,9 @@ def test_pattern_tuples_match_reference(seed):
     rng = random.Random(seed)
     structure = _random_structure(rng)
     term = _random_term(rng)
-    reference_balls = ReferenceBallCache(structure, term.link_distance)
+    reference_balls = ReferenceBallCache(
+        gaifman_adjacency(structure), term.link_distance
+    )
     for element in structure.universe_order:
         got = set(
             pattern_tuples(
@@ -93,12 +96,7 @@ def test_pattern_tuples_match_reference(seed):
         )
         want = set(
             reference_pattern_tuples(
-                structure,
-                element,
-                term.width,
-                term.edges,
-                term.link_distance,
-                reference_balls,
+                reference_balls, element, term.width, term.edges
             )
         )
         assert got == want
@@ -115,37 +113,13 @@ def test_evaluate_basic_unary_byte_identical(seed):
     assert list(got) == list(want)  # same insertion order, not just same sets
 
 
-def _reference_sparse_cover(structure, radius):
-    """The pre-columnar greedy construction, replayed over reference BFS."""
-    centres = []
-    closest = {}
-    for element in structure.universe_order:
-        if element in closest and closest[element][0] <= radius:
-            continue
-        index = len(centres)
-        centres.append(element)
-        for covered, dist in reference_distances_from(
-            structure, [element], radius
-        ).items():
-            best = closest.get(covered)
-            if best is None or dist < best[0]:
-                closest[covered] = (dist, index)
-    clusters = tuple(
-        reference_ball(structure, [centre], 2 * radius) for centre in centres
-    )
-    assignment = {
-        element: closest[element][1] for element in structure.universe_order
-    }
-    return clusters, assignment, tuple(centres)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sparse_cover_byte_identical(seed):
     rng = random.Random(seed)
     structure = _random_structure(rng)
     radius = rng.choice([1, 2])
     cover = sparse_cover(structure, radius)
-    clusters, assignment, centres = _reference_sparse_cover(structure, radius)
+    clusters, assignment, centres = reference_sparse_cover(structure, radius)
     assert cover.clusters == clusters
     assert cover.assignment == assignment
     assert list(cover.assignment) == list(assignment)

@@ -87,6 +87,20 @@ class TestExactness:
         assert stats.removals == 0
         assert stats.covers_built == 0
 
+    def test_every_positive_depth_is_one_round(self):
+        structure = grid_graph(16, 16)
+        runs = []
+        for depth in (1, 3):
+            stats = MainAlgorithmStats()
+            values = evaluate_unary_main_algorithm(
+                structure, path_term(), depth=depth, stats=stats
+            )
+            runs.append((values, stats))
+        (one, one_stats), (three, three_stats) = runs
+        assert list(three.items()) == list(one.items())
+        assert three_stats == one_stats
+        assert one_stats.max_depth_reached == 2
+
     def test_dense_structure_falls_back(self):
         """On a clique the cover is one whole-graph cluster: the loop must
         detect that removal is useless and stay exact via the base case."""

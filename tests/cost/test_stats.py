@@ -1,9 +1,9 @@
-"""Tests for :mod:`repro.cost.stats` — the Structure cache contract leg.
+"""Tests for :mod:`repro.cost.stats`.
 
 The load-bearing property: a cost estimate must never read stale
-cardinalities.  ``invalidate_caches()`` drops the statistics,
-``with_tuple()`` derives them incrementally, and ``structure_stats``
-serves the cached object only for the structure it was built from.
+cardinalities or degrees.  ``structure_stats`` builds a fresh summary per
+call, and the degree summary reads the structure's columnar view, which
+``with_tuple()`` derives and ``invalidate_caches()`` drops.
 """
 
 from repro.cost import CostModel, StructureStats, structure_stats
@@ -13,12 +13,7 @@ from repro.plan.normalise import canonicalise
 from repro.structures.builders import graph_structure, path_graph
 
 
-class TestCaching:
-    def test_second_call_reuses_cached_stats(self):
-        structure = path_graph(5)
-        first = structure_stats(structure)
-        assert structure_stats(structure) is first
-
+class TestSummary:
     def test_eager_parts_match_structure(self):
         structure = path_graph(5)
         stats = structure_stats(structure)
@@ -30,15 +25,6 @@ class TestCaching:
         stats = structure_stats(path_graph(4))
         assert stats.relation_card("Paux__0") == 0
         assert stats.index_fanout("Paux__0") == 0.0
-
-    def test_invalidate_caches_drops_stats(self):
-        structure = path_graph(5)
-        first = structure_stats(structure)
-        structure.invalidate_caches()
-        assert structure._stats is None
-        rebuilt = structure_stats(structure)
-        assert rebuilt is not first
-        assert rebuilt.relation_cards == first.relation_cards
 
     def test_lazy_parts(self):
         stats = structure_stats(path_graph(4))
@@ -72,13 +58,6 @@ class TestCopyOnWriteDerivation:
         base = structure_stats(structure)
         derived = structure.with_tuple("E", (2, 3), present=False)
         assert structure_stats(derived).relation_card("E") == base.relation_card("E") - 1
-
-    def test_without_parent_stats_derived_builds_fresh(self):
-        structure = path_graph(4)
-        assert structure._stats is None
-        derived = structure.with_tuple("E", (1, 3))
-        assert derived._stats is None
-        assert structure_stats(derived).relation_card("E") == 7
 
     def test_lazy_parts_rebuilt_from_derived_adjacency(self):
         structure = graph_structure([1, 2, 3, 4], [(1, 2), (3, 4)])

@@ -22,6 +22,7 @@ from repro.structures.builders import graph_structure
 from repro.structures.gaifman import distance, is_connected
 
 from ..conftest import small_graphs
+from ..reference import gaifman_adjacency
 
 ENGINE = Foc1Evaluator(check_fragment=False)
 
@@ -75,7 +76,7 @@ class TestGadget:
         g = graph_structure([10, 20], [(10, 20)])
         reduction = build_tree(g)
         tree = reduction.tree
-        adjacency = tree.adjacency()
+        adjacency = gaifman_adjacency(tree)
         for index, vertex in enumerate([10, 20], start=1):
             a_vertex = reduction.vertex_map[vertex]
             b_children = [w for w in adjacency[a_vertex] if w[0] == "b"]

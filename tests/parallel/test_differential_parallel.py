@@ -29,8 +29,9 @@ from repro.core.main_algorithm import (
 )
 from repro.logic.builder import Rel
 from repro.logic.parser import parse_formula, parse_term
+from repro.robust.guard import RobustEvaluator
 from repro.sparse.covers import sparse_cover
-from repro.structures.builders import graph_structure
+from repro.structures.builders import graph_structure, grid_graph
 
 E = Rel("E", 2)
 
@@ -180,3 +181,21 @@ class TestProcessBackend:
         ]
         engine = Foc1Evaluator(workers=2, parallel_backend="process")
         assert engine.count_many(structures, phi, ["x", "y"]) == expected
+
+    def test_robust_unary_terms_answered_by_foc1(self):
+        """``unary_term_values``' shards close over live engine state, so
+        the process backend runs them inline: the cascade's foc1 stage
+        answers, and its circuit stays closed past the breaker's
+        threshold of three calls."""
+        structure = grid_graph(8, 8)
+        term = parse_term("#(y). (E(x, y) & @gt(#(z). E(y, z), 2))")
+        serial = Foc1Evaluator(workers=1).unary_term_values(structure, term, "x")
+        engine = RobustEvaluator(workers=2, parallel_backend="process")
+        for _ in range(4):
+            values = engine.unary_term_values(structure, term, "x")
+            assert list(values.items()) == list(serial.items())
+            assert engine.last_report.answered_by == "foc1"
+        count = engine.count(structure, parse_formula("E(x, y)"), ["x", "y"])
+        assert count == len(structure.relation("E"))
+        assert engine.last_report.answered_by == "foc1"
+        assert engine.breaker.failures("foc1") == 0

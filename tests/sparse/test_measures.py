@@ -18,6 +18,7 @@ from repro.structures.builders import (
 )
 
 from ..conftest import small_graphs
+from ..reference import gaifman_adjacency
 
 
 class TestDegeneracy:
@@ -32,7 +33,7 @@ class TestDegeneracy:
     def test_matches_networkx_core_number(self, structure):
         g = nx.Graph()
         g.add_nodes_from(structure.universe_order)
-        for a, ns in structure.adjacency().items():
+        for a, ns in gaifman_adjacency(structure).items():
             for b in ns:
                 g.add_edge(a, b)
         expected = max(nx.core_number(g).values()) if g.number_of_nodes() else 0

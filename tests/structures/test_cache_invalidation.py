@@ -1,10 +1,11 @@
 """Regression tests for the Structure cache contract.
 
-The stale-cache hazard: adjacency() and index() are lazy caches on an
-immutable structure.  A query warms them; an update that mutated the
-relations in place (or any derivation that leaked the parent's caches into
-a structure with *different* relational content) would make the next query
-read derived data for the old relations.  ``with_tuple`` must therefore
+The stale-cache hazard: the columnar view (the structure's Gaifman graph),
+index() and projection() are lazy caches on an immutable structure.  A
+query warms them; an update that mutated the relations in place (or any
+derivation that leaked the parent's caches into a structure with
+*different* relational content) would make the next query read derived
+data for the old relations.  ``with_tuple`` must therefore
 give the derived structure fresh-or-still-valid caches, and
 ``invalidate_caches`` must reset a structure whose internals were mutated.
 """
@@ -19,6 +20,8 @@ from repro.errors import ArityError, SignatureError, UniverseError
 from repro.robust.checkpoint import structure_digest
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
+
+from ..reference import gaifman_adjacency
 
 
 @pytest.fixture
@@ -36,44 +39,57 @@ def path(sig):
     )
 
 
+def _view_neighbours(structure, element):
+    """The neighbours of ``element`` in the structure's columnar view."""
+    view = structure.columnar()
+    elements = view.interner.elements
+    return {elements[i] for i in view.neighbours(view.interner.id_of(element))}
+
+
+def _view_graph(structure):
+    """The columnar view's neighbour tuples as an element-keyed graph."""
+    return {a: _view_neighbours(structure, a) for a in structure.universe_order}
+
+
 class TestWithTupleDerivation:
     def test_query_update_query_sees_the_new_edge(self, path):
         # Query (warms both caches) ...
-        assert 3 not in path.adjacency()[1]
+        assert 3 not in _view_neighbours(path, 1)
         assert path.index("E", 0).get(1) == ((1, 2),)
         # ... update ...
         derived = path.with_tuple("E", (1, 3))
         # ... query again: the derived structure answers for the new content.
-        assert 3 in derived.adjacency()[1]
-        assert 1 in derived.adjacency()[3]
+        assert 3 in _view_neighbours(derived, 1)
+        assert 1 in _view_neighbours(derived, 3)
         assert sorted(derived.index("E", 0)[1]) == [(1, 2), (1, 3)]
         assert derived.has_tuple("E", (1, 3))
 
     def test_deletion_recomputes_adjacency(self, path):
-        path.adjacency()  # warm
+        path.columnar().neighbours(0)  # warm
         derived = path.with_tuple("E", (2, 3), present=False)
-        assert 3 not in derived.adjacency()[2]
-        assert 2 not in derived.adjacency()[3]
+        adjacency = gaifman_adjacency(derived)
+        assert 3 not in adjacency[2]
+        assert 2 not in adjacency[3]
         # 1-2 and 3-4 survive.
-        assert 2 in derived.adjacency()[1]
-        assert 4 in derived.adjacency()[3]
+        assert 2 in adjacency[1]
+        assert 4 in adjacency[3]
 
     def test_deletion_keeps_edges_witnessed_elsewhere(self, sig):
         # Two tuples witness the same Gaifman edge; deleting one keeps it.
         s = Structure(sig, [1, 2], {"E": [(1, 2), (2, 1)]})
-        s.adjacency()
+        s.columnar().neighbours(0)  # warm
         derived = s.with_tuple("E", (1, 2), present=False)
-        assert 2 in derived.adjacency()[1]
+        assert 2 in gaifman_adjacency(derived)[1]
 
     def test_parent_is_untouched(self, path):
-        before_adj = path.adjacency()
+        before_adj = _view_graph(path)
         before_idx = path.index("E", 0)
         derived = path.with_tuple("E", (1, 4))
         assert derived is not path
-        assert path.adjacency() == before_adj
+        assert _view_graph(path) == before_adj
         assert path.index("E", 0) == before_idx
         assert not path.has_tuple("E", (1, 4))
-        assert 4 not in path.adjacency()[1]
+        assert 4 not in _view_neighbours(path, 1)
 
     def test_untouched_relation_index_is_shared(self, path):
         r_index = path.index("R", 0)
@@ -101,15 +117,15 @@ class TestWithTupleDerivation:
         assert derived.with_tuple("E", (1, 4), present=False).size() == path.size()
 
     def test_unary_insert_shares_adjacency(self, path):
-        adjacency = path.adjacency()
+        neighbours = path.columnar()._neighbour_ids()
         derived = path.with_tuple("R", (3,))
-        assert derived.adjacency() is adjacency
+        assert derived.columnar()._neighbour_ids() is neighbours
 
     def test_cold_parent_builds_fresh(self, path):
         # No caches warmed on the parent: the derived structure still
         # answers correctly (nothing to share, everything lazy).
         derived = path.with_tuple("E", (1, 3))
-        assert 3 in derived.adjacency()[1]
+        assert 3 in _view_neighbours(derived, 1)
 
     def test_validates_the_delta(self, path):
         with pytest.raises(ArityError):
@@ -128,15 +144,8 @@ class TestWithTupleDerivation:
         )
         assert derived == rebuilt
         assert hash(derived) == hash(rebuilt)
-        assert derived.adjacency() == rebuilt.adjacency()
+        assert _view_graph(derived) == gaifman_adjacency(rebuilt)
         assert derived.index("E", 1) == rebuilt.index("E", 1)
-
-
-def _view_neighbours(structure, element):
-    """The neighbours of ``element`` in the structure's columnar view."""
-    view = structure.columnar()
-    elements = view.interner.elements
-    return {elements[i] for i in view.neighbours(view.interner.id_of(element))}
 
 
 class TestWithTupleViewDerivation:
@@ -180,24 +189,24 @@ class TestInvalidateCaches:
     def test_stale_caches_after_internal_mutation(self, path):
         """The regression scenario: mutate internals, observe staleness,
         then invalidate_caches() repairs it."""
-        path.adjacency()
+        _view_neighbours(path, 1)
         path.index("E", 0)
         path.projection("E", (0,), (1,))
         symbol = path.signature["E"]
         path._relations[symbol] = path._relations[symbol] | {(1, 4)}
         # The caches are now stale — this is exactly the hazard.
-        assert 4 not in path.adjacency()[1]
+        assert 4 not in _view_neighbours(path, 1)
         assert (1, 4) not in path.index("E", 0).get(1, ())
         assert 4 not in path.projection("E", (0,), (1,))[1]
         path.invalidate_caches()
-        assert 4 in path.adjacency()[1]
+        assert 4 in _view_neighbours(path, 1)
         assert (1, 4) in path.index("E", 0)[1]
         assert 4 in path.projection("E", (0,), (1,))[1]
 
     def test_idempotent_on_cold_structure(self, path):
         path.invalidate_caches()
         path.invalidate_caches()
-        assert 2 in path.adjacency()[1]
+        assert 2 in _view_neighbours(path, 1)
 
 
 def _fresh(structure):

