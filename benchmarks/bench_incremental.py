@@ -7,15 +7,27 @@ scratch on bounded-degree graphs of growing size.
 
 Measured shape: per-update cost of the incremental cache is flat in n
 (constant-size balls), while full recomputation grows linearly.
+
+The write-then-read cycle is the end-to-end benchmark's update-stream
+cycle: 20 single-tuple writes through the cache on a max-degree-3 graph at
+n = 4000, then a foc1 read of the current version.  The read runs on the
+projections the writes patched, so every read is checked (untimed) against
+the answer on a freshly built structure.
 """
+
+import random
 
 import pytest
 
 from repro.core.clterms import BasicClTerm
+from repro.core.evaluator import Foc1Evaluator
 from repro.core.incremental import IncrementalUnaryCache
 from repro.core.local_eval import evaluate_basic_unary
 from repro.logic.builder import Rel
+from repro.logic.parser import parse_term
+from repro.plan.cache import PlanCache
 from repro.sparse.classes import bounded_degree_graph
+from repro.structures.structure import Structure
 
 E = Rel("E", 2)
 
@@ -24,6 +36,11 @@ TERM = BasicClTerm(
 )
 
 SIZES = (100, 400, 1600)
+
+#: The write-then-read cycle: graph order, writes per read, the read.
+CYCLE_ORDER = 4000
+CYCLE_WRITES = 20
+READ = parse_term("#(x). @eq(#(y). E(x, y), 4)")
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -55,3 +72,69 @@ def test_full_recompute_baseline(benchmark, n):
     values = benchmark(evaluate_basic_unary, structure, TERM)
     benchmark.extra_info["order"] = n
     benchmark.extra_info["total"] = sum(values.values())
+
+
+def test_write_then_read_cycle(benchmark):
+    structure = bounded_degree_graph(CYCLE_ORDER, 3, seed=CYCLE_ORDER)
+    cache = IncrementalUnaryCache(structure, TERM)
+    engine = Foc1Evaluator(plan_cache=PlanCache(), workers=1)
+    engine.ground_term_value(structure, READ)  # warm-up compile
+    rng = random.Random(CYCLE_ORDER)
+    nodes = list(structure.universe_order)
+    edges = sorted(structure.relation("E"))  # kept in step with the writes
+    present = set(edges)
+    reads = []
+
+    def draw():
+        """The next cycle's writes: each deletes a present tuple or
+        inserts an absent one, with even odds."""
+        writes = []
+        for _ in range(CYCLE_WRITES):
+            if rng.random() < 0.5:
+                i = rng.randrange(len(edges))
+                edges[i], edges[-1] = edges[-1], edges[i]
+                tup = edges.pop()
+                present.discard(tup)
+                writes.append((cache.delete, tup))
+            else:
+                tup = tuple(rng.sample(nodes, 2))
+                while tup in present:
+                    tup = tuple(rng.sample(nodes, 2))
+                edges.append(tup)
+                present.add(tup)
+                writes.append((cache.insert, tup))
+        return writes
+
+    def cycle(writes):
+        for write, tup in writes:
+            write("E", tup)
+        version = cache.structure
+        reads.append((version, engine.ground_term_value(version, READ)))
+
+    def check():
+        """Each read against the read of a fresh build."""
+        while reads:
+            version, value = reads.pop()
+            fresh = Structure(
+                version.signature, version.universe_order, version.relations()
+            )
+            assert value == engine.ground_term_value(fresh, READ)
+
+    def setup():
+        """Untimed: check the last read, draw the next writes."""
+        check()
+        return (draw(),), {}
+
+    # A few checked cycles first, so a --benchmark-disable run (one round)
+    # still checks several versions.
+    for _ in range(3):
+        cycle(draw())
+        check()
+    benchmark.pedantic(cycle, setup=setup, rounds=20)
+    check()
+    cache.verify()
+    benchmark.extra_info["order"] = CYCLE_ORDER
+    benchmark.extra_info["writes_per_read"] = CYCLE_WRITES
+    benchmark.extra_info["recomputed_per_write"] = round(
+        cache.stats.recomputed_elements / cache.stats.updates, 2
+    )

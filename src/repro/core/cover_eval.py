@@ -25,7 +25,8 @@ analysis, not per-tuple work.  Polynomial evaluation additionally shares
 one ball cache across all basic terms with the same link distance.
 
 Both entry points accept ``workers``/``backend``: clusters (for the
-per-cluster path) or target elements (for the semantic path) are sharded
+per-cluster path) or target elements (for the semantic path, on the thread
+backend only) are sharded
 deterministically across a :class:`~repro.parallel.WorkerPool` and the
 shard results merge in shard-index order, so any worker count produces
 byte-identical output to the serial loop (see ``docs/PARALLEL.md``).
@@ -226,7 +227,11 @@ def evaluate_basic_cover_unary(
     With ``workers > 1`` the targets are sharded deterministically across
     a :class:`~repro.parallel.WorkerPool` (each shard gets its own ball
     cache — the memo is not shared across workers) and the shard results
-    merge in shard order, reproducing the serial output exactly.  A
+    merge in shard order, reproducing the serial output exactly.  A shard
+    closes over live engine state, which cannot cross a process boundary,
+    so ``backend="process"`` runs the targets as one inline shard through
+    a serial pool, as :meth:`Foc1Evaluator.unary_term_values
+    <repro.core.evaluator.Foc1Evaluator.unary_term_values>` does.  A
     ``retry`` policy re-runs failed shards alone;
     ``on_shard_failure="salvage"`` keeps completed shards and returns a
     :class:`~repro.robust.partial.PartialResult` when failures remain
@@ -240,6 +245,8 @@ def evaluate_basic_cover_unary(
     psi = term.component_formulas[0][1]
     targets = list(elements) if elements is not None else list(structure.universe_order)
     pool = WorkerPool(workers, backend)
+    if pool.backend == "process":
+        pool = WorkerPool(1)
     plain = retry is None and on_shard_failure == "raise"
     if (pool.workers <= 1 or len(targets) <= 1) and plain:
         balls = (

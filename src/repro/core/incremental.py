@@ -12,32 +12,41 @@ Inserting or deleting one tuple can therefore only change the values of
 elements within distance D of the touched entries — measured in the old
 *or* the new structure, since both the before- and after-neighbourhoods
 matter.  On bounded-degree structures that affected set has constant size,
-so the values cost constant time per update.  Structures stay immutable:
-a write derives a new one by :meth:`Structure.with_tuple`, whose columnar
-view — the Gaifman adjacency the balls are read from — changes by the
-written tuple's edges only.  What stays linear per write is the copy of
-the written relation's frozenset.
+so the values cost constant time per update.
 
 :class:`IncrementalUnaryCache` maintains ``u^A[a]`` for all ``a`` under
 single-tuple insertions and deletions, recomputing only the affected
 elements; the tests compare every state against full recomputation.
+Structures stay immutable: a write derives a new version by
+:meth:`Structure.with_tuple`, whose columnar view — the Gaifman adjacency
+the balls are read from — changes by the written tuple's edges only, and
+whose indexes and projections of the written relation are patched at the
+tuple's group (a patched pool holds a rebuild's members, perhaps in
+another order).  What stays linear per write is the copy of the written
+relation's frozenset, and the shallow copies of the neighbour tuples and
+of each patched table.
 
-Recomputation goes through :func:`repro.core.local_eval.evaluate_basic_unary`,
-which reuses the compile-once BFS pattern order
-(:func:`repro.core.local_eval.pattern_order`) — the maintained term's
-pattern graph never changes across updates, so the static half of the walk
-is paid exactly once for the cache's lifetime.
+The values come from the FOC1 engine's plan executor: the term's
+``count_term()`` is compiled once, at construction, and each repair runs
+the plan's ``unary_term_values`` on the new version for the affected
+elements only, serially and with no fragment check.  For a term such as
+the degree term, whose count the plan runs as a column kernel, a repair
+reads the patched projection.  :meth:`IncrementalUnaryCache.verify` stays
+on ball exploration (:func:`repro.core.local_eval.evaluate_basic_unary`)
+over a rebuilt structure, an independent check of both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..errors import FormulaError
-from ..logic.predicates import PredicateCollection
+from ..logic.predicates import PredicateCollection, standard_collection
+from ..plan.compiler import compile_plan
+from ..plan.executor import PlanExecutor
 from ..robust.budget import EvaluationBudget
-from ..structures.gaifman import ball
+from ..structures.gaifman import ball, in_universe_order
 from ..structures.structure import Element, Structure, Tup
 from .clterms import BasicClTerm
 from .local_eval import evaluate_basic_unary
@@ -68,6 +77,13 @@ class IncrementalUnaryCache:
     term:
         A *unary* basic cl-term whose ``psi`` is genuinely
         ``psi_radius``-local (Definition 6.2's contract).
+    predicates:
+        The numerical predicate collection; the standard one when None.
+    budget:
+        Optional :class:`~repro.robust.budget.EvaluationBudget`: each
+        repair ticks ``incremental.repair`` by the affected set's size,
+        then the plan executor's ``evaluator.*`` steps.  A write that
+        runs out leaves :attr:`values` and :attr:`structure` as they were.
     """
 
     def __init__(
@@ -85,9 +101,19 @@ class IncrementalUnaryCache:
         self.structure = structure
         self.stats = UpdateStats()
         self._dependency_radius = term.evaluation_radius() + term.psi_radius
-        self.values: Dict[Element, int] = evaluate_basic_unary(
-            structure, term, None, predicates, budget=budget
+        self._oracle = predicates if predicates is not None else standard_collection()
+        self._plan = compile_plan(
+            "unary_term", (term.count_term(),), (term.free_variable,), structure.signature
         )
+        self.values: Dict[Element, int] = self._evaluate(structure, None)
+
+    def _evaluate(
+        self, structure: Structure, elements: "Optional[List[Element]]"
+    ) -> Dict[Element, int]:
+        """``u^A[a]`` for the listed elements (all when None), by the
+        compiled plan."""
+        executor = PlanExecutor(self._plan, structure, self._oracle, self.budget)
+        return executor.unary_term_values(self.term.free_variable, elements)
 
     def value(self, element: Element) -> int:
         return self.values[element]
@@ -119,12 +145,8 @@ class IncrementalUnaryCache:
         if affected:
             if self.budget is not None:
                 self.budget.tick("incremental.repair", weight=len(affected))
-            repaired = evaluate_basic_unary(
-                new_structure,
-                self.term,
-                sorted(affected, key=repr),
-                self.predicates,
-                budget=self.budget,
+            repaired = self._evaluate(
+                new_structure, in_universe_order(new_structure, affected)
             )
         self.structure = new_structure
         self.values.update(repaired)
@@ -134,9 +156,10 @@ class IncrementalUnaryCache:
     def verify(self) -> None:
         """Full recomputation check (test/debug helper); raises on mismatch.
 
-        Recomputes on a structure rebuilt from the current relations, so
-        no cache that the writes derived (the columnar view's adjacency
-        above all) takes part in the check.
+        Recomputes by ball exploration on a structure rebuilt from the
+        current relations, so neither the plan executor nor any cache that
+        the writes derived (the columnar view's adjacency, the patched
+        projections) takes part in the check.
         """
         current = self.structure
         rebuilt = Structure(current.signature, current.universe_order, current.relations())

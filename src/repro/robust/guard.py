@@ -469,12 +469,7 @@ class RobustEvaluator:
             )
 
         def foc1_stage(budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
-            engine = Foc1Evaluator(
-                predicates=self.predicates,
-                check_fragment=False,
-                budget=budget,
-                plan_cache=self.plan_cache,
-            )
+            engine = self._foc1(budget, check_fragment=False)
             return engine.unary_term_values(structure, term.count_term(), free)
 
         def baseline_stage(budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
@@ -493,10 +488,19 @@ class RobustEvaluator:
 
     # -- machinery -------------------------------------------------------------
 
-    def _foc1(self, budget: "Optional[EvaluationBudget]") -> Foc1Evaluator:
+    def _foc1(
+        self,
+        budget: "Optional[EvaluationBudget]",
+        check_fragment: "Optional[bool]" = None,
+    ) -> Foc1Evaluator:
+        """The foc1 stage's engine, with this evaluator's settings;
+        ``check_fragment`` overrides the evaluator's (the cl-term stage
+        turns it off: a cl-term's psi need not lie in FOC1)."""
         return Foc1Evaluator(
             predicates=self.predicates,
-            check_fragment=self.check_fragment,
+            check_fragment=(
+                self.check_fragment if check_fragment is None else check_fragment
+            ),
             budget=budget,
             plan_cache=self.plan_cache,
             workers=self.workers,

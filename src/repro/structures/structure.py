@@ -14,6 +14,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -54,6 +55,35 @@ def _checked(
     return frozenset(checked)
 
 
+def _group_of(bound: Tuple[int, ...]) -> Callable[[Tup], object]:
+    """A projection's group key of a tuple: the bare value at one bound
+    position, the tuple of values at several, ``()`` at none."""
+    if len(bound) == 1:
+        return itemgetter(bound[0])
+    if bound:
+        return itemgetter(*bound)
+    return lambda tup: ()
+
+
+def _patched(
+    table: Dict[object, Tuple], group: object, member: object, present: bool
+) -> Dict[object, Tuple]:
+    """A shallow copy of an index or projection table with ``member`` added
+    to (``present``) or removed from the pool at ``group``; a pool left
+    empty is removed."""
+    table = dict(table)
+    pool = table.get(group, ())
+    if present:
+        table[group] = pool + (member,)
+    else:
+        pool = tuple(m for m in pool if m != member)
+        if pool:
+            table[group] = pool
+        else:
+            del table[group]
+    return table
+
+
 class Structure:
     """An immutable finite sigma-structure.
 
@@ -82,15 +112,22 @@ class Structure:
     sparsity measures and the splitter game read it.  "Updates" are
     expressed as *derivation*: :meth:`with_tuple` returns a **new**
     structure sharing the unchanged relations (and the still-valid caches)
-    with its parent and deriving its columnar view from the parent's, so a
-    query → update → query sequence always sees fresh derived data on the
-    derived structure while the parent's caches stay valid for the parent.
-    :meth:`with_relations` (the expansion by fresh symbols) derives the same
-    way: the parent's relations and the index and projection caches built
-    for them are shared, and so are the view's neighbour tuples when the
-    fresh symbols add no Gaifman edges.  A derived structure copies the
-    cache *mappings*, never shares them, so what it builds later (say, a
-    projection of a fresh relation that another expansion of the same
+    with its parent, patching the written relation's indexes and covering
+    projections at the tuple's group and deriving its columnar view from
+    the parent's, so a query → update → query sequence always sees fresh
+    derived data on the derived structure while the parent's caches stay
+    valid for the parent.  A patched pool holds exactly the members a
+    rebuild would, but on a derived structure it may iterate in another
+    order: that can move the order of enumerated solutions and the point
+    where an existence search stops, never a count or a truth value.
+    :meth:`with_relations` (the expansion by fresh symbols) derives
+    the same way: the parent's relations and the index and projection
+    caches built for them are shared, and so are the view's neighbour
+    tuples when the fresh symbols add no Gaifman edges.  A derived
+    structure copies the cache *mappings*, never shares them.  An
+    expansion stores what it builds for an inherited relation on the
+    parent too, where it stays valid; what it builds for a fresh symbol
+    (say, a projection of a relation that another expansion of the same
     parent interprets differently) never reaches the parent.  Code that
     nevertheless reaches into the internals (test harnesses, surgical
     subclasses) must call :meth:`invalidate_caches` afterwards or the next
@@ -116,6 +153,7 @@ class Structure:
         "_interner",
         "_columnar",
         "_digest",
+        "_base",
     )
 
     def __init__(
@@ -174,6 +212,10 @@ class Structure:
         # Content digest (repro.robust.checkpoint.structure_digest), lazy;
         # built and read only there.
         self._digest: "str | None" = None
+        # The structure this one expands (with_relations), or None: an
+        # index or projection built here for a relation inherited from it
+        # is stored there too (see _holders).
+        self._base: "Structure | None" = None
         return self
 
     @staticmethod
@@ -236,12 +278,15 @@ class Structure:
                 f"position {position} out of range for {symbol.name}/{symbol.arity}"
             )
         cache_key = (symbol.name, position)
-        if cache_key not in self._indexes:
+        cached = self._indexes.get(cache_key)
+        if cached is None:
             built: Dict[Element, List[Tup]] = {}
             for tup in self._relations[symbol]:
                 built.setdefault(tup[position], []).append(tup)
-            self._indexes[cache_key] = {v: tuple(ts) for v, ts in built.items()}
-        return self._indexes[cache_key]
+            cached = {v: tuple(ts) for v, ts in built.items()}
+            for holder in self._holders(symbol):
+                holder._indexes.setdefault(cache_key, cached)
+        return cached
 
     def projection(
         self, key: object, bound: Tuple[int, ...], targets: Tuple[int, ...]
@@ -254,8 +299,10 @@ class Structure:
 
         The key is the bare value for one bound position, the tuple of
         values for several, and ``()`` for none (the whole relation's
-        projection).  Each pool iterates in the order of a ``set`` filled in
-        relation order: guarded enumeration's candidate order.
+        projection).  Each pool built here iterates in the order of a
+        ``set`` filled in relation order: guarded enumeration's candidate
+        order.  A pool that :meth:`with_tuple` patched holds exactly the
+        members a rebuild would, but may iterate in another order.
         """
         symbol = self._resolve_symbol(self._signature, key)
         for position in bound + targets:
@@ -267,12 +314,7 @@ class Structure:
         cached = self._projections.get(cache_key)
         if cached is None:
             first, repeats = targets[0], targets[1:]
-            if len(bound) == 1:
-                key_of = itemgetter(bound[0])
-            elif bound:
-                key_of = itemgetter(*bound)
-            else:
-                key_of = lambda tup: ()  # noqa: E731
+            key_of = _group_of(bound)
             pools: Dict[object, Set[Element]] = {}
             for tup in self._relations[symbol]:
                 value = tup[first]
@@ -284,8 +326,20 @@ class Structure:
                     pool = pools[group] = set()
                 pool.add(value)
             cached = {group: tuple(pool) for group, pool in pools.items()}
-            self._projections[cache_key] = cached
+            for holder in self._holders(symbol):
+                holder._projections.setdefault(cache_key, cached)
         return cached
+
+    def _holders(self, symbol: RelationSymbol) -> Iterable["Structure"]:
+        """This structure, then each structure it expands that holds the
+        very relation it has for ``symbol`` (an inherited relation): an
+        index or projection of that relation is valid on all of them.  A
+        fresh symbol's relation stops at this structure."""
+        relation = self._relations[symbol]
+        holder: "Structure | None" = self
+        while holder is not None and holder._relations.get(symbol) is relation:
+            yield holder
+            holder = holder._base
 
     def interner(self):
         """The structure's :class:`~repro.structures.interning.ElementInterner`
@@ -309,7 +363,7 @@ class Structure:
 
     def invalidate_caches(self) -> None:
         """Drop all lazily derived data (per-position indexes, projections,
-        the columnar view, the content digest).
+        the columnar view, the content digest) and recount :meth:`size`.
 
         The public API never needs this — structures are immutable and the
         caches are therefore always consistent.  It exists for code that
@@ -319,6 +373,9 @@ class Structure:
         relational content.  The interner survives: in-place mutation can
         only touch ``_relations``, never the universe it is built from.
         """
+        self._size = len(self._universe_order) + sum(
+            len(rel) for rel in self._relations.values()
+        )
         self._indexes.clear()
         self._projections.clear()
         self._columnar = None
@@ -334,8 +391,16 @@ class Structure:
 
         * the universe, signature and size bookkeeping;
         * the per-position index and projection caches of every
-          *untouched* relation (the touched relation's are dropped and
-          rebuilt lazily).
+          *untouched* relation.
+
+        The touched relation's built indexes are patched at the tuple's
+        group: a shallow copy of the table, with the tuple added to (or
+        removed from) that group's pool, and a pool left empty removed.
+        So are its built projections whose bound and target positions
+        cover the relation, as a binary relation's two guard shapes do:
+        there the tuple is the only witness of its value in its group.  Its
+        other projections are dropped and rebuilt lazily.  A patched pool
+        holds exactly a rebuild's members, in an order that may differ.
 
         A built columnar view is derived, on insertion and on deletion
         (:meth:`~repro.structures.columnar.ColumnarStructure.derive_insert`,
@@ -363,18 +428,26 @@ class Structure:
         derived = Structure.__new__(Structure)._fill(
             self._signature, self._universe_order, relations, self._universe
         )
-        # Index caches of untouched relations stay valid; the touched
-        # relation's are rebuilt lazily on demand.
-        derived._indexes = {
-            cache_key: index
-            for cache_key, index in self._indexes.items()
-            if cache_key[0] != symbol.name
-        }
-        derived._projections = {
-            cache_key: pools
-            for cache_key, pools in self._projections.items()
-            if cache_key[0] != symbol.name
-        }
+        # Caches of untouched relations stay valid; the touched relation's
+        # are patched at the tuple's group, or dropped (see above).  The
+        # items are snapshotted first: an expansion of this structure on
+        # another thread may store a cache here meanwhile.
+        name = symbol.name
+        indexes = derived._indexes
+        for cache_key, index in tuple(self._indexes.items()):
+            if cache_key[0] == name:
+                index = _patched(index, tup[cache_key[1]], tup, present)
+            indexes[cache_key] = index
+        projections = derived._projections
+        for cache_key, pools in tuple(self._projections.items()):
+            if cache_key[0] == name:
+                _, bound, targets = cache_key
+                if len(set(bound + targets)) < symbol.arity:
+                    continue
+                value = tup[targets[0]]
+                if all(tup[p] == value for p in targets[1:]):
+                    pools = _patched(pools, _group_of(bound)(tup), value, present)
+            projections[cache_key] = pools
         # Same universe, same id space: the interner is shared, keeping ids
         # stable along derivation chains.  A built columnar view is derived
         # by the one tuple's Gaifman edges, on insertion and on deletion.
@@ -398,6 +471,12 @@ class Structure:
         caches, and the columnar view's neighbour tuples when every fresh
         symbol has arity at most 1 (such a relation adds no Gaifman edge).
         Otherwise the view is rebuilt lazily.
+
+        Sharing runs both ways for the inherited relations: an index or
+        projection the expansion builds for one of them is stored on the
+        parent too (and on the parent's parent, while the relation is
+        inherited), so the next expansion of the parent finds it.  Those of
+        fresh symbols stay on the expansion.
         """
         if not self._signature.is_subsignature_of(signature):
             raise SignatureError("an expansion must keep every existing symbol")
@@ -421,6 +500,7 @@ class Structure:
         )
         derived._indexes = dict(self._indexes)
         derived._projections = dict(self._projections)
+        derived._base = self
         derived._interner = self._interner
         if self._columnar is not None and all(symbol.arity <= 1 for symbol in fresh):
             derived._columnar = self._columnar._derive(derived, self._columnar._neigh)

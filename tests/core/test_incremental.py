@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 
 from repro.core.clterms import BasicClTerm
 from repro.core.incremental import IncrementalUnaryCache
-from repro.errors import ArityError, FormulaError, SignatureError, UniverseError
+from repro.errors import (
+    ArityError,
+    BudgetExceededError,
+    FormulaError,
+    SignatureError,
+    UniverseError,
+)
 from repro.logic.builder import Rel
 from repro.logic.syntax import And
+from repro.robust.budget import EvaluationBudget
 from repro.sparse.classes import bounded_degree_graph
 from repro.structures.builders import graph_structure, path_graph
 from repro.structures.signature import Signature
@@ -82,18 +89,33 @@ class TestBasics:
         assert cache.value(1) == 2 and cache.value(2) == 1
         cache.verify()
 
-    def test_verify_does_not_read_the_derived_view(self, path5):
+    def test_verify_does_not_read_the_derived_view(self):
         """A write derives the columnar view from the parent's; verify()
         must recompute without it, or a wrong derived adjacency goes
-        unnoticed."""
-        cache = IncrementalUnaryCache(path5, degree_term())
+        unnoticed.  With the Gaifman edge {3, 4} dropped from the view,
+        the balls around (4, 6) miss 3, whose two-step count gains the
+        path 3-4-6."""
+        cache = IncrementalUnaryCache(path_graph(6), two_step_term())
         view = cache.structure.columnar()
         three, four = view.interner.id_of(3), view.interner.id_of(4)
         neigh = list(view._neighbour_ids())
         neigh[three] = tuple(x for x in neigh[three] if x != four)
         neigh[four] = tuple(x for x in neigh[four] if x != three)
         view._neigh = tuple(neigh)  # drop the Gaifman edge {3, 4}
+        cache.insert("E", (4, 6))
+        assert cache.value(3) == 2  # stale: 3-2-1, 3-4-5 and now 3-4-6
+        with pytest.raises(AssertionError):
+            cache.verify()
+
+    def test_verify_does_not_read_a_carried_projection(self, path5):
+        """A write patches the parent's projections, and the degree term's
+        repair reads the patched pool; verify() must recompute without
+        it, or a wrong carried pool goes unnoticed."""
+        cache = IncrementalUnaryCache(path5, degree_term())
+        table = cache.structure.projection("E", (0,), (1,))
+        table[3] = (2,)  # drop 4 from the pool of 3
         cache.insert("E", (3, 5))
+        assert cache.value(3) == 2  # stale: 3 has the successors 2, 4 and 5
         with pytest.raises(AssertionError):
             cache.verify()
 
@@ -110,6 +132,28 @@ class TestBasics:
         )
         with pytest.raises(FormulaError):
             IncrementalUnaryCache(path5, ground)
+
+
+class TestBudget:
+    def test_exhaustion_mid_repair_leaves_the_cache_unchanged(self):
+        """Compute first, commit after: a repair that runs out inside the
+        plan executor leaves the values and the structure version of
+        before the write."""
+        budget = EvaluationBudget()
+        cache = IncrementalUnaryCache(path_graph(8), two_step_term(), budget=budget)
+        structure, values = cache.structure, dict(cache.values)
+        # Room for the repair's own tick (the seven elements of the
+        # radius-2 balls around 4 and 6) and one evaluator step.
+        budget.max_steps = budget.steps + 8
+        with pytest.raises(BudgetExceededError, match=r"at evaluator\."):
+            cache.insert("E", (4, 6))
+        assert cache.structure is structure
+        assert cache.values == values
+        assert cache.stats.updates == 0
+        budget.max_steps = None
+        cache.insert("E", (4, 6))
+        assert cache.value(3) == 3
+        cache.verify()
 
 
 class TestRandomUpdateSequences:

@@ -199,3 +199,18 @@ class TestProcessBackend:
         assert count == len(structure.relation("E"))
         assert engine.last_report.answered_by == "foc1"
         assert engine.breaker.failures("foc1") == 0
+
+    def test_basic_cover_unary_runs_inline(self):
+        """``evaluate_basic_cover_unary``'s shards close over live engine
+        state, so the process backend runs its targets as one inline
+        shard: the serial answer, in order, with salvage still applying."""
+        structure = grid_graph(5, 5)
+        cover = sparse_cover(structure, 2)
+        term = degree_cover_term()
+        serial = evaluate_basic_cover_unary(structure, cover, term)
+        for mode in ("raise", "salvage"):
+            proc = evaluate_basic_cover_unary(
+                structure, cover, term, workers=2, backend="process",
+                on_shard_failure=mode,
+            )
+            assert list(proc.items()) == list(serial.items())

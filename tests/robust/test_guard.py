@@ -141,6 +141,33 @@ class TestFullCascade:
         assert report.failed_stages() == ["main_algorithm", "foc1"]
         assert "FaultInjectedError" in report.summary()
 
+    def test_foc1_stage_inherits_the_evaluators_settings(
+        self, grid, degree_term, monkeypatch
+    ):
+        """With the main stage faulted, the engine that answers the
+        cl-term from foc1 has the evaluator's worker count, backend,
+        retry policy and failure mode, and no fragment check."""
+        from repro.core.evaluator import Foc1Evaluator
+
+        engines = []
+        unary_term_values = Foc1Evaluator.unary_term_values
+
+        def recording(self, *args, **kwargs):
+            engines.append(self)
+            return unary_term_values(self, *args, **kwargs)
+
+        monkeypatch.setattr(Foc1Evaluator, "unary_term_values", recording)
+        retry = RetryPolicy(retries=1, base_delay=0.0)
+        engine = RobustEvaluator(workers=2, retry=retry, on_shard_failure="salvage")
+        with inject_faults(FaultInjector({"cover.construct": 1})):
+            values = engine.evaluate_unary_cl_term(grid, degree_term)
+        assert values == evaluate_basic_unary(grid, degree_term)
+        assert engine.last_report.answered_by == "foc1"
+        used = engines[-1]
+        assert used.pool.workers == 2 and used.pool.backend == "thread"
+        assert used.retry is retry and used.on_shard_failure == "salvage"
+        assert used.check_fragment is False
+
     def test_report_records_stage_order(self, grid, degree_term):
         engine = RobustEvaluator()
         engine.evaluate_unary_cl_term(grid, degree_term)

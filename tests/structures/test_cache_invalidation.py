@@ -11,13 +11,18 @@ give the derived structure fresh-or-still-valid caches, and
 """
 
 import pickle
+import random
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cost.stats import structure_stats
 from repro.errors import ArityError, SignatureError, UniverseError
 from repro.robust.checkpoint import structure_digest
+from repro.structures.builders import path_graph
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
 
@@ -185,6 +190,169 @@ class TestWithTupleViewDerivation:
         assert derived._columnar._neigh is not None
 
 
+#: Per relation, the index positions and projection shapes (bound,
+#: targets) warmed on every version of the write streams below.  Shapes
+#: whose positions cover the relation are patched by ``with_tuple``;
+#: ``(), (0, 1)`` is ``E(x, x)`` and ``(0,), (1, 2)`` is ``T(a, y, y)``.
+SHAPES = {
+    "E": ((0, 1), (((0,), (1,)), ((1,), (0,)), ((), (0, 1)), ((), (0,)))),
+    "T": (
+        (0, 2),
+        (
+            ((0,), (1, 2)),
+            ((0, 1), (2,)),
+            ((2,), (0, 1)),
+            ((), (0, 1, 2)),
+            ((0,), (1,)),
+        ),
+    ),
+    "U": ((0,), (((), (0,)),)),
+}
+
+
+def _warm(structure):
+    for name, (positions, shapes) in SHAPES.items():
+        for position in positions:
+            structure.index(name, position)
+        for bound, targets in shapes:
+            structure.projection(name, bound, targets)
+
+
+def _members(table):
+    """A table's groups and their members, after checking that each pool
+    is non-empty and duplicate-free."""
+    for pool in table.values():
+        assert pool and len(set(pool)) == len(pool)
+    return {group: set(pool) for group, pool in table.items()}
+
+
+class TestPatchedCaches:
+    """``with_tuple`` patches the written relation's indexes and covering
+    projections: after every write each carried table has exactly the
+    groups and members of the same table built on a fresh structure."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_write_streams_keep_carried_caches_exact(self, seed):
+        rng = random.Random(seed)
+        nodes = list(range(5))
+        arity = {"E": 2, "T": 3, "U": 1}
+
+        def draw(name):
+            if rng.random() < 0.25:  # a self-loop / all-equal tuple
+                return (rng.choice(nodes),) * arity[name]
+            return tuple(rng.choice(nodes) for _ in range(arity[name]))
+
+        structure = Structure(
+            Signature.of(**arity),
+            nodes,
+            {name: {draw(name) for _ in range(4)} for name in arity},
+        )
+        _warm(structure)
+        for _ in range(30):
+            name = rng.choice(sorted(arity))
+            current = sorted(structure.relation(name))
+            if current and rng.random() < 0.5:
+                derived = structure.with_tuple(name, rng.choice(current), present=False)
+            else:
+                derived = structure.with_tuple(name, draw(name))
+            fresh = _fresh(derived)
+            for (relation, position), table in derived._indexes.items():
+                assert _members(table) == _members(fresh.index(relation, position))
+            for (relation, bound, targets), table in derived._projections.items():
+                built = fresh.projection(relation, bound, targets)
+                assert _members(table) == _members(built)
+            for bound, targets in SHAPES[name][1]:
+                covering = len(set(bound + targets)) == arity[name]
+                carried = (name, bound, targets) in derived._projections
+                assert carried == (covering or derived is structure)
+            _warm(derived)
+            structure = derived
+
+    def test_delete_removes_an_emptied_group(self):
+        s = Structure(Signature.of(E=2), [1, 2, 3], {"E": [(1, 2), (2, 2), (3, 1)]})
+        s.index("E", 0)
+        s.projection("E", (0,), (1,))
+        assert s.projection("E", (), (0, 1)) == {(): (2,)}
+        derived = s.with_tuple("E", (2, 2), present=False)
+        assert 2 not in derived._indexes[("E", 0)]
+        assert 2 not in derived._projections[("E", (0,), (1,))]
+        assert () not in derived._projections[("E", (), (0, 1))]
+        looped = derived.with_tuple("E", (3, 3))
+        assert looped._projections[("E", (), (0, 1))] == {(): (3,)}
+        assert sorted(looped._projections[("E", (0,), (1,))][3]) == [1, 3]
+        # The parent's tables are untouched.
+        assert s.index("E", 0)[2] == ((2, 2),)
+        assert s.projection("E", (), (0, 1)) == {(): (2,)}
+
+    def test_concurrent_expansions_and_writes_keep_the_parent_exact(self):
+        """Threads expanding one parent by their own ``Mark`` (as the
+        thread backend's shards do) store the pools they build for ``E``
+        on the parent, while other threads derive writes from it: every
+        thread reads its own ``Mark``, each write's tables match a fresh
+        build, and the parent ends with exact ``E`` pools and no ``Mark``
+        pool.  A new parent per round reopens the window in which the
+        parent's cache mappings grow under a deriving write."""
+        nodes = range(200)
+        parents = [
+            Structure(
+                Signature.of(E=2),
+                nodes,
+                {"E": [(i, (i * step) % 200) for i in nodes]},
+            )
+            for step in range(3, 23)
+        ]
+        marked = Signature.of(E=2, Mark=1)
+        shapes = (((0,), (1,)), ((1,), (0,)), ((), (0, 1)), ((), (0,)), ((), (1,)))
+        barrier = threading.Barrier(8)
+        failures = []
+
+        def expand(parent, k):
+            child = parent.with_relations(marked, {"Mark": [(k,)]})
+            for bound, targets in shapes:
+                child.projection("E", bound, targets)
+            child.index("E", k % 2)
+            assert child.projection("Mark", (), (0,)) == {(): (k,)}
+
+        def write(parent, k):
+            for step in range(5):
+                tup = (k, (k + step) % 200)
+                child = parent.with_tuple("E", tup, present=tup not in parent.relation("E"))
+                fresh = _fresh(child)
+                for (relation, bound, targets), table in child._projections.items():
+                    built = fresh.projection(relation, bound, targets)
+                    assert _members(table) == _members(built)
+
+        def run(k):
+            try:
+                for parent in parents:
+                    barrier.wait(timeout=30)
+                    (expand if k % 2 else write)(parent, k)
+            except Exception as error:  # an assertion in a thread is lost
+                failures.append((k, error))
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        for parent in parents:
+            fresh = _fresh(parent)
+            for bound, targets in shapes:
+                assert _members(parent._projections[("E", bound, targets)]) == _members(
+                    fresh.projection("E", bound, targets)
+                )
+            assert not any(key[0] == "Mark" for key in parent._projections)
+
+
 class TestInvalidateCaches:
     def test_stale_caches_after_internal_mutation(self, path):
         """The regression scenario: mutate internals, observe staleness,
@@ -202,6 +370,14 @@ class TestInvalidateCaches:
         assert 4 in _view_neighbours(path, 1)
         assert (1, 4) in path.index("E", 0)[1]
         assert 4 in path.projection("E", (0,), (1,))[1]
+
+    def test_size_is_recounted(self):
+        s = path_graph(6)
+        symbol = s.signature["E"]
+        s._relations[symbol] = s._relations[symbol] | {(1, 3), (3, 1)}
+        s.invalidate_caches()
+        assert s.size() == 18
+        assert structure_stats(s).size == 18
 
     def test_idempotent_on_cold_structure(self, path):
         path.invalidate_caches()

@@ -83,9 +83,50 @@ class TestExpansionReduct:
         """A projection of a fresh relation built on one expansion must not
         reach the parent, where a sibling interprets the same name."""
         first = expansion(path5, Signature.of(Mark=1), {"Mark": [(1,)]})
-        assert first.projection("Mark", (), (0,)) == {(): (1,)}
         second = expansion(path5, Signature.of(Mark=1), {"Mark": [(2,)]})
+        assert first.projection("Mark", (), (0,)) == {(): (1,)}
+        assert first.index("Mark", 0) == {1: ((1,),)}
         assert second.projection("Mark", (), (0,)) == {(): (2,)}
+        assert second.index("Mark", 0) == {2: ((2,),)}
+        third = expansion(path5, Signature.of(Mark=1), {"Mark": [(3,)]})
+        assert third.projection("Mark", (), (0,)) == {(): (3,)}
+        assert first.projection("Mark", (), (0,)) == {(): (1,)}
+        assert not any(key[0] == "Mark" for key in path5._projections)
+        assert not any(key[0] == "Mark" for key in path5._indexes)
+
+    def test_expansion_stores_inherited_caches_on_the_parent(self, path5):
+        """What an expansion builds for an inherited relation is valid on
+        the parent, so the next expansion of the parent finds it."""
+        expanded = expansion(path5, Signature.of(Mark=1), {"Mark": [(3,)]})
+        projection = expanded.projection("E", (0,), (1,))
+        index = expanded.index("E", 1)
+        assert path5.projection("E", (0,), (1,)) is projection
+        assert path5.index("E", 1) is index
+        sibling = expansion(path5, Signature.of(Mark=1), {"Mark": [(4,)]})
+        assert sibling.projection("E", (0,), (1,)) is projection
+
+    def test_chained_expansions_store_each_relation_on_its_owner(self, path5):
+        first = expansion(path5, Signature.of(Mark=1), {"Mark": [(3,)]})
+        second = expansion(first, Signature.of(Flag=1), {"Flag": [(1,)]})
+        projection = second.projection("E", (1,), (0,))
+        mark = second.projection("Mark", (), (0,))
+        second.projection("Flag", (), (0,))
+        assert path5.projection("E", (1,), (0,)) is projection
+        assert first.projection("E", (1,), (0,)) is projection
+        assert first.projection("Mark", (), (0,)) is mark
+        assert ("Mark", (), (0,)) not in path5._projections
+        assert ("Flag", (), (0,)) not in first._projections
+        assert ("Flag", (), (0,)) not in path5._projections
+
+    def test_write_back_skips_a_parent_whose_relation_was_replaced(self, path5):
+        """The parent's relation mutated in place (then invalidated) is no
+        longer the expansion's: the expansion's pools stay its own."""
+        expanded = expansion(path5, Signature.of(Mark=1), {"Mark": [(3,)]})
+        symbol = path5.signature["E"]
+        path5._relations[symbol] = path5._relations[symbol] | {(1, 5)}
+        path5.invalidate_caches()
+        assert sorted(expanded.projection("E", (0,), (1,))[1]) == [2]
+        assert sorted(path5.projection("E", (0,), (1,))[1]) == [2, 5]
 
 
 class TestPinElements:
