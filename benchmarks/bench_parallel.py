@@ -1,14 +1,15 @@
-"""E15 — serial vs parallel evaluation (docs/PARALLEL.md).
+"""E15 — serial vs parallel evaluation (docs/PARALLEL.md, EXPERIMENTS.md).
 
-Measures the two parallel entry points the ISSUE names — the Section 8.2
-per-cluster loop (:func:`~repro.core.cover_eval.evaluate_per_cluster`)
-and the batched counter (:meth:`~repro.core.evaluator.Foc1Evaluator.count_many`)
+Measures two of the three process fan-outs — the Section 8.2 per-cluster
+loop (:func:`~repro.core.cover_eval.evaluate_per_cluster`) and the
+batched counter (:meth:`~repro.core.evaluator.Foc1Evaluator.count_many`)
 — at 1, 2 and 4 workers on grid graphs, the suite's standard sparse
-family.  Each benchmark records its worker count in ``extra_info``; the
-speedup (workers=1 mean over this mean) reads off pytest-benchmark's
-table (``pytest benchmarks/bench_parallel.py --benchmark-only``).
-Thread-backend speedups are bounded by both the core count and the GIL,
-so on a 1-core runner the honest expectation is ~1.0x.
+family.  Above one worker both ship pickled payloads to child processes,
+so a speedup needs both free cores and enough work per shard to pay for
+the pool; on a 1-core runner the honest expectation is below 1.0x.  Each
+benchmark records its worker count in ``extra_info``; the speedup
+(workers=1 mean over this mean) reads off pytest-benchmark's table
+(``pytest benchmarks/bench_parallel.py --benchmark-only``).
 
 The workers=1 rows double as the overhead guard: they take the exact
 pre-parallel code path, so they are the serial cost the other rows are

@@ -4,7 +4,7 @@ PR 5's acceptance bar: arming a :class:`~repro.robust.retry.RetryPolicy`
 on a run that never faults must cost < 5% over the plain parallel path.
 The only per-shard additions on the happy path are the fault checkpoints
 (one ``is None`` test each when no injector is installed) and the
-fresh-slice bookkeeping, so the expected overhead is noise-level.
+outcome bookkeeping, so the expected overhead is noise-level.
 
 Each benchmark runs the same workload twice across the ``retries``
 parameter — ``0`` (``retry=None``, the plain path) and ``2``
@@ -15,9 +15,11 @@ pytest-benchmark's table (``pytest benchmarks/bench_retry.py
 --benchmark-only``); it is not asserted, because one timing ratio on a
 shared runner is noise.
 
-Workloads mirror ``bench_parallel.py`` at workers=2: the Section 8.2
-per-cluster loop and a raw ``WorkerPool.run_tasks`` fan-out, both
-asserted byte-identical to their serial/plain counterparts.
+Workloads: the Section 8.2 per-cluster loop at workers=2, as in
+``bench_parallel.py`` (child processes), and ``WorkerPool.run_tasks``,
+the inline retry driver the unary sweeps and the main algorithm go
+through; both are asserted byte-identical to their serial/plain
+counterparts.
 """
 
 import pytest
@@ -77,9 +79,9 @@ def test_per_cluster_retry_overhead(benchmark, n, retries):
 @pytest.mark.parametrize("retries", RETRY_COUNTS)
 @pytest.mark.parametrize("tasks", (16,))
 def test_run_tasks_retry_overhead(benchmark, tasks, retries):
-    # A raw pool fan-out isolates the driver's own bookkeeping from engine
-    # costs: each task is a small pure-Python loop.
-    pool = WorkerPool(workers=2, backend="thread")
+    # Bare thunks isolate the driver's own bookkeeping from engine costs:
+    # each task is a small pure-Python loop, run inline.
+    pool = WorkerPool(workers=1)
     work = [
         (lambda i: (lambda budget=None: sum(range(2_000 + i))))(i)
         for i in range(tasks)

@@ -291,12 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "its checkpoint (default: run everything to completion)",
     )
     serve.add_argument(
-        "--eval-workers",
-        type=int,
-        metavar="N",
-        help="per-quantum engine parallelism (default: REPRO_WORKERS)",
-    )
-    serve.add_argument(
         "--no-fragment-check",
         action="store_true",
         help="allow full FOC(P) requests",
@@ -376,15 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             metavar="N",
-            help="worker count for the parallel evaluation paths "
-            "(default: REPRO_WORKERS or 1 = serial; see docs/PARALLEL.md)",
+            help="child processes for the sampler's blocks (--engine "
+            "approx or --approx-fallback); the exact engines answer these "
+            "commands inline (default: REPRO_WORKERS or 1 = serial; see "
+            "docs/PARALLEL.md)",
         )
         sub.add_argument(
             "--retries",
             type=int,
             default=0,
             metavar="N",
-            help="retry each failed parallel shard up to N times with "
+            help="retry each failed shard up to N times with "
             "deterministic backoff (default: 0 = fail fast)",
         )
         sub.add_argument(
@@ -771,7 +767,6 @@ def _serve(args: argparse.Namespace) -> int:
         )
         service = QueryService(
             workers=args.serve_workers,
-            eval_workers=args.eval_workers,
             quantum_steps=args.quantum_steps,
             quota=quota,
             max_total_inflight=args.max_total_inflight,

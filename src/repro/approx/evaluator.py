@@ -89,8 +89,8 @@ def sample_blocks(
     """Run ``blocks`` (pairs of ``(block_index, sample_count)``) and
     return ``(block_index, hits, samples)`` triples.
 
-    Module-level and picklable-argument so the process backend can run
-    it in child workers; the serial and thread paths use the same code.
+    Module-level and picklable-argument so child processes can run it;
+    the serial path uses the same code.
     """
     collection = predicates if predicates is not None else standard_collection()
     universe = structure.universe_order
@@ -133,14 +133,13 @@ class ApproxEvaluator:
     seed:
         Reproducibility seed.  Identical ``(query, structure, seed,
         epsilon, delta)`` inputs yield byte-identical results at any
-        worker count and backend.
+        worker count.
     min_density / max_samples / method:
         Forwarded to :func:`~repro.approx.planner.plan_samples`.
-    workers / parallel_backend:
-        Sampling fans blocks out across a
-        :class:`~repro.parallel.WorkerPool` when ``workers > 1``
-        (``"thread"`` or ``"process"``); the block fold keeps the
-        answer independent of the layout.
+    workers:
+        Sampling fans blocks out to the child processes of a
+        :class:`~repro.parallel.WorkerPool` when ``workers > 1``; the
+        block fold keeps the answer independent of the layout.
     """
 
     def __init__(
@@ -154,11 +153,10 @@ class ApproxEvaluator:
         max_samples: int = DEFAULT_MAX_SAMPLES,
         method: str = "hoeffding",
         workers: "Optional[int]" = None,
-        parallel_backend: str = "thread",
     ):
         # The standard collection holds closures and cannot pickle;
-        # remembering "caller gave us nothing" lets the process backend
-        # ship None and rebuild it child-side instead.
+        # remembering "caller gave us nothing" lets the sampler ship None
+        # to child processes, which rebuild it.
         self._default_predicates = predicates is None
         self.predicates = (
             predicates if predicates is not None else standard_collection()
@@ -171,7 +169,6 @@ class ApproxEvaluator:
         self.max_samples = max_samples
         self.method = method
         self.workers = resolve_workers(workers)
-        self.parallel_backend = parallel_backend
 
     # -- engine API ------------------------------------------------------------
 
@@ -337,7 +334,7 @@ class ApproxEvaluator:
             from ..parallel.pool import WorkerPool
             from ..parallel.tasks import run_approx_shards
 
-            pool = WorkerPool(self.workers, backend=self.parallel_backend)
+            pool = WorkerPool(self.workers)
             predicates = None if self._default_predicates else self.predicates
             return run_approx_shards(
                 pool,

@@ -24,19 +24,18 @@ same handful of patterns across every cluster, so the order is static
 analysis, not per-tuple work.  Polynomial evaluation additionally shares
 one ball cache across all basic terms with the same link distance.
 
-Both entry points accept ``workers``/``backend``: clusters (for the
-per-cluster path) or target elements (for the semantic path, on the thread
-backend only) are sharded
-deterministically across a :class:`~repro.parallel.WorkerPool` and the
-shard results merge in shard-index order, so any worker count produces
-byte-identical output to the serial loop (see ``docs/PARALLEL.md``).
-``workers=1`` (the default) *is* the serial loop.
+The per-cluster path takes ``workers``: above one, its clusters are
+sharded deterministically across child processes of a
+:class:`~repro.parallel.WorkerPool` and the shard results merge in
+shard-index order, so any worker count produces byte-identical output to
+the serial loop (see ``docs/PARALLEL.md``).  ``workers=1`` (the default)
+*is* the serial loop.  The semantic path always runs inline.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..errors import FormulaError
 from ..logic.predicates import PredicateCollection
@@ -44,7 +43,11 @@ from ..logic.semantics import satisfies
 from ..obs import active_metrics, traced
 from ..parallel import WorkerPool, shard
 from ..robust.budget import EvaluationBudget
-from ..robust.partial import PartialResult, ShardFailure, validate_failure_mode
+from ..robust.partial import (
+    PartialResult,
+    merge_unary_outcomes,
+    validate_failure_mode,
+)
 from ..robust.retry import RetryPolicy
 from ..logic.syntax import Formula, Variable
 from ..sparse.covers import CoverError, NeighbourhoodCover
@@ -101,59 +104,36 @@ def _holds_in_cluster(
     return first
 
 
-def _merge_unary_outcomes(
-    outcomes,
-    chunks: List[list],
-    chunk_sizes: List[int],
-    operation: str,
-) -> "Dict[Element, int] | PartialResult":
-    """Fold salvage-mode shard outcomes into a dict or a PartialResult.
-
-    ``chunks[i]`` holds the work items shard ``i`` carried (targets or
-    cluster indices) and ``chunk_sizes[i]`` how many *result elements*
-    that shard would contribute.  A full success returns the plain merged
-    dict — salvage never changes the type of a complete answer.
-    """
-    values: Dict[Element, int] = {}
-    failures: List[ShardFailure] = []
-    for outcome in outcomes:
-        if outcome.error is None:
-            values.update(outcome.value)
-        else:
-            failures.append(
-                ShardFailure(
-                    shard=outcome.index,
-                    items=tuple(chunks[outcome.index]),
-                    error_type=type(outcome.error).__name__,
-                    error=str(outcome.error),
-                    attempts=outcome.attempts,
-                )
-            )
-    if not failures:
-        return values
-    return PartialResult(
-        operation=operation,
-        value=values,
-        failures=failures,
-        expected=sum(chunk_sizes),
-        covered=len(values),
-    )
-
-
-def _basic_unary_shard(
+@traced("cover_eval.basic_unary")
+def evaluate_basic_cover_unary(
     structure: Structure,
     cover: NeighbourhoodCover,
     term: CoverTerm,
-    psi: Formula,
-    targets: Sequence[Element],
-    predicates: "Optional[PredicateCollection]",
-    check_well_defined: bool,
-    budget: "Optional[EvaluationBudget]",
-    balls: "Optional[_BallCache]",
+    elements: "Optional[Sequence[Element]]" = None,
+    predicates: "Optional[PredicateCollection]" = None,
+    check_well_defined: bool = False,
+    budget: "Optional[EvaluationBudget]" = None,
+    ball_cache: "Optional[_BallCache]" = None,
 ) -> Dict[Element, int]:
-    """One shard of the semantic path: ``u^{A,X}[a]`` for the given targets."""
-    if balls is None:
-        balls = _BallCache(structure, term.link_distance)
+    """``u^{A,X}[a]`` for a *basic* (connected) cover-cl-term, all ``a``.
+
+    Counted tuples are generated by pattern walking (distances measured in
+    the full structure A, as Definition 7.4 requires); the single component
+    formula is then checked inside an r-covering cluster.  An optional
+    ``ball_cache`` (for this structure and link distance) is reused instead
+    of building a fresh one, so batch callers share ball expansions.
+    """
+    if not term.unary:
+        raise FormulaError("expected a unary cover term")
+    if not term.is_basic():
+        raise FormulaError("expected a basic (connected) cover-cl-term")
+    psi = term.component_formulas[0][1]
+    targets = list(elements) if elements is not None else list(structure.universe_order)
+    balls = (
+        ball_cache
+        if ball_cache is not None and ball_cache.distance == term.link_distance
+        else _BallCache(structure, term.link_distance)
+    )
     metrics = active_metrics()
     # Hot path: resolve the per-tuple instrumentation hooks once and keep
     # the uninstrumented loop free of per-tuple `is not None` tests.
@@ -198,102 +178,6 @@ def _basic_unary_shard(
                 ):
                     total += 1
         values[element] = total
-    return values
-
-
-@traced("cover_eval.basic_unary")
-def evaluate_basic_cover_unary(
-    structure: Structure,
-    cover: NeighbourhoodCover,
-    term: CoverTerm,
-    elements: "Optional[Sequence[Element]]" = None,
-    predicates: "Optional[PredicateCollection]" = None,
-    check_well_defined: bool = False,
-    budget: "Optional[EvaluationBudget]" = None,
-    ball_cache: "Optional[_BallCache]" = None,
-    workers: "Optional[int]" = None,
-    backend: str = "thread",
-    retry: "Optional[RetryPolicy]" = None,
-    on_shard_failure: str = "raise",
-) -> "Dict[Element, int] | PartialResult":
-    """``u^{A,X}[a]`` for a *basic* (connected) cover-cl-term, all ``a``.
-
-    Counted tuples are generated by pattern walking (distances measured in
-    the full structure A, as Definition 7.4 requires); the single component
-    formula is then checked inside an r-covering cluster.  An optional
-    ``ball_cache`` (for this structure and link distance) is reused instead
-    of building a fresh one, so batch callers share ball expansions.
-
-    With ``workers > 1`` the targets are sharded deterministically across
-    a :class:`~repro.parallel.WorkerPool` (each shard gets its own ball
-    cache — the memo is not shared across workers) and the shard results
-    merge in shard order, reproducing the serial output exactly.  A shard
-    closes over live engine state, which cannot cross a process boundary,
-    so ``backend="process"`` runs the targets as one inline shard through
-    a serial pool, as :meth:`Foc1Evaluator.unary_term_values
-    <repro.core.evaluator.Foc1Evaluator.unary_term_values>` does.  A
-    ``retry`` policy re-runs failed shards alone;
-    ``on_shard_failure="salvage"`` keeps completed shards and returns a
-    :class:`~repro.robust.partial.PartialResult` when failures remain
-    (the plain dict whenever nothing was lost).
-    """
-    validate_failure_mode(on_shard_failure)
-    if not term.unary:
-        raise FormulaError("expected a unary cover term")
-    if not term.is_basic():
-        raise FormulaError("expected a basic (connected) cover-cl-term")
-    psi = term.component_formulas[0][1]
-    targets = list(elements) if elements is not None else list(structure.universe_order)
-    pool = WorkerPool(workers, backend)
-    if pool.backend == "process":
-        pool = WorkerPool(1)
-    plain = retry is None and on_shard_failure == "raise"
-    if (pool.workers <= 1 or len(targets) <= 1) and plain:
-        balls = (
-            ball_cache
-            if ball_cache is not None
-            and ball_cache.distance == term.link_distance
-            else None
-        )
-        return _basic_unary_shard(
-            structure,
-            cover,
-            term,
-            psi,
-            targets,
-            predicates,
-            check_well_defined,
-            budget,
-            balls,
-        )
-    chunks = shard(targets, max(pool.workers, 1))
-    tasks = [
-        lambda b, chunk=chunk: _basic_unary_shard(
-            structure,
-            cover,
-            term,
-            psi,
-            chunk,
-            predicates,
-            check_well_defined,
-            b,
-            None,
-        )
-        for chunk in chunks
-    ]
-    if on_shard_failure == "salvage":
-        outcomes = pool.run_tasks(
-            tasks, budget, retry=retry, on_failure="salvage"
-        )
-        return _merge_unary_outcomes(
-            outcomes,
-            chunks,
-            [len(chunk) for chunk in chunks],
-            "evaluate_basic_cover_unary",
-        )
-    values: Dict[Element, int] = {}
-    for part in pool.run_tasks(tasks, budget, retry=retry):
-        values.update(part)
     return values
 
 
@@ -431,9 +315,9 @@ def _cluster_shard_values(
     """One shard of the Section 8.2 loop: the listed clusters, in order.
 
     Shard-local state only (the induced substructure and its ball cache
-    are per cluster), so shards are safe to run on any
-    :class:`~repro.parallel.WorkerPool` backend; iterating a contiguous
-    index range reproduces the serial loop's member order exactly.
+    are per cluster), so shards are safe to run in child processes;
+    iterating a contiguous index range reproduces the serial loop's
+    member order exactly.
     """
     metrics = active_metrics()
     tick = budget.tick if budget is not None else None
@@ -487,7 +371,6 @@ def evaluate_per_cluster(
     predicates: "Optional[PredicateCollection]" = None,
     budget: "Optional[EvaluationBudget]" = None,
     workers: "Optional[int]" = None,
-    backend: str = "thread",
     retry: "Optional[RetryPolicy]" = None,
     on_shard_failure: str = "raise",
 ) -> "Dict[Element, int] | PartialResult":
@@ -499,15 +382,14 @@ def evaluate_per_cluster(
     measured in the cluster agree with patterns in A.
 
     Clusters are independent, so with ``workers > 1`` they are sharded
-    (contiguously, in cluster-index order) across a
-    :class:`~repro.parallel.WorkerPool`; merging the shard dicts in shard
-    order makes the result byte-identical to the serial loop at every
-    worker count.  ``backend="process"`` ships each shard to a child
-    interpreter (inputs must be picklable; only the standard predicate
-    collection is supported there).
+    (contiguously, in cluster-index order) across the child processes of
+    a :class:`~repro.parallel.WorkerPool`; merging the shard dicts in
+    shard order makes the result byte-identical to the serial loop at
+    every worker count.  Inputs must pickle: a custom predicate
+    collection needs module-level functions.
 
-    A ``retry`` policy re-runs a failed shard alone (fresh budget slice,
-    deterministic backoff).  ``on_shard_failure="salvage"`` keeps the
+    A ``retry`` policy re-runs a failed shard alone (deterministic
+    backoff).  ``on_shard_failure="salvage"`` keeps the
     completed shards when retries are exhausted and returns a
     :class:`~repro.robust.partial.PartialResult` carrying the failed
     cluster ids and the coverage fraction; a run without failures still
@@ -523,25 +405,17 @@ def evaluate_per_cluster(
             f"this one has radius parameter {cover.radius}"
         )
     psi = term.component_formulas[0][1]
-    pool = WorkerPool(workers, backend)
+    pool = WorkerPool(workers)
     indices = [
         index
         for index in range(len(cover.clusters))
         if cover.members_with_cluster(index)
     ]
-    plain = retry is None and on_shard_failure == "raise"
-    if (pool.workers <= 1 or len(indices) <= 1) and plain:
-        return _cluster_shard_values(
-            structure, cover, term, psi, indices, predicates, budget
-        )
-    shards = shard(indices, max(pool.workers, 1))
-    chunk_sizes = [
-        sum(len(cover.members_with_cluster(i)) for i in chunk)
-        for chunk in shards
-    ]
-    if pool.backend == "process":
+    salvage = on_shard_failure == "salvage"
+    if pool.workers > 1 and len(indices) > 1:
         from ..parallel.tasks import run_per_cluster_shards
 
+        shards = shard(indices, pool.workers)
         joined = run_per_cluster_shards(
             pool,
             structure,
@@ -552,27 +426,32 @@ def evaluate_per_cluster(
             predicates,
             budget,
             retry=retry,
-            salvage=on_shard_failure == "salvage",
+            salvage=salvage,
         )
-        if on_shard_failure != "salvage":
+        if not salvage:
             return joined
-        return _merge_unary_outcomes(
-            joined, shards, chunk_sizes, "evaluate_per_cluster"
+        outcomes = joined
+    elif retry is None and not salvage:
+        return _cluster_shard_values(
+            structure, cover, term, psi, indices, predicates, budget
         )
-    tasks = [
-        lambda b, chunk=chunk: _cluster_shard_values(
-            structure, cover, term, psi, chunk, predicates, b
+    else:
+        # One inline shard through the pool's retry driver.
+        def loop(attempt_budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
+            return _cluster_shard_values(
+                structure, cover, term, psi, indices, predicates, attempt_budget
+            )
+
+        shards = [indices]
+        outcomes = pool.run_tasks(
+            [loop], budget, retry=retry, on_failure=on_shard_failure
         )
+        if not salvage:
+            return outcomes[0]
+    chunk_sizes = [
+        sum(len(cover.members_with_cluster(i)) for i in chunk)
         for chunk in shards
     ]
-    if on_shard_failure == "salvage":
-        outcomes = pool.run_tasks(
-            tasks, budget, retry=retry, on_failure="salvage"
-        )
-        return _merge_unary_outcomes(
-            outcomes, shards, chunk_sizes, "evaluate_per_cluster"
-        )
-    values: Dict[Element, int] = {}
-    for part in pool.run_tasks(tasks, budget, retry=retry):
-        values.update(part)
-    return values
+    return merge_unary_outcomes(
+        outcomes, shards, chunk_sizes, "evaluate_per_cluster"
+    )

@@ -37,14 +37,19 @@ from ..logic.syntax import (
     free_variables,
 )
 from ..obs import traced
-from ..parallel import WorkerPool, shard
+from ..parallel import WorkerPool
 from ..plan.cache import PlanCache, default_plan_cache
 from ..plan.compiler import compile_plan
 from ..plan.executor import PlanExecutor
 from ..plan.ir import PlanOptions, QueryPlan
 from ..plan.normalise import canonicalise
 from ..robust.budget import EvaluationBudget
-from ..robust.partial import PartialResult, ShardFailure, validate_failure_mode
+from ..robust.partial import (
+    PartialResult,
+    ShardFailure,
+    merge_unary_outcomes,
+    validate_failure_mode,
+)
 from ..robust.retry import RetryPolicy
 from ..structures.signature import Signature
 from ..structures.structure import Element, Structure
@@ -82,24 +87,22 @@ class Foc1Evaluator:
         cross-engine evaluations of the same query reuse one plan; pass a
         private instance to isolate (benchmarks do).
     workers:
-        Worker count for the parallel entry points (sharded
-        :meth:`unary_term_values` targets and :meth:`count_many` inputs).
-        ``None`` resolves ``REPRO_WORKERS`` (default 1 = serial, the
-        pre-parallel code path).  See ``docs/PARALLEL.md``.
-    parallel_backend:
-        ``"thread"`` (default) or ``"process"``; ignored at ``workers=1``.
-        The process backend fans out :meth:`count_many` only;
-        :meth:`unary_term_values` then runs its targets inline.
+        Worker count for :meth:`count_many`, which fans its inputs out
+        to child processes above one worker.  ``None`` resolves
+        ``REPRO_WORKERS`` (default 1 = serial, the pre-parallel code
+        path).  Every other entry point runs inline.  See
+        ``docs/PARALLEL.md``.
     retry:
-        Optional :class:`~repro.robust.retry.RetryPolicy` applied by the
-        parallel entry points: a transiently failing shard is re-run —
-        alone, under a fresh budget slice — instead of aborting the whole
-        evaluation.
+        Optional :class:`~repro.robust.retry.RetryPolicy` applied by
+        :meth:`count_many` (per input) and :meth:`unary_term_values` (to
+        the whole sweep): a transiently failing shard is re-run alone
+        instead of aborting the evaluation.
     on_shard_failure:
         ``"raise"`` (default): a permanently failed shard aborts the call.
-        ``"salvage"``: the parallel entry points keep completed shards and
-        return a :class:`~repro.robust.partial.PartialResult` when
-        failures remain (the plain result whenever nothing was lost).
+        ``"salvage"``: :meth:`count_many` and :meth:`unary_term_values`
+        keep completed shards and return a
+        :class:`~repro.robust.partial.PartialResult` when failures remain
+        (the plain result whenever nothing was lost).
     """
 
     def __init__(
@@ -111,17 +114,20 @@ class Foc1Evaluator:
         budget: "Optional[EvaluationBudget]" = None,
         plan_cache: "Optional[PlanCache]" = None,
         workers: "Optional[int]" = None,
-        parallel_backend: str = "thread",
         retry: "Optional[RetryPolicy]" = None,
         on_shard_failure: str = "raise",
     ):
+        # The standard collection holds closures and cannot pickle;
+        # remembering "caller gave us nothing" lets count_many ship None
+        # to child processes, which rebuild it.
+        self._default_predicates = predicates is None
         self.predicates = predicates if predicates is not None else standard_collection()
         self.use_factoring = use_factoring
         self.use_guards = use_guards
         self.check_fragment = check_fragment
         self.budget = budget
         self.plan_cache = plan_cache if plan_cache is not None else default_plan_cache()
-        self.pool = WorkerPool(workers, parallel_backend)
+        self.pool = WorkerPool(workers)
         self.retry = retry
         self.on_shard_failure = validate_failure_mode(on_shard_failure)
 
@@ -205,21 +211,13 @@ class Foc1Evaluator:
         """``t^A[a]`` for all ``a`` (the simultaneous evaluation of Lemma 5.7's
         stronger form); a target outside the universe is an error.
 
-        With ``workers > 1`` on the thread backend the targets are sharded
-        across the engine's pool: one compiled plan, one executor (and
-        hence one memo/ball state) per shard, results merged in shard
-        order — byte-identical to the serial pass.  Each shard re-runs the
-        plan's materialisation steps, a fixed per-worker cost that the
-        per-element saving amortises on all but tiny structures.  A shard
-        closes over this engine's live state, which cannot cross a process
-        boundary, so the process backend runs the targets as one inline
-        shard through a serial pool.
-
-        The engine's ``retry`` policy re-runs failed shards alone; with
-        ``on_shard_failure="salvage"`` a permanently failed shard no
-        longer aborts the call — completed shards come back in a
-        :class:`~repro.robust.partial.PartialResult` (the plain dict when
-        nothing was lost).
+        The targets run inline as one shard at every worker count: the
+        sweep closes over this engine's live state, which cannot cross a
+        process boundary.  The engine's ``retry`` policy re-runs a failed
+        sweep; with ``on_shard_failure="salvage"`` a permanent failure no
+        longer raises — it comes back as a
+        :class:`~repro.robust.partial.PartialResult` covering nothing
+        (the plain dict when nothing was lost).
         """
         extra = free_variables(term) - {variable}
         if extra:
@@ -234,51 +232,24 @@ class Foc1Evaluator:
                     f"assignment sends {variable!r} to {element!r}, "
                     "which is outside the universe"
                 )
-        pool = WorkerPool(1) if self.pool.backend == "process" else self.pool
-        plain = self.retry is None and self.on_shard_failure == "raise"
-        if (pool.workers <= 1 or len(targets) <= 1) and plain:
+        if self.retry is None and self.on_shard_failure == "raise":
             return self._executor(plan, structure).unary_term_values(
                 variable, targets
             )
-        chunks = shard(targets, pool.workers)
-        tasks = [
-            lambda b, chunk=chunk: PlanExecutor(
-                plan, structure, self.predicates, b
-            ).unary_term_values(variable, chunk)
-            for chunk in chunks
-        ]
-        if self.on_shard_failure == "salvage":
-            outcomes = pool.run_tasks(
-                tasks, self.budget, retry=self.retry, on_failure="salvage"
-            )
-            values: Dict[Element, int] = {}
-            failures: List[ShardFailure] = []
-            for outcome in outcomes:
-                if outcome.error is None:
-                    values.update(outcome.value)
-                else:
-                    failures.append(
-                        ShardFailure(
-                            shard=outcome.index,
-                            items=tuple(chunks[outcome.index]),
-                            error_type=type(outcome.error).__name__,
-                            error=str(outcome.error),
-                            attempts=outcome.attempts,
-                        )
-                    )
-            if not failures:
-                return values
-            return PartialResult(
-                operation="unary_term_values",
-                value=values,
-                failures=failures,
-                expected=len(targets),
-                covered=len(values),
-            )
-        values = {}
-        for part in pool.run_tasks(tasks, self.budget, retry=self.retry):
-            values.update(part)
-        return values
+
+        def sweep(budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
+            return PlanExecutor(
+                plan, structure, self.predicates, budget
+            ).unary_term_values(variable, targets)
+
+        outcomes = self.pool.run_tasks(
+            [sweep], self.budget, retry=self.retry, on_failure=self.on_shard_failure
+        )
+        if self.on_shard_failure != "salvage":
+            return outcomes[0]
+        return merge_unary_outcomes(
+            outcomes, [targets], [len(targets)], "unary_term_values"
+        )
 
     @traced("foc1.count_many")
     def count_many(
@@ -292,11 +263,12 @@ class Foc1Evaluator:
         The formula is validated once and compiled once per *distinct
         signature* in the batch (plans are structure-independent, so a
         homogeneous batch reuses a single compiled plan for every input);
-        execution then fans out across the engine's pool with proportional
-        budget slices, and the results come back in input order.  The
-        process backend ships ``(plan, structure)`` payloads to child
-        interpreters and is restricted to the standard predicate
-        collection (closures do not pickle).
+        with more than one worker and more than one input, execution fans
+        out to child processes with proportional budget slices, and the
+        results come back in input order.  The children receive ``(plan,
+        structure, predicates)`` payloads, so a custom predicate
+        collection must pickle (module-level functions; a closure raises
+        :class:`~repro.parallel.ParallelError`).
 
         The engine's ``retry`` policy re-runs failed batch entries alone;
         with ``on_shard_failure="salvage"`` permanent failures leave
@@ -321,21 +293,14 @@ class Foc1Evaluator:
             for s in structures
         ]
         salvage = self.on_shard_failure == "salvage"
-        plain = self.retry is None and not salvage
-        if (self.pool.workers <= 1 or len(structures) <= 1) and plain:
-            return [
-                PlanExecutor(
-                    plans[i], structures[i], self.predicates, self.budget
-                ).count_value()
-                for i in range(len(structures))
-            ]
-        if self.pool.backend == "process" and self.pool.workers > 1:
+        if self.pool.workers > 1 and len(structures) > 1:
             from ..parallel.tasks import run_count_many_shards
 
             joined = run_count_many_shards(
                 self.pool,
                 plans,
                 structures,
+                None if self._default_predicates else self.predicates,
                 self.budget,
                 retry=self.retry,
                 salvage=salvage,
@@ -343,6 +308,13 @@ class Foc1Evaluator:
             if not salvage:
                 return joined
             outcomes = joined
+        elif self.retry is None and not salvage:
+            return [
+                PlanExecutor(
+                    plans[i], structures[i], self.predicates, self.budget
+                ).count_value()
+                for i in range(len(structures))
+            ]
         else:
             tasks = [
                 lambda b, i=i: PlanExecutor(

@@ -42,11 +42,15 @@ from ..errors import FormulaError
 from ..logic.predicates import PredicateCollection, standard_collection
 from ..logic.syntax import Add, CountTerm, Formula, Variable
 from ..obs import active_metrics, traced
-from ..parallel import WorkerPool, shard
+from ..parallel import ParallelError, WorkerPool
 from ..plan.cache import PlanCache
 from ..plan.ir import QueryPlan
 from ..robust.budget import EvaluationBudget
-from ..robust.partial import PartialResult, ShardFailure, validate_failure_mode
+from ..robust.partial import (
+    PartialResult,
+    merge_unary_outcomes,
+    validate_failure_mode,
+)
 from ..robust.retry import RetryPolicy
 from ..sparse.covers import sparse_cover
 from ..structures.gaifman import induced
@@ -68,7 +72,7 @@ class MainAlgorithmStats:
     max_depth_reached: int = 0
 
     def merge(self, other: "MainAlgorithmStats") -> None:
-        """Fold a worker shard's counters into this (parent) record."""
+        """Fold a completed attempt's counters into this (parent) record."""
         self.covers_built += other.covers_built
         self.clusters_processed += other.clusters_processed
         self.removals += other.removals
@@ -155,24 +159,24 @@ def evaluate_unary_main_algorithm(
     (``plan_cache`` overrides the shared process-wide cache they are
     compiled into).
 
-    With ``workers > 1`` the top-level cluster loop fans out across a
-    thread :class:`~repro.parallel.WorkerPool`: clusters are sharded in
-    index order, each shard runs the level's two plans on its own engine
-    under a proportional budget slice, and shard results merge
-    deterministically, so the output is byte-identical to the serial
-    loop.  A ``retry`` policy re-runs a failed cluster shard
-    alone; ``on_shard_failure="salvage"`` keeps the completed shards and
-    returns a :class:`~repro.robust.partial.PartialResult` carrying the
-    failed cluster ids when retries are exhausted (the plain dict when
-    nothing was lost).
+    The cluster loop runs inline: its clusters close over live engine
+    state, which cannot cross a process boundary.  ``workers`` accepts
+    only ``None`` or 1 (anything else raises
+    :class:`~repro.parallel.ParallelError`).  A ``retry`` policy re-runs
+    a failed loop; ``on_shard_failure="salvage"`` turns a permanent
+    failure into a :class:`~repro.robust.partial.PartialResult` carrying
+    the cluster ids it lost (the plain dict when nothing was lost).
     """
     validate_failure_mode(on_shard_failure)
+    if workers not in (None, 1):
+        raise ParallelError(
+            f"the main algorithm's cluster loop runs inline; workers must "
+            f"be None or 1, got {workers!r}"
+        )
     if not term.unary:
         raise FormulaError("the main algorithm evaluates unary basic cl-terms")
-    # The cluster loop below owns all the parallelism (and the configured
-    # retry/salvage policy); the base-case engine stays serial so that a
-    # REPRO_WORKERS default cannot open an ungoverned nested fan-out
-    # inside it — or inside a worker shard, which would oversubscribe.
+    # The base-case engine runs without retry or salvage: the cluster loop
+    # below owns that policy.
     engine = Foc1Evaluator(
         predicates=predicates if predicates is not None else standard_collection(),
         check_fragment=False,
@@ -206,7 +210,6 @@ def evaluate_unary_main_algorithm(
         engine,
         stats,
         level=1,
-        pool=WorkerPool(workers),
         retry=retry,
         on_shard_failure=on_shard_failure,
     )
@@ -291,7 +294,6 @@ def _evaluate_level(
     engine: Foc1Evaluator,
     stats: MainAlgorithmStats,
     level: int,
-    pool: "Optional[WorkerPool]" = None,
     retry: "Optional[RetryPolicy]" = None,
     on_shard_failure: str = "raise",
 ) -> "Dict[Element, int] | PartialResult":
@@ -344,72 +346,36 @@ def _evaluate_level(
             )
         return values
 
-    plain = retry is None and on_shard_failure == "raise"
-    if (
-        pool is None or pool.workers <= 1 or len(per_cluster_members) <= 1
-    ) and plain:
+    if retry is None and on_shard_failure == "raise":
         return process_serial(per_cluster_members, engine, stats)
-    if pool is None:
-        pool = WorkerPool(1)
 
-    # Cluster-sharded fan-out: each shard runs the level's plans (immutable,
-    # so shared) on its own engine, which carries the predicates and the
-    # shard's budget slice, and keeps its own stats record, merged in shard
-    # order below.
-
-    def make_task(chunk):
-        def task(slice_budget):
-            worker_engine = Foc1Evaluator(
-                predicates=engine.predicates,
-                check_fragment=False,
-                budget=slice_budget,
-                plan_cache=engine.plan_cache,
-                workers=1,
-            )
-            worker_stats = MainAlgorithmStats()
-            result = process_serial(chunk, worker_engine, worker_stats)
-            return result, worker_stats
-
-        return task
-
-    chunks = shard(per_cluster_members, max(pool.workers, 1))
-    tasks = [make_task(chunk) for chunk in chunks]
-    if on_shard_failure == "salvage":
-        outcomes = pool.run_tasks(tasks, budget, retry=retry, on_failure="salvage")
-        values: Dict[Element, int] = {}
-        failures: List[ShardFailure] = []
-        expected = sum(len(members) for _, members in per_cluster_members)
-        for outcome in outcomes:
-            if outcome.error is None:
-                part, worker_stats = outcome.value
-                values.update(part)
-                stats.merge(worker_stats)
-            else:
-                failures.append(
-                    ShardFailure(
-                        shard=outcome.index,
-                        items=tuple(
-                            index for index, _ in chunks[outcome.index]
-                        ),
-                        error_type=type(outcome.error).__name__,
-                        error=str(outcome.error),
-                        attempts=outcome.attempts,
-                    )
-                )
-        if not failures:
-            return values
-        return PartialResult(
-            operation="evaluate_unary_main_algorithm",
-            value=values,
-            failures=failures,
-            expected=expected,
-            covered=len(values),
+    # Under a retry policy or salvage the loop runs as one shard through
+    # the pool's retry driver, on its own engine and stats record so a
+    # failed attempt leaves no half-counted stats behind.
+    def task(attempt_budget):
+        attempt_engine = Foc1Evaluator(
+            predicates=engine.predicates,
+            check_fragment=False,
+            budget=attempt_budget,
+            plan_cache=engine.plan_cache,
+            workers=1,
         )
-    shard_stats = []
-    values = {}
-    for part, worker_stats in pool.run_tasks(tasks, budget, retry=retry):
-        values.update(part)
-        shard_stats.append(worker_stats)
-    for worker_stats in shard_stats:
-        stats.merge(worker_stats)
-    return values
+        attempt_stats = MainAlgorithmStats()
+        result = process_serial(per_cluster_members, attempt_engine, attempt_stats)
+        return result, attempt_stats
+
+    (outcome,) = WorkerPool(1).run_tasks(
+        [task], budget, retry=retry, on_failure="salvage"
+    )
+    if outcome.error is None:
+        values, attempt_stats = outcome.value
+        stats.merge(attempt_stats)
+        return values
+    if on_shard_failure != "salvage":
+        raise outcome.error
+    return merge_unary_outcomes(
+        [outcome],
+        [[index for index, _ in per_cluster_members]],
+        [sum(len(members) for _, members in per_cluster_members)],
+        "evaluate_unary_main_algorithm",
+    )

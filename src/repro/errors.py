@@ -28,8 +28,9 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library.
 
     All subclasses pickle faithfully — type, message *and* structured
-    attributes survive a process boundary — so the process worker backend
-    can re-raise the original error instead of a lossy generic wrapper.
+    attributes survive a process boundary — so a worker pool's child
+    process can re-raise the original error instead of a lossy generic
+    wrapper.
     """
 
     def __reduce__(self):

@@ -184,7 +184,7 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: Dict[str, Dict]) -> None:
         """Fold a :meth:`snapshot` payload into this registry.
 
-        The cross-process twin of :meth:`merge`: process-backend workers
+        The cross-process twin of :meth:`merge`: child-process workers
         cannot ship live registries back (and should not — snapshots are
         plain JSON-safe dicts), so they return snapshots that the parent
         folds in on join.
@@ -224,9 +224,9 @@ def hit_rate(hits: int, misses: int) -> "Optional[float]":
 
 # ---------------------------------------------------------------------------
 # The process-global registry (same pattern as robust.faults), plus a
-# thread-local override used by worker pools: each worker records into a
-# private registry (no lock contention with its siblings) that the pool
-# merges into the parent registry on join.
+# thread-local override: a worker pool's child process records into a
+# private registry whose snapshot the parent merges on join, and the
+# service's quantum threads install the service's registry.
 # ---------------------------------------------------------------------------
 
 _ACTIVE: "Optional[MetricsRegistry]" = None
@@ -236,8 +236,8 @@ _THREAD_OVERRIDE = threading.local()
 def active_metrics() -> "Optional[MetricsRegistry]":
     """The registry for the calling thread, or ``None`` (collection off).
 
-    A thread-local override installed by :func:`set_thread_metrics` (the
-    worker-pool hook) wins over the process-global registry.
+    A thread-local override installed by :func:`set_thread_metrics` wins
+    over the process-global registry.
     """
     override = getattr(_THREAD_OVERRIDE, "registry", None)
     if override is not None:

@@ -2,69 +2,43 @@
 
 Section 8.2's main algorithm is embarrassingly parallel across cover
 clusters: each cluster's members are evaluated entirely inside the induced
-substructure ``A[X]``, with no shared mutable state between clusters.
-:class:`WorkerPool` turns that structure (and the analogous fan-outs over
-target elements and over batched inputs) into actual concurrency:
+substructure ``A[X]``, with no shared mutable state between clusters.  The
+engine is pure-Python CPU work, so only separate interpreters run it in
+parallel; :class:`WorkerPool` therefore has one fan-out mechanism:
 
-* ``backend="thread"`` (default) — a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Structures, covers and compiled plans are shared by reference; the
-  thread-safe :class:`~repro.plan.cache.PlanCache` and the per-worker
-  metrics registries (below) make that sharing sound.  On CPython the GIL
-  serialises pure-Python bytecode, so thread speedups materialise only
-  where workers release the GIL; the backend's real value today is that
-  it exercises (and therefore keeps honest) the engine's concurrency
-  contracts at near-zero shipping cost.
-* ``backend="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Work items are pickled to child interpreters, which sidesteps the GIL
-  for CPU-bound evaluation at the cost of serialising the inputs; tasks
-  must be module-level functions over picklable payloads.
-* ``backend="serial"`` — run inline on the calling thread.  This is also
-  what any backend degrades to when the effective worker count is 1 or
-  there is at most one work item, so ``workers=1`` follows *exactly* the
-  pre-parallel code path (no executor, no budget slicing, no registry
-  swapping) and costs nothing over it.
+* at one worker (or at most one work item) everything runs inline on the
+  calling thread — the pre-parallel code path, with no executor and no
+  pickling;
+* above one worker :meth:`WorkerPool.map_outcomes` ships module-level
+  payload functions to a :class:`~concurrent.futures.ProcessPoolExecutor`
+  (see :mod:`repro.parallel.tasks`).
+
+:meth:`WorkerPool.run_tasks` takes thunks that close over live engine
+state, which cannot cross a process boundary, so it always runs inline;
+it exists for the retry loop, salvage and checkpoint bookkeeping.
 
 Determinism guarantee
 ---------------------
-``map`` and ``run_tasks`` return results in **input order** regardless of
-completion order, and every engine integration shards its work
-deterministically (contiguous chunks of the cluster-index / target /
-input order, via :func:`shard`) and merges shard results in shard-index
-order.  A parallel evaluation therefore produces *byte-identical* output
-— same values, same dict insertion order — as the serial path, for every
-worker count.  Failures are deterministic too: when several tasks raise,
-the exception of the lowest-indexed task is the one re-raised.
+``map_outcomes`` and ``run_tasks`` return results in **input order**
+regardless of completion order, and every engine integration shards its
+work deterministically (contiguous chunks of the cluster-index / input
+order, via :func:`shard`) and merges shard results in shard-index order.
+A parallel evaluation therefore produces *byte-identical* output — same
+values, same dict insertion order — as the serial path, for every worker
+count.  Failures are deterministic too: when several shards raise, the
+exception of the lowest-indexed shard is the one re-raised.
 
-Budget semantics
-----------------
-``run_tasks`` gives each task a proportional slice of the caller's
-:class:`~repro.robust.budget.EvaluationBudget` via
-:meth:`~repro.robust.budget.EvaluationBudget.split`: the **deadline stays
-authoritative** (children inherit the parent's absolute deadline — wall
-clock is not divisible across concurrent workers), while the remaining
-*step* budget is divided evenly.  On join, each task's spent steps are
-charged back to the parent in task order, so a following serial phase
-sees the true total.
-
-Metrics semantics
------------------
-When a metrics registry is active, each task runs against a fresh
-per-worker :class:`~repro.obs.metrics.MetricsRegistry` (installed as a
-thread-local override) and the deltas are merged into the parent registry
-in task order on join — counters are additive, so totals match the serial
-run exactly; workers never contend on the parent registry's lock from
-inside hot loops.
+Budgets and metrics across the process boundary are the payload layer's
+business: each payload carries its slice of the caller's budget, and
+:func:`repro.parallel.tasks._join_shards` charges the children's steps
+back and folds their metrics snapshots in shard order.
 
 Fault tolerance
 ---------------
 ``run_tasks`` and ``map_outcomes`` accept a
 :class:`~repro.robust.retry.RetryPolicy`: a failed shard is re-run — only
 that shard — up to the policy's bounded attempt count, with deterministic
-seeded backoff.  Each retry attempt gets a **fresh** budget slice of the
-original share (a slice a failed attempt exhausted would doom the retry),
-and every attempt's spent steps — failed or not — are accumulated and
-charged back to the parent exactly once on join, so retrying never
-double-counts.  With ``on_failure="salvage"`` permanent shard failures no
+seeded backoff.  With ``on_failure="salvage"`` permanent shard failures no
 longer raise: the call returns one :class:`ShardOutcome` per shard, and
 the caller merges the completed shards into a
 :class:`~repro.robust.partial.PartialResult`.
@@ -73,25 +47,21 @@ The pool is also a chaos surface: when a pool actually fans out, each
 shard attempt passes three parent-side fault checkpoints —
 ``worker.task`` at submission, ``worker.join`` when the shard's outcome
 is collected, and ``shard.result`` when its result is accepted into the
-merge.  Checking in the parent (in deterministic shard order) keeps hit
-numbering identical across the thread and process backends; an injected
-fault counts as that attempt's failure and is retried like any other
-transient error.
+merge.  Checking in the parent, in deterministic shard order, keeps hit
+numbering independent of which child runs which shard; an injected fault
+counts as that attempt's failure and is retried like any other transient
+error.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import FaultInjectedError, ReproError, SuspendedError
-from ..obs.metrics import (
-    MetricsRegistry,
-    active_metrics,
-    set_thread_metrics,
-)
+from ..obs.metrics import active_metrics
 from ..robust.budget import EvaluationBudget
 from ..robust.checkpoint import active_checkpoint_session
 from ..robust.faults import fault_check
@@ -99,7 +69,6 @@ from ..robust.partial import validate_failure_mode
 from ..robust.retry import RetryPolicy
 
 __all__ = [
-    "BACKENDS",
     "ParallelError",
     "ShardOutcome",
     "WORKERS_ENV_VAR",
@@ -112,14 +81,12 @@ __all__ = [
 #: (the CLI's ``--workers`` and the engines' ``workers=None`` default).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-BACKENDS = ("serial", "thread", "process")
-
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 class ParallelError(ReproError):
-    """A worker pool was misconfigured or a backend cannot run the task."""
+    """A worker pool was misconfigured or a task cannot cross to a child."""
 
 
 @dataclass
@@ -128,9 +95,10 @@ class ShardOutcome:
 
     ``error is None`` means the shard completed (possibly after retries)
     and ``value`` holds its result; otherwise ``error`` is the *final*
-    attempt's exception and ``value`` is ``None``.  ``steps`` accumulates
-    the budget steps of every attempt, failed ones included — the work
-    happened and is charged to the parent either way.
+    attempt's exception and ``value`` is ``None``.  ``steps`` counts the
+    budget steps child processes spent on the shard, failed attempts
+    included — the work happened and is charged to the parent either way.
+    Inline shards charge the caller's budget directly and leave it 0.
     """
 
     index: int
@@ -189,8 +157,156 @@ def shard(items: Sequence[T], shards: int) -> List[List[T]]:
     return chunks
 
 
+def _checkpointed(
+    count: int,
+) -> "Tuple[dict, Optional[Callable[[int, Any], None]]]":
+    """The active checkpoint session's view of a ``count``-shard fan-out:
+    the shards it restores, and the hook that records newly completed
+    ones (``None`` when no session is active on this thread)."""
+    session = active_checkpoint_session()
+    if session is None or not session.on_owner_thread():
+        return {}, None
+    scope = session.next_shard_scope(count)
+    return session.resumed_shards(scope), (
+        lambda index, value: session.record_shard(scope, index, value)
+    )
+
+
+def _drive(
+    attempt: Callable[[int], Any],
+    count: int,
+    retry: "Optional[RetryPolicy]",
+    resumed: dict,
+    record: "Optional[Callable[[int, Any], None]]",
+    submit: "Optional[Callable[[int], Future]]" = None,
+) -> List[ShardOutcome]:
+    """Run every shard with retries; fault checks when it fans out.
+
+    Without ``submit`` each attempt is ``attempt(index)`` on the calling
+    thread and no fault site is checked (no pool fans out).  With
+    ``submit`` (which schedules one shard on an executor and returns the
+    future) first attempts are all submitted up front and collected in
+    index order, while retries are driven one at a time from the
+    collection loop — still through ``submit``, so a retry re-enters a
+    child.  All fault checkpoints run on the calling thread, in index
+    order, which is what makes their hit numbering deterministic.
+
+    ``resumed`` maps shard indices to values restored from a checkpoint:
+    those shards are never submitted, never attempted and pass no fault
+    checkpoints.  ``record`` is called (on this thread, in index order)
+    with every *newly* completed shard's ``(index, value)``.
+    """
+    registry = active_metrics()
+    fan_out = submit is not None
+
+    def checked(site: str) -> None:
+        if fan_out:
+            fault_check(site)
+
+    def run_attempt(index: int) -> Any:
+        checked("worker.task")
+        value = submit(index).result() if fan_out else attempt(index)
+        checked("worker.join")
+        checked("shard.result")
+        return value
+
+    futures: "List[Optional[Future]]" = [None] * count
+    pre_error: List[Optional[BaseException]] = [None] * count
+    if fan_out:
+        for index in range(count):
+            if index in resumed:
+                continue
+            try:
+                checked("worker.task")
+            except FaultInjectedError as error:
+                pre_error[index] = error
+                continue
+            futures[index] = submit(index)
+
+    outcomes: List[ShardOutcome] = []
+    for index in range(count):
+        if index in resumed:
+            outcomes.append(
+                ShardOutcome(index=index, value=resumed[index], attempts=0)
+            )
+            if registry is not None:
+                registry.inc("parallel.shard.resumed")
+            continue
+        attempts = 1
+        value: Any = None
+        error: "Optional[BaseException]" = pre_error[index]
+        try:
+            if not fan_out:
+                value = attempt(index)
+            elif futures[index] is not None:
+                value = futures[index].result()
+                checked("worker.join")
+                checked("shard.result")
+        except BaseException as raised:  # noqa: BLE001 — kept per shard
+            error, value = raised, None
+
+        lost_steps = 0
+        while (
+            error is not None
+            and retry is not None
+            and retry.should_retry(error, attempts)
+        ):
+            # Failed remote attempts carry their spent steps on the
+            # exception (see repro.parallel.tasks); keep charging them.
+            lost_steps += getattr(error, "remote_steps", 0)
+            if registry is not None:
+                registry.inc("parallel.retry.attempt")
+            retry.pause(index, attempts)
+            attempts += 1
+            error = None
+            try:
+                value = run_attempt(index)
+            except BaseException as raised:  # noqa: BLE001 — kept per shard
+                error, value = raised, None
+
+        if error is not None:
+            lost_steps += getattr(error, "remote_steps", 0)
+            if not isinstance(error, Exception):
+                raise error  # KeyboardInterrupt &c. are never shard-scoped
+            if registry is not None:
+                registry.inc("parallel.retry.exhausted")
+        elif attempts > 1 and registry is not None:
+            registry.inc("parallel.retry.recovered")
+        if error is None and record is not None:
+            record(index, value)
+        outcomes.append(
+            ShardOutcome(
+                index=index,
+                value=value,
+                error=error,
+                attempts=attempts,
+                steps=lost_steps,
+            )
+        )
+    return outcomes
+
+
+def _finalize(
+    outcomes: List[ShardOutcome], on_failure: str
+) -> "List[ShardOutcome] | List[Any]":
+    # Suspension is never a shard-scoped failure: a suspended shard means
+    # the evaluation's budget quantum is spent, so it propagates even in
+    # salvage mode (the completed shards are already in the checkpoint
+    # and the resumed run picks them up for free).
+    for outcome in outcomes:
+        if isinstance(outcome.error, SuspendedError):
+            raise outcome.error
+    if on_failure == "salvage":
+        return outcomes
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
+    return [outcome.value for outcome in outcomes]
+
+
 class WorkerPool:
-    """A deterministic fan-out/fan-in pool over one of the three backends.
+    """A deterministic fan-out/fan-in pool: inline at one worker, child
+    processes above one.
 
     Pools are cheap value objects: executors are created per call and torn
     down before returning, so a pool can be stored on an engine and used
@@ -198,200 +314,11 @@ class WorkerPool:
     (``REPRO_WORKERS`` or 1).
     """
 
-    def __init__(
-        self,
-        workers: "Optional[int]" = None,
-        backend: str = "thread",
-    ) -> None:
-        if backend not in BACKENDS:
-            raise ParallelError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
+    def __init__(self, workers: "Optional[int]" = None) -> None:
         self.workers = resolve_workers(workers)
-        self.backend = backend if self.workers > 1 else "serial"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WorkerPool(workers={self.workers}, backend={self.backend!r})"
-
-    # -- the bare ordered map ------------------------------------------------
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, returning results in input order.
-
-        With an effective worker count of 1 (or at most one item) this is
-        a plain loop on the calling thread.  The process backend requires
-        ``fn`` and the items to be picklable (module-level functions).
-        """
-        items = list(items)
-        workers = min(self.workers, len(items))
-        if workers <= 1 or self.backend == "serial":
-            return [fn(item) for item in items]
-        if self.backend == "process":
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                return list(executor.map(fn, items))
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            futures = [executor.submit(fn, item) for item in items]
-            # Collect in submission order; the first (lowest-index) failure
-            # wins so errors are as deterministic as results.
-            return [future.result() for future in futures]
-
-    # -- the retrying attempt driver -------------------------------------------
-
-    def _drive(
-        self,
-        attempt: Callable[[int], Any],
-        count: int,
-        retry: "Optional[RetryPolicy]",
-        submit: "Optional[Callable[[int], Any]]",
-        check_faults: bool,
-        resumed: "Optional[dict]" = None,
-        record: "Optional[Callable[[int, Any], None]]" = None,
-    ) -> List[ShardOutcome]:
-        """Run ``attempt(index)`` for every shard with retries and fault checks.
-
-        When ``submit`` is given it schedules one shard on an executor and
-        returns the future; first attempts are all submitted up front and
-        collected in index order, while retries are driven one at a time
-        from the collection loop — still through ``submit``, so a process
-        shard's retry keeps its isolation (the caller's ``submit`` ships
-        the module-level function, never a closure).  All fault
-        checkpoints run on the calling thread, in index order, which is
-        what makes their hit numbering deterministic and
-        backend-independent.
-
-        ``resumed`` maps shard indices to values restored from a
-        checkpoint: those shards are never submitted, never attempted and
-        pass no fault checkpoints — they re-execute nothing.  ``record``
-        is called (on this thread, in index order) with every *newly*
-        completed shard's ``(index, value)`` so the active checkpoint
-        session can persist it.
-        """
-        registry = active_metrics()
-        if resumed is None:
-            resumed = {}
-
-        def checked(site: str) -> None:
-            if check_faults:
-                fault_check(site)
-
-        futures: List[Optional[object]] = [None] * count
-        pre_error: List[Optional[BaseException]] = [None] * count
-        if submit is not None:
-            for index in range(count):
-                if index in resumed:
-                    continue
-                try:
-                    checked("worker.task")
-                except FaultInjectedError as error:
-                    pre_error[index] = error
-                    continue
-                futures[index] = submit(index)
-
-        def run_attempt(index: int) -> Any:
-            if submit is not None:
-                return submit(index).result()
-            return attempt(index)
-
-        outcomes: List[ShardOutcome] = []
-        for index in range(count):
-            if index in resumed:
-                outcomes.append(
-                    ShardOutcome(index=index, value=resumed[index], attempts=0)
-                )
-                if registry is not None:
-                    registry.inc("parallel.shard.resumed")
-                continue
-            attempts = 1
-            value: Any = None
-            error: "Optional[BaseException]" = None
-            if submit is not None:
-                error = pre_error[index]
-                future = futures[index]
-                if future is not None:
-                    try:
-                        value = future.result()
-                    except BaseException as raised:  # noqa: BLE001 — kept per shard
-                        error = raised
-                if error is None:
-                    try:
-                        checked("worker.join")
-                        checked("shard.result")
-                    except FaultInjectedError as raised:
-                        error = raised
-                        value = None
-            else:
-                try:
-                    checked("worker.task")
-                    value = attempt(index)
-                    checked("worker.join")
-                    checked("shard.result")
-                except BaseException as raised:  # noqa: BLE001 — kept per shard
-                    error = raised
-                    value = None
-
-            lost_steps = 0
-            while (
-                error is not None
-                and retry is not None
-                and retry.should_retry(error, attempts)
-            ):
-                # Failed remote attempts carry their spent steps on the
-                # exception (see repro.parallel.tasks); keep charging them.
-                lost_steps += getattr(error, "remote_steps", 0)
-                if registry is not None:
-                    registry.inc("parallel.retry.attempt")
-                retry.pause(index, attempts)
-                attempts += 1
-                error = None
-                try:
-                    checked("worker.task")
-                    value = run_attempt(index)
-                    checked("worker.join")
-                    checked("shard.result")
-                except BaseException as raised:  # noqa: BLE001 — kept per shard
-                    error = raised
-                    value = None
-
-            if error is not None:
-                lost_steps += getattr(error, "remote_steps", 0)
-                if not isinstance(error, Exception):
-                    raise error  # KeyboardInterrupt &c. are never shard-scoped
-                if registry is not None:
-                    registry.inc("parallel.retry.exhausted")
-            elif attempts > 1 and registry is not None:
-                registry.inc("parallel.retry.recovered")
-            if error is None and record is not None:
-                record(index, value)
-            outcomes.append(
-                ShardOutcome(
-                    index=index,
-                    value=value,
-                    error=error,
-                    attempts=attempts,
-                    steps=lost_steps,
-                )
-            )
-        return outcomes
-
-    @staticmethod
-    def _finalize(
-        outcomes: List[ShardOutcome], on_failure: str
-    ) -> "List[ShardOutcome] | List[Any]":
-        # Suspension is never a shard-scoped failure: a suspended shard
-        # means the evaluation's budget quantum is spent, so it propagates
-        # even in salvage mode (the completed shards are already in the
-        # checkpoint and the resumed run picks them up for free).
-        for outcome in outcomes:
-            if isinstance(outcome.error, SuspendedError):
-                raise outcome.error
-        if on_failure == "salvage":
-            return outcomes
-        for outcome in outcomes:
-            if outcome.error is not None:
-                raise outcome.error
-        return [outcome.value for outcome in outcomes]
-
-    # -- the instrumented fan-out used by the engines --------------------------
+        return f"WorkerPool(workers={self.workers})"
 
     def run_tasks(
         self,
@@ -400,163 +327,33 @@ class WorkerPool:
         retry: "Optional[RetryPolicy]" = None,
         on_failure: str = "raise",
     ) -> "List[R] | List[ShardOutcome]":
-        """Run budget-aware thunks with slicing, charge-back and metrics merge.
+        """Run budget-aware thunks inline, in order, at any worker count.
 
-        Each task is a callable taking its own
-        :class:`~repro.robust.budget.EvaluationBudget` slice (or ``None``
-        when the caller runs unbudgeted).  See the module docstring for
-        the budget, metrics, determinism and fault-tolerance contracts.
-        Thunks close over live engine state, so this entry point is for
-        the serial and thread backends; process-backed integrations go
-        through :meth:`map_outcomes` with module-level payload functions.
+        Each task is a callable taking the caller's
+        :class:`~repro.robust.budget.EvaluationBudget` (or ``None`` when
+        the caller runs unbudgeted), which it consumes directly.  Thunks
+        close over live engine state, so they never leave the calling
+        thread; process fan-outs go through :meth:`map_outcomes` with
+        module-level payload functions.
 
-        With ``retry`` set, a failed shard re-runs (alone) under a fresh
-        slice of its original share per attempt.  ``on_failure="raise"``
-        (default) re-raises the lowest-indexed permanent failure and
-        returns plain results; ``"salvage"`` returns one
-        :class:`ShardOutcome` per shard and never raises for shard
-        failures (parent budget exhaustion still raises).
+        With ``retry`` set, a failed task re-runs (alone).
+        ``on_failure="raise"`` (default) re-raises the lowest-indexed
+        permanent failure and returns plain results; ``"salvage"``
+        returns one :class:`ShardOutcome` per task and never raises for
+        task failures.  Under an active checkpoint session completed tasks
+        are recorded, and a resumed run skips them.
         """
         validate_failure_mode(on_failure)
         tasks = list(tasks)
         if not tasks:
             return []
-        session = active_checkpoint_session()
-        if session is not None and not session.on_owner_thread():
-            session = None
-        resumed: dict = {}
-        record: "Optional[Callable[[int, Any], None]]" = None
-        if session is not None:
-            scope = session.next_shard_scope(len(tasks))
-            resumed = session.resumed_shards(scope)
-            record = lambda index, value: session.record_shard(  # noqa: E731
-                scope, index, value
-            )
-        workers = min(self.workers, len(tasks))
-        serial = workers <= 1 or self.backend == "serial"
-        if serial and retry is None and on_failure == "raise" and session is None:
-            # The serial path is the pre-parallel code path: the parent
-            # budget is consumed directly (no slicing) and metrics go
-            # straight to the active registry.
+        resumed, record = _checkpointed(len(tasks))
+        if retry is None and on_failure == "raise" and record is None:
             return [task(budget) for task in tasks]
-        if self.backend == "process" and not serial:
-            raise ParallelError(
-                "run_tasks thunks close over live engine state and cannot "
-                "cross a process boundary; use WorkerPool.map_outcomes with "
-                "a module-level payload function instead"
-            )
-
-        if serial:
-            # Same inline semantics, plus the retry loop / salvage /
-            # checkpoint bookkeeping: the parent budget is consumed
-            # directly, so there is nothing to slice or charge back, and
-            # the worker fault sites stay silent (no pool actually fans
-            # out).
-            outcomes = self._drive(
-                lambda index: tasks[index](budget),
-                len(tasks),
-                retry,
-                submit=None,
-                check_faults=False,
-                resumed=resumed,
-                record=record,
-            )
-            return self._finalize(outcomes, on_failure)
-
-        count = len(tasks)
-        slices = budget.split(count) if budget is not None else [None] * count
-        shares = [s.max_steps if s is not None else None for s in slices]
-        spent = [0] * count
-        started = [False] * count
-        current: List[Optional[EvaluationBudget]] = list(slices)
-        parent_registry = active_metrics()
-        workspaces: List[Optional[MetricsRegistry]] = [
-            MetricsRegistry() if parent_registry is not None else None
-            for _ in tasks
-        ]
-
-        def attempt(index: int) -> R:
-            if started[index]:
-                # A retry: the previous slice may be exhausted or
-                # deadline-stale, so rebuild one with the original step
-                # share under the parent's (authoritative) deadline.
-                current[index] = (
-                    None
-                    if budget is None
-                    else EvaluationBudget(
-                        deadline=budget.remaining_seconds(),
-                        max_steps=shares[index],
-                        check_interval=budget._check_interval,
-                        _deadline_at=budget._deadline_at,
-                        preemptible=budget.preemptible,
-                        stage=budget.stage,
-                    )
-                )
-            started[index] = True
-            task_budget = current[index]
-            workspace = workspaces[index]
-            try:
-                if workspace is None:
-                    return tasks[index](task_budget)
-                previous = set_thread_metrics(workspace)
-                try:
-                    if task_budget is not None:
-                        # The slice captured the parent thread's registry
-                        # at construction; rebind so its ticks land in the
-                        # worker's private registry instead of contending
-                        # on the parent's.
-                        task_budget._metrics = workspace
-                    return tasks[index](task_budget)
-                finally:
-                    # Restore inside one finally that covers everything
-                    # after the install: an override left behind on a
-                    # reused thread would swallow later sessions' metrics.
-                    set_thread_metrics(previous)
-            finally:
-                # Every attempt's work — failed or not — is accounted.
-                if task_budget is not None:
-                    spent[index] += task_budget.steps
-
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            outcomes = self._drive(
-                attempt,
-                count,
-                retry,
-                submit=lambda index: executor.submit(attempt, index),
-                check_faults=True,
-                resumed=resumed,
-                record=record,
-            )
-        for outcome in outcomes:
-            if outcome.attempts:
-                outcome.steps = spent[outcome.index]
-
-        # Deterministic joins: metrics deltas and step charge-back fold in
-        # task-index order whether or not a task failed (a failed shard's
-        # partial work still happened and must be accounted for).
-        if parent_registry is not None:
-            for workspace in workspaces:
-                if workspace is not None:
-                    parent_registry.merge(workspace)
-        first_error = next(
-            (o.error for o in outcomes if o.error is not None), None
+        outcomes = _drive(
+            lambda index: tasks[index](budget), len(tasks), retry, resumed, record
         )
-        if budget is not None:
-            total = sum(spent)
-            if total:
-                try:
-                    budget.charge(total, site="parallel.join")
-                except Exception:
-                    # Charging may itself trip the parent's step limit; a
-                    # worker failure (e.g. the slice that exhausted first)
-                    # is the more precise signal, so prefer re-raising it
-                    # in fail-fast mode.  Salvage callers asked to keep
-                    # shard failures, but a dry *parent* still raises.
-                    if first_error is None or on_failure == "salvage":
-                        raise
-        return self._finalize(outcomes, on_failure)
-
-    # -- the process-capable fan-out over picklable payloads -------------------
+        return _finalize(outcomes, on_failure)
 
     def map_outcomes(
         self,
@@ -565,68 +362,38 @@ class WorkerPool:
         retry: "Optional[RetryPolicy]" = None,
         on_failure: str = "raise",
     ) -> "List[R] | List[ShardOutcome]":
-        """:meth:`map` with per-item retries, fault checkpoints and salvage.
+        """``fn`` over ``items`` in input order, on child processes when
+        the pool has more than one worker and there is more than one item.
 
-        The retrying/salvage counterpart of :meth:`map`, usable on every
-        backend (the process backend requires ``fn`` and the items to be
-        picklable, as for :meth:`map`).  Budget slicing stays with the
-        caller — payload builders bake each item's slice into the payload
-        (see :mod:`repro.parallel.tasks`) — so a failed item's retry
-        re-runs with the slice its payload carries.
+        ``fn`` and the items must pickle (module-level functions).  Budget
+        slicing stays with the caller — payload builders bake each item's
+        slice into the payload (see :mod:`repro.parallel.tasks`) — so a
+        failed item's retry re-runs with the slice its payload carries.
+        ``retry`` and ``on_failure`` behave as in :meth:`run_tasks`.
         """
         validate_failure_mode(on_failure)
         items = list(items)
         if not items:
             return []
-        session = active_checkpoint_session()
-        if session is not None and not session.on_owner_thread():
-            session = None
-        resumed: dict = {}
-        record: "Optional[Callable[[int, Any], None]]" = None
-        if session is not None:
-            scope = session.next_shard_scope(len(items))
-            resumed = session.resumed_shards(scope)
-            record = lambda index, value: session.record_shard(  # noqa: E731
-                scope, index, value
-            )
+        resumed, record = _checkpointed(len(items))
         workers = min(self.workers, len(items))
 
         def attempt(index: int) -> R:
             return fn(items[index])
 
-        if workers <= 1 or self.backend == "serial":
-            outcomes = self._drive(
-                attempt,
-                len(items),
-                retry,
-                submit=None,
-                check_faults=False,
-                resumed=resumed,
-                record=record,
-            )
-        elif self.backend == "process":
+        if workers <= 1:
+            outcomes = _drive(attempt, len(items), retry, resumed, record)
+        else:
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 # Ship the module-level ``fn`` and the item — never the
                 # ``attempt`` closure, which cannot cross a process
                 # boundary.
-                outcomes = self._drive(
+                outcomes = _drive(
                     attempt,
                     len(items),
                     retry,
+                    resumed,
+                    record,
                     submit=lambda index: executor.submit(fn, items[index]),
-                    check_faults=True,
-                    resumed=resumed,
-                    record=record,
                 )
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                outcomes = self._drive(
-                    attempt,
-                    len(items),
-                    retry,
-                    submit=lambda index: executor.submit(fn, items[index]),
-                    check_faults=True,
-                    resumed=resumed,
-                    record=record,
-                )
-        return self._finalize(outcomes, on_failure)
+        return _finalize(outcomes, on_failure)

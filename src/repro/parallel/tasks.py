@@ -1,20 +1,27 @@
-"""Module-level work units for the process backend.
+"""Module-level work units for the process fan-outs.
 
 A :class:`~concurrent.futures.ProcessPoolExecutor` can only run picklable
-callables over picklable arguments, so the closures the thread backend
-enjoys are off the table.  This module holds the top-level task functions
-and their payload plumbing: each task reconstructs its instruments in the
-child — a fresh :class:`~repro.robust.budget.EvaluationBudget` built from
-the parent slice's remaining allowance, a fresh
+callables over picklable arguments, so engine closures are off the table.
+This module holds the top-level task functions and their payload
+plumbing: each task reconstructs its instruments in the child — a fresh
+:class:`~repro.robust.budget.EvaluationBudget` built from the parent
+slice's remaining allowance, a fresh
 :class:`~repro.obs.metrics.MetricsRegistry` when the parent had one
 active — runs the shard, and ships back ``(result, steps,
 metrics_snapshot)`` for the parent to fold in deterministically (shard
-order), mirroring the thread backend's join semantics.
+order): the children's steps are charged to the parent budget exactly
+once, failed attempts included.
 
 Budget caveat: an absolute monotonic deadline does not serialise
 meaningfully, so child budgets restart the clock from the slice's
 *remaining seconds* at payload-build time.  The parent deadline stays
 authoritative up to the (small) pickling latency.
+
+Predicate collections cross as ``None`` when the engine was built
+without one — children rebuild the standard collection, whose closures
+do not pickle — and otherwise as themselves, which must pickle
+(module-level functions); :func:`_ensure_picklable` rejects the rest
+with a :class:`~repro.parallel.ParallelError`.
 
 Error fidelity: a failing child re-raises the **original** exception in
 the parent — :class:`~repro.errors.ReproError` subclasses pickle
@@ -36,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs.metrics import MetricsRegistry, active_metrics, set_thread_metrics
 from ..robust.budget import EvaluationBudget
 from ..robust.retry import RetryPolicy
-from .pool import ParallelError, WorkerPool
+from .pool import ParallelError, WorkerPool, shard
 
 __all__ = [
     "run_per_cluster_shards",
@@ -68,9 +75,9 @@ def _ensure_picklable(obj: object, what: str) -> object:
         pickle.dumps(obj)
     except Exception as error:
         raise ParallelError(
-            f"the process backend must pickle {what} to child workers "
+            f"workers > 1 must pickle {what} to child processes "
             f"({type(error).__name__}: {error}); pass a picklable value or "
-            "None, or use the thread backend"
+            "None, or run with workers=1"
         ) from None
     return obj
 
@@ -101,20 +108,14 @@ def _run_in_child(fn, budget_params: _BudgetParams, want_metrics: bool):
     try:
         # Built after the registry is installed so the budget's captured
         # metrics hook points at the child registry.
-        # Older callers ship the 2-tuple form without the preemption
-        # fields; default those to the non-preemptible mode.
-        budget = (
-            None
-            if budget_params is None
-            else EvaluationBudget(
-                deadline=budget_params[0],
-                max_steps=budget_params[1],
-                preemptible=(
-                    budget_params[2] if len(budget_params) > 2 else False
-                ),
-                stage=budget_params[3] if len(budget_params) > 3 else "",
+        if budget_params is not None:
+            deadline, max_steps, preemptible, stage = budget_params
+            budget = EvaluationBudget(
+                deadline=deadline,
+                max_steps=max_steps,
+                preemptible=preemptible,
+                stage=stage,
             )
-        )
         result = fn(budget)
         steps = budget.steps if budget is not None else 0
     except BaseException as error:  # noqa: BLE001 — re-raised, annotated
@@ -208,7 +209,7 @@ def run_per_cluster_shards(
     retry: "Optional[RetryPolicy]" = None,
     salvage: bool = False,
 ):
-    """Process-backend fan-out for :func:`~repro.core.cover_eval.evaluate_per_cluster`.
+    """Process fan-out for :func:`~repro.core.cover_eval.evaluate_per_cluster`.
 
     Returns the merged per-element dict; with ``salvage`` returns the raw
     shard outcome list (values are the shard dicts) for the caller to
@@ -254,13 +255,15 @@ def run_per_cluster_shards(
 
 
 def _count_many_task(payload: tuple):
-    (plan, structure, params, metrics) = payload
+    (plan, structure, predicates, params, metrics) = payload
     from ..logic.predicates import standard_collection
     from ..plan.executor import PlanExecutor
 
+    if predicates is None:
+        predicates = standard_collection()
     return _run_in_child(
         lambda budget: PlanExecutor(
-            plan, structure, standard_collection(), budget
+            plan, structure, predicates, budget
         ).count_value(),
         params,
         metrics,
@@ -271,20 +274,22 @@ def run_count_many_shards(
     pool: WorkerPool,
     plans: Sequence,
     structures: Sequence,
+    predicates,
     budget: "Optional[EvaluationBudget]",
     retry: "Optional[RetryPolicy]" = None,
     salvage: bool = False,
 ):
-    """Process-backend fan-out for ``Evaluator.count_many``.
+    """Process fan-out for ``Foc1Evaluator.count_many``.
 
     One payload per input structure; ``plans[i]`` is the compiled plan for
     ``structures[i]`` (already deduplicated by signature on the parent
     side, so pickling ships each distinct plan once per worker at worst).
-    Child workers evaluate with the standard predicate collection —
-    custom collections are closures and stay a thread-backend feature.
-    With ``salvage`` the raw shard outcome list comes back (one outcome
-    per input structure) instead of the plain count list.
+    Children evaluate with ``predicates``, or the standard collection
+    when it is ``None``.  With ``salvage`` the raw shard outcome list
+    comes back (one outcome per input structure) instead of the plain
+    count list.
     """
+    _ensure_picklable(predicates, "the predicate collection")
     want_metrics = active_metrics() is not None
     slices = (
         budget.split(len(structures))
@@ -292,7 +297,13 @@ def run_count_many_shards(
         else [None] * len(structures)
     )
     payloads = [
-        (plans[i], structures[i], _slice_params(slices[i]), want_metrics)
+        (
+            plans[i],
+            structures[i],
+            predicates,
+            _slice_params(slices[i]),
+            want_metrics,
+        )
         for i in range(len(structures))
     ]
     return _join_shards(
@@ -345,12 +356,9 @@ def run_approx_shards(
     Each shard gets a contiguous chunk of ``(block_index, sample_count)``
     specs; every block owns its own seeded RNG stream, so the flattened
     ``(block, hits, count)`` list — re-sorted by block index — is
-    identical to a serial run regardless of backend or worker count.
+    identical to a serial run at every worker count.
     """
-    from .pool import shard
-
-    if pool.backend == "process":
-        _ensure_picklable(predicates, "the predicate collection")
+    _ensure_picklable(predicates, "the predicate collection")
     shards = [chunk for chunk in shard(list(block_specs), pool.workers) if chunk]
     want_metrics = active_metrics() is not None
     slices = (

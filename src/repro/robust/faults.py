@@ -24,13 +24,13 @@ armed fault cannot strike it twice.
 
 Concurrency and determinism
 ---------------------------
-The parallel layer checks faults from worker threads, so all counter
-updates happen under a lock — hits are never lost to races.  Rate-mode
-draws are a pure function of ``(seed, site, hit)`` (seeded with a *string*,
-which hashes deterministically across processes): whether hit N of a site
-faults does not depend on thread interleaving or on draws at other sites,
-so the same seed produces the same fault schedule under ``workers=1``, the
-thread backend and the process backend alike.
+Injectors may be shared by threads (the service runs quanta on several),
+so all counter updates happen under a lock — hits are never lost to
+races.  Rate-mode draws are a pure function of ``(seed, site, hit)``
+(seeded with a *string*, which hashes deterministically across
+processes): whether hit N of a site faults does not depend on thread
+interleaving or on draws at other sites, so a seed gives one fault
+schedule for a given worker count, run after run.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ FAULT_SITES = (
 #: once per shard *in the parent* — at submission (``worker.task``), when a
 #: shard's outcome is collected (``worker.join``) and when its result is
 #: accepted into the merge (``shard.result``).  Parent-side checking keeps
-#: hit numbering deterministic and identical across thread and process
-#: backends (process children would otherwise each start a fresh counter).
+#: hit numbering deterministic (process children would otherwise each
+#: start a fresh counter).
 PARALLEL_FAULT_SITES = ("worker.task", "worker.join", "shard.result")
 
 
@@ -93,7 +93,7 @@ class FaultInjector:
         Maximum number of rate-based faults to fire (``None`` = unlimited).
 
     All counter updates are lock-protected: injectors are safe to share
-    across the worker threads of a :class:`~repro.parallel.WorkerPool`.
+    across threads.
     """
 
     def __init__(

@@ -238,22 +238,15 @@ class RobustEvaluator:
         the cascade — reuses the compiled plan instead of re-analysing.
         Defaults to the process-wide shared cache.
     workers:
-        Worker count honoured by the cascade stages that have parallel
-        paths: the ``main_algorithm`` stage fans its cluster loop out, and
-        the ``foc1`` stage's engines inherit the count for their sharded
-        entry points (:meth:`count_many`, unary targets).  The
-        ``baseline`` stage stays deliberately serial — it is the
-        last-resort oracle and takes no shortcuts.  ``None`` resolves
-        ``REPRO_WORKERS`` (default 1).
-    parallel_backend:
-        ``"thread"`` (default) or ``"process"``; ignored at ``workers=1``.
-        It reaches the ``foc1`` stage's engines and the approx stage.  On
-        the process backend the ``foc1`` stage fans out :meth:`count_many`
-        only and runs unary targets inline; the ``main_algorithm`` stage's
-        cluster loop always runs on threads.
+        Worker count handed to the stages with a process fan-out: the
+        ``foc1`` stage's :meth:`count_many` and the approx stage's
+        sampler.  Every other stage runs inline — the ``main_algorithm``
+        cluster loop and unary sweeps close over live engine state, and
+        the ``baseline`` stage is the last-resort oracle, which takes no
+        shortcuts.  ``None`` resolves ``REPRO_WORKERS`` (default 1).
     retry:
         Optional :class:`~repro.robust.retry.RetryPolicy` handed to every
-        parallel stage, so a transient shard failure re-runs only that
+        stage with shards, so a transient shard failure re-runs only that
         shard instead of failing the stage (and paying a whole fallback).
     on_shard_failure:
         ``"raise"`` (default) or ``"salvage"``, forwarded to the parallel
@@ -289,7 +282,6 @@ class RobustEvaluator:
         catch: Tuple[type, ...] = (ReproError, RecursionError),
         plan_cache: "Optional[PlanCache]" = None,
         workers: "Optional[int]" = None,
-        parallel_backend: str = "thread",
         retry: "Optional[RetryPolicy]" = None,
         on_shard_failure: str = "raise",
         breaker: "Optional[CircuitBreaker]" = None,
@@ -305,7 +297,6 @@ class RobustEvaluator:
         self.catch = tuple(catch)
         self.plan_cache = plan_cache
         self.workers = resolve_workers(workers)
-        self.parallel_backend = parallel_backend
         self.retry = retry
         self.on_shard_failure = validate_failure_mode(on_shard_failure)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -463,7 +454,6 @@ class RobustEvaluator:
                 predicates=self.predicates,
                 budget=budget,
                 plan_cache=self.plan_cache,
-                workers=self.workers,
                 retry=self.retry,
                 on_shard_failure=self.on_shard_failure,
             )
@@ -495,16 +485,17 @@ class RobustEvaluator:
     ) -> Foc1Evaluator:
         """The foc1 stage's engine, with this evaluator's settings;
         ``check_fragment`` overrides the evaluator's (the cl-term stage
-        turns it off: a cl-term's psi need not lie in FOC1)."""
+        turns it off: a cl-term's psi need not lie in FOC1).  A defaulted
+        collection ships as None, which child processes rebuild (its
+        closures do not pickle)."""
         return Foc1Evaluator(
-            predicates=self.predicates,
+            predicates=None if self._default_predicates else self.predicates,
             check_fragment=(
                 self.check_fragment if check_fragment is None else check_fragment
             ),
             budget=budget,
             plan_cache=self.plan_cache,
             workers=self.workers,
-            parallel_backend=self.parallel_backend,
             retry=self.retry,
             on_shard_failure=self.on_shard_failure,
         )
@@ -520,8 +511,8 @@ class RobustEvaluator:
     def _approx(self, budget: "Optional[EvaluationBudget]"):
         from ..approx.evaluator import ApproxEvaluator
 
-        # A defaulted collection ships as None so the process backend can
-        # rebuild it child-side (closures do not pickle).
+        # A defaulted collection ships as None so child processes can
+        # rebuild it (closures do not pickle).
         return ApproxEvaluator(
             predicates=None if self._default_predicates else self.predicates,
             budget=budget,
@@ -529,7 +520,6 @@ class RobustEvaluator:
             delta=self.delta,
             seed=self.approx_seed,
             workers=self.workers,
-            parallel_backend=self.parallel_backend,
         )
 
     @staticmethod

@@ -22,7 +22,7 @@ approximates it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["PartialResult", "ShardFailure", "ON_SHARD_FAILURE_MODES"]
 
@@ -108,3 +108,42 @@ class PartialResult:
             return head
         parts = "; ".join(f.summary() for f in self.failures)
         return f"{head} — lost {parts}"
+
+
+def merge_unary_outcomes(
+    outcomes: list,
+    chunks: List[list],
+    chunk_sizes: List[int],
+    operation: str,
+) -> "Dict[Any, int] | PartialResult":
+    """Fold salvage-mode shard outcomes into a dict or a PartialResult.
+
+    ``chunks[i]`` holds the work items shard ``i`` carried (targets or
+    cluster indices) and ``chunk_sizes[i]`` how many *result elements*
+    that shard would contribute.  A full success returns the plain merged
+    dict — salvage never changes the type of a complete answer.
+    """
+    values: Dict[Any, int] = {}
+    failures: List[ShardFailure] = []
+    for outcome in outcomes:
+        if outcome.error is None:
+            values.update(outcome.value)
+        else:
+            failures.append(
+                ShardFailure(
+                    shard=outcome.index,
+                    items=tuple(chunks[outcome.index]),
+                    error_type=type(outcome.error).__name__,
+                    error=str(outcome.error),
+                    attempts=outcome.attempts,
+                )
+            )
+    if not failures:
+        return values
+    return PartialResult(
+        operation=operation,
+        value=values,
+        failures=failures,
+        expected=sum(chunk_sizes),
+        covered=len(values),
+    )

@@ -13,10 +13,10 @@ Scope and determinism
 The policy is **per shard, not per pool**: every shard gets its own
 ``retries`` attempts, and the backoff delay for shard ``s``'s attempt
 ``a`` is a pure function of ``(seed, s, a)`` — no shared random state, so
-the same schedule falls out of every run, every thread interleaving and
-every backend.  (The derivation seeds ``random.Random`` with a *string*,
-which hashes deterministically across processes; tuple seeds would go
-through ``hash()`` and break under ``PYTHONHASHSEED`` randomisation.)
+the same schedule falls out of every run and every worker count.  (The
+derivation seeds ``random.Random`` with a *string*, which hashes
+deterministically across processes; tuple seeds would go through
+``hash()`` and break under ``PYTHONHASHSEED`` randomisation.)
 
 What retries
 ------------

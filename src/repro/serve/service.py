@@ -169,9 +169,14 @@ class QueryService:
     Parameters
     ----------
     workers:
-        Concurrent quantum slots (executor threads).  This is the
-        *service* concurrency; ``eval_workers`` is the per-quantum
-        engine parallelism (``None`` resolves ``REPRO_WORKERS``).
+        Concurrent quantum slots (executor threads): the service's only
+        concurrency.  Each quantum runs its cascade inline, whatever
+        ``REPRO_WORKERS`` says — a process pool per quantum would cost
+        far more than the quantum, and forking a multi-threaded process
+        is unsafe.
+    eval_workers:
+        ``None`` or 1; anything else raises
+        :class:`~repro.errors.ReproError`.
     quantum_steps:
         The preemptible budget quantum in evaluation steps — the
         scheduling currency.  Small quanta preempt (and re-queue) more;
@@ -227,6 +232,11 @@ class QueryService:
     ) -> None:
         if workers < 1:
             raise ReproError("service workers must be a positive integer")
+        if eval_workers not in (None, 1):
+            raise ReproError(
+                f"quanta run their cascade inline; eval_workers must be "
+                f"None or 1, got {eval_workers!r}"
+            )
         if quantum_steps < 1:
             raise ReproError("quantum_steps must be a positive integer")
         if batch_max < 1:
@@ -234,7 +244,6 @@ class QueryService:
         if degrade_budget_factor < 1:
             raise ReproError("degrade_budget_factor must be >= 1")
         self.workers = workers
-        self.eval_workers = eval_workers
         self.quantum_steps = quantum_steps
         self.quantum_seconds = quantum_seconds
         self.batch_max = batch_max
@@ -633,7 +642,7 @@ class QueryService:
             budget=budget,
             check_fragment=self.check_fragment,
             plan_cache=self.plan_cache,
-            workers=self.eval_workers,
+            workers=1,
         )
 
     def _run_single_quantum(self, unit: _Unit) -> _Outcome:

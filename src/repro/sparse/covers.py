@@ -113,8 +113,8 @@ class NeighbourhoodCover:
 
     def __getstate__(self):
         """Ship only the defining fields — the lazily built member groups
-        and cluster bitsets rebuild on the receiving side, keeping
-        process-backend payloads compact."""
+        and cluster bitsets rebuild on the receiving side, keeping the
+        payloads shipped to child processes compact."""
         return (
             self.structure,
             self.radius,

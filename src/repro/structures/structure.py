@@ -511,7 +511,7 @@ class Structure:
     def __getstate__(self):
         """Pickle only the defining data (signature, ordered universe,
         relations) — derived caches are rebuilt lazily on the receiving
-        side.  This keeps process-backend payloads compact: indexes,
+        side.  This keeps payloads shipped to child processes compact: indexes,
         projections, the columnar view and the digest never cross the pipe."""
         return (self._signature, self._universe_order, self._relations)
 

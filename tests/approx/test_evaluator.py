@@ -13,8 +13,8 @@ from repro.structures.builders import path_graph
 
 
 def _result_key(result):
-    """Everything that must be byte-identical across runs and backends
-    (``elapsed`` is wall-clock and legitimately varies)."""
+    """Everything that must be byte-identical across runs and worker
+    counts (``elapsed`` is wall-clock and legitimately varies)."""
     payload = result.to_dict()
     payload.pop("elapsed")
     return payload

@@ -3,11 +3,10 @@
 The determinism guarantee (docs/PARALLEL.md) says every parallel entry
 point produces the *same dict, in the same insertion order*, as the serial
 loop, for every worker count.  These tests enforce it across seeded random
-structures for the two ISSUE-mandated entry points —
+structures for the entry points that fan out to child processes —
 :func:`~repro.core.cover_eval.evaluate_per_cluster` and
-:meth:`~repro.core.evaluator.Foc1Evaluator.count_many` — plus the other
-parallel paths (evaluate_basic_cover_unary, unary_term_values, the main
-algorithm).
+:meth:`~repro.core.evaluator.Foc1Evaluator.count_many` — and check that
+the inline ones stay inline at ``workers > 1``.
 
 Plain ``random.Random(seed)`` so each case is a fixed, individually
 re-runnable pytest id.
@@ -18,10 +17,7 @@ import random
 import pytest
 
 from repro.core.clterms import BasicClTerm, CoverTerm
-from repro.core.cover_eval import (
-    evaluate_basic_cover_unary,
-    evaluate_per_cluster,
-)
+from repro.core.cover_eval import evaluate_per_cluster
 from repro.core.evaluator import Foc1Evaluator
 from repro.core.main_algorithm import (
     MainAlgorithmStats,
@@ -29,6 +25,10 @@ from repro.core.main_algorithm import (
 )
 from repro.logic.builder import Rel
 from repro.logic.parser import parse_formula, parse_term
+from repro.logic.predicates import NumericalPredicate, PredicateCollection
+from repro.parallel import ParallelError
+from repro.parallel import pool as pool_module
+from repro.robust import RetryPolicy
 from repro.robust.guard import RobustEvaluator
 from repro.sparse.covers import sparse_cover
 from repro.structures.builders import graph_structure, grid_graph
@@ -120,77 +120,131 @@ class TestCountManyParallelParity:
         ]
         assert counts == expected
 
+    @pytest.mark.parametrize("workers", (2, 3, 5))
+    def test_odd_worker_counts_agree_too(self, workers):
+        rng = random.Random(3500 + workers)
+        structures = [_random_graph(rng, max_n=8) for _ in range(5)]
+        phi = parse_formula("E(x, y) & E(y, z)")
+        expected = Foc1Evaluator(workers=1).count_many(
+            structures, phi, ["x", "y", "z"]
+        )
+        parallel = Foc1Evaluator(workers=workers).count_many(
+            structures, phi, ["x", "y", "z"]
+        )
+        assert parallel == expected
 
-class TestOtherParallelEntryPoints:
-    @pytest.mark.parametrize("seed", (0, 5, 11, 23))
-    def test_basic_cover_unary_parity(self, seed):
-        rng = random.Random(4000 + seed)
-        structure = _random_graph(rng)
-        cover = sparse_cover(structure, 2)
-        term = degree_cover_term()
-        serial = evaluate_basic_cover_unary(structure, cover, term)
-        four = evaluate_basic_cover_unary(structure, cover, term, workers=4)
-        assert list(four.items()) == list(serial.items())
 
+def _at_least_one(values):
+    return values[0] >= 1
+
+
+def _within_one(values):
+    return abs(values[0] - values[1]) <= 1
+
+
+def _custom_collection():
+    """A collection of module-level functions, so it pickles; its ``eq``
+    holds for counts within one of each other."""
+    return PredicateCollection(
+        [
+            NumericalPredicate("geq1", 1, _at_least_one),
+            NumericalPredicate("eq", 2, _within_one),
+        ]
+    )
+
+
+class TestCountManyPredicates:
+    """Child processes evaluate with the engine's own collection."""
+
+    FORMULA = "@eq(#(y). E(x, y), 3)"
+
+    def test_picklable_custom_collection_gives_the_serial_answer(self):
+        structures = [grid_graph(4, 4), grid_graph(5, 5)]
+        phi = parse_formula(self.FORMULA)
+        serial = Foc1Evaluator(
+            predicates=_custom_collection(), workers=1
+        ).count_many(structures, phi, ["x"])
+        assert serial == [16, 25]  # every grid degree is within one of 3
+        parallel = Foc1Evaluator(
+            predicates=_custom_collection(), workers=2
+        ).count_many(structures, phi, ["x"])
+        assert parallel == serial
+
+    def test_closure_collection_raises_parallel_error(self):
+        near = PredicateCollection(
+            [
+                NumericalPredicate("geq1", 1, _at_least_one),
+                NumericalPredicate("eq", 2, lambda v: abs(v[0] - v[1]) <= 1),
+            ]
+        )
+        engine = Foc1Evaluator(predicates=near, workers=2)
+        with pytest.raises(ParallelError, match="pickle"):
+            engine.count_many(
+                [grid_graph(4, 4), grid_graph(5, 5)],
+                parse_formula(self.FORMULA),
+                ["x"],
+            )
+
+    def test_robust_default_collection_crosses_as_none(self):
+        structures = [grid_graph(4, 4), grid_graph(5, 5)]
+        phi = parse_formula(self.FORMULA)
+        serial = Foc1Evaluator(workers=1).count_many(structures, phi, ["x"])
+        assert serial == [8, 12]  # the degree-3 vertices: boundary non-corners
+        engine = RobustEvaluator(workers=2)
+        assert engine.count_many(structures, phi, ["x"]) == serial
+        assert engine.last_report.answered_by == "foc1"
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("an inline path started a process pool")
+
+
+class TestInlineAtEveryWorkerCount:
     @pytest.mark.parametrize("seed", (1, 8, 13, 27))
-    def test_unary_term_values_parity(self, seed):
+    def test_unary_term_values_parity(self, seed, monkeypatch):
         rng = random.Random(5000 + seed)
         structure = _random_graph(rng)
         term = parse_term("#(y). E(x, y)")
-        serial = Foc1Evaluator().unary_term_values(structure, term, "x")
+        serial = Foc1Evaluator(workers=1).unary_term_values(structure, term, "x")
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _no_pool)
         four = Foc1Evaluator(workers=4).unary_term_values(structure, term, "x")
         assert list(four.items()) == list(serial.items())
 
-    @pytest.mark.parametrize("seed", (2, 9, 16, 29))
+    @pytest.mark.parametrize("seed", (1, 10, 16, 27))
     def test_main_algorithm_values_and_stats_parity(self, seed):
+        """A retry policy or salvage runs the cluster loop through the
+        pool's retry driver, on a fresh engine and stats record; a clean
+        run folds back the plain run's values and stats exactly."""
         rng = random.Random(6000 + seed)
         structure = _random_graph(rng)
         term = BasicClTerm(
             ("y1", "y2"), E("y1", "y2"), 1, 1, frozenset({(1, 2)}), unary=True
         )
-        serial_stats = MainAlgorithmStats()
-        serial = evaluate_unary_main_algorithm(
-            structure, term, stats=serial_stats
+        plain_stats = MainAlgorithmStats()
+        plain = evaluate_unary_main_algorithm(
+            structure, term, small_threshold=4, stats=plain_stats
         )
-        four_stats = MainAlgorithmStats()
-        four = evaluate_unary_main_algorithm(
-            structure, term, stats=four_stats, workers=4
-        )
-        assert list(four.items()) == list(serial.items())
-        assert four_stats == serial_stats
-
-
-class TestProcessBackend:
-    def test_per_cluster_process_parity(self):
-        rng = random.Random(7000)
-        structure = _random_graph(rng)
-        cover = sparse_cover(structure, 2)
-        term = degree_cover_term()
-        serial = evaluate_per_cluster(structure, cover, term)
-        proc = evaluate_per_cluster(
-            structure, cover, term, workers=2, backend="process"
-        )
-        assert list(proc.items()) == list(serial.items())
-
-    def test_count_many_process_parity(self):
-        rng = random.Random(7001)
-        structures = [_random_graph(rng, max_n=6) for _ in range(4)]
-        phi = parse_formula("E(x, y)")
-        expected = [
-            Foc1Evaluator().count(s, phi, ["x", "y"]) for s in structures
-        ]
-        engine = Foc1Evaluator(workers=2, parallel_backend="process")
-        assert engine.count_many(structures, phi, ["x", "y"]) == expected
+        assert plain_stats.removals > 0  # the cover loop ran, with surgery
+        for options in (
+            {"retry": RetryPolicy(retries=1, base_delay=0.0)},
+            {"on_shard_failure": "salvage"},
+        ):
+            stats = MainAlgorithmStats()
+            values = evaluate_unary_main_algorithm(
+                structure, term, small_threshold=4, stats=stats, **options
+            )
+            assert list(values.items()) == list(plain.items())
+            assert stats == plain_stats
 
     def test_robust_unary_terms_answered_by_foc1(self):
-        """``unary_term_values``' shards close over live engine state, so
-        the process backend runs them inline: the cascade's foc1 stage
-        answers, and its circuit stays closed past the breaker's
-        threshold of three calls."""
+        """Unary sweeps close over live engine state, so they run inline
+        at ``workers=2``: the cascade's foc1 stage answers, and its
+        circuit stays closed past the breaker's threshold of three
+        calls."""
         structure = grid_graph(8, 8)
         term = parse_term("#(y). (E(x, y) & @gt(#(z). E(y, z), 2))")
         serial = Foc1Evaluator(workers=1).unary_term_values(structure, term, "x")
-        engine = RobustEvaluator(workers=2, parallel_backend="process")
+        engine = RobustEvaluator(workers=2)
         for _ in range(4):
             values = engine.unary_term_values(structure, term, "x")
             assert list(values.items()) == list(serial.items())
@@ -200,17 +254,12 @@ class TestProcessBackend:
         assert engine.last_report.answered_by == "foc1"
         assert engine.breaker.failures("foc1") == 0
 
-    def test_basic_cover_unary_runs_inline(self):
-        """``evaluate_basic_cover_unary``'s shards close over live engine
-        state, so the process backend runs its targets as one inline
-        shard: the serial answer, in order, with salvage still applying."""
+    def test_main_algorithm_accepts_only_one_worker(self):
         structure = grid_graph(5, 5)
-        cover = sparse_cover(structure, 2)
-        term = degree_cover_term()
-        serial = evaluate_basic_cover_unary(structure, cover, term)
-        for mode in ("raise", "salvage"):
-            proc = evaluate_basic_cover_unary(
-                structure, cover, term, workers=2, backend="process",
-                on_shard_failure=mode,
-            )
-            assert list(proc.items()) == list(serial.items())
+        term = BasicClTerm(
+            ("y1", "y2"), E("y1", "y2"), 1, 1, frozenset({(1, 2)}), unary=True
+        )
+        serial = evaluate_unary_main_algorithm(structure, term)
+        assert evaluate_unary_main_algorithm(structure, term, workers=1) == serial
+        with pytest.raises(ParallelError, match="inline"):
+            evaluate_unary_main_algorithm(structure, term, workers=2)

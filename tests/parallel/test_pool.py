@@ -1,15 +1,15 @@
 """The worker-pool abstraction: sharding, ordering, budget slicing,
-metrics merging, error determinism, retries and salvage
-(see docs/PARALLEL.md)."""
+metrics merging, error determinism, retries and salvage, inline and on
+child processes (see docs/PARALLEL.md)."""
 
+import os
 import threading
 
 import pytest
 
 from repro.errors import BudgetExceededError, ReproError
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.metrics import MetricsRegistry, active_metrics, set_metrics
 from repro.parallel import (
-    BACKENDS,
     WORKERS_ENV_VAR,
     ParallelError,
     ShardOutcome,
@@ -88,43 +88,20 @@ class TestShard:
 
 
 class TestWorkerPool:
-    def test_backends_constant(self):
-        assert BACKENDS == ("serial", "thread", "process")
-
-    def test_workers_one_degrades_to_serial_backend(self):
-        assert WorkerPool(1, "thread").backend == "serial"
-        assert WorkerPool(1, "process").backend == "serial"
-        assert WorkerPool(4, "thread").backend == "thread"
-
-    def test_unknown_backend_rejected(self):
+    def test_workers_resolve_like_resolve_workers(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        assert WorkerPool().workers == 3
+        assert WorkerPool(1).workers == 1
         with pytest.raises(ParallelError):
-            WorkerPool(2, "greenlet")
+            WorkerPool(0)
 
-    def test_map_preserves_input_order(self):
-        pool = WorkerPool(4)
-        # Make late items finish first to prove ordering is by input, not
-        # completion.
-        import time
-
-        def slow_for_small(x):
-            time.sleep(0.02 if x < 2 else 0)
-            return x * x
-
-        assert pool.map(slow_for_small, range(6)) == [0, 1, 4, 9, 16, 25]
-
-    def test_map_serial_runs_inline(self):
+    def test_run_tasks_runs_inline_at_every_worker_count(self):
+        # Thunks close over live state: they never leave the calling
+        # thread, whatever the pool's worker count.
         thread_ids = []
-        WorkerPool(1).map(lambda _: thread_ids.append(threading.get_ident()), [1, 2])
-        assert set(thread_ids) == {threading.get_ident()}
-
-    def test_map_first_index_error_wins(self):
-        pool = WorkerPool(4)
-
-        def boom(x):
-            raise ValueError(f"item {x}")
-
-        with pytest.raises(ValueError, match="item 0"):
-            pool.map(boom, range(4))
+        tasks = [lambda b: thread_ids.append(threading.get_ident())] * 3
+        WorkerPool(4).run_tasks(tasks, retry=_no_sleep_policy())
+        assert thread_ids == [threading.get_ident()] * 3
 
     def test_run_tasks_results_in_task_order(self):
         pool = WorkerPool(4)
@@ -154,9 +131,9 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError, match="task 1"):
             pool.run_tasks([make(i) for i in range(4)])
 
-    def test_run_tasks_rejects_process_backend(self):
-        with pytest.raises(ParallelError, match="process boundary"):
-            WorkerPool(2, "process").run_tasks([lambda b: 1, lambda b: 2])
+    def test_map_outcomes_first_index_error_wins_on_processes(self):
+        with pytest.raises(ReproError, match="item 1"):
+            WorkerPool(2).map_outcomes(_fail_odd, range(4))
 
 
 class TestBudgetSplit:
@@ -184,27 +161,6 @@ class TestBudgetSplit:
     def test_rejects_non_positive_shard_count(self):
         with pytest.raises(ValueError):
             EvaluationBudget(max_steps=10).split(0)
-
-    def test_run_tasks_charges_worker_steps_back_to_parent(self):
-        parent = EvaluationBudget(max_steps=1_000)
-
-        def task(b):
-            for _ in range(10):
-                b.tick("work")
-            return True
-
-        assert WorkerPool(4).run_tasks([task] * 4, parent) == [True] * 4
-        assert parent.steps == 40
-
-    def test_slice_exhaustion_raises_budget_exceeded(self):
-        parent = EvaluationBudget(max_steps=8)
-
-        def hungry(b):
-            for _ in range(100):
-                b.tick("work")
-
-        with pytest.raises(BudgetExceededError):
-            WorkerPool(4).run_tasks([hungry] * 4, parent)
 
 
 class TestRetry:
@@ -288,73 +244,6 @@ class TestRetry:
         assert registry.counter("parallel.retry.exhausted") == 1
 
 
-class TestRetryBudgetAccounting:
-    def test_failed_attempts_charge_back_exactly_once(self):
-        # 2 tasks split a 100-step parent into 50-step shares.  Task 0
-        # spends 30 steps and fails, then 20 steps and succeeds; task 1
-        # spends 10.  The parent must see 30 + 20 + 10 = 60 — every
-        # attempt's work charged, nothing double-counted.
-        parent = EvaluationBudget(max_steps=100)
-        flaky = _Flaky({0: 1})
-
-        def task0(b):
-            for _ in range(30 if flaky.calls.get(0, 0) == 0 else 20):
-                b.tick("work")
-            flaky.seen(0)
-            return "a"
-
-        def task1(b):
-            for _ in range(10):
-                b.tick("work")
-            return "b"
-
-        results = WorkerPool(2).run_tasks(
-            [task0, task1], parent, retry=_no_sleep_policy()
-        )
-        assert results == ["a", "b"]
-        assert parent.steps == 60
-
-    def test_retry_attempt_gets_a_fresh_slice(self):
-        # The share is 6 steps; the first attempt exhausts all 6 before
-        # failing, so only a *fresh* slice lets the retry's 4-step run
-        # succeed.  (A reused slice would raise BudgetExceededError,
-        # which never retries.)
-        parent = EvaluationBudget(max_steps=12)
-        flaky = _Flaky({0: 1})
-
-        def task0(b):
-            first = flaky.calls.get(0, 0) == 0
-            for _ in range(6 if first else 4):
-                b.tick("work")
-            flaky.seen(0)
-            return "recovered"
-
-        results = WorkerPool(2).run_tasks(
-            [task0, lambda b: "other"], parent, retry=_no_sleep_policy()
-        )
-        assert results == ["recovered", "other"]
-        assert parent.steps == 10  # 6 failed + 4 retried; task1 untracked
-
-    def test_salvage_still_charges_failed_shard_work(self):
-        parent = EvaluationBudget(max_steps=100)
-
-        def doomed(b):
-            for _ in range(5):
-                b.tick("work")
-            raise ReproError("down")
-
-        def fine(b):
-            for _ in range(7):
-                b.tick("work")
-            return 1
-
-        outcomes = WorkerPool(2).run_tasks(
-            [doomed, fine], parent, on_failure="salvage"
-        )
-        assert [o.ok for o in outcomes] == [False, True]
-        assert parent.steps == 12
-
-
 class TestSalvage:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="on_shard_failure"):
@@ -412,32 +301,29 @@ class TestSalvage:
 
 
 class TestMapOutcomes:
-    def test_matches_map_on_success(self):
-        pool = WorkerPool(4)
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_results_in_input_order(self, workers):
         items = list(range(6))
-        assert pool.map_outcomes(_square, items) == pool.map(_square, items)
+        assert WorkerPool(workers).map_outcomes(_square, items) == [
+            x * x for x in items
+        ]
 
-    def test_thread_retry_recovers(self):
+    def test_inline_retry_recovers(self):
         flaky = _Flaky({2: 1})
 
         def fn(x):
             flaky.seen(x)
             return x + 100
 
-        results = WorkerPool(4).map_outcomes(
+        results = WorkerPool(1).map_outcomes(
             fn, range(4), retry=_no_sleep_policy()
         )
         assert results == [100, 101, 102, 103]
         assert flaky.calls[2] == 2
 
-    def test_salvage_outcomes(self):
-        def fn(x):
-            if x == 1:
-                raise ReproError("bad item")
-            return x
-
-        outcomes = WorkerPool(4).map_outcomes(
-            fn, range(3), on_failure="salvage"
+    def test_salvage_outcomes_on_processes(self):
+        outcomes = WorkerPool(2).map_outcomes(
+            _fail_odd, range(3), on_failure="salvage"
         )
         assert [o.ok for o in outcomes] == [True, False, True]
         assert [o.value for o in outcomes] == [0, None, 2]
@@ -445,6 +331,12 @@ class TestMapOutcomes:
 
 def _square(x):
     return x * x
+
+
+def _fail_odd(x):
+    if x % 2:
+        raise ReproError(f"item {x}")
+    return x
 
 
 def _process_task(x):
@@ -462,7 +354,7 @@ def _process_task(x):
 
 class TestProcessErrorFidelity:
     def test_budget_error_survives_as_itself(self):
-        outcomes = WorkerPool(2, "process").map_outcomes(
+        outcomes = WorkerPool(2).map_outcomes(
             _process_task, [3, -1], on_failure="salvage"
         )
         assert outcomes[0].ok and outcomes[0].value == 9
@@ -474,13 +366,13 @@ class TestProcessErrorFidelity:
 
     def test_fail_fast_reraises_original_type(self):
         with pytest.raises(BudgetExceededError, match="child ran dry"):
-            WorkerPool(2, "process").map_outcomes(_process_task, [-1, 2])
+            WorkerPool(2).map_outcomes(_process_task, [-1, 2])
 
     def test_process_retry_reruns_in_a_child(self):
         # Deterministic failures retry and fail again — proving the retry
         # actually re-entered a worker process rather than silently
         # succeeding in the parent.
-        outcomes = WorkerPool(2, "process").map_outcomes(
+        outcomes = WorkerPool(2).map_outcomes(
             _process_task,
             [-1, 4],
             retry=RetryPolicy(retries=2, retry_on=(Exception,), no_retry=()),
@@ -502,12 +394,12 @@ def _child_harness(x):
             raise ReproError("child exploded")
         return x
 
-    return _run_in_child(fn, (None, 100), False)
+    return _run_in_child(fn, (None, 100, False, ""), False)
 
 
 class TestRemoteAnnotations:
     def test_child_failure_carries_traceback_and_steps(self):
-        outcomes = WorkerPool(2, "process").map_outcomes(
+        outcomes = WorkerPool(2).map_outcomes(
             _child_harness, [3, -1], on_failure="salvage"
         )
         ok, failed = outcomes
@@ -522,42 +414,117 @@ class TestRemoteAnnotations:
 
 
 class TestMetricsMerge:
-    def test_worker_counters_fold_into_parent(self):
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        try:
-            from repro.obs.metrics import active_metrics
-
-            def task(b):
-                active_metrics().inc("worker.work", 5)
-                active_metrics().observe("worker.lat", 1.0)
-                return True
-
-            WorkerPool(4).run_tasks([task] * 4)
-        finally:
-            set_metrics(previous)
-        assert registry.counter("worker.work") == 20
-        assert registry.histograms["worker.lat"].count == 4
-
-    def test_budget_ticks_land_in_worker_registry_then_parent(self):
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        try:
-            parent = EvaluationBudget(max_steps=1_000)
-
-            def task(b):
-                for _ in range(7):
-                    b.tick("work")
-                return True
-
-            WorkerPool(2).run_tasks([task] * 2, parent)
-        finally:
-            set_metrics(previous)
-        assert registry.counter("budget.ticks") == 14
-
     def test_no_registry_active_means_no_registry_plumbing(self):
         previous = set_metrics(None)
         try:
             assert WorkerPool(4).run_tasks([lambda b: 1] * 4) == [1] * 4
         finally:
             set_metrics(previous)
+
+
+def _child_work(payload):
+    """A child-side job run through the payload harness of
+    :mod:`repro.parallel.tasks`.
+
+    ``job`` is ``("tick", n)``, ``("doomed", n)`` — tick ``n`` steps,
+    then raise — or ``("flaky", first, then, marker)``: the first attempt
+    ticks ``first`` steps, leaves ``marker`` and raises; later attempts
+    tick ``then`` steps and succeed.  Each job counts its steps in the
+    child's metrics registry when one is installed.
+    """
+    from repro.parallel.tasks import _run_in_child
+
+    job, params, want_metrics = payload
+
+    def body(budget):
+        retrying = job[0] == "flaky" and os.path.exists(job[3])
+        steps = job[2] if retrying else job[1]
+        for _ in range(steps):
+            budget.tick("work")
+        registry = active_metrics()
+        if registry is not None:
+            registry.inc("worker.work", steps)
+        if job[0] == "doomed":
+            raise ReproError("down")
+        if job[0] == "flaky" and not retrying:
+            open(job[3], "w").close()
+            raise ReproError("transient")
+        return steps
+
+    return _run_in_child(body, params, want_metrics)
+
+
+def _join(jobs, parent, retry=None, salvage=False):
+    """Fan ``jobs`` out to two child processes, one budget slice each, as
+    the engines' payload builders do."""
+    from repro.parallel.tasks import _join_shards, _slice_params
+
+    want_metrics = active_metrics() is not None
+    payloads = [
+        (job, _slice_params(part), want_metrics)
+        for job, part in zip(jobs, parent.split(len(jobs)))
+    ]
+    return _join_shards(
+        WorkerPool(2), _child_work, payloads, parent, retry=retry, salvage=salvage
+    )
+
+
+class TestProcessJoin:
+    """Step charge-back and metrics fold-back from child processes: each
+    child's steps reach the parent budget exactly once, failed attempts
+    and salvaged shards included."""
+
+    def test_children_steps_charge_back_to_parent(self):
+        parent = EvaluationBudget(max_steps=1_000)
+        assert _join([("tick", 10)] * 4, parent) == [10] * 4
+        assert parent.steps == 40
+
+    def test_slice_exhaustion_raises_budget_exceeded(self):
+        parent = EvaluationBudget(max_steps=8)
+        with pytest.raises(BudgetExceededError):
+            _join([("tick", 100)] * 4, parent)
+
+    def test_failed_attempts_charge_back_exactly_once(self, tmp_path):
+        # 2 jobs split a 100-step parent into 50-step shares.  Job 0
+        # spends 30 steps and fails, then 20 steps and succeeds; job 1
+        # spends 10.  The parent must see 30 + 20 + 10 = 60.
+        parent = EvaluationBudget(max_steps=100)
+        marker = str(tmp_path / "attempted")
+        results = _join(
+            [("flaky", 30, 20, marker), ("tick", 10)],
+            parent,
+            retry=_no_sleep_policy(),
+        )
+        assert results == [20, 10]
+        assert parent.steps == 60
+
+    def test_retry_attempt_gets_a_fresh_slice(self, tmp_path):
+        # The share is 6 steps; the first attempt spends all 6 before
+        # failing, so only a fresh child budget lets the retry's 4-step
+        # run succeed.
+        parent = EvaluationBudget(max_steps=12)
+        marker = str(tmp_path / "attempted")
+        results = _join(
+            [("flaky", 6, 4, marker), ("tick", 0)],
+            parent,
+            retry=_no_sleep_policy(),
+        )
+        assert results == [4, 0]
+        assert parent.steps == 10
+
+    def test_salvage_still_charges_failed_shard_work(self):
+        parent = EvaluationBudget(max_steps=100)
+        outcomes = _join([("doomed", 5), ("tick", 7)], parent, salvage=True)
+        assert [o.ok for o in outcomes] == [False, True]
+        assert parent.steps == 12
+
+    def test_metrics_fold_back_from_children(self):
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            parent = EvaluationBudget(max_steps=1_000)
+            _join([("tick", 7)] * 3, parent)
+        finally:
+            set_metrics(previous)
+        assert registry.counter("worker.work") == 21
+        assert registry.counter("budget.ticks") == 21

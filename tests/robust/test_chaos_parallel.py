@@ -2,8 +2,8 @@
 
 The differential gate for PR 5 (see docs/ROBUSTNESS.md): for seeded
 random structures, injecting deterministic faults at each parallel fault
-site (``worker.task``, ``worker.join``, ``shard.result``) on both the
-thread and the process backend must
+site (``worker.task``, ``worker.join``, ``shard.result``) on child
+processes, at two and at three workers, must
 
 * with ``retries=2``: produce **byte-identical** answers to the fault-free
   serial run (the retry genuinely healed the shard), and
@@ -12,9 +12,15 @@ thread and the process backend must
   the corresponding slice of the serial answer, with accurate coverage
   bookkeeping.
 
+The cluster loop of the main algorithm and ``unary_term_values`` run
+inline at every worker count and pass no parallel site, so their faults
+are armed at the engine sites the inline run still meets
+(``removal.surgery``, ``memo.insert``, ``predicate.oracle``), with the
+same two contracts.
+
 Rate-mode schedules are pure functions of ``(seed, site, hit)`` checked in
-the parent, so the same chaos schedule falls out of every backend; the
-cross-backend tests pin that down.
+the parent, so the same chaos schedule falls out of every run; the
+determinism tests pin that down.
 
 Plain ``random.Random(seed)`` so each case is a fixed, individually
 re-runnable pytest id.
@@ -30,7 +36,7 @@ from repro.core.cover_eval import evaluate_per_cluster
 from repro.core.evaluator import Foc1Evaluator
 from repro.core.main_algorithm import evaluate_unary_main_algorithm
 from repro.logic.builder import Rel
-from repro.logic.parser import parse_formula
+from repro.logic.parser import parse_formula, parse_term
 from repro.robust import (
     PARALLEL_FAULT_SITES,
     FaultInjector,
@@ -44,7 +50,7 @@ from repro.structures.builders import graph_structure
 E = Rel("E", 2)
 
 SEEDS = range(30)
-BACKENDS = ("thread", "process")
+WORKERS = (2, 3)
 
 
 def _retry(retries=2):
@@ -95,12 +101,12 @@ def _assert_partial_slice_of(partial, serial):
 
 
 class TestChaosPerCluster:
-    """The ISSUE-mandated matrix: 30 seeds × 3 sites × 2 backends."""
+    """The matrix: 30 seeds × 3 sites × 2 worker counts."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("site", PARALLEL_FAULT_SITES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_retries_heal_to_byte_identical(self, seed, site, backend):
+    def test_retries_heal_to_byte_identical(self, seed, site, workers):
         structure, cover, term, serial = _per_cluster_case(seed)
         injector = FaultInjector({site: 1})
         with inject_faults(injector):
@@ -108,8 +114,7 @@ class TestChaosPerCluster:
                 structure,
                 cover,
                 term,
-                workers=2,
-                backend=backend,
+                workers=workers,
                 retry=_retry(),
             )
         assert list(healed.items()) == list(serial.items())
@@ -118,10 +123,10 @@ class TestChaosPerCluster:
             # retry healed it (exact-hit faults fire exactly once).
             assert injector.fired[site] == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("site", PARALLEL_FAULT_SITES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_salvage_returns_exact_partial_result(self, seed, site, backend):
+    def test_salvage_returns_exact_partial_result(self, seed, site, workers):
         structure, cover, term, serial = _per_cluster_case(seed)
         injector = FaultInjector({site: 1})
         with inject_faults(injector):
@@ -129,8 +134,7 @@ class TestChaosPerCluster:
                 structure,
                 cover,
                 term,
-                workers=2,
-                backend=backend,
+                workers=workers,
                 on_shard_failure="salvage",
             )
         if len(cover.clusters) <= 1:
@@ -152,9 +156,9 @@ class TestChaosPerCluster:
 
 
 class TestChaosDeterminism:
-    """Rate-mode chaos: one schedule, every backend, every run."""
+    """Rate-mode chaos: one schedule per worker count, every run."""
 
-    def _run(self, seed, backend):
+    def _run(self, seed, workers):
         structure, cover, term, serial = _per_cluster_case(seed)
         injector = FaultInjector(
             seed=seed, rate=0.35, rate_sites=PARALLEL_FAULT_SITES
@@ -164,8 +168,7 @@ class TestChaosDeterminism:
                 structure,
                 cover,
                 term,
-                workers=2,
-                backend=backend,
+                workers=workers,
                 retry=_retry(retries=1),
                 on_shard_failure="salvage",
             )
@@ -178,14 +181,10 @@ class TestChaosDeterminism:
             fingerprint = ((), tuple(result.items()))
         return fingerprint, dict(injector.hits), dict(injector.fired)
 
-    @pytest.mark.parametrize("seed", (0, 3, 11, 17, 26))
-    def test_same_schedule_across_backends(self, seed):
-        assert self._run(seed, "thread") == self._run(seed, "process")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("seed", (2, 9))
-    def test_same_schedule_across_runs(self, seed, backend):
-        assert self._run(seed, backend) == self._run(seed, backend)
+    def test_same_schedule_across_runs(self, seed, workers):
+        assert self._run(seed, workers) == self._run(seed, workers)
 
     @pytest.mark.parametrize("seed", (4, 13))
     def test_salvaged_values_stay_exact_under_rate_chaos(self, seed):
@@ -222,32 +221,24 @@ class TestChaosCountMany:
         ]
         return structures, phi, serial
 
-    @pytest.mark.parametrize("process", (False, True))
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("site", PARALLEL_FAULT_SITES)
     @pytest.mark.parametrize("seed", (0, 5, 12, 21))
-    def test_retries_heal(self, seed, site, process):
+    def test_retries_heal(self, seed, site, workers):
         structures, phi, serial = self._case(seed)
-        engine = Foc1Evaluator(
-            workers=2,
-            parallel_backend="process" if process else "thread",
-            retry=_retry(),
-        )
+        engine = Foc1Evaluator(workers=workers, retry=_retry())
         injector = FaultInjector({site: 1})
         with inject_faults(injector):
             counts = engine.count_many(list(structures), phi, ["x", "y"])
         assert counts == serial
         assert injector.fired[site] == 1
 
-    @pytest.mark.parametrize("process", (False, True))
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("site", PARALLEL_FAULT_SITES)
     @pytest.mark.parametrize("seed", (1, 8))
-    def test_salvage_leaves_none_holes(self, seed, site, process):
+    def test_salvage_leaves_none_holes(self, seed, site, workers):
         structures, phi, serial = self._case(seed)
-        engine = Foc1Evaluator(
-            workers=2,
-            parallel_backend="process" if process else "thread",
-            on_shard_failure="salvage",
-        )
+        engine = Foc1Evaluator(workers=workers, on_shard_failure="salvage")
         injector = FaultInjector({site: 1})
         with inject_faults(injector):
             result = engine.count_many(list(structures), phi, ["x", "y"])
@@ -262,6 +253,10 @@ class TestChaosCountMany:
 
 
 class TestChaosMainAlgorithm:
+    """The cluster loop runs inline as one retried shard."""
+
+    SITES = ("removal.surgery", "memo.insert")
+
     @lru_cache(maxsize=None)
     def _case(self, seed):
         rng = random.Random(9500 + seed)
@@ -269,36 +264,69 @@ class TestChaosMainAlgorithm:
         term = BasicClTerm(
             ("y1", "y2"), E("y1", "y2"), 1, 1, frozenset({(1, 2)}), unary=True
         )
-        serial = evaluate_unary_main_algorithm(structure, term, workers=1)
+        serial = evaluate_unary_main_algorithm(structure, term, small_threshold=4)
         return structure, term, serial
 
-    @pytest.mark.parametrize("site", PARALLEL_FAULT_SITES)
-    @pytest.mark.parametrize("seed", (0, 6, 14, 23))
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("seed", (0, 4, 7, 9, 14, 18))
     def test_retries_heal(self, seed, site):
         structure, term, serial = self._case(seed)
         injector = FaultInjector({site: 1})
         with inject_faults(injector):
             healed = evaluate_unary_main_algorithm(
-                structure, term, workers=2, retry=_retry()
+                structure, term, small_threshold=4, retry=_retry()
             )
         assert list(healed.items()) == list(serial.items())
+        assert injector.fired[site] == 1
 
-    @pytest.mark.parametrize("site", PARALLEL_FAULT_SITES)
-    @pytest.mark.parametrize("seed", (3, 10))
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("seed", (10, 13, 29))
     def test_salvage_covers_surviving_clusters(self, seed, site):
         structure, term, serial = self._case(seed)
         injector = FaultInjector({site: 1})
         with inject_faults(injector):
             result = evaluate_unary_main_algorithm(
-                structure, term, workers=2, on_shard_failure="salvage"
+                structure, term, small_threshold=4, on_shard_failure="salvage"
             )
-        if isinstance(result, PartialResult):
-            assert result.covered == len(result.value)
-            assert result.expected == len(serial)
-            expected_slice = [
-                (k, v) for k, v in serial.items() if k in result.value
-            ]
-            assert list(result.value.items()) == expected_slice
-        else:
-            # Single shard: no fan-out, so no fault and a full answer.
-            assert list(result.items()) == list(serial.items())
+        assert injector.fired[site] == 1
+        # The loop is one shard, so its failure loses every cluster.
+        _assert_partial_slice_of(result, serial)
+        assert result.covered == 0
+
+
+class TestChaosUnaryTermValues:
+    """The unary sweep runs inline as one retried shard at ``workers > 1``."""
+
+    SITES = ("memo.insert", "predicate.oracle")
+    TERM = "#(y). (E(x, y) & @geq1(#(z). E(y, z)))"
+
+    @lru_cache(maxsize=None)
+    def _case(self, seed):
+        rng = random.Random(9700 + seed)
+        structure = _random_graph(rng)
+        term = parse_term(self.TERM)
+        serial = Foc1Evaluator(workers=1).unary_term_values(structure, term, "x")
+        return structure, term, serial
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("seed", (0, 3, 6, 11))
+    def test_retries_heal(self, seed, site):
+        structure, term, serial = self._case(seed)
+        engine = Foc1Evaluator(workers=2, retry=_retry())
+        injector = FaultInjector({site: 1})
+        with inject_faults(injector):
+            healed = engine.unary_term_values(structure, term, "x")
+        assert list(healed.items()) == list(serial.items())
+        assert injector.fired[site] == 1
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("seed", (2, 9))
+    def test_salvage_returns_an_empty_exact_slice(self, seed, site):
+        structure, term, serial = self._case(seed)
+        engine = Foc1Evaluator(workers=2, on_shard_failure="salvage")
+        injector = FaultInjector({site: 1})
+        with inject_faults(injector):
+            result = engine.unary_term_values(structure, term, "x")
+        assert injector.fired[site] == 1
+        _assert_partial_slice_of(result, serial)
+        assert result.covered == 0

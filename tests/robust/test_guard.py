@@ -39,6 +39,14 @@ def degree_term():
 
 
 @pytest.fixture
+def batch():
+    """Three graphs, an edge count and its serial per-graph answers."""
+    structures = [path_graph(4), grid_graph(3, 3), complete_graph(4)]
+    phi = parse_formula("E(x, y)")
+    return structures, phi, [len(s.relation("E")) for s in structures]
+
+
+@pytest.fixture
 def grid():
     # Order 25 > the main algorithm's small_threshold, so the cover and
     # removal machinery genuinely runs (and can genuinely be faulted).
@@ -145,8 +153,8 @@ class TestFullCascade:
         self, grid, degree_term, monkeypatch
     ):
         """With the main stage faulted, the engine that answers the
-        cl-term from foc1 has the evaluator's worker count, backend,
-        retry policy and failure mode, and no fragment check."""
+        cl-term from foc1 has the evaluator's worker count, retry policy
+        and failure mode, and no fragment check."""
         from repro.core.evaluator import Foc1Evaluator
 
         engines = []
@@ -164,7 +172,7 @@ class TestFullCascade:
         assert values == evaluate_basic_unary(grid, degree_term)
         assert engine.last_report.answered_by == "foc1"
         used = engines[-1]
-        assert used.pool.workers == 2 and used.pool.backend == "thread"
+        assert used.pool.workers == 2
         assert used.retry is retry and used.on_shard_failure == "salvage"
         assert used.check_fragment is False
 
@@ -296,45 +304,49 @@ class TestCircuitBreaker:
 
 class TestPartialThroughCascade:
     def test_retry_heals_inside_the_cascade(self, grid, degree_term):
+        # The main algorithm's cluster loop runs inline, so the fault
+        # lands in its removal surgery; the retry re-runs the loop.
         truth = evaluate_basic_unary(grid, degree_term)
         engine = RobustEvaluator(workers=2, retry=RetryPolicy(retries=2))
-        with inject_faults(FaultInjector({"worker.task": 1})) as injector:
+        with inject_faults(FaultInjector({"removal.surgery": 1})) as injector:
             values = engine.evaluate_unary_cl_term(grid, degree_term)
         assert values == truth
-        assert injector.fired["worker.task"] == 1
+        assert injector.fired["removal.surgery"] == 1
         report = engine.last_report
         assert report.answered_by == "main_algorithm"
         assert report.failed_stages() == []
         assert not report.is_partial()
 
-    def test_partial_result_surfaces_in_report(self, grid, degree_term):
-        truth = evaluate_basic_unary(grid, degree_term)
+    def test_partial_result_surfaces_in_report(self, batch):
+        # count_many fans its batch out to child processes, so a fault
+        # at submission loses exactly one batch entry.
+        structures, phi, truth = batch
         engine = RobustEvaluator(workers=2, on_shard_failure="salvage")
         with inject_faults(FaultInjector({"worker.task": 1})):
-            result = engine.evaluate_unary_cl_term(grid, degree_term)
+            result = engine.count_many(structures, phi, ["x", "y"])
         assert isinstance(result, PartialResult)
         report = engine.last_report
-        assert report.answered_by == "main_algorithm"
+        assert report.answered_by == "foc1"
         assert report.is_partial()
         assert report.partial is result
-        entry = report.stage("main_algorithm")
+        entry = report.stage("foc1")
         assert entry.status == "partial"
         assert "coverage" in entry.detail
         assert "partial" in report.summary()
         # Covered values are exact — salvage drops, never approximates.
-        assert result.value
-        assert all(truth[k] == v for k, v in result.value.items())
+        assert result.value == [None] + truth[1:]
 
-    def test_partial_counts_as_success_for_the_breaker(self, grid, degree_term):
+    def test_partial_counts_as_success_for_the_breaker(self, batch):
+        structures, phi, _ = batch
         engine = RobustEvaluator(
             workers=2,
             on_shard_failure="salvage",
             breaker=CircuitBreaker(threshold=1),
         )
         with inject_faults(FaultInjector({"worker.task": 1})):
-            engine.evaluate_unary_cl_term(grid, degree_term)
+            engine.count_many(structures, phi, ["x", "y"])
         # A salvaged partial answer is a degraded success, not a failure.
-        assert engine.breaker.state("main_algorithm") == "closed"
+        assert engine.breaker.state("foc1") == "closed"
 
     def test_rejects_unknown_failure_mode(self):
         with pytest.raises(ValueError, match="on_shard_failure"):

@@ -2,8 +2,8 @@
 
 The correctness bar (docs/ROBUSTNESS.md): suspending at every budget
 quantum and resuming from the checkpoint must produce **exactly** the
-answer of an uninterrupted run — across seeded random structures and the
-serial, thread and process backends.  Restored state (materialised
+answer of an uninterrupted run — across seeded random structures, inline
+and on child processes.  Restored state (materialised
 strata, memo contents, completed shards) may only ever *skip* work, never
 change a value.
 
@@ -32,6 +32,10 @@ from repro.sparse.classes import nearly_square_grid
 from repro.structures.builders import graph_structure
 
 SEEDS = range(30)
+
+
+def _tenfold(x):
+    return x * 10
 
 
 def _random_graph(rng: random.Random, max_n: int = 10):
@@ -206,19 +210,19 @@ class TestResumeOverhead:
         assert first.steps + second.steps <= 1.05 * whole.steps
 
 
-class TestThreadBackendPreemptionDifferential:
+class TestInlinePreemptionDifferential:
+    """Unary sweeps run inline at ``workers > 1`` and resume exactly."""
+
     @pytest.mark.parametrize("seed", (0, 3, 11, 19, 26))
     def test_unary_values_identical(self, seed, tmp_path):
         rng = random.Random(5000 + seed)
         structure = _random_graph(rng, max_n=12)
         term = parse_term("#(y). E(x, y)")
         expected = list(
-            Foc1Evaluator().unary_term_values(structure, term, "x").items()
+            Foc1Evaluator(workers=1).unary_term_values(structure, term, "x").items()
         )
         actual, _ = run_preempted(
-            lambda budget: Foc1Evaluator(
-                budget=budget, workers=3, parallel_backend="thread"
-            ),
+            lambda budget: Foc1Evaluator(budget=budget, workers=3),
             lambda engine: list(
                 engine.unary_term_values(structure, term, "x").items()
             ),
@@ -227,17 +231,18 @@ class TestThreadBackendPreemptionDifferential:
         assert actual == expected
 
 
-class TestProcessBackendPreemptionDifferential:
+class TestProcessPreemptionDifferential:
+    @pytest.mark.parametrize("workers", (2, 3))
     @pytest.mark.parametrize("seed", (2, 13))
-    def test_count_many_identical(self, seed, tmp_path):
+    def test_count_many_identical(self, seed, workers, tmp_path):
         rng = random.Random(6000 + seed)
         structures = [_random_graph(rng, max_n=8) for _ in range(3)]
         formula = parse_formula("E(x, y) & E(y, z)")
-        expected = Foc1Evaluator().count_many(structures, formula, ["x", "y", "z"])
+        expected = Foc1Evaluator(workers=1).count_many(
+            structures, formula, ["x", "y", "z"]
+        )
         actual, _ = run_preempted(
-            lambda budget: Foc1Evaluator(
-                budget=budget, workers=2, parallel_backend="process"
-            ),
+            lambda budget: Foc1Evaluator(budget=budget, workers=workers),
             lambda engine: engine.count_many(structures, formula, ["x", "y", "z"]),
             tmp_path,
             quantum=60,
@@ -280,7 +285,7 @@ class TestPoolShardResume:
         session.record_shard(scope, 0, 100)
         session.record_shard(scope, 2, 300)
         resumed = CheckpointSession(resume=session.snapshot())
-        pool = WorkerPool(workers=2, backend="thread")
+        pool = WorkerPool(workers=2)
         calls = []
 
         def make_task(i):
@@ -294,6 +299,20 @@ class TestPoolShardResume:
             results = pool.run_tasks([make_task(i) for i in range(3)])
         assert results == [100, 10, 300]
         assert calls == [1]
+
+    def test_partially_resumed_process_fanout_submits_only_the_gap(self):
+        session = CheckpointSession(operation="pool", query_key="k")
+        scope = session.next_shard_scope(3)
+        session.record_shard(scope, 0, 100)
+        session.record_shard(scope, 2, 300)
+        resumed = CheckpointSession(resume=session.snapshot())
+        injector = FaultInjector()
+        with inject_faults(injector), checkpoint_session(resumed):
+            results = WorkerPool(workers=2).map_outcomes(_tenfold, range(3))
+        assert results == [100, 10, 300]
+        # One child submission: the gap, checked once at each site.
+        assert injector.hits["worker.task"] == 1
+        assert injector.hits["shard.result"] == 1
 
     def test_resumed_shards_bypass_fault_sites(self):
         # A fully resumed fan-out performs no shard work, so an armed

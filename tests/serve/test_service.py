@@ -342,6 +342,48 @@ class TestBatching:
         assert registry.counter("serve.batch.dispatched") >= 1
         assert registry.counter("serve.batch.merged") >= 1
 
+    def test_batched_quanta_run_inline_under_repro_workers(self, monkeypatch):
+        """A quantum's cascade runs inline whatever ``REPRO_WORKERS``
+        says: a process pool per quantum costs far more than the quantum,
+        and forking the multi-threaded service is unsafe."""
+        import repro.parallel.pool as pool_module
+
+        started = []
+
+        def no_pool(*args, **kwargs):
+            started.append(args or kwargs)
+            raise ReproError("a quantum started a process pool")
+
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        structures = [cycle_graph(n) for n in (4, 5, 6, 7)]
+        registry = MetricsRegistry()
+
+        async def scenario():
+            async with QueryService(
+                workers=1, quantum_steps=10**6, batch_max=8, metrics=registry
+            ) as service:
+                return await asyncio.gather(
+                    *(
+                        service.submit(
+                            count_request(s, tenant=f"t{i}", request_id=str(i))
+                        )
+                        for i, s in enumerate(structures)
+                    )
+                )
+
+        responses = asyncio.run(scenario())
+        assert [r.value for r in responses] == [
+            exact_count(s) for s in structures
+        ]
+        assert registry.counter("serve.batch.merged") >= 1
+        assert started == []
+
+    def test_eval_workers_accepts_only_one(self):
+        assert QueryService(eval_workers=1).workers == 2
+        with pytest.raises(ReproError, match="inline"):
+            QueryService(eval_workers=2)
+
     def test_batch_max_one_disables_batching(self):
         async def scenario():
             async with QueryService(

@@ -287,7 +287,7 @@ class TestPatchedCaches:
 
     def test_concurrent_expansions_and_writes_keep_the_parent_exact(self):
         """Threads expanding one parent by their own ``Mark`` (as the
-        thread backend's shards do) store the pools they build for ``E``
+        service's quantum threads may) store the pools they build for ``E``
         on the parent, while other threads derive writes from it: every
         thread reads its own ``Mark``, each write's tables match a fresh
         build, and the parent ends with exact ``E`` pools and no ``Mark``

@@ -322,13 +322,14 @@ class TestCliRobustness:
         assert result.stdout.strip() == "8"
 
     def test_retries_flag_heals_a_faulted_run(self, graph_file, capsys):
-        # In-process so the fault injector reaches the engine's pool.
+        # In-process so the fault injector reaches the engine.  The sweep
+        # runs inline at any worker count, so the fault lands in its memo.
         import repro.__main__ as cli
         from repro.robust import FaultInjector, inject_faults
 
         assert cli.main(["unary", graph_file, "#(y). E(x, y)", "--var", "x"]) == 0
         serial_out = capsys.readouterr().out
-        with inject_faults(FaultInjector({"worker.task": 1})) as injector:
+        with inject_faults(FaultInjector({"memo.insert": 1})) as injector:
             code = cli.main(
                 [
                     "unary", graph_file, "#(y). E(x, y)", "--var", "x",
@@ -338,7 +339,7 @@ class TestCliRobustness:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out == serial_out  # byte-identical after healing
-        assert injector.fired["worker.task"] == 1
+        assert injector.fired["memo.insert"] == 1
 
     def test_salvage_flag_exits_5_with_partial_output(self, graph_file, capsys):
         import repro.__main__ as cli
@@ -346,7 +347,7 @@ class TestCliRobustness:
 
         assert cli.main(["unary", graph_file, "#(y). E(x, y)", "--var", "x"]) == 0
         serial_lines = set(capsys.readouterr().out.strip().splitlines())
-        with inject_faults(FaultInjector({"worker.task": 1})):
+        with inject_faults(FaultInjector({"memo.insert": 1})):
             code = cli.main(
                 [
                     "unary", graph_file, "#(y). E(x, y)", "--var", "x",
@@ -357,7 +358,8 @@ class TestCliRobustness:
         assert code == 5
         assert "partial" in captured.err
         assert "coverage" in captured.err
-        # The covered lines are a strict, exact subset of the full answer.
+        # The covered lines are a strict, exact subset of the full answer:
+        # here none, since the inline sweep is one shard.
         partial_lines = set(captured.out.strip().splitlines())
         assert partial_lines < serial_lines
 
