@@ -16,10 +16,11 @@ pytest-benchmark's table (``pytest benchmarks/bench_retry.py
 shared runner is noise.
 
 Workloads: the Section 8.2 per-cluster loop at workers=2, as in
-``bench_parallel.py`` (child processes), and ``WorkerPool.run_tasks``,
-the inline retry driver the unary sweeps and the main algorithm go
-through; both are asserted byte-identical to their serial/plain
-counterparts.
+``bench_parallel.py`` (child processes), and ``WorkerPool.map_outcomes``
+at one worker over a module-level function: the same retry loop
+(``_drive``) the process fan-outs use, run inline, so its bookkeeping is
+measured apart from pickling and engine costs.  Both are asserted
+byte-identical to their serial/plain counterparts.
 """
 
 import pytest
@@ -76,18 +77,19 @@ def test_per_cluster_retry_overhead(benchmark, n, retries):
     benchmark.extra_info["clusters"] = len(cover.clusters)
 
 
+def _small_sum(i):
+    """A small pure-Python loop: the work item the retry loop is timed over."""
+    return sum(range(2_000 + i))
+
+
 @pytest.mark.parametrize("retries", RETRY_COUNTS)
 @pytest.mark.parametrize("tasks", (16,))
-def test_run_tasks_retry_overhead(benchmark, tasks, retries):
-    # Bare thunks isolate the driver's own bookkeeping from engine costs:
-    # each task is a small pure-Python loop, run inline.
+def test_map_outcomes_retry_overhead(benchmark, tasks, retries):
     pool = WorkerPool(workers=1)
-    work = [
-        (lambda i: (lambda budget=None: sum(range(2_000 + i))))(i)
-        for i in range(tasks)
-    ]
 
-    results = benchmark(pool.run_tasks, work, retry=_policy(retries))
-    assert results == [sum(range(2_000 + i)) for i in range(tasks)]
+    results = benchmark(
+        pool.map_outcomes, _small_sum, range(tasks), retry=_policy(retries)
+    )
+    assert results == [_small_sum(i) for i in range(tasks)]
     benchmark.extra_info["retries"] = retries
     benchmark.extra_info["tasks"] = tasks

@@ -29,9 +29,6 @@ Resource governance (see ``docs/ROBUSTNESS.md``): ``--timeout`` and
 ``--max-steps`` bound the evaluation; ``--engine robust`` runs the
 fallback cascade (main algorithm → FOC1 engine → brute force) in its
 fixed order.
-``--retries`` retries failed parallel shards with deterministic backoff;
-``--on-shard-failure salvage`` returns the completed shards of a partly
-failed parallel run instead of raising.
 
 Approximation (see ``docs/ENGINES.md``): ``--engine approx`` answers
 ``count``/``term`` with a seeded (1±ε, δ) sampling estimate —
@@ -57,11 +54,11 @@ emits one JSON line per request plus a summary on stderr.
 
 Exit codes: 0 on success (for ``check``: also when the answer is False —
 the answer is printed, not encoded), 2 on bad input, 3 on an unexpected
-internal error, 4 on budget exhaustion, 5 on a partial (salvaged) result,
-6 on suspension (resumable via ``--resume``), 130 on interrupt (SIGINT /
-SIGTERM; with an active ``--checkpoint``/``--resume`` session the
-interrupt instead writes a final checkpoint and exits with 6 — the
-interrupted work is resumable, not lost).
+internal error, 4 on budget exhaustion, 5 when a ``serve`` workload had a
+request that errored, 6 on suspension (resumable via ``--resume``), 130
+on interrupt (SIGINT / SIGTERM; with an active ``--checkpoint``/``--resume``
+session the interrupt instead writes a final checkpoint and exits with 6 —
+the interrupted work is resumable, not lost).
 """
 
 from __future__ import annotations
@@ -94,12 +91,7 @@ from .plan import (
     default_plan_cache,
     infer_signature,
 )
-from .robust import (
-    EvaluationBudget,
-    PartialResult,
-    RetryPolicy,
-    RobustEvaluator,
-)
+from .robust import EvaluationBudget, RobustEvaluator
 from .robust.checkpoint import (
     CheckpointSession,
     checkpoint_session,
@@ -113,6 +105,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_BUDGET = 4
+#: ``serve`` replayed its workload, but some request errored.
 EXIT_PARTIAL = 5
 EXIT_SUSPENDED = 6
 #: The conventional "terminated by SIGINT" shell code (128 + 2).
@@ -376,22 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "docs/PARALLEL.md)",
         )
         sub.add_argument(
-            "--retries",
-            type=int,
-            default=0,
-            metavar="N",
-            help="retry each failed shard up to N times with "
-            "deterministic backoff (default: 0 = fail fast)",
-        )
-        sub.add_argument(
-            "--on-shard-failure",
-            choices=("raise", "salvage"),
-            default="raise",
-            help="'raise' (default) fails the whole query when a shard "
-            "dies after its retries; 'salvage' returns the completed "
-            "shards as a partial result and exits with code 5",
-        )
-        sub.add_argument(
             "--checkpoint",
             metavar="PATH",
             help="preemptible mode: budget exhaustion suspends the "
@@ -410,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             dest="report_json",
             help="write the structured cascade report (stages, breaker "
-            "states, partial coverage, checkpoint info) as JSON to PATH; "
+            "states, checkpoint info) as JSON to PATH; "
             "requires --engine robust or approx",
         )
         sub.add_argument(
@@ -568,16 +545,10 @@ def _run_eval(args: argparse.Namespace) -> int:
             )
         if args.command == "unary":
             values = engine.unary_term_values(structure, expression, args.var)
-            exit_code = EXIT_OK
-            if isinstance(values, PartialResult):
-                print(f"# partial: {values.summary()}", file=sys.stderr)
-                exit_code = EXIT_PARTIAL
-                values = values.value
             for element in structure.universe_order:
-                if element in values:
-                    print(f"{element}\t{values[element]}")
+                print(f"{element}\t{values[element]}")
             _emit_report(engine, args)
-            return exit_code
+            return EXIT_OK
         raise AssertionError("unreachable")
 
     if session is None:
@@ -622,12 +593,7 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 
 def _print_result(engine, result, args: argparse.Namespace) -> int:
-    """Print one scalar answer; a salvaged partial result exits with 5."""
-    if isinstance(result, PartialResult):
-        print(f"# partial: {result.summary()}", file=sys.stderr)
-        print(result.value)
-        _emit_report(engine, args)
-        return EXIT_PARTIAL
+    """Print one scalar answer."""
     if isinstance(result, ApproxResult):
         # An estimate never prints as a bare exact-looking count without
         # its marker: the rounded value goes to stdout, the interval and
@@ -926,11 +892,6 @@ def _make_engine(args: argparse.Namespace):
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         raise ReproError("--workers must be a positive integer")
-    retries = getattr(args, "retries", 0)
-    if retries < 0:
-        raise ReproError("--retries must be >= 0")
-    retry = RetryPolicy(retries=retries) if retries > 0 else None
-    on_shard_failure = getattr(args, "on_shard_failure", "raise")
     if (
         getattr(args, "report_json", None) is not None
         and args.engine not in ("robust", "approx")
@@ -948,8 +909,6 @@ def _make_engine(args: argparse.Namespace):
             budget=budget,
             check_fragment=check_fragment,
             workers=workers,
-            retry=retry,
-            on_shard_failure=on_shard_failure,
             approx=getattr(args, "approx_fallback", False),
             epsilon=getattr(args, "epsilon", 0.1),
             delta=getattr(args, "delta", 0.05),
@@ -968,13 +927,7 @@ def _make_engine(args: argparse.Namespace):
         # The brute-force oracle stays deliberately serial.
         engine = BruteForceEvaluator(budget=budget, check_fragment=check_fragment)
     else:
-        engine = Foc1Evaluator(
-            check_fragment=check_fragment,
-            budget=budget,
-            workers=workers,
-            retry=retry,
-            on_shard_failure=on_shard_failure,
-        )
+        engine = Foc1Evaluator(check_fragment=check_fragment, budget=budget)
     return engine, budget
 
 

@@ -80,7 +80,7 @@ def sample_blocks(
     structure: Structure,
     formula: Formula,
     variables: Sequence[Variable],
-    predicates: "Optional[PredicateCollection]",
+    predicates: PredicateCollection,
     seed: int,
     blocks: Sequence[Tuple[int, int]],
     budget: "Optional[EvaluationBudget]" = None,
@@ -92,7 +92,6 @@ def sample_blocks(
     Module-level and picklable-argument so child processes can run it;
     the serial path uses the same code.
     """
-    collection = predicates if predicates is not None else standard_collection()
     universe = structure.universe_order
     n = len(universe)
     names = list(variables)
@@ -107,7 +106,7 @@ def sample_blocks(
             assignment = {
                 name: universe[rng.randrange(n)] for name in names
             }
-            if satisfies(structure, formula, assignment, collection, budget):
+            if satisfies(structure, formula, assignment, predicates, budget):
                 hits += 1
         results.append((block, hits, count))
         if registry is not None:
@@ -139,7 +138,9 @@ class ApproxEvaluator:
     workers:
         Sampling fans blocks out to the child processes of a
         :class:`~repro.parallel.WorkerPool` when ``workers > 1``; the
-        block fold keeps the answer independent of the layout.
+        block fold keeps the answer independent of the layout, and the
+        children's oracle calls are added to :attr:`predicates`, so its
+        ``oracle_calls`` reads the same at every worker count.
     """
 
     def __init__(
@@ -334,17 +335,16 @@ class ApproxEvaluator:
             from ..parallel.pool import WorkerPool
             from ..parallel.tasks import run_approx_shards
 
-            pool = WorkerPool(self.workers)
-            predicates = None if self._default_predicates else self.predicates
             return run_approx_shards(
-                pool,
+                WorkerPool(self.workers),
                 structure,
                 formula,
                 names,
-                predicates,
+                None if self._default_predicates else self.predicates,
                 self.seed,
                 per_block,
                 budget,
+                oracle=self.predicates,
             )
         return sample_blocks(
             structure, formula, names, self.predicates, self.seed,

@@ -386,14 +386,20 @@ def evaluate_per_cluster(
     a :class:`~repro.parallel.WorkerPool`; merging the shard dicts in
     shard order makes the result byte-identical to the serial loop at
     every worker count.  Inputs must pickle: a custom predicate
-    collection needs module-level functions.
+    collection needs module-level functions.  The children's P-oracle
+    calls are added to ``predicates``, as if the loop had run here.
 
-    A ``retry`` policy re-runs a failed shard alone (deterministic
-    backoff).  ``on_shard_failure="salvage"`` keeps the
-    completed shards when retries are exhausted and returns a
+    ``retry`` and ``on_shard_failure`` apply only when clusters go to
+    child processes, the one place a shard can fail with no fault in the
+    code: a child that dies fails the shards it had not returned with a
+    :class:`~repro.parallel.ParallelError`.  A ``retry`` policy re-runs
+    a failed shard alone (deterministic backoff, a fresh executor when a
+    child died).  ``on_shard_failure="salvage"`` keeps the completed shards
+    when retries are exhausted and returns a
     :class:`~repro.robust.partial.PartialResult` carrying the failed
     cluster ids and the coverage fraction; a run without failures still
-    returns the plain dict.
+    returns the plain dict.  The inline loop runs neither: it is
+    deterministic, so a retry would raise the same error again.
     """
     validate_failure_mode(on_shard_failure)
     if not term.unary or not term.is_basic():
@@ -411,47 +417,32 @@ def evaluate_per_cluster(
         for index in range(len(cover.clusters))
         if cover.members_with_cluster(index)
     ]
-    salvage = on_shard_failure == "salvage"
-    if pool.workers > 1 and len(indices) > 1:
-        from ..parallel.tasks import run_per_cluster_shards
-
-        shards = shard(indices, pool.workers)
-        joined = run_per_cluster_shards(
-            pool,
-            structure,
-            cover,
-            term,
-            psi,
-            shards,
-            predicates,
-            budget,
-            retry=retry,
-            salvage=salvage,
-        )
-        if not salvage:
-            return joined
-        outcomes = joined
-    elif retry is None and not salvage:
+    if pool.workers <= 1 or len(indices) <= 1:
         return _cluster_shard_values(
             structure, cover, term, psi, indices, predicates, budget
         )
-    else:
-        # One inline shard through the pool's retry driver.
-        def loop(attempt_budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
-            return _cluster_shard_values(
-                structure, cover, term, psi, indices, predicates, attempt_budget
-            )
+    from ..parallel.tasks import run_per_cluster_shards
 
-        shards = [indices]
-        outcomes = pool.run_tasks(
-            [loop], budget, retry=retry, on_failure=on_shard_failure
-        )
-        if not salvage:
-            return outcomes[0]
+    salvage = on_shard_failure == "salvage"
+    shards = shard(indices, pool.workers)
+    joined = run_per_cluster_shards(
+        pool,
+        structure,
+        cover,
+        term,
+        psi,
+        shards,
+        predicates,
+        budget,
+        retry=retry,
+        salvage=salvage,
+    )
+    if not salvage:
+        return joined
     chunk_sizes = [
         sum(len(cover.members_with_cluster(i)) for i in chunk)
         for chunk in shards
     ]
     return merge_unary_outcomes(
-        outcomes, shards, chunk_sizes, "evaluate_per_cluster"
+        joined, shards, chunk_sizes, "evaluate_per_cluster"
     )

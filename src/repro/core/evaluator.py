@@ -37,20 +37,13 @@ from ..logic.syntax import (
     free_variables,
 )
 from ..obs import traced
-from ..parallel import WorkerPool
+from ..parallel import ParallelError
 from ..plan.cache import PlanCache, default_plan_cache
 from ..plan.compiler import compile_plan
 from ..plan.executor import PlanExecutor
 from ..plan.ir import PlanOptions, QueryPlan
 from ..plan.normalise import canonicalise
 from ..robust.budget import EvaluationBudget
-from ..robust.partial import (
-    PartialResult,
-    ShardFailure,
-    merge_unary_outcomes,
-    validate_failure_mode,
-)
-from ..robust.retry import RetryPolicy
 from ..structures.signature import Signature
 from ..structures.structure import Element, Structure
 from .query import Foc1Query
@@ -87,22 +80,11 @@ class Foc1Evaluator:
         cross-engine evaluations of the same query reuse one plan; pass a
         private instance to isolate (benchmarks do).
     workers:
-        Worker count for :meth:`count_many`, which fans its inputs out
-        to child processes above one worker.  ``None`` resolves
-        ``REPRO_WORKERS`` (default 1 = serial, the pre-parallel code
-        path).  Every other entry point runs inline.  See
-        ``docs/PARALLEL.md``.
-    retry:
-        Optional :class:`~repro.robust.retry.RetryPolicy` applied by
-        :meth:`count_many` (per input) and :meth:`unary_term_values` (to
-        the whole sweep): a transiently failing shard is re-run alone
-        instead of aborting the evaluation.
-    on_shard_failure:
-        ``"raise"`` (default): a permanently failed shard aborts the call.
-        ``"salvage"``: :meth:`count_many` and :meth:`unary_term_values`
-        keep completed shards and return a
-        :class:`~repro.robust.partial.PartialResult` when failures remain
-        (the plain result whenever nothing was lost).
+        ``None`` or 1: every entry point runs inline, whatever
+        ``REPRO_WORKERS`` says; any other value raises
+        :class:`~repro.parallel.ParallelError`.  The process fan-outs are
+        :func:`~repro.core.cover_eval.evaluate_per_cluster` and the
+        sampler (see ``docs/PARALLEL.md``).
     """
 
     def __init__(
@@ -114,22 +96,18 @@ class Foc1Evaluator:
         budget: "Optional[EvaluationBudget]" = None,
         plan_cache: "Optional[PlanCache]" = None,
         workers: "Optional[int]" = None,
-        retry: "Optional[RetryPolicy]" = None,
-        on_shard_failure: str = "raise",
     ):
-        # The standard collection holds closures and cannot pickle;
-        # remembering "caller gave us nothing" lets count_many ship None
-        # to child processes, which rebuild it.
-        self._default_predicates = predicates is None
+        if workers not in (None, 1):
+            raise ParallelError(
+                f"this engine runs inline; workers must be None or 1, got "
+                f"{workers!r} (evaluate_per_cluster and the sampler fan out)"
+            )
         self.predicates = predicates if predicates is not None else standard_collection()
         self.use_factoring = use_factoring
         self.use_guards = use_guards
         self.check_fragment = check_fragment
         self.budget = budget
         self.plan_cache = plan_cache if plan_cache is not None else default_plan_cache()
-        self.pool = WorkerPool(workers)
-        self.retry = retry
-        self.on_shard_failure = validate_failure_mode(on_shard_failure)
 
     # -- compile-once plumbing ----------------------------------------------------
 
@@ -207,18 +185,9 @@ class Foc1Evaluator:
         term: Term,
         variable: Variable,
         elements: "Optional[Sequence[Element]]" = None,
-    ) -> "Dict[Element, int] | PartialResult":
+    ) -> Dict[Element, int]:
         """``t^A[a]`` for all ``a`` (the simultaneous evaluation of Lemma 5.7's
-        stronger form); a target outside the universe is an error.
-
-        The targets run inline as one shard at every worker count: the
-        sweep closes over this engine's live state, which cannot cross a
-        process boundary.  The engine's ``retry`` policy re-runs a failed
-        sweep; with ``on_shard_failure="salvage"`` a permanent failure no
-        longer raises — it comes back as a
-        :class:`~repro.robust.partial.PartialResult` covering nothing
-        (the plain dict when nothing was lost).
-        """
+        stronger form); a target outside the universe is an error."""
         extra = free_variables(term) - {variable}
         if extra:
             raise EvaluationError(f"term has unexpected free variables {sorted(extra)}")
@@ -232,24 +201,7 @@ class Foc1Evaluator:
                     f"assignment sends {variable!r} to {element!r}, "
                     "which is outside the universe"
                 )
-        if self.retry is None and self.on_shard_failure == "raise":
-            return self._executor(plan, structure).unary_term_values(
-                variable, targets
-            )
-
-        def sweep(budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
-            return PlanExecutor(
-                plan, structure, self.predicates, budget
-            ).unary_term_values(variable, targets)
-
-        outcomes = self.pool.run_tasks(
-            [sweep], self.budget, retry=self.retry, on_failure=self.on_shard_failure
-        )
-        if self.on_shard_failure != "salvage":
-            return outcomes[0]
-        return merge_unary_outcomes(
-            outcomes, [targets], [len(targets)], "unary_term_values"
-        )
+        return self._executor(plan, structure).unary_term_values(variable, targets)
 
     @traced("foc1.count_many")
     def count_many(
@@ -257,24 +209,14 @@ class Foc1Evaluator:
         structures: Sequence[Structure],
         formula: Formula,
         variables: Sequence[Variable],
-    ) -> "List[int] | PartialResult":
+    ) -> List[int]:
         """``|phi(A_i)|`` for a batch of structures — one plan, many inputs.
 
         The formula is validated once and compiled once per *distinct
         signature* in the batch (plans are structure-independent, so a
         homogeneous batch reuses a single compiled plan for every input);
-        with more than one worker and more than one input, execution fans
-        out to child processes with proportional budget slices, and the
-        results come back in input order.  The children receive ``(plan,
-        structure, predicates)`` payloads, so a custom predicate
-        collection must pickle (module-level functions; a closure raises
-        :class:`~repro.parallel.ParallelError`).
-
-        The engine's ``retry`` policy re-runs failed batch entries alone;
-        with ``on_shard_failure="salvage"`` permanent failures leave
-        ``None`` holes in the batch, returned inside a
-        :class:`~repro.robust.partial.PartialResult` (the plain list when
-        nothing was lost).
+        the inputs then run inline, in input order, each on a fresh
+        executor.
         """
         structures = list(structures)
         missing = free_variables(formula) - set(variables)
@@ -284,77 +226,16 @@ class Foc1Evaluator:
             raise EvaluationError("count variables must be pairwise distinct")
         if self.check_fragment:
             assert_foc1(formula)
-        if not structures:
-            return []
         plans = [
             self._plan_for_signature(
                 "count", (formula,), tuple(variables), s.signature
             )
             for s in structures
         ]
-        salvage = self.on_shard_failure == "salvage"
-        if self.pool.workers > 1 and len(structures) > 1:
-            from ..parallel.tasks import run_count_many_shards
-
-            joined = run_count_many_shards(
-                self.pool,
-                plans,
-                structures,
-                None if self._default_predicates else self.predicates,
-                self.budget,
-                retry=self.retry,
-                salvage=salvage,
-            )
-            if not salvage:
-                return joined
-            outcomes = joined
-        elif self.retry is None and not salvage:
-            return [
-                PlanExecutor(
-                    plans[i], structures[i], self.predicates, self.budget
-                ).count_value()
-                for i in range(len(structures))
-            ]
-        else:
-            tasks = [
-                lambda b, i=i: PlanExecutor(
-                    plans[i], structures[i], self.predicates, b
-                ).count_value()
-                for i in range(len(structures))
-            ]
-            if not salvage:
-                return self.pool.run_tasks(
-                    tasks, self.budget, retry=self.retry
-                )
-            outcomes = self.pool.run_tasks(
-                tasks, self.budget, retry=self.retry, on_failure="salvage"
-            )
-        # Salvage merge: the batch comes back with ``None`` holes at the
-        # failed positions plus a structured account of what was lost.
-        counts = [
-            outcome.value if outcome.error is None else None
-            for outcome in outcomes
+        return [
+            self._executor(plan, s).count_value()
+            for plan, s in zip(plans, structures)
         ]
-        failures = [
-            ShardFailure(
-                shard=outcome.index,
-                items=(outcome.index,),
-                error_type=type(outcome.error).__name__,
-                error=str(outcome.error),
-                attempts=outcome.attempts,
-            )
-            for outcome in outcomes
-            if outcome.error is not None
-        ]
-        if not failures:
-            return counts
-        return PartialResult(
-            operation="count_many",
-            value=counts,
-            failures=failures,
-            expected=len(structures),
-            covered=len(structures) - len(failures),
-        )
 
     @traced("foc1.count")
     def count(

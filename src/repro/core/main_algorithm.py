@@ -42,16 +42,9 @@ from ..errors import FormulaError
 from ..logic.predicates import PredicateCollection, standard_collection
 from ..logic.syntax import Add, CountTerm, Formula, Variable
 from ..obs import active_metrics, traced
-from ..parallel import ParallelError, WorkerPool
 from ..plan.cache import PlanCache
 from ..plan.ir import QueryPlan
 from ..robust.budget import EvaluationBudget
-from ..robust.partial import (
-    PartialResult,
-    merge_unary_outcomes,
-    validate_failure_mode,
-)
-from ..robust.retry import RetryPolicy
 from ..sparse.covers import sparse_cover
 from ..structures.gaifman import induced
 from ..structures.signature import Signature
@@ -70,16 +63,6 @@ class MainAlgorithmStats:
     removals: int = 0
     base_case_elements: int = 0
     max_depth_reached: int = 0
-
-    def merge(self, other: "MainAlgorithmStats") -> None:
-        """Fold a completed attempt's counters into this (parent) record."""
-        self.covers_built += other.covers_built
-        self.clusters_processed += other.clusters_processed
-        self.removals += other.removals
-        self.base_case_elements += other.base_case_elements
-        self.max_depth_reached = max(
-            self.max_depth_reached, other.max_depth_reached
-        )
 
 
 def _direct_unary_values(
@@ -141,9 +124,7 @@ def evaluate_unary_main_algorithm(
     budget: "Optional[EvaluationBudget]" = None,
     plan_cache: "Optional[PlanCache]" = None,
     workers: "Optional[int]" = None,
-    retry: "Optional[RetryPolicy]" = None,
-    on_shard_failure: str = "raise",
-) -> "Dict[Element, int] | PartialResult":
+) -> Dict[Element, int]:
     """Evaluate ``u^A[a]`` for all ``a`` via the Section 8.2 loop.
 
     ``term`` must be a unary basic cl-term; its ``psi`` must genuinely be
@@ -162,28 +143,17 @@ def evaluate_unary_main_algorithm(
     The cluster loop runs inline: its clusters close over live engine
     state, which cannot cross a process boundary.  ``workers`` accepts
     only ``None`` or 1 (anything else raises
-    :class:`~repro.parallel.ParallelError`).  A ``retry`` policy re-runs
-    a failed loop; ``on_shard_failure="salvage"`` turns a permanent
-    failure into a :class:`~repro.robust.partial.PartialResult` carrying
-    the cluster ids it lost (the plain dict when nothing was lost).
+    :class:`~repro.parallel.ParallelError`).
     """
-    validate_failure_mode(on_shard_failure)
-    if workers not in (None, 1):
-        raise ParallelError(
-            f"the main algorithm's cluster loop runs inline; workers must "
-            f"be None or 1, got {workers!r}"
-        )
-    if not term.unary:
-        raise FormulaError("the main algorithm evaluates unary basic cl-terms")
-    # The base-case engine runs without retry or salvage: the cluster loop
-    # below owns that policy.
     engine = Foc1Evaluator(
         predicates=predicates if predicates is not None else standard_collection(),
         check_fragment=False,
         budget=budget,
         plan_cache=plan_cache,
-        workers=1,
+        workers=workers,
     )
+    if not term.unary:
+        raise FormulaError("the main algorithm evaluates unary basic cl-terms")
     if stats is None:
         stats = MainAlgorithmStats()
     body = term.body()
@@ -210,8 +180,6 @@ def evaluate_unary_main_algorithm(
         engine,
         stats,
         level=1,
-        retry=retry,
-        on_shard_failure=on_shard_failure,
     )
     return values
 
@@ -294,9 +262,7 @@ def _evaluate_level(
     engine: Foc1Evaluator,
     stats: MainAlgorithmStats,
     level: int,
-    retry: "Optional[RetryPolicy]" = None,
-    on_shard_failure: str = "raise",
-) -> "Dict[Element, int] | PartialResult":
+) -> Dict[Element, int]:
     stats.max_depth_reached = max(stats.max_depth_reached, level)
     if depth <= 0 or structure.order() <= small_threshold:
         stats.base_case_elements += len(targets)
@@ -325,57 +291,22 @@ def _evaluate_level(
             structure.signature, free_variable, counted, body, removal_radius, engine
         )
 
-    def process_serial(work, engine, stats):
-        values: Dict[Element, int] = {}
-        for index, members in work:
-            values.update(
-                _process_cluster(
-                    structure,
-                    cover,
-                    index,
-                    members,
-                    free_variable,
-                    counted,
-                    body,
-                    removal_radius,
-                    plans,
-                    engine,
-                    stats,
-                    level,
-                )
+    values: Dict[Element, int] = {}
+    for index, members in per_cluster_members:
+        values.update(
+            _process_cluster(
+                structure,
+                cover,
+                index,
+                members,
+                free_variable,
+                counted,
+                body,
+                removal_radius,
+                plans,
+                engine,
+                stats,
+                level,
             )
-        return values
-
-    if retry is None and on_shard_failure == "raise":
-        return process_serial(per_cluster_members, engine, stats)
-
-    # Under a retry policy or salvage the loop runs as one shard through
-    # the pool's retry driver, on its own engine and stats record so a
-    # failed attempt leaves no half-counted stats behind.
-    def task(attempt_budget):
-        attempt_engine = Foc1Evaluator(
-            predicates=engine.predicates,
-            check_fragment=False,
-            budget=attempt_budget,
-            plan_cache=engine.plan_cache,
-            workers=1,
         )
-        attempt_stats = MainAlgorithmStats()
-        result = process_serial(per_cluster_members, attempt_engine, attempt_stats)
-        return result, attempt_stats
-
-    (outcome,) = WorkerPool(1).run_tasks(
-        [task], budget, retry=retry, on_failure="salvage"
-    )
-    if outcome.error is None:
-        values, attempt_stats = outcome.value
-        stats.merge(attempt_stats)
-        return values
-    if on_shard_failure != "salvage":
-        raise outcome.error
-    return merge_unary_outcomes(
-        [outcome],
-        [[index for index, _ in per_cluster_members]],
-        [sum(len(members) for _, members in per_cluster_members)],
-        "evaluate_unary_main_algorithm",
-    )
+    return values

@@ -25,9 +25,10 @@ naming convention:
   error is either re-raised or salvaged);
 * ``robust.breaker.trip`` — a cascade stage's circuit just opened;
 * ``robust.breaker.skipped`` — a stage was skipped because its circuit
-  was open (also counted per stage as ``robust.stage.<name>.skipped``);
-* ``robust.salvage.partial`` — a cascade stage answered with a
-  :class:`~repro.robust.partial.PartialResult`.
+  was open (also counted per stage as ``robust.stage.<name>.skipped``).
+
+The ``parallel.retry.*`` counters move only on the process fan-outs,
+the one place retries apply.
 
 Usage::
 

@@ -1,47 +1,57 @@
-"""The worker-pool abstraction behind every parallel evaluation path.
+"""The worker pool behind the two process fan-outs.
 
 Section 8.2's main algorithm is embarrassingly parallel across cover
 clusters: each cluster's members are evaluated entirely inside the induced
 substructure ``A[X]``, with no shared mutable state between clusters.  The
 engine is pure-Python CPU work, so only separate interpreters run it in
-parallel; :class:`WorkerPool` therefore has one fan-out mechanism:
+parallel; :class:`WorkerPool` therefore has one fan-out mechanism,
+:meth:`WorkerPool.map_outcomes`:
 
-* at one worker (or at most one work item) everything runs inline on the
-  calling thread — the pre-parallel code path, with no executor and no
-  pickling;
-* above one worker :meth:`WorkerPool.map_outcomes` ships module-level
-  payload functions to a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (see :mod:`repro.parallel.tasks`).
+* at one worker (or at most one work item) it runs inline on the calling
+  thread, with no executor and no pickling;
+* above one worker it ships module-level payload functions to a
+  :class:`~concurrent.futures.ProcessPoolExecutor` (see
+  :mod:`repro.parallel.tasks`).
 
-:meth:`WorkerPool.run_tasks` takes thunks that close over live engine
-state, which cannot cross a process boundary, so it always runs inline;
-it exists for the retry loop, salvage and checkpoint bookkeeping.
+Two engine paths fan out through it: the per-cluster loop
+(:func:`repro.core.cover_eval.evaluate_per_cluster`) and the sampler's
+seeded blocks (:class:`repro.approx.evaluator.ApproxEvaluator`).  Every
+other engine path runs inline and never builds a pool.
 
 Determinism guarantee
 ---------------------
-``map_outcomes`` and ``run_tasks`` return results in **input order**
-regardless of completion order, and every engine integration shards its
-work deterministically (contiguous chunks of the cluster-index / input
-order, via :func:`shard`) and merges shard results in shard-index order.
-A parallel evaluation therefore produces *byte-identical* output — same
-values, same dict insertion order — as the serial path, for every worker
-count.  Failures are deterministic too: when several shards raise, the
-exception of the lowest-indexed shard is the one re-raised.
+``map_outcomes`` returns results in **input order** regardless of
+completion order, and both fan-outs shard their work deterministically
+(contiguous chunks of the cluster-index / block order, via :func:`shard`)
+and merge shard results in shard-index order.  A parallel evaluation
+therefore produces *byte-identical* output — same values, same dict
+insertion order — as the serial path, for every worker count.  Failures
+are deterministic too: when several shards raise, the exception of the
+lowest-indexed shard is the one re-raised.
 
-Budgets and metrics across the process boundary are the payload layer's
-business: each payload carries its slice of the caller's budget, and
-:func:`repro.parallel.tasks._join_shards` charges the children's steps
-back and folds their metrics snapshots in shard order.
+Budgets, metrics and P-oracle counts across the process boundary are the
+payload layer's business: each payload carries its slice of the caller's
+budget, and :func:`repro.parallel.tasks._join_shards` charges the
+children's steps back and folds their metrics snapshots and oracle calls
+in shard order.
 
 Fault tolerance
 ---------------
-``run_tasks`` and ``map_outcomes`` accept a
-:class:`~repro.robust.retry.RetryPolicy`: a failed shard is re-run — only
-that shard — up to the policy's bounded attempt count, with deterministic
-seeded backoff.  With ``on_failure="salvage"`` permanent shard failures no
-longer raise: the call returns one :class:`ShardOutcome` per shard, and
-the caller merges the completed shards into a
-:class:`~repro.robust.partial.PartialResult`.
+Retry and salvage are for the process fan-out, where a shard can fail
+with no fault in the code: a child that dies (killed, out of memory,
+``os._exit``) breaks its executor, and every shard it had not yet
+returned fails with a :class:`ParallelError`.  ``map_outcomes`` accepts
+a :class:`~repro.robust.retry.RetryPolicy`: a failed shard is re-run —
+only that shard, on a fresh executor when the old one broke — up to the
+policy's bounded attempt count, with deterministic seeded backoff.  With
+``on_failure="salvage"`` permanent shard failures no longer raise: the
+call returns one :class:`ShardOutcome` per shard, and the caller merges
+the completed shards into a :class:`~repro.robust.partial.PartialResult`.
+At one worker the same loop runs inline, so a call returns the same
+shape and counts its retries the same way at every worker count; inline,
+though, only a callable that fails transiently heals, since the engine
+code is deterministic and would fail the same way again.  No other
+engine path takes a retry policy.
 
 The pool is also a chaos surface: when a pool actually fans out, each
 shard attempt passes three parent-side fault checkpoints —
@@ -56,13 +66,12 @@ error.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import FaultInjectedError, ReproError, SuspendedError
 from ..obs.metrics import active_metrics
-from ..robust.budget import EvaluationBudget
 from ..robust.checkpoint import active_checkpoint_session
 from ..robust.faults import fault_check
 from ..robust.partial import validate_failure_mode
@@ -96,9 +105,9 @@ class ShardOutcome:
     ``error is None`` means the shard completed (possibly after retries)
     and ``value`` holds its result; otherwise ``error`` is the *final*
     attempt's exception and ``value`` is ``None``.  ``steps`` counts the
-    budget steps child processes spent on the shard, failed attempts
-    included — the work happened and is charged to the parent either way.
-    Inline shards charge the caller's budget directly and leave it 0.
+    budget steps the shard's payload reported spending (see
+    :mod:`repro.parallel.tasks`), failed attempts included — the work
+    happened and is charged to the parent either way.
     """
 
     index: int
@@ -205,7 +214,7 @@ def _drive(
 
     def run_attempt(index: int) -> Any:
         checked("worker.task")
-        value = submit(index).result() if fan_out else attempt(index)
+        value = _collect(submit(index)) if fan_out else attempt(index)
         checked("worker.join")
         checked("shard.result")
         return value
@@ -239,7 +248,7 @@ def _drive(
             if not fan_out:
                 value = attempt(index)
             elif futures[index] is not None:
-                value = futures[index].result()
+                value = _collect(futures[index])
                 checked("worker.join")
                 checked("shard.result")
         except BaseException as raised:  # noqa: BLE001 — kept per shard
@@ -286,6 +295,20 @@ def _drive(
     return outcomes
 
 
+def _collect(future: Future) -> Any:
+    """A shard future's result.  A child that died before returning it
+    breaks the executor, which fails the future with
+    :class:`~concurrent.futures.BrokenExecutor`; that becomes a
+    :class:`ParallelError`, so the default retry policy re-runs the
+    shard."""
+    try:
+        return future.result()
+    except BrokenExecutor as error:
+        raise ParallelError(
+            f"a worker process died before returning its shard ({error})"
+        ) from error
+
+
 def _finalize(
     outcomes: List[ShardOutcome], on_failure: str
 ) -> "List[ShardOutcome] | List[Any]":
@@ -320,41 +343,6 @@ class WorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WorkerPool(workers={self.workers})"
 
-    def run_tasks(
-        self,
-        tasks: Sequence[Callable[["Optional[EvaluationBudget]"], R]],
-        budget: "Optional[EvaluationBudget]" = None,
-        retry: "Optional[RetryPolicy]" = None,
-        on_failure: str = "raise",
-    ) -> "List[R] | List[ShardOutcome]":
-        """Run budget-aware thunks inline, in order, at any worker count.
-
-        Each task is a callable taking the caller's
-        :class:`~repro.robust.budget.EvaluationBudget` (or ``None`` when
-        the caller runs unbudgeted), which it consumes directly.  Thunks
-        close over live engine state, so they never leave the calling
-        thread; process fan-outs go through :meth:`map_outcomes` with
-        module-level payload functions.
-
-        With ``retry`` set, a failed task re-runs (alone).
-        ``on_failure="raise"`` (default) re-raises the lowest-indexed
-        permanent failure and returns plain results; ``"salvage"``
-        returns one :class:`ShardOutcome` per task and never raises for
-        task failures.  Under an active checkpoint session completed tasks
-        are recorded, and a resumed run skips them.
-        """
-        validate_failure_mode(on_failure)
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        resumed, record = _checkpointed(len(tasks))
-        if retry is None and on_failure == "raise" and record is None:
-            return [task(budget) for task in tasks]
-        outcomes = _drive(
-            lambda index: tasks[index](budget), len(tasks), retry, resumed, record
-        )
-        return _finalize(outcomes, on_failure)
-
     def map_outcomes(
         self,
         fn: Callable[[T], R],
@@ -369,7 +357,14 @@ class WorkerPool:
         slicing stays with the caller — payload builders bake each item's
         slice into the payload (see :mod:`repro.parallel.tasks`) — so a
         failed item's retry re-runs with the slice its payload carries.
-        ``retry`` and ``on_failure`` behave as in :meth:`run_tasks`.
+        With ``retry`` set, a failed item re-runs (alone); an item whose
+        child process died fails with :class:`ParallelError` and re-runs
+        on a fresh executor.
+        ``on_failure="raise"`` (default) re-raises the lowest-indexed
+        permanent failure and returns plain results; ``"salvage"``
+        returns one :class:`ShardOutcome` per item and never raises for
+        item failures.  Under an active checkpoint session completed
+        items are recorded, and a resumed run skips them.
         """
         validate_failure_mode(on_failure)
         items = list(items)
@@ -384,16 +379,25 @@ class WorkerPool:
         if workers <= 1:
             outcomes = _drive(attempt, len(items), retry, resumed, record)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as executor:
+            executors = [ProcessPoolExecutor(max_workers=workers)]
+
+            def submit(index: int) -> Future:
                 # Ship the module-level ``fn`` and the item — never the
                 # ``attempt`` closure, which cannot cross a process
-                # boundary.
+                # boundary.  A child that died broke its executor for
+                # good (it refuses every later submit), so the retries
+                # after a death go to a fresh one.
+                try:
+                    return executors[-1].submit(fn, items[index])
+                except BrokenExecutor:
+                    executors.append(ProcessPoolExecutor(max_workers=workers))
+                    return executors[-1].submit(fn, items[index])
+
+            try:
                 outcomes = _drive(
-                    attempt,
-                    len(items),
-                    retry,
-                    resumed,
-                    record,
-                    submit=lambda index: executor.submit(fn, items[index]),
+                    attempt, len(items), retry, resumed, record, submit=submit
                 )
+            finally:
+                for executor in executors:
+                    executor.shutdown(wait=True)
         return _finalize(outcomes, on_failure)

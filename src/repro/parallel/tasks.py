@@ -1,16 +1,20 @@
-"""Module-level work units for the process fan-outs.
+"""Module-level work units for the two process fan-outs.
 
 A :class:`~concurrent.futures.ProcessPoolExecutor` can only run picklable
 callables over picklable arguments, so engine closures are off the table.
-This module holds the top-level task functions and their payload
-plumbing: each task reconstructs its instruments in the child — a fresh
+This module holds the top-level task functions of the per-cluster loop
+and the sampler, and their payload plumbing: each task reconstructs its
+instruments in the child — a fresh
 :class:`~repro.robust.budget.EvaluationBudget` built from the parent
 slice's remaining allowance, a fresh
 :class:`~repro.obs.metrics.MetricsRegistry` when the parent had one
 active — runs the shard, and ships back ``(result, steps,
-metrics_snapshot)`` for the parent to fold in deterministically (shard
-order): the children's steps are charged to the parent budget exactly
-once, failed attempts included.
+metrics_snapshot, oracle_calls)`` for the parent to fold in
+deterministically (shard order): the children's steps are charged to the
+parent budget exactly once, failed attempts included, and the P-oracle
+calls of completed shards are added to the collection a serial run
+counts on, so ``PredicateCollection.oracle_calls`` reads the same at
+every worker count.
 
 Budget caveat: an absolute monotonic deadline does not serialise
 meaningfully, so child budgets restart the clock from the slice's
@@ -40,6 +44,7 @@ import traceback
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..logic.predicates import PredicateCollection, standard_collection
 from ..obs.metrics import MetricsRegistry, active_metrics, set_thread_metrics
 from ..robust.budget import EvaluationBudget
 from ..robust.retry import RetryPolicy
@@ -47,7 +52,6 @@ from .pool import ParallelError, WorkerPool, shard
 
 __all__ = [
     "run_per_cluster_shards",
-    "run_count_many_shards",
     "run_approx_shards",
 ]
 
@@ -100,9 +104,23 @@ def _remote_failure(
     return error
 
 
-def _run_in_child(fn, budget_params: _BudgetParams, want_metrics: bool):
-    """Child-side harness: install instruments, run, return with accounting."""
+def _run_in_child(
+    fn,
+    budget_params: _BudgetParams,
+    want_metrics: bool,
+    predicates: "Optional[PredicateCollection]" = None,
+):
+    """Child-side harness: install instruments, run, return with accounting.
+
+    Returns ``(result, steps, metrics_snapshot, oracle_calls)``, where
+    ``oracle_calls`` is how many P-oracle calls ``fn`` made on
+    ``predicates``.  It is a delta, because a pickled collection arrives
+    carrying the parent's count, and it is taken back off the collection:
+    the parent adds it to its own collection, which on an inline pool is
+    this very object.
+    """
     registry = MetricsRegistry() if want_metrics else None
+    calls_before = predicates.oracle_calls if predicates is not None else 0
     previous = set_thread_metrics(registry) if want_metrics else None
     budget: "Optional[EvaluationBudget]" = None
     try:
@@ -124,7 +142,11 @@ def _run_in_child(fn, budget_params: _BudgetParams, want_metrics: bool):
         if want_metrics:
             set_thread_metrics(previous)
     snapshot = registry.snapshot() if registry is not None else None
-    return result, steps, snapshot
+    calls = 0
+    if predicates is not None:
+        calls = predicates.oracle_calls - calls_before
+        predicates.oracle_calls -= calls
+    return result, steps, snapshot, calls
 
 
 def _join_shards(
@@ -134,13 +156,16 @@ def _join_shards(
     budget: "Optional[EvaluationBudget]",
     retry: "Optional[RetryPolicy]" = None,
     salvage: bool = False,
+    oracle: "Optional[PredicateCollection]" = None,
 ) -> list:
     """Run payloads on the pool and fold accounting back in shard order.
 
     Returns plain results (raising the lowest-indexed permanent failure)
     by default; with ``salvage`` returns the
     :class:`~repro.parallel.ShardOutcome` list with each completed
-    outcome's ``value`` unwrapped to the shard's result.
+    outcome's ``value`` unwrapped to the shard's result.  ``oracle`` is
+    the collection a serial run counts its P-oracle calls on; completed
+    shards add their calls to it.
     """
     registry = active_metrics()
     outcomes = pool.map_outcomes(
@@ -150,17 +175,22 @@ def _join_shards(
     for outcome in outcomes:
         spent += outcome.steps  # steps lost to failed remote attempts
         if outcome.error is None:
-            result, steps, snapshot = outcome.value
+            result, *accounting = outcome.value
             outcome.value = result
             if outcome.attempts == 0:
                 # Restored from a checkpoint: the recording run already
                 # paid (and charged) these steps — charging them again
                 # would make the resumed run re-pay for skipped work.
+                # Only the result is read, so shards recorded before the
+                # oracle-call delta joined the tuple restore too.
                 continue
+            steps, snapshot, calls = accounting
             outcome.steps += steps
             spent += steps
             if registry is not None and snapshot is not None:
                 registry.merge_snapshot(snapshot)
+            if oracle is not None:
+                oracle.oracle_calls += calls
     first_error = next(
         (o.error for o in outcomes if o.error is not None), None
     )
@@ -194,6 +224,7 @@ def _per_cluster_task(payload: tuple):
         ),
         params,
         metrics,
+        predicates,
     )
 
 
@@ -213,7 +244,8 @@ def run_per_cluster_shards(
 
     Returns the merged per-element dict; with ``salvage`` returns the raw
     shard outcome list (values are the shard dicts) for the caller to
-    merge into a :class:`~repro.robust.partial.PartialResult`.
+    merge into a :class:`~repro.robust.partial.PartialResult`.  The
+    children's P-oracle calls are added to ``predicates``.
     """
     _ensure_picklable(predicates, "the predicate collection")
     want_metrics = active_metrics() is not None
@@ -239,7 +271,13 @@ def run_per_cluster_shards(
         for i, chunk in enumerate(shards)
     ]
     joined = _join_shards(
-        pool, _per_cluster_task, payloads, budget, retry=retry, salvage=salvage
+        pool,
+        _per_cluster_task,
+        payloads,
+        budget,
+        retry=retry,
+        salvage=salvage,
+        oracle=predicates,
     )
     if salvage:
         return joined
@@ -247,68 +285,6 @@ def run_per_cluster_shards(
     for part in joined:
         values.update(part)
     return values
-
-
-# ---------------------------------------------------------------------------
-# Batched counting (Evaluator.count_many)
-# ---------------------------------------------------------------------------
-
-
-def _count_many_task(payload: tuple):
-    (plan, structure, predicates, params, metrics) = payload
-    from ..logic.predicates import standard_collection
-    from ..plan.executor import PlanExecutor
-
-    if predicates is None:
-        predicates = standard_collection()
-    return _run_in_child(
-        lambda budget: PlanExecutor(
-            plan, structure, predicates, budget
-        ).count_value(),
-        params,
-        metrics,
-    )
-
-
-def run_count_many_shards(
-    pool: WorkerPool,
-    plans: Sequence,
-    structures: Sequence,
-    predicates,
-    budget: "Optional[EvaluationBudget]",
-    retry: "Optional[RetryPolicy]" = None,
-    salvage: bool = False,
-):
-    """Process fan-out for ``Foc1Evaluator.count_many``.
-
-    One payload per input structure; ``plans[i]`` is the compiled plan for
-    ``structures[i]`` (already deduplicated by signature on the parent
-    side, so pickling ships each distinct plan once per worker at worst).
-    Children evaluate with ``predicates``, or the standard collection
-    when it is ``None``.  With ``salvage`` the raw shard outcome list
-    comes back (one outcome per input structure) instead of the plain
-    count list.
-    """
-    _ensure_picklable(predicates, "the predicate collection")
-    want_metrics = active_metrics() is not None
-    slices = (
-        budget.split(len(structures))
-        if budget is not None
-        else [None] * len(structures)
-    )
-    payloads = [
-        (
-            plans[i],
-            structures[i],
-            predicates,
-            _slice_params(slices[i]),
-            want_metrics,
-        )
-        for i in range(len(structures))
-    ]
-    return _join_shards(
-        pool, _count_many_task, payloads, budget, retry=retry, salvage=salvage
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +306,15 @@ def _approx_block_task(payload: tuple):
     ) = payload
     from ..approx.evaluator import sample_blocks
 
+    collection = predicates if predicates is not None else standard_collection()
     specs = list(zip(blocks, sizes))
     return _run_in_child(
         lambda budget: sample_blocks(
-            structure, formula, tuple(variables), predicates, seed, specs, budget
+            structure, formula, tuple(variables), collection, seed, specs, budget
         ),
         params,
         metrics,
+        collection,
     )
 
 
@@ -349,14 +327,17 @@ def run_approx_shards(
     seed: int,
     block_specs: Sequence[Tuple[int, int]],
     budget: "Optional[EvaluationBudget]",
-    retry: "Optional[RetryPolicy]" = None,
+    oracle: "Optional[PredicateCollection]" = None,
 ) -> List[Tuple[int, int, int]]:
     """Fan sampling blocks out across the pool for the approx tier.
 
     Each shard gets a contiguous chunk of ``(block_index, sample_count)``
     specs; every block owns its own seeded RNG stream, so the flattened
     ``(block, hits, count)`` list — re-sorted by block index — is
-    identical to a serial run at every worker count.
+    identical to a serial run at every worker count.  ``predicates``
+    crosses to the children (``None`` rebuilds the standard collection
+    there); their P-oracle calls are added to ``oracle``, the sampler's
+    own collection.
     """
     _ensure_picklable(predicates, "the predicate collection")
     shards = [chunk for chunk in shard(list(block_specs), pool.workers) if chunk]
@@ -381,7 +362,7 @@ def run_approx_shards(
         for i, chunk in enumerate(shards)
     ]
     joined = _join_shards(
-        pool, _approx_block_task, payloads, budget, retry=retry
+        pool, _approx_block_task, payloads, budget, oracle=oracle
     )
     merged: List[Tuple[int, int, int]] = []
     for part in joined:

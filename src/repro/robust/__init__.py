@@ -7,11 +7,13 @@ The pieces:
 * :mod:`repro.robust.faults` — deterministic, site-named fault injection
   used by the tests to prove the cascade degrades gracefully;
 * :mod:`repro.robust.retry` — :class:`RetryPolicy`, bounded per-shard
-  retries with deterministic backoff, applied by the worker pool;
+  retries with deterministic backoff, applied by the worker pool to the
+  shards it sends to child processes;
 * :mod:`repro.robust.breaker` — :class:`CircuitBreaker`, which stops the
   cascade paying for a persistently failing stage;
 * :mod:`repro.robust.partial` — :class:`PartialResult`, the structured
-  salvaged answer (completed shards + coverage fraction);
+  salvaged answer of a process fan-out (completed shards + coverage
+  fraction);
 * :mod:`repro.robust.checkpoint` — :class:`Checkpoint` and
   :class:`CheckpointSession`, the suspend/resume machinery behind
   preemptible budgets (versioned, integrity-hashed, crash-consistent

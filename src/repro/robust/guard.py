@@ -62,8 +62,6 @@ from ..structures.structure import Element, Structure
 from .breaker import CircuitBreaker
 from .budget import EvaluationBudget
 from .checkpoint import active_checkpoint_session
-from .partial import PartialResult, validate_failure_mode
-from .retry import RetryPolicy
 
 __all__ = ["RobustEvaluator", "RobustReport", "StageReport", "STAGES"]
 
@@ -89,8 +87,6 @@ class StageReport:
     def summary(self) -> str:
         if self.status == "ok":
             return f"{self.stage}: ok ({self.elapsed:.3f}s, {self.steps} steps)"
-        if self.status == "partial":
-            return f"{self.stage}: partial ({self.detail})"
         if self.status == "failed":
             return f"{self.stage}: failed [{self.error_type}] {self.error}"
         if self.status == "suspended":
@@ -120,9 +116,6 @@ class RobustReport:
     stages: List[StageReport] = field(default_factory=list)
     elapsed: float = 0.0
     steps: int = 0
-    #: The salvaged :class:`~repro.robust.partial.PartialResult` when the
-    #: answering stage lost shards (``None`` for complete answers).
-    partial: "Optional[PartialResult]" = None
     #: True when the answering stage was the sampling tier — the answer
     #: is an :class:`~repro.approx.result.ApproxResult`, not an exact count.
     approximate: bool = False
@@ -142,17 +135,12 @@ class RobustReport:
     def succeeded(self) -> bool:
         return self.answered_by is not None
 
-    def is_partial(self) -> bool:
-        return self.partial is not None
-
     def summary(self) -> str:
         head = (
             f"{self.operation}: answered by {self.answered_by}"
             if self.answered_by
             else f"{self.operation}: no stage answered"
         )
-        if self.partial is not None:
-            head += f" (partial, coverage {self.partial.coverage:.1%})"
         parts = "; ".join(s.summary() for s in self.stages)
         return f"{head} ({parts})"
 
@@ -166,23 +154,6 @@ class RobustReport:
         ``breaker`` adds per-stage circuit states; ``checkpoint`` attaches
         suspension/resume info (as produced by ``Checkpoint.to_dict``).
         """
-        partial = None
-        if self.partial is not None:
-            partial = {
-                "coverage": self.partial.coverage,
-                "covered": self.partial.covered,
-                "expected": self.partial.expected,
-                "failures": [
-                    {
-                        "shard": f.shard,
-                        "items": len(f.items),
-                        "error_type": f.error_type,
-                        "error": f.error,
-                        "attempts": f.attempts,
-                    }
-                    for f in self.partial.failures
-                ],
-            }
         breakers = None
         if breaker is not None:
             breakers = {
@@ -193,13 +164,12 @@ class RobustReport:
                 for s in self.stages
             }
         return {
-            "schema": "repro-robust-report/2",
+            "schema": "repro-robust-report/3",
             "operation": self.operation,
             "answered_by": self.answered_by,
             "elapsed": self.elapsed,
             "steps": self.steps,
             "stages": [s.to_dict() for s in self.stages],
-            "partial": partial,
             "breakers": breakers,
             "checkpoint": checkpoint,
             "approximate": self.approximate,
@@ -238,22 +208,12 @@ class RobustEvaluator:
         the cascade — reuses the compiled plan instead of re-analysing.
         Defaults to the process-wide shared cache.
     workers:
-        Worker count handed to the stages with a process fan-out: the
-        ``foc1`` stage's :meth:`count_many` and the approx stage's
-        sampler.  Every other stage runs inline — the ``main_algorithm``
-        cluster loop and unary sweeps close over live engine state, and
-        the ``baseline`` stage is the last-resort oracle, which takes no
-        shortcuts.  ``None`` resolves ``REPRO_WORKERS`` (default 1).
-    retry:
-        Optional :class:`~repro.robust.retry.RetryPolicy` handed to every
-        stage with shards, so a transient shard failure re-runs only that
-        shard instead of failing the stage (and paying a whole fallback).
-    on_shard_failure:
-        ``"raise"`` (default) or ``"salvage"``, forwarded to the parallel
-        stages.  A salvaged stage *answers* with its
-        :class:`~repro.robust.partial.PartialResult` — recorded as status
-        ``"partial"`` in the report with the coverage fraction — instead
-        of falling through the cascade.
+        Worker count for the approx stage's sampler, the one stage with a
+        process fan-out.  Every other stage runs inline — the
+        ``main_algorithm`` cluster loop and the ``foc1`` engine close over
+        live engine state, and the ``baseline`` stage is the last-resort
+        oracle, which takes no shortcuts.  ``None`` resolves
+        ``REPRO_WORKERS`` (default 1).
     breaker:
         The :class:`~repro.robust.breaker.CircuitBreaker` guarding the
         cascade stages: after its ``threshold`` *consecutive* failures of
@@ -282,8 +242,6 @@ class RobustEvaluator:
         catch: Tuple[type, ...] = (ReproError, RecursionError),
         plan_cache: "Optional[PlanCache]" = None,
         workers: "Optional[int]" = None,
-        retry: "Optional[RetryPolicy]" = None,
-        on_shard_failure: str = "raise",
         breaker: "Optional[CircuitBreaker]" = None,
         approx: bool = False,
         epsilon: float = 0.1,
@@ -297,8 +255,6 @@ class RobustEvaluator:
         self.catch = tuple(catch)
         self.plan_cache = plan_cache
         self.workers = resolve_workers(workers)
-        self.retry = retry
-        self.on_shard_failure = validate_failure_mode(on_shard_failure)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.approx = approx
         self.epsilon = epsilon
@@ -345,9 +301,9 @@ class RobustEvaluator:
         """Batched counting through the cascade (one plan, many inputs).
 
         The ``foc1`` stage runs :meth:`Foc1Evaluator.count_many` — compile
-        once per distinct signature, fan out across this evaluator's
-        workers.  The ``baseline`` stage answers with a deliberately serial
-        brute-force loop over the batch.
+        once per distinct signature, then one executor per input.  The
+        ``baseline`` stage answers with a deliberately serial brute-force
+        loop over the batch.
         """
         structures = list(structures)
         return self._run(
@@ -454,8 +410,6 @@ class RobustEvaluator:
                 predicates=self.predicates,
                 budget=budget,
                 plan_cache=self.plan_cache,
-                retry=self.retry,
-                on_shard_failure=self.on_shard_failure,
             )
 
         def foc1_stage(budget: "Optional[EvaluationBudget]") -> Dict[Element, int]:
@@ -485,19 +439,15 @@ class RobustEvaluator:
     ) -> Foc1Evaluator:
         """The foc1 stage's engine, with this evaluator's settings;
         ``check_fragment`` overrides the evaluator's (the cl-term stage
-        turns it off: a cl-term's psi need not lie in FOC1).  A defaulted
-        collection ships as None, which child processes rebuild (its
-        closures do not pickle)."""
+        turns it off: a cl-term's psi need not lie in FOC1).  It runs
+        inline, so it takes no worker count."""
         return Foc1Evaluator(
-            predicates=None if self._default_predicates else self.predicates,
+            predicates=self.predicates,
             check_fragment=(
                 self.check_fragment if check_fragment is None else check_fragment
             ),
             budget=budget,
             plan_cache=self.plan_cache,
-            workers=self.workers,
-            retry=self.retry,
-            on_shard_failure=self.on_shard_failure,
         )
 
     def _baseline(self, budget: "Optional[EvaluationBudget]") -> BruteForceEvaluator:
@@ -653,28 +603,15 @@ class RobustEvaluator:
                     if registry is not None:
                         registry.inc("robust.breaker.trip")
             else:
-                if isinstance(answer, PartialResult):
-                    # A salvaged stage answers with what it kept; record
-                    # the degraded coverage rather than falling through.
-                    entry.status = "partial"
-                    entry.detail = (
-                        f"coverage {answer.coverage:.1%} "
-                        f"({answer.covered}/{answer.expected})"
-                    )
-                    report.partial = answer
-                    if registry is not None:
-                        registry.inc("robust.salvage.partial")
-                elif isinstance(answer, ApproxResult):
+                entry.status = "ok"
+                if isinstance(answer, ApproxResult):
                     # The sampling stage answered: the caller gets the
                     # full ApproxResult (never a bare int) and the report
                     # is marked so downstream serialisation says so.
-                    entry.status = "ok"
                     entry.detail = answer.summary()
                     report.approximate = True
                     if registry is not None:
                         registry.inc("robust.approx.answered")
-                else:
-                    entry.status = "ok"
                 report.answered_by = name
                 self.breaker.record_success(name)
             entry.elapsed = time.monotonic() - stage_started

@@ -3,8 +3,9 @@
 Dreier & Rossmanith (*Approximate Evaluation of First-Order Counting
 Queries*, 2020) argue that a degraded-but-*bounded* answer is a
 principled response when exact evaluation is too expensive; this module
-is the systems-side analogue for shard failures.  When a parallel entry
-point runs with ``on_shard_failure="salvage"`` and a shard still fails
+is the systems-side analogue for shard failures.  When
+:func:`~repro.core.cover_eval.evaluate_per_cluster` fans out to child
+processes with ``on_shard_failure="salvage"`` and a shard still fails
 after its retries, the completed shards are **kept** and returned inside
 a :class:`PartialResult` that says precisely what the answer covers: the
 merged values, which work items were lost with which error, and the
@@ -46,8 +47,7 @@ class ShardFailure:
 
     #: Shard index in the deterministic shard order.
     shard: int
-    #: The work items the shard carried (cluster ids, target elements,
-    #: batch positions — whatever the entry point fans out over).
+    #: The work items the shard carried (the cluster ids it evaluated).
     items: Tuple
     #: Exception type name and message of the final attempt.
     error_type: str
@@ -67,11 +67,10 @@ class PartialResult:
     """A salvaged answer: completed shards plus an account of the losses.
 
     ``value`` holds the merged results of every completed shard, in the
-    same deterministic order the fault-free run would produce (unary
-    sweeps: a dict missing the lost elements; batch counts: a list with
-    ``None`` holes).  ``expected``/``covered`` count the operation's
-    natural result units (elements, batch entries), so ``coverage`` is an
-    honest fraction of the *answer*, not of the shards.
+    same deterministic order the fault-free run would produce: a dict
+    missing the lost elements.  ``expected``/``covered`` count result
+    elements, so ``coverage`` is an honest fraction of the *answer*, not
+    of the shards.
     """
 
     operation: str
@@ -118,8 +117,8 @@ def merge_unary_outcomes(
 ) -> "Dict[Any, int] | PartialResult":
     """Fold salvage-mode shard outcomes into a dict or a PartialResult.
 
-    ``chunks[i]`` holds the work items shard ``i`` carried (targets or
-    cluster indices) and ``chunk_sizes[i]`` how many *result elements*
+    ``chunks[i]`` holds the work items shard ``i`` carried (cluster
+    indices) and ``chunk_sizes[i]`` how many *result elements*
     that shard would contribute.  A full success returns the plain merged
     dict — salvage never changes the type of a complete answer.
     """

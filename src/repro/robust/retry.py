@@ -6,7 +6,14 @@ this module existed, one failed shard aborted the entire evaluation and
 forced :class:`~repro.robust.guard.RobustEvaluator` to re-run the *whole*
 query in a slower cascade stage.  A :class:`RetryPolicy` makes the far
 cheaper response possible: re-run **only the failed shard**, a bounded
-number of times, with deterministic seeded exponential backoff.
+number of times, with deterministic seeded exponential backoff.  It
+applies where a shard can fail transiently — on the shards
+:meth:`~repro.parallel.WorkerPool.map_outcomes` sends to child processes,
+which :func:`~repro.core.cover_eval.evaluate_per_cluster` drives.  A
+child that dies fails the shards it had not returned with a
+:class:`~repro.parallel.ParallelError`, which the default ``retry_on``
+matches, and the pool re-runs them on a fresh executor.  Inline code is
+deterministic, and would fail the same way again.
 
 Scope and determinism
 ---------------------

@@ -3,10 +3,10 @@
 The determinism guarantee (docs/PARALLEL.md) says every parallel entry
 point produces the *same dict, in the same insertion order*, as the serial
 loop, for every worker count.  These tests enforce it across seeded random
-structures for the entry points that fan out to child processes —
-:func:`~repro.core.cover_eval.evaluate_per_cluster` and
-:meth:`~repro.core.evaluator.Foc1Evaluator.count_many` — and check that
-the inline ones stay inline at ``workers > 1``.
+structures for :func:`~repro.core.cover_eval.evaluate_per_cluster`, check
+that P-oracle call counts do not depend on the worker count either, and
+check that the inline entry points — among them
+:meth:`~repro.core.evaluator.Foc1Evaluator.count_many` — stay inline.
 
 Plain ``random.Random(seed)`` so each case is a fixed, individually
 re-runnable pytest id.
@@ -16,6 +16,8 @@ import random
 
 import pytest
 
+from repro.approx import ApproxEvaluator
+from repro.approx.evaluator import _PILOT_SIZE
 from repro.core.clterms import BasicClTerm, CoverTerm
 from repro.core.cover_eval import evaluate_per_cluster
 from repro.core.evaluator import Foc1Evaluator
@@ -28,8 +30,8 @@ from repro.logic.parser import parse_formula, parse_term
 from repro.logic.predicates import NumericalPredicate, PredicateCollection
 from repro.parallel import ParallelError
 from repro.parallel import pool as pool_module
-from repro.robust import RetryPolicy
 from repro.robust.guard import RobustEvaluator
+from repro.sparse.classes import dense_random_graph
 from repro.sparse.covers import sparse_cover
 from repro.structures.builders import graph_structure, grid_graph
 
@@ -84,7 +86,10 @@ class TestPerClusterParallelParity:
             assert list(parallel.items()) == list(serial.items())
 
 
-class TestCountManyParallelParity:
+class TestCountManyParity:
+    """``count_many`` runs inline: one executor per input, in input order,
+    each answer equal to a per-structure ``count``."""
+
     FORMULAS = (
         ("E(x, y)", ["x", "y"]),
         ("E(x, y) & E(y, z)", ["x", "y", "z"]),
@@ -92,7 +97,7 @@ class TestCountManyParallelParity:
     )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_workers_1_vs_4_identical_and_match_serial_counts(self, seed):
+    def test_matches_per_structure_counts(self, seed):
         rng = random.Random(3000 + seed)
         structures = [_random_graph(rng, max_n=8) for _ in range(rng.randint(2, 5))]
         text, variables = self.FORMULAS[seed % len(self.FORMULAS)]
@@ -101,37 +106,21 @@ class TestCountManyParallelParity:
         expected = [
             serial_engine.count(s, phi, variables) for s in structures
         ]
-        one = Foc1Evaluator(workers=1).count_many(structures, phi, variables)
-        four = Foc1Evaluator(workers=4).count_many(structures, phi, variables)
-        assert one == expected
-        assert four == expected
+        assert Foc1Evaluator().count_many(structures, phi, variables) == expected
 
     def test_empty_batch(self):
         phi = parse_formula("E(x, y)")
-        assert Foc1Evaluator(workers=4).count_many([], phi, ["x", "y"]) == []
+        assert Foc1Evaluator().count_many([], phi, ["x", "y"]) == []
 
     def test_order_matches_input_order(self):
         rng = random.Random(99)
         structures = [_random_graph(rng, max_n=6) for _ in range(6)]
         phi = parse_formula("E(x, y)")
-        counts = Foc1Evaluator(workers=3).count_many(structures, phi, ["x", "y"])
+        counts = Foc1Evaluator().count_many(structures, phi, ["x", "y"])
         expected = [
             Foc1Evaluator().count(s, phi, ["x", "y"]) for s in structures
         ]
         assert counts == expected
-
-    @pytest.mark.parametrize("workers", (2, 3, 5))
-    def test_odd_worker_counts_agree_too(self, workers):
-        rng = random.Random(3500 + workers)
-        structures = [_random_graph(rng, max_n=8) for _ in range(5)]
-        phi = parse_formula("E(x, y) & E(y, z)")
-        expected = Foc1Evaluator(workers=1).count_many(
-            structures, phi, ["x", "y", "z"]
-        )
-        parallel = Foc1Evaluator(workers=workers).count_many(
-            structures, phi, ["x", "y", "z"]
-        )
-        assert parallel == expected
 
 
 def _at_least_one(values):
@@ -153,46 +142,88 @@ def _custom_collection():
     )
 
 
-class TestCountManyPredicates:
-    """Child processes evaluate with the engine's own collection."""
+def _closure_collection():
+    """The same collection built from a lambda, so it cannot pickle."""
+    return PredicateCollection(
+        [
+            NumericalPredicate("geq1", 1, _at_least_one),
+            NumericalPredicate("eq", 2, lambda v: abs(v[0] - v[1]) <= 1),
+        ]
+    )
+
+
+class TestRobustCountMany:
+    """The cascade's foc1 stage answers a batch inline, whatever the
+    evaluator's worker count, so its collection never has to pickle."""
 
     FORMULA = "@eq(#(y). E(x, y), 3)"
 
-    def test_picklable_custom_collection_gives_the_serial_answer(self):
-        structures = [grid_graph(4, 4), grid_graph(5, 5)]
-        phi = parse_formula(self.FORMULA)
-        serial = Foc1Evaluator(
-            predicates=_custom_collection(), workers=1
-        ).count_many(structures, phi, ["x"])
-        assert serial == [16, 25]  # every grid degree is within one of 3
-        parallel = Foc1Evaluator(
-            predicates=_custom_collection(), workers=2
-        ).count_many(structures, phi, ["x"])
-        assert parallel == serial
-
-    def test_closure_collection_raises_parallel_error(self):
-        near = PredicateCollection(
-            [
-                NumericalPredicate("geq1", 1, _at_least_one),
-                NumericalPredicate("eq", 2, lambda v: abs(v[0] - v[1]) <= 1),
-            ]
+    @pytest.mark.parametrize(
+        "predicates, expected",
+        [
+            # every grid degree is within one of 3
+            (_closure_collection(), [16, 25]),
+            # the degree-3 vertices: boundary non-corners
+            (None, [8, 12]),
+        ],
+        ids=["closure-collection", "default-collection"],
+    )
+    def test_answered_by_foc1_at_two_workers(self, predicates, expected):
+        engine = RobustEvaluator(predicates=predicates, workers=2)
+        counts = engine.count_many(
+            [grid_graph(4, 4), grid_graph(5, 5)],
+            parse_formula(self.FORMULA),
+            ["x"],
         )
-        engine = Foc1Evaluator(predicates=near, workers=2)
-        with pytest.raises(ParallelError, match="pickle"):
-            engine.count_many(
-                [grid_graph(4, 4), grid_graph(5, 5)],
-                parse_formula(self.FORMULA),
-                ["x"],
-            )
-
-    def test_robust_default_collection_crosses_as_none(self):
-        structures = [grid_graph(4, 4), grid_graph(5, 5)]
-        phi = parse_formula(self.FORMULA)
-        serial = Foc1Evaluator(workers=1).count_many(structures, phi, ["x"])
-        assert serial == [8, 12]  # the degree-3 vertices: boundary non-corners
-        engine = RobustEvaluator(workers=2)
-        assert engine.count_many(structures, phi, ["x"]) == serial
+        assert counts == expected
         assert engine.last_report.answered_by == "foc1"
+
+
+class TestOracleCallsAcrossWorkers:
+    """Children's P-oracle calls come back to the collection a serial run
+    counts on, so ``oracle_calls`` reads the same at every worker count."""
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_per_cluster(self, workers):
+        structure = grid_graph(6, 6)
+        cover = sparse_cover(structure, 4)
+        term = CoverTerm(
+            variables=("y1", "y2"),
+            edges=frozenset({(1, 2)}),
+            link_distance=1,
+            component_formulas=(
+                (
+                    frozenset({1, 2}),
+                    parse_formula("E(y1, y2) & @geq1(#(z). E(y2, z))"),
+                ),
+            ),
+            unary=True,
+        )
+
+        def calls_at(count):
+            predicates = _custom_collection()
+            evaluate_per_cluster(
+                structure, cover, term, predicates=predicates, workers=count
+            )
+            return predicates.oracle_calls
+
+        serial = calls_at(1)
+        assert serial > 0
+        assert calls_at(workers) == serial
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_sampler(self, workers):
+        structure = dense_random_graph(40, probability=0.5, seed=3)
+        phi = parse_formula("@geq1(#(z). E(y, z)) & E(x, y)")
+
+        def calls_at(count):
+            engine = ApproxEvaluator(epsilon=0.1, seed=3, workers=count)
+            engine.count(structure, phi, ["x", "y"])
+            return engine.predicates.oracle_calls
+
+        serial = calls_at(1)
+        assert serial > _PILOT_SIZE  # the blocks, not just the pilot
+        assert calls_at(workers) == serial
 
 
 def _no_pool(*args, **kwargs):
@@ -205,16 +236,15 @@ class TestInlineAtEveryWorkerCount:
         rng = random.Random(5000 + seed)
         structure = _random_graph(rng)
         term = parse_term("#(y). E(x, y)")
-        serial = Foc1Evaluator(workers=1).unary_term_values(structure, term, "x")
+        serial = Foc1Evaluator().unary_term_values(structure, term, "x")
         monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _no_pool)
-        four = Foc1Evaluator(workers=4).unary_term_values(structure, term, "x")
+        four = RobustEvaluator(workers=4).unary_term_values(structure, term, "x")
         assert list(four.items()) == list(serial.items())
 
     @pytest.mark.parametrize("seed", (1, 10, 16, 27))
     def test_main_algorithm_values_and_stats_parity(self, seed):
-        """A retry policy or salvage runs the cluster loop through the
-        pool's retry driver, on a fresh engine and stats record; a clean
-        run folds back the plain run's values and stats exactly."""
+        """``workers=1`` is the default cluster loop: same values, same
+        stats."""
         rng = random.Random(6000 + seed)
         structure = _random_graph(rng)
         term = BasicClTerm(
@@ -225,25 +255,22 @@ class TestInlineAtEveryWorkerCount:
             structure, term, small_threshold=4, stats=plain_stats
         )
         assert plain_stats.removals > 0  # the cover loop ran, with surgery
-        for options in (
-            {"retry": RetryPolicy(retries=1, base_delay=0.0)},
-            {"on_shard_failure": "salvage"},
-        ):
-            stats = MainAlgorithmStats()
-            values = evaluate_unary_main_algorithm(
-                structure, term, small_threshold=4, stats=stats, **options
-            )
-            assert list(values.items()) == list(plain.items())
-            assert stats == plain_stats
+        stats = MainAlgorithmStats()
+        values = evaluate_unary_main_algorithm(
+            structure, term, small_threshold=4, stats=stats, workers=1
+        )
+        assert list(values.items()) == list(plain.items())
+        assert stats == plain_stats
 
-    def test_robust_unary_terms_answered_by_foc1(self):
-        """Unary sweeps close over live engine state, so they run inline
-        at ``workers=2``: the cascade's foc1 stage answers, and its
-        circuit stays closed past the breaker's threshold of three
-        calls."""
+    def test_robust_unary_terms_answered_by_foc1(self, monkeypatch):
+        """The cascade's foc1 stage runs inline whatever the evaluator's
+        worker count: at ``workers=2`` it answers without a process pool,
+        and its circuit stays closed past the breaker's threshold of
+        three calls."""
         structure = grid_graph(8, 8)
         term = parse_term("#(y). (E(x, y) & @gt(#(z). E(y, z), 2))")
-        serial = Foc1Evaluator(workers=1).unary_term_values(structure, term, "x")
+        serial = Foc1Evaluator().unary_term_values(structure, term, "x")
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _no_pool)
         engine = RobustEvaluator(workers=2)
         for _ in range(4):
             values = engine.unary_term_values(structure, term, "x")
@@ -263,3 +290,10 @@ class TestInlineAtEveryWorkerCount:
         assert evaluate_unary_main_algorithm(structure, term, workers=1) == serial
         with pytest.raises(ParallelError, match="inline"):
             evaluate_unary_main_algorithm(structure, term, workers=2)
+
+    def test_foc1_evaluator_accepts_only_one_worker(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "4")
+        Foc1Evaluator()  # REPRO_WORKERS does not reach the inline engine
+        Foc1Evaluator(workers=1)
+        with pytest.raises(ParallelError, match="inline"):
+            Foc1Evaluator(workers=2)

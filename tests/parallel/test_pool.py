@@ -1,6 +1,12 @@
 """The worker-pool abstraction: sharding, ordering, budget slicing,
 metrics merging, error determinism, retries and salvage, inline and on
-child processes (see docs/PARALLEL.md)."""
+child processes (see docs/PARALLEL.md).
+
+The retry and salvage bookkeeping tests drive
+:meth:`WorkerPool.map_outcomes` at one worker, where closures run inline
+through the same retry loop (``_drive``) the process fan-out uses; the
+process cases use module-level functions, and ``TestChildDeath`` has
+children exit abruptly, the failure retry and salvage exist for."""
 
 import os
 import threading
@@ -8,6 +14,7 @@ import threading
 import pytest
 
 from repro.errors import BudgetExceededError, ReproError
+from repro.logic.predicates import NumericalPredicate, PredicateCollection
 from repro.obs.metrics import MetricsRegistry, active_metrics, set_metrics
 from repro.parallel import (
     WORKERS_ENV_VAR,
@@ -95,45 +102,36 @@ class TestWorkerPool:
         with pytest.raises(ParallelError):
             WorkerPool(0)
 
-    def test_run_tasks_runs_inline_at_every_worker_count(self):
-        # Thunks close over live state: they never leave the calling
-        # thread, whatever the pool's worker count.
+    def test_map_outcomes_runs_inline_at_one_worker_or_one_item(self):
+        # A closure cannot cross to a child: it runs on the calling
+        # thread at one worker, and for a lone item at any worker count.
         thread_ids = []
-        tasks = [lambda b: thread_ids.append(threading.get_ident())] * 3
-        WorkerPool(4).run_tasks(tasks, retry=_no_sleep_policy())
-        assert thread_ids == [threading.get_ident()] * 3
 
-    def test_run_tasks_results_in_task_order(self):
-        pool = WorkerPool(4)
-        tasks = [lambda b, i=i: i * 10 for i in range(8)]
-        assert pool.run_tasks(tasks) == [i * 10 for i in range(8)]
+        def record(x):
+            thread_ids.append(threading.get_ident())
+            return x
 
-    def test_run_tasks_empty(self):
-        assert WorkerPool(4).run_tasks([]) == []
+        WorkerPool(1).map_outcomes(record, range(3), retry=_no_sleep_policy())
+        assert WorkerPool(4).map_outcomes(record, [7]) == [7]
+        assert thread_ids == [threading.get_ident()] * 4
 
-    def test_run_tasks_serial_path_uses_parent_budget_directly(self):
-        budget = EvaluationBudget(max_steps=100)
-        seen = []
-        WorkerPool(1).run_tasks([lambda b: seen.append(b)], budget)
-        assert seen == [budget]
+    def test_map_outcomes_empty(self):
+        assert WorkerPool(4).map_outcomes(_square, []) == []
 
-    def test_run_tasks_first_index_error_wins(self):
-        pool = WorkerPool(4)
+    def test_inline_join_charges_steps_back_once(self):
+        # At one worker the payload harness runs on this thread with its
+        # own budget; its steps reach the parent once, on join.
+        parent = EvaluationBudget(max_steps=100)
+        assert _join([("tick", 3), ("tick", 4)], parent, pool=WorkerPool(1)) == [
+            3,
+            4,
+        ]
+        assert parent.steps == 7
 
-        def make(i):
-            def task(b):
-                if i in (1, 3):
-                    raise RuntimeError(f"task {i}")
-                return i
-
-            return task
-
-        with pytest.raises(RuntimeError, match="task 1"):
-            pool.run_tasks([make(i) for i in range(4)])
-
-    def test_map_outcomes_first_index_error_wins_on_processes(self):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_map_outcomes_first_index_error_wins(self, workers):
         with pytest.raises(ReproError, match="item 1"):
-            WorkerPool(2).map_outcomes(_fail_odd, range(4))
+            WorkerPool(workers).map_outcomes(_fail_odd, range(4))
 
 
 class TestBudgetSplit:
@@ -167,53 +165,51 @@ class TestRetry:
     def test_flaky_task_recovers(self):
         flaky = _Flaky({1: 2})
 
-        def make(i):
-            def task(b):
-                flaky.seen(i)
-                return i * 10
+        def task(i):
+            flaky.seen(i)
+            return i * 10
 
-            return task
-
-        pool = WorkerPool(4)
-        results = pool.run_tasks(
-            [make(i) for i in range(4)], retry=_no_sleep_policy(retries=2)
+        results = WorkerPool(1).map_outcomes(
+            task, range(4), retry=_no_sleep_policy(retries=2)
         )
         assert results == [0, 10, 20, 30]
         assert flaky.calls[1] == 3  # first attempt + two retries
 
     def test_retry_exhausted_reraises_lowest_index(self):
-        pool = WorkerPool(4)
-
-        def doomed(b):
-            raise ReproError("permanent")
+        def task(i):
+            if i == 0:
+                raise ReproError("permanent")
+            return i
 
         with pytest.raises(ReproError, match="permanent"):
-            pool.run_tasks(
-                [doomed, lambda b: 1], retry=_no_sleep_policy(retries=1)
+            WorkerPool(1).map_outcomes(
+                task, range(2), retry=_no_sleep_policy(retries=1)
             )
 
     def test_budget_exhaustion_is_not_retried(self):
         attempts = []
 
-        def dry(b):
-            attempts.append(1)
-            raise BudgetExceededError("dry", reason="steps", site="t", steps=1)
+        def task(i):
+            if i == 0:
+                attempts.append(1)
+                raise BudgetExceededError("dry", reason="steps", site="t", steps=1)
+            return i
 
         with pytest.raises(BudgetExceededError):
-            WorkerPool(2).run_tasks(
-                [dry, lambda b: 1], retry=_no_sleep_policy(retries=5)
+            WorkerPool(1).map_outcomes(
+                task, range(2), retry=_no_sleep_policy(retries=5)
             )
         assert len(attempts) == 1
 
     def test_serial_pool_supports_retry(self):
         flaky = _Flaky({0: 1})
 
-        def task(b):
-            flaky.seen(0)
+        def task(i):
+            flaky.seen(i)
             return "ok"
 
-        assert WorkerPool(1).run_tasks(
-            [task], retry=_no_sleep_policy()
+        assert WorkerPool(1).map_outcomes(
+            task, [0], retry=_no_sleep_policy()
         ) == ["ok"]
         assert flaky.calls[0] == 2
 
@@ -223,15 +219,13 @@ class TestRetry:
         try:
             flaky = _Flaky({0: 1, 2: 5})
 
-            def make(i):
-                def task(b):
-                    flaky.seen(i)
-                    return i
+            def task(i):
+                flaky.seen(i)
+                return i
 
-                return task
-
-            outcomes = WorkerPool(4).run_tasks(
-                [make(i) for i in range(3)],
+            outcomes = WorkerPool(1).map_outcomes(
+                task,
+                range(3),
                 retry=_no_sleep_policy(retries=2),
                 on_failure="salvage",
             )
@@ -247,19 +241,16 @@ class TestRetry:
 class TestSalvage:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="on_shard_failure"):
-            WorkerPool(2).run_tasks([lambda b: 1], on_failure="ignore")
+            WorkerPool(2).map_outcomes(_square, [1], on_failure="ignore")
 
     def test_salvage_returns_outcomes_in_order(self):
-        def make(i):
-            def task(b):
-                if i == 1:
-                    raise ReproError("shard down")
-                return i * 10
+        def task(i):
+            if i == 1:
+                raise ReproError("shard down")
+            return i * 10
 
-            return task
-
-        outcomes = WorkerPool(4).run_tasks(
-            [make(i) for i in range(4)], on_failure="salvage"
+        outcomes = WorkerPool(1).map_outcomes(
+            task, range(4), on_failure="salvage"
         )
         assert all(isinstance(o, ShardOutcome) for o in outcomes)
         assert [o.index for o in outcomes] == [0, 1, 2, 3]
@@ -268,11 +259,14 @@ class TestSalvage:
         assert outcomes[1].attempts == 1
 
     def test_salvage_with_retries_records_attempts(self):
-        def doomed(b):
-            raise ReproError("down")
+        def task(i):
+            if i == 0:
+                raise ReproError("down")
+            return i
 
-        outcomes = WorkerPool(2).run_tasks(
-            [doomed, lambda b: 1],
+        outcomes = WorkerPool(1).map_outcomes(
+            task,
+            range(2),
             retry=_no_sleep_policy(retries=2),
             on_failure="salvage",
         )
@@ -281,23 +275,23 @@ class TestSalvage:
         assert outcomes[1].ok
 
     def test_serial_salvage(self):
-        def doomed(b):
-            raise ReproError("down")
+        def task(i):
+            if i == 1:
+                raise ReproError("down")
+            return "x"
 
-        outcomes = WorkerPool(1).run_tasks(
-            [lambda b: "x", doomed], on_failure="salvage"
-        )
+        outcomes = WorkerPool(1).map_outcomes(task, range(2), on_failure="salvage")
         assert [o.ok for o in outcomes] == [True, False]
         assert outcomes[0].value == "x"
 
     def test_keyboard_interrupt_is_never_salvaged(self):
-        def interrupted(b):
-            raise KeyboardInterrupt()
+        def task(i):
+            if i == 0:
+                raise KeyboardInterrupt()
+            return i
 
         with pytest.raises(KeyboardInterrupt):
-            WorkerPool(1).run_tasks(
-                [interrupted, lambda b: 1], on_failure="salvage"
-            )
+            WorkerPool(1).map_outcomes(task, range(2), on_failure="salvage")
 
 
 class TestMapOutcomes:
@@ -383,6 +377,79 @@ class TestProcessErrorFidelity:
         assert outcomes[1].ok and outcomes[1].value == 16
 
 
+def _die_once(item):
+    """Exit the child abruptly the first time ``marker`` is claimed; every
+    other call returns ``value * 10``.  Never dies in process ``parent``
+    (the test runner), whatever pool runs it."""
+    marker, parent, value = item
+    if marker is not None and os.getpid() != parent:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return value * 10
+
+
+def _dying_items(tmp_path, dying, count=4):
+    parent = os.getpid()
+    return [
+        (str(tmp_path / f"dies-{i}") if i in dying else None, parent, i)
+        for i in range(count)
+    ]
+
+
+class TestChildDeath:
+    """A child that dies mid-shard breaks its executor: the shards it had
+    not returned fail with ParallelError, and a retry re-runs them on a
+    fresh executor."""
+
+    def test_retry_recovers_a_dead_child(self, tmp_path):
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            results = WorkerPool(2).map_outcomes(
+                _die_once,
+                _dying_items(tmp_path, {1}),
+                retry=_no_sleep_policy(retries=1),
+            )
+        finally:
+            set_metrics(previous)
+        assert results == [0, 10, 20, 30]
+        assert registry.counter("parallel.retry.recovered") >= 1
+        assert registry.counter("parallel.retry.exhausted") == 0
+
+    def test_every_shard_dying_once_recovers(self, tmp_path):
+        # Each retry that finds its executor broken builds a new one.  A
+        # shard can lose its first attempt to another shard's death and
+        # its second to its own, so it needs two retries.
+        results = WorkerPool(3).map_outcomes(
+            _die_once,
+            _dying_items(tmp_path, {0, 1, 2, 3}),
+            retry=_no_sleep_policy(retries=2),
+        )
+        assert results == [0, 10, 20, 30]
+
+    def test_without_retry_raises_parallel_error(self, tmp_path):
+        with pytest.raises(ParallelError, match="worker process died"):
+            WorkerPool(2).map_outcomes(
+                _die_once, _dying_items(tmp_path, {0})
+            )
+
+    def test_salvage_reports_the_dead_shard(self, tmp_path):
+        outcomes = WorkerPool(2).map_outcomes(
+            _die_once, _dying_items(tmp_path, {2}), on_failure="salvage"
+        )
+        assert type(outcomes[2].error) is ParallelError
+        # Shards still pending on the broken executor are lost with it;
+        # every shard that did return carries its exact value.
+        for outcome in outcomes:
+            assert outcome.ok == (outcome.error is None)
+            if outcome.ok:
+                assert outcome.value == outcome.index * 10
+
+
 def _child_harness(x):
     """Run through the child-side harness of :mod:`repro.parallel.tasks`."""
     from repro.parallel.tasks import _run_in_child
@@ -403,7 +470,7 @@ class TestRemoteAnnotations:
             _child_harness, [3, -1], on_failure="salvage"
         )
         ok, failed = outcomes
-        assert ok.ok and ok.value == (3, 3, None)
+        assert ok.ok and ok.value == (3, 3, None, 0)
         error = failed.error
         assert isinstance(error, ReproError)
         assert "child exploded" in error.remote_traceback
@@ -417,7 +484,8 @@ class TestMetricsMerge:
     def test_no_registry_active_means_no_registry_plumbing(self):
         previous = set_metrics(None)
         try:
-            assert WorkerPool(4).run_tasks([lambda b: 1] * 4) == [1] * 4
+            parent = EvaluationBudget(max_steps=100)
+            assert _join([("tick", 1)] * 4, parent) == [1] * 4
         finally:
             set_metrics(previous)
 
@@ -454,9 +522,28 @@ def _child_work(payload):
     return _run_in_child(body, params, want_metrics)
 
 
-def _join(jobs, parent, retry=None, salvage=False):
-    """Fan ``jobs`` out to two child processes, one budget slice each, as
-    the engines' payload builders do."""
+def _at_least_one(values):
+    return values[0] >= 1
+
+
+def _query_work(payload):
+    """Make ``n`` P-oracle calls on the payload's collection through the
+    child harness."""
+    from repro.parallel.tasks import _run_in_child
+
+    n, predicates = payload
+
+    def body(budget):
+        for _ in range(n):
+            predicates.query("geq1", (1,))
+        return n
+
+    return _run_in_child(body, None, False, predicates)
+
+
+def _join(jobs, parent, retry=None, salvage=False, pool=None):
+    """Fan ``jobs`` out to two child processes (or ``pool``), one budget
+    slice each, as the engines' payload builders do."""
     from repro.parallel.tasks import _join_shards, _slice_params
 
     want_metrics = active_metrics() is not None
@@ -465,7 +552,12 @@ def _join(jobs, parent, retry=None, salvage=False):
         for job, part in zip(jobs, parent.split(len(jobs)))
     ]
     return _join_shards(
-        WorkerPool(2), _child_work, payloads, parent, retry=retry, salvage=salvage
+        pool or WorkerPool(2),
+        _child_work,
+        payloads,
+        parent,
+        retry=retry,
+        salvage=salvage,
     )
 
 
@@ -517,6 +609,28 @@ class TestProcessJoin:
         outcomes = _join([("doomed", 5), ("tick", 7)], parent, salvage=True)
         assert [o.ok for o in outcomes] == [False, True]
         assert parent.steps == 12
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_oracle_calls_fold_back_once(self, workers):
+        # On processes each child counts on its own copy; inline the
+        # payload's collection is the parent's own, and the harness
+        # hands the calls back rather than keeping them, so either way
+        # they are counted exactly once.
+        from repro.parallel.tasks import _join_shards
+
+        collection = PredicateCollection(
+            [NumericalPredicate("geq1", 1, _at_least_one)]
+        )
+        collection.oracle_calls = 5
+        results = _join_shards(
+            WorkerPool(workers),
+            _query_work,
+            [(3, collection), (4, collection)],
+            None,
+            oracle=collection,
+        )
+        assert results == [3, 4]
+        assert collection.oracle_calls == 5 + 3 + 4
 
     def test_metrics_fold_back_from_children(self):
         registry = MetricsRegistry()

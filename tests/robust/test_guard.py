@@ -19,8 +19,6 @@ from repro.robust import (
     CircuitBreaker,
     EvaluationBudget,
     FaultInjector,
-    PartialResult,
-    RetryPolicy,
     RobustEvaluator,
     inject_faults,
 )
@@ -36,14 +34,6 @@ def degree_term():
     return BasicClTerm(
         ("y1", "y2"), Atom("E", ("y1", "y2")), 0, 1, frozenset({(1, 2)}), unary=True
     )
-
-
-@pytest.fixture
-def batch():
-    """Three graphs, an edge count and its serial per-graph answers."""
-    structures = [path_graph(4), grid_graph(3, 3), complete_graph(4)]
-    phi = parse_formula("E(x, y)")
-    return structures, phi, [len(s.relation("E")) for s in structures]
 
 
 @pytest.fixture
@@ -153,8 +143,8 @@ class TestFullCascade:
         self, grid, degree_term, monkeypatch
     ):
         """With the main stage faulted, the engine that answers the
-        cl-term from foc1 has the evaluator's worker count, retry policy
-        and failure mode, and no fragment check."""
+        cl-term from foc1 shares the evaluator's predicate collection and
+        has no fragment check."""
         from repro.core.evaluator import Foc1Evaluator
 
         engines = []
@@ -165,15 +155,13 @@ class TestFullCascade:
             return unary_term_values(self, *args, **kwargs)
 
         monkeypatch.setattr(Foc1Evaluator, "unary_term_values", recording)
-        retry = RetryPolicy(retries=1, base_delay=0.0)
-        engine = RobustEvaluator(workers=2, retry=retry, on_shard_failure="salvage")
+        engine = RobustEvaluator(workers=2)
         with inject_faults(FaultInjector({"cover.construct": 1})):
             values = engine.evaluate_unary_cl_term(grid, degree_term)
         assert values == evaluate_basic_unary(grid, degree_term)
         assert engine.last_report.answered_by == "foc1"
         used = engines[-1]
-        assert used.pool.workers == 2
-        assert used.retry is retry and used.on_shard_failure == "salvage"
+        assert used.predicates is engine.predicates
         assert used.check_fragment is False
 
     def test_report_records_stage_order(self, grid, degree_term):
@@ -300,57 +288,6 @@ class TestCircuitBreaker:
                 engine.evaluate_unary_cl_term(grid, degree_term)
         # Two failures across two evaluators pooled into one trip.
         assert breaker.is_open("main_algorithm")
-
-
-class TestPartialThroughCascade:
-    def test_retry_heals_inside_the_cascade(self, grid, degree_term):
-        # The main algorithm's cluster loop runs inline, so the fault
-        # lands in its removal surgery; the retry re-runs the loop.
-        truth = evaluate_basic_unary(grid, degree_term)
-        engine = RobustEvaluator(workers=2, retry=RetryPolicy(retries=2))
-        with inject_faults(FaultInjector({"removal.surgery": 1})) as injector:
-            values = engine.evaluate_unary_cl_term(grid, degree_term)
-        assert values == truth
-        assert injector.fired["removal.surgery"] == 1
-        report = engine.last_report
-        assert report.answered_by == "main_algorithm"
-        assert report.failed_stages() == []
-        assert not report.is_partial()
-
-    def test_partial_result_surfaces_in_report(self, batch):
-        # count_many fans its batch out to child processes, so a fault
-        # at submission loses exactly one batch entry.
-        structures, phi, truth = batch
-        engine = RobustEvaluator(workers=2, on_shard_failure="salvage")
-        with inject_faults(FaultInjector({"worker.task": 1})):
-            result = engine.count_many(structures, phi, ["x", "y"])
-        assert isinstance(result, PartialResult)
-        report = engine.last_report
-        assert report.answered_by == "foc1"
-        assert report.is_partial()
-        assert report.partial is result
-        entry = report.stage("foc1")
-        assert entry.status == "partial"
-        assert "coverage" in entry.detail
-        assert "partial" in report.summary()
-        # Covered values are exact — salvage drops, never approximates.
-        assert result.value == [None] + truth[1:]
-
-    def test_partial_counts_as_success_for_the_breaker(self, batch):
-        structures, phi, _ = batch
-        engine = RobustEvaluator(
-            workers=2,
-            on_shard_failure="salvage",
-            breaker=CircuitBreaker(threshold=1),
-        )
-        with inject_faults(FaultInjector({"worker.task": 1})):
-            engine.count_many(structures, phi, ["x", "y"])
-        # A salvaged partial answer is a degraded success, not a failure.
-        assert engine.breaker.state("foc1") == "closed"
-
-    def test_rejects_unknown_failure_mode(self):
-        with pytest.raises(ValueError, match="on_shard_failure"):
-            RobustEvaluator(on_shard_failure="ignore")
 
 
 class TestReportPlumbing:

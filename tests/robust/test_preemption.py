@@ -2,8 +2,8 @@
 
 The correctness bar (docs/ROBUSTNESS.md): suspending at every budget
 quantum and resuming from the checkpoint must produce **exactly** the
-answer of an uninterrupted run — across seeded random structures, inline
-and on child processes.  Restored state (materialised
+answer of an uninterrupted run — across seeded random structures.
+Restored state (materialised
 strata, memo contents, completed shards) may only ever *skip* work, never
 change a value.
 
@@ -36,6 +36,17 @@ SEEDS = range(30)
 
 def _tenfold(x):
     return x * 10
+
+
+def _spend_five(params):
+    """A payload that spends five budget steps through the child harness."""
+    from repro.parallel.tasks import _run_in_child
+
+    def spend(budget):
+        budget.tick(weight=5)
+        return "done"
+
+    return _run_in_child(spend, params, False)
 
 
 def _random_graph(rng: random.Random, max_n: int = 10):
@@ -211,7 +222,8 @@ class TestResumeOverhead:
 
 
 class TestInlinePreemptionDifferential:
-    """Unary sweeps run inline at ``workers > 1`` and resume exactly."""
+    """Unary sweeps and ``count_many`` batches run inline and resume
+    exactly."""
 
     @pytest.mark.parametrize("seed", (0, 3, 11, 19, 26))
     def test_unary_values_identical(self, seed, tmp_path):
@@ -219,10 +231,10 @@ class TestInlinePreemptionDifferential:
         structure = _random_graph(rng, max_n=12)
         term = parse_term("#(y). E(x, y)")
         expected = list(
-            Foc1Evaluator(workers=1).unary_term_values(structure, term, "x").items()
+            Foc1Evaluator().unary_term_values(structure, term, "x").items()
         )
         actual, _ = run_preempted(
-            lambda budget: Foc1Evaluator(budget=budget, workers=3),
+            lambda budget: Foc1Evaluator(budget=budget),
             lambda engine: list(
                 engine.unary_term_values(structure, term, "x").items()
             ),
@@ -230,25 +242,26 @@ class TestInlinePreemptionDifferential:
         )
         assert actual == expected
 
-
-class TestProcessPreemptionDifferential:
-    @pytest.mark.parametrize("workers", (2, 3))
+    @pytest.mark.parametrize("quantum", (25, 60))
     @pytest.mark.parametrize("seed", (2, 13))
-    def test_count_many_identical(self, seed, workers, tmp_path):
+    def test_count_many_identical(self, seed, quantum, tmp_path):
+        # Suspended at every quantum, the batch resumes to the
+        # uninterrupted answer, in input order.
         rng = random.Random(6000 + seed)
         structures = [_random_graph(rng, max_n=8) for _ in range(3)]
         formula = parse_formula("E(x, y) & E(y, z)")
-        expected = Foc1Evaluator(workers=1).count_many(
-            structures, formula, ["x", "y", "z"]
-        )
-        actual, _ = run_preempted(
-            lambda budget: Foc1Evaluator(budget=budget, workers=workers),
+        expected = [
+            Foc1Evaluator().count(s, formula, ["x", "y", "z"]) for s in structures
+        ]
+        actual, suspensions = run_preempted(
+            lambda budget: Foc1Evaluator(budget=budget),
             lambda engine: engine.count_many(structures, formula, ["x", "y", "z"]),
             tmp_path,
-            quantum=60,
+            quantum=quantum,
             max_rounds=30,
         )
         assert actual == expected
+        assert suspensions > 0
 
 
 class TestPoolShardResume:
@@ -259,23 +272,19 @@ class TestPoolShardResume:
         pool = WorkerPool(workers=1)
         calls = []
 
-        def make_task(i):
-            def task(budget):
-                calls.append(i)
-                return i * 10
+        def task(i):
+            calls.append(i)
+            return i * 10
 
-            return task
-
-        tasks = [make_task(i) for i in range(3)]
         with checkpoint_session(recording):
-            first = pool.run_tasks(tasks)
+            first = pool.map_outcomes(task, range(3))
         assert first == [0, 10, 20]
         assert calls == [0, 1, 2]
 
         calls.clear()
         resumed = CheckpointSession(resume=recording.snapshot())
         with checkpoint_session(resumed):
-            second = pool.run_tasks(tasks)
+            second = pool.map_outcomes(task, range(3))
         assert second == [0, 10, 20]
         assert calls == []  # every shard replayed from the checkpoint
 
@@ -285,18 +294,14 @@ class TestPoolShardResume:
         session.record_shard(scope, 0, 100)
         session.record_shard(scope, 2, 300)
         resumed = CheckpointSession(resume=session.snapshot())
-        pool = WorkerPool(workers=2)
         calls = []
 
-        def make_task(i):
-            def task(budget):
-                calls.append(i)
-                return i * 10
-
-            return task
+        def task(i):
+            calls.append(i)
+            return i * 10
 
         with checkpoint_session(resumed):
-            results = pool.run_tasks([make_task(i) for i in range(3)])
+            results = WorkerPool(workers=1).map_outcomes(task, range(3))
         assert results == [100, 10, 300]
         assert calls == [1]
 
@@ -318,36 +323,35 @@ class TestPoolShardResume:
         # A fully resumed fan-out performs no shard work, so an armed
         # worker.task fault has nothing to fire on.
         recording = CheckpointSession(operation="pool", query_key="k")
-        pool = WorkerPool(workers=1)
-        tasks = [lambda budget: 1, lambda budget: 2]
+        pool = WorkerPool(workers=2)
         with checkpoint_session(recording):
-            pool.run_tasks(tasks)
+            pool.map_outcomes(_tenfold, range(2))
         resumed = CheckpointSession(resume=recording.snapshot())
         injector = FaultInjector({"worker.task": 1})
         with inject_faults(injector):
             with checkpoint_session(resumed):
-                results = pool.run_tasks(tasks)
-        assert results == [1, 2]
+                results = pool.map_outcomes(_tenfold, range(2))
+        assert results == [0, 10]
         assert injector.total_fired() == 0
 
     def test_resumed_shards_are_not_recharged(self):
         # Steps the recording run already charged must not be re-billed.
+        from repro.parallel.tasks import _join_shards, _slice_params
+
+        def join(budget):
+            payloads = [_slice_params(part) for part in budget.split(2)]
+            return _join_shards(WorkerPool(workers=1), _spend_five, payloads, budget)
+
         recording = CheckpointSession(operation="pool", query_key="k")
-        pool = WorkerPool(workers=1)
-
-        def spend(budget):
-            budget.tick(weight=5)
-            return "done"
-
         first_budget = EvaluationBudget(max_steps=1000, preemptible=True)
         with checkpoint_session(recording):
-            pool.run_tasks([spend, spend], budget=first_budget)
+            assert join(first_budget) == ["done", "done"]
         assert first_budget.steps == 10
 
         resumed = CheckpointSession(resume=recording.snapshot())
         second_budget = EvaluationBudget(max_steps=1000, preemptible=True)
         with checkpoint_session(resumed):
-            pool.run_tasks([spend, spend], budget=second_budget)
+            assert join(second_budget) == ["done", "done"]
         assert second_budget.steps == 0
 
 

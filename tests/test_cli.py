@@ -321,9 +321,30 @@ class TestCliRobustness:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "8"
 
-    def test_retries_flag_heals_a_faulted_run(self, graph_file, capsys):
+    def test_faulted_foc1_run_fails_fast_with_one_line(self, graph_file, capsys):
         # In-process so the fault injector reaches the engine.  The sweep
-        # runs inline at any worker count, so the fault lands in its memo.
+        # runs inline at any worker count and nothing re-runs it, so the
+        # fault fails the command as a typed error, with no partial answer.
+        import repro.__main__ as cli
+        from repro.robust import FaultInjector, inject_faults
+
+        with inject_faults(FaultInjector({"memo.insert": 1})) as injector:
+            code = cli.main(
+                [
+                    "unary", graph_file, "#(y). E(x, y)", "--var", "x",
+                    "--workers", "2",
+                ]
+            )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert injector.fired["memo.insert"] == 1
+
+    def test_faulted_robust_run_falls_through_byte_identical(
+        self, graph_file, capsys
+    ):
         import repro.__main__ as cli
         from repro.robust import FaultInjector, inject_faults
 
@@ -333,49 +354,14 @@ class TestCliRobustness:
             code = cli.main(
                 [
                     "unary", graph_file, "#(y). E(x, y)", "--var", "x",
-                    "--workers", "2", "--retries", "2",
+                    "--engine", "robust", "--workers", "2",
                 ]
             )
         captured = capsys.readouterr()
         assert code == 0
-        assert captured.out == serial_out  # byte-identical after healing
+        assert captured.out == serial_out  # the baseline stage's exact answer
+        assert "answered by baseline" in captured.err
         assert injector.fired["memo.insert"] == 1
-
-    def test_salvage_flag_exits_5_with_partial_output(self, graph_file, capsys):
-        import repro.__main__ as cli
-        from repro.robust import FaultInjector, inject_faults
-
-        assert cli.main(["unary", graph_file, "#(y). E(x, y)", "--var", "x"]) == 0
-        serial_lines = set(capsys.readouterr().out.strip().splitlines())
-        with inject_faults(FaultInjector({"memo.insert": 1})):
-            code = cli.main(
-                [
-                    "unary", graph_file, "#(y). E(x, y)", "--var", "x",
-                    "--workers", "2", "--on-shard-failure", "salvage",
-                ]
-            )
-        captured = capsys.readouterr()
-        assert code == 5
-        assert "partial" in captured.err
-        assert "coverage" in captured.err
-        # The covered lines are a strict, exact subset of the full answer:
-        # here none, since the inline sweep is one shard.
-        partial_lines = set(captured.out.strip().splitlines())
-        assert partial_lines < serial_lines
-
-    def test_negative_retries_exits_2(self, graph_file):
-        result = self._run(
-            "count", graph_file, "E(x, y)", "--vars", "x", "y",
-            "--retries", "-1",
-        )
-        assert result.returncode == 2
-
-    def test_bad_failure_mode_rejected_by_argparse(self, graph_file):
-        result = self._run(
-            "count", graph_file, "E(x, y)", "--vars", "x", "y",
-            "--on-shard-failure", "ignore",
-        )
-        assert result.returncode == 2
 
     def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys):
         # Simulate a genuine bug behind the CLI surface: no traceback, one
@@ -579,10 +565,10 @@ class TestCliPreemption:
         )
         assert result.returncode == 0, result.stderr
         report = json.loads(path.read_text())
-        assert report["schema"] == "repro-robust-report/2"
+        assert report["schema"] == "repro-robust-report/3"
         assert report["operation"] == "count"
         assert report["answered_by"] == "foc1"
-        assert report["partial"] is None
+        assert "partial" not in report
         assert report["checkpoint"] is None
         stages = {s["stage"]: s for s in report["stages"]}
         assert set(stages) == {"main_algorithm", "foc1", "baseline"}
