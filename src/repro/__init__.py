@@ -123,7 +123,6 @@ from .io import FormatError, load_structure, save_structure
 from .robust import (
     FAULT_SITES,
     PARALLEL_FAULT_SITES,
-    CircuitBreaker,
     EvaluationBudget,
     FaultInjector,
     PartialResult,

@@ -247,19 +247,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="global in-flight ceiling (default: serve workers x 8)",
     )
     serve.add_argument(
-        "--degrade-cost",
-        type=float,
-        metavar="STEPS",
-        help="predicted exact cost above which count-only requests "
-        "degrade to the sampling tier (default: never)",
-    )
-    serve.add_argument(
         "--degrade-saturation",
         type=float,
         metavar="LEVEL",
-        help="smoothed saturation level (1.0 = at capacity) above which "
-        "count-only requests degrade to the sampling tier "
-        "(default: never)",
+        help="smoothed saturation level (1.0 = at capacity) at or above "
+        "which counts and bare counting terms degrade to the sampling "
+        "tier (default: never)",
     )
     serve.add_argument(
         "--epsilon",
@@ -386,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--report-json",
             metavar="PATH",
             dest="report_json",
-            help="write the structured cascade report (stages, breaker "
-            "states, checkpoint info) as JSON to PATH; "
+            help="write the structured cascade report (stages, "
+            "checkpoint info) as JSON to PATH; "
             "requires --engine robust or approx",
         )
         sub.add_argument(
@@ -737,7 +730,6 @@ def _serve(args: argparse.Namespace) -> int:
             quota=quota,
             max_total_inflight=args.max_total_inflight,
             batch_max=args.batch_max,
-            degrade_cost_threshold=args.degrade_cost,
             degrade_saturation=args.degrade_saturation,
             epsilon=args.epsilon,
             delta=args.delta,
@@ -834,7 +826,6 @@ def _emit_report(engine, args: argparse.Namespace, checkpoint=None) -> None:
         path = getattr(args, "report_json", None)
         if path is not None:
             payload = engine.last_report.to_dict(
-                breaker=engine.breaker,
                 checkpoint=checkpoint.to_dict() if checkpoint is not None else None,
             )
             with open(path, "w", encoding="utf-8") as handle:

@@ -155,10 +155,6 @@ class ApproxEvaluator:
         method: str = "hoeffding",
         workers: "Optional[int]" = None,
     ):
-        # The standard collection holds closures and cannot pickle;
-        # remembering "caller gave us nothing" lets the sampler ship None
-        # to child processes, which rebuild it.
-        self._default_predicates = predicates is None
         self.predicates = (
             predicates if predicates is not None else standard_collection()
         )
@@ -340,11 +336,10 @@ class ApproxEvaluator:
                 structure,
                 formula,
                 names,
-                None if self._default_predicates else self.predicates,
+                self.predicates,
                 self.seed,
                 per_block,
                 budget,
-                oracle=self.predicates,
             )
         return sample_blocks(
             structure, formula, names, self.predicates, self.seed,

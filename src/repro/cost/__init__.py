@@ -9,23 +9,18 @@ surface:
 * :class:`~repro.cost.model.CardinalityEstimator` /
   :class:`~repro.cost.model.CardBound` — provable cardinality bounds,
   which the approx planner reads;
-* :class:`~repro.cost.model.CostModel` /
-  :class:`~repro.cost.model.EngineCost` — the foc1 cost estimate over
-  the compiled plan IR, which the service's degradation check reads;
 * :class:`~repro.cost.saturation.SaturationTracker` — the service's
-  observed-load signal.
+  observed-load signal, the one trigger of its degradation policy.
 """
 
-from .model import CardBound, CardinalityEstimator, CostModel, EngineCost
+from .model import CardBound, CardinalityEstimator
 from .saturation import SaturationTracker
 from .stats import DegreeSummary, StructureStats, structure_stats
 
 __all__ = [
     "CardBound",
     "CardinalityEstimator",
-    "CostModel",
     "DegreeSummary",
-    "EngineCost",
     "SaturationTracker",
     "StructureStats",
     "structure_stats",

@@ -1,6 +1,6 @@
-"""Cardinality bounds and the foc1 cost estimate over the plan IR.
+"""Cardinality bounds over structure statistics.
 
-Three layers, bottom-up:
+Two layers, bottom-up:
 
 * :class:`CardBound` — an interval ``[lower, upper]`` of *provable*
   cardinality bounds plus a point ``estimate`` inside it.  Bounds and
@@ -14,19 +14,12 @@ Three layers, bottom-up:
   distinct variables is the relation cardinality, and any conjunction
   gated by an empty positive atom is exactly zero.  The approx planner
   reads these bounds.
-* :class:`CostModel` — estimates the *work* (abstract step units) the
-  ``foc1`` engine would spend by walking the compiled
-  :class:`~repro.plan.ir.QueryPlan`: Materialise steps times the
-  universe, then the Lemma 6.4 count DAG with guard-pool sizes from the
-  plan's :class:`~repro.plan.ir.GuardSpec` annotations and memoisation
-  amortised to one evaluation per distinct environment.  The service's
-  degradation check reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..logic.syntax import (
     And,
@@ -36,41 +29,24 @@ from ..logic.syntax import (
     DistAtom,
     Eq,
     Exists,
-    Expression,
     Forall,
     Formula,
     Iff,
     Implies,
-    IntTerm,
     Not,
     Or,
     PredicateAtom,
-    Term,
     Top,
     Variable,
     free_variables,
-    subexpressions,
-)
-from ..plan.ir import (
-    ComponentPlan,
-    CountComplement,
-    CountConstant,
-    CountDecomposition,
-    CountInclusionExclusion,
-    CountRewrite,
-    CountStep,
-    QueryPlan,
 )
 from ..plan.normalise import flatten_conjuncts
 from .stats import StructureStats
 
-__all__ = ["CardBound", "CardinalityEstimator", "CostModel", "EngineCost"]
+__all__ = ["CardBound", "CardinalityEstimator"]
 
-#: Work-unit ceiling: estimates saturate here instead of overflowing.
+#: Cardinality ceiling: estimates saturate here instead of overflowing.
 _CAP = 1e18
-
-#: Fixed overhead (plan fetch, state setup) charged to the planned engine.
-_FOC1_SETUP = 32.0
 
 
 def _clip(value: float) -> float:
@@ -285,167 +261,3 @@ class CardinalityEstimator:
             # exactness does not.
             return best
         return None
-
-
-@dataclass
-class EngineCost:
-    """Predicted work of one cascade stage, in shared abstract units."""
-
-    engine: str
-    bound: CardBound
-    detail: str = ""
-
-    @property
-    def estimate(self) -> float:
-        return self.bound.estimate
-
-
-class CostModel:
-    """The foc1 engine's cost estimate against one structure's statistics."""
-
-    def __init__(self, stats: StructureStats):
-        self.stats = stats
-        self.estimator = CardinalityEstimator(stats)
-
-    # -- foc1: walk the compiled plan ----------------------------------------
-
-    def foc1_cost(self, plan: QueryPlan) -> EngineCost:
-        n = float(self.stats.order)
-        total = _FOC1_SETUP
-        for step in plan.steps:
-            per_element = 1.0 + sum(
-                self._term_cost(term, plan) for term in step.terms
-            )
-            total += (n if step.arity else 1.0) * per_element
-        for root in plan.roots:
-            total += self._expression_cost(root, plan)
-        if plan.kind == "count":
-            total += self._count_cost(plan.variables, plan.roots[0], plan)
-        elif plan.kind == "unary_term":
-            # One term evaluation per universe element, memo-amortised:
-            # the DAG below the free variable re-runs per element, shared
-            # subterms hit the memo after the first.
-            total += n * max(1.0, self._expression_cost(plan.roots[0], plan) / 2.0)
-        bound = CardBound.ranged(_FOC1_SETUP, None, _clip(total))
-        return EngineCost("foc1", bound, "plan walk")
-
-    def _term_cost(self, term: Term, plan: QueryPlan) -> float:
-        if isinstance(term, IntTerm):
-            return 0.0
-        if isinstance(term, CountTerm):
-            return self._count_cost(term.variables, term.inner, plan)
-        cost = 1.0
-        for attr in ("left", "right"):
-            child = getattr(term, attr, None)
-            if child is not None:
-                cost += self._term_cost(child, plan)
-        return cost
-
-    def _expression_cost(self, node: Expression, plan: QueryPlan) -> float:
-        """Satisfaction cost of a root: node count plus embedded counts."""
-        cost = 0.0
-        for sub in subexpressions(node):
-            cost += 1.0
-            if isinstance(sub, CountTerm):
-                cost += self._count_cost(sub.variables, sub.inner, plan)
-        return _clip(cost)
-
-    def _count_cost(
-        self,
-        variables: Tuple[Variable, ...],
-        body: Formula,
-        plan: QueryPlan,
-        depth: int = 0,
-    ) -> float:
-        if depth > 32:
-            return _CAP
-        step = plan.counts.get((body, variables))
-        if step is not None:
-            return self._count_step_cost(step, plan, depth)
-        # No step: a k = 0 count, which the engine answers with one
-        # satisfaction test — charge the estimator's candidate-space
-        # estimate.
-        bound = self.estimator.count_bound(variables, body)
-        return _clip(max(1.0, bound.estimate))
-
-    def _count_step_cost(
-        self, step: CountStep, plan: QueryPlan, depth: int
-    ) -> float:
-        n = float(self.stats.order)
-        if isinstance(step, CountConstant):
-            return 1.0
-        if isinstance(step, CountComplement):
-            return 1.0 + self._count_cost(step.variables, step.inner, plan, depth + 1)
-        if isinstance(step, CountInclusionExclusion):
-            return 1.0 + sum(
-                self._count_cost(step.variables, child, plan, depth + 1)
-                for child in (step.left, step.right, step.overlap)
-            )
-        if isinstance(step, CountRewrite):
-            return 1.0 + self._count_cost(
-                step.variables, step.rewritten, plan, depth + 1
-            )
-        if isinstance(step, CountDecomposition):
-            cost = float(len(step.gates))
-            for component in step.components:
-                cost += self._component_cost(component)
-            # Unused variables multiply the result, not the work.
-            return _clip(cost)
-        return n
-
-    def _component_cost(self, component: ComponentPlan) -> float:
-        """Guarded backtracking cost of one connected component: the
-        product of the per-variable candidate pools the plan's guard
-        annotations predict, times the conjunct checks per assignment."""
-        pools: Dict[Variable, float] = {}
-        for spec in component.guards:
-            pool = self._guard_pool(spec)
-            current = pools.get(spec.variable)
-            if current is None or pool < current:
-                pools[spec.variable] = pool
-        enumeration = 1.0
-        for variable in component.variables:
-            enumeration *= pools.get(variable, float(self.stats.order))
-            if enumeration >= _CAP:
-                return _CAP
-        checks = max(1.0, float(len(component.conjuncts)))
-        return _clip(enumeration * checks)
-
-    def _guard_pool(self, spec) -> float:
-        """Predicted candidate-pool size of one GuardSpec."""
-        stats = self.stats
-        if spec.kind == "equality":
-            return 1.0
-        if spec.kind == "ball":
-            radius = _trailing_int(spec.source, "radius")
-            return stats.ball_size_estimate(radius if radius is not None else 1)
-        if spec.kind == "index":
-            name = _relation_from_source(spec.source)
-            if name is not None:
-                return max(1.0, stats.index_fanout(name))
-            return max(1.0, stats.degree().mean)
-        # scan: materialise the largest relation once.
-        return max(1.0, float(stats.max_relation_card()))
-
-
-def _trailing_int(source: str, marker: str) -> Optional[int]:
-    """Extract ``N`` from ``"... (marker N)"`` provenance strings."""
-    token = f"({marker} "
-    start = source.find(token)
-    if start < 0:
-        return None
-    rest = source[start + len(token):]
-    digits = ""
-    for ch in rest:
-        if ch.isdigit():
-            digits += ch
-        else:
-            break
-    return int(digits) if digits else None
-
-
-def _relation_from_source(source: str) -> Optional[str]:
-    """Extract the relation name from ``"relation NAME..."`` provenance."""
-    if source.startswith("relation "):
-        return source[len("relation "):].split()[0]
-    return None

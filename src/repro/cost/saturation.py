@@ -1,10 +1,9 @@
 """Observed-load saturation signal for the serving layer.
 
-The cost model (:mod:`repro.cost.model`) predicts how expensive one
-query *will* be; this module measures how loaded the service *is*.  The
-two signals together drive the :mod:`repro.serve` degradation policy:
-shed exactness (answer count-only requests from the sampling tier)
-before shedding tenants.
+This module measures how loaded the service *is*; that one signal
+drives the :mod:`repro.serve` degradation policy: shed exactness (answer
+counts and bare counting terms from the sampling tier) before shedding
+tenants.
 
 The tracker is deliberately clock-free: saturation is the exponentially
 weighted ratio of demand (running quanta plus queued jobs) to capacity

@@ -1,4 +1,4 @@
-"""Per-structure statistics for the cost model.
+"""Per-structure statistics for cardinality estimation.
 
 :class:`StructureStats` summarises a :class:`~repro.structures.structure.
 Structure` for cardinality estimation: relation cardinalities, the degree
@@ -11,8 +11,9 @@ neighbour tuples are cached on the structure, derived by
 :meth:`Structure.invalidate_caches`.  No summary outlives a write, so
 none can go stale.
 
-Everything here is exact — the *estimation* (combining these numbers into
-cardinality bounds and engine costs) lives in :mod:`repro.cost.model`.
+Everything here is exact except :meth:`StructureStats.ball_size_estimate`
+— the *estimation* (combining these numbers into cardinality bounds)
+lives in :mod:`repro.cost.model`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class StructureStats:
     The eager parts (``order``, ``size``, ``relation_cards``) are O(number
     of relations) to build; the degree summary reads the structure's
     columnar view (O(size) only if the view's neighbour tuples are not
-    built yet) and is computed only when a cost estimate needs it.
+    built yet) and is computed only when an estimate needs it.
     """
 
     __slots__ = ("order", "size", "relation_cards", "_structure", "_degree")
@@ -99,17 +100,6 @@ class StructureStats:
             if estimate >= self.order:
                 return float(self.order)
         return min(float(self.order), estimate)
-
-    def index_fanout(self, name: str) -> float:
-        """Mean tuples per index key of a relation — the expected pool size
-        an index-guard lookup yields."""
-        card = self.relation_card(name)
-        if card == 0:
-            return 0.0
-        return max(1.0, card / max(self.order, 1))
-
-    def max_relation_card(self) -> int:
-        return max(self.relation_cards.values(), default=0)
 
 
 def structure_stats(structure: Structure) -> StructureStats:

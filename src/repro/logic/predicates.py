@@ -113,22 +113,70 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The standard semantics are module-level functions, not lambdas, so the
+# standard collection pickles and crosses to worker processes as itself.
+
+
+def _geq1(v: Tuple[int, ...]) -> bool:
+    return v[0] >= 1
+
+
+def _eq(v: Tuple[int, ...]) -> bool:
+    return v[0] == v[1]
+
+
+def _leq(v: Tuple[int, ...]) -> bool:
+    return v[0] <= v[1]
+
+
+def _prime(v: Tuple[int, ...]) -> bool:
+    return _is_prime(v[0])
+
+
+def _gt(v: Tuple[int, ...]) -> bool:
+    return v[0] > v[1]
+
+
+def _lt(v: Tuple[int, ...]) -> bool:
+    return v[0] < v[1]
+
+
+def _neq(v: Tuple[int, ...]) -> bool:
+    return v[0] != v[1]
+
+
+def _even(v: Tuple[int, ...]) -> bool:
+    return v[0] % 2 == 0
+
+
+def _odd(v: Tuple[int, ...]) -> bool:
+    return v[0] % 2 == 1
+
+
+def _divides(v: Tuple[int, ...]) -> bool:
+    return v[0] != 0 and v[1] % v[0] == 0
+
+
+def _zero(v: Tuple[int, ...]) -> bool:
+    return v[0] == 0
+
+
 #: P>=1 — required by the paper in every collection.
-GEQ1 = NumericalPredicate("geq1", 1, lambda v: v[0] >= 1)
+GEQ1 = NumericalPredicate("geq1", 1, _geq1)
 #: P= — the equality predicate of Theorems 4.1/4.3 and Example 5.4.
-EQ = NumericalPredicate("eq", 2, lambda v: v[0] == v[1])
+EQ = NumericalPredicate("eq", 2, _eq)
 #: P<= — the order predicate from Section 3's examples.
-LEQ = NumericalPredicate("leq", 2, lambda v: v[0] <= v[1])
+LEQ = NumericalPredicate("leq", 2, _leq)
 #: Prime — from Example 3.2.
-PRIME = NumericalPredicate("prime", 1, lambda v: _is_prime(v[0]))
+PRIME = NumericalPredicate("prime", 1, _prime)
 #: Strictly-positive variants and small conveniences for workloads.
-GT = NumericalPredicate("gt", 2, lambda v: v[0] > v[1])
-LT = NumericalPredicate("lt", 2, lambda v: v[0] < v[1])
-NEQ = NumericalPredicate("neq", 2, lambda v: v[0] != v[1])
-EVEN = NumericalPredicate("even", 1, lambda v: v[0] % 2 == 0)
-ODD = NumericalPredicate("odd", 1, lambda v: v[0] % 2 == 1)
-DIVIDES = NumericalPredicate("divides", 2, lambda v: v[0] != 0 and v[1] % v[0] == 0)
-ZERO = NumericalPredicate("zero", 1, lambda v: v[0] == 0)
+GT = NumericalPredicate("gt", 2, _gt)
+LT = NumericalPredicate("lt", 2, _lt)
+NEQ = NumericalPredicate("neq", 2, _neq)
+EVEN = NumericalPredicate("even", 1, _even)
+ODD = NumericalPredicate("odd", 1, _odd)
+DIVIDES = NumericalPredicate("divides", 2, _divides)
+ZERO = NumericalPredicate("zero", 1, _zero)
 
 
 def standard_collection() -> PredicateCollection:

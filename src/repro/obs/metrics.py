@@ -16,16 +16,15 @@ keeping every sample).  Snapshots carry no derived ratios; a ratio such
 as one memo table's hit rate is computed by its reader with
 :func:`hit_rate`.
 
-Fault-tolerance counters (PR 5) follow a ``layer.mechanism.event``
-naming convention:
+Fault-tolerance counters follow a ``layer.mechanism.event`` naming
+convention:
 
 * ``parallel.retry.attempt`` — a failed shard was re-run;
 * ``parallel.retry.recovered`` — a shard succeeded after >= 1 retry;
 * ``parallel.retry.exhausted`` — a shard failed permanently (its final
   error is either re-raised or salvaged);
-* ``robust.breaker.trip`` — a cascade stage's circuit just opened;
-* ``robust.breaker.skipped`` — a stage was skipped because its circuit
-  was open (also counted per stage as ``robust.stage.<name>.skipped``).
+* ``robust.stage.<name>.{ok,failed,skipped,suspended}`` — the outcome of
+  each cascade stage on each call.
 
 The ``parallel.retry.*`` counters move only on the process fan-outs,
 the one place retries apply.

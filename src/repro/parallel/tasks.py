@@ -21,11 +21,11 @@ meaningfully, so child budgets restart the clock from the slice's
 *remaining seconds* at payload-build time.  The parent deadline stays
 authoritative up to the (small) pickling latency.
 
-Predicate collections cross as ``None`` when the engine was built
-without one — children rebuild the standard collection, whose closures
-do not pickle — and otherwise as themselves, which must pickle
-(module-level functions); :func:`_ensure_picklable` rejects the rest
-with a :class:`~repro.parallel.ParallelError`.
+Predicate collections cross as themselves, which must pickle: the
+standard collection does (its semantics are module-level functions), and
+so does any collection built from module-level functions;
+:func:`_ensure_picklable` rejects the rest, such as collections built
+from lambdas, with a :class:`~repro.parallel.ParallelError`.
 
 Error fidelity: a failing child re-raises the **original** exception in
 the parent — :class:`~repro.errors.ReproError` subclasses pickle
@@ -44,7 +44,7 @@ import traceback
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..logic.predicates import PredicateCollection, standard_collection
+from ..logic.predicates import PredicateCollection
 from ..obs.metrics import MetricsRegistry, active_metrics, set_thread_metrics
 from ..robust.budget import EvaluationBudget
 from ..robust.retry import RetryPolicy
@@ -306,15 +306,14 @@ def _approx_block_task(payload: tuple):
     ) = payload
     from ..approx.evaluator import sample_blocks
 
-    collection = predicates if predicates is not None else standard_collection()
     specs = list(zip(blocks, sizes))
     return _run_in_child(
         lambda budget: sample_blocks(
-            structure, formula, tuple(variables), collection, seed, specs, budget
+            structure, formula, tuple(variables), predicates, seed, specs, budget
         ),
         params,
         metrics,
-        collection,
+        predicates,
     )
 
 
@@ -323,21 +322,19 @@ def run_approx_shards(
     structure,
     formula,
     variables: Sequence,
-    predicates,
+    predicates: PredicateCollection,
     seed: int,
     block_specs: Sequence[Tuple[int, int]],
     budget: "Optional[EvaluationBudget]",
-    oracle: "Optional[PredicateCollection]" = None,
 ) -> List[Tuple[int, int, int]]:
     """Fan sampling blocks out across the pool for the approx tier.
 
     Each shard gets a contiguous chunk of ``(block_index, sample_count)``
     specs; every block owns its own seeded RNG stream, so the flattened
     ``(block, hits, count)`` list — re-sorted by block index — is
-    identical to a serial run at every worker count.  ``predicates``
-    crosses to the children (``None`` rebuilds the standard collection
-    there); their P-oracle calls are added to ``oracle``, the sampler's
-    own collection.
+    identical to a serial run at every worker count.  ``predicates``,
+    the sampler's own collection, crosses to the children, and their
+    P-oracle calls are added back to it.
     """
     _ensure_picklable(predicates, "the predicate collection")
     shards = [chunk for chunk in shard(list(block_specs), pool.workers) if chunk]
@@ -362,7 +359,7 @@ def run_approx_shards(
         for i, chunk in enumerate(shards)
     ]
     joined = _join_shards(
-        pool, _approx_block_task, payloads, budget, oracle=oracle
+        pool, _approx_block_task, payloads, budget, oracle=predicates
     )
     merged: List[Tuple[int, int, int]] = []
     for part in joined:

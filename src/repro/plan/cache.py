@@ -88,19 +88,6 @@ class PlanCache:
                     metrics.inc("plan.cache.eviction")
         return plan
 
-    def peek(self, key: Hashable) -> "QueryPlan | None":
-        """The cached plan for ``key`` without compiling, counting or
-        reordering.
-
-        A statistics-only probe for callers that must not pay compile
-        time — the serving degradation policy predicts a request's cost
-        from its plan only when the plan is already warm, and a peek must
-        not perturb the hit/miss counters or the LRU order that the real
-        evaluation path will exercise moments later.
-        """
-        with self._lock:
-            return self._plans.get(key)
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -9,8 +9,6 @@ The pieces:
 * :mod:`repro.robust.retry` — :class:`RetryPolicy`, bounded per-shard
   retries with deterministic backoff, applied by the worker pool to the
   shards it sends to child processes;
-* :mod:`repro.robust.breaker` — :class:`CircuitBreaker`, which stops the
-  cascade paying for a persistently failing stage;
 * :mod:`repro.robust.partial` — :class:`PartialResult`, the structured
   salvaged answer of a process fan-out (completed shards + coverage
   fraction);
@@ -19,20 +17,19 @@ The pieces:
   preemptible budgets (versioned, integrity-hashed, crash-consistent
   persistence of resumable evaluation state);
 * :mod:`repro.robust.guard` — :class:`RobustEvaluator`, a façade running
-  the fallback cascade *main algorithm → FOC1 engine → brute force* with
-  per-stage budget slices and a structured :class:`RobustReport`.
+  the fallback cascade *main algorithm → FOC1 engine → brute force* in
+  that fixed order on every call, with per-stage budget slices and a
+  structured :class:`RobustReport`.
 
-``budget``, ``faults``, ``retry``, ``breaker``, ``partial`` and
-``checkpoint`` are leaf modules (they depend only on :mod:`repro.errors`
-and each other) so the instrumented production modules can import them
-freely.  ``guard`` sits on top of the whole engine stack and is loaded
+``budget``, ``faults``, ``retry``, ``partial`` and ``checkpoint`` are
+leaf modules (they depend only on :mod:`repro.errors` and each other) so
+the instrumented production modules can import them freely.  ``guard`` sits on top of the whole engine stack and is loaded
 lazily (PEP 562) to keep this package importable from inside those
 low-level modules without an import cycle.
 """
 
 from __future__ import annotations
 
-from .breaker import BreakerOpenError, CircuitBreaker
 from .budget import EvaluationBudget
 from .checkpoint import (
     Checkpoint,
@@ -55,10 +52,8 @@ from .partial import PartialResult, ShardFailure
 from .retry import RetryPolicy
 
 __all__ = [
-    "BreakerOpenError",
     "Checkpoint",
     "CheckpointSession",
-    "CircuitBreaker",
     "EvaluationBudget",
     "FAULT_SITES",
     "FaultInjector",

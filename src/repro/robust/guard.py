@@ -26,12 +26,13 @@ last — a bounded-cost answer of last resort.  An approx answer is an
 report carries ``approximate=True``, so an estimate can never be
 mistaken for an exact count.
 
-Stages always run in this listed order, so the cascade a caller gets
-never depends on what ran before.  Every exact stage computes the
-*exact* answer when it completes, so the cascade never trades
-correctness for availability — only speed.  Each stage runs
-under a slice of the shared :class:`~repro.robust.budget.EvaluationBudget`
-(an even split of whatever remains), so one runaway stage cannot starve
+Stages always run in this listed order, on every call: the cascade keeps
+no state across calls, so the path a call takes never depends on what
+ran before.  Every exact stage computes the *exact* answer when it
+completes, so the cascade never trades correctness for availability —
+only speed.  Each stage runs under a slice of the shared
+:class:`~repro.robust.budget.EvaluationBudget` (an even split of
+whatever remains), so one runaway stage cannot starve
 its fallbacks; if every stage fails and the overall budget is exhausted,
 the cascade raises :class:`~repro.errors.BudgetExceededError`, otherwise it
 re-raises the last stage failure.  The outcome of every stage — who
@@ -59,7 +60,6 @@ from ..obs import active_metrics, span
 from ..parallel import resolve_workers
 from ..plan.cache import PlanCache
 from ..structures.structure import Element, Structure
-from .breaker import CircuitBreaker
 from .budget import EvaluationBudget
 from .checkpoint import active_checkpoint_session
 
@@ -67,6 +67,11 @@ __all__ = ["RobustEvaluator", "RobustReport", "StageReport", "STAGES"]
 
 #: Cascade order (the optional ``approx`` stage, when enabled, runs last).
 STAGES = ("main_algorithm", "foc1", "baseline")
+
+#: What a stage may raise and still fall through to the next stage: the
+#: library's typed errors and ``RecursionError``.  Programming errors
+#: (``TypeError`` &c.) propagate.
+_STAGE_FAILURES = (ReproError, RecursionError)
 
 
 @dataclass
@@ -145,32 +150,20 @@ class RobustReport:
         return f"{head} ({parts})"
 
     def to_dict(
-        self,
-        breaker: "Optional[CircuitBreaker]" = None,
-        checkpoint: "Optional[Dict[str, object]]" = None,
+        self, checkpoint: "Optional[Dict[str, object]]" = None
     ) -> Dict[str, object]:
         """JSON-safe view of the whole report (for ``--report-json``).
 
-        ``breaker`` adds per-stage circuit states; ``checkpoint`` attaches
-        suspension/resume info (as produced by ``Checkpoint.to_dict``).
+        ``checkpoint`` attaches suspension/resume info (as produced by
+        ``Checkpoint.to_dict``).
         """
-        breakers = None
-        if breaker is not None:
-            breakers = {
-                s.stage: {
-                    "state": breaker.state(s.stage),
-                    "consecutive_failures": breaker.failures(s.stage),
-                }
-                for s in self.stages
-            }
         return {
-            "schema": "repro-robust-report/3",
+            "schema": "repro-robust-report/4",
             "operation": self.operation,
             "answered_by": self.answered_by,
             "elapsed": self.elapsed,
             "steps": self.steps,
             "stages": [s.to_dict() for s in self.stages],
-            "breakers": breakers,
             "checkpoint": checkpoint,
             "approximate": self.approximate,
         }
@@ -196,11 +189,6 @@ class RobustEvaluator:
         Whether the ``foc1`` stage enforces the FOC1(P) fragment.  With the
         default ``True``, out-of-fragment FOC(P) inputs simply fall through
         to the ``baseline`` stage — the cascade's answer stays exact.
-    catch:
-        Exception types treated as *stage* failures (triggering fallback)
-        rather than evaluator failures.  Defaults to the library's typed
-        errors plus ``RecursionError``; genuine programming errors
-        (``TypeError`` &c.) always propagate.
     plan_cache:
         The :class:`~repro.plan.cache.PlanCache` shared by every planned
         stage (``main_algorithm`` base cases and ``foc1``), so a retry of
@@ -214,14 +202,6 @@ class RobustEvaluator:
         live engine state, and the ``baseline`` stage is the last-resort
         oracle, which takes no shortcuts.  ``None`` resolves
         ``REPRO_WORKERS`` (default 1).
-    breaker:
-        The :class:`~repro.robust.breaker.CircuitBreaker` guarding the
-        cascade stages: after its ``threshold`` *consecutive* failures of
-        a stage (across this evaluator's calls), that stage is skipped —
-        without consuming a budget slice — until a success or
-        :meth:`CircuitBreaker.reset` closes the circuit.  Defaults to a
-        fresh ``CircuitBreaker(threshold=3)`` per evaluator; share one
-        instance across evaluators to pool their failure counts.
     approx:
         Opt-in fourth cascade stage for :meth:`count` and ground counting
         terms: the sampling tier (:class:`~repro.approx.evaluator.
@@ -239,23 +219,18 @@ class RobustEvaluator:
         predicates: "Optional[PredicateCollection]" = None,
         budget: "Optional[EvaluationBudget]" = None,
         check_fragment: bool = True,
-        catch: Tuple[type, ...] = (ReproError, RecursionError),
         plan_cache: "Optional[PlanCache]" = None,
         workers: "Optional[int]" = None,
-        breaker: "Optional[CircuitBreaker]" = None,
         approx: bool = False,
         epsilon: float = 0.1,
         delta: float = 0.05,
         approx_seed: int = 0,
     ):
-        self._default_predicates = predicates is None
         self.predicates = predicates if predicates is not None else standard_collection()
         self.budget = budget
         self.check_fragment = check_fragment
-        self.catch = tuple(catch)
         self.plan_cache = plan_cache
         self.workers = resolve_workers(workers)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.approx = approx
         self.epsilon = epsilon
         self.delta = delta
@@ -461,10 +436,8 @@ class RobustEvaluator:
     def _approx(self, budget: "Optional[EvaluationBudget]"):
         from ..approx.evaluator import ApproxEvaluator
 
-        # A defaulted collection ships as None so child processes can
-        # rebuild it (closures do not pickle).
         return ApproxEvaluator(
-            predicates=None if self._default_predicates else self.predicates,
+            predicates=self.predicates,
             budget=budget,
             epsilon=self.epsilon,
             delta=self.delta,
@@ -488,7 +461,7 @@ class RobustEvaluator:
         # quantum was suspended in.  Earlier stages already had their
         # outcome (failed or skipped) decided in that quantum — re-running
         # them would re-pay known failures — so they are recorded as
-        # resume-skips without a budget slice or a breaker update.
+        # resume-skips without a budget slice.
         session = active_checkpoint_session()
         if session is not None and not session.on_owner_thread():
             session = None
@@ -534,26 +507,6 @@ class RobustEvaluator:
                     )
                 )
                 continue
-            if not self.breaker.allow(name):
-                # Circuit open: route straight to the next stage without
-                # paying this stage's budget slice (runnable_left drops,
-                # so the remaining stages split the freed share).
-                runnable_left -= 1
-                if registry is not None:
-                    registry.inc(f"robust.stage.{name}.skipped")
-                    registry.inc("robust.breaker.skipped")
-                report.stages.append(
-                    StageReport(
-                        name,
-                        "skipped",
-                        detail=(
-                            "circuit open: "
-                            f"{self.breaker.failures(name)} consecutive "
-                            "failures"
-                        ),
-                    )
-                )
-                continue
 
             stage_budget = self._slice_for(runnable_left)
             if stage_budget is not None:
@@ -569,9 +522,9 @@ class RobustEvaluator:
                     answer = fn(stage_budget)
             except SuspendedError as error:
                 # Suspension is the quantum boundary of a preemptible run,
-                # not a stage failure: the breaker must not trip (the stage
-                # will resume, not fall back) and the cascade re-raises
-                # after finalising the report for this quantum.
+                # not a stage failure: the stage will resume, not fall
+                # back, so the cascade re-raises after finalising the
+                # report for this quantum.
                 entry.status = "suspended"
                 entry.detail = str(error)
                 entry.elapsed = time.monotonic() - stage_started
@@ -594,14 +547,11 @@ class RobustEvaluator:
                 )
                 self.last_report = report
                 raise
-            except self.catch as error:
+            except _STAGE_FAILURES as error:
                 entry.status = "failed"
                 entry.error_type = type(error).__name__
                 entry.error = str(error)
                 last_error = error
-                if self.breaker.record_failure(name):
-                    if registry is not None:
-                        registry.inc("robust.breaker.trip")
             else:
                 entry.status = "ok"
                 if isinstance(answer, ApproxResult):
@@ -613,7 +563,6 @@ class RobustEvaluator:
                     if registry is not None:
                         registry.inc("robust.approx.answered")
                 report.answered_by = name
-                self.breaker.record_success(name)
             entry.elapsed = time.monotonic() - stage_started
             if registry is not None:
                 entry.metrics = {

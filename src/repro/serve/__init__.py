@@ -7,8 +7,9 @@ bounded :class:`AdmissionController` (typed load shedding via
 step-metered :class:`DeficitRoundRobin` fair sharing, runs every query
 in preemptible budget quanta that checkpoint instead of dying, batches
 compatible counts through ``count_many``, and — when configured —
-degrades count-only answers to the sampling tier (always flagged
-``approximate=True``) rather than shedding tenants.
+degrades counts and bare counting terms to the sampling tier under
+saturation (always flagged ``approximate=True``) rather than shedding
+tenants.
 """
 
 from ..errors import AdmissionError

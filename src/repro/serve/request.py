@@ -59,11 +59,6 @@ class QueryRequest:
         if self.operation == "unary" and not self.variable:
             raise ReproError("unary requests need a 'variable'")
 
-    @property
-    def count_only(self) -> bool:
-        """Whether the answer is a single count the sampler could estimate."""
-        return self.operation in ("count", "term")
-
     def parsed(self) -> Expression:
         """The request expression as an AST (parsing text if needed)."""
         if isinstance(self.expression, Expression):

@@ -25,10 +25,10 @@ Architecture (see ``docs/SERVING.md`` for the operator view)::
   :meth:`~repro.robust.guard.RobustEvaluator.count_many` batch under a
   proportionally larger quantum, one plan for the whole batch through
   the shared :class:`~repro.plan.cache.PlanCache`.
-* **Degradation**: with thresholds configured, count-only requests
-  whose predicted cost (:class:`~repro.cost.model.CostModel` over the
-  *warm* plan) or whose observed saturation
-  (:class:`~repro.cost.saturation.SaturationTracker`) crosses the line
+* **Degradation**: with ``degrade_saturation`` set, ``count`` requests
+  and ``term`` requests whose expression is a bare ground counting term
+  that are dispatched while the observed saturation
+  (:class:`~repro.cost.saturation.SaturationTracker`) is at or above it
   are answered by the sampling tier with ``approximate=True`` — the
   service sheds exactness before shedding tenants.
 * **Drain**: :meth:`QueryService.drain` stops admission (typed
@@ -54,11 +54,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..approx.evaluator import ApproxEvaluator
-from ..cost.model import CostModel
 from ..cost.saturation import SaturationTracker
-from ..cost.stats import structure_stats
 from ..errors import BudgetExceededError, ReproError, SuspendedError
 from ..logic.predicates import PredicateCollection
+from ..logic.syntax import CountTerm, free_variables
 from ..obs.metrics import (
     MetricsRegistry,
     active_metrics,
@@ -66,8 +65,6 @@ from ..obs.metrics import (
     set_thread_metrics,
 )
 from ..plan.cache import PlanCache, default_plan_cache
-from ..plan.ir import PlanOptions
-from ..plan.normalise import canonicalise
 from ..robust.budget import EvaluationBudget
 from ..robust.checkpoint import (
     Checkpoint,
@@ -190,12 +187,17 @@ class QueryService:
     batch_max:
         Compatible ``count`` requests merged per dispatch (1 disables
         batching).
-    degrade_cost_threshold / degrade_saturation:
-        Degradation triggers (``None`` disables each): predicted exact
-        cost in abstract step units, and smoothed saturation level
-        (1.0 = at capacity).  Degraded answers come from the sampling
-        tier flagged ``approximate=True``; exact-only deployments leave
-        both unset and the service never degrades.
+    degrade_saturation:
+        The degradation trigger (``None`` disables it): the smoothed
+        saturation level (1.0 = at capacity) at or above which a
+        ``count`` request, or a ``term`` request whose expression is a
+        bare ground counting term, is answered by the sampling tier
+        flagged ``approximate=True``.  Exact-only deployments leave it
+        unset and the service never degrades.
+    degrade_cost_threshold:
+        Accepted and ignored.  It named a predicted-cost trigger that
+        never fired and has been removed; the keyword stays only so that
+        existing callers keep working.
     epsilon / delta:
         The sampling tier's accuracy target for degraded answers (the
         per-request ``seed`` keeps them reproducible).
@@ -247,7 +249,6 @@ class QueryService:
         self.quantum_steps = quantum_steps
         self.quantum_seconds = quantum_seconds
         self.batch_max = batch_max
-        self.degrade_cost_threshold = degrade_cost_threshold
         self.degrade_saturation = degrade_saturation
         self.epsilon = epsilon
         self.delta = delta
@@ -731,51 +732,21 @@ class QueryService:
     # -- degradation ----------------------------------------------------------
 
     def _should_degrade(self, job: _Job, saturation: float) -> bool:
-        if not job.request.count_only or job.checkpoint is not None:
-            return False
         if (
-            self.degrade_saturation is not None
-            and saturation >= self.degrade_saturation
+            self.degrade_saturation is None
+            or saturation < self.degrade_saturation
+            or job.checkpoint is not None
         ):
+            return False
+        if job.request.operation == "count":
             return True
-        if self.degrade_cost_threshold is not None:
-            predicted = self._predicted_cost(job)
-            if (
-                predicted is not None
-                and predicted >= self.degrade_cost_threshold
-            ):
-                return True
-        return False
-
-    def _predicted_cost(self, job: _Job) -> "Optional[float]":
-        """Predicted exact (foc1) cost from the *warm* plan, else None.
-
-        Prediction must not pay compile time on the scheduling path, so
-        it consults :meth:`PlanCache.peek` — a cold plan simply doesn't
-        trigger cost-based degradation (its first execution warms the
-        cache for the next request).
-        """
-        request = job.request
-        if request.operation == "count":
-            kind, variables = "count", tuple(request.variables)
-        else:
-            kind, variables = "ground_term", ()
-        canon = canonicalise(job.expression)
-        cache_key = (
-            kind,
-            (canon,),
-            variables,
-            request.structure.signature,
-            PlanOptions(),
+        # The sampler's own precondition: a term degrades only when it is
+        # a bare ground counting term, so every other term answers exactly.
+        return (
+            job.request.operation == "term"
+            and isinstance(job.expression, CountTerm)
+            and not free_variables(job.expression)
         )
-        plan = self.plan_cache.peek(cache_key)
-        if plan is None:
-            return None
-        model = CostModel(structure_stats(request.structure))
-        try:
-            return model.foc1_cost(plan).estimate()
-        except Exception:  # noqa: BLE001 — prediction is advisory only
-            return None
 
     def _run_degraded(self, job: _Job) -> "Optional[_Outcome]":
         request = job.request

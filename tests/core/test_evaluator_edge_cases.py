@@ -157,7 +157,8 @@ class TestTargetsOutsideTheUniverse:
 
     @pytest.mark.parametrize(
         "engine",
-        # Built per test: the cascade's breaker counts failures across calls.
+        # The cascade keeps no state across calls, so the cases cannot
+        # interfere through it.
         [lambda: FAST, lambda: RobustEvaluator(workers=2), lambda: BRUTE],
         ids=["foc1", "robust", "brute"],
     )

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.cost.model` — bounds, estimator, foc1 cost.
+"""Tests for :mod:`repro.cost.model` — bounds and the estimator.
 
 The property tests pin the estimator's soundness obligations: adding tuples
 never *decreases* a provable cardinality lower bound (for negation-free
@@ -10,11 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost import CardBound, CardinalityEstimator, CostModel, structure_stats
+from repro.cost import CardBound, CardinalityEstimator, structure_stats
 from repro.core.evaluator import Foc1Evaluator
 from repro.logic.parser import parse_formula
-from repro.plan import PlanOptions, compile_plan
-from repro.plan.normalise import canonicalise
 from repro.structures.builders import graph_structure, path_graph
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
@@ -168,25 +166,3 @@ class TestEstimatorSoundnessProperties:
         )
         assert bound.exact
         assert bound.lower == bound.upper == bound.estimate == 0.0
-
-
-class TestCostModel:
-    def test_foc1_cost_walks_the_plan(self):
-        phi = parse_formula("exists y. E(x, y)")
-        costs = []
-        for n in (6, 12):
-            structure = path_graph(n)
-            plan = compile_plan(
-                "count",
-                (canonicalise(phi),),
-                ("x",),
-                structure.signature,
-                PlanOptions(factoring=True, guards=True),
-            )
-            cost = CostModel(structure_stats(structure)).foc1_cost(plan)
-            assert cost.engine == "foc1"
-            assert cost.bound.lower <= cost.estimate
-            costs.append(cost.estimate)
-        # The plan walk charges per universe element: twice the path,
-        # more predicted work.
-        assert costs[1] > costs[0]

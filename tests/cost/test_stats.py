@@ -1,15 +1,13 @@
 """Tests for :mod:`repro.cost.stats`.
 
-The load-bearing property: a cost estimate must never read stale
+The load-bearing property: an estimate must never read stale
 cardinalities or degrees.  ``structure_stats`` builds a fresh summary per
 call, and the degree summary reads the structure's columnar view, which
 ``with_tuple()`` derives and ``invalidate_caches()`` drops.
 """
 
-from repro.cost import CostModel, StructureStats, structure_stats
+from repro.cost import CardinalityEstimator, StructureStats, structure_stats
 from repro.logic.parser import parse_formula
-from repro.plan import PlanOptions, compile_plan
-from repro.plan.normalise import canonicalise
 from repro.structures.builders import graph_structure, path_graph
 
 
@@ -24,7 +22,6 @@ class TestSummary:
     def test_unknown_relation_counts_as_empty(self):
         stats = structure_stats(path_graph(4))
         assert stats.relation_card("Paux__0") == 0
-        assert stats.index_fanout("Paux__0") == 0.0
 
     def test_lazy_parts(self):
         stats = structure_stats(path_graph(4))
@@ -69,46 +66,38 @@ class TestCopyOnWriteDerivation:
         assert structure_stats(bridged).degree().max == 2
 
 
-def _foc1_cost(structure, text, variables):
-    """``CostModel.foc1_cost`` of one count, priced against the structure's
-    cached statistics."""
-    plan = compile_plan(
-        "count",
-        (canonicalise(parse_formula(text)),),
-        tuple(variables),
-        structure.signature,
-        PlanOptions(factoring=True, guards=True),
+def _edge_bound(structure):
+    """The bound on ``#(x, y). E(x, y)``, read off fresh statistics; it is
+    exact, since the body is one positive atom over the counted
+    variables."""
+    bound = CardinalityEstimator(structure_stats(structure)).count_bound(
+        ("x", "y"), parse_formula("E(x, y)")
     )
-    return CostModel(structure_stats(structure)).foc1_cost(plan).estimate
+    assert bound.exact
+    return bound.estimate
 
 
-class TestCostModelSeesFreshCardinalities:
-    """Price, mutate incrementally, price again — the second estimate
-    must be read off the updated statistics."""
+class TestEstimatorSeesFreshCardinalities:
+    """Estimate, mutate, estimate again — the second estimate must be
+    read off the updated statistics."""
 
-    def test_foc1_cost_after_incremental_mutation(self):
+    def test_bound_after_incremental_mutation(self):
         structure = path_graph(6)
-        first = _foc1_cost(structure, "E(x, y)", ("x", "y"))
+        assert _edge_bound(structure) == 10
 
         mutated = structure
         for v in range(2, 6):
             mutated = mutated.with_tuple("E", (1, v + 1)).with_tuple(
                 "E", (v + 1, 1)
             )
-        expected = len(mutated.relation("E"))
-        second = _foc1_cost(mutated, "E(x, y)", ("x", "y"))
+        assert len(mutated.relation("E")) == 18
+        assert _edge_bound(mutated) == 18
+        # The parent's estimate is untouched.
+        assert _edge_bound(structure) == 10
 
-        # The mutated structure's stats reflect the delta exactly...
-        assert structure_stats(mutated).relation_card("E") == expected
-        # ...and the second estimate was priced against them: the scan
-        # over the single positive atom grows with the relation.
-        assert second > first
-
-    def test_foc1_cost_after_in_place_mutation(self):
+    def test_bound_after_in_place_mutation(self):
         structure = path_graph(6)
-        stats = structure_stats(structure)
-        assert stats.relation_card("E") == 10
-        first = _foc1_cost(structure, "E(x, y)", ("x", "y"))
+        assert _edge_bound(structure) == 10
         symbol = next(s for s in structure._relations if s.name == "E")
         structure._relations[symbol] = structure._relations[symbol] | {
             (1, 3),
@@ -116,4 +105,4 @@ class TestCostModelSeesFreshCardinalities:
         }
         structure.invalidate_caches()
         assert structure_stats(structure).relation_card("E") == 12
-        assert _foc1_cost(structure, "E(x, y)", ("x", "y")) > first
+        assert _edge_bound(structure) == 12

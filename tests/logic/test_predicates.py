@@ -1,5 +1,8 @@
 """Tests for numerical predicate collections (the P-oracle)."""
 
+import itertools
+import pickle
+
 import pytest
 
 from repro.errors import PredicateError
@@ -75,3 +78,46 @@ class TestCollection:
     def test_iteration_sorted(self):
         names = [p.name for p in standard_collection()]
         assert names == sorted(names)
+
+
+# Each standard predicate's meaning, written out independently of the
+# module's definitions.  "divides" follows the module's convention that
+# 0 divides nothing.
+_DEFINITIONS = {
+    "geq1": lambda a: a >= 1,
+    "eq": lambda a, b: a == b,
+    "leq": lambda a, b: not b < a,
+    "prime": _slow_prime,
+    "gt": lambda a, b: b < a,
+    "lt": lambda a, b: a < b,
+    "neq": lambda a, b: not a == b,
+    "even": lambda a: a % 2 == 0,
+    "odd": lambda a: a % 2 != 0,
+    "divides": lambda a, b: a != 0 and any(a * k == b for k in range(-abs(b), abs(b) + 1)),
+    "zero": lambda a: not a,
+}
+
+
+class TestStandardPredicates:
+    def test_definitions_cover_the_collection(self):
+        assert sorted(p.name for p in standard_collection()) == sorted(_DEFINITIONS)
+
+    @pytest.mark.parametrize("name", sorted(_DEFINITIONS))
+    def test_semantics_match_the_definition(self, name):
+        predicate = standard_collection()[name]
+        definition = _DEFINITIONS[name]
+        for values in itertools.product(range(-7, 14), repeat=predicate.arity):
+            assert predicate.holds(values) == definition(*values), values
+
+    def test_collection_pickles_as_itself(self):
+        # Module-level semantics pickle by reference: the copy a worker
+        # process receives holds the very same functions and the
+        # sender's oracle count.
+        collection = standard_collection()
+        collection.query("prime", (7,))
+        clone = pickle.loads(pickle.dumps(collection))
+        assert clone.oracle_calls == 1
+        assert [p.name for p in clone] == [p.name for p in collection]
+        for original, copied in zip(collection, clone):
+            assert copied == original
+            assert copied.semantics is original.semantics

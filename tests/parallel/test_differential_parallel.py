@@ -27,9 +27,14 @@ from repro.core.main_algorithm import (
 )
 from repro.logic.builder import Rel
 from repro.logic.parser import parse_formula, parse_term
-from repro.logic.predicates import NumericalPredicate, PredicateCollection
+from repro.logic.predicates import (
+    NumericalPredicate,
+    PredicateCollection,
+    standard_collection,
+)
 from repro.parallel import ParallelError
 from repro.parallel import pool as pool_module
+from repro.robust.budget import EvaluationBudget
 from repro.robust.guard import RobustEvaluator
 from repro.sparse.classes import dense_random_graph
 from repro.sparse.covers import sparse_cover
@@ -225,6 +230,52 @@ class TestOracleCallsAcrossWorkers:
         assert serial > _PILOT_SIZE  # the blocks, not just the pilot
         assert calls_at(workers) == serial
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_cascade_sampler_counts_on_the_cascade_collection(self, workers):
+        # foc1 and the brute force each exhaust their budget slice, and
+        # the sampler answers; all three count on the default collection.
+        structure = dense_random_graph(60, probability=0.5, seed=3)
+        phi = parse_formula("@geq1(#(z). E(y, z)) & E(x, y) & E(y, w) & E(w, v)")
+        engine = RobustEvaluator(
+            approx=True,
+            epsilon=0.5,
+            delta=0.2,
+            approx_seed=3,
+            budget=EvaluationBudget(max_steps=600_000),
+            workers=workers,
+        )
+        engine.count(structure, phi, ["x", "y", "w", "v"])
+        assert engine.last_report.answered_by == "approx"
+        # What an explicit standard_collection() reads at one worker.
+        assert engine.predicates.oracle_calls == 5181
+
+    def test_explicit_standard_collection_fans_out(self):
+        structure = dense_random_graph(40, probability=0.5, seed=3)
+        phi = parse_formula("@geq1(#(z). E(y, z)) & E(x, y)")
+
+        def run(count):
+            engine = ApproxEvaluator(
+                predicates=standard_collection(), epsilon=0.1, seed=3, workers=count
+            )
+            return engine.count(structure, phi, ["x", "y"]), engine.predicates
+
+        serial, serial_predicates = run(1)
+        fanned, fanned_predicates = run(2)
+        assert fanned.value == serial.value
+        assert fanned.estimate == serial.estimate
+        assert fanned_predicates.oracle_calls == serial_predicates.oracle_calls
+
+    def test_lambda_collection_cannot_fan_out(self):
+        engine = ApproxEvaluator(
+            predicates=_closure_collection(), epsilon=0.1, seed=3, workers=2
+        )
+        with pytest.raises(ParallelError, match="must pickle"):
+            engine.count(
+                dense_random_graph(40, probability=0.5, seed=3),
+                parse_formula("@geq1(#(z). E(y, z)) & E(x, y)"),
+                ["x", "y"],
+            )
+
 
 def _no_pool(*args, **kwargs):
     raise AssertionError("an inline path started a process pool")
@@ -264,9 +315,8 @@ class TestInlineAtEveryWorkerCount:
 
     def test_robust_unary_terms_answered_by_foc1(self, monkeypatch):
         """The cascade's foc1 stage runs inline whatever the evaluator's
-        worker count: at ``workers=2`` it answers without a process pool,
-        and its circuit stays closed past the breaker's threshold of
-        three calls."""
+        worker count: at ``workers=2`` it answers every call without a
+        process pool."""
         structure = grid_graph(8, 8)
         term = parse_term("#(y). (E(x, y) & @gt(#(z). E(y, z), 2))")
         serial = Foc1Evaluator().unary_term_values(structure, term, "x")
@@ -279,7 +329,7 @@ class TestInlineAtEveryWorkerCount:
         count = engine.count(structure, parse_formula("E(x, y)"), ["x", "y"])
         assert count == len(structure.relation("E"))
         assert engine.last_report.answered_by == "foc1"
-        assert engine.breaker.failures("foc1") == 0
+        assert engine.last_report.failed_stages() == []
 
     def test_main_algorithm_accepts_only_one_worker(self):
         structure = grid_graph(5, 5)

@@ -13,10 +13,9 @@ import time
 import pytest
 
 from repro.core.local_eval import evaluate_basic_unary
-from repro.errors import BudgetExceededError, FragmentError, ReproError
-from repro.logic.parser import parse_formula
+from repro.errors import BudgetExceededError, EvaluationError, FragmentError, ReproError
+from repro.logic.parser import parse_formula, parse_term
 from repro.robust import (
-    CircuitBreaker,
     EvaluationBudget,
     FaultInjector,
     RobustEvaluator,
@@ -232,62 +231,36 @@ class TestBudgets:
             )
 
 
-class TestCircuitBreaker:
-    def test_breaker_trips_and_skips_the_stage(self, grid, degree_term):
+class TestNoStateAcrossCalls:
+    """The cascade keeps nothing across calls: every call runs the stages
+    in their listed order, however earlier calls went."""
+
+    def test_stages_run_in_order_on_every_call(self, grid, degree_term):
         truth = evaluate_basic_unary(grid, degree_term)
-        engine = RobustEvaluator(breaker=CircuitBreaker(threshold=2))
-        for _ in range(2):
+        engine = RobustEvaluator()
+        for _ in range(3):
             with inject_faults(FaultInjector({"cover.construct": 1})):
                 assert engine.evaluate_unary_cl_term(grid, degree_term) == truth
-            assert "main_algorithm" in engine.last_report.failed_stages()
-        # Circuit open: the third call skips the stage outright — no
-        # injector needed, no budget slice paid for the broken stage.
+            assert engine.last_report.failed_stages() == ["main_algorithm"]
+            assert engine.last_report.answered_by == "foc1"
+        # Three failures in a row do not take the stage out of the next
+        # call: with no fault, the main algorithm answers.
         assert engine.evaluate_unary_cl_term(grid, degree_term) == truth
         report = engine.last_report
-        entry = report.stage("main_algorithm")
-        assert entry.status == "skipped"
-        assert "circuit open" in entry.detail
-        assert report.answered_by == "foc1"
+        assert report.answered_by == "main_algorithm"
+        assert report.failed_stages() == []
 
-    def test_success_resets_the_failure_count(self, grid, degree_term):
-        engine = RobustEvaluator(breaker=CircuitBreaker(threshold=2))
-        with inject_faults(FaultInjector({"cover.construct": 1})):
-            engine.evaluate_unary_cl_term(grid, degree_term)
-        assert engine.breaker.failures("main_algorithm") == 1
-        engine.evaluate_unary_cl_term(grid, degree_term)  # healthy run
-        assert engine.breaker.failures("main_algorithm") == 0
-        with inject_faults(FaultInjector({"cover.construct": 1})) as injector:
-            engine.evaluate_unary_cl_term(grid, degree_term)
-        # The third call really ran the main algorithm into the fault...
-        assert injector.fired["cover.construct"] == 1
-        assert engine.breaker.failures("main_algorithm") == 1
-        # ...and non-consecutive failures never trip.
-        assert engine.breaker.state("main_algorithm") == "closed"
-
-    def test_trip_and_skip_metrics(self, grid, degree_term):
-        from repro import obs
-
-        registry = obs.MetricsRegistry()
-        previous = obs.set_metrics(registry)
-        try:
-            engine = RobustEvaluator(breaker=CircuitBreaker(threshold=1))
-            with inject_faults(FaultInjector({"cover.construct": 1})):
-                engine.evaluate_unary_cl_term(grid, degree_term)
-            engine.evaluate_unary_cl_term(grid, degree_term)
-        finally:
-            obs.set_metrics(previous)
-        assert registry.counter("robust.breaker.trip") == 1
-        assert registry.counter("robust.breaker.skipped") == 1
-
-    def test_evaluators_can_share_one_breaker(self, grid, degree_term):
-        breaker = CircuitBreaker(threshold=2)
-        first = RobustEvaluator(breaker=breaker)
-        second = RobustEvaluator(breaker=breaker)
-        for engine in (first, second):
-            with inject_faults(FaultInjector({"cover.construct": 1})):
-                engine.evaluate_unary_cl_term(grid, degree_term)
-        # Two failures across two evaluators pooled into one trip.
-        assert breaker.is_open("main_algorithm")
+    def test_caller_errors_do_not_refuse_later_queries(self):
+        engine = RobustEvaluator()
+        term = parse_term("#(y). E(x, y)")
+        for _ in range(3):
+            # Both exact stages reject the target outside the universe.
+            with pytest.raises(EvaluationError, match="outside"):
+                engine.unary_term_values(path_graph(4), term, "x", [1, 99])
+            assert engine.last_report.failed_stages() == ["foc1", "baseline"]
+        count = engine.count(path_graph(4), parse_formula("E(x, y)"), ["x", "y"])
+        assert count == 6
+        assert engine.last_report.answered_by == "foc1"
 
 
 class TestReportPlumbing:

@@ -26,7 +26,7 @@ from repro.robust import checkpoint
 from repro.robust.checkpoint import CheckpointSession, memo_entries
 from repro.serve import QueryRequest, QueryService, TenantQuota
 from repro.serve.admission import SHED_REASONS
-from repro.structures.builders import graph_structure
+from repro.structures.builders import graph_structure, path_graph
 
 
 def cycle_graph(n):
@@ -539,6 +539,38 @@ class TestDegradation:
         assert response.approximate is False
         assert response.value is True
 
+    @pytest.mark.parametrize(
+        "text, approximate",
+        [("#(x, y). E(x, y) + 1", False), ("#(x, y). E(x, y)", True)],
+        ids=["sum", "bare-count"],
+    )
+    def test_only_bare_counting_terms_degrade(self, text, approximate):
+        # The sampler estimates a ground counting term and nothing else;
+        # any other term request answers exactly even when saturated.
+        async def scenario():
+            async with QueryService(
+                workers=1,
+                quantum_steps=2000,
+                degrade_saturation=0.0,
+                degrade_budget_factor=100,
+                epsilon=0.5,
+                delta=0.2,
+            ) as service:
+                return await service.submit(
+                    QueryRequest(
+                        tenant="t",
+                        operation="term",
+                        structure=path_graph(6),
+                        expression=text,
+                    )
+                )
+
+        response = asyncio.run(scenario())
+        assert response.status == "ok"
+        assert response.approximate is approximate
+        if not approximate:
+            assert response.value == 11
+
     def test_exact_only_service_never_degrades(self):
         async def scenario():
             async with QueryService(
@@ -547,6 +579,27 @@ class TestDegradation:
                 return await service.submit(count_request(dense_graph(6)))
 
         assert asyncio.run(scenario()).approximate is False
+
+    def test_cost_threshold_keyword_is_inert(self):
+        # Accepted so that existing callers keep working; even a zero
+        # threshold sends no request to the sampler.
+        structure = dense_graph(6)
+        registry = MetricsRegistry()
+
+        async def scenario():
+            async with QueryService(
+                workers=1,
+                quantum_steps=10**6,
+                degrade_cost_threshold=0.0,
+                metrics=registry,
+            ) as service:
+                return await service.submit(count_request(structure))
+
+        response = asyncio.run(scenario())
+        assert response.status == "ok"
+        assert response.approximate is False
+        assert response.value == exact_count(structure)
+        assert registry.counter("serve.degraded") == 0
 
 
 class TestDrain:

@@ -91,6 +91,8 @@ class TestLoadRunnerGate:
                     "offered": 72,
                     "shed_rate": totals["shed"] / 72,
                     "orphaned_checkpoints": overrides.get("orphaned", 0),
+                    "degrade_saturation": None,
+                    "degraded": 0,
                 }
             ],
             "totals": totals,
@@ -123,6 +125,24 @@ class TestLoadRunnerGate:
         clean["scenarios"][0]["shed_rate"] = 0.9
         problems = gate(clean, shed_bounds=(0.0, 0.5))
         assert any("shed" in p for p in problems)
+
+    def test_degrading_scenario_that_degrades_nothing_fails(self):
+        from tools.load_runner import gate
+
+        report = self.report()
+        hot = {
+            "mix": "hot",
+            "offered": 24,
+            "shed_rate": 0.0,
+            "orphaned_checkpoints": 0,
+            "degrade_saturation": 2.0,
+            "degraded": 0,
+        }
+        report["scenarios"].append(hot)
+        problems = gate(report, shed_bounds=(0.0, 0.5))
+        assert any(p.startswith("hot:") and "degraded" in p for p in problems)
+        hot["degraded"] = 22
+        assert gate(report, shed_bounds=(0.0, 0.5)) == []
 
 
 class TestSeededRngChecker:

@@ -12,7 +12,8 @@ overload contract:
 * every completed exact answer is **byte-identical** to an unloaded
   serial run (expected values are precomputed with
   :class:`~repro.core.evaluator.Foc1Evaluator`);
-* degraded answers (when a scenario enables degradation) always carry
+* a scenario that enables degradation (the hot mix) really degrades: at
+  least one of its answers comes from the sampling tier, flagged
   ``approximate=true``.
 
 Three tenant mixes ship by default (``uniform``, ``zipf``, ``hot``) —
@@ -27,7 +28,8 @@ Usage::
     python tools/load_runner.py --shed-bounds 0.05,0.95   # CI gate
 
 Exit code 1 when any scenario kills a query, mismatches an expected
-answer, or (with ``--shed-bounds``) sheds outside the given band.
+answer, enables degradation but degrades no request, or (with
+``--shed-bounds``) sheds outside the given band.
 """
 
 from __future__ import annotations
@@ -260,6 +262,7 @@ async def run_scenario(
         "mismatches": mismatches,
         "answers_ok": mismatches == 0,
         "degraded": degraded,
+        "degrade_saturation": degrade_saturation,
         "drain_suspended": suspended,
         "resumes": resumes,
         "batched": batched,
@@ -310,9 +313,10 @@ def run_load(
                 quantum_steps=quantum_steps,
                 quota=quota,
                 # The hot mix additionally exercises graceful
-                # degradation: saturated count-only requests go to the
+                # degradation: saturated count requests go to the
                 # sampling tier (flagged approximate) instead of
-                # queueing behind the exact path.
+                # queueing behind the exact path, and the gate fails
+                # if none does.
                 degrade_saturation=2.0 if mix == "hot" else None,
                 # The quantum is deliberately tiny (to force preemptions),
                 # so the sampler's budget needs a large factor on top of
@@ -368,6 +372,11 @@ def gate(report: Dict, shed_bounds: "Optional[Tuple[float, float]]") -> List[str
             failures.append(
                 f"{row['mix']}: {row['orphaned_checkpoints']} orphaned "
                 "checkpoint(s) after drain"
+            )
+        if row["degrade_saturation"] is not None and not row["degraded"]:
+            failures.append(
+                f"{row['mix']}: degradation enabled at saturation "
+                f"{row['degrade_saturation']} but no request degraded"
             )
     if shed_bounds is not None:
         low, high = shed_bounds
