@@ -13,9 +13,17 @@ cycle: 20 single-tuple writes through the cache on a max-degree-3 graph at
 n = 4000, then a foc1 read of the current version.  The read runs on the
 projections the writes patched, so every read is checked (untimed) against
 the answer on a freshly built structure.
+
+The write-only stream times single-tuple writes alone on max-degree-3
+graphs at n = 4000, 16000 and 64000 and records write p50 per order in
+``extra_info``: a write copies only its patches, so p50 should stay flat
+in n.  Every written value is checked (untimed) and ``verify()`` runs at
+the end.
 """
 
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -41,6 +49,32 @@ SIZES = (100, 400, 1600)
 CYCLE_ORDER = 4000
 CYCLE_WRITES = 20
 READ = parse_term("#(x). @eq(#(y). E(x, y), 4)")
+
+#: The write-only stream: graph orders, warm-up writes, timed writes.
+STREAM_ORDERS = (4000, 16000, 64000)
+STREAM_WARMUP = 300
+STREAM_TIMED = 400
+
+
+def _draw_writes(rng, cache, nodes, edges, present, count):
+    """``count`` writes, each deleting a present tuple or inserting an
+    absent one with even odds; ``edges`` and ``present`` are kept in step."""
+    writes = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            i = rng.randrange(len(edges))
+            edges[i], edges[-1] = edges[-1], edges[i]
+            tup = edges.pop()
+            present.discard(tup)
+            writes.append((cache.delete, tup))
+        else:
+            tup = tuple(rng.sample(nodes, 2))
+            while tup in present:
+                tup = tuple(rng.sample(nodes, 2))
+            edges.append(tup)
+            present.add(tup)
+            writes.append((cache.insert, tup))
+    return writes
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -86,24 +120,8 @@ def test_write_then_read_cycle(benchmark):
     reads = []
 
     def draw():
-        """The next cycle's writes: each deletes a present tuple or
-        inserts an absent one, with even odds."""
-        writes = []
-        for _ in range(CYCLE_WRITES):
-            if rng.random() < 0.5:
-                i = rng.randrange(len(edges))
-                edges[i], edges[-1] = edges[-1], edges[i]
-                tup = edges.pop()
-                present.discard(tup)
-                writes.append((cache.delete, tup))
-            else:
-                tup = tuple(rng.sample(nodes, 2))
-                while tup in present:
-                    tup = tuple(rng.sample(nodes, 2))
-                edges.append(tup)
-                present.add(tup)
-                writes.append((cache.insert, tup))
-        return writes
+        """The next cycle's writes."""
+        return _draw_writes(rng, cache, nodes, edges, present, CYCLE_WRITES)
 
     def cycle(writes):
         for write, tup in writes:
@@ -138,3 +156,32 @@ def test_write_then_read_cycle(benchmark):
     benchmark.extra_info["recomputed_per_write"] = round(
         cache.stats.recomputed_elements / cache.stats.updates, 2
     )
+
+
+@pytest.mark.parametrize("n", STREAM_ORDERS)
+def test_write_only_stream(benchmark, n):
+    structure = bounded_degree_graph(n, 3, seed=n)
+    cache = IncrementalUnaryCache(structure, TERM)
+    rng = random.Random(n)
+    edges = sorted(structure.relation("E"))
+    out_degree = Counter(u for u, _ in edges)
+    writes = _draw_writes(
+        rng, cache, list(structure.universe_order), edges, set(edges),
+        STREAM_WARMUP + STREAM_TIMED,
+    )
+    times = []
+
+    def stream():
+        for write, (u, v) in writes:
+            start = time.perf_counter()
+            write("E", (u, v))
+            times.append(time.perf_counter() - start)
+            out_degree[u] += 1 if write == cache.insert else -1
+            assert cache.value(u) == out_degree[u]
+
+    benchmark.pedantic(stream, rounds=1, iterations=1)
+    cache.verify()
+    timed = sorted(times[STREAM_WARMUP:])
+    benchmark.extra_info["order"] = n
+    benchmark.extra_info["write_p50_ms"] = round(1000 * timed[len(timed) // 2], 4)
+    benchmark.extra_info["write_p99_ms"] = round(1000 * timed[int(0.99 * len(timed))], 4)

@@ -73,7 +73,7 @@ def is_partial_r_isomorphism(
         for combo in itertools.product(positions, repeat=symbol.arity):
             l_tup = tuple(left_tuple[i] for i in combo)
             r_tup = tuple(right_tuple[i] for i in combo)
-            if (l_tup in left.relation(symbol)) != (r_tup in right.relation(symbol)):
+            if (l_tup in left.tuples(symbol)) != (r_tup in right.tuples(symbol)):
                 return False
     # distance preservation up to the threshold
     for i in range(k):

@@ -9,22 +9,27 @@ cl-term depends only on the ball of radius
 
 around ``a`` (Lemma 6.1 for the counted tuples, plus psi's own locality).
 Inserting or deleting one tuple can therefore only change the values of
-elements within distance D of the touched entries — measured in the old
-*or* the new structure, since both the before- and after-neighbourhoods
-matter.  On bounded-degree structures that affected set has constant size,
-so the values cost constant time per update.
+elements within distance D of the touched entries.  One ball serves both
+structures: the write changes Gaifman edges only between the tuple's own
+entries, which are all BFS sources, and a shortest path from the source
+set meets that set only at its start, so the radius-D ball around the
+entries is the same before and after the write.  A 0-ary tuple has no
+entries and lies in every neighbourhood, so writing one repairs the whole
+universe.  On bounded-degree structures the affected set of any other
+write has constant size, so the values cost constant time per update.
 
 :class:`IncrementalUnaryCache` maintains ``u^A[a]`` for all ``a`` under
 single-tuple insertions and deletions, recomputing only the affected
 elements; the tests compare every state against full recomputation.
 Structures stay immutable: a write derives a new version by
-:meth:`Structure.with_tuple`, whose columnar view — the Gaifman adjacency
-the balls are read from — changes by the written tuple's edges only, and
-whose indexes and projections of the written relation are patched at the
-tuple's group (a patched pool holds a rebuild's members, perhaps in
-another order).  What stays linear per write is the copy of the written
-relation's frozenset, and the shallow copies of the neighbour tuples and
-of each patched table.
+:meth:`Structure.with_tuple`, which copies only what the write changes.
+The written relation, its patched indexes and projections and the
+columnar view's neighbour tuples — the Gaifman adjacency the ball is read
+from — each share the previous version's container and carry the write
+in a small patch, folded once it passes the square root of the
+container's size (:mod:`repro.structures.overlay`); a patched pool holds
+a rebuild's members, perhaps in another order.  Releasing the previous
+version frees its patches only.
 
 The values come from the FOC1 engine's plan executor: the term's
 ``count_term()`` is compiled once, at construction, and each repair runs
@@ -39,7 +44,7 @@ over a rebuilt structure, an independent check of both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..errors import FormulaError
 from ..logic.predicates import PredicateCollection, standard_collection
@@ -133,21 +138,20 @@ class IncrementalUnaryCache:
         new_structure = old_structure.with_tuple(relation, tuple(tup), present)
         if new_structure is old_structure:
             return  # no-op update (tuple already present/absent)
-        entries = [entry for entry in tup]
-        affected: Set[Element] = set()
-        if entries:
-            affected |= ball(old_structure, entries, self._dependency_radius)
-            affected |= ball(new_structure, entries, self._dependency_radius)
+        if tup:
+            # The same ball in the old and the new structure (see the
+            # module docstring).
+            affected = in_universe_order(
+                new_structure, ball(new_structure, tup, self._dependency_radius)
+            )
+        else:
+            affected = list(new_structure.universe_order)
         # Compute first, commit after: a budget exhaustion mid-repair must
         # leave the cache at its pre-update (consistent) state, not with a
         # new structure and stale values.
-        repaired: Dict[Element, int] = {}
-        if affected:
-            if self.budget is not None:
-                self.budget.tick("incremental.repair", weight=len(affected))
-            repaired = self._evaluate(
-                new_structure, in_universe_order(new_structure, affected)
-            )
+        if self.budget is not None:
+            self.budget.tick("incremental.repair", weight=len(affected))
+        repaired = self._evaluate(new_structure, affected)
         self.structure = new_structure
         self.values.update(repaired)
         self.stats.updates += 1
@@ -159,10 +163,16 @@ class IncrementalUnaryCache:
         Recomputes by ball exploration on a structure rebuilt from the
         current relations, so neither the plan executor nor any cache that
         the writes derived (the columnar view's adjacency, the patched
-        projections) takes part in the check.
+        projections) takes part in the check.  The rebuild reads the
+        relations through their patches, leaving no flattened copy cached
+        on the current version.
         """
         current = self.structure
-        rebuilt = Structure(current.signature, current.universe_order, current.relations())
+        rebuilt = Structure(
+            current.signature,
+            current.universe_order,
+            {symbol: current.tuples(symbol) for symbol in current.signature},
+        )
         fresh = evaluate_basic_unary(rebuilt, self.term, None, self.predicates)
         if fresh != self.values:
             broken = {

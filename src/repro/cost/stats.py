@@ -1,8 +1,8 @@
 """Per-structure statistics for cardinality estimation.
 
 :class:`StructureStats` summarises a :class:`~repro.structures.structure.
-Structure` for cardinality estimation: relation cardinalities, the degree
-histogram of the Gaifman graph and ball-size growth estimates.  It holds
+Structure` for cardinality estimation: relation cardinalities, the mean
+degree of the Gaifman graph and ball-size growth estimates.  It holds
 no cache of its own: :func:`structure_stats` builds a fresh summary per
 call at O(number of relations), and the degree summary reads the degrees
 off the structure's columnar view (:meth:`Structure.columnar`), whose
@@ -28,47 +28,34 @@ __all__ = ["DegreeSummary", "StructureStats", "structure_stats"]
 
 @dataclass(frozen=True)
 class DegreeSummary:
-    """Degree distribution of the Gaifman graph (exact, lazily built)."""
+    """The Gaifman graph's mean degree (exact, lazily built)."""
 
     mean: float
-    max: int
-    #: ``histogram[d]`` = number of elements of Gaifman degree ``d``.
-    histogram: Dict[int, int]
 
     @classmethod
     def from_structure(cls, structure: Structure) -> "DegreeSummary":
-        histogram: Dict[int, int] = {}
-        total = 0
-        peak = 0
         view = structure.columnar()
-        for i in range(view.n):
-            d = view.degree(i)
-            histogram[d] = histogram.get(d, 0) + 1
-            total += d
-            if d > peak:
-                peak = d
+        total = sum(map(view.degree, range(view.n)))
         order = structure.order()
-        return cls(
-            mean=total / order if order else 0.0, max=peak, histogram=histogram
-        )
+        return cls(mean=total / order if order else 0.0)
 
 
 class StructureStats:
     """Statistics of one structure, cheap parts eager, the degree summary lazy.
 
-    The eager parts (``order``, ``size``, ``relation_cards``) are O(number
-    of relations) to build; the degree summary reads the structure's
+    The eager parts (``order``, ``relation_cards``) are O(number of
+    relations) to build, and read a written version's relations by their
+    lengths, without flattening; the degree summary reads the structure's
     columnar view (O(size) only if the view's neighbour tuples are not
     built yet) and is computed only when an estimate needs it.
     """
 
-    __slots__ = ("order", "size", "relation_cards", "_structure", "_degree")
+    __slots__ = ("order", "relation_cards", "_structure", "_degree")
 
     def __init__(self, structure: Structure):
         self.order = structure.order()
-        self.size = structure.size()
         self.relation_cards: Dict[str, int] = {
-            symbol.name: len(rel) for symbol, rel in structure.relations().items()
+            symbol.name: len(structure.tuples(symbol)) for symbol in structure.signature
         }
         self._structure = structure
         self._degree: Optional[DegreeSummary] = None

@@ -189,7 +189,7 @@ def _eval(
                 f"signature says {symbol.arity}"
             )
         tup = tuple(_lookup(arg, env) for arg in expression.args)
-        return 1 if tup in structure.relation(symbol) else 0
+        return 1 if tup in structure.tuples(symbol) else 0
     if isinstance(expression, DistAtom):
         a = _lookup(expression.left, env)
         b = _lookup(expression.right, env)

@@ -28,7 +28,8 @@ count step, column-kernel qualification, and the guarded search programs
 over its conjuncts — lives in the plan, compiled once
 (:func:`~repro.plan.compiler.search_program` compiles a search on its
 first use by any state).  A state only *binds* what it uses to its
-structure, once: an atom's test to the relation's frozenset or the cached
+structure, once: an atom's test to the relation (:meth:`Structure.tuples`:
+its frozenset, or a written version read through its patch) or the cached
 ball, a search program's pool descriptors to the structure's projections,
 a kernel to its projection.  The bindings are rebuilt after each
 materialisation step, which replaces the structure.  A node handed in from
@@ -37,7 +38,7 @@ it is added to the plan's table by its alpha-canonical text.
 
 Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
 ``dist(x, y) <= d``, their negations, Top and Bottom bind to a closure —
-a membership probe on the relation's frozenset, an equality, or a lookup
+a membership probe on the relation, an equality, or a lookup
 in the state's cached ball.  An atom test builds no memo key, stores no
 entry, ticks no ``evaluator.holds`` step and reaches no ``memo.insert``
 fault site; the per-candidate ``evaluator.enumerate`` tick of guarded
@@ -72,7 +73,10 @@ anchored by one guard, a binary relation atom over the column variable
 at ``a`` is then the size of ``projection.get(a)`` intersected with the
 positive unary atoms over ``y`` (one ``evaluator.enumerate`` tick weighted
 by the pool size) when they are the other conjuncts; else the count's
-search tests the others per candidate, as a count does.  Other counts run
+search tests the others per candidate, as a count does.  A column that
+looks up at least as many elements as the projection has groups reads a
+written version's projection flattened (:mod:`repro.structures.overlay`),
+once, rather than through its patch per element.  Other counts run
 per element.  Each element computed charges what a count would.  Columns
 live in their own memo, keyed by the count's id and ``x``, one
 ``memo.insert`` fault site per column; counts read them, and an element
@@ -122,6 +126,7 @@ from ..robust.checkpoint import (
 )
 from ..robust.faults import fault_check
 from ..structures.gaifman import ball as gaifman_ball
+from ..structures.overlay import flat
 from ..structures.signature import RelationSymbol, Signature
 from ..structures.structure import Element, Structure, Tup
 from . import ir
@@ -418,6 +423,10 @@ class ExecutionState:
         if kernel is None:
             return [self._count(count, {variable: a}) for a in elements]
         projection, members, node = kernel
+        if node is None and len(elements) >= len(projection):
+            # At least one lookup per group: read a written version's
+            # table flattened, once, not through its patch per element.
+            projection = flat(projection)
         column = self._columns.get((count, variable))
         if column is None:
             fault_check("memo.insert")
@@ -700,7 +709,7 @@ class ExecutionState:
         op, _, _, args = self._nodes[formula]
         negated = op < ir.TOP and op % 2 == 1
         if op in (ir.ATOM, ir.NOT_ATOM):
-            relation = self.structure.relation(self._symbol(args[0]))
+            relation = self.structure.tuples(self._symbol(args[0]))
             names = args[1]
             if len(names) == 1:
                 # itemgetter of one key returns the bare value, not a 1-tuple.

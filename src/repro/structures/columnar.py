@@ -25,9 +25,12 @@ instance and dropped by :meth:`Structure.invalidate_caches`.
 structure through :meth:`ColumnarStructure.derive_insert` or
 :meth:`ColumnarStructure.derive_delete`: the derived view shares the
 :class:`~repro.structures.interning.ElementInterner` (the universe, and
-hence the id space, is identical) and updates the neighbour tuples by
-the one tuple's Gaifman edges, so a write costs that tuple's edges
-rather than a rebuild over ``||A||``.  :meth:`Structure.with_relations`
+hence the id space, is identical) and its neighbour tuples are a version
+of the parent's (:class:`~repro.structures.overlay.PatchedRows`): the
+parent's tuples as a shared base, patched at the rows of the written
+tuple's entries.  A write costs that tuple's edges and its patch, not a
+copy of the rows or a rebuild over ``||A||``; the kernels read a version
+row by row as they read plain tuples.  :meth:`Structure.with_relations`
 hands the parent's neighbour tuples to an expansion by symbols of arity
 at most 1 (:meth:`ColumnarStructure._derive`), which adds no Gaifman
 edge.  The view keeps the structure's relations mapping, not the
@@ -48,6 +51,7 @@ from bisect import bisect_left
 from typing import Iterable, List, Sequence, Tuple
 
 from .interning import ElementInterner
+from .overlay import PatchedRows
 
 __all__ = [
     "ColumnarStructure",
@@ -157,24 +161,26 @@ class ColumnarStructure:
     __slots__ = ("interner", "n", "_source", "_neigh", "_full_bitset")
 
     def __init__(self, structure) -> None:
-        #: The element-space relations (symbol -> frozenset of tuples).
-        self._source = structure.relations()
+        #: The structure's relations mapping (symbol -> frozenset of
+        #: tuples, or a version of one), read only to build the adjacency.
+        self._source = structure._relations
         self.interner: ElementInterner = structure.interner()
         self.n: int = len(self.interner)
-        self._neigh: "Tuple[Tuple[int, ...], ...] | None" = None
+        self._neigh: "Sequence[Tuple[int, ...]] | None" = None
         self._full_bitset: "int | None" = None
 
     # -- Gaifman adjacency -----------------------------------------------------
 
-    def _neighbour_ids(self) -> Tuple[Tuple[int, ...], ...]:
+    def _neighbour_ids(self) -> Sequence[Tuple[int, ...]]:
         """The Gaifman adjacency: ``_neighbour_ids()[i]`` is the sorted
         tuple of the neighbour ids of ``i``.
 
-        Built once from the relations, then carried down ``with_tuple``
-        derivations by :meth:`derive_insert` and :meth:`derive_delete`
-        and down ≤ 1-ary ``with_relations`` expansions.  The tuples hold
-        already-boxed ints: the BFS kernels iterate them on every visit,
-        and iterating an ``array('q')`` would re-box every id."""
+        Built once from the relations as a tuple of rows, then carried
+        down ``with_tuple`` derivations by :meth:`derive_insert` and
+        :meth:`derive_delete` as a version of it, and down ≤ 1-ary
+        ``with_relations`` expansions.  The rows hold already-boxed ints:
+        the BFS kernels iterate them on every visit, and iterating an
+        ``array('q')`` would re-box every id."""
         if self._neigh is None:
             id_of = self.interner._ids
             # Accumulate raw (possibly duplicated) neighbour ids per node
@@ -219,24 +225,27 @@ class ColumnarStructure:
     def derive_insert(self, structure, tup) -> "ColumnarStructure":
         """The view of ``structure``, which is this view's structure with
         ``tup`` inserted: every Gaifman edge of the tuple is added to the
-        neighbour tuples."""
+        neighbour tuples, as a version patched at the rows it changes."""
         neigh = self._neigh
         ids = {self.interner._ids[entry] for entry in tup}
         if neigh is not None and len(ids) > 1:
-            updated = list(neigh)
+            changed = {}
             for a in ids:
-                merged = set(updated[a])
+                merged = set(neigh[a])
                 merged.update(ids)
                 merged.discard(a)
-                updated[a] = tuple(sorted(merged))
-            neigh = tuple(updated)
+                if len(merged) > len(neigh[a]):
+                    changed[a] = tuple(sorted(merged))
+            if changed:
+                neigh = PatchedRows.derive(neigh, changed)
         return self._derive(structure, neigh)
 
     def derive_delete(self, structure, tup) -> "ColumnarStructure":
         """The view of ``structure``, which is this view's structure with
         ``tup`` deleted: a Gaifman edge ``{a, b}`` of the tuple is dropped
-        from the neighbour tuples unless a remaining tuple of
-        ``structure`` still holds both ``a`` and ``b``."""
+        from the neighbour tuples, as a version patched at the rows it
+        changes, unless a remaining tuple of ``structure`` still holds
+        both ``a`` and ``b``."""
         neigh = self._neigh
         entries = list(dict.fromkeys(tup))
         if neigh is not None and len(entries) > 1:
@@ -248,18 +257,18 @@ class ColumnarStructure:
                 if not _co_occur(structure, a, b)
             ]
             if dropped:
-                updated = list(neigh)
+                changed = {}
                 for a, b in dropped:
-                    updated[a] = tuple(x for x in updated[a] if x != b)
-                    updated[b] = tuple(x for x in updated[b] if x != a)
-                neigh = tuple(updated)
+                    changed[a] = tuple(x for x in changed.get(a, neigh[a]) if x != b)
+                    changed[b] = tuple(x for x in changed.get(b, neigh[b]) if x != a)
+                neigh = PatchedRows.derive(neigh, changed)
         return self._derive(structure, neigh)
 
     def _derive(self, structure, neigh) -> "ColumnarStructure":
         """A view of ``structure`` that shares this one's interner and
         holds the given neighbour tuples (``None``: built lazily)."""
         view = ColumnarStructure.__new__(ColumnarStructure)
-        view._source = structure.relations()
+        view._source = structure._relations
         view.interner = self.interner
         view.n = self.n
         view._full_bitset = self._full_bitset
@@ -376,8 +385,9 @@ def _co_occur(structure, a, b) -> bool:
     """Whether some tuple of ``structure`` holds both elements: two
     membership probes per binary relation, and for a higher arity the
     tuples holding ``a`` at each position, read off ``structure.index``."""
-    for symbol, rel in structure.relations().items():
+    for symbol in structure.signature:
         if symbol.arity == 2:
+            rel = structure.tuples(symbol)
             if (a, b) in rel or (b, a) in rel:
                 return True
         elif symbol.arity > 2:

@@ -138,10 +138,12 @@ def _induced_ordered(
     """
     small = len(chosen) * 4 < structure.order()
     relations = {}
-    for symbol, rel in structure.relations().items():
+    for symbol in structure.signature:
         if symbol.arity == 0 or not small:
             relations[symbol] = {
-                tup for tup in rel if all(entry in chosen for entry in tup)
+                tup
+                for tup in structure.tuples(symbol)
+                if all(entry in chosen for entry in tup)
             }
             continue
         index = structure.index(symbol, 0)

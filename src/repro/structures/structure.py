@@ -26,6 +26,7 @@ from typing import (
 )
 
 from ..errors import ArityError, SignatureError, UniverseError
+from .overlay import ABSENT, PatchedSet, PatchedTable, flat
 from .signature import RelationSymbol, Signature
 
 Element = Hashable
@@ -65,23 +66,17 @@ def _group_of(bound: Tuple[int, ...]) -> Callable[[Tup], object]:
     return lambda tup: ()
 
 
-def _patched(
-    table: Dict[object, Tuple], group: object, member: object, present: bool
-) -> Dict[object, Tuple]:
-    """A shallow copy of an index or projection table with ``member`` added
-    to (``present``) or removed from the pool at ``group``; a pool left
-    empty is removed."""
-    table = dict(table)
+def _patched(table, group: object, member: object, present: bool):
+    """A version of an index or projection table (see
+    :mod:`repro.structures.overlay`) with ``member`` added to
+    (``present``) or removed from the pool at ``group``; a pool left empty
+    is removed."""
     pool = table.get(group, ())
     if present:
-        table[group] = pool + (member,)
+        pool = pool + (member,)
     else:
-        pool = tuple(m for m in pool if m != member)
-        if pool:
-            table[group] = pool
-        else:
-            del table[group]
-    return table
+        pool = tuple(m for m in pool if m != member) or ABSENT
+    return PatchedTable.derive(table, {group: pool})
 
 
 class Structure:
@@ -133,6 +128,20 @@ class Structure:
     subclasses) must call :meth:`invalidate_caches` afterwards or the next
     :meth:`index` / :meth:`projection` / :meth:`columnar` read will serve
     stale answers.
+
+    A write copies only what it changes.  The written relation, each
+    patched table and the view's neighbour tuples become *versions*
+    (:mod:`repro.structures.overlay`): the parent's container, shared as
+    a base, plus a small immutable patch, folded into a fresh base once
+    it passes the square root of the base's size.  Dropping a version
+    frees its patches, never a base.  Structures from ``__init__``, from
+    ``_fill`` (the removal surgery) and from :meth:`with_relations` of such
+    a structure hold plain frozensets, dicts and tuples.  On a version,
+    :meth:`tuples`, :meth:`has_tuple`, :meth:`index` and
+    :meth:`projection` read the patch without flattening, and so do the
+    view's neighbour tuples; :meth:`relation`, :meth:`relations`,
+    pickling, ``==``/``hash`` and the content digest flatten a relation
+    once, cache it on the version and hand out frozensets.
 
     The content digest of :func:`repro.robust.checkpoint.structure_digest`
     is cached in ``_digest``, opaque to this module.  It describes the
@@ -189,8 +198,9 @@ class Structure:
     ) -> "Structure":
         """Fill every slot from data the caller has validated — a
         non-empty, duplicate-free universe and a frozenset of tuples of the
-        right arity over it for every symbol of ``signature`` — with no
-        cache built; returns ``self``.  ``__init__`` validates first;
+        right arity over it for every symbol of ``signature`` (or, from
+        :meth:`with_tuple`, a version of one) — with no cache built;
+        returns ``self``.  ``__init__`` validates first;
         derivations (:meth:`with_tuple`, :meth:`with_relations`, the
         removal surgery of :mod:`repro.core.removal`) fill a
         ``Structure.__new__(Structure)`` and then share what stays valid
@@ -245,13 +255,21 @@ class Structure:
 
     def relation(self, key: object) -> FrozenSet[Tup]:
         """The interpretation of a relation symbol (by symbol or name)."""
-        return self._relations[self._resolve_symbol(self._signature, key)]
+        rel = self._relations[self._resolve_symbol(self._signature, key)]
+        return rel if type(rel) is frozenset else rel.flat()
 
     def relations(self) -> Mapping[RelationSymbol, FrozenSet[Tup]]:
-        return dict(self._relations)
+        return {symbol: flat(rel) for symbol, rel in self._relations.items()}
+
+    def tuples(self, key: object) -> AbstractSet[Tup]:
+        """The relation of a symbol for membership probes, its length and
+        iteration: the frozenset :meth:`relation` returns, or on a version
+        that :meth:`with_tuple` derived, the version itself, read without
+        flattening."""
+        return self._relations[self._resolve_symbol(self._signature, key)]
 
     def has_tuple(self, key: object, tup: Tup) -> bool:
-        return tuple(tup) in self.relation(key)
+        return tuple(tup) in self.tuples(key)
 
     def order(self) -> int:
         """``|A|``: the number of universe elements."""
@@ -390,12 +408,14 @@ class Structure:
         instead of revalidating every relation, and shares with the parent:
 
         * the universe, signature and size bookkeeping;
-        * the per-position index and projection caches of every
-          *untouched* relation.
+        * every *untouched* relation, with its per-position index and
+          projection caches;
+        * the touched relation itself, as the base of a version that
+          carries the tuple in its patch (see the cache contract above).
 
         The touched relation's built indexes are patched at the tuple's
-        group: a shallow copy of the table, with the tuple added to (or
-        removed from) that group's pool, and a pool left empty removed.
+        group: a version of the table whose patch gives that group's pool
+        with the tuple added (or removed), and a pool left empty removed.
         So are its built projections whose bound and target positions
         cover the relation, as a binary relation's two guard shapes do:
         there the tuple is the only witness of its value in its group.  Its
@@ -405,10 +425,10 @@ class Structure:
         A built columnar view is derived, on insertion and on deletion
         (:meth:`~repro.structures.columnar.ColumnarStructure.derive_insert`,
         :meth:`~repro.structures.columnar.ColumnarStructure.derive_delete`):
-        the derived view changes the parent's neighbour tuples by the
-        tuple's Gaifman edges only, keeping a deleted edge that another
-        tuple still witnesses.  A write therefore costs the Gaifman kernels
-        its tuple's balls, not a Gaifman graph rebuild over ``||A||``.
+        the derived view patches the parent's neighbour tuples at the
+        tuple's entries only, keeping a deleted edge that another tuple
+        still witnesses.  A write therefore costs its patches and the
+        Gaifman kernels its tuple's balls, not a copy of any container.
 
         Returns ``self`` unchanged when the update is a no-op (inserting a
         present tuple / deleting an absent one).  The parent structure and
@@ -422,9 +442,7 @@ class Structure:
             return self
 
         relations = dict(self._relations)
-        relations[symbol] = (
-            current | {tup} if present else current - {tup}
-        )
+        relations[symbol] = PatchedSet.derive(current, {tup: True if present else ABSENT})
         derived = Structure.__new__(Structure)._fill(
             self._signature, self._universe_order, relations, self._universe
         )
@@ -510,10 +528,11 @@ class Structure:
 
     def __getstate__(self):
         """Pickle only the defining data (signature, ordered universe,
-        relations) — derived caches are rebuilt lazily on the receiving
-        side.  This keeps payloads shipped to child processes compact: indexes,
-        projections, the columnar view and the digest never cross the pipe."""
-        return (self._signature, self._universe_order, self._relations)
+        relations as frozensets) — derived caches are rebuilt lazily on the
+        receiving side.  This keeps payloads shipped to child processes
+        compact: indexes, projections, the columnar view, the digest and a
+        version's base and patch never cross the pipe."""
+        return (self._signature, self._universe_order, self.relations())
 
     def __setstate__(self, state):
         self._fill(*state)
@@ -526,7 +545,7 @@ class Structure:
         return (
             self._signature == other._signature
             and self._universe == other._universe
-            and self._relations == other._relations
+            and self.relations() == other.relations()
         )
 
     def __hash__(self) -> int:
@@ -536,7 +555,7 @@ class Structure:
                 self._universe,
                 tuple(
                     sorted(
-                        ((s.name, rel) for s, rel in self._relations.items()),
+                        ((s.name, rel) for s, rel in self.relations().items()),
                         key=lambda pair: pair[0],
                     )
                 ),

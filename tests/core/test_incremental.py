@@ -20,6 +20,7 @@ from repro.logic.syntax import And
 from repro.robust.budget import EvaluationBudget
 from repro.sparse.classes import bounded_degree_graph
 from repro.structures.builders import graph_structure, path_graph
+from repro.structures.gaifman import ball
 from repro.structures.signature import Signature
 from repro.structures.structure import Structure
 
@@ -248,9 +249,68 @@ class TestLocality:
         cache.delete("E", (101, 100))
         cache.verify()
         # dependency radius for the degree term is 1 + 0 = 1; two updates,
-        # each touching a ball of <= 3 elements in old+new structures.
+        # each touching a ball of <= 3 elements.
         assert cache.stats.recomputed_elements <= 12
         assert cache.stats.recompute_ratio(structure.order()) < 0.05
+
+
+class TestZeroAryWrites:
+    def test_a_nullary_write_repairs_every_element(self):
+        """A 0-ary tuple has no entries to take a ball around, and lies in
+        every neighbourhood: writing ``R()`` changes the value of every
+        element whose count reads it."""
+        term = BasicClTerm(
+            ("y1", "y2"),
+            And(E("y1", "y2"), Rel("R", 0)()),
+            0,
+            1,
+            frozenset({(1, 2)}),
+            unary=True,
+        )
+        structure = Structure(
+            Signature.of(E=2, R=0), [1, 2, 3], {"E": [(1, 2), (2, 1), (2, 3), (3, 2)]}
+        )
+        cache = IncrementalUnaryCache(structure, term)
+        assert cache.values == {1: 0, 2: 0, 3: 0}
+        cache.insert("R", ())
+        assert cache.values == {1: 1, 2: 2, 3: 1}
+        assert cache.stats.recomputed_elements == 3
+        cache.verify()
+        cache.delete("R", ())
+        assert cache.values == {1: 0, 2: 0, 3: 0}
+        cache.verify()
+
+
+class TestOneBallPerWrite:
+    """A single-tuple write changes Gaifman edges only between the
+    tuple's entries, so the ball around the entries is the same before
+    and after it: the repair takes one ball, in the new structure."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_ball_around_the_entries_survives_the_write(self, seed):
+        rng = random.Random(seed)
+        nodes = list(range(12))
+        arity = {"E": 2, "T": 3, "U": 1}
+
+        def draw(name):
+            return tuple(rng.choice(nodes) for _ in range(arity[name]))
+
+        current = Structure(
+            Signature.of(**arity),
+            nodes,
+            {"E": {draw("E") for _ in range(10)}, "T": {draw("T") for _ in range(3)}},
+        )
+        for _ in range(60):
+            name = rng.choice("EETU")
+            present_tuples = sorted(current.relation(name))
+            if present_tuples and rng.random() < 0.5:
+                tup, present = rng.choice(present_tuples), False
+            else:
+                tup, present = draw(name), True
+            derived = current.with_tuple(name, tup, present)
+            for radius in range(4):
+                assert ball(current, tup, radius) == ball(derived, tup, radius)
+            current = derived
 
 
 class TestRecomputeRatioGuards:
