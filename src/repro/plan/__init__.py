@@ -24,9 +24,11 @@ from .ir import (
     CountComplement,
     CountConstant,
     CountDecomposition,
+    CountDifference,
     CountInclusionExclusion,
     CountRewrite,
     CountStep,
+    Elimination,
     GuardSpec,
     MaterialiseStep,
     PlanOptions,
@@ -39,9 +41,11 @@ __all__ = [
     "CountComplement",
     "CountConstant",
     "CountDecomposition",
+    "CountDifference",
     "CountInclusionExclusion",
     "CountRewrite",
     "CountStep",
+    "Elimination",
     "ExecutionState",
     "GuardSpec",
     "MaterialiseStep",

@@ -13,18 +13,31 @@ re-derived inside every call:
 2. **Counting algebra** (Lemma 6.4).  Every counting body reachable from
    the steps and residual roots is compiled into a
    :data:`~repro.plan.ir.CountStep` DAG: complement, inclusion–exclusion
-   (with the overlap conjunction built once), Implies/Iff rewrites, and
-   conjunction decomposition into gates + variable-disjoint components +
-   unused-variable tail, honouring the plan's factoring option.  This is
-   the only implementation of the counting rules: the executor counts a
-   body only through its compiled step.
+   (with the overlap conjunction built once), Implies/Iff rewrites, the
+   difference ``#y.(psi & !delta) = #y.psi - #y.(psi & delta)`` for a
+   negated equality or distance atom ``delta`` that ties a counted
+   variable to another (the product minus the close cases; an equality
+   is substituted away in the second term, and the rewrite repeats while
+   such a negation remains, but only where ``psi`` is then counted by
+   elimination), and conjunction decomposition into gates +
+   variable-disjoint components + unused-variable tail, honouring the
+   plan's factoring option.  A component whose counted variables form a
+   tree (binary relation atoms, unary filters, parallel atoms, at most
+   one free variable) gets an :class:`~repro.plan.ir.Elimination`: its
+   subtrees are compiled as counts of their own, free in their parent,
+   and the executor sums the variables out leaf first (Chen–Mengel).  A
+   component that mentions no free variable, beside other parts, is its
+   own count, counted once per state.  Either ablation
+   (``factoring``/``guards`` off) keeps every component on the guarded
+   search.  This is the only implementation of the counting rules: the
+   executor counts a body only through its compiled step.
 3. **Guard analysis** (Remark 6.3).  Each component records, per counted
    variable, the statically available candidate sources (equality
    binding, distance ball, relation index, exists-block look-through).
 4. **Hash-consing.**  Every node the executor evaluates gets an id in the
    plan's node table (:func:`intern_node`), keyed by its alpha-canonical
    text, with its structure-independent description: its test descriptor,
-   conjunct list, count step and column-kernel qualification.  The guarded
+   conjunct list, count step and level.  The guarded
    search over a conjunct list is compiled into the plan on first use
    (:func:`search_program`).
 
@@ -64,6 +77,7 @@ from ..logic.syntax import (
     PredicateAtom,
     Top,
     Variable,
+    conjunction,
     free_variables,
     subexpressions,
 )
@@ -75,9 +89,11 @@ from .ir import (
     CountComplement,
     CountConstant,
     CountDecomposition,
+    CountDifference,
     CountInclusionExclusion,
     CountRewrite,
     CountStep,
+    Elimination,
     GuardSpec,
     MaterialiseStep,
     PlanNode,
@@ -260,43 +276,103 @@ def _build_count(
         )
         _compile_count(variables, rewritten, options, memo)
         return CountRewrite(variables, rewritten, "iff")
-    return _build_decomposition(variables, body, options)
-
-
-def _build_decomposition(
-    variables: Tuple[Variable, ...],
-    body: Formula,
-    options: PlanOptions,
-) -> CountDecomposition:
     conjuncts = flatten_conjuncts(body)
+    if options.factoring and options.guards:
+        difference = _build_difference(variables, conjuncts, options, memo)
+        if difference is not None:
+            return difference
+    return _build_decomposition(variables, conjuncts, options, memo)
+
+
+def _build_difference(
+    variables: Tuple[Variable, ...],
+    conjuncts: List[Formula],
+    options: PlanOptions,
+    memo: Dict[Tuple[Formula, Tuple[Variable, ...]], "Optional[CountStep]"],
+) -> "Optional[CountDifference]":
+    """Lemma 6.4's "minus the close cases": ``#y.(psi & !delta)`` as
+    ``#y.psi - #y.(psi & delta)`` for the first negated equality or
+    distance atom ``delta`` that ties a counted variable to another
+    variable, or None.  It rewrites only where the body with every such
+    negation left out is counted by elimination (through the guarded
+    search the difference is slower); the minuend repeats the rewrite
+    while a negation remains."""
     counted = set(variables)
+    close = [c for c in conjuncts if _negated_tie(c, counted)]
+    if not close:
+        return None
+    _, groups = _partition(counted, [c for c in conjuncts if c not in close])
+    if not all(_tree(names, parts) is not None for names, parts in groups):
+        return None
+    delta = close[0].inner  # type: ignore[attr-defined]
+    minuend = conjunction(c for c in conjuncts if c is not close[0])
+    kept, within = _close_case(variables, [c for c in conjuncts if c is not close[0]], delta)
+    _compile_count(variables, minuend, options, memo)
+    _compile_count(kept, within, options, memo)
+    return CountDifference(variables, minuend, kept, within, delta)
 
+
+def _negated_tie(conjunct: Formula, counted: Set[Variable]) -> bool:
+    """Whether ``conjunct`` is a negated equality or distance atom between
+    two distinct variables, at least one of them counted."""
+    if not isinstance(conjunct, Not) or not isinstance(conjunct.inner, (Eq, DistAtom)):
+        return False
+    left, right = conjunct.inner.left, conjunct.inner.right
+    return left != right and bool({left, right} & counted)
+
+
+def _close_case(
+    variables: Tuple[Variable, ...], conjuncts: List[Formula], delta: Formula
+) -> Tuple[Tuple[Variable, ...], Formula]:
+    """The close side of a difference: ``conjuncts`` and ``delta``.  An
+    equality is substituted away: its counted side (the later one when
+    both are counted) is renamed to the other and stops being counted."""
+    if isinstance(delta, DistAtom):
+        return variables, simplify(conjunction([*conjuncts, delta]))
+    assert isinstance(delta, Eq)
+    left, right = delta.left, delta.right
+    if left in variables and (
+        right not in variables or variables.index(right) < variables.index(left)
+    ):
+        gone, kept = left, right
+    else:
+        gone, kept = right, left
+    renamed = [_substitute(c, gone, kept) for c in conjuncts]
+    return tuple(v for v in variables if v != gone), simplify(conjunction(renamed))
+
+
+def _substitute(conjunct: Formula, gone: Variable, kept: Variable) -> Formula:
+    """``conjunct`` with ``gone`` renamed to ``kept``; an equality or
+    distance atom whose sides meet becomes Top (its negation Bottom).
+    Only atoms and negated atoms mention a counted variable here."""
+    negated = isinstance(conjunct, Not)
+    atom = conjunct.inner if negated else conjunct  # type: ignore[attr-defined]
+    if gone not in free_variables(atom):
+        return conjunct
+    if isinstance(atom, Atom):
+        atom = Atom(atom.relation, tuple(kept if a == gone else a for a in atom.args))
+    else:
+        assert isinstance(atom, (Eq, DistAtom))
+        sides = [kept if side == gone else side for side in (atom.left, atom.right)]
+        if sides[0] == sides[1]:
+            return Bottom() if negated else Top()
+        atom = Eq(*sides) if isinstance(atom, Eq) else DistAtom(*sides, atom.bound)
+    return Not(atom) if negated else atom
+
+
+def _partition(
+    counted: Set[Variable], conjuncts: Sequence[Formula]
+) -> Tuple[List[Formula], List[Tuple[Set[Variable], List[Formula]]]]:
+    """The gates (conjuncts without a counted variable) and the
+    variable-connected groups of the rest (Lemma 6.4's product step): each
+    conjunct merges the groups it shares a counted variable with."""
     gates: List[Formula] = []
-    active: List[Formula] = []
-    for conjunct in conjuncts:
-        if free_variables(conjunct) & counted:
-            active.append(conjunct)
-        else:
-            gates.append(conjunct)
-
-    if not active:
-        return CountDecomposition(
-            variables, tuple(gates), (), unused=tuple(variables)
-        )
-
-    if not options.factoring:
-        component = ComponentPlan(
-            variables=tuple(variables),
-            conjuncts=tuple(active),
-            guards=_guard_specs(tuple(variables), active, options),
-        )
-        return CountDecomposition(variables, tuple(gates), (component,), ())
-
-    # Factor into variable-disjoint components (Lemma 6.4 product step):
-    # each conjunct merges the groups it shares a counted variable with.
     groups: List[Tuple[Set[Variable], List[Formula]]] = []
-    for conjunct in active:
+    for conjunct in conjuncts:
         names = set(free_variables(conjunct)) & counted
+        if not names:
+            gates.append(conjunct)
+            continue
         touching = [g for g in groups if g[0] & names]
         merged_names = set(names)
         merged_parts = [conjunct]
@@ -305,21 +381,169 @@ def _build_decomposition(
             merged_parts = group[1] + merged_parts
             groups.remove(group)
         groups.append((merged_names, merged_parts))
+    return gates, groups
+
+
+def _build_decomposition(
+    variables: Tuple[Variable, ...],
+    conjuncts: List[Formula],
+    options: PlanOptions,
+    memo: Dict[Tuple[Formula, Tuple[Variable, ...]], "Optional[CountStep]"],
+) -> CountDecomposition:
+    counted = set(variables)
+    gates, groups = _partition(counted, conjuncts)
+    if not groups:
+        return CountDecomposition(
+            variables, tuple(gates), (), unused=tuple(variables)
+        )
+
+    if not options.factoring:
+        active = [c for c in conjuncts if c not in gates]
+        component = ComponentPlan(
+            variables=tuple(variables),
+            conjuncts=tuple(active),
+            guards=_guard_specs(tuple(variables), active, options),
+        )
+        return CountDecomposition(variables, tuple(gates), (component,), ())
 
     used: Set[Variable] = set()
     components: List[ComponentPlan] = []
+    alone = not gates and len(groups) == 1 and groups[0][0] == counted
     for names, parts in groups:
         used |= names
         ordered = tuple(v for v in variables if v in names)
+        elimination = None
+        if options.guards:
+            tree = _tree(names, parts)
+            if tree is not None:
+                elimination = _elimination(ordered, parts, tree, options, memo)
+        # A part that mentions no free variable is its own count, once per
+        # state (the whole count already is when it is the only part).
+        separate = options.guards and not alone and not any(
+            free_variables(part) - names for part in parts
+        )
+        if separate:
+            _compile_count(ordered, conjunction(parts), options, memo)
         components.append(
             ComponentPlan(
                 variables=ordered,
                 conjuncts=tuple(parts),
                 guards=_guard_specs(ordered, parts, options),
+                elimination=elimination,
+                separate=separate,
             )
         )
     unused = tuple(v for v in variables if v not in used)
     return CountDecomposition(variables, tuple(gates), tuple(components), unused)
+
+
+# -- elimination --------------------------------------------------------------
+
+
+def _tree(
+    counted: Set[Variable], conjuncts: Sequence[Formula]
+) -> "Optional[Dict[Variable, List[Variable]]]":
+    """The neighbours of each variable when a component is tree-shaped,
+    else None.  Tree-shaped: every conjunct is a unary relation atom or its
+    negation (a filter), or a binary relation atom over two distinct
+    variables (an edge; parallel atoms share one), the edges join the
+    counted variables and at most one other variable, and they form a
+    tree.  Cycles, self-loops, negated binary atoms, atoms of arity three
+    or more, and every other kind of conjunct keep the guarded search."""
+    pairs: Dict[FrozenSet[Variable], None] = {}  # in conjunct order
+    for conjunct in conjuncts:
+        negated = isinstance(conjunct, Not)
+        atom = conjunct.inner if negated else conjunct  # type: ignore[attr-defined]
+        if not isinstance(atom, Atom):
+            return None
+        if len(atom.args) == 1:
+            continue
+        if negated or len(atom.args) != 2 or atom.args[0] == atom.args[1]:
+            return None
+        pairs[frozenset(atom.args)] = None
+    nodes = set(counted).union(*pairs)
+    if len(nodes - counted) > 1 or len(pairs) != len(nodes) - 1:
+        return None
+    neighbours: Dict[Variable, List[Variable]] = {v: [] for v in nodes}
+    for pair in pairs:
+        u, v = pair
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    if len(_reach(neighbours, next(iter(counted)), None)) != len(nodes):
+        return None
+    return neighbours
+
+
+def _reach(
+    neighbours: Dict[Variable, List[Variable]], start: Variable, avoid: Optional[Variable]
+) -> List[Variable]:
+    """The variables reachable from ``start`` without passing ``avoid``."""
+    seen = [start]
+    for variable in seen:
+        seen.extend(n for n in neighbours[variable] if n != avoid and n not in seen)
+    return seen
+
+
+def _elimination(
+    variables: Tuple[Variable, ...],
+    conjuncts: Sequence[Formula],
+    neighbours: Dict[Variable, List[Variable]],
+    options: PlanOptions,
+    memo: Dict[Tuple[Formula, Tuple[Variable, ...]], "Optional[CountStep]"],
+) -> Elimination:
+    """The elimination of a tree-shaped component, its subtree counts
+    compiled.  Hung from its free variable, the root is that variable's
+    one neighbour; with none, the root is a centre of the tree (fewest
+    levels), the first with the most positive filters (the pool that
+    filters shrink) and then the first in ``variables``."""
+    outside = [v for v in neighbours if v not in variables]
+    anchor = outside[0] if outside else None
+    if anchor is not None:
+        (root,) = neighbours[anchor]
+    else:
+
+        def rank(variable: Variable) -> Tuple[int, int]:
+            height = _height(neighbours, variable)
+            plus = sum(
+                isinstance(c, Atom) and c.args == (variable,) for c in conjuncts
+            )
+            return height, -plus
+
+        root = min(variables, key=rank)
+    children = []
+    for child in neighbours[root]:
+        if child == anchor:
+            continue
+        below = set(_reach(neighbours, child, root))
+        term = CountTerm(
+            tuple(v for v in variables if v in below),
+            conjunction(c for c in conjuncts if free_variables(c) & below),
+        )
+        _compile_count(term.variables, term.inner, options, memo)
+        children.append(term)
+    mine = [c for c in conjuncts if free_variables(c) <= {root, anchor}]
+    return Elimination(
+        root=root,
+        anchor=anchor,
+        edges=tuple(
+            c for c in (mine if anchor is not None else conjuncts)
+            if isinstance(c, Atom) and len(c.args) == 2 and root in c.args
+        ),
+        filters=tuple(c for c in mine if free_variables(c) == {root}),
+        children=tuple(children),
+    )
+
+
+def _height(neighbours: Dict[Variable, List[Variable]], root: Variable) -> int:
+    """The number of levels of the tree hung from ``root``."""
+    depth = {root: 0}
+    order = [root]
+    for variable in order:
+        for n in neighbours[variable]:
+            if n not in depth:
+                depth[n] = depth[variable] + 1
+                order.append(n)
+    return max(depth.values())
 
 
 # -- guard analysis -----------------------------------------------------------
@@ -466,7 +690,7 @@ def _describe(
         return ir.INT, (node.value,)
     if isinstance(node, CountTerm):
         step = _count_program(plan, node.variables, node.inner)
-        return ir.COUNT, (node.variables, step, _kernel(plan, node.variables, free, step))
+        return ir.COUNT, (node.variables, step, _level(step))
     raise FormulaError(f"unexpected node {type(node).__name__}")
 
 
@@ -501,47 +725,47 @@ def _count_program(
         return (ir.INCLUSION_EXCLUSION, *map(count, parts))
     if isinstance(step, CountRewrite):
         return ir.REWRITE, count(step.rewritten)
+    if isinstance(step, CountDifference):
+        close = _intern(plan, CountTerm(step.close_variables, step.close))
+        return ir.DIFFERENCE, count(step.minuend), close
     assert isinstance(step, CountDecomposition)
-    components = tuple(
-        (tuple(_intern(plan, c) for c in component.conjuncts), component.variables)
-        for component in step.components
-    )
+    components = tuple(_component_program(plan, c) for c in step.components)
     gates = tuple(_intern(plan, gate) for gate in step.gates)
     return ir.DECOMPOSE, gates, components, len(step.unused)
 
 
-def _kernel(
-    plan: QueryPlan,
-    variables: Tuple[Variable, ...],
-    free: Tuple[Variable, ...],
-    step: "Optional[tuple]",
-) -> "Optional[tuple]":
-    """The column kernel of a count over its one free variable ``x``, or
-    None when it does not qualify (see :mod:`repro.plan.executor`): the
-    guard's relation, the position of ``x`` in it, and the relations of
-    the other conjuncts when all are positive unary atoms over the counted
-    variable (None: they are tested per candidate)."""
-    if step is None or step[0] != ir.DECOMPOSE or step[1] or step[3]:
-        return None
-    if len(step[2]) != 1 or len(variables) != 1 or len(free) != 1:
-        return None
-    ((conjuncts, _),) = step[2]
-    phase, _, options, _ = search_program(plan, step[2][0])
-    if phase != ir.ANCHORED or len(options[0]) != 1:
-        return None
-    ((guard, _, _),) = options[0]
-    ((column,), (counted,)) = free, variables
-    op, _, _, args = plan.nodes[guard]
-    if op != ir.ATOM or args[1] not in ((column, counted), (counted, column)):
-        return None
-    rest = [plan.nodes[c] for c in conjuncts if c != guard]
-    if all(node.op == ir.ATOM and node.args[1] == (counted,) for node in rest):
-        unary: Optional[Tuple[str, ...]] = tuple(node.args[0] for node in rest)
-    elif all(node.op <= ir.BOTTOM for node in rest):
-        unary = None
+def _component_program(plan: QueryPlan, component: ComponentPlan):
+    """A component's id form: its own count's id, its :class:`Level`, or
+    the key of its guarded search."""
+    if component.separate:
+        return _intern(plan, CountTerm(component.variables, conjunction(component.conjuncts)))
+    tree = component.elimination
+    if tree is None:
+        return tuple(_intern(plan, c) for c in component.conjuncts), component.variables
+    if tree.anchor is None:
+        atoms = tuple((a.relation, (), (a.args.index(tree.root),)) for a in tree.edges)
     else:
+        atoms = tuple(
+            (a.relation, (a.args.index(tree.anchor),), (a.args.index(tree.root),))
+            for a in tree.edges
+        )
+    plus = tuple(f.relation for f in tree.filters if isinstance(f, Atom))
+    minus = tuple(
+        f.inner.relation for f in tree.filters if isinstance(f, Not)  # type: ignore[attr-defined]
+    )
+    children = tuple(_intern(plan, child) for child in tree.children)
+    return ir.Level(tree.root, tree.anchor, atoms, plus, minus, children)
+
+
+def _level(step: "Optional[tuple]") -> "Optional[ir.Level]":
+    """The :class:`~repro.plan.ir.Level` of a count that decomposes into
+    one component counted by elimination (no gates, no unused variables):
+    the count is then computed a column at a time (see
+    :mod:`repro.plan.executor`)."""
+    if step is None or step[0] != ir.DECOMPOSE or step[1] or step[3] or len(step[2]) != 1:
         return None
-    return args[0], args[1].index(column), unary
+    (part,) = step[2]
+    return part if type(part) is ir.Level else None
 
 
 # -- guarded search programs --------------------------------------------------

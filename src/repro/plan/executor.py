@@ -24,17 +24,18 @@ The executor runs the plan's node table (:mod:`repro.plan.ir`), not its
 ASTs: every formula, term and count it evaluates is a node id, and the
 memos key on ``(node id, bindings)``.  Everything about a node that does
 not depend on the structure — its op, free variables, conjunct list,
-count step, column-kernel qualification, and the guarded search programs
+count step and level, and the guarded search programs
 over its conjuncts — lives in the plan, compiled once
 (:func:`~repro.plan.compiler.search_program` compiles a search on its
 first use by any state).  A state only *binds* what it uses to its
 structure, once: an atom's test to the relation (:meth:`Structure.tuples`:
 its frozenset, or a written version read through its patch) or the cached
 ball, a search program's pool descriptors to the structure's projections,
-a kernel to its projection.  The bindings are rebuilt after each
-materialisation step, which replaces the structure.  A node handed in from
-outside the plan (``state.holds(parse_formula(...))``) takes a slow path:
-it is added to the plan's table by its alpha-canonical text.
+a level to its atoms' projections and its filters' members.  The bindings
+are rebuilt after each materialisation step, which replaces the structure.
+A node handed in from outside the plan (``state.holds(parse_formula(...))``)
+takes a slow path: it is added to the plan's table by its alpha-canonical
+text.
 
 Atoms are tested in place, not memoised: ``R(x, y)``, ``x = y``,
 ``dist(x, y) <= d``, their negations, Top and Bottom bind to a closure —
@@ -51,7 +52,7 @@ choice of variable and guard the checks each candidate must pass and the
 node below, bound on first descent.  Counting descends through
 integer-returning recursion (:meth:`ExecutionState._count_search`);
 existence and enumeration walk the same nodes through one generator
-(:meth:`ExecutionState._enumerate`).  Bound nodes, tests and kernels hold
+(:meth:`ExecutionState._enumerate`).  Bound nodes, tests and levels hold
 no reference to the state, so a state is freed by reference counting
 when its engine call drops it; states are scoped to one public engine
 call.
@@ -61,29 +62,42 @@ satisfaction/count memos.  Alpha-equivalent nodes share one id — e.g.
 ``#(y). E(x, y)`` and ``#(z). E(x, z)`` hit the same count cell — and an
 id's canonical text is its checkpoint key.
 
-Column kernels
---------------
+Counting by elimination
+-----------------------
 Strata and unary terms are evaluated a column at a time
 (:meth:`ExecutionState._term_column`): ``+`` and ``*`` element by element
-(the right factor only where the left is non-zero), and a count through a
-*kernel* when the plan qualified it: one component over one counted
-variable ``y``, with no gates and no unused variables, whose search is
-anchored by one guard, a binary relation atom over the column variable
-``x`` and ``y``, and whose other conjuncts have in-place tests.  The value
-at ``a`` is then the size of ``projection.get(a)`` intersected with the
-positive unary atoms over ``y`` (one ``evaluator.enumerate`` tick weighted
-by the pool size) when they are the other conjuncts; else the count's
-search tests the others per candidate, as a count does.  A column that
-looks up at least as many elements as the projection has groups reads a
-written version's projection flattened (:mod:`repro.structures.overlay`),
-once, rather than through its patch per element.  Other counts run
-per element.  Each element computed charges what a count would.  Columns
-live in their own memo, keyed by the count's id and ``x``, one
-``memo.insert`` fault site per column; counts read them, and an element
-found in the count memo (restored) costs nothing.  Checkpoints get each
-column, or a suspended column's finished prefix, as the count entries a
-count would have stored, and a resumed :class:`PlanExecutor` restores them
-before it replays strata.
+(the right factor only where the left is non-zero), and a count as a
+column when the plan gave it one.  A count that decomposes into one
+tree-shaped component has a *level* (:class:`~repro.plan.ir.Level`): its
+counted variables form a tree joined by binary relation atoms, hung from
+its free variable, and are summed out leaf first
+(:meth:`ExecutionState._sum_out`).  The value at ``a`` is the sum, over the
+members ``b`` of ``a``'s pool — the first edge atom's projection group at
+``a``, intersected with the groups of the parallel atoms on that edge, with
+the members of the positive unary filters and without those of the negated
+ones — of the product of the child counts' columns at ``b``.  A child
+count is a real count node over one subtree, free in the level's variable,
+and its column is computed only for the members asked for, so a single
+element never starts a pass over the whole relation.  With no children
+(the one-level case) the value is the number of members.  A count with no
+free variable sums its root's column over the root's pool: the smallest of
+its atoms' projections and its filters' members.  A *difference* (``#psi``
+minus the close cases ``#(psi & delta)``) is the element-wise difference of
+its two sides' columns.  Other counts run per element.
+
+Each element computed charges what a count would: one ``evaluator.count``
+tick, and one ``evaluator.enumerate`` per member of its pool (one tick
+weighted by the pool's size).  A column that looks up at least as many
+elements as a projection has groups reads a written version's projection
+flattened (:mod:`repro.structures.overlay`), once, rather than through its
+patch per element.  Columns live in their own memo, keyed by the count's id
+and ``x``, one ``memo.insert`` fault site per column; a column count's
+values live only there, also when one element is counted through
+:meth:`ExecutionState._count`, and an element already there (computed or
+restored) costs nothing.  Checkpoints get each column, or a suspended
+column's finished prefix, as the count entries a count would have stored;
+a restored entry of a column count goes back to its column, and a resumed
+:class:`PlanExecutor` restores them before it replays strata.
 
 Under a checkpoint session a :class:`PlanExecutor` records each stratum as
 it materialises it, but only *registers* its memo tables with the session
@@ -98,7 +112,8 @@ from __future__ import annotations
 import hashlib
 import weakref
 from functools import partial
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, mul, sub
 from typing import (
     Callable,
     Dict,
@@ -250,6 +265,12 @@ def _ball(
     return cached
 
 
+def _columnar(step: "Optional[tuple]", level: "Optional[ir.Level]") -> bool:
+    """Whether a count over one free variable is computed a column at a
+    time: by elimination, or as a difference of columns."""
+    return level is not None or (step is not None and step[0] == ir.DIFFERENCE)
+
+
 def _holds_through(
     state: "weakref.ref[ExecutionState]", formula: int, env: Dict[Variable, Element]
 ) -> bool:
@@ -259,7 +280,7 @@ def _holds_through(
 class ExecutionState:
     """Evaluation state for one (possibly expanded) structure and one
     compiled plan: memo tables, ball caches, the bindings of the plan's
-    tests, search programs and kernels, materialisation and count-step
+    tests, search programs and levels, materialisation and count-step
     dispatch.  Internal methods take node ids; the public ones take ASTs
     (see the module docstring)."""
 
@@ -278,14 +299,14 @@ class ExecutionState:
         self._nodes = plan.nodes
         self._holds_memo: Dict[Tuple, bool] = {}
         self._count_memo: Dict[Tuple, int] = {}
-        # Column kernels' values, per (count id, column variable).
+        # Columns computed by elimination, per (count id, column variable).
         self._columns: Dict[Tuple[int, Variable], Dict[Element, int]] = {}
-        # The plan's tests, search programs and kernels bound to the
-        # structure, per node id, program key and (count id, variable);
-        # rebuilt whenever the structure is extended.
+        # The plan's tests, search programs and levels bound to the
+        # structure, per node id, program key and level; rebuilt whenever
+        # the structure is extended.
         self._bound_tests: Dict[int, Test] = {}
         self._bound_nodes: Dict[tuple, _SearchNode] = {}
-        self._bound_kernels: Dict[Tuple[int, Variable], Optional[tuple]] = {}
+        self._bound_levels: Dict[int, tuple] = {}
         # Per-candidate checks reach the memo through this weak reference
         # (see _check), so that no search node keeps the state alive.
         self._ref = weakref.ref(self)
@@ -308,7 +329,7 @@ class ExecutionState:
 
         Memos and columns survive (aux relations are <=1-ary: no new
         Gaifman edges, no change to existing relations); the bound tests,
-        search nodes and kernels captured the old structure's relations,
+        search nodes and levels captured the old structure's relations,
         so they are rebuilt on next use.
         """
         from ..structures.operations import expansion
@@ -318,7 +339,7 @@ class ExecutionState:
         )
         self._bound_tests.clear()
         self._bound_nodes.clear()
-        self._bound_kernels.clear()
+        self._bound_levels.clear()
 
     # -- Theorem 6.10 stratification ----------------------------------------------
 
@@ -393,7 +414,8 @@ class ExecutionState:
     def _term_column(
         self, term: int, variable: Variable, elements: Sequence[Element]
     ) -> List[int]:
-        """``_term(term, {variable: a})`` for every ``a`` in ``elements``:
+        """``_term(term, {variable: a})`` for every ``a`` in ``elements``
+        (distinct):
         element by element through ``+`` and ``*`` (the right factor only
         where the left is non-zero), a count as one column."""
         op, _, _, args = self._nodes[term]
@@ -413,75 +435,136 @@ class ExecutionState:
     def _count_column(
         self, count: int, variable: Variable, elements: Sequence[Element]
     ) -> List[int]:
-        """The count at every element: one pass over its kernel's
-        projection (see the module docstring), else a count per element.
-        Each element computed charges what a count would; one in the
-        column or the count memo (restored) costs nothing."""
+        """The count at every element of ``elements`` (distinct): by
+        elimination when the count has a level (:meth:`_sum_out`), as the
+        difference of its two sides' columns when it is a difference, else
+        a count per element.  Each element computed charges what a count
+        would; one already in the column (computed or restored) costs
+        nothing."""
         if not elements:
             return []
-        kernel = self._kernel(count, variable)
-        if kernel is None:
+        _, _, free, (_, step, level) = self._nodes[count]
+        if free != (variable,) or not _columnar(step, level):
             return [self._count(count, {variable: a}) for a in elements]
-        projection, members, node = kernel
-        if node is None and len(elements) >= len(projection):
-            # At least one lookup per group: read a written version's
-            # table flattened, once, not through its patch per element.
-            projection = flat(projection)
         column = self._columns.get((count, variable))
         if column is None:
             fault_check("memo.insert")
             column = self._columns[(count, variable)] = {}
             if self._metrics is not None:
                 self._metrics.inc("evaluator.count.column")
-        memo = self._count_memo
-        budget = self.budget
-        computed = 0
-        values = []
-        for a in elements:
-            value = column.get(a)
-            if value is None and memo:
-                value = memo.get((count, ((variable, a),)))
-            if value is None:
-                if budget is not None:
-                    budget.tick("evaluator.count")
-                if node is not None:
-                    value = self._count_search(node, {variable: a})
-                else:
-                    pool = projection.get(a, ())
-                    if budget is not None and pool:
-                        budget.tick("evaluator.enumerate", len(pool))
-                    value = len(pool if members is None else members.intersection(pool))
-                column[a] = value
-                computed += 1
-            values.append(value)
-        if computed and self._metrics is not None:
-            self._metrics.inc("evaluator.count.column.elements", computed)
+        todo = [a for a in elements if a not in column] if column else elements
+        if todo:
+            if level is not None:
+                values = self._sum_out(level, todo, column)
+            else:
+                minuend = self._count_column(step[1], variable, todo)
+                close = self._count_column(step[2], variable, todo)
+                values = list(map(sub, minuend, close))
+                self._store(column, todo, repeat(()), values)
+            if self._metrics is not None:
+                self._metrics.inc("evaluator.count.column.elements", len(todo))
+            if todo is elements:
+                return values
+        return list(map(column.__getitem__, elements))
+
+    def _sum_out(
+        self,
+        level: ir.Level,
+        anchors: Sequence,
+        column: "Optional[Dict[Element, int]]" = None,
+    ) -> List[int]:
+        """Sum the level's variable out at each anchor (see the module
+        docstring): over the members of the anchor's pool that pass the
+        level's other parallel atoms and its filters, the product of the
+        children's columns at the member; at a leaf, the number of members.
+        The pool is the first atom's group at the anchor (a root's one
+        pool), and each of its members ticks one ``evaluator.enumerate``;
+        given the count's ``column``, each anchor also ticks one
+        ``evaluator.count`` and is stored there."""
+        tables, scan, members, excluded = self._bound_level(level)
+        if scan is not None:
+            pools = kept = [scan] * len(anchors)
+        else:
+            if len(anchors) >= len(tables[0]):
+                # At least one lookup per group: read a written version's
+                # tables flattened, once, not through their patch per element.
+                tables = list(map(flat, tables))
+            pools = kept = list(map(tables[0].get, anchors, repeat(())))
+            if len(tables) > 1:
+                others = (map(table.get, anchors, repeat(())) for table in tables[1:])
+                kept = list(map(set.intersection, map(set, pools), *others))
+        if members is not None:
+            kept = list(map(members.intersection, kept))
+        if excluded is not None:
+            kept = list(map(set.difference, map(set, kept), repeat(excluded)))
+        if level.children:
+            # The product of the child columns at every member wanted.
+            need = kept[0] if len(kept) == 1 else list(dict.fromkeys(chain.from_iterable(kept)))
+            first, *rest = (
+                self._count_column(child, level.variable, need) for child in level.children
+            )
+            for more in rest:
+                first = list(map(mul, first, more))
+            if len(kept) == 1:
+                values = [sum(first)]
+            else:
+                weight = dict(zip(need, first))
+                values = [sum(map(weight.__getitem__, inside)) for inside in kept]
+        else:
+            values = list(map(len, kept))
+        self._store(column, anchors, pools, values)
         return values
 
-    def _kernel(self, count: int, variable: Variable) -> Optional[tuple]:
-        """The plan's column kernel of ``count`` over ``variable`` bound to
-        the structure, or None: the guard's projection from ``variable`` to
-        the counted variable, and either the member set of the unary atoms
-        (None for none) and None, or None and the search node that tests
-        the other conjuncts per candidate."""
-        key = (count, variable)
-        if key in self._bound_kernels:
-            return self._bound_kernels[key]
-        _, _, free, (_, step, kernel) = self._nodes[count]
-        bound = None
-        if kernel is not None and free == (variable,):
-            relation, anchor, unary = kernel
-            projection = self.structure.projection(
-                self._symbol(relation), (anchor,), (1 - anchor,)
-            )
+    def _store(self, column, anchors: Iterable, pools: Iterable[Pool], values: List[int]) -> None:
+        """Charge the anchors' ticks, a count each when they go to a
+        ``column`` and one enumerate per pool member, storing each value
+        once it is charged for."""
+        budget = self.budget
+        if budget is None:
+            if column is not None:
+                column.update(zip(anchors, values))
+            return
+        for a, pool, value in zip(anchors, pools, values):
+            if column is not None:
+                budget.tick("evaluator.count")
+            if pool:
+                budget.tick("evaluator.enumerate", len(pool))
+            if column is not None:
+                column[a] = value
+
+    def _bound_level(self, level: ir.Level) -> tuple:
+        """The level bound to the structure: its atoms' projections from
+        the anchor; at a root (no anchor) its pool, the smallest of its
+        atoms' scans and its members, or the universe (else None); the
+        members of its positive filters (None for none) and the elements
+        its negated filters exclude (None for none).  Keyed by the level's
+        identity: the plan holds it."""
+        bound = self._bound_levels.get(id(level))
+        if bound is None:
+            structure = self.structure
             members: Optional[Set[Element]] = None
-            for name in unary or ():
-                found = self.structure.projection(self._symbol(name), (), (0,)).get((), ())
+            excluded: Optional[Set[Element]] = None
+            for relation in level.plus:
+                found = self._members(relation)
                 members = set(found) if members is None else members.intersection(found)
-            node = self._node(step[2][0]) if unary is None else None
-            bound = projection, members, node
-        self._bound_kernels[key] = bound
+            for relation in level.minus:
+                excluded = set(self._members(relation)).union(excluded or ())
+            tables = [
+                structure.projection(self._symbol(relation), anchor, target)
+                for relation, anchor, target in level.atoms
+            ]
+            pool = None
+            if level.anchor is None:
+                pools = [table.get((), ()) for table in tables]
+                if members is not None:
+                    pools.append(members)
+                pool = min(pools, key=len) if pools else structure.universe_order
+            bound = self._bound_levels[id(level)] = (tables, pool, members, excluded)
         return bound
+
+    def _members(self, relation: str) -> Pool:
+        """The elements of a unary relation."""
+        return self.structure.projection(self._symbol(relation), (), (0,)).get((), ())
 
     # -- counting ---------------------------------------------------------------------
 
@@ -494,17 +577,20 @@ class ExecutionState:
         return self._count(intern_node(self.plan, CountTerm(variables, body)), env)
 
     def _count(self, count: int, env: Dict[Variable, Element]) -> int:
-        _, _, names, (variables, _, _) = self._nodes[count]
+        _, _, names, (variables, step, level) = self._nodes[count]
         # Outer bindings of the counted variables are shadowed by the binder.
         if any(v in env for v in variables):
             env = {k: val for k, val in env.items() if k not in variables}
         key = (count, tuple((v, env[v]) for v in names if v in env))
         cached = self._count_memo.get(key)
         if cached is None and self._columns and len(key[1]) == 1:
-            # A column kernel may hold it (see _count_column).
+            # Its column may hold it (see _count_column).
             ((name, value),) = key[1]
             cached = self._columns.get((count, name), {}).get(value)
         if cached is None:
+            if len(names) == 1 and key[1] and _columnar(step, level):
+                # Its values live in its column (see _count_column).
+                return self._count_column(count, names[0], (key[1][0][1],))[0]
             if self.budget is not None:
                 self.budget.tick("evaluator.count")
             if self._metrics is not None:
@@ -540,14 +626,27 @@ class ExecutionState:
             )
         if kind == ir.REWRITE:
             return self._count(step[1], env)
+        if kind == ir.DIFFERENCE:
+            return self._count(step[1], env) - self._count(step[2], env)
         _, gates, components, unused = step
         for gate in gates:
             if not self._holds(gate, env):
                 return 0
         result = 1
-        for key in components:
-            # Guarded backtracking count of one variable-connected component.
-            part = self._count_search(self._node(key), dict(env))
+        for component in components:
+            if type(component) is int:
+                # A part with no free variable: its own count, once.
+                part = self._count(component, env)
+            elif type(component) is ir.Level:
+                anchor = component.anchor
+                try:
+                    at = () if anchor is None else env[anchor]
+                except KeyError as error:
+                    raise _unassigned(error) from None
+                (part,) = self._sum_out(component, (at,))
+            else:
+                # Guarded backtracking count of one variable-connected component.
+                part = self._count_search(self._node(component), dict(env))
             if part == 0:
                 return 0
             result *= part
@@ -819,8 +918,10 @@ class ExecutionState:
 
     def restore_memo_snapshot(self, entries: Iterable[Tuple]) -> int:
         """Install exported memo entries whose text names a node of this
-        state's plan, under that node's id; returns how many."""
+        state's plan, under that node's id; returns how many.  An entry of
+        a count computed a column at a time goes to its column."""
         ids = self.plan.ids
+        nodes = self._nodes
         memos = {"holds": self._holds_memo, "count": self._count_memo}
         restored = 0
         for entry in entries:
@@ -828,9 +929,15 @@ class ExecutionState:
                 continue
             kind, text, relevant, value = entry
             node = ids.get(text)
-            if node is not None:
+            if node is None:
+                continue
+            _, _, free, args = nodes[node]
+            if kind == "count" and len(relevant) == 1 and _columnar(*args[1:]):
+                ((variable, element),) = relevant
+                self._columns.setdefault((node, variable), {})[element] = value
+            else:
                 memos[kind][(node, relevant)] = value
-                restored += 1
+            restored += 1
         if restored and self._metrics is not None:
             self._metrics.inc("checkpoint.memo.restored", restored)
         return restored
@@ -986,7 +1093,7 @@ class PlanExecutor:
         def run() -> Dict[Element, int]:
             self.prepare()
             universe = self.state.structure.universe_order
-            targets = list(universe if elements is None else elements)
+            targets = list(universe if elements is None else dict.fromkeys(elements))
             values = self.state._term_column(self.plan.root_ids[0], variable, targets)
             return dict(zip(targets, values))
 

@@ -10,11 +10,15 @@ tuples.  Three layers, mirroring the paper:
   producing the structure sequence ``A_0, A_1, ..., A_{d+1}``.
 * **Counting algebra** (Lemma 6.4): per counting body, a DAG of count
   steps — complement for negation, inclusion–exclusion for disjunction,
-  Implies/Iff rewrites, and :class:`CountDecomposition` for conjunctions
-  (gate conjuncts, variable-disjoint :class:`ComponentPlan` factors, and
-  the ``n^unused`` tail).  The intermediate rewrite nodes (the ``And``
-  overlap of inclusion–exclusion, the Implies/Iff expansions) are built
-  once at compile time.
+  Implies/Iff rewrites, :class:`CountDifference` for a negated equality or
+  distance atom (the product minus the close cases), and
+  :class:`CountDecomposition` for conjunctions (gate conjuncts,
+  variable-disjoint :class:`ComponentPlan` factors, and the ``n^unused``
+  tail).  A tree-shaped component carries its :class:`Elimination`: it is
+  counted by summing its variables out leaf first, not by search.  The
+  intermediate rewrite nodes (the ``And`` overlap of inclusion–exclusion,
+  the Implies/Iff expansions, the two sides of a difference and the
+  subtree counts of an elimination) are built once at compile time.
 * **Guard choices** (Remark 6.3): per component and variable, the
   statically available candidate sources — relation index, equality
   binding, distance ball — recorded as :class:`GuardSpec` annotations.
@@ -37,6 +41,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 from ..logic.printer import pretty
 from ..logic.syntax import (
+    Atom,
     CountTerm,
     Expression,
     Formula,
@@ -52,10 +57,13 @@ __all__ = [
     "CountComplement",
     "CountConstant",
     "CountDecomposition",
+    "CountDifference",
     "CountInclusionExclusion",
     "CountRewrite",
     "CountStep",
+    "Elimination",
     "GuardSpec",
+    "Level",
     "MaterialiseStep",
     "PlanNode",
     "PlanOptions",
@@ -90,13 +98,43 @@ class GuardSpec:
 
 
 @dataclass(frozen=True)
+class Elimination:
+    """A tree-shaped component counted leaf first (Chen–Mengel): its
+    counted variables form a tree joined by binary relation atoms, hung
+    from at most one free variable, the ``anchor``.
+
+    At ``root`` the count is the sum, over the members of ``root``'s pool
+    that pass its ``filters`` (unary atoms and negated unary atoms over
+    ``root``), of the product of the ``children`` counts at that member.
+    Each child counts one subtree below ``root``, with ``root`` its one
+    free variable, and is compiled the same way.  The pool is the
+    intersection of the ``edges`` from the anchor (parallel atoms); with
+    no anchor, ``edges`` are the atoms ``root`` occurs in, and the pool is
+    the smallest of their projections and the filters' members.
+    """
+
+    root: Variable
+    anchor: Optional[Variable]
+    edges: Tuple[Atom, ...]
+    filters: Tuple[Formula, ...]
+    children: Tuple[CountTerm, ...]
+
+
+@dataclass(frozen=True)
 class ComponentPlan:
     """One variable-connected factor of a conjunction (Lemma 6.4's product
-    step), with its enumeration order domain and guard annotations."""
+    step), with its enumeration order domain and guard annotations.
+
+    ``elimination`` is set when the component is tree-shaped (it is then
+    counted by elimination, else by guarded search); ``separate`` when it
+    mentions no free variable and the decomposition has other parts: it
+    is then its own count, counted once per state."""
 
     variables: Tuple[Variable, ...]
     conjuncts: Tuple[Formula, ...]
     guards: Tuple[GuardSpec, ...] = ()
+    elimination: Optional[Elimination] = None
+    separate: bool = False
 
 
 @dataclass(frozen=True)
@@ -169,12 +207,28 @@ class CountDecomposition:
     unused: Tuple[Variable, ...]
 
 
+@dataclass(frozen=True)
+class CountDifference:
+    """``#y-bar.(psi and not delta) = #y-bar.psi - #y-bar.(psi and delta)``
+    for an equality or distance atom ``delta`` that ties a counted
+    variable to another variable: the product minus the close cases.  The
+    ``close`` side has an equality substituted away, so it counts
+    ``close_variables``, the counted variables less the one substituted."""
+
+    variables: Tuple[Variable, ...]
+    minuend: Formula
+    close_variables: Tuple[Variable, ...]
+    close: Formula
+    delta: Formula
+
+
 CountStep = Union[
     CountConstant,
     CountComplement,
     CountInclusionExclusion,
     CountRewrite,
     CountDecomposition,
+    CountDifference,
 ]
 
 
@@ -187,7 +241,7 @@ NOT, AND, OR, IMPLIES, IFF, EXISTS, FORALL, PREDICATE = range(8, 16)
 INT, ADD, MUL, COUNT = range(16, 20)
 
 # Count step programs (``PlanNode.args[1]`` of a COUNT node).
-CONSTANT, COMPLEMENT, INCLUSION_EXCLUSION, REWRITE, DECOMPOSE, CHECK = range(6)
+CONSTANT, COMPLEMENT, INCLUSION_EXCLUSION, REWRITE, DECOMPOSE, CHECK, DIFFERENCE = range(7)
 
 # Search program phases: how a node's variable and pool are chosen.
 ANCHORED = 0  # the smallest pool of a guard anchored at a bound variable
@@ -195,6 +249,23 @@ SCAN = 1  # the smallest un-anchored relation scan (a constant pool)
 UNIVERSE = 2  # no guard: the first variable ranges over the universe
 DISABLED = 3  # guards switched off: likewise
 LEAF = 4  # nothing left to bind: the conjuncts are checked once
+
+
+class Level(NamedTuple):
+    """An :class:`Elimination` in the node table: ``variable`` is summed
+    out over the pool that ``atoms`` offer from ``anchor`` (None at a
+    root), each atom ``(relation, bound positions, target position)``,
+    the arguments of :meth:`Structure.projection`; ``plus`` and ``minus``
+    name the unary relations that ``variable`` must be in and must not
+    be in; ``children`` are the ids of the subtree counts, each free in
+    ``variable``."""
+
+    variable: Variable
+    anchor: Optional[Variable]
+    atoms: Tuple[Tuple[str, Tuple[int, ...], Tuple[int, ...]], ...]
+    plus: Tuple[str, ...]
+    minus: Tuple[str, ...]
+    children: Tuple[int, ...]
 
 
 class PlanNode(NamedTuple):
@@ -213,14 +284,18 @@ class PlanNode(NamedTuple):
       exists-block whose answer is negated;
     * PREDICATE ``(predicate, term ids)``; INT ``(value,)``; ADD, MUL
       ``(left, right)``;
-    * COUNT ``(counted variables, step, kernel)``.  The step is
+    * COUNT ``(counted variables, step, level)``.  The step is
       ``(CONSTANT, zero)``, ``(COMPLEMENT, count)``,
       ``(INCLUSION_EXCLUSION, left, right, overlap)``,
-      ``(REWRITE, count)``, ``(DECOMPOSE, gates, component search keys,
-      number of unused variables)``, ``(CHECK, body)`` for k = 0, or None
-      when the plan compiled none.  The kernel is None or
-      ``(relation, anchor position, unary relations or None)`` (see
-      :mod:`repro.plan.executor`).
+      ``(REWRITE, count)``, ``(DIFFERENCE, minuend, close)``,
+      ``(DECOMPOSE, gates, components, number of unused variables)``,
+      ``(CHECK, body)`` for k = 0, or None when the plan compiled none.  A
+      component is a :class:`Level` (counted by elimination), the id of
+      its own count (a separate component) or a search key (counted by
+      guarded search).  The level is the one component's :class:`Level`
+      when the step is a decomposition into that component alone, else
+      None: the count is then computed a column at a time by elimination
+      (see :mod:`repro.plan.executor`).
     """
 
     op: int
@@ -363,6 +438,14 @@ class QueryPlan:
         elif isinstance(step, CountRewrite):
             lines.append(f"{deeper}rewrite ({step.rule})")
             self._render_count(step.variables, step.rewritten, deeper + "  ", lines, seen)
+        elif isinstance(step, CountDifference):
+            lines.append(
+                f"{deeper}subtraction: #psi - #(psi & delta), delta: {pretty(step.delta)}"
+            )
+            self._render_count(step.variables, step.minuend, deeper + "  ", lines, seen)
+            self._render_count(
+                step.close_variables, step.close, deeper + "  ", lines, seen
+            )
         elif isinstance(step, CountDecomposition):
             lines.append(
                 f"{deeper}decomposition: {len(step.gates)} gate(s), "
@@ -376,8 +459,22 @@ class QueryPlan:
                 lines.append(
                     f"{deeper}  component ({', '.join(component.variables)}): {parts}"
                 )
+                lines.append(f"{deeper}    {_routine(component)}")
                 for guard in component.guards:
                     lines.append(f"{deeper}    guard {guard.describe()}")
+
+
+def _routine(component: ComponentPlan) -> str:
+    """Which routine counts a component: elimination (its root and
+    edges) or guarded search."""
+    once = ", once per state" if component.separate else ""
+    tree = component.elimination
+    if tree is None:
+        return f"counted by guarded search{once}"
+    root = tree.root if tree.anchor is None else f"{tree.root} under {tree.anchor}"
+    edges = [c for c in component.conjuncts if isinstance(c, Atom) and len(c.args) == 2]
+    joined = ", ".join(pretty(edge) for edge in edges) or "none"
+    return f"counted by elimination{once}: root {root}, edges {joined}"
 
 
 def _clip(text: str, limit: int = 72) -> str:

@@ -234,8 +234,9 @@ class TestOracleCallsAcrossWorkers:
     def test_cascade_sampler_counts_on_the_cascade_collection(self, workers):
         # foc1 and the brute force each exhaust their budget slice, and
         # the sampler answers; all three count on the default collection.
+        # The body is a 4-cycle, which foc1 cannot count by elimination.
         structure = dense_random_graph(60, probability=0.5, seed=3)
-        phi = parse_formula("@geq1(#(z). E(y, z)) & E(x, y) & E(y, w) & E(w, v)")
+        phi = parse_formula("@geq1(#(z). E(y, z)) & E(x, y) & E(y, w) & E(w, v) & E(v, x)")
         engine = RobustEvaluator(
             approx=True,
             epsilon=0.5,

@@ -196,3 +196,22 @@ class TestExplainRendering:
         text = plan.explain()
         assert "guard y: index [relation E]" in text
         assert "guard y: ball" in text
+
+    def test_explain_shows_the_subtraction_and_the_routines(self):
+        """paths2 is the two-path count minus its close cases, each side
+        counted by elimination from its root; a triangle is not a tree and
+        keeps the guarded search."""
+        text = _count_plan("E(x, y) & E(y, z) & !(x = z)", ("x", "y", "z")).explain()
+        assert "subtraction: #psi - #(psi & delta), delta: x = z" in text
+        assert "#(x, y, z). E(x, y) & E(y, z)\n" in text
+        assert "#(x, y). E(x, y) & E(y, x)\n" in text
+        assert "counted by elimination: root y, edges E(x, y), E(y, z)" in text
+        assert "counted by elimination: root x, edges E(x, y), E(y, x)" in text
+        assert "guarded search" not in text
+        cycle = _count_plan("E(x, y) & E(y, z) & E(z, x)", ("x", "y", "z")).explain()
+        assert "counted by guarded search" in cycle and "subtraction" not in cycle
+
+    def test_explain_marks_a_separate_component(self):
+        text = _count_plan("E(x, y) & U(z)", ("y", "z")).explain()
+        assert "counted by elimination: root y under x, edges E(x, y)" in text
+        assert "counted by elimination, once per state: root z, edges none" in text

@@ -35,7 +35,7 @@ from repro.logic.syntax import (
 from repro.obs.metrics import MetricsRegistry, collect_metrics, set_metrics
 from repro.plan import PlanCache, PlanExecutor, compile_plan
 from repro.plan.executor import ExecutionState
-from repro.plan.ir import PlanOptions
+from repro.plan.ir import DIFFERENCE, PlanOptions
 from repro.robust.budget import EvaluationBudget
 from repro.robust.faults import FaultInjector, inject_faults
 from repro.structures.builders import (
@@ -398,21 +398,23 @@ class TestInPlaceAtoms:
                 gc.enable()
 
     def test_two_path_count_ticks_once_per_candidate(self):
-        """The tick contract of guarded enumeration: one count tick, then
-        one enumerate tick per candidate at each level — the scan over x,
-        the d(x) neighbours y of each x, the d(y) neighbours z of each y."""
+        """The tick contract of counting by elimination.  paths2 is a
+        difference: ``#(x, y, z). E(x, y) & E(y, z)`` minus the close
+        cases ``#(x, y). E(x, y) & E(y, x)``.  The difference ticks one
+        count; each side ticks one count, one enumerate per member of its
+        root's pool (the m vertices with an edge), and its child columns
+        over that pool: per element one count and one enumerate per member
+        of the element's pool.  The first side hangs x and z below y (two
+        columns whose pools are the degrees), the second y below x (one
+        column whose pool is the first atom's group, d(x))."""
         structure = grid_graph(6, 7)
         degrees = [len(ns) for ns in gaifman_adjacency(structure).values()]
         budget = EvaluationBudget()
         phi = parse_formula("E(x, y) & E(y, z) & !(x = z)")
         Foc1Evaluator(budget=budget).count(structure, phi, ["x", "y", "z"])
-        expected = (
-            1
-            + sum(1 for d in degrees if d)
-            + sum(degrees)
-            + sum(d * d for d in degrees)
-        )
-        assert budget.steps == expected == 683
+        m, total = sum(1 for d in degrees if d), sum(degrees)
+        expected = 1 + (1 + m + 2 * (m + total)) + (1 + m + (m + total))
+        assert budget.steps == expected == 639
 
     def test_stratum_and_unary_root_tick_like_count(self):
         """Column kernels charge what per-element ``count()`` did.  The
@@ -532,16 +534,28 @@ class TestFoldedAndImpliedConjuncts:
         assert pretty(kept.roots[0]).count("dist") == 2
 
     def test_negated_distance_is_tested_in_place(self):
-        """No satisfaction memo and no ``evaluator.holds`` tick: the count
-        ticks as the two-path count does, 683 on this grid."""
+        """No satisfaction memo and no ``evaluator.holds`` tick.  The
+        negated distance atom becomes a difference: the two-path count
+        by elimination (as in ``test_two_path_count_ticks_once_per_candidate``)
+        minus the guarded search of ``E(x, y) & E(y, z) & dist(x, z) <= 1``,
+        which scans x, takes y from E(x, y) (d(x), smaller than the ball's
+        d(x) + 1) and z from the smaller of E(y, z) and the ball of x, the
+        first on a tie, testing the other in place."""
         structure = grid_graph(6, 7)
+        adjacency = gaifman_adjacency(structure)
         budget = EvaluationBudget()
         phi = parse_formula("E(x, y) & E(y, z) & !(dist(x, z) <= 1)")
         with collect_metrics() as metrics:
             value = Foc1Evaluator(budget=budget).count(structure, phi, ["x", "y", "z"])
         assert value == BruteForceEvaluator().count(structure, phi, ["x", "y", "z"])
         assert metrics.counter("evaluator.holds.memo.miss") == 0
-        assert budget.steps == 683
+        degree = {v: len(ns) for v, ns in adjacency.items()}
+        m, total = sum(1 for d in degree.values() if d), sum(degree.values())
+        near = sum(
+            min(degree[y], degree[x] + 1) for x, ns in adjacency.items() for y in ns
+        )
+        expected = 1 + (1 + 3 * m + 2 * total) + (1 + m + total + near)
+        assert budget.steps == expected
 
     def test_a_folded_count_is_a_constant(self):
         """The body is identically false: one count tick and nothing else."""
@@ -617,7 +631,7 @@ class TestCountIndex:
 #: Plans whose searches compile child programs on first descent: a
 #: non-kernel count with two levels, an exists-block, a Forall.
 SHARED_PLANS = (
-    ("unary_term", "#(y, z). (E(x, y) & E(y, z) & !(x = z))", ("x",)),
+    ("unary_term", "#(y, z). (E(x, y) & E(y, z) & !E(x, z))", ("x",)),
     ("count", "E(x, y) & exists w. (E(y, w) & !E(w, x))", ("x", "y")),
     ("model_check", "forall x. exists y. (E(x, y) & exists z. E(y, z))", ()),
 )
@@ -734,22 +748,29 @@ def _per_element(plan, structure, variable):
     return values, budget.steps, state
 
 
-#: Counts over one counted variable y with ``{v}`` free.  These qualify for
-#: a column kernel ...
-KERNEL_SHAPES = (
+#: Counts with ``{v}`` free that are computed a column at a time: by
+#: elimination when the body is tree-shaped (unary filters, positive or
+#: negated, and parallel atoms on one edge included; a second level is a
+#: child column), or as the difference of two columns when a negated
+#: equality or distance atom ties a counted variable to ``{v}`` ...
+COLUMN_SHAPES = (
     "#(y). E({v}, y)",
     "#(y). E(y, {v})",
     "#(y). (E({v}, y) & U(y))",
     "#(y). (E({v}, y) & !U(y))",
     "#(y). (E({v}, y) & !({v} = y))",
-    "#(y). (E({v}, y) & E(y, y))",
-)
-#: ... and these fall back to per-element counts: two anchored guards, a
-#: gate, two levels.
-FALLBACK_SHAPES = (
     "#(y). (E({v}, y) & E(y, {v}))",
-    "#(y). (E({v}, y) & U({v}))",
     "#(y, z). (E({v}, y) & E(y, z))",
+    "#(y, z). (E({v}, y) & E(y, z) & !({v} = z))",
+    "#(y, z). (E({v}, y) & E(y, z) & !(dist({v}, z) <= 1))",
+)
+#: ... and these are counted per element by guarded search: a self-loop
+#: and a cycle are not trees, and a gate makes the count more than its
+#: one component.
+PER_ELEMENT_SHAPES = (
+    "#(y). (E({v}, y) & E(y, y))",
+    "#(y). (E({v}, y) & U({v}))",
+    "#(y, z). (E({v}, y) & E(y, z) & E(z, {v}))",
 )
 #: Unary terms in x around a shape over x (``{c}``) or over w (``{w}``):
 #: sums, a left factor that is zero at some elements and at all, a
@@ -778,17 +799,17 @@ class TestColumnKernels:
     brute-force oracle, charge the steps the per-element path charged,
     and export the count entries it would have stored."""
 
-    @pytest.mark.parametrize("shape", KERNEL_SHAPES + FALLBACK_SHAPES)
+    @pytest.mark.parametrize("shape", COLUMN_SHAPES + PER_ELEMENT_SHAPES)
     def test_which_counts_qualify(self, shape):
         structure = _kernel_graph(0)
         term = parse_term(shape.format(v="x"))
         plan = compile_plan("unary_term", [term], ("x",), structure.signature)
-        state = ExecutionState(structure, standard_collection(), plan)
-        kernel = state._kernel(plan.root_ids[0], "x")
-        assert (kernel is not None) == (shape in KERNEL_SHAPES)
+        _, _, free, (_, step, level) = plan.nodes[plan.root_ids[0]]
+        columnar = level is not None or step[0] == DIFFERENCE
+        assert free == ("x",) and columnar == (shape in COLUMN_SHAPES)
 
     @pytest.mark.parametrize("context", UNARY_CONTEXTS + GROUND_CONTEXTS)
-    @pytest.mark.parametrize("shape", KERNEL_SHAPES + FALLBACK_SHAPES)
+    @pytest.mark.parametrize("shape", COLUMN_SHAPES + PER_ELEMENT_SHAPES)
     def test_columns_match_the_oracle_and_the_per_element_path(self, shape, context):
         term = parse_term(context.format(c=shape.format(v="x"), w=shape.format(v="w")))
         unary = context in UNARY_CONTEXTS
@@ -813,8 +834,11 @@ class TestColumnKernels:
             )
 
     def test_checked_candidates_tick_one_at_a_time(self):
-        """A kernel with per-candidate tests ticks each candidate as
-        ``count()`` does, so a step limit stops it at the same step."""
+        """A column ticks element by element: one count, then one
+        enumerate tick weighted by the element's pool.  The count is a
+        difference whose minuend column ``#(y). E(x, y)`` starts at vertex
+        0, whose pool holds all ten vertices: its count tick makes step 1
+        and its enumerate tick step 11, past the limit of 5."""
         structure = Structure(
             Signature.of(E=2, U=1), range(10), {"E": [(0, b) for b in range(10)], "U": []}
         )
@@ -822,10 +846,10 @@ class TestColumnKernels:
         plan = compile_plan("unary_term", [term], ("x",), structure.signature)
         budget = EvaluationBudget(max_steps=5)
         executor = PlanExecutor(plan, structure, standard_collection(), budget)
-        assert executor.state._kernel(plan.root_ids[0], "x") is not None
+        assert plan.nodes[plan.root_ids[0]].args[1][0] == DIFFERENCE
         with pytest.raises(BudgetExceededError):
             executor.unary_term_values("x")
-        assert budget.steps == 6
+        assert budget.steps == 11
 
     def test_a_zero_left_factor_builds_no_kernel(self):
         structure = _kernel_graph(0)
@@ -833,7 +857,7 @@ class TestColumnKernels:
         plan = compile_plan("unary_term", [term], ("x",), structure.signature)
         executor = PlanExecutor(plan, structure, standard_collection())
         assert set(executor.unary_term_values("x").values()) == {1}
-        assert executor.state._bound_kernels == {} and executor.state._bound_nodes == {}
+        assert executor.state._bound_levels == {} and executor.state._bound_nodes == {}
 
     @pytest.mark.parametrize(
         "kind, text, columns, counts",

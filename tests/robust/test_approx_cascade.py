@@ -13,7 +13,9 @@ from repro.robust.guard import RobustEvaluator
 from repro.sparse.classes import dense_random_graph
 from repro.structures.builders import path_graph
 
-PHI = "E(x, y) & E(y, z)"
+#: Open wedges: the negated binary atom keeps foc1 on the guarded search,
+#: which pays what the two-path body cost before elimination.
+PHI = "E(x, y) & E(y, z) & !E(x, z)"
 VARIABLES = ["x", "y", "z"]
 
 

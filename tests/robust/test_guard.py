@@ -172,9 +172,10 @@ class TestFullCascade:
 class TestBudgets:
     def test_kill_switch_acceptance(self):
         """Adversarial deep-counting query on a dense graph under a
-        100 ms / 10k-step budget: raises within 2x the budget."""
+        100 ms / 10k-step budget: raises within 2x the budget.  A 4-cycle:
+        a tree-shaped body would be counted by elimination in linear time."""
         dense = complete_graph(14)
-        phi = parse_formula("E(x, y) & E(y, z) & E(z, w)")
+        phi = parse_formula("E(x, y) & E(y, z) & E(z, w) & E(w, x)")
         budget = EvaluationBudget(deadline=0.1, max_steps=10_000)
         engine = RobustEvaluator(budget=budget)
         started = time.monotonic()
@@ -215,7 +216,7 @@ class TestBudgets:
         with pytest.raises(BudgetExceededError):
             engine.count(
                 complete_graph(12),
-                parse_formula("E(x, y) & E(y, z) & E(z, w)"),
+                parse_formula("E(x, y) & E(y, z) & E(z, w) & E(w, x)"),
                 ["x", "y", "z", "w"],
             )
 

@@ -237,6 +237,13 @@ class TestCliExplain:
         assert "plan: ground_term" in result.stdout
         assert "guard" in result.stdout
 
+    def test_paths2_plan_shows_subtraction_and_elimination(self):
+        result = self._run("E(x, y) & E(y, z) & !(x = z)", "--vars", "x", "y", "z")
+        assert result.returncode == 0, result.stderr
+        assert "subtraction: #psi - #(psi & delta), delta: x = z" in result.stdout
+        assert "counted by elimination: root y, edges E(x, y), E(y, z)" in result.stdout
+        assert "counted by elimination: root x, edges E(x, y), E(y, x)" in result.stdout
+
     def test_parse_error_exits_2(self):
         result = self._run("E(x,")
         assert result.returncode == 2
@@ -284,10 +291,11 @@ class TestCliRobustness:
 
     @pytest.mark.parametrize("engine", ["foc1", "robust", "baseline"])
     def test_budget_exhaustion_exits_4(self, dense_file, engine):
+        # A 4-cycle: foc1 counts a tree-shaped body in linear time.
         result = self._run(
             "count",
             dense_file,
-            "E(x, y) & E(y, z) & E(z, w)",
+            "E(x, y) & E(y, z) & E(z, w) & E(w, x)",
             "--vars", "x", "y", "z", "w",
             "--engine", engine,
             "--max-steps", "5000",
